@@ -4,13 +4,16 @@ Every table carries a bloom filter so negative probes usually skip the
 flash read -- the standard LSM read-path optimization. Built from scratch
 on a Python ``bytearray`` with double hashing (Kirsch-Mitzenmacher): two
 base hashes combine as ``h1 + i*h2`` to derive the k probe positions.
+A filter is populated once, for a whole table, by :meth:`BloomFilter.build`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from typing import Any, Iterable
+from typing import Any
+
+import numpy as np
 
 
 class BloomFilter:
@@ -41,34 +44,39 @@ class BloomFilter:
         self.items_added = 0
 
     @staticmethod
-    def _base_hashes(key: Any) -> tuple[int, int]:
-        digest = hashlib.blake2b(repr(key).encode(), digest_size=16).digest()
-        h1 = int.from_bytes(digest[:8], "little")
-        h2 = int.from_bytes(digest[8:], "little") | 1  # odd => full period
-        return h1, h2
-
-    def _positions(self, key: Any) -> Iterable[int]:
-        h1, h2 = self._base_hashes(key)
-        for i in range(self.num_hashes):
-            yield (h1 + i * h2) % self.num_bits
-
-    def add(self, key: Any) -> None:
-        for pos in self._positions(key):
-            self._bits[pos >> 3] |= 1 << (pos & 7)
-        self.items_added += 1
+    def _digest(key: Any) -> bytes:
+        """16 bytes per key: two little-endian u64 base hashes (frozen)."""
+        return hashlib.blake2b(repr(key).encode(), digest_size=16).digest()
 
     def might_contain(self, key: Any) -> bool:
         """False means definitely absent; True means probably present."""
-        return all(
-            self._bits[pos >> 3] & (1 << (pos & 7)) for pos in self._positions(key)
-        )
+        digest = self._digest(key)
+        h1 = int.from_bytes(digest[:8], "little")
+        h2 = int.from_bytes(digest[8:], "little") | 1  # odd => full period
+        bits, num_bits = self._bits, self.num_bits
+        for i in range(self.num_hashes):
+            pos = (h1 + i * h2) % num_bits
+            if not bits[pos >> 3] & (1 << (pos & 7)):
+                return False
+        return True
 
     @classmethod
     def build(cls, keys: list[Any], fp_rate: float = 0.01) -> "BloomFilter":
-        """Construct and populate a filter sized for ``keys``."""
+        """Construct a filter sized for ``keys`` and set all their bits at once."""
         bloom = cls(expected_items=max(len(keys), 1), fp_rate=fp_rate)
-        for key in keys:
-            bloom.add(key)
+        digest = cls._digest
+        hashes = np.frombuffer(b"".join([digest(key) for key in keys]), dtype="<u8")
+        # h1 + i*h2 passes 2**64, so reduce both terms mod m first; the
+        # positions equal the Python-int ones and stay exact in uint64.
+        m = np.uint64(bloom.num_bits)
+        h1 = hashes[0::2] % m
+        h2 = (hashes[1::2] | np.uint64(1)) % m
+        steps = np.arange(bloom.num_hashes, dtype=np.uint64)
+        positions = (h1[:, None] + steps * h2[:, None]) % m
+        flags = np.zeros(len(bloom._bits) * 8, dtype=np.uint8)
+        flags[positions.ravel()] = 1
+        bloom._bits = bytearray(np.packbits(flags, bitorder="little"))
+        bloom.items_added = len(keys)
         return bloom
 
     @property

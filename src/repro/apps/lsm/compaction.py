@@ -12,11 +12,16 @@ extra device WA underneath it.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any
 
 from repro.apps.lsm.memtable import TOMBSTONE
 from repro.apps.lsm.sstable import SSTable, size_in_pages
+
+_min_key = attrgetter("min_key")
+_max_key = attrgetter("max_key")
 
 
 @dataclass(frozen=True)
@@ -114,7 +119,12 @@ class LeveledCompaction:
             return ()
         lo = min(t.min_key for t in uppers)
         hi = max(t.max_key for t in uppers)
-        return tuple(t for t in levels[level] if t.overlaps_range(lo, hi))
+        # Levels >= 1 are sorted by min_key and pairwise disjoint, so max_key
+        # ascends too and the tables touching [lo, hi] are one contiguous run.
+        tables = levels[level]
+        start = bisect.bisect_left(tables, lo, key=_max_key)
+        end = bisect.bisect_right(tables, hi, key=_min_key)
+        return tuple(tables[start:end])
 
     def merge(self, task: CompactionTask, bottom_level: bool) -> list[SSTable]:
         """Merge task inputs into output tables for ``task.level + 1``.
@@ -128,14 +138,13 @@ class LeveledCompaction:
         # (relevant for L0), larger table_id means a more recent flush.
         merged: dict[Any, Any] = {}
         for table in task.inputs_lower:
-            for key, value in table.entries:
-                merged[key] = value
+            merged.update(table.entries)
         for table in sorted(task.inputs_upper, key=lambda t: t.table_id):
-            for key, value in table.entries:
-                merged[key] = value
-        items = sorted(merged.items(), key=lambda kv: kv[0])
+            merged.update(table.entries)
+        keys = sorted(merged)
+        items = list(zip(keys, map(merged.__getitem__, keys)))
         if bottom_level:
-            items = [(k, v) for k, v in items if v is not TOMBSTONE]
+            items = [kv for kv in items if kv[1] is not TOMBSTONE]
         if not items:
             return []
         # Split into output tables of bounded size.

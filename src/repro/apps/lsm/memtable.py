@@ -57,7 +57,8 @@ class MemTable:
 
     def sorted_items(self) -> list[tuple[Any, Any]]:
         """Entries in key order, tombstones included (flush input)."""
-        return sorted(self._data.items(), key=lambda kv: kv[0])
+        keys = sorted(self._data)
+        return list(zip(keys, map(self._data.__getitem__, keys)))
 
     def clear(self) -> None:
         self._data.clear()

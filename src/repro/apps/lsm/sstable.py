@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -45,8 +46,9 @@ class SSTable:
     def __post_init__(self) -> None:
         if not self.entries:
             raise ValueError("SSTable cannot be empty")
+        # One key list serves the order check, the bisects and the bloom build.
         keys = [k for k, _ in self.entries]
-        if any(keys[i] >= keys[i + 1] for i in range(len(keys) - 1)):
+        if any(map(operator.ge, keys, itertools.islice(keys, 1, None))):
             raise ValueError("SSTable entries must be strictly sorted by key")
         self._keys = keys
         # Per-table bloom filter: negative point lookups skip the flash

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.apps.lsm.backends import LsmBackend
+from repro.apps.lsm.backends import BlockFileBackend, LsmBackend
 from repro.apps.lsm.compaction import LeveledCompaction
 from repro.apps.lsm.memtable import TOMBSTONE, MemTable
 from repro.apps.lsm.sstable import SSTable, size_in_pages
@@ -112,6 +112,12 @@ class LSMStore:
             entry_bytes=self.config.entry_bytes,
             page_size=backend.page_size,
         )
+        # Per-put constants. The flush threshold uses the encoding model of
+        # the SSTables, so it and the flushed file agree:
+        # len * entry_bytes // page_size >= memtable_pages  <=>  len >= ceil(...).
+        entry_bytes, page_size = self.config.entry_bytes, backend.page_size
+        self._wal_entries_per_page = max(page_size // entry_bytes, 1)
+        self._flush_entries = -(-self.config.memtable_pages * page_size // entry_bytes)
 
     # -- Public API -------------------------------------------------------------
 
@@ -142,8 +148,7 @@ class LSMStore:
             return
         self._wal_unsynced.append((key, value))
         self._wal_entries_pending += 1
-        entries_per_page = max(self.backend.page_size // self.config.entry_bytes, 1)
-        if self._wal_entries_pending >= entries_per_page:
+        if self._wal_entries_pending >= self._wal_entries_per_page:
             self.backend.append_wal_page()
             self.stats.wal_pages += 1
             self._wal_entries_pending = 0
@@ -183,7 +188,7 @@ class LSMStore:
         present, value = self.memtable.get(key)
         if present:
             return None if value is TOMBSTONE else value
-        for table in sorted(self.levels[0], key=lambda t: -t.table_id):
+        for table in reversed(self.levels[0]):  # flush order, newest last
             if not table.overlaps_range(key, key):
                 continue
             if not table.might_contain(key):
@@ -226,7 +231,7 @@ class LSMStore:
                 self._charge_scan_pages(table, lo, hi)
                 for k, v in table.range_slice(lo, hi):
                     merged[k] = v
-        for table in sorted(self.levels[0], key=lambda t: t.table_id):
+        for table in self.levels[0]:
             if not table.overlaps_range(lo, hi):
                 continue
             self._charge_scan_pages(table, lo, hi)
@@ -251,7 +256,7 @@ class LSMStore:
             for table in self.levels[level]:
                 for k, v in table.entries:
                     view[k] = v
-        for table in sorted(self.levels[0], key=lambda t: t.table_id):
+        for table in self.levels[0]:
             for k, v in table.entries:
                 view[k] = v
         for k, v in self.memtable.sorted_items():
@@ -260,14 +265,8 @@ class LSMStore:
 
     # -- Flush and compaction ----------------------------------------------------
 
-    @property
-    def _memtable_pages(self) -> int:
-        # Sized with the same encoding model used for SSTables so the
-        # flush threshold and the flushed file agree.
-        return len(self.memtable) * self.config.entry_bytes // self.backend.page_size
-
     def _maybe_flush(self) -> None:
-        if self._memtable_pages >= self.config.memtable_pages:
+        if len(self.memtable) >= self._flush_entries:
             self.flush()
 
     def flush(self) -> None:
@@ -330,6 +329,27 @@ class LSMStore:
             )
 
     # -- Reporting -----------------------------------------------------------------
+
+    def check_invariants(self) -> None:
+        """Assert the level structure the read and compaction paths rely on."""
+        ids = [t.table_id for t in self.levels[0]]
+        assert ids == sorted(ids), "L0 is not in flush order"
+        for number, level in enumerate(self.levels[1:], start=1):
+            for left, right in zip(level, level[1:]):
+                assert left.max_key < right.min_key, (
+                    f"L{number} tables {left.table_id} and {right.table_id} "
+                    "are out of order or overlap"
+                )
+        tables = [t for level in self.levels for t in level]
+        for table in tables:
+            assert table.handle is not None, f"table {table.table_id} has no handle"
+        backend = self.backend
+        if isinstance(backend, BlockFileBackend):
+            held = sum(e.length for t in tables for e in t.handle)
+            held += sum(e.length for e in backend._wal_extents)
+            assert backend.allocator.free_blocks + held == backend.capacity_pages, (
+                "allocator leaked or double-counted pages"
+            )
 
     def level_sizes_pages(self) -> list[int]:
         return [sum(t.size_pages for t in level) for level in self.levels]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.apps.lsm import LSMConfig, LSMStore, ZoneFileBackend
 from repro.block.factory import DeviceSpec, build_stack
 from repro.experiments.base import ExperimentConfig, ExperimentResult, SweepSpec, experiment
-from repro.sim.rng import make_rng
+from repro.sim.rng import draw_ints, make_rng
 
 
 def measure(blocks_per_zone: int, quick: bool, seed: int) -> dict:
@@ -31,8 +31,8 @@ def measure(blocks_per_zone: int, quick: bool, seed: int) -> dict:
     n_keys = 100_000
     ops = 250_000 if quick else 500_000
     rng = make_rng(seed)
-    for i in range(ops):
-        store.put(int(rng.integers(0, n_keys)), i)
+    for i, key in enumerate(draw_ints(rng, n_keys, ops)):
+        store.put(key, i)
     backend = store.backend
     flash_pages = device.nand.physical_bytes_written() // device.page_size
     return {

@@ -19,7 +19,7 @@ from repro.block.factory import DeviceSpec, build_stack
 from repro.block.ramdisk import RamDisk
 from repro.experiments.base import ExperimentConfig, ExperimentResult, experiment
 from repro.sim.engine import Engine, Timeout
-from repro.sim.rng import make_rng
+from repro.sim.rng import draw_ints, make_rng
 from repro.zns.zone import ZoneState
 
 
@@ -30,8 +30,8 @@ def capture_io_plan(quick: bool, seed: int) -> list:
     backend = BlockFileBackend(RamDisk(num_blocks=1 << 16), trim_on_delete=True)
     store = LSMStore(backend, LSMConfig(memtable_pages=64, level0_pages=768, max_table_pages=32))
     rng = make_rng(seed)
-    for i in range(ops):
-        store.put(int(rng.integers(0, n_keys)), i)
+    for i, key in enumerate(draw_ints(rng, n_keys, ops)):
+        store.put(key, i)
     return store.stats.io_plan
 
 

@@ -26,15 +26,15 @@ from repro.apps.lsm import (
 )
 from repro.block.factory import DeviceSpec, build_stack
 from repro.experiments.base import ExperimentConfig, ExperimentResult, SweepSpec, experiment
-from repro.sim.rng import make_rng
+from repro.sim.rng import draw_ints, make_rng
 
 _CFG = LSMConfig(memtable_pages=64, level0_pages=768, max_table_pages=32)
 
 
 def _drive(store: LSMStore, n_keys: int, ops: int, seed: int) -> None:
     rng = make_rng(seed)
-    for i in range(ops):
-        store.put(int(rng.integers(0, n_keys)), i)
+    for i, key in enumerate(draw_ints(rng, n_keys, ops)):
+        store.put(key, i)
 
 
 def _steady_state_wa(store, flash_bytes_fn, n_keys, warmup_ops, measure_ops, seed):

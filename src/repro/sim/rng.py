@@ -9,7 +9,11 @@ arrival processes) get statistically independent streams.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
+
+_DRAW_CHUNK = 8192
 
 
 def make_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
@@ -21,6 +25,17 @@ def make_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def draw_ints(rng: np.random.Generator, high: int, count: int) -> Iterator[int]:
+    """Yield what ``count`` calls of ``int(rng.integers(0, high))`` would return.
+
+    Drawn a chunk at a time: one generator call per op costs more than the
+    draw itself, and one array for all ops holds memory a long loop has
+    no use for. The stream is the scalar one, draw for draw.
+    """
+    for start in range(0, count, _DRAW_CHUNK):
+        yield from rng.integers(0, high, size=min(_DRAW_CHUNK, count - start)).tolist()
 
 
 def spawn_rngs(seed: int | None, count: int) -> list[np.random.Generator]:
@@ -36,4 +51,4 @@ def spawn_rngs(seed: int | None, count: int) -> list[np.random.Generator]:
     return [np.random.default_rng(child) for child in root.spawn(count)]
 
 
-__all__ = ["make_rng", "spawn_rngs"]
+__all__ = ["draw_ints", "make_rng", "spawn_rngs"]

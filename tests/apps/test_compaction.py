@@ -70,6 +70,25 @@ class TestPickTask:
         assert task.inputs_upper == (cheap,)
         assert task.inputs_lower == ()
 
+    def test_cost_ties_go_to_the_first_table(self):
+        policy = make_policy(level0_pages=1)
+        first, second = table([1, 2], 1, size_pages=2), table([5, 6], 1, size_pages=2)
+        task = policy.pick_task([[], [first, second], [], []])
+        assert task.inputs_upper == (first,)
+
+    def test_overlap_is_the_run_a_full_scan_finds(self):
+        # Levels >= 1 are sorted and disjoint; ranges that only touch a
+        # table's end key still overlap it.
+        policy = make_policy()
+        lower = [table([lo, lo + 4], 2) for lo in range(0, 100, 10)]
+        levels = [[], [], lower]
+        for lo in range(-3, 103):
+            for hi in range(lo, lo + 25, 3):
+                uppers = (table([lo], 1), table([hi], 1))
+                found = policy._overlapping(levels, 2, uppers)
+                assert found == tuple(t for t in lower if t.overlaps_range(lo, hi))
+        assert policy._overlapping(levels, 3, uppers) == ()
+
 
 class TestMerge:
     def test_newer_value_wins(self):

@@ -224,6 +224,42 @@ class TestStoreCorrectness:
                 model.pop(key, None)
         for key in range(64):
             assert store.get(key) == model.get(key)
+        store.check_invariants()
+
+
+class TestCheckInvariants:
+    @staticmethod
+    def churned():
+        store = ram_store()
+        for i in range(3000):
+            store.put(i * 7 % 1000, i)
+        store.check_invariants()
+        assert len(store.levels[0]) >= 2 and len(store.levels[1]) >= 2
+        return store
+
+    def test_catches_l0_out_of_flush_order(self):
+        store = self.churned()
+        store.levels[0].reverse()
+        with pytest.raises(AssertionError, match="flush order"):
+            store.check_invariants()
+
+    def test_catches_unsorted_level(self):
+        store = self.churned()
+        store.levels[1].reverse()
+        with pytest.raises(AssertionError, match="out of order or overlap"):
+            store.check_invariants()
+
+    def test_catches_missing_handle(self):
+        store = self.churned()
+        store.levels[1][0].handle = None
+        with pytest.raises(AssertionError, match="no handle"):
+            store.check_invariants()
+
+    def test_catches_leaked_pages(self):
+        store = self.churned()
+        store.backend.allocator.allocate(1)
+        with pytest.raises(AssertionError, match="leaked"):
+            store.check_invariants()
 
 
 class TestBackends:

@@ -1,0 +1,88 @@
+"""Pinned fingerprint of the LSM flush/compaction schedule.
+
+A speed-only change to ``repro.apps.lsm`` must leave every count below
+where it is. The digests were recorded at commit a72f8c1, before the
+table-build path was rewritten, and stand in tier-1 for the golden
+``cmp`` of E5/A2/E4 (minutes; this takes about two seconds). A deliberate
+schedule or physics change re-records them and says so.
+"""
+
+import hashlib
+import json
+import random
+from dataclasses import asdict
+
+from repro.apps.lsm import BlockFileBackend, LSMConfig, LSMStore, ZoneFileBackend
+from repro.block.factory import DeviceSpec, build_stack
+
+# Small tables and a 2,048-page device: 30k puts then reach five levels,
+# device GC on the block stack and zone reclaim on the zoned one.
+CFG = LSMConfig(memtable_pages=4, level0_pages=16, level_multiplier=4, max_table_pages=4)
+FLASH = {"blocks_per_plane": 4}
+N_KEYS = 24_000
+PUTS, GETS, SCANS = 30_000, 5_000, 200
+
+PINNED = {
+    "block": "7e1b59b7c39eec4bdcd028ac83cd8fac80e408e53b6fe98fde1b6eba729ee619",
+    "zone": "890e22b90d36b2a5c77dfb04264ae2849fc79719d66a23614e69c8ea050b5386",
+}
+
+
+def _digest(store: LSMStore, nand) -> str:
+    counters = nand.counters
+    state = {
+        "stats": {k: v for k, v in vars(store.stats).items() if isinstance(v, int)},
+        "io_plan": [asdict(entry) for entry in store.stats.io_plan],
+        "levels": store.level_sizes_pages(),
+        "backend": asdict(store.backend.stats),
+        "nand": [counters.writes, counters.copies, counters.erases],
+    }
+    return hashlib.sha256(json.dumps(state, sort_keys=True).encode()).hexdigest()
+
+
+def _write(store: LSMStore, rng: random.Random) -> None:
+    for i in range(PUTS):
+        if i % 50 == 49:
+            store.delete(rng.randrange(N_KEYS))
+        else:
+            store.put(rng.randrange(N_KEYS), i)
+        if i == PUTS // 2:
+            store.crash_and_recover()
+
+
+def test_block_backend_fingerprint():
+    ssd = build_stack(
+        DeviceSpec(
+            kind="conventional-ssd", geometry="small", flash=FLASH, ftl={"op_ratio": 0.07}
+        )
+    )
+    store = LSMStore(
+        BlockFileBackend(ssd, trim_on_delete=False, allocation_strategy="aged"), CFG
+    )
+    rng = random.Random(13)
+    _write(store, rng)
+    for _ in range(GETS):
+        store.get(rng.randrange(2 * N_KEYS))
+    for _ in range(SCANS):
+        lo = rng.randrange(N_KEYS)
+        store.scan(lo, lo + 100)
+    store.check_invariants()
+    assert _digest(store, ssd.ftl.nand) == PINNED["block"]
+
+
+def test_zone_backend_fingerprint():
+    # Write-only: ZoneFileBackend can reset a zone it has just filled
+    # (benchmarks/ledger/README.md, "Defect found"), so reads may raise.
+    device = build_stack(
+        DeviceSpec(
+            kind="zns",
+            geometry="small",
+            flash=FLASH,
+            blocks_per_zone=2,
+            max_active_zones=14,
+        )
+    )
+    store = LSMStore(ZoneFileBackend(device), CFG)
+    _write(store, random.Random(13))
+    store.check_invariants()
+    assert _digest(store, device.nand) == PINNED["zone"]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.rng import make_rng, spawn_rngs
+from repro.sim.rng import draw_ints, make_rng, spawn_rngs
 
 
 def test_make_rng_from_seed_is_deterministic():
@@ -38,3 +38,15 @@ def test_spawn_rngs_reproducible():
 def test_spawn_rngs_negative_count_rejected():
     with pytest.raises(ValueError):
         spawn_rngs(0, -1)
+
+
+@pytest.mark.parametrize("high", [7, 160_000, 2**31, 2**40])
+@pytest.mark.parametrize("count", [0, 1, 8192, 20_001])
+def test_draw_ints_is_the_scalar_stream(high, count):
+    scalar, chunked = make_rng(5), make_rng(5)
+    expected = [int(scalar.integers(0, high)) for _ in range(count)]
+    drawn = list(draw_ints(chunked, high, count))
+    assert drawn == expected
+    assert all(type(value) is int for value in drawn[:3])
+    # The generators stay in step, so later draws are unchanged too.
+    assert int(scalar.integers(0, high)) == int(chunked.integers(0, high))
