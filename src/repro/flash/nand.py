@@ -504,81 +504,15 @@ class NandArray:
             )
         return latency
 
-    def sense_for_copy_batch(self, pages: np.ndarray) -> None:
-        """Bulk :meth:`sense_for_copy`: checks and read disturb, no events.
-
-        Like the scalar form, the accesses are neither counted nor
-        published as host reads; the caller accounts for the copy at its
-        own layer.
-        """
-        pages = np.asarray(pages, dtype=np.int64)
-        if pages.size == 0:
-            raise ValueError("empty page batch")
-        lo, hi = int(pages.min()), int(pages.max())
-        if lo < 0 or hi >= self.geometry.total_pages:
-            raise IndexError(f"page batch out of range [0, {self.geometry.total_pages})")
-        ppb = self.geometry.pages_per_block
-        blocks = pages // ppb
-        bad = self.wear.bad_mask[blocks]
-        if bad.any():
-            raise BadBlockError(f"read on retired block {int(blocks[bad][0])}")
-        offsets = pages - blocks * ppb
-        if np.any(offsets >= self._write_offsets[blocks]):
-            raise ReadUnwrittenError("batch senses at least one unprogrammed page")
-        np.add.at(self._reads_since_erase, blocks, 1)
-
-    def copy_batch(self, src_pages: np.ndarray, dst_pages: np.ndarray) -> float:
-        """On-die copy of many pages; returns total latency.
-
-        Equivalent to ``for s, d in zip(src_pages, dst_pages):
-        self.copy_page(s, d)``: source blocks absorb read disturb,
-        destinations obey program order, and the counter sink books the
-        same copy count and byte totals from one aggregate event.
-        """
-        src_pages = np.asarray(src_pages, dtype=np.int64)
-        dst_pages = np.asarray(dst_pages, dtype=np.int64)
-        if len(src_pages) != len(dst_pages):
-            raise ValueError("src/dst length mismatch")
-        if src_pages.size == 0:
-            raise ValueError("empty page batch")
-        lo, hi = int(src_pages.min()), int(src_pages.max())
-        if lo < 0 or hi >= self.geometry.total_pages:
-            raise IndexError(f"page batch out of range [0, {self.geometry.total_pages})")
-        ppb = self.geometry.pages_per_block
-        src_blocks = src_pages // ppb
-        usrc, src_counts = np.unique(src_blocks, return_counts=True)
-        if self.wear.bad_mask[usrc].any():
-            bad = int(usrc[self.wear.bad_mask[usrc]][0])
-            raise BadBlockError(f"read on retired block {bad}")
-        src_offsets = src_pages - src_blocks * ppb
-        if np.any(src_offsets >= self._write_offsets[src_blocks]):
-            raise ReadUnwrittenError("batch copies at least one unprogrammed page")
-        dst_blocks, udst, dst_counts = self._check_program_order(dst_pages)
-        np.add.at(self._reads_since_erase, usrc, src_counts)
-        self._write_offsets[udst] += dst_counts.astype(np.int32)
-        if self.store_data:
-            for src, dst in zip(src_pages.tolist(), dst_pages.tolist()):
-                self._data[dst] = self._data.get(src)
-        n = len(src_pages)
-        latency = n * (self.timing.read_us + self.timing.program_us)
-        if self.tracer.enabled:
-            self.tracer.publish(
-                FlashOpEvent(
-                    "flash.nand", "copy", int(dst_blocks[0]), int(dst_pages[0]),
-                    nbytes=n * self.geometry.page_size, count=n, latency_us=latency,
-                )
-            )
-        return latency
-
     def copy_run(self, src_pages: np.ndarray, dst_block: int, dst_offset: int) -> float:
         """On-die copy of one victim block's pages onto a contiguous run.
 
-        The epoch twin of :meth:`copy_batch` for the collector's common
-        shape: ``src_pages`` ascending within a single source block, the
-        destination the next ``n`` free pages of ``dst_block``. State
-        transitions, counter totals, and the aggregate trace event are
-        identical to :meth:`copy_batch`; the generic per-batch
-        lexsort/unique validation collapses to O(1) checks.
+        The collector's shape: ``src_pages`` ascending within a single
+        source block, the destination the next ``n`` free pages of
+        ``dst_block``. Equivalent to :meth:`copy_page` per page -- the
+        source block absorbs read disturb, the destination obeys program
+        order, and the counter sink books the same copy count and byte
+        totals from one aggregate event -- with O(1) validation.
         """
         n = len(src_pages)
         if n == 0:
@@ -614,56 +548,6 @@ class NandArray:
             self.tracer.publish(
                 FlashOpEvent(
                     "flash.nand", "copy", dst_block, dst_first,
-                    nbytes=n * self.geometry.page_size, count=n, latency_us=latency,
-                )
-            )
-        return latency
-
-    def program_lanes(
-        self, blocks: np.ndarray, first_offsets: np.ndarray, counts: np.ndarray
-    ) -> float:
-        """Program per-block runs resolved by an epoch layout; returns latency.
-
-        ``blocks[i]`` receives ``counts[i]`` pages starting at its
-        within-block ``first_offsets[i]`` -- the shape a striped zone
-        append decomposes into (see
-        :func:`repro.sim.compiled.stripe_layout`). Equivalent to the
-        per-page scalar programs with one aggregate trace event; all
-        validation is O(lanes), not O(pages).
-        """
-        if len(blocks) == 0:
-            raise ValueError("empty lane batch")
-        n = int(counts.sum())
-        if int(counts.min()) < 1:
-            raise ValueError("every lane must program at least one page")
-        if int(blocks.min()) < 0 or int(blocks.max()) >= self.geometry.total_blocks:
-            raise IndexError(f"block batch out of range [0, {self.geometry.total_blocks})")
-        if self.wear.bad_mask[blocks].any():
-            bad = int(blocks[self.wear.bad_mask[blocks]][0])
-            raise BadBlockError(f"program on retired block {bad}")
-        if not np.array_equal(first_offsets, self._write_offsets[blocks]):
-            raise ProgramOrderError(
-                "lane batch does not start at each block's next programmable offset"
-            )
-        ends = first_offsets + counts
-        if int(ends.max()) > self.geometry.pages_per_block:
-            raise ProgramOrderError("lane batch overflows a block")
-        latency = n * self.timing.program_total_us(self.geometry.page_size)
-        first_page = int(blocks[0]) * self.geometry.pages_per_block + int(first_offsets[0])
-        if self.faults is not None:
-            fault, extra = self.faults.on_program_batch(n, int(blocks[0]), first_page, latency)
-            if fault:
-                raise ProgramFaultError(
-                    f"program fault failed lane batch of {n} pages starting at "
-                    f"page {first_page}",
-                    latency_us=latency,
-                )
-            latency += extra
-        self._write_offsets[blocks] = ends.astype(np.int32)
-        if self.tracer.enabled:
-            self.tracer.publish(
-                FlashOpEvent(
-                    "flash.nand", "program", int(blocks[0]), first_page,
                     nbytes=n * self.geometry.page_size, count=n, latency_us=latency,
                 )
             )

@@ -16,7 +16,7 @@ from repro.ftl.gc import (
     VictimPolicy,
     make_policy,
 )
-from repro.ftl.mapping import PageMap
+from repro.ftl.mapping import FullPageMap
 
 __all__ = [
     "ConventionalFTL",
@@ -24,8 +24,8 @@ __all__ = [
     "CostBenefitPolicy",
     "FTLConfig",
     "FifoPolicy",
+    "FullPageMap",
     "GreedyPolicy",
-    "PageMap",
     "VictimPolicy",
     "make_policy",
 ]

@@ -32,16 +32,11 @@ With a CMT budget at or above the full map size nothing ever misses or
 evicts, no translation page is ever programmed, and the device is
 physics-identical to a :class:`ConventionalFTL` with the same config --
 the property the parity test suite pins.
-
-:class:`MappingCache` / :class:`MappingCacheStats` remain as the old
-accounting-only model (used by legacy tests and kept one release for
-back-compat); new code should read :attr:`DemandPagedFTL.store`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -69,72 +64,6 @@ def oob_tag_for_tvpn(tvpn: int) -> int:
 
 def tvpn_from_oob(tag: int) -> int:
     return _TRANS_OOB_BASE - tag
-
-
-@dataclass
-class MappingCacheStats:
-    lookups: int = 0
-    hits: int = 0
-    miss_reads: int = 0  # translation-page fetches from flash
-    dirty_evict_writes: int = 0  # translation-page writebacks
-
-    @property
-    def hit_rate(self) -> float:
-        """Hit fraction; 0.0 before any lookup (no traffic means no hits,
-        and callers averaging hit rates must not credit idle caches)."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-
-class MappingCache:
-    """LRU cache of translation pages with dirty-writeback accounting.
-
-    The legacy accounting-only model: it *counts* the flash ops a DFTL
-    would issue without issuing them. Superseded by
-    :class:`~repro.ftl.mapping.TranslationStore`, which this class
-    mirrors in structure; kept for callers that only need the counts.
-    """
-
-    def __init__(self, entries_per_translation_page: int = 1024, capacity_pages: int = 8):
-        if entries_per_translation_page < 1 or capacity_pages < 1:
-            raise ValueError("invalid mapping-cache configuration")
-        self.entries_per_page = entries_per_translation_page
-        self.capacity_pages = capacity_pages
-        self.stats = MappingCacheStats()
-        # translation page id -> dirty flag, in LRU order (oldest first).
-        self._cached: OrderedDict[int, bool] = OrderedDict()
-
-    def _translation_page_of(self, lpn: int) -> int:
-        return lpn // self.entries_per_page
-
-    def access(self, lpn: int, dirty: bool) -> tuple[int, int]:
-        """Account one translation lookup; returns (extra_reads, extra_writes).
-
-        ``dirty`` marks accesses that modify the mapping (host writes,
-        trims): their translation page must eventually be written back.
-        """
-        self.stats.lookups += 1
-        tpage = self._translation_page_of(lpn)
-        if tpage in self._cached:
-            self.stats.hits += 1
-            self._cached.move_to_end(tpage)
-            if dirty:
-                self._cached[tpage] = True
-            return 0, 0
-        extra_reads = 1  # fetch the translation page from flash
-        self.stats.miss_reads += 1
-        extra_writes = 0
-        if len(self._cached) >= self.capacity_pages:
-            _evicted, was_dirty = self._cached.popitem(last=False)
-            if was_dirty:
-                extra_writes = 1
-                self.stats.dirty_evict_writes += 1
-        self._cached[tpage] = dirty
-        return extra_reads, extra_writes
-
-    @property
-    def dram_bytes(self) -> int:
-        """Controller memory the cache occupies (entries x 4 bytes)."""
-        return self.capacity_pages * self.entries_per_page * 4
 
 
 class DemandPagedFTL(ConventionalFTL):
@@ -307,7 +236,7 @@ class DemandPagedFTL(ConventionalFTL):
         fault, then the group's remaining accesses are guaranteed hits
         applied as bookkeeping), and the data pages are then programmed
         through :meth:`ConventionalFTL.write_pages`. Runs of hit groups
-        are applied by the compiled probe
+        are applied by the array probe
         (:func:`repro.sim.compiled.cmt_probe_batch`); only miss groups
         pay the scalar fault path with its real flash I/O and GC.
 
@@ -316,10 +245,8 @@ class DemandPagedFTL(ConventionalFTL):
         and LRU-stamp discipline -- but translation flash traffic is
         genuinely lower: at most one miss fetch and one writeback per
         distinct translation page per epoch, which is the optimization.
-        The compiled and interpreted legs of this path are bit-for-bit
-        identical (the parity suite pins it). Falls back to the scalar
-        per-lpn loop when a fault injector is armed: fault absorption is
-        inherently per-page.
+        Falls back to the scalar per-lpn loop when a fault injector is
+        armed: fault absorption is inherently per-page.
         """
         lpns = np.asarray(lpns, dtype=np.int64)
         n = int(lpns.size)
@@ -670,8 +597,6 @@ class DemandPagedFTL(ConventionalFTL):
 
 __all__ = [
     "DemandPagedFTL",
-    "MappingCache",
-    "MappingCacheStats",
     "oob_tag_for_tvpn",
     "tvpn_from_oob",
 ]

@@ -280,6 +280,61 @@ class ConventionalFTL:
 
     # -- Host operations -------------------------------------------------------
 
+    def _open_next_block(
+        self, stream: int, auto_gc: bool, ops: list[FlashOp] | None = None
+    ) -> tuple[int, float]:
+        """Cross a block boundary on ``stream``; returns ``(block, stall_us)``.
+
+        The host write paths' one boundary policy: seal the full active
+        block, run foreground GC to the high watermark if the free pool
+        is at the low one, let the wear-level policy migrate, take a free
+        block. GC and wear-leveling op records are appended to ``ops``
+        when given (GC skips building them otherwise). ``stall_us`` is
+        that work's single-server queue occupancy -- channel ops summed,
+        device-internal ops by their longest member -- with GC priced at
+        its fault-free constants (each copy read+program, one erase per
+        pass); :meth:`write_pages_timed`, its one reader, arms no faults.
+        """
+        active = self._active[stream]
+        if active is not None:
+            self._seal(active)
+            self._active[stream] = None
+        channel_us = 0.0
+        internal_us = 0.0
+        if auto_gc and self.gc_needed():
+            self.stats.foreground_gc_stalls += 1
+            if self.tracer.enabled:
+                self.tracer.publish(GcEvent("ftl.gc", "watermark-low", free_blocks=len(self._free)))
+            copied0 = self.stats.gc_pages_copied
+            runs0 = self.stats.gc_runs
+            gc_ops = self.collect(self.gc_high_watermark, build_ops=ops is not None)
+            if ops is not None:
+                ops.extend(gc_ops)
+            timing = self.nand.timing
+            copies = self.stats.gc_pages_copied - copied0
+            copy_us = timing.read_us + timing.program_us
+            if not self.config.copyback:
+                channel_us = copies * copy_us
+            elif copies:
+                internal_us = copy_us
+            if self.stats.gc_runs > runs0:
+                internal_us = max(internal_us, timing.erase_us)
+            if self.tracer.enabled:
+                self.tracer.publish(
+                    GcEvent("ftl.gc", "watermark-recovered", free_blocks=len(self._free))
+                )
+        wl_ops = self._maybe_wear_level()
+        if ops is not None:
+            ops.extend(wl_ops)
+        for op in wl_ops:
+            if op.uses_channel:
+                channel_us += op.latency_us
+            elif op.latency_us > internal_us:
+                internal_us = op.latency_us
+        active = self._take_free_block()
+        self._active[stream] = active
+        return active, channel_us + internal_us
+
     def write(self, lpn: int, stream: int = 0, auto_gc: bool = True) -> list[FlashOp]:
         """Write one logical page; may trigger foreground GC.
 
@@ -294,28 +349,7 @@ class ConventionalFTL:
 
         active = self._active[stream]
         if active is None or self.nand.is_block_full(active):
-            if active is not None:
-                self._seal(active)
-                self._active[stream] = None
-            if auto_gc and self.gc_needed():
-                self.stats.foreground_gc_stalls += 1
-                if self.tracer.enabled:
-                    self.tracer.publish(
-                        GcEvent(
-                            "ftl.gc", "watermark-low", free_blocks=len(self._free)
-                        )
-                    )
-                ops.extend(self.collect(self.gc_high_watermark))
-                if self.tracer.enabled:
-                    self.tracer.publish(
-                        GcEvent(
-                            "ftl.gc", "watermark-recovered",
-                            free_blocks=len(self._free),
-                        )
-                    )
-            ops.extend(self._maybe_wear_level())
-            self._active[stream] = self._take_free_block()
-            active = self._active[stream]
+            active, _ = self._open_next_block(stream, auto_gc, ops)
 
         if self.nand.faults is None:
             page, latency = self.nand.program_next(active)
@@ -330,26 +364,18 @@ class ConventionalFTL:
         ops.append(FlashOp(OpKind.PROGRAM, active, page, latency))
         return ops
 
-    def write_pages(
-        self, lpns: np.ndarray, stream: int = 0, auto_gc: bool = True
-    ) -> int:
-        """Write many logical pages; the batched twin of :meth:`write`.
+    def _write_chunks(
+        self, lpns: np.ndarray, stream: int, auto_gc: bool, service: np.ndarray | None
+    ) -> None:
+        """Program validated ``lpns`` onto ``stream`` in active-block-sized runs.
 
-        Semantically identical to ``for lpn in lpns: self.write(lpn, stream,
-        auto_gc)`` -- same mapping table, counters, seal times, GC victim
-        sequence, and trace aggregates -- but programs the active block in
-        chunk-sized runs and skips building :class:`FlashOp` records.
-        Returns the number of pages written. Callers that replay physical
-        ops in the DES must use the scalar path.
+        The body of :meth:`write_pages` and :meth:`write_pages_timed`.
+        With ``service`` given, the page that opens a new active block
+        has that boundary's stall added to its entry.
         """
-        lpns = np.asarray(lpns, dtype=np.int64)
-        n = int(lpns.size)
-        if n == 0:
-            return 0
-        if int(lpns.min()) < 0 or int(lpns.max()) >= self.logical_pages:
-            raise IndexError(f"lpn batch out of range [0, {self.logical_pages})")
         if stream not in self._active:
             raise ValueError(f"stream {stream} out of range [0, {self.config.streams})")
+        n = int(lpns.size)
         ppb = self.geometry.pages_per_block
         done = 0
         while done < n:
@@ -360,28 +386,9 @@ class ConventionalFTL:
                 # advanced clock; the chunk's remaining ticks land after.
                 self._clock += 1
                 pending_tick = 1
-                if active is not None:
-                    self._seal(active)
-                    self._active[stream] = None
-                if auto_gc and self.gc_needed():
-                    self.stats.foreground_gc_stalls += 1
-                    if self.tracer.enabled:
-                        self.tracer.publish(
-                            GcEvent(
-                                "ftl.gc", "watermark-low", free_blocks=len(self._free)
-                            )
-                        )
-                    self.collect(self.gc_high_watermark, build_ops=False)
-                    if self.tracer.enabled:
-                        self.tracer.publish(
-                            GcEvent(
-                                "ftl.gc", "watermark-recovered",
-                                free_blocks=len(self._free),
-                            )
-                        )
-                self._maybe_wear_level()
-                active = self._take_free_block()
-                self._active[stream] = active
+                active, stall_us = self._open_next_block(stream, auto_gc)
+                if service is not None:
+                    service[done] += stall_us
             else:
                 pending_tick = 0
             offset = self.nand.write_offset(active)
@@ -404,20 +411,38 @@ class ConventionalFTL:
                     page, _ = self._program_host_page(stream)
                     self.map.map(lpn, page)
                     self._oob_note(page, lpn)
-                self._clock += take - pending_tick
-                done += take
-                continue
-            self.map.map_batch(
-                lpns[done : done + take], first + np.arange(take, dtype=np.int64)
-            )
-            self._oob_lpn[first : first + take] = lpns[done : done + take]
-            self._oob_serial[first : first + take] = np.arange(
-                self._program_serial, self._program_serial + take, dtype=np.int64
-            )
-            self._program_serial += take
+            else:
+                self.map.map_batch(
+                    lpns[done : done + take], first + np.arange(take, dtype=np.int64)
+                )
+                self._oob_lpn[first : first + take] = lpns[done : done + take]
+                self._oob_serial[first : first + take] = np.arange(
+                    self._program_serial, self._program_serial + take, dtype=np.int64
+                )
+                self._program_serial += take
             self._clock += take - pending_tick
             done += take
         self.stats.host_pages_written += n
+
+    def write_pages(
+        self, lpns: np.ndarray, stream: int = 0, auto_gc: bool = True
+    ) -> int:
+        """Write many logical pages; the batched twin of :meth:`write`.
+
+        Semantically identical to ``for lpn in lpns: self.write(lpn, stream,
+        auto_gc)`` -- same mapping table, counters, seal times, GC victim
+        sequence, and trace aggregates -- but programs the active block in
+        chunk-sized runs and skips building :class:`FlashOp` records.
+        Returns the number of pages written. Callers that replay physical
+        ops in the DES must use the scalar path.
+        """
+        lpns = np.asarray(lpns, dtype=np.int64)
+        n = int(lpns.size)
+        if n == 0:
+            return 0
+        if int(lpns.min()) < 0 or int(lpns.max()) >= self.logical_pages:
+            raise IndexError(f"lpn batch out of range [0, {self.logical_pages})")
+        self._write_chunks(lpns, stream, auto_gc, None)
         return n
 
     def write_pages_timed(
@@ -431,13 +456,12 @@ class ConventionalFTL:
         per-page service-time array. Each page pays the host program
         (channel time); a page that opens a new active block additionally
         carries that boundary's GC and wear-leveling work, folded the way
-        a single-server queue occupies -- channel ops summed,
-        device-internal ops by their longest member. Requires no armed
-        fault injector (fault absorption and its latency adders are
-        inherently per-page); callers with faults armed must take the
-        scalar path. Only the conventional data path is timed here -- the
-        demand-paged subclass's translation pre-pass does not route
-        through this entry point.
+        a single-server queue occupies (see :meth:`_open_next_block`).
+        Requires no armed fault injector (fault absorption and its
+        latency adders are inherently per-page); callers with faults
+        armed must take the scalar path. Only the conventional data path
+        is timed here -- the demand-paged subclass's translation pre-pass
+        does not route through this entry point.
         """
         if self.nand.faults is not None:
             raise ValueError("write_pages_timed requires no armed fault injector")
@@ -453,76 +477,9 @@ class ConventionalFTL:
                     )
         elif int(lpns.min()) < 0 or int(lpns.max()) >= self.logical_pages:
             raise IndexError(f"lpn batch out of range [0, {self.logical_pages})")
-        if stream not in self._active:
-            raise ValueError(f"stream {stream} out of range [0, {self.config.streams})")
-        timing = self.nand.timing
-        program_us = timing.program_total_us(self.geometry.page_size)
-        copy_us = timing.read_us + timing.program_us
+        program_us = self.nand.timing.program_total_us(self.geometry.page_size)
         service = np.full(n, program_us, dtype=np.float64)
-        ppb = self.geometry.pages_per_block
-        done = 0
-        while done < n:
-            active = self._active[stream]
-            if active is None or self.nand.is_block_full(active):
-                self._clock += 1
-                pending_tick = 1
-                if active is not None:
-                    self._seal(active)
-                    self._active[stream] = None
-                channel_extra = 0.0
-                internal_max = 0.0
-                if auto_gc and self.gc_needed():
-                    self.stats.foreground_gc_stalls += 1
-                    if self.tracer.enabled:
-                        self.tracer.publish(
-                            GcEvent(
-                                "ftl.gc", "watermark-low", free_blocks=len(self._free)
-                            )
-                        )
-                    copied0 = self.stats.gc_pages_copied
-                    runs0 = self.stats.gc_runs
-                    self.collect(self.gc_high_watermark, build_ops=False)
-                    # GC latencies are constants (no faults): copies cost
-                    # read+program each, every pass erases its victim.
-                    copies = self.stats.gc_pages_copied - copied0
-                    if self.config.copyback:
-                        if copies:
-                            internal_max = copy_us
-                    else:
-                        channel_extra += copies * copy_us
-                    if self.stats.gc_runs > runs0:
-                        internal_max = max(internal_max, timing.erase_us)
-                    if self.tracer.enabled:
-                        self.tracer.publish(
-                            GcEvent(
-                                "ftl.gc", "watermark-recovered",
-                                free_blocks=len(self._free),
-                            )
-                        )
-                for op in self._maybe_wear_level():
-                    if op.uses_channel:
-                        channel_extra += op.latency_us
-                    elif op.latency_us > internal_max:
-                        internal_max = op.latency_us
-                service[done] += channel_extra + internal_max
-                active = self._take_free_block()
-                self._active[stream] = active
-            else:
-                pending_tick = 0
-            offset = self.nand.write_offset(active)
-            take = min(ppb - offset, n - done)
-            first, _ = self.nand.program_run(active, take)
-            self.map.map_batch(
-                lpns[done : done + take], first + np.arange(take, dtype=np.int64)
-            )
-            self._oob_lpn[first : first + take] = lpns[done : done + take]
-            self._oob_serial[first : first + take] = np.arange(
-                self._program_serial, self._program_serial + take, dtype=np.int64
-            )
-            self._program_serial += take
-            self._clock += take - pending_tick
-            done += take
-        self.stats.host_pages_written += n
+        self._write_chunks(lpns, stream, auto_gc, service)
         return service
 
     def read_pages(self, lpns: np.ndarray) -> np.ndarray:
@@ -647,20 +604,7 @@ class ConventionalFTL:
         copies record fresh OOB), then the block is marked bad and leaves
         circulation -- it was active, so it sits in no other pool.
         """
-        moved = 0
-        moved_lpns: list[int] = []
-        for src in self.map.valid_pages_in_block(block):
-            dst_block = self._gc_destination()
-            offset = self.nand.write_offset(dst_block)
-            dst_page = self.geometry.first_page_of_block(dst_block) + offset
-            self.nand.copy_page(src, dst_page)
-            lpn = self.map.relocate(src, dst_page)
-            self._oob_note(dst_page, lpn)
-            moved_lpns.append(lpn)
-            self.stats.gc_pages_copied += 1
-            moved += 1
-        if moved_lpns:
-            self._note_relocated(np.asarray(moved_lpns, dtype=np.int64))
+        moved = self._copy_forward(self.map.valid_pages_in_block(block), None)
         self.nand.wear.mark_bad(block)
         self._active[stream] = None
         self._fault_counts.pop(block, None)
@@ -791,28 +735,10 @@ class ConventionalFTL:
             self._gc_cursor += nvalid
             self.stats.gc_pages_copied += nvalid
         else:
-            moved_lpns: list[int] = []
-            for src in valid.tolist():
-                dst_block = self._gc_destination()
-                offset = self.nand.write_offset(dst_block)
-                dst_page = self.geometry.first_page_of_block(dst_block) + offset
-                latency = self.nand.copy_page(src, dst_page)
-                lpn = self.map.relocate(src, dst_page)
-                self._oob_note(dst_page, lpn)
-                moved_lpns.append(lpn)
-                self.stats.gc_pages_copied += 1
-                if build_ops:
-                    ops.append(
-                        FlashOp(
-                            OpKind.COPY,
-                            dst_block,
-                            dst_page,
-                            latency,
-                            uses_channel=not self.config.copyback,
-                        )
-                    )
-            if moved_lpns:
-                self._note_relocated(np.asarray(moved_lpns, dtype=np.int64))
+            self._copy_forward(
+                valid.tolist(), ops if build_ops else None,
+                uses_channel=not self.config.copyback,
+            )
         erase_latency, survived = self._erase_reclaimed(victim)
         self._sealed.discard(victim)
         self._seal_times.pop(victim, None)
@@ -860,6 +786,33 @@ class ConventionalFTL:
         self._gc_active[stream] = self._take_free_block()
         return self._gc_active[stream]
 
+    def _copy_forward(
+        self, sources: list[int], ops: list[FlashOp] | None, uses_channel: bool = False
+    ) -> int:
+        """Move valid pages one by one to the GC destination; returns the count.
+
+        The page-at-a-time relocation shared by multi-stream GC, wear
+        leveling, scrubbing and block retirement (single-stream GC copies
+        in runs instead). Copy op records are appended to ``ops`` when given.
+        """
+        moved_lpns: list[int] = []
+        for src in sources:
+            dst_block = self._gc_destination()
+            offset = self.nand.write_offset(dst_block)
+            dst_page = self.geometry.first_page_of_block(dst_block) + offset
+            latency = self.nand.copy_page(src, dst_page)
+            lpn = self.map.relocate(src, dst_page)
+            self._oob_note(dst_page, lpn)
+            moved_lpns.append(lpn)
+            self.stats.gc_pages_copied += 1
+            if ops is not None:
+                ops.append(
+                    FlashOp(OpKind.COPY, dst_block, dst_page, latency, uses_channel=uses_channel)
+                )
+        if moved_lpns:
+            self._note_relocated(np.asarray(moved_lpns, dtype=np.int64))
+        return len(moved_lpns)
+
     # -- Wear leveling -----------------------------------------------------------
 
     def _maybe_wear_level(self) -> list[FlashOp]:
@@ -900,19 +853,7 @@ class ConventionalFTL:
                 )
             )
         ops: list[FlashOp] = []
-        moved_lpns: list[int] = []
-        for src in self.map.valid_pages_in_block(coldest):
-            dst_block = self._gc_destination()
-            offset = self.nand.write_offset(dst_block)
-            dst_page = self.geometry.first_page_of_block(dst_block) + offset
-            latency = self.nand.copy_page(src, dst_page)
-            lpn = self.map.relocate(src, dst_page)
-            self._oob_note(dst_page, lpn)
-            moved_lpns.append(lpn)
-            self.stats.gc_pages_copied += 1
-            ops.append(FlashOp(OpKind.COPY, dst_block, dst_page, latency, uses_channel=False))
-        if moved_lpns:
-            self._note_relocated(np.asarray(moved_lpns, dtype=np.int64))
+        self._copy_forward(self.map.valid_pages_in_block(coldest), ops)
         erase_latency, survived = self._erase_reclaimed(coldest)
         self._sealed.discard(coldest)
         self._seal_times.pop(coldest, None)
@@ -946,21 +887,7 @@ class ConventionalFTL:
                         free_blocks=len(self._free),
                     )
                 )
-            moved_lpns: list[int] = []
-            for src in self.map.valid_pages_in_block(block):
-                dst_block = self._gc_destination()
-                offset = self.nand.write_offset(dst_block)
-                dst_page = self.geometry.first_page_of_block(dst_block) + offset
-                latency = self.nand.copy_page(src, dst_page)
-                lpn = self.map.relocate(src, dst_page)
-                self._oob_note(dst_page, lpn)
-                moved_lpns.append(lpn)
-                self.stats.gc_pages_copied += 1
-                ops.append(
-                    FlashOp(OpKind.COPY, dst_block, dst_page, latency, uses_channel=False)
-                )
-            if moved_lpns:
-                self._note_relocated(np.asarray(moved_lpns, dtype=np.int64))
+            self._copy_forward(self.map.valid_pages_in_block(block), ops)
             erase_latency, survived = self._erase_reclaimed(block)
             self._sealed.discard(block)
             self._seal_times.pop(block, None)

@@ -170,40 +170,19 @@ class FullPageMap:
         block = int(ppns[0]) // ppb
         # Last occurrence of each lpn wins; earlier in-batch occurrences
         # map-then-invalidate entirely inside ``block`` (net zero on its
-        # valid count), so only survivors touch the maps. The applier is
-        # the numba epoch kernel when available, else the same numpy
-        # program as before.
+        # valid count), so only survivors touch the maps.
         self.mapped_pages += compiled.map_batch_apply(
             self.l2p, self.p2l, self.valid_counts, lpns, ppns, block, ppb
         )
 
-    def relocate_batch(self, ppns_from: np.ndarray, ppns_to: np.ndarray) -> None:
-        """Move valid bindings in bulk (GC copy-forward), as :meth:`relocate`.
-
-        All ``ppns_from`` must be valid and distinct; ``ppns_to`` must be
-        unmapped, freshly-programmed pages within one erasure block.
-        """
-        n = len(ppns_from)
-        if n == 0:
-            return
-        ppb = self.geometry.pages_per_block
-        lpns = self.p2l[ppns_from]
-        if lpns.size and lpns.min() == UNMAPPED:
-            raise ValueError("relocate_batch of invalid physical page")
-        self.p2l[ppns_from] = UNMAPPED
-        np.subtract.at(self.valid_counts, ppns_from // ppb, 1)
-        self.l2p[lpns] = ppns_to
-        self.p2l[ppns_to] = lpns
-        self.valid_counts[int(ppns_to[0]) // ppb] += n
-
     def relocate_run(self, ppns_from: np.ndarray, dst_first: int) -> None:
-        """GC compaction applier: :meth:`relocate_batch` for one victim block.
+        """Move one victim block's valid bindings in bulk (GC copy-forward).
 
-        All ``ppns_from`` must be valid, distinct pages of a single
-        erasure block; destinations are the contiguous freshly-programmed
-        run starting at ``dst_first``. This is the epoch fast path the
-        collector uses -- O(run) with no per-destination address
-        arithmetic, dispatched through :mod:`repro.sim.compiled`.
+        Equivalent to :meth:`relocate` per page. All ``ppns_from`` must
+        be valid, distinct pages of a single erasure block; destinations
+        are the contiguous freshly-programmed run starting at
+        ``dst_first`` -- O(run) with no per-destination address
+        arithmetic.
         """
         n = len(ppns_from)
         if n == 0:
@@ -222,12 +201,6 @@ class FullPageMap:
     def dram_bytes(self, bytes_per_entry: int = 4) -> int:
         """On-board DRAM the forward map would occupy (paper §2.2)."""
         return self.logical_pages * bytes_per_entry
-
-
-#: Back-compat alias: the class was named ``PageMap`` before the
-#: demand-paged model split mapping into full-map and translation-store
-#: residency. Existing imports keep working.
-PageMap = FullPageMap
 
 
 @dataclass
@@ -284,7 +257,7 @@ class TranslationStore:
     insert and every hit, so the least-recently-used entry is exactly
     the minimum-stamp slot -- semantically identical to the OrderedDict
     (hit = ``move_to_end``, evict = ``popitem(last=False)``) it
-    replaced, but probeable in bulk by the epoch kernels in
+    replaced, but probeable in bulk by the kernels in
     :mod:`repro.sim.compiled` (``cmt_probe_batch`` / ``cmt_evict_batch``).
     """
 
@@ -441,7 +414,6 @@ class TranslationStore:
         mark, LRU stamps, and stats for every leading group that hits
         the CMT and returns how many groups were consumed; the first
         missing group (if any) is left for :meth:`access_group`.
-        Dispatched through :func:`repro.sim.compiled.cmt_probe_batch`.
         """
         consumed, self._stamp = compiled.cmt_probe_batch(
             self.tvpn_slot,
@@ -516,7 +488,6 @@ class TranslationStore:
 
 __all__ = [
     "FullPageMap",
-    "PageMap",
     "TranslationStats",
     "TranslationStore",
     "UNMAPPED",

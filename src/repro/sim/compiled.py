@@ -1,31 +1,22 @@
-"""Epoch-compiled kernels for the simulation hot loops.
+"""Array kernels for the batch paths' mapping-table and CMT updates.
 
-PR 4 vectorized the device stack's *batch* paths; what remains between a
-workload epoch and the flash arrays is per-chunk Python dispatch and the
-generic batch validators (lexsort + unique per call). This module holds
-the epoch kernels that close that gap:
+Each function mutates the caller's numpy arrays in place, with no
+per-page Python work:
 
-- pure-array layouts and appliers that :mod:`repro.flash.nand`,
-  :mod:`repro.ftl.mapping`, and :mod:`repro.zns.device` call on their
-  epoch fast paths, with O(stripe-width) or O(run-length) work and no
-  per-page Python;
-- an optional `numba <https://numba.pydata.org/>`_ fast path: when numba
-  is importable (and not disabled via ``REPRO_COMPILED=0``) the scalar
-  per-page appliers are JIT-compiled loops, which beat the numpy
-  fallbacks on short runs. When numba is absent the numpy fallbacks run
-  -- the module never requires it, and CI guards that no ``src/repro``
-  module imports numba unconditionally.
+- ``map_batch_apply`` / ``relocate_run_apply`` are what
+  :class:`repro.ftl.mapping.FullPageMap` runs for a host write chunk and
+  for a GC copy-forward run;
+- ``cmt_probe_batch`` / ``cmt_evict_batch`` are what
+  :class:`repro.ftl.mapping.TranslationStore` runs to apply a run of CMT
+  hits and to pick the dirty pages a flush writes back.
 
-Every kernel is state-identical to the interpreted scalar path it
-replaces; ``tests/sim/test_compiled_parity.py`` asserts that identity
-over random operation sequences with the fast path both enabled and
-monkeypatched absent. The headline numbers live in ``BENCH_PR7.json``.
+Every kernel leaves the arrays exactly as the scalar method it stands in
+for would (``map`` / ``relocate`` per page, ``access_tvpn`` per hit, an
+LRU-order walk of the cache); ``tests/sim/test_compiled_parity.py``
+checks that against scalar references over random sequences.
 """
 
 from __future__ import annotations
-
-import os
-from typing import Any
 
 import numpy as np
 
@@ -36,77 +27,20 @@ import numpy as np
 UNMAPPED = -1
 
 
-def _load_numba() -> Any:
-    """Import numba iff present and not disabled by ``REPRO_COMPILED``.
-
-    ``REPRO_COMPILED=0`` (or ``off``/``false``) forces the numpy
-    fallbacks even when numba is installed -- the knob the docs expose
-    for debugging and for the parity suite's monkeypatched-absence leg.
-    """
-    if os.environ.get("REPRO_COMPILED", "auto").strip().lower() in {"0", "off", "false"}:
-        return None
-    try:
-        import numba
-    except ImportError:
-        return None
-    return numba
-
-
-_numba = _load_numba()
-
-#: True when the numba JIT is importable and not disabled by environment.
-NUMBA_AVAILABLE = _numba is not None
-
-#: Live switch consulted on every kernel dispatch. Tests monkeypatch this
-#: to force the numpy fallbacks; it starts equal to NUMBA_AVAILABLE.
-USE_NUMBA = NUMBA_AVAILABLE
-
-
-def enabled() -> bool:
-    """True when kernel dispatch currently selects the numba fast path."""
-    return USE_NUMBA and NUMBA_AVAILABLE
-
-
-def _jit(fn):
-    """``numba.njit`` when available, identity otherwise."""
-    if _numba is None:
-        return fn
-    return _numba.njit(cache=True)(fn)
-
-
 # -- Mapping-table appliers -----------------------------------------------------
 #
-# The appliers mutate the PageMap arrays (l2p, p2l, valid_counts) in
-# place and return the change in mapped-page count. Contracts match
-# PageMap.map_batch / relocate_batch: destinations are freshly-programmed
-# pages within ONE erasure block.
+# The appliers mutate the FullPageMap arrays (l2p, p2l, valid_counts) in
+# place. Contracts match FullPageMap.map_batch / relocate_run:
+# destinations are freshly-programmed pages within ONE erasure block.
 
 
-def _map_batch_loop(l2p, p2l, valid_counts, lpns, ppns, block, ppb):
-    """Scalar-order map loop: the jittable twin of ``PageMap.map`` x n."""
-    delta = 0
-    for i in range(lpns.shape[0]):
-        lpn = lpns[i]
-        ppn = ppns[i]
-        prev = l2p[lpn]
-        if prev != UNMAPPED:
-            p2l[prev] = UNMAPPED
-            valid_counts[prev // ppb] -= 1
-            if valid_counts[prev // ppb] < 0:
-                raise ValueError("valid count went negative in map batch")
-        else:
-            delta += 1
-        l2p[lpn] = ppn
-        p2l[ppn] = lpn
-        valid_counts[block] += 1
-    return delta
+def map_batch_apply(l2p, p2l, valid_counts, lpns, ppns, block, ppb):
+    """Bind ``lpns[i] -> ppns[i]`` in scalar order; returns mapped-page delta.
 
-
-_map_batch_jit = _jit(_map_batch_loop)
-
-
-def _map_batch_numpy(l2p, p2l, valid_counts, lpns, ppns, block, ppb):
-    """Vectorized map applier: last in-batch occurrence of each lpn wins."""
+    All ``ppns`` must be unmapped, freshly-programmed pages inside
+    erasure block ``block``. In-batch duplicate lpns resolve exactly as a
+    scalar loop would (later occurrences supersede earlier ones).
+    """
     n = lpns.shape[0]
     rev_unique, rev_first = np.unique(lpns[::-1], return_index=True)
     survivor_idx = n - 1 - rev_first
@@ -125,36 +59,13 @@ def _map_batch_numpy(l2p, p2l, valid_counts, lpns, ppns, block, ppb):
     return int(rev_unique.size - np.count_nonzero(remapped))
 
 
-def map_batch_apply(l2p, p2l, valid_counts, lpns, ppns, block, ppb):
-    """Bind ``lpns[i] -> ppns[i]`` in scalar order; returns mapped-page delta.
+def relocate_run_apply(l2p, p2l, valid_counts, src_pages, dst_first, src_block, dst_block):
+    """GC copy-forward applier: move valid bindings onto a contiguous run.
 
-    All ``ppns`` must be unmapped, freshly-programmed pages inside
-    erasure block ``block``. In-batch duplicate lpns resolve exactly as a
-    scalar loop would (later occurrences supersede earlier ones).
+    ``src_pages`` must be valid, distinct pages of ``src_block``;
+    destinations are the fresh run ``dst_first .. dst_first+n`` inside
+    ``dst_block``. Mirrors ``FullPageMap.relocate`` x n exactly.
     """
-    if enabled():
-        return int(_map_batch_jit(l2p, p2l, valid_counts, lpns, ppns, block, ppb))
-    return _map_batch_numpy(l2p, p2l, valid_counts, lpns, ppns, block, ppb)
-
-
-def _relocate_run_loop(l2p, p2l, valid_counts, src_pages, dst_first, src_block, dst_block):
-    for i in range(src_pages.shape[0]):
-        src = src_pages[i]
-        lpn = p2l[src]
-        if lpn == UNMAPPED:
-            raise ValueError("relocate of invalid physical page")
-        p2l[src] = UNMAPPED
-        valid_counts[src_block] -= 1
-        dst = dst_first + i
-        l2p[lpn] = dst
-        p2l[dst] = lpn
-        valid_counts[dst_block] += 1
-
-
-_relocate_run_jit = _jit(_relocate_run_loop)
-
-
-def _relocate_run_numpy(l2p, p2l, valid_counts, src_pages, dst_first, src_block, dst_block):
     n = src_pages.shape[0]
     lpns = p2l[src_pages]
     if lpns.size and int(lpns.min()) == UNMAPPED:
@@ -167,58 +78,35 @@ def _relocate_run_numpy(l2p, p2l, valid_counts, src_pages, dst_first, src_block,
     valid_counts[dst_block] += n
 
 
-def relocate_run_apply(l2p, p2l, valid_counts, src_pages, dst_first, src_block, dst_block):
-    """GC copy-forward applier: move valid bindings onto a contiguous run.
-
-    ``src_pages`` must be valid, distinct pages of ``src_block``;
-    destinations are the fresh run ``dst_first .. dst_first+n`` inside
-    ``dst_block``. Mirrors ``PageMap.relocate`` x n exactly.
-    """
-    if enabled():
-        _relocate_run_jit(l2p, p2l, valid_counts, src_pages, dst_first, src_block, dst_block)
-    else:
-        _relocate_run_numpy(l2p, p2l, valid_counts, src_pages, dst_first, src_block, dst_block)
-
-
 # -- CMT (cached mapping table) kernels -----------------------------------------
 #
 # The DFTL's CMT is slot arrays (tvpn -> slot, slot -> tvpn/dirty/stamp)
 # with a monotonically-stamped LRU: every insert and every hit assigns
 # the next stamp, so "least recently used" is exactly "minimum stamp" --
 # the array twin of an OrderedDict with move_to_end on hit. The kernels
-# below are the epoch paths over those arrays; the scalar miss/evict
+# below are the batch paths over those arrays; the scalar miss/evict
 # machinery stays in :class:`repro.ftl.mapping.TranslationStore` (it
 # issues real flash I/O and can recurse into GC, which no kernel can).
 
 
-def _cmt_probe_loop(tvpn_slot, slot_dirty, slot_stamp, tvpns, counts, start, stamp):
-    """Consume the maximal all-hit prefix of the tvpn groups from ``start``.
+def cmt_probe_batch(tvpn_slot, slot_dirty, slot_stamp, tvpns, counts, start, stamp):
+    """Apply the maximal all-hit prefix of the tvpn groups from ``start``.
 
-    ``tvpns``/``counts`` describe an epoch's accesses grouped by
-    distinct translation page (first-appearance order). Each consumed
-    hit group applies the write-path bookkeeping in scalar order: dirty
-    the slot, advance the LRU stamp by the group's access count (one
-    access plus count-1 immediate same-page hits), landing the slot on
-    the group's last stamp. Stops at the first group whose translation
-    page is not cached. Returns ``(groups_consumed, next_stamp)``.
+    ``tvpns``/``counts`` describe a batch's accesses grouped by distinct
+    translation page (first-appearance order; the grouping is the
+    caller's one ``np.unique`` pass). Each consumed hit group applies the
+    write-path bookkeeping in scalar order: dirty the slot, advance the
+    LRU stamp by the group's access count (one access plus count-1
+    immediate same-page hits), landing the slot on the group's last
+    stamp. Hits are pure bookkeeping -- no flash I/O, no GC, so they
+    cannot invalidate the probe's view. The first missing group is NOT
+    consumed: the caller routes it through the scalar demand-fault path
+    (which may read flash, write back, and GC) and then re-enters the
+    probe. Returns ``(groups_consumed, next_stamp)``; the caller owns
+    the lookups/hits counters.
     """
-    consumed = 0
-    while start + consumed < tvpns.shape[0]:
-        slot = tvpn_slot[tvpns[start + consumed]]
-        if slot < 0:
-            break
-        k = counts[start + consumed]
-        slot_dirty[slot] = 1
-        slot_stamp[slot] = stamp + k - 1
-        stamp += k
-        consumed += 1
-    return consumed, stamp
-
-
-_cmt_probe_jit = _jit(_cmt_probe_loop)
-
-
-def _cmt_probe_numpy(tvpn_slot, slot_dirty, slot_stamp, tvpns, counts, start, stamp):
+    if start >= tvpns.shape[0]:
+        return 0, stamp
     slots = tvpn_slot[tvpns[start:]]
     miss = slots < 0
     consumed = int(miss.argmax()) if miss.any() else int(slots.shape[0])
@@ -234,53 +122,6 @@ def _cmt_probe_numpy(tvpn_slot, slot_dirty, slot_stamp, tvpns, counts, start, st
     return consumed, stamp
 
 
-def cmt_probe_batch(tvpn_slot, slot_dirty, slot_stamp, tvpns, counts, start, stamp):
-    """Epoch CMT probe: apply the leading run of hit groups.
-
-    Partitioning an epoch's lpns by distinct translation page is the
-    caller's one ``np.unique`` pass; this kernel walks the resulting
-    groups from ``start`` and applies every leading group that hits the
-    CMT (hits are pure bookkeeping -- no flash I/O, no GC, so they
-    cannot invalidate the probe's view). The first missing group is NOT
-    consumed: the caller routes it through the scalar demand-fault path
-    (which may read flash, write back, and GC) and then re-enters the
-    probe. Returns ``(groups_consumed, next_stamp)``; the caller owns
-    the lookups/hits counters.
-    """
-    if start >= tvpns.shape[0]:
-        return 0, stamp
-    if enabled():
-        consumed, stamp = _cmt_probe_jit(
-            tvpn_slot, slot_dirty, slot_stamp, tvpns, counts, start, stamp
-        )
-        return int(consumed), int(stamp)
-    return _cmt_probe_numpy(tvpn_slot, slot_dirty, slot_stamp, tvpns, counts, start, stamp)
-
-
-def _cmt_evict_loop(slot_tvpn, slot_dirty, slot_stamp):
-    order = np.argsort(slot_stamp)
-    out = np.empty(slot_tvpn.shape[0], dtype=np.int64)
-    count = 0
-    for j in range(order.shape[0]):
-        s = order[j]
-        if slot_tvpn[s] >= 0 and slot_dirty[s] != 0:
-            out[count] = slot_tvpn[s]
-            slot_dirty[s] = 0
-            count += 1
-    return out[:count]
-
-
-_cmt_evict_jit = _jit(_cmt_evict_loop)
-
-
-def _cmt_evict_numpy(slot_tvpn, slot_dirty, slot_stamp):
-    idx = np.flatnonzero((slot_tvpn >= 0) & (slot_dirty != 0))
-    idx = idx[np.argsort(slot_stamp[idx])]
-    out = slot_tvpn[idx].copy()
-    slot_dirty[idx] = 0
-    return out
-
-
 def cmt_evict_batch(slot_tvpn, slot_dirty, slot_stamp):
     """Batched dirty write-back selection: dirty tvpns in LRU order.
 
@@ -289,42 +130,17 @@ def cmt_evict_batch(slot_tvpn, slot_dirty, slot_stamp):
     Stamps are unique (one monotonic counter), so the order is total.
     The caller issues the actual translation programs.
     """
-    if enabled():
-        return _cmt_evict_jit(slot_tvpn, slot_dirty, slot_stamp)
-    return _cmt_evict_numpy(slot_tvpn, slot_dirty, slot_stamp)
-
-
-# -- Zone-append layout ---------------------------------------------------------
-
-
-def stripe_layout(wp: int, n: int, width: int, ppb: int):
-    """Resolve a striped zone-append run into per-lane program runs.
-
-    A zone stripes page offset ``j`` onto lane ``j % width`` at
-    within-block offset ``j // width``. For the run ``[wp, wp + n)`` this
-    returns ``(lanes, first_offsets, counts)`` -- for each stripe lane
-    that receives pages, the within-block offset of its first page and
-    how many pages land on it. O(width), independent of run length.
-    """
-    if n < 1:
-        raise ValueError("stripe run must cover at least one page")
-    lanes = np.arange(width, dtype=np.int64)
-    counts = (wp + n - 1 - lanes) // width - (wp - 1 - lanes) // width
-    first_offsets = -((wp - lanes) // -width)  # ceil((wp - lane) / width)
-    hit = counts > 0
-    end = wp + n - 1
-    if (end // width) >= ppb:
-        raise IndexError(f"append run [{wp}, {wp + n}) exceeds {width} blocks of {ppb} pages")
-    return lanes[hit], first_offsets[hit], counts[hit]
+    idx = np.flatnonzero((slot_tvpn >= 0) & (slot_dirty != 0))
+    idx = idx[np.argsort(slot_stamp[idx])]
+    out = slot_tvpn[idx].copy()
+    slot_dirty[idx] = 0
+    return out
 
 
 __all__ = [
-    "NUMBA_AVAILABLE",
     "UNMAPPED",
     "cmt_evict_batch",
     "cmt_probe_batch",
-    "enabled",
     "map_batch_apply",
     "relocate_run_apply",
-    "stripe_layout",
 ]

@@ -41,7 +41,6 @@ from repro.obs.events import (
 )
 from repro.obs.sinks import LatencySink, OpCounterSink
 from repro.obs.tracer import Tracer
-from repro.sim import compiled
 from repro.sim.engine import Engine
 from repro.sim.resources import Resource
 from repro.zns.errors import (
@@ -657,8 +656,8 @@ class ZNSDevice:
         dst = self.zone(dst_zone_id)
         dst.check_writable(len(sources))
         # Validate every source before touching flash so a bad source list
-        # fails atomically, exactly like the batch twin: no destination
-        # page is programmed for a command that raises.
+        # fails atomically: no destination page is programmed for a
+        # command that raises.
         for src_zone_id, src_offset in sources:
             self.zone(src_zone_id).check_readable(src_offset)
         self._ensure_open_for_write(dst)
@@ -704,7 +703,7 @@ class ZNSDevice:
 
     # -- Batched data commands ------------------------------------------------------
     #
-    # The batch twins of write/append/simple_copy: same zone state machine,
+    # The batch twins of write/append: same zone state machine,
     # same command-level events and counter totals, but the flash work goes
     # through the NAND batch entry points (one aggregate flash event per
     # command) and no per-page FlashOp records are built. Callers that
@@ -795,176 +794,42 @@ class ZNSDevice:
             )
         return assigned
 
-    def append_epoch(self, zone_ids: np.ndarray, npages: np.ndarray) -> np.ndarray:
-        """Resolve a full append burst in one array pass; returns offsets.
+    # -- Consistency checking (used by property tests) -----------------------------
 
-        Semantically ``[self.append_batch(z, k) for z, k in zip(zone_ids,
-        npages)]`` -- same zone state machine, same counter totals -- with
-        two epoch-level liberties: consecutive records addressing the same
-        zone merge into one command (trace events aggregate per merged
-        run), and a merged run is validated whole, so a run that cannot
-        fit raises before programming anything where the per-record path
-        would land the leading records. Zone selection, write-pointer
-        advance, and flash programming for each run resolve in
-        O(stripe-width) array work (:func:`repro.sim.compiled.stripe_layout`
-        + :meth:`~repro.flash.nand.NandArray.program_lanes`) instead of
-        per-page address translation, and the O(zones) open/active-limit
-        scans run once per epoch, not once per record. With an armed
-        fault injector the epoch degrades to the per-record batch path,
-        which polls scheduled faults between commands.
-        """
-        zone_ids = np.asarray(zone_ids, dtype=np.int64)
-        counts = np.asarray(npages, dtype=np.int64)
-        n = int(zone_ids.size)
-        if counts.size != n:
-            raise ValueError("zone_ids/npages length mismatch")
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        if int(counts.min()) < 1:
-            raise ValueError("npages must be >= 1")
-        assigned = np.empty(n, dtype=np.int64)
-        if self.faults is not None:
-            for i in range(n):
-                assigned[i] = self.append_batch(int(zone_ids[i]), int(counts[i]))
-            return assigned
-        boundaries = np.flatnonzero(np.diff(zone_ids) != 0) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [n]))
-        # Epoch-local open/active tallies: scanned once here, maintained
-        # incrementally across runs (the per-command properties cost
-        # O(zones) each, and an epoch touches many zones).
-        n_open = self.open_count
-        n_active = self.active_count
+    def check_invariants(self) -> None:
+        """Assert structural invariants; raises AssertionError on violation."""
         ppb = self.geometry.flash.pages_per_block
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            zone_id = int(zone_ids[s])
-            run = counts[s:e]
-            total = int(run.sum())
-            zone = self.zone(zone_id)
-            zone.check_writable(total)
-            if zone.state.is_open:
-                self._touch_open(zone_id)
-            else:
-                if zone.state is ZoneState.EMPTY:
-                    if n_active >= self.geometry.max_active_zones:
-                        raise ActiveZoneLimitError(
-                            f"{n_active} zones active; "
-                            f"limit {self.geometry.max_active_zones}"
-                        )
-                    n_active += 1
-                if n_open >= self.geometry.open_limit:
-                    self._close_lru_implicit()
-                    n_open -= 1
-                old_state = zone.state
-                zone.transition_open(explicit=False)
-                self._mark_open(zone_id)
-                self._publish_transition(zone, old_state, "implicit-open")
-                n_open += 1
-            wp = zone.wp
-            blocks = self.ftl.blocks_array(zone_id)
-            if self.striped:
-                width = len(blocks)
-                lanes, first_offsets, lane_counts = compiled.stripe_layout(
-                    wp, total, width, ppb
-                )
-                self.nand.program_lanes(blocks[lanes], first_offsets, lane_counts)
-                first_block = int(blocks[wp % width])
-            else:
-                lo, hi = wp // ppb, (wp + total - 1) // ppb
-                if hi >= len(blocks):
-                    raise IndexError(f"offset {wp + total - 1} beyond zone {zone_id}")
-                lane_blocks = blocks[lo : hi + 1]
-                first_offsets = np.zeros(hi - lo + 1, dtype=np.int64)
-                first_offsets[0] = wp % ppb
-                lane_ends = np.full(hi - lo + 1, ppb, dtype=np.int64)
-                lane_ends[-1] = (wp + total - 1) % ppb + 1
-                self.nand.program_lanes(
-                    lane_blocks, first_offsets, lane_ends - first_offsets
-                )
-                first_block = int(lane_blocks[0])
-            old_state = zone.state
-            zone.advance(total)
-            if self.tracer.enabled:
-                self.tracer.publish(
-                    FlashOpEvent(
-                        "zns.device", "program", block=first_block,
-                        count=total, nbytes=total * self.page_size,
-                    )
-                )
-                self.tracer.publish(
-                    ZoneAppendEvent("zns.device", zone_id, wp, npages=total)
-                )
-            if zone.state is ZoneState.FULL:
-                self._note_no_longer_open(zone_id)
-                self._publish_transition(zone, old_state, "write-full")
-                n_open -= 1
-                n_active -= 1
-            assigned[s:e] = wp + np.cumsum(run) - run
-        return assigned
-
-    def simple_copy_batch(
-        self, sources: list[tuple[int, int]] | np.ndarray, dst_zone_id: int
-    ) -> int:
-        """Batched NVMe simple copy; returns the destination start offset.
-
-        ``sources`` is a sequence (or ``(n, 2)`` array) of (zone, offset)
-        pages, copied in order to the destination write pointer.
-        """
-        src = np.asarray(sources, dtype=np.int64).reshape(-1, 2)
-        n = len(src)
-        if n == 0:
-            raise ValueError("simple_copy requires at least one source")
-        if self.faults is not None:
-            self._poll_faults()
-        dst = self.zone(dst_zone_id)
-        dst.check_writable(n)
-        # Validate every source before opening the destination, matching
-        # the scalar command: a command that raises leaves all zone state
-        # (including the destination's implicit-open) untouched.
-        src_pages = np.empty(n, dtype=np.int64)
-        for zone_id in np.unique(src[:, 0]).tolist():
-            src_zone = self.zone(int(zone_id))
-            mask = src[:, 0] == zone_id
-            offsets = src[mask, 1]
-            if (
-                src_zone.state is ZoneState.OFFLINE
-                or int(offsets.min()) < 0
-                or int(offsets.max()) >= src_zone.wp
-            ):
-                for off in offsets.tolist():
-                    src_zone.check_readable(int(off))
-            src_pages[mask] = self._pages_of(int(zone_id), offsets)
-        pre_open_state = dst.state
-        self._ensure_open_for_write(dst)
-        start = dst.wp
-        dst_pages = self._pages_of(
-            dst_zone_id, np.arange(start, start + n, dtype=np.int64)
-        )
-        # Mirror the scalar command's flash accounting exactly: the sense
-        # side is silent (device-internal) and the program side books as
-        # programs at the flash.nand layer; the copy is counted once here
-        # at the command layer.
-        self.nand.sense_for_copy_batch(src_pages)
-        try:
-            self.nand.program_batch(dst_pages)
-        except ProgramFaultError:
-            # Pre-mutation batch fault: destination untouched, retryable.
-            self._revert_implicit_open(dst, pre_open_state)
-            raise
-        old_state = dst.state
-        dst.advance(n)
-        if self.tracer.enabled:
-            self.tracer.publish(
-                FlashOpEvent(
-                    "zns.device", "copy",
-                    block=int(dst_pages[0]) // self.geometry.flash.pages_per_block,
-                    count=n, nbytes=n * self.page_size,
-                )
+        for zone in self.zones:
+            z, state = zone.zone_id, zone.state
+            assert 0 <= zone.wp <= zone.capacity_pages <= zone.size_pages, (
+                f"zone {z} wp {zone.wp} outside capacity {zone.capacity_pages}"
             )
-        if dst.state is ZoneState.FULL:
-            self._note_no_longer_open(dst_zone_id)
-            self._publish_transition(dst, old_state, "write-full")
-        return start
+            if state is ZoneState.EMPTY:
+                assert zone.wp == 0, f"empty zone {z} has wp {zone.wp}"
+            elif state is ZoneState.CLOSED:
+                assert zone.wp > 0, f"closed zone {z} has nothing written"
+            if state.is_active:
+                assert zone.wp < zone.capacity_pages, f"active zone {z} is at capacity"
+            if state in (ZoneState.READ_ONLY, ZoneState.OFFLINE):
+                # A program fault burned a page past the write pointer, or
+                # the zone's data is gone: flash no longer tracks wp.
+                continue
+            blocks = self.ftl.blocks_of_zone(z)
+            assert zone.capacity_pages == len(blocks) * ppb, f"zone {z} capacity != blocks"
+            for i, block in enumerate(blocks):
+                if self.striped:
+                    # Offsets i, i + width, ... below wp land on lane i.
+                    expected = max(0, -((zone.wp - i) // -len(blocks)))
+                else:
+                    expected = min(max(zone.wp - i * ppb, 0), ppb)
+                assert self.nand.write_offset(block) == expected, (
+                    f"zone {z} block {block} at offset {self.nand.write_offset(block)}, "
+                    f"wp {zone.wp} implies {expected}"
+                )
+        implicit = set(self.zones_in_state(ZoneState.IMPLICIT_OPEN))
+        assert set(self._open_stamp) == implicit, "open-LRU out of step with implicitly-open zones"
+        assert self.open_count <= self.geometry.open_limit, "open limit exceeded"
+        assert self.active_count <= self.geometry.max_active_zones, "active limit exceeded"
 
 
 class TimedZNSDevice:

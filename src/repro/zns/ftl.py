@@ -78,9 +78,8 @@ class ZnsFTL:
         self._spares: list[int] = list(range(mapped, flash.total_blocks))
         self._free_pool: list[int] = []
         # Per-zone numpy twins of _zone_blocks, built lazily and dropped
-        # on reset (the only mutation point). The epoch append path and
-        # the batched address translation index these instead of building
-        # a fresh list per command.
+        # on reset (the only mutation point). The batched write path
+        # indexes these instead of building a fresh list per command.
         self._block_arrays: dict[int, np.ndarray] = {}
 
     # -- Translation ---------------------------------------------------------

@@ -1,0 +1,146 @@
+"""The shape of each paper claim, checked against the committed golden.
+
+Every row is one claim about one experiment's seed-0 quick result.
+``tests/golden/run_all.json`` stores exactly those results (the nightly
+workflow byte-compares a fresh ``run all`` with it), so the claims are
+read from it and no experiment runs here.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "run_all.json"
+RESULTS = {r["experiment_id"]: r for r in json.loads(GOLDEN.read_text())}
+
+
+def _column(rows, key, value):
+    """``{row[key]: row[value]}`` over the rows that carry both columns."""
+    return {r[key]: r[value] for r in rows if key in r and value in r}
+
+
+def _e1_monotone(h, rows):
+    wa = _column(rows, "op_pct", "write_amplification")
+    ops = sorted(wa)
+    return all(wa[a] >= wa[b] for a, b in zip(ops, ops[1:]))
+
+
+def _a4_overhead_monotone(h, rows):
+    overheads = [r["read_overhead"] for r in rows if isinstance(r["cmt_translation_pages"], int)]
+    return len(overheads) > 1 and overheads == sorted(overheads, reverse=True)
+
+
+def _e14_zns_outlives(h, rows):
+    years = [(r["zns_years"], r["conventional_years"]) for r in rows if "zns_years" in r]
+    return bool(years) and all(zns > conventional for zns, conventional in years)
+
+
+def _e10_erase_dominates(h, rows):
+    erase = _column(rows, "cell", "erase_us")
+    program = _column(rows, "cell", "program_us")
+    return bool(erase) and all(erase[c] > program[c] for c in erase)
+
+
+# (experiment, claim, predicate over (headline, rows))
+CLAIMS = [
+    ("T1", "matches the published counts", lambda h, rows: h["exact_match"] is True),
+    ("T1", "23% simplified", lambda h, rows: 22.0 <= h["simplified_pct"] <= 24.0),
+    ("T1", "59% affected", lambda h, rows: 58.0 <= h["affected_pct"] <= 61.0),
+    ("T1", "18% orthogonal", lambda h, rows: 17.0 <= h["orthogonal_pct"] <= 19.0),
+    ("E1", "WA improves monotonically with OP", _e1_monotone),
+    (
+        "E1", "double-digit WA at 0% OP",
+        lambda h, rows: _column(rows, "op_pct", "write_amplification")[0.0] > 10.0,
+    ),
+    (
+        "E1", "low single digits at 25% OP",
+        lambda h, rows: 2.0 <= _column(rows, "op_pct", "write_amplification")[25.0] <= 3.5,
+    ),
+    ("E1", "improvement factor", lambda h, rows: h["improvement_factor"] > 4.0),
+    ("E2", "~1 GB/TB conventional", lambda h, rows: h["conventional_gb_per_tb"] == 1.0),
+    ("E2", "~256 KB/TB ZNS", lambda h, rows: h["zns_kb_per_tb"] == 256.0),
+    ("E2", "4096x reduction", lambda h, rows: h["reduction_factor"] == 4096),
+    ("E3", "throughput vs 28% OP", lambda h, rows: h["throughput_factor_vs_28pct_op"] > 1.5),
+    ("E3", "throughput vs 7% OP", lambda h, rows: h["throughput_factor_vs_7pct_op"] > 4.0),
+    (
+        "E3", "read latency falls vs 7% OP",
+        lambda h, rows: h["read_latency_reduction_vs_7pct_op"] > 40.0,
+    ),
+    ("E4", "p99 read tail", lambda h, rows: h["p99_tail_factor"] > 2.0),
+    ("E4", "p99.9 read tail", lambda h, rows: h["p999_tail_factor"] > 1.5),
+    ("E4", "write throughput", lambda h, rows: h["write_throughput_factor"] > 1.5),
+    ("E5", "ZNS adds nothing below the app", lambda h, rows: h["zns_device_wa"] < 1.2),
+    (
+        "E5", "conventional stack pays a tax on top",
+        lambda h, rows: h["conventional_device_wa"] > h["zns_device_wa"],
+    ),
+    ("E5", "reduction factor", lambda h, rows: h["reduction_factor"] > 1.1),
+    ("E6", "DIMM premium exceeds 2x", lambda h, rows: h["premium_exceeds_2x"] is True),
+    ("E6", "small-DIMM premium", lambda h, rows: h["small_dimm_premium"] > 2.0),
+    ("E6", "ZNS saving vs 28% OP", lambda h, rows: h["zns_saving_vs_28pct_op"] > 0.1),
+    ("E7", "writes gain nothing from producers", lambda h, rows: h["write_mode_scaling"] < 1.3),
+    ("E7", "appends scale out", lambda h, rows: h["append_speedup_at_max_writers"] > 3.0),
+    (
+        "E8", "dynamic beats static budgets",
+        lambda h, rows: h["dynamic_satisfaction"] > h["static_satisfaction"],
+    ),
+    ("E8", "multiplexing gain", lambda h, rows: h["multiplexing_gain"] > 1.2),
+    (
+        "E9", "hint ladder is ordered",
+        lambda h, rows: h["oracle_wa"] <= h["owner_hint_wa"] <= h["blind_wa"],
+    ),
+    ("E9", "knowledge strictly helps", lambda h, rows: h["oracle_wa"] < h["blind_wa"]),
+    ("E10", "erase ~6x program for TLC", lambda h, rows: h["within_5x_to_7x"] is True),
+    ("E10", "erase dearer than program per cell", _e10_erase_dominates),
+    ("E11", "host scheduling cuts read tails", lambda h, rows: h["tail_reduction_factor"] > 1.3),
+    ("E12", "comparable throughput", lambda h, rows: h["throughput_vs_conventional"] > 0.7),
+    ("E12", "simple copy stays off PCIe", lambda h, rows: h["simple_copy_pcie_pages"] == 0),
+    ("E12", "host copy crosses PCIe", lambda h, rows: h["host_copy_pcie_pages"] > 0),
+    ("E13", "conventional cache WA", lambda h, rows: h["conventional_wa"] > 2.0),
+    ("E13", "ZNS cache WA", lambda h, rows: h["zns_wa"] < 1.3),
+    ("E13", "erase reduction", lambda h, rows: h["erase_reduction"] > 1.5),
+    ("E14", "ZNS extends lifetime for every cell type", _e14_zns_outlives),
+    (
+        "E14", "QLC clears 5 years only at ZNS-level WA",
+        lambda h, rows: h["qlc_5y_viable_only_on_zns"] is True,
+    ),
+    (
+        "A1", "cost-benefit beats greedy under skew",
+        lambda h, rows: h["costbenefit_hotcold"] < h["greedy_hotcold"],
+    ),
+    (
+        "A1", "greedy at least as good as FIFO when uniform",
+        lambda h, rows: h["greedy_uniform"] <= h["fifo_uniform"],
+    ),
+    ("A2", "narrow zones reclaim no worse", lambda h, rows: h["narrowest_wa"] <= h["widest_wa"]),
+    ("A2", "relocation stays small at every width", lambda h, rows: h["widest_wa"] < 1.5),
+    ("A3", "suspension cuts the tail", lambda h, rows: h["tail_reduction_factor"] > 1.5),
+    (
+        "A3", "finer slicing helps the extreme tail",
+        lambda h, rows: rows[-1]["p999_read_us"] < rows[0]["p999_read_us"],
+    ),
+    (
+        "A4", "a starved CMT costs flash reads per host op",
+        lambda h, rows: h["tiny_cache_read_overhead"] > 1.5,
+    ),
+    ("A4", "overhead vanishes as the CMT grows", _a4_overhead_monotone),
+    (
+        "A5", "conventional checkpoint surcharge at scale",
+        lambda h, rows: h["datacenter_conventional_pct_at_1k"] > 50.0,
+    ),
+    ("A5", "ZNS checkpoint surcharge at scale", lambda h, rows: h["datacenter_zns_pct_at_1k"] < 10),
+]
+
+
+def test_every_golden_experiment_has_a_claim():
+    assert {experiment for experiment, _, _ in CLAIMS} == set(RESULTS)
+
+
+@pytest.mark.parametrize(
+    ("experiment", "predicate"),
+    [pytest.param(e, p, id=f"{e}: {claim}") for e, claim, p in CLAIMS],
+)
+def test_claim_shape(experiment, predicate):
+    result = RESULTS[experiment]
+    assert predicate(result["headline"], result["rows"])

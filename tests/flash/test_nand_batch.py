@@ -109,40 +109,6 @@ class TestSenseBatch:
             nand.sense_batch(np.asarray(pages, dtype=np.int64))
         assert nand_state(nand) == before
 
-    def test_sense_for_copy_batch_is_silent_but_disturbs(self):
-        """Copy senses publish no events but still count toward read disturb."""
-        scalar, batched = make_nand(), make_nand()
-        for nand in (scalar, batched):
-            nand.program_batch(np.arange(8, dtype=np.int64))
-        before = dataclasses.asdict(batched.counters)
-        for page in (0, 1, 2):
-            scalar.sense_for_copy(page)
-        batched.sense_for_copy_batch(np.array([0, 1, 2], dtype=np.int64))
-        assert dataclasses.asdict(batched.counters) == before
-        assert nand_state(scalar) == nand_state(batched)
-
-    def test_sense_for_copy_batch_rejects_unwritten(self):
-        nand = make_nand()
-        with pytest.raises(ReadUnwrittenError):
-            nand.sense_for_copy_batch(np.array([0], dtype=np.int64))
-
-
-class TestCopyBatch:
-    def test_matches_scalar_copy_loop(self):
-        ppb = FlashGeometry.small().pages_per_block
-        scalar, batched = make_nand(), make_nand()
-        for nand in (scalar, batched):
-            nand.program_batch(np.arange(6, dtype=np.int64))
-        sources = [0, 2, 4]
-        destinations = [ppb, ppb + 1, ppb + 2]
-        for src, dst in zip(sources, destinations):
-            scalar.copy_page(src, dst)
-        batched.copy_batch(
-            np.asarray(sources, dtype=np.int64),
-            np.asarray(destinations, dtype=np.int64),
-        )
-        assert nand_state(scalar) == nand_state(batched)
-
 
 class TestBlockScans:
     def test_erased_blocks_matches_bruteforce(self):

@@ -6,7 +6,6 @@ import pytest
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.dftl import (
     DemandPagedFTL,
-    MappingCache,
     oob_tag_for_tvpn,
     tvpn_from_oob,
 )
@@ -35,68 +34,6 @@ def drive(device, ops=4000, seed=0):
             device.read(lpn)
         else:
             device.write(lpn)
-
-
-class TestMappingCache:
-    """The legacy accounting model is still exported (and still correct)."""
-
-    def test_first_access_misses(self):
-        cache = MappingCache(entries_per_translation_page=4, capacity_pages=2)
-        reads, writes = cache.access(0, dirty=False)
-        assert (reads, writes) == (1, 0)
-
-    def test_same_translation_page_hits(self):
-        cache = MappingCache(entries_per_translation_page=4, capacity_pages=2)
-        cache.access(0, dirty=False)
-        reads, writes = cache.access(3, dirty=False)  # same page (lpns 0-3)
-        assert (reads, writes) == (0, 0)
-        assert cache.stats.hit_rate == pytest.approx(0.5)
-
-    def test_lru_eviction(self):
-        cache = MappingCache(entries_per_translation_page=1, capacity_pages=2)
-        cache.access(0, dirty=False)
-        cache.access(1, dirty=False)
-        cache.access(0, dirty=False)  # bump 0
-        cache.access(2, dirty=False)  # evicts 1
-        reads, _ = cache.access(0, dirty=False)
-        assert reads == 0
-        reads, _ = cache.access(1, dirty=False)
-        assert reads == 1
-
-    def test_dirty_eviction_writes_back(self):
-        cache = MappingCache(entries_per_translation_page=1, capacity_pages=1)
-        cache.access(0, dirty=True)
-        reads, writes = cache.access(1, dirty=False)
-        assert (reads, writes) == (1, 1)
-        assert cache.stats.dirty_evict_writes == 1
-
-    def test_clean_eviction_is_free(self):
-        cache = MappingCache(entries_per_translation_page=1, capacity_pages=1)
-        cache.access(0, dirty=False)
-        reads, writes = cache.access(1, dirty=False)
-        assert (reads, writes) == (1, 0)
-
-    def test_hit_marks_dirty(self):
-        cache = MappingCache(entries_per_translation_page=1, capacity_pages=1)
-        cache.access(0, dirty=False)
-        cache.access(0, dirty=True)  # hit, but now dirty
-        _, writes = cache.access(1, dirty=False)
-        assert writes == 1
-
-    def test_dram_accounting(self):
-        cache = MappingCache(entries_per_translation_page=1024, capacity_pages=8)
-        assert cache.dram_bytes == 8 * 1024 * 4
-
-    def test_hit_rate_zero_before_any_lookup(self):
-        # The edge fix: no lookups is "no hits", not a vacuous 1.0.
-        cache = MappingCache(entries_per_translation_page=4, capacity_pages=2)
-        assert cache.stats.hit_rate == 0.0
-
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            MappingCache(entries_per_translation_page=0)
-        with pytest.raises(ValueError):
-            MappingCache(capacity_pages=0)
 
 
 class TestOobTags:
@@ -139,6 +76,11 @@ class TestDramBudget:
 
 
 class TestDemandPagedFTL:
+    def test_hit_rate_zero_before_any_lookup(self):
+        # No lookups is "no hits", not a vacuous 1.0: callers averaging
+        # hit rates must not credit idle caches.
+        assert small_dftl().store.stats.hit_rate == 0.0
+
     def test_full_cache_has_no_flash_overhead(self):
         device = small_dftl(cmt_pages=64)
         drive(device)

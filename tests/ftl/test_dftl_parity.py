@@ -12,7 +12,6 @@ CMT budget alone, not to an accidentally different data path.
 import dataclasses
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -182,14 +181,8 @@ class TestSeededDeterminism:
         a.check_invariants()
 
 
-class TestEpochKernelModes:
-    """The epoch write path's physics must not depend on the kernel tier.
-
-    ``write_pages`` dispatches through :mod:`repro.sim.compiled`
-    (``cmt_probe_batch`` / ``cmt_evict_batch`` / the map kernels); with
-    numba monkeypatched off, the same epochs must land bit-identical
-    physics counters, TranslationEvent totals, and WA decomposition.
-    """
+class TestEpochWritePath:
+    """The grouped ``write_pages`` path: trace totals and group bookkeeping."""
 
     @staticmethod
     def _run_epochs(seed: int) -> dict:
@@ -227,17 +220,6 @@ class TestEpochKernelModes:
             },
             "wa_decomposition": dataclasses.asdict(decomp),
         }
-
-    @given(seed=st.integers(0, 2**16))
-    @settings(max_examples=15, deadline=None)
-    def test_dispatch_matches_forced_fallback(self, seed):
-        from repro.sim import compiled
-
-        dispatched = self._run_epochs(seed)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(compiled, "USE_NUMBA", False)
-            fallback = self._run_epochs(seed)
-        assert dispatched == fallback
 
     @given(seed=st.integers(0, 2**16))
     @settings(max_examples=15, deadline=None)

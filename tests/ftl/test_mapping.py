@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.flash.geometry import FlashGeometry
-from repro.ftl.mapping import UNMAPPED, PageMap
+from repro.ftl.mapping import UNMAPPED, FullPageMap
 
 
 @pytest.fixture
 def pmap():
-    return PageMap(FlashGeometry.small(), logical_pages=4096)
+    return FullPageMap(FlashGeometry.small(), logical_pages=4096)
 
 
 class TestBasics:
@@ -57,7 +57,7 @@ class TestBasics:
     def test_oversized_export_rejected(self):
         g = FlashGeometry.small()
         with pytest.raises(ValueError):
-            PageMap(g, logical_pages=g.total_pages + 1)
+            FullPageMap(g, logical_pages=g.total_pages + 1)
 
 
 class TestValidCounts:
@@ -124,7 +124,7 @@ _ACTIONS = st.lists(
 @given(_ACTIONS)
 def test_map_invariants_under_random_operations(actions):
     g = FlashGeometry.small()
-    pmap = PageMap(g, logical_pages=256)
+    pmap = FullPageMap(g, logical_pages=256)
     used_physical: set[int] = set()
     next_free = 0
 

@@ -1,8 +1,15 @@
 """Tracer bus semantics: no-op when silent, ordered fan-out when not."""
 
+import dataclasses
+
+import numpy as np
+
+from repro.block.factory import DeviceSpec, build_stack
+from repro.obs import events as obs_events
 from repro.obs.events import FlashOpEvent, HostRequestEvent
 from repro.obs.sinks import RecordingSink
 from repro.obs.tracer import Tracer
+from repro.workloads.synthetic import uniform_array
 
 
 class TestZeroSink:
@@ -25,6 +32,75 @@ class TestZeroSink:
         if tracer.enabled:
             tracer.publish(make_event())
         assert built == []
+
+
+class _GuardCountingTracer(Tracer):
+    """A Tracer whose ``enabled`` reads are counted and always False.
+
+    With the flag pinned False no publisher may construct or publish an
+    event, exactly like a sink-less tracer; the count is how many
+    ``if tracer.enabled`` guards the driven path executed.
+    """
+
+    __slots__ = ("guard_reads",)
+
+    def __init__(self) -> None:
+        self.guard_reads = 0
+        super().__init__()
+
+    @property
+    def enabled(self) -> bool:  # type: ignore[override]
+        self.guard_reads += 1
+        return False
+
+    @enabled.setter
+    def enabled(self, value: bool) -> None:
+        pass  # attach/detach bookkeeping is irrelevant here
+
+
+class TestUnobservedBusIsFree:
+    def test_batched_fill_pays_a_fixed_number_of_guards_and_builds_nothing(self, monkeypatch):
+        """The two-phase batched fill (E1's shape) with every sink detached.
+
+        The cost of an unobserved bus is one ``tracer.enabled`` read per
+        potential event, so it is pinned as a count, not a timing: one
+        per programmed chunk and copied run, two per foreground GC, three
+        per collection pass. A new publish site on the batch path, or a
+        per-page one where a per-run one would do, moves the number.
+        """
+        constructed = []
+        for cls in vars(obs_events).values():
+            if dataclasses.is_dataclass(cls) and hasattr(cls, "kind"):
+                monkeypatch.setattr(
+                    cls, "__init__", lambda self, *a, _cls=cls, **kw: constructed.append(_cls)
+                )
+        tracer = _GuardCountingTracer()
+        ftl = build_stack(
+            DeviceSpec(
+                kind="conventional-ftl",
+                geometry="small",
+                ftl={
+                    "op_ratio": 0.07,
+                    "gc_policy": "greedy",
+                    "gc_low_watermark": 1,
+                    "gc_high_watermark": 2,
+                },
+            ),
+            tracer=tracer,
+        )
+        for sink in list(tracer.sinks):
+            tracer.detach(sink)
+        tracer.guard_reads = 0
+        n = ftl.logical_pages
+        ftl.write_pages(np.arange(n, dtype=np.int64))
+        sequential_guards = tracer.guard_reads
+        ftl.write_pages(uniform_array(n, n, seed=0))
+        assert (n, ftl.stats.gc_runs, ftl.stats.foreground_gc_stalls) == (7656, 950, 113)
+        # One program_run per 64-page block, and nothing else, while
+        # there is no GC: 120 guards for 7,656 pages.
+        assert sequential_guards == 120
+        assert tracer.guard_reads == 5084  # 0.332 per host page over both phases
+        assert constructed == []
 
 
 class TestFanOut:

@@ -1,50 +1,30 @@
-"""Parity suite for the epoch-compiled kernels (:mod:`repro.sim.compiled`).
+"""Parity suite for the array kernels (:mod:`repro.sim.compiled`).
 
 The contract under test is *state identity*: every kernel must leave the
-mapping/flash/zone state bit-for-bit equal to the interpreted scalar
-path it replaces, over randomized operation sequences, both with the
-numba fast path enabled (when numba is installed) and with numba
-monkeypatched absent. On a numba-less environment the enabled leg
-degrades to the numpy fallbacks, so the suite stays meaningful either
-way -- and CI runs it as-is on both kinds of runner.
+mapping/flash state bit-for-bit equal to the scalar path it stands in
+for, over randomized operation sequences.
 """
-
-import importlib
-import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.flash.geometry import FlashGeometry, ZonedGeometry
+from repro.flash.geometry import FlashGeometry
 from repro.flash.nand import NandArray
-from repro.ftl.ftl import ConventionalFTL, FTLConfig
-from repro.ftl.mapping import UNMAPPED, PageMap
+from repro.ftl.mapping import UNMAPPED, FullPageMap
 from repro.sim import compiled
-from repro.zns.device import ZNSDevice
+from tests.oracle.scalar_cmt import cmt_evict_loop, cmt_probe_loop
 
 GEOMETRY = FlashGeometry.small()
 PPB = GEOMETRY.pages_per_block
 
 
-def force_numpy_fallback(monkeypatch):
-    monkeypatch.setattr(compiled, "USE_NUMBA", False)
-
-
-@pytest.fixture(params=["dispatch", "numpy-fallback"])
-def kernel_mode(request, monkeypatch):
-    """Run each parity test twice: normal dispatch and forced fallback."""
-    if request.param == "numpy-fallback":
-        force_numpy_fallback(monkeypatch)
-    return request.param
-
-
-def map_states(m: PageMap):
+def map_states(m: FullPageMap):
     return (m.l2p.copy(), m.p2l.copy(), m.valid_counts.copy(), m.mapped_pages)
 
 
-def assert_maps_equal(a: PageMap, b: PageMap):
+def assert_maps_equal(a: FullPageMap, b: FullPageMap):
     sa, sb = map_states(a), map_states(b)
     assert np.array_equal(sa[0], sb[0]), "l2p diverged"
     assert np.array_equal(sa[1], sb[1]), "p2l diverged"
@@ -52,39 +32,8 @@ def assert_maps_equal(a: PageMap, b: PageMap):
     assert sa[3] == sb[3], "mapped_pages diverged"
 
 
-class TestModuleFlags:
-    def test_unmapped_sentinel_matches_mapping_module(self):
-        assert compiled.UNMAPPED == UNMAPPED
-
-    def test_enabled_reflects_use_numba(self, monkeypatch):
-        monkeypatch.setattr(compiled, "USE_NUMBA", False)
-        assert not compiled.enabled()
-
-    def test_env_knob_disables_numba(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILED", "off")
-        assert compiled._load_numba() is None
-
-    def test_reload_with_numba_monkeypatched_absent(self, monkeypatch):
-        """The module must import cleanly when numba cannot be imported."""
-        monkeypatch.setitem(sys.modules, "numba", None)
-        monkeypatch.delenv("REPRO_COMPILED", raising=False)
-        fresh = importlib.reload(compiled)
-        try:
-            assert not fresh.NUMBA_AVAILABLE
-            assert not fresh.enabled()
-            l2p = np.full(8, UNMAPPED, dtype=np.int64)
-            p2l = np.full(GEOMETRY.total_pages, UNMAPPED, dtype=np.int64)
-            counts = np.zeros(GEOMETRY.total_blocks, dtype=np.int32)
-            delta = fresh.map_batch_apply(
-                l2p, p2l, counts,
-                np.array([1, 3, 1], dtype=np.int64),
-                np.array([0, 1, 2], dtype=np.int64),
-                0, PPB,
-            )
-            assert delta == 2
-            assert l2p[1] == 2 and l2p[3] == 1
-        finally:
-            importlib.reload(compiled)
+def test_unmapped_sentinel_matches_mapping_module():
+    assert compiled.UNMAPPED == UNMAPPED
 
 
 class TestMapBatchParity:
@@ -93,12 +42,11 @@ class TestMapBatchParity:
         premap=st.integers(0, 3),
         seed=st.integers(0, 2**16),
     )
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_matches_scalar_map_loop(self, kernel_mode, lpns, premap, seed):
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_map_loop(self, lpns, premap, seed):
         rng = np.random.default_rng(seed)
-        scalar = PageMap(GEOMETRY, 64)
-        batched = PageMap(GEOMETRY, 64)
+        scalar = FullPageMap(GEOMETRY, 64)
+        batched = FullPageMap(GEOMETRY, 64)
         # Pre-populate both maps identically from a different block so the
         # batch can invalidate cross-block prior mappings.
         pre_block = 1
@@ -113,8 +61,8 @@ class TestMapBatchParity:
         batched.map_batch(arr, ppns)
         assert_maps_equal(scalar, batched)
 
-    def test_negative_valid_count_raises(self, kernel_mode):
-        m = PageMap(GEOMETRY, 16)
+    def test_negative_valid_count_raises(self):
+        m = FullPageMap(GEOMETRY, 16)
         m.map(0, 5)
         m.valid_counts[0] = 0  # corrupt: the remap below must detect it
         with pytest.raises(ValueError, match="negative"):
@@ -129,12 +77,11 @@ class TestRelocateRunParity:
         nvalid=st.integers(1, PPB),
         seed=st.integers(0, 2**16),
     )
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_matches_scalar_relocate_loop(self, kernel_mode, nvalid, seed):
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_relocate_loop(self, nvalid, seed):
         rng = np.random.default_rng(seed)
-        scalar = PageMap(GEOMETRY, PPB)
-        run = PageMap(GEOMETRY, PPB)
+        scalar = FullPageMap(GEOMETRY, PPB)
+        run = FullPageMap(GEOMETRY, PPB)
         src_offsets = np.sort(rng.choice(PPB, size=nvalid, replace=False))
         src_block, dst_block = 0, 3
         for i, off in enumerate(src_offsets.tolist()):
@@ -147,8 +94,8 @@ class TestRelocateRunParity:
         run.relocate_run(src_pages, dst_first)
         assert_maps_equal(scalar, run)
 
-    def test_invalid_source_raises(self, kernel_mode):
-        m = PageMap(GEOMETRY, 8)
+    def test_invalid_source_raises(self):
+        m = FullPageMap(GEOMETRY, 8)
         m.map(0, 0)
         with pytest.raises(ValueError, match="invalid physical page"):
             m.relocate_run(np.array([0, 1], dtype=np.int64), 3 * PPB)
@@ -162,16 +109,18 @@ class TestCopyRunParity:
 
     @given(nsrc=st.integers(1, PPB), seed=st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None)
-    def test_matches_copy_batch(self, nsrc, seed):
+    def test_matches_copy_page_loop(self, nsrc, seed):
         rng = np.random.default_rng(seed)
         src = np.sort(rng.choice(PPB, size=nsrc, replace=False)).astype(np.int64)
         a, b = self._programmed_nand(), self._programmed_nand()
         dst_block = 2
-        dst = dst_block * PPB + np.arange(nsrc, dtype=np.int64)
-        lat_a = a.copy_batch(src, dst)
+        lat_a = sum(
+            a.copy_page(page, dst_block * PPB + i) for i, page in enumerate(src.tolist())
+        )
         lat_b = b.copy_run(src, dst_block, 0)
-        assert lat_a == lat_b
+        assert lat_a == pytest.approx(lat_b)
         assert np.array_equal(a.write_offsets, b.write_offsets)
+        assert a.reads_since_erase(0) == b.reads_since_erase(0)
         assert a.counters.copies == b.counters.copies
         assert a.counters.bytes_copied == b.counters.bytes_copied
 
@@ -187,130 +136,6 @@ class TestCopyRunParity:
         nand.program_run(1, 2)
         with pytest.raises(ValueError, match="one block"):
             nand.copy_run(np.array([0, PPB + 1], dtype=np.int64), 2, 0)
-
-
-class TestStripeLayout:
-    @given(
-        wp=st.integers(0, 4 * PPB - 1),
-        n=st.integers(1, 2 * PPB),
-        width=st.integers(1, 8),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_matches_per_page_striping(self, wp, n, width):
-        ppb = PPB
-        if (wp + n - 1) // width >= ppb:
-            with pytest.raises(IndexError):
-                compiled.stripe_layout(wp, n, width, ppb)
-            return
-        lanes, first_offsets, counts = compiled.stripe_layout(wp, n, width, ppb)
-        # Scalar reference: page offset j lands on lane j % width at
-        # within-block offset j // width.
-        per_lane: dict[int, list[int]] = {}
-        for j in range(wp, wp + n):
-            per_lane.setdefault(j % width, []).append(j // width)
-        assert sorted(per_lane) == lanes.tolist()
-        for lane, first, count in zip(
-            lanes.tolist(), first_offsets.tolist(), counts.tolist()
-        ):
-            offsets = per_lane[lane]
-            assert offsets == list(range(first, first + count))
-
-    def test_rejects_empty_run(self):
-        with pytest.raises(ValueError):
-            compiled.stripe_layout(0, 0, 4, PPB)
-
-
-class TestFTLEpochParity:
-    """The collector's epoch compaction against the per-page scalar FTL."""
-
-    @given(seed=st.integers(0, 2**16))
-    @settings(max_examples=10, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_write_pages_matches_scalar_writes(self, kernel_mode, seed):
-        config = FTLConfig(
-            op_ratio=0.12, gc_policy="greedy",
-            gc_low_watermark=1, gc_high_watermark=2,
-        )
-        scalar = ConventionalFTL(GEOMETRY, config)
-        batched = ConventionalFTL(GEOMETRY, config)
-        n = scalar.logical_pages
-        rng = np.random.default_rng(seed)
-        phases = [
-            np.arange(n, dtype=np.int64),
-            rng.integers(0, n, size=n, dtype=np.int64),
-        ]
-        for phase in phases:
-            for lpn in phase.tolist():
-                scalar.write(lpn)
-            batched.write_pages(phase)
-        assert_maps_equal(scalar.map, batched.map)
-        assert scalar.stats == batched.stats
-        assert scalar._free == batched._free
-        assert scalar._sealed == batched._sealed
-        assert np.array_equal(
-            scalar.nand.write_offsets, batched.nand.write_offsets
-        )
-        assert np.array_equal(scalar._oob_lpn, batched._oob_lpn)
-        assert np.array_equal(scalar._oob_serial, batched._oob_serial)
-        scalar.check_invariants()
-        batched.check_invariants()
-
-
-@st.composite
-def _append_records(draw):
-    n = draw(st.integers(1, 40))
-    zones = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
-    counts = draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))
-    return zones, counts
-
-
-class TestZnsEpochParity:
-    """append_epoch against the per-record append_batch state machine."""
-
-    @given(records=_append_records())
-    @settings(max_examples=40, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_matches_append_batch(self, kernel_mode, records):
-        zones, counts = records
-        geometry = ZonedGeometry(
-            flash=GEOMETRY, blocks_per_zone=2, max_active_zones=14
-        )
-        capacity = geometry.pages_per_zone
-        fill = {z: 0 for z in range(geometry.zone_count)}
-        usable = []
-        for z, k in zip(zones, counts):
-            if fill[z] + k <= capacity:
-                usable.append((z, k))
-                fill[z] += k
-        if not usable:
-            return
-        zone_arr = np.array([z for z, _ in usable], dtype=np.int64)
-        count_arr = np.array([k for _, k in usable], dtype=np.int64)
-
-        ref = ZNSDevice(geometry)
-        epoch = ZNSDevice(geometry)
-        want = [ref.append_batch(int(z), int(k)) for z, k in usable]
-        got = epoch.append_epoch(zone_arr, count_arr)
-        assert got.tolist() == want
-        assert [z.state for z in ref.zones] == [z.state for z in epoch.zones]
-        assert [z.wp for z in ref.zones] == [z.wp for z in epoch.zones]
-        assert ref._open_order == epoch._open_order
-        assert ref.open_count == epoch.open_count
-        assert ref.active_count == epoch.active_count
-        assert np.array_equal(
-            ref.nand.write_offsets, epoch.nand.write_offsets
-        )
-        assert ref.counters.writes == epoch.counters.writes
-        assert ref.counters.bytes_written == epoch.counters.bytes_written
-        assert ref.nand.counters.writes == epoch.nand.counters.writes
-
-    def test_empty_epoch_is_a_no_op(self, kernel_mode):
-        device = ZNSDevice(ZonedGeometry(flash=GEOMETRY, blocks_per_zone=2))
-        out = device.append_epoch(
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        )
-        assert out.size == 0
-        assert device.counters.writes == 0
 
 
 def _random_cmt(rng, capacity: int, ntvpns: int):
@@ -337,11 +162,8 @@ class TestCmtProbeParity:
         ngroups=st.integers(1, 16),
         seed=st.integers(0, 2**16),
     )
-    @settings(max_examples=80, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_matches_scalar_probe_loop(
-        self, kernel_mode, capacity, ntvpns, ngroups, seed
-    ):
+    @settings(max_examples=80, deadline=None)
+    def test_matches_scalar_probe_loop(self, capacity, ntvpns, ngroups, seed):
         rng = np.random.default_rng(seed)
         tvpn_slot, _slot_tvpn, slot_dirty, slot_stamp = _random_cmt(
             rng, capacity, ntvpns
@@ -355,7 +177,7 @@ class TestCmtProbeParity:
 
         ref_slot_dirty = slot_dirty.copy()
         ref_slot_stamp = slot_stamp.copy()
-        ref_consumed, ref_stamp = compiled._cmt_probe_loop(
+        ref_consumed, ref_stamp = cmt_probe_loop(
             tvpn_slot.copy(), ref_slot_dirty, ref_slot_stamp,
             tvpns, counts, start, stamp,
         )
@@ -370,7 +192,7 @@ class TestCmtProbeParity:
         if start + consumed < tvpns.size:
             assert tvpn_slot[tvpns[start + consumed]] == UNMAPPED
 
-    def test_start_past_end_is_a_no_op(self, kernel_mode):
+    def test_start_past_end_is_a_no_op(self):
         tvpn_slot = np.full(4, UNMAPPED, dtype=np.int64)
         consumed, stamp = compiled.cmt_probe_batch(
             tvpn_slot, np.zeros(2, dtype=np.int8), np.zeros(2, dtype=np.int64),
@@ -385,17 +207,16 @@ class TestCmtEvictParity:
         ntvpns=st.integers(16, 64),
         seed=st.integers(0, 2**16),
     )
-    @settings(max_examples=80, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_matches_scalar_evict_loop(self, kernel_mode, capacity, ntvpns, seed):
+    @settings(max_examples=80, deadline=None)
+    def test_matches_scalar_evict_loop(self, capacity, ntvpns, seed):
         rng = np.random.default_rng(seed)
         _tvpn_slot, slot_tvpn, slot_dirty, slot_stamp = _random_cmt(
             rng, capacity, ntvpns
         )
         ref_dirty = slot_dirty.copy()
-        ref = compiled._cmt_evict_loop(slot_tvpn.copy(), ref_dirty, slot_stamp.copy())
+        ref = cmt_evict_loop(slot_tvpn.copy(), ref_dirty, slot_stamp.copy())
         got = compiled.cmt_evict_batch(slot_tvpn, slot_dirty, slot_stamp)
-        assert got.tolist() == ref.tolist()
+        assert got.tolist() == ref
         assert np.array_equal(slot_dirty, ref_dirty), "dirty bits diverged"
         # Selected tvpns come back LRU-ascending and all dirty bits clear.
         if got.size:

@@ -152,15 +152,6 @@ class TestBatchAtomicity:
         assert zone_and_flash_state(device) == before
         assert device.zone(0).state is ZoneState.EXPLICIT_OPEN
 
-    def test_failed_simple_copy_batch_is_a_no_op(self):
-        device = make_device()
-        device.write(0, npages=4)
-        arm_after_the_fact(device, FaultPlan(program_fail_prob=1.0))
-        before = zone_and_flash_state(device)
-        with pytest.raises(ProgramFaultError):
-            device.simple_copy_batch([(0, 0), (0, 1)], 1)
-        assert zone_and_flash_state(device) == before
-
     def test_batch_retry_succeeds_after_transient_fault(self):
         device = make_device(FaultPlan(seed=5, program_fail_prob=0.4))
         for _ in range(50):

@@ -4,10 +4,10 @@ Hypothesis drives arbitrary interleavings of the full NVMe command set
 (write/append/read/open/close/finish/reset) against a device with the
 management fault classes armed -- transient reset failures, finish
 timeouts, a stuck-open zone. Whatever the interleaving and whatever
-bounces, the device must hold its invariants: states legal, write
-pointers in range, the open/active budgets respected, the open-LRU
-bookkeeping consistent with zone states, and every refusal a typed
-``ZnsError``. The same sequence must also replay to the identical final
+bounces, the device must hold :meth:`ZNSDevice.check_invariants` (write
+pointers in range and matched by the flash write offsets, the
+open/active budgets respected, the open-LRU bookkeeping consistent with
+zone states), and every refusal must be a typed ``ZnsError``. The same sequence must also replay to the identical final
 state -- management faults draw from seeded streams, never wall-clock.
 """
 
@@ -19,11 +19,8 @@ from repro.flash.errors import FlashError
 from repro.flash.geometry import FlashGeometry, ZonedGeometry
 from repro.zns.device import ZNSDevice
 from repro.zns.errors import ZnsError
-from repro.zns.zone import ZoneState
 
 _ZONES = 8
-_OPEN_STATES = (ZoneState.IMPLICIT_OPEN, ZoneState.EXPLICIT_OPEN)
-_ACTIVE_STATES = _OPEN_STATES + (ZoneState.CLOSED,)
 
 
 def _geometry() -> ZonedGeometry:
@@ -83,27 +80,6 @@ def _apply(device: ZNSDevice, command: tuple) -> None:
         pass
 
 
-def _check_invariants(device: ZNSDevice) -> None:
-    open_zones = set()
-    active = 0
-    for zone in device.zones:
-        assert isinstance(zone.state, ZoneState)
-        assert 0 <= zone.wp <= zone.capacity_pages
-        assert zone.capacity_pages <= zone.size_pages
-        if zone.state in _OPEN_STATES:
-            open_zones.add(zone.zone_id)
-        if zone.state in _ACTIVE_STATES:
-            active += 1
-        if zone.state is ZoneState.FULL and zone.capacity_pages:
-            assert zone.wp <= zone.capacity_pages
-    geometry = device.geometry
-    assert len(open_zones) <= geometry.open_limit
-    assert active <= geometry.max_active_zones
-    # The LRU stamp tracks exactly the implicitly/explicitly open zones
-    # it is allowed to evict or account: no stale, no phantom entries.
-    assert set(device._open_order) <= open_zones
-
-
 def _snapshot(device: ZNSDevice) -> list[tuple]:
     return [
         (z.state.value, z.wp, z.capacity_pages, z.reset_count) for z in device.zones
@@ -120,7 +96,7 @@ class TestRandomizedCommandSequences:
         device = _build(seed)
         for command in commands:
             _apply(device, command)
-            _check_invariants(device)
+            device.check_invariants()
 
     @given(
         seed=st.integers(0, 2**31 - 1),
@@ -136,3 +112,4 @@ class TestRandomizedCommandSequences:
             _apply(second, command)
         assert _snapshot(first) == _snapshot(second)
         assert first.nand.counters == second.nand.counters
+        first.check_invariants()
