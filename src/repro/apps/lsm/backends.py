@@ -16,7 +16,10 @@ immutable files map to flash is exactly the paper's block-interface tax:
 from __future__ import annotations
 
 import abc
+import bisect
+import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any
 
 import numpy as np
@@ -97,6 +100,9 @@ class _Extent:
         return self.start + self.length
 
 
+_extent_end = attrgetter("end")
+
+
 class AllocationError(Exception):
     """The backend has no space for the requested file."""
 
@@ -137,55 +143,62 @@ class ExtentAllocator:
         self.strategy = strategy
         self.rng = rng
         self._cursor = 0
-        self._free: list[_Extent] = [_Extent(0, total_blocks)]
-
-    @property
-    def free_blocks(self) -> int:
-        return sum(e.length for e in self._free)
+        self._free: list[_Extent] = [_Extent(0, total_blocks)]  # sorted, coalesced
+        self.free_blocks = total_blocks
 
     def allocate(self, length: int) -> list[_Extent]:
-        """Allocate ``length`` blocks, possibly as several extents."""
+        """Allocate ``length`` blocks, possibly as several extents.
+
+        Walks the strategy's placement order (as free-list indices) only
+        until the request is met and edits the free list in place;
+        ``aged`` draws exactly one permutation of the free list per call.
+        """
         if length < 1:
             raise ValueError("length must be >= 1")
         if length > self.free_blocks:
             raise AllocationError(
                 f"requested {length} blocks, {self.free_blocks} free"
             )
+        free = self._free
         if self.strategy == "next-fit":
-            # Rotate the scan order so allocation resumes at the cursor,
-            # splitting the extent that spans it so the region behind the
-            # cursor is only reused after a full wrap.
-            split: list[_Extent] = []
-            for extent in self._free:
-                if extent.start < self._cursor < extent.end:
-                    split.append(_Extent(extent.start, self._cursor - extent.start))
-                    split.append(_Extent(self._cursor, extent.end - self._cursor))
-                else:
-                    split.append(extent)
-            ordered = sorted(split, key=lambda e: (e.start < self._cursor, e.start))
+            # Allocation resumes at the cursor: split the extent that spans
+            # it, so the region behind the cursor is only reused after a
+            # full wrap, then go from there on and wrap to the front.
+            cursor = self._cursor
+            at = bisect.bisect_right(free, cursor, key=_extent_end)
+            if at < len(free) and free[at].start < cursor:
+                spanning = free[at]
+                free[at : at + 1] = [
+                    _Extent(spanning.start, cursor - spanning.start),
+                    _Extent(cursor, spanning.end - cursor),
+                ]
+                at += 1
+            order = itertools.chain(range(at, len(free)), range(at))
         elif self.strategy == "aged":
             if self.rng is None:
                 self.rng = np.random.default_rng(0)
-            order = self.rng.permutation(len(self._free))
-            ordered = [self._free[i] for i in order]
+            order = self.rng.permutation(len(free)).tolist()
         else:
-            ordered = list(self._free)
+            order = range(len(free))
         taken: list[_Extent] = []
-        keep: list[_Extent] = []
+        emptied: list[int] = []
         remaining = length
-        for extent in ordered:
-            if remaining == 0:
-                keep.append(extent)
-            elif extent.length <= remaining:
-                taken.append(extent)
-                remaining -= extent.length
-            else:
+        for index in order:
+            extent = free[index]
+            if extent.length > remaining:
+                # The remainder keeps its place, so the list stays sorted.
                 taken.append(_Extent(extent.start, remaining))
-                keep.append(_Extent(extent.start + remaining, extent.length - remaining))
-                remaining = 0
-        self._free = sorted(keep, key=lambda e: e.start)
-        if taken:
-            self._cursor = taken[-1].end % self.total_blocks
+                free[index] = _Extent(extent.start + remaining, extent.length - remaining)
+                break
+            taken.append(extent)
+            emptied.append(index)
+            remaining -= extent.length
+            if remaining == 0:
+                break
+        for index in sorted(emptied, reverse=True):
+            del free[index]
+        self.free_blocks -= length
+        self._cursor = taken[-1].end % self.total_blocks
         return taken
 
     def free(self, extents: list[_Extent]) -> None:
@@ -200,6 +213,7 @@ class ExtentAllocator:
             else:
                 out.append(extent)
         self._free = out
+        self.free_blocks += sum(e.length for e in extents)
 
 
 class BlockFileBackend(LsmBackend):
@@ -241,8 +255,7 @@ class BlockFileBackend(LsmBackend):
             raise ValueError(f"table {table.table_id} already written")
         extents = self.allocator.allocate(table.size_pages)
         for extent in extents:
-            for lba in range(extent.start, extent.end):
-                self.device.write_block(lba)
+            self.device.write_blocks(extent.start, extent.length)
         table.handle = extents
         self.stats.pages_written += table.size_pages
 
@@ -274,9 +287,7 @@ class BlockFileBackend(LsmBackend):
         so they land adjacent to whatever file writes are in flight -- the
         lifetime mixing inside erasure blocks that §4.1 describes."""
         extents = self.allocator.allocate(1)
-        for extent in extents:
-            for lba in range(extent.start, extent.end):
-                self.device.write_block(lba)
+        self.device.write_block(extents[0].start)
         self._wal_extents.extend(extents)
         self.stats.pages_written += 1
 
@@ -330,6 +341,7 @@ class ZoneFileBackend(LsmBackend):
         self._sealed: set[int] = set()
         self._in_reclaim = False
         self._wal_extents: list[_ZoneExtent] = []
+        self._appending: list[_ZoneExtent] = []  # the file _append is part-way through
 
     @property
     def page_size(self) -> int:
@@ -352,9 +364,7 @@ class ZoneFileBackend(LsmBackend):
         table.handle = extents
         self._tables[table.table_id] = (table, extents)
         for extent in extents:
-            info = self._zones.setdefault(extent.zone, _ZoneInfo())
-            info.live_pages += extent.length
-            info.tables.add(table.table_id)
+            self._zones[extent.zone].tables.add(table.table_id)
         self.stats.pages_written += table.size_pages
 
     def delete_table(self, table: SSTable) -> None:
@@ -389,11 +399,7 @@ class ZoneFileBackend(LsmBackend):
     def append_wal_page(self) -> None:
         """The WAL gets its own zone stream (ZenFS's layout), so its
         rapidly-dying pages never share flash with SSTable data."""
-        extents = self._append("wal", 1)
-        self._wal_extents.extend(extents)
-        for extent in extents:
-            info = self._zones.setdefault(extent.zone, _ZoneInfo())
-            info.live_pages += extent.length
+        self._wal_extents.extend(self._append("wal", 1))
         self.stats.pages_written += 1
 
     def reset_wal(self) -> None:
@@ -412,8 +418,8 @@ class ZoneFileBackend(LsmBackend):
     # -- Zone plumbing ------------------------------------------------------------
 
     def _append(self, stream: str, npages: int) -> list[_ZoneExtent]:
-        """Append ``npages`` to the stream's frontier, spanning zones."""
-        extents: list[_ZoneExtent] = []
+        """Append ``npages`` live pages to the stream's frontier, spanning zones."""
+        extents = self._appending = []
         remaining = npages
         while remaining > 0:
             zone = self._frontier(stream)
@@ -422,9 +428,14 @@ class ZoneFileBackend(LsmBackend):
             offset = zone_obj.wp
             self.device.write(zone, npages=chunk)
             extents.append(_ZoneExtent(zone, offset, chunk))
+            # Count the chunk live before the seal below can look: a zone
+            # whose earlier files are all dead would otherwise be reset
+            # with these pages in it.
+            self._zones.setdefault(zone, _ZoneInfo()).live_pages += chunk
             remaining -= chunk
             if self.device.zone(zone).state is ZoneState.FULL:
                 self._seal(stream, zone)
+        self._appending = []
         return extents
 
     def _frontier(self, stream: str) -> int:
@@ -474,9 +485,11 @@ class ZoneFileBackend(LsmBackend):
             while len(self._free) < target_free:
                 # Zones holding live WAL pages cannot be evacuated (WAL
                 # extents have no table to relocate); they die at the next
-                # flush anyway.
-                wal_zones = {e.zone for e in self._wal_extents}
-                candidates = [z for z in self._sealed if z not in wal_zones]
+                # flush anyway. Nor can zones holding the head of the file
+                # whose append triggered this reclaim: it is not a
+                # registered table yet, so a reset would lose its pages.
+                pinned = {e.zone for e in self._wal_extents + self._appending}
+                candidates = [z for z in self._sealed if z not in pinned]
                 if not candidates:
                     raise AllocationError("nothing to reclaim")
                 victim = min(
@@ -533,6 +546,38 @@ class ZoneFileBackend(LsmBackend):
             if self.device.zone(dst_zone).state is ZoneState.FULL:
                 self._seal(stream, dst_zone)
         return out
+
+    # -- Reporting -----------------------------------------------------------------
+
+    def check_invariants(self) -> None:
+        """Assert the zone bookkeeping agrees with the files it places."""
+        live: dict[int, int] = {}
+        holders: dict[int, set[int]] = {}
+        files = [(table_id, extents) for table_id, (_, extents) in self._tables.items()]
+        for table_id, extents in files + [(None, self._wal_extents)]:
+            for extent in extents:
+                live[extent.zone] = live.get(extent.zone, 0) + extent.length
+                if table_id is not None:
+                    holders.setdefault(extent.zone, set()).add(table_id)
+                wp = self.device.zone(extent.zone).wp
+                assert extent.offset + extent.length <= wp, (
+                    f"live extent ends at {extent.offset + extent.length} "
+                    f"in zone {extent.zone}, above wp={wp}"
+                )
+        for zone, info in self._zones.items():
+            assert info.live_pages == live.get(zone, 0), (
+                f"zone {zone} counts {info.live_pages} live pages, "
+                f"its extents hold {live.get(zone, 0)}"
+            )
+            assert info.tables == holders.get(zone, set()), (
+                f"zone {zone} lists tables {sorted(info.tables)}, "
+                f"holds {sorted(holders.get(zone, ()))}"
+            )
+        assert live.keys() <= self._zones.keys(), "live extent in an untracked zone"
+        placed = self._free + sorted(self._sealed) + list(self._open_by_stream.values())
+        assert sorted(placed) == list(range(self.device.zone_count)), (
+            "free, sealed and open-frontier zones do not partition the device"
+        )
 
 
 __all__ = [

@@ -12,16 +12,11 @@ extra device WA underneath it.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Any
 
 from repro.apps.lsm.memtable import TOMBSTONE
-from repro.apps.lsm.sstable import SSTable, size_in_pages
-
-_min_key = attrgetter("min_key")
-_max_key = attrgetter("max_key")
+from repro.apps.lsm.sstable import SSTable, overlapping_run, size_in_pages
 
 
 @dataclass(frozen=True)
@@ -119,12 +114,7 @@ class LeveledCompaction:
             return ()
         lo = min(t.min_key for t in uppers)
         hi = max(t.max_key for t in uppers)
-        # Levels >= 1 are sorted by min_key and pairwise disjoint, so max_key
-        # ascends too and the tables touching [lo, hi] are one contiguous run.
-        tables = levels[level]
-        start = bisect.bisect_left(tables, lo, key=_max_key)
-        end = bisect.bisect_right(tables, hi, key=_min_key)
-        return tuple(tables[start:end])
+        return tuple(overlapping_run(levels[level], lo, hi))
 
     def merge(self, task: CompactionTask, bottom_level: bool) -> list[SSTable]:
         """Merge task inputs into output tables for ``task.level + 1``.

@@ -13,6 +13,7 @@ import bisect
 import itertools
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from repro.apps.lsm.bloom import BloomFilter
@@ -35,6 +36,8 @@ class SSTable:
         Flash pages the encoded table occupies.
     handle:
         Backend-assigned location token (set by the backend at write time).
+    min_key, max_key:
+        First and last key, set at construction.
     """
 
     entries: list[tuple[Any, Any]]
@@ -51,9 +54,19 @@ class SSTable:
         if any(map(operator.ge, keys, itertools.islice(keys, 1, None))):
             raise ValueError("SSTable entries must be strictly sorted by key")
         self._keys = keys
-        # Per-table bloom filter: negative point lookups skip the flash
-        # probe entirely (RocksDB's ~10-bits-per-key read-path staple).
-        self.bloom = BloomFilter.build(keys)
+        # Plain attributes: the level bisects read them once per probe.
+        self.min_key = keys[0]
+        self.max_key = keys[-1]
+
+    @cached_property
+    def bloom(self) -> BloomFilter:
+        """Per-table bloom filter: negative point lookups skip the flash
+        probe entirely (RocksDB's ~10-bits-per-key read-path staple).
+
+        Built on the first probe, so a table compacted away unprobed --
+        every table of a write-only run -- never hashes its keys.
+        """
+        return BloomFilter.build(self._keys)
 
     def might_contain(self, key: Any) -> bool:
         """Bloom check: False means the key is definitely not here."""
@@ -72,14 +85,6 @@ class SSTable:
         if start >= end:
             return range(0)
         return range(self.page_of_entry(start), self.page_of_entry(end - 1) + 1)
-
-    @property
-    def min_key(self) -> Any:
-        return self._keys[0]
-
-    @property
-    def max_key(self) -> Any:
-        return self._keys[-1]
 
     @property
     def entry_count(self) -> int:
@@ -113,6 +118,22 @@ class SSTable:
         return value is TOMBSTONE
 
 
+_min_key = operator.attrgetter("min_key")
+_max_key = operator.attrgetter("max_key")
+
+
+def overlapping_run(tables: list[SSTable], lo: Any, hi: Any) -> list[SSTable]:
+    """The tables of one level >= 1 whose key range touches [lo, hi].
+
+    Such a level is sorted by ``min_key`` and pairwise disjoint, so
+    ``max_key`` ascends too and the answer is one contiguous run, found
+    by bisection; for a point (``lo == hi``) it holds at most one table.
+    """
+    start = bisect.bisect_left(tables, lo, key=_max_key)
+    end = bisect.bisect_right(tables, hi, lo=start, key=_min_key)
+    return tables[start:end]
+
+
 def size_in_pages(entry_count: int, entry_bytes: int, page_size: int) -> int:
     """Pages an encoded run of ``entry_count`` entries occupies (>= 1)."""
     if entry_count < 1:
@@ -121,4 +142,4 @@ def size_in_pages(entry_count: int, entry_bytes: int, page_size: int) -> int:
     return max((total + page_size - 1) // page_size, 1)
 
 
-__all__ = ["SSTable", "size_in_pages"]
+__all__ = ["SSTable", "overlapping_run", "size_in_pages"]

@@ -17,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.apps.lsm.backends import BlockFileBackend, LsmBackend
+from repro.apps.lsm.backends import BlockFileBackend, LsmBackend, ZoneFileBackend
 from repro.apps.lsm.compaction import LeveledCompaction
 from repro.apps.lsm.memtable import TOMBSTONE, MemTable
-from repro.apps.lsm.sstable import SSTable, size_in_pages
+from repro.apps.lsm.sstable import SSTable, overlapping_run, size_in_pages
 
 
 @dataclass(frozen=True)
@@ -199,18 +199,17 @@ class LSMStore:
             self.stats.table_reads += 1
             if found:
                 return None if value is TOMBSTONE else value
-        for level in range(1, len(self.levels)):
-            for table in self.levels[level]:
-                if table.overlaps_range(key, key):
-                    if not table.might_contain(key):
-                        self.stats.bloom_skips += 1
-                        break  # definitely absent from this level
-                    found, value, index = table.find(key)
-                    self.backend.read_entry(table, min(index, table.entry_count - 1))
-                    self.stats.table_reads += 1
-                    if found:
-                        return None if value is TOMBSTONE else value
-                    break  # non-overlapping level: only one candidate
+        for tables in self.levels[1:]:
+            # Sorted, disjoint level: at most one table can hold the key.
+            for table in overlapping_run(tables, key, key):
+                if not table.might_contain(key):
+                    self.stats.bloom_skips += 1
+                    continue
+                found, value, index = table.find(key)
+                self.backend.read_entry(table, min(index, table.entry_count - 1))
+                self.stats.table_reads += 1
+                if found:
+                    return None if value is TOMBSTONE else value
         return None
 
     def scan(self, lo: Any, hi: Any) -> list[tuple[Any, Any]]:
@@ -225,18 +224,14 @@ class LSMStore:
         merged: dict[Any, Any] = {}
         # Oldest data first so newer versions overwrite during the merge.
         for level in range(len(self.levels) - 1, 0, -1):
-            for table in self.levels[level]:
-                if not table.overlaps_range(lo, hi):
-                    continue
+            for table in overlapping_run(self.levels[level], lo, hi):
                 self._charge_scan_pages(table, lo, hi)
-                for k, v in table.range_slice(lo, hi):
-                    merged[k] = v
+                merged.update(table.range_slice(lo, hi))
         for table in self.levels[0]:
             if not table.overlaps_range(lo, hi):
                 continue
             self._charge_scan_pages(table, lo, hi)
-            for k, v in table.range_slice(lo, hi):
-                merged[k] = v
+            merged.update(table.range_slice(lo, hi))
         for k, v in self.memtable.sorted_items():
             if lo <= k <= hi:
                 merged[k] = v
@@ -347,9 +342,18 @@ class LSMStore:
         if isinstance(backend, BlockFileBackend):
             held = sum(e.length for t in tables for e in t.handle)
             held += sum(e.length for e in backend._wal_extents)
-            assert backend.allocator.free_blocks + held == backend.capacity_pages, (
+            allocator = backend.allocator
+            assert allocator.free_blocks == sum(e.length for e in allocator._free), (
+                "allocator's running free count drifted from its free list"
+            )
+            assert allocator.free_blocks + held == backend.capacity_pages, (
                 "allocator leaked or double-counted pages"
             )
+        elif isinstance(backend, ZoneFileBackend):
+            assert {t.table_id for t in tables} == backend._tables.keys(), (
+                "backend's file registry differs from the level structure"
+            )
+            backend.check_invariants()
 
     def level_sizes_pages(self) -> list[int]:
         return [sum(t.size_pages for t in level) for level in self.levels]

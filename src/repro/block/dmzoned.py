@@ -22,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.block.interface import ZonedDevice
+from repro.block.interface import ZonedDevice, check_extent
 from repro.flash.errors import ProgramFaultError, UncorrectableReadError
 from repro.flash.ops import FlashOp
 from repro.ftl.gc import VictimPolicy, make_policy
@@ -171,6 +171,11 @@ class ZonedBlockDevice:
 
     def write_block(self, lba: int, data: Any = None) -> None:
         self.write(lba, data)
+
+    def write_blocks(self, start: int, count: int) -> None:
+        check_extent(self, start, count)
+        for lba in range(start, start + count):
+            self.write(lba)
 
     def trim_block(self, lba: int) -> None:
         self.trim(lba)

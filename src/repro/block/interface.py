@@ -8,7 +8,12 @@ Two protocols, one per side of the paper's argument:
   cache) can program against it, so the same application code runs over
   a conventional SSD, a RAM disk, or the dm-zoned-style translation
   layer over a ZNS device -- which is exactly the interchangeability
-  argument the paper makes in §2.3.
+  argument the paper makes in §2.3. A file reaches a device as a few
+  extents, not one call per block, so beside the per-block
+  ``read_block``/``write_block``/``trim_block`` the protocol has one
+  ranged command, ``write_blocks(start, count)``: the same device state
+  as ``write_block`` on each block of the run in ascending order,
+  issued as a single call.
 - :class:`ZonedDevice` -- the NVMe ZNS command surface
   (report/open/close/finish/reset, sequential write, zone append, simple
   copy). The host translation layer (:mod:`repro.block.dmzoned`), the
@@ -49,6 +54,15 @@ class BlockDevice(Protocol):
 
     def write_block(self, lba: int, data: Any = None) -> None:
         """Store ``data`` at ``lba``, overwriting any previous contents."""
+        ...
+
+    def write_blocks(self, start: int, count: int) -> None:
+        """Write the extent ``[start, start + count)`` without payloads.
+
+        Leaves the device as ``for lba in range(start, start + count):
+        write_block(lba)`` would, except that a run reaching outside the
+        device is rejected before any block is written.
+        """
         ...
 
     def trim_block(self, lba: int) -> None:
@@ -147,4 +161,14 @@ def check_lba(device: BlockDevice, lba: int) -> None:
         raise IndexError(f"lba {lba} out of range [0, {device.num_blocks})")
 
 
-__all__ = ["BlockDevice", "ZonedDevice", "check_lba"]
+def check_extent(device: BlockDevice, start: int, count: int) -> None:
+    """Shared bounds check for ``write_blocks``: the whole run, up front."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if start < 0 or start + count > device.num_blocks:
+        raise IndexError(
+            f"extent [{start}, {start + count}) out of range [0, {device.num_blocks})"
+        )
+
+
+__all__ = ["BlockDevice", "ZonedDevice", "check_extent", "check_lba"]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.block.interface import check_lba
+from repro.block.interface import check_extent, check_lba
 from repro.metrics.counters import OpCounter
 
 
@@ -43,6 +43,11 @@ class RamDisk:
         check_lba(self, lba)
         self.counters.note_write(self._block_size)
         self._data[lba] = data
+
+    def write_blocks(self, start: int, count: int) -> None:
+        check_extent(self, start, count)
+        for lba in range(start, start + count):
+            self.write_block(lba)
 
     def trim_block(self, lba: int) -> None:
         check_lba(self, lba)

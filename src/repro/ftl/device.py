@@ -14,6 +14,9 @@ from typing import Any
 
 import itertools
 
+import numpy as np
+
+from repro.block.interface import check_extent
 from repro.flash.geometry import FlashGeometry
 from repro.flash.ops import OpKind
 from repro.flash.service import FlashServiceModel
@@ -70,6 +73,18 @@ class ConventionalSSD:
         self.ftl.write(lba)
         if self._store_data:
             self._payloads[lba] = data
+
+    def write_blocks(self, start: int, count: int) -> None:
+        check_extent(self, start, count)
+        if self.ftl.nand.faults is None:
+            self.ftl.write_pages(np.arange(start, start + count))
+        else:
+            # A batch that draws a program fault degrades chunk-wise, not
+            # page-wise; the scalar path keeps fault absorption in order.
+            for lba in range(start, start + count):
+                self.ftl.write(lba)
+        if self._store_data:
+            self._payloads.update(dict.fromkeys(range(start, start + count)))
 
     def trim_block(self, lba: int) -> None:
         self.ftl.trim(lba)

@@ -1,5 +1,7 @@
 """Tests for the LSM store: memtable, sstables, compaction, backends."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from repro.apps.lsm import (
 from repro.apps.lsm.backends import AllocationError, ExtentAllocator
 from repro.apps.lsm.memtable import TOMBSTONE
 from repro.apps.lsm.sstable import size_in_pages
+from repro.block.factory import DeviceSpec, build_stack
 from repro.block.ramdisk import RamDisk
 from repro.flash.geometry import FlashGeometry, ZonedGeometry
 from repro.zns.device import ZNSDevice
@@ -25,6 +28,29 @@ SMALL_CFG = LSMConfig(memtable_pages=4, level0_pages=16, max_table_pages=8)
 
 def ram_store(cfg=SMALL_CFG):
     return LSMStore(BlockFileBackend(RamDisk(1 << 14), trim_on_delete=True), cfg)
+
+
+# Eight entries per flush, two- and three-page tables over 120-page devices
+# with five-page zones: a few hundred ops wrap the block allocator and fill,
+# seal and reset zones at every alignment of file end and zone end.
+TINY_CFG = LSMConfig(
+    memtable_pages=2, entry_bytes=1024, level0_pages=4, level_multiplier=2, max_table_pages=3
+)
+
+
+def tiny_zns(zones=24, zone_pages=5):
+    flash = FlashGeometry(
+        pages_per_block=zone_pages, blocks_per_plane=zones // 4, planes_per_channel=1, channels=4
+    )
+    return ZNSDevice(ZonedGeometry(flash=flash, blocks_per_zone=1, max_active_zones=8))
+
+
+def tiny_stores():
+    """One store per backend, the same size."""
+    return [
+        LSMStore(BlockFileBackend(RamDisk(120), trim_on_delete=True), TINY_CFG),
+        LSMStore(ZoneFileBackend(tiny_zns()), TINY_CFG),
+    ]
 
 
 class TestMemTable:
@@ -45,14 +71,6 @@ class TestMemTable:
         for k in ("c", "a", "b"):
             mt.put(k, k)
         assert [k for k, _ in mt.sorted_items()] == ["a", "b", "c"]
-
-    def test_bytes_track_overwrites(self):
-        mt = MemTable()
-        mt.put("k", "x" * 100)
-        big = mt.approximate_bytes
-        mt.put("k", "x")
-        assert mt.approximate_bytes < big
-        assert len(mt) == 1
 
 
 class TestSSTable:
@@ -207,24 +225,48 @@ class TestStoreCorrectness:
             store.put(i, i)
         assert store.stats.wal_pages == 0
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=25, deadline=None)
     @given(ops=st.lists(
-        st.tuples(st.sampled_from(["put", "delete"]), st.integers(0, 63), st.integers(0, 1000)),
+        st.tuples(
+            st.sampled_from(["put", "put", "delete", "get", "scan"]),
+            st.integers(0, 63),
+            st.integers(0, 1000),
+        ),
+        min_size=120,
         max_size=300,
     ))
     def test_matches_dict_model(self, ops):
-        store = ram_store()
-        model = {}
-        for op, key, value in ops:
-            if op == "put":
-                store.put(key, value)
-                model[key] = value
-            else:
-                store.delete(key)
-                model.pop(key, None)
-        for key in range(64):
-            assert store.get(key) == model.get(key)
-        store.check_invariants()
+        for store in tiny_stores():
+            model = {}
+            for op, key, value in ops:
+                if op == "put":
+                    store.put(key, value)
+                    model[key] = value
+                elif op == "delete":
+                    store.delete(key)
+                    model.pop(key, None)
+                elif op == "get":
+                    assert store.get(key) == model.get(key)
+                else:
+                    hi = key + value % 16
+                    assert store.scan(key, hi) == sorted(
+                        (k, v) for k, v in model.items() if key <= k <= hi
+                    )
+            for key in range(64):
+                assert store.get(key) == model.get(key)
+            assert store.scan(0, 63) == sorted(model.items())
+            store.check_invariants()
+
+    def test_dict_model_sizing_cycles_both_backends(self):
+        """The property test's devices are small enough to exercise reuse."""
+        rng = np.random.default_rng(0)
+        for store in tiny_stores():
+            for i in range(300):
+                store.put(int(rng.integers(0, 64)), i)
+            store.check_invariants()
+            assert store.stats.compactions > 10 and len(store.level_sizes_pages()) > 2
+        assert store.backend.stats.zones_reset > 10
+        assert store.backend._sealed and store.backend.free_zone_count < 24
 
 
 class TestCheckInvariants:
@@ -307,3 +349,103 @@ class TestBackends:
         sizes = store.level_sizes_pages()
         assert len(sizes) == store.config.max_levels
         assert sum(sizes) > 0
+
+
+class TestZoneFileBackend:
+    """Zone bookkeeping: what is live is counted before anything can reset it."""
+
+    @staticmethod
+    def table(pages, level=0):
+        return SSTable(entries=[(0, "v")], level=level, size_pages=pages)
+
+    def test_file_ending_on_zone_boundary_survives_dead_neighbours(self):
+        backend = ZoneFileBackend(ZNSDevice(ZonedGeometry.small()))
+        per_zone = backend.device.geometry.pages_per_zone
+        a, b = self.table(per_zone - 28), self.table(28)
+        backend.write_table(a)
+        backend.delete_table(a)  # the open zone now holds only dead pages
+        backend.write_table(b)  # ... and b fills it exactly, sealing it
+        for page in range(b.size_pages):
+            backend.read_table_page(b, page)
+        assert backend.stats.zones_reset == 0
+        backend.check_invariants()
+        backend.delete_table(b)
+        assert backend.stats.free_zone_resets == 1
+        backend.check_invariants()
+
+    def test_wal_page_filling_a_dead_zone_stays_live(self):
+        backend = ZoneFileBackend(tiny_zns(zones=16, zone_pages=8))
+        for _ in range(7):
+            backend.append_wal_page()
+        backend.reset_wal()  # seven dead pages in the open WAL zone
+        backend.append_wal_page()  # the eighth fills and seals it
+        backend.check_invariants()
+        assert backend.stats.zones_reset == 0
+        backend.reset_wal()
+        assert backend.stats.free_zone_resets == 1
+
+    def test_seed_2_recipe_keeps_every_table_readable(self):
+        """E5's zoned stack and config, ``random.Random(2)`` puts over 100k
+        keys: the 44th flush used to reset a zone holding a live table."""
+        device = build_stack(
+            DeviceSpec(kind="zns", geometry="small", blocks_per_zone=2, max_active_zones=14)
+        )
+        store = LSMStore(
+            ZoneFileBackend(device),
+            LSMConfig(memtable_pages=64, level0_pages=768, max_table_pages=32),
+        )
+        rng = random.Random(2)
+        for value in range(91_029):
+            store.put(rng.randrange(100_000), value)
+        assert store.stats.flushes == 44
+        for level in store.levels:
+            for table in level:
+                store.backend.read_table_page(table, 0)
+                store.backend.read_table_page(table, table.size_pages - 1)
+        store.check_invariants()
+
+    def test_reclaim_spares_the_file_being_appended(self):
+        backend = ZoneFileBackend(tiny_zns(zones=8, zone_pages=8))
+        halves = [self.table(4) for _ in range(4)]  # zones 0 and 1, two files each
+        for half in halves:
+            backend.write_table(half)
+        for _ in range(3):
+            backend.write_table(self.table(8))  # zones 2-4, fully live
+        scratch = self.table(6)
+        backend.write_table(scratch)  # zone 5, left open
+        for dead in (halves[0], halves[2], scratch):
+            backend.delete_table(dead)
+        assert backend.free_zone_count == backend.reserve_zones
+        # Two pages seal zone 5 with nothing else live in it; the next zone
+        # needs a reclaim, whose emptiest candidate would be zone 5 itself.
+        spanning = self.table(5)
+        backend.write_table(spanning)
+        assert backend.stats.pages_relocated == 8  # zones 0 and 1 were evacuated instead
+        for table in (spanning, halves[1], halves[3]):
+            for page in range(table.size_pages):
+                backend.read_table_page(table, page)
+        backend.check_invariants()
+
+    def test_check_invariants_catches_bookkeeping_drift(self):
+        def churned():
+            store = LSMStore(ZoneFileBackend(tiny_zns()), TINY_CFG)
+            for i in range(200):
+                store.put(i % 64, i)
+            store.check_invariants()
+            return store.backend
+
+        backend = churned()
+        next(iter(backend._zones.values())).live_pages += 1
+        with pytest.raises(AssertionError, match="live pages"):
+            backend.check_invariants()
+
+        backend = churned()
+        backend._free.append(next(iter(backend._sealed)))
+        with pytest.raises(AssertionError, match="partition"):
+            backend.check_invariants()
+
+        backend = churned()
+        table, extents = next(iter(backend._tables.values()))
+        backend.device.reset_zone(extents[0].zone)
+        with pytest.raises(AssertionError, match="above wp"):
+            backend.check_invariants()

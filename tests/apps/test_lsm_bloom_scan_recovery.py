@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.lsm import BlockFileBackend, LSMConfig, LSMStore
+from repro.apps.lsm import BlockFileBackend, LSMConfig, LSMStore, SSTable
 from repro.apps.lsm.bloom import BloomFilter
 from repro.block.ramdisk import RamDisk
 
@@ -48,6 +48,55 @@ class TestBloomFilter:
     def test_empty_build(self):
         bloom = BloomFilter.build([])
         assert not bloom.might_contain("anything")  # overwhelmingly likely
+
+
+@pytest.fixture
+def build_calls(monkeypatch):
+    """Every ``BloomFilter.build`` call made while the test runs."""
+    calls = []
+    original = BloomFilter.build.__func__
+
+    def counting(cls, keys, fp_rate=0.01):
+        calls.append(len(keys))
+        return original(cls, keys, fp_rate)
+
+    monkeypatch.setattr(BloomFilter, "build", classmethod(counting))
+    return calls
+
+
+class TestFilterBuiltOnFirstProbe:
+    def test_write_only_store_never_hashes(self, build_calls):
+        store = ram_store()
+        for i in range(20_000):
+            store.put(i * 7919 % 5000, i)
+        assert store.stats.compactions > 50
+        assert build_calls == []
+
+    def test_first_probe_builds_once(self, build_calls):
+        keys = list(range(0, 400, 2))
+        table = SSTable(entries=[(k, k) for k in keys], level=1, size_pages=4)
+        assert build_calls == []
+        assert table.might_contain(10)
+        table.might_contain(11)
+        table.bloom.might_contain(12)
+        assert build_calls == [len(keys)]
+
+    def test_lazy_filter_is_the_eager_filter(self):
+        keys = [("k", i) for i in range(300)]
+        table = SSTable(entries=[(k, None) for k in keys], level=0, size_pages=3)
+        eager = BloomFilter.build(keys)
+        assert bytes(table.bloom._bits) == bytes(eager._bits)
+        assert (table.bloom.num_bits, table.bloom.num_hashes, table.bloom.items_added) == (
+            eager.num_bits, eager.num_hashes, eager.items_added
+        )
+
+    def test_only_probed_tables_pay(self, build_calls):
+        store = ram_store()
+        for i in range(4000):
+            store.put(i, i)
+        tables = sum(len(level) for level in store.levels)
+        assert store.get(5) == 5
+        assert 1 <= len(build_calls) < tables
 
 
 class TestBloomInStore:

@@ -3,8 +3,32 @@
 from repro.block.dmzoned import ZonedBlockDevice
 from repro.block.interface import BlockDevice, ZonedDevice
 from repro.block.ramdisk import RamDisk
-from repro.flash.geometry import ZonedGeometry
+from repro.flash.geometry import FlashGeometry, ZonedGeometry
+from repro.ftl.device import ConventionalSSD
 from repro.zns.device import ZNSDevice
+
+
+class TestBlockDeviceProtocol:
+    def test_all_three_implementations_conform(self):
+        for device in (
+            RamDisk(num_blocks=8),
+            ConventionalSSD(FlashGeometry.small()),
+            ZonedBlockDevice(ZNSDevice(ZonedGeometry.small())),
+        ):
+            assert isinstance(device, BlockDevice)
+
+    def test_ranged_write_is_part_of_the_protocol(self):
+        class PerBlockOnly:
+            block_size = 4096
+            num_blocks = 8
+
+            def read_block(self, lba): ...
+            def write_block(self, lba, data=None): ...
+            def trim_block(self, lba): ...
+
+        assert not isinstance(PerBlockOnly(), BlockDevice)
+        PerBlockOnly.write_blocks = lambda self, start, count: None
+        assert isinstance(PerBlockOnly(), BlockDevice)
 
 
 class TestZonedDeviceProtocol:
