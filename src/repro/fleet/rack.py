@@ -48,7 +48,7 @@ from repro.fleet.spec import FleetSpec
 from repro.hostio.zonelife import ZoneLifecycleManager
 from repro.obs.events import HostRequestBatchEvent, HostRequestEvent
 from repro.obs.frame import FrameSink, MetricsFrame
-from repro.obs.tracer import Tracer
+from repro.obs.runtime import new_tracer
 from repro.sim.rng import make_rng
 from repro.workloads.lifetime import ObjectLifetimeWorkload
 from repro.workloads.multitenant import demand_trace
@@ -621,7 +621,7 @@ def simulate_device(
             f"got {dspec.kind!r}"
         )
     tenants = placement.assign(spec)[device_id]
-    tracer = Tracer()
+    tracer = new_tracer()
     sink = FrameSink()
     stack = build_stack(dspec, tracer=tracer)
     rng = make_rng(derive_seed(spec.seed, "reads", device_id))

@@ -141,7 +141,10 @@ class TimedConventionalSSD:
         self._write_latency = self.tracer.attach(LatencySink(op="write"))
         self._request_ids = itertools.count()
         self.gc_poll_interval_us = gc_poll_interval_us
-        self._stall_event = None  # writers waiting for free blocks
+        # Writes stall at or below this many free blocks: it leaves the
+        # collector its transient working blocks (one per GC destination
+        # stream).
+        self._stall_threshold = self.ftl.config.streams + self.ftl.config.gc_streams - 1
         self._collector = engine.process(self._collector_loop(), name="ftl-gc")
 
     @property
@@ -200,25 +203,17 @@ class TimedConventionalSSD:
         )
         # If the FTL is nearly out of free blocks the write stalls until
         # the background collector frees some: the conventional-SSD
-        # latency cliff. The threshold leaves the collector its transient
-        # working blocks (one per GC destination stream).
-        stalled = False
-        while (
-            self.ftl.free_block_count
-            <= self.ftl.config.streams + self.ftl.config.gc_streams - 1
-        ):
-            if not stalled:
-                stalled = True
-                if self.tracer.enabled:
-                    self.tracer.publish(
-                        GcEvent(
-                            "ftl.gc", "stall",
-                            free_blocks=self.ftl.free_block_count,
-                            t=self.engine.now,
-                        )
+        # latency cliff.
+        if self._stalled():
+            if self.tracer.enabled:
+                self.tracer.publish(
+                    GcEvent(
+                        "ftl.gc", "stall",
+                        free_blocks=self.ftl.free_block_count,
+                        t=self.engine.now,
                     )
-            self.ftl.stats.foreground_gc_stalls += 1
-            yield self.engine.sleep(self.gc_poll_interval_us)
+                )
+            yield self.engine.poll(self._stalled, self.gc_poll_interval_us)
         self.tracer.publish(
             HostRequestEvent(
                 "hostio.request", "write", "service-start",
@@ -236,6 +231,13 @@ class TimedConventionalSSD:
             )
         )
         return latency
+
+    def _stalled(self) -> bool:
+        """Whether a write must wait for free blocks; counts each check that says so."""
+        if self.ftl.free_block_count <= self._stall_threshold:
+            self.ftl.stats.foreground_gc_stalls += 1
+            return True
+        return False
 
     # -- Background collection ----------------------------------------------------
 

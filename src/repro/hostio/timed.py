@@ -133,8 +133,8 @@ class TimedZonedBlockDevice:
             )
         )
         # Stall while the host is out of zones (reclaim will free some).
-        while self.layer.free_zone_count <= 1:
-            yield self.engine.sleep(self.reclaim_poll_interval_us)
+        if self._out_of_zones():
+            yield self.engine.poll(self._out_of_zones, self.reclaim_poll_interval_us)
         self.tracer.publish(
             HostRequestEvent(
                 "hostio.request", "write", "service-start",
@@ -152,6 +152,9 @@ class TimedZonedBlockDevice:
             )
         )
         return latency
+
+    def _out_of_zones(self) -> bool:
+        return self.layer.free_zone_count <= 1
 
     # -- Background reclaim -----------------------------------------------------
 

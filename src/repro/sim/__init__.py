@@ -2,8 +2,8 @@
 
 This package provides a small, dependency-free discrete-event simulation
 (DES) core in the style of SimPy: an :class:`~repro.sim.engine.Engine`
-drives generator-based processes that ``yield`` events (timeouts, resource
-requests, arbitrary one-shot events). All timed experiments in the
+drives generator-based processes that ``yield`` events (timeouts, polls,
+resource requests, arbitrary one-shot events). All timed experiments in the
 reproduction (GC interference, tail latency, zone-append contention) run on
 this kernel; untimed experiments drive device state machines directly and
 never touch it.
@@ -17,6 +17,7 @@ from repro.sim.engine import (
     Engine,
     Event,
     Interrupt,
+    Poll,
     Process,
     SimulationError,
     Timeout,
@@ -28,6 +29,7 @@ __all__ = [
     "Engine",
     "Event",
     "Interrupt",
+    "Poll",
     "Process",
     "PriorityResource",
     "Resource",

@@ -11,6 +11,10 @@ The engine is a classic calendar-queue DES:
   event that triggers when the generator returns, so processes can wait on
   each other.
 - :class:`Timeout` is an event that triggers ``delay`` after creation.
+- :class:`Poll` is an event that re-checks a predicate every ``interval``
+  and triggers at the first tick that finds it false. The engine itself
+  runs the ticks, so a waiter parked on a poll is resumed once, when the
+  condition clears, not once per tick.
 
 Example::
 
@@ -95,9 +99,10 @@ class Event:
         """Trigger the event successfully, carrying ``value``."""
         if self._state != _PENDING:
             raise SimulationError(f"{self!r} has already been triggered")
+        # Scheduled first: a rejected delay leaves the event pending.
+        self.engine._schedule(self, delay)
         self.value = value
         self._state = _TRIGGERED
-        self.engine._schedule(self, delay)
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -106,9 +111,9 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
+        self.engine._schedule(self, delay)
         self._exception = exception
         self._state = _TRIGGERED
-        self.engine._schedule(self, delay)
         return self
 
     def _process(self) -> None:
@@ -138,13 +143,52 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, engine: Engine, delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
         super().__init__(engine)
         self.delay = delay
         self.value = value
         self._state = _TRIGGERED
         engine._schedule(self, delay)
+
+
+class Poll(Event):
+    """An event that triggers at the first tick that finds ``blocked()`` false.
+
+    The caller checks ``blocked()`` once inline and yields a poll only if
+    it is true; from there the poll stands for the rest of::
+
+        while blocked():
+            yield engine.sleep(interval)
+
+    A tick is what one of that loop's sleeps was: one heap entry
+    ``interval`` after the previous one, one sequence number, one processed
+    event. On each tick the engine calls ``blocked()`` once. True re-arms
+    the poll ``interval`` later under the next sequence number; false runs
+    the callbacks inside that same event, so a waiting process continues at
+    the tick's time. Every tick keeps the ``(time, seq)`` key the loop's
+    sleep would have had, so ties with other same-time events resolve as
+    they did; what goes is the generator resume per tick. A tick that finds
+    no callbacks (its waiter was interrupted, or nothing ever waited)
+    lapses: it neither calls ``blocked()`` nor re-arms. Polls are not
+    pooled.
+    """
+
+    __slots__ = ("blocked", "interval")
+
+    def __init__(self, engine: Engine, blocked: Callable[[], bool], interval: float):
+        if not interval > 0.0:
+            raise SimulationError(f"poll interval must be positive, got {interval!r}")
+        super().__init__(engine)
+        self.blocked = blocked
+        self.interval = interval
+        self._state = _TRIGGERED
+        engine._schedule(self, interval)
+
+    def _process(self) -> None:
+        """One tick, as :meth:`Engine.step` drives it (``run`` inlines this)."""
+        if self.callbacks and self.blocked():
+            self.engine._schedule(self, self.interval)
+        else:
+            Event._process(self)
 
 
 class AllOf(Event):
@@ -328,8 +372,11 @@ class Engine:
     def _schedule(self, event: Event, delay: float) -> None:
         if delay == 0.0:
             self._fifo.append((self.now, next(self._sequence), event))
-        else:
+        elif delay > 0.0:
             heapq.heappush(self._queue, (self.now + delay, next(self._sequence), event))
+        else:
+            # Negative or NaN: either would put an entry behind the clock.
+            raise SimulationError(f"delay must be a non-negative number, got {delay!r}")
 
     def _acquire_event(self) -> Event:
         """A pending pool-managed :class:`Event` (engine-internal use)."""
@@ -370,8 +417,6 @@ class Engine:
         """
         pool = self._timeout_pool
         if pool:
-            if delay < 0:
-                raise SimulationError(f"negative timeout delay: {delay}")
             timeout = pool.pop()
             timeout.delay = delay
             timeout.value = value
@@ -382,6 +427,14 @@ class Engine:
         timeout = Timeout(self, delay, value)
         timeout._poolable = True
         return timeout
+
+    def poll(self, blocked: Callable[[], bool], interval: float) -> Poll:
+        """A :class:`Poll`: fires at the first ``interval`` tick with ``blocked()`` false.
+
+        The caller checks ``blocked()`` itself first and yields the poll
+        only when it is true; the poll's first check is one interval on.
+        """
+        return Poll(self, blocked, interval)
 
     def process(self, generator: Generator, name: str | None = None) -> Process:
         """Start a new process running ``generator``."""
@@ -412,8 +465,6 @@ class Engine:
             when, _seq, event = heapq.heappop(queue)
         else:
             raise SimulationError("step() on an empty event queue")
-        if when < self.now:
-            raise SimulationError("event scheduled in the past")
         self.now = when
         self._processed_count += 1
         event._process()
@@ -438,55 +489,54 @@ class Engine:
         exactly to it. Failed process events with no waiters raise here, so
         errors never pass silently.
         """
-        if isinstance(until, Event):
-            stop = until
-            while not stop.processed:
-                if not self._queue and not self._fifo:
-                    raise SimulationError(
-                        "event queue drained before `until` event triggered"
-                    )
-                self.step()
-            if stop._exception is not None:
-                raise stop._exception
-            return stop.value
-
-        # Numeric fast path: no sentinel event is allocated to mark the
-        # horizon, and the step() pop is inlined to avoid per-event call
-        # overhead. processed_events accounting matches step() exactly.
-        horizon = float("inf") if until is None else float(until)
-        if horizon < self.now:
-            raise SimulationError(f"cannot run until {horizon}; now is {self.now}")
+        stop = until if isinstance(until, Event) else None
+        horizon = float("inf")
+        if stop is None and until is not None:
+            horizon = float(until)
+            if not horizon >= self.now:  # also refuses NaN
+                raise SimulationError(f"cannot run until {horizon}; now is {self.now}")
+        # step() inlined: same pop order and processed_events accounting,
+        # without a call per event, and a blocked Poll tick is re-armed
+        # here without leaving the loop.
         fifo = self._fifo
         queue = self._queue
+        sequence = self._sequence
         heappop = heapq.heappop
-        while True:
-            if fifo:
-                if queue and queue[0] < fifo[0]:
-                    head = queue[0]
-                    from_heap = True
-                else:
-                    head = fifo[0]
-                    from_heap = False
-            elif queue:
-                head = queue[0]
-                from_heap = True
-            else:
-                break
-            when = head[0]
-            if when > horizon:
-                break
-            if from_heap:
-                heappop(queue)
-            else:
+        heapreplace = heapq.heapreplace
+        while stop is None or stop._state != _PROCESSED:
+            if fifo and not (queue and queue[0] < fifo[0]):
+                when, _seq, event = fifo[0]
+                if when > horizon:
+                    break
                 fifo.popleft()
-            if when < self.now:
-                raise SimulationError("event scheduled in the past")
+            elif queue:
+                when, _seq, event = queue[0]
+                if when > horizon:
+                    break
+                if type(event) is Poll and event.callbacks:
+                    self.now = when
+                    self._processed_count += 1
+                    if event.blocked():
+                        # Same entry as pop-then-push, one sift.
+                        heapreplace(queue, (when + event.interval, next(sequence), event))
+                    else:
+                        heappop(queue)
+                        Event._process(event)
+                    continue
+                heappop(queue)
+            elif stop is not None:
+                raise SimulationError("event queue drained before `until` event triggered")
+            else:
+                break
             self.now = when
             self._processed_count += 1
-            event = head[2]
             event._process()
             if event._poolable:
                 self._recycle(event)
+        if stop is not None:
+            if stop._exception is not None:
+                raise stop._exception
+            return stop.value
         if horizon != float("inf"):
             self.now = horizon
         return None
@@ -498,6 +548,7 @@ __all__ = [
     "Engine",
     "Event",
     "Interrupt",
+    "Poll",
     "Process",
     "SimulationError",
     "Timeout",

@@ -21,7 +21,9 @@ from repro.fleet import (
     simulate_fleet,
     simulate_shard,
 )
+from repro.obs import runtime
 from repro.obs.frame import MetricsFrame
+from repro.obs.sinks import RecordingSink
 
 # 64 blocks / 4096 pages per device: big enough to reach GC/reclaim,
 # small enough that a whole fleet simulates in well under a second.
@@ -106,6 +108,28 @@ class TestMergeEqualsSerial:
         spec = _fleet(((_CONV, 2),))
         with pytest.raises(ValueError, match="shard"):
             simulate_shard(spec, shard=2, shards=2)
+
+
+class TestGlobalSinks:
+    def test_installed_sink_sees_the_shard_serve(self):
+        """The rack takes its tracer from ``obs.runtime`` like every device
+        stack, so ``--trace``, ``--metrics-out`` and the ledger's counting
+        sink observe E16/E17 (it used to build a private ``Tracer()``)."""
+        spec = _fleet(((_CONV, 1), (_ZNS, 1)))
+        sink = runtime.install_global_sink(RecordingSink(layer="fleet.request"))
+        try:
+            frame = simulate_shard(spec)
+        finally:
+            runtime.remove_global_sink(sink)
+        served = frame.counter("fleet.request.read.requests") + frame.counter(
+            "fleet.request.write.requests"
+        )
+        # At least the shard's own count: warm-up ticks publish too once
+        # something listens, and the frame only starts after them.
+        assert len(sink.events) >= served > 0
+        seen = len(sink.events)
+        simulate_shard(spec)
+        assert len(sink.events) == seen
 
 
 class TestServingSemantics:

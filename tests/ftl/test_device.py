@@ -108,7 +108,9 @@ class TestTimedConventionalSSD:
             ssd.ftl.write(lpn)
 
         def writer(eng, ssd):
-            for _ in range(2 * n):
+            # The 500 reads are over within ~0.43 simulated s; n // 4
+            # writes keep GC busy for twenty times that.
+            for _ in range(n // 4):
                 yield ssd.submit_write(int(rng.integers(0, n)))
 
         def reader(eng, ssd):

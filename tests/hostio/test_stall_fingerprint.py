@@ -1,0 +1,124 @@
+"""Pinned fingerprint of the two stalled-writer call sites.
+
+``TimedConventionalSSD._write_proc`` and ``TimedZonedBlockDevice._write_proc``
+park a writer that finds no free block / zone and re-check every 100 us.
+Which stalled writer takes a freed block is decided by ``(time, seq)``
+among same-time heap entries, so a speed-only change to how a parked
+writer polls must leave every number below where it is: the event count
+and final clock (a tick is still an event), the per-tick stall counter,
+every request latency and the NAND traffic the interleaving produced.
+
+Both digests were recorded on the source of commit c98fa0a -- where each
+writer still ran ``while <stalled>: yield engine.sleep(100.0)`` in its
+own generator -- before ``Engine.poll`` was written, and stand in tier-1
+for the golden compare of E3/E11/A3 (~12 s; this takes about two). A
+deliberate physics change re-records them and says so.
+"""
+
+import hashlib
+import json
+
+from repro.block.factory import DeviceSpec, build_stack
+from repro.flash.geometry import FlashGeometry
+from repro.ftl.device import TimedConventionalSSD
+from repro.ftl.ftl import FTLConfig
+from repro.hostio.scheduler import make_scheduler
+from repro.sim.engine import Engine, Timeout
+from repro.sim.rng import make_rng
+
+PINNED = {
+    "conventional": "9dc2bb874a8fcf59d6774690157ab50cf285c41572b01de7ee0cf81a1b0d0b3c",
+    "dmzoned": "70ea1e97bf4d25f6a06a1a0d3e7925784d910a3d77b922b9a2ae89504b6c2d49",
+}
+
+_WRITERS = 8
+
+
+def _digest(engine: Engine, device, nand, **extra) -> str:
+    counters = nand.counters
+    state = {
+        "now": engine.now,
+        "processed_events": engine.processed_events,
+        "write_latency": [device.write_latency.count, device.write_latency.mean],
+        "read_latency": [device.read_latency.count, device.read_latency.mean],
+        "nand": [counters.writes, counters.copies, counters.erases],
+        **extra,
+    }
+    return hashlib.sha256(json.dumps(state, sort_keys=True).encode()).hexdigest()
+
+
+def test_conventional_saturation_fingerprint():
+    """E3's op=7% saturation run in small: 8 closed-loop writers against a
+    full, half-churned drive spend most of ~2.1 simulated s stalled."""
+    engine = Engine()
+    ssd = TimedConventionalSSD(engine, FlashGeometry.small(), FTLConfig(op_ratio=0.07))
+    n = ssd.ftl.logical_pages
+    for lpn in range(n):
+        ssd.ftl.write(lpn)
+    churn = make_rng(5)
+    for _ in range(n // 2):
+        ssd.ftl.write(int(churn.integers(0, n)))
+    rng = make_rng(1234)
+
+    def writer(engine):
+        for _ in range(60):
+            yield ssd.submit_write(int(rng.integers(0, n)))
+
+    done = engine.all_of([engine.process(writer(engine)) for _ in range(_WRITERS)])
+    engine.run(until=done)
+
+    stalls = ssd.ftl.stats.foreground_gc_stalls
+    assert stalls > 100_000  # the scenario is nothing if it stops stalling
+    assert ssd.write_latency.count == 60 * _WRITERS
+    digest = _digest(engine, ssd, ssd.ftl.nand, foreground_gc_stalls=stalls)
+    assert digest == PINNED["conventional"]
+
+
+def test_dmzoned_open_loop_fingerprint():
+    """E11's always-on arm, 64 read bursts: the open-loop writer outruns
+    host reclaim, so writes pile up out of zones and tick side by side
+    with the reclaim loop's idle poll on the same 100 us period."""
+    engine = Engine()
+    spec = DeviceSpec(
+        kind="dmzoned-timed",
+        geometry="small",
+        blocks_per_zone=2,
+        max_active_zones=14,
+        zoned_block={
+            "op_ratio": 0.18,
+            "use_simple_copy": True,
+            "gc_low_zones": 6,
+            "gc_high_zones": 8,
+        },
+        extra={"prioritize_reads": False},
+    )
+    host = build_stack(spec, engine=engine, scheduler=make_scheduler("always-on"))
+    n = host.layer.logical_pages
+    for lpn in range(n):
+        host.layer.write(lpn)
+    churn = make_rng(2)
+    for _ in range(n // 2):
+        host.layer.write(int(churn.integers(0, n)))
+    rng_w = make_rng(0)
+    rng_r = make_rng(1)
+    done = [False]
+
+    def writer(engine):
+        while not done[0]:
+            yield Timeout(engine, float(rng_w.exponential(500.0)))
+            host.submit_write(int(rng_w.integers(0, n)))
+
+    def reader(engine):
+        for _ in range(64):
+            for _ in range(20):
+                yield host.submit_read(int(rng_r.integers(0, n)))
+            yield Timeout(engine, 4000.0)
+        done[0] = True
+
+    engine.process(writer(engine))
+    engine.run(until=engine.process(reader(engine)))
+
+    assert host.read_latency.count == 64 * 20
+    # Far more events than requests: the surplus is stalled writers ticking.
+    assert engine.processed_events > 200_000
+    assert _digest(engine, host, host.layer.device.nand) == PINNED["dmzoned"]
