@@ -13,14 +13,13 @@ from __future__ import annotations
 from repro.block.factory import DeviceSpec, build_stack
 from repro.experiments.base import ExperimentConfig, ExperimentResult, SweepSpec, experiment
 from repro.ftl.ftl import ConventionalFTL
-from repro.workloads.synthetic import hot_cold_stream, uniform_stream
+from repro.workloads.synthetic import fill_then_churn, hot_cold_array, uniform_array
 
 
 def _steady_wa(ftl: ConventionalFTL, addresses) -> float:
     host0 = ftl.stats.host_pages_written
     copied0 = ftl.stats.gc_pages_copied
-    for lpn in addresses:
-        ftl.write(lpn)
+    ftl.write_pages(addresses)
     host = ftl.stats.host_pages_written - host0
     copied = ftl.stats.gc_pages_copied - copied0
     return (host + copied) / host
@@ -35,17 +34,14 @@ def measure(policy: str, workload: str, quick: bool, seed: int) -> dict:
         )
     )
     n = ftl.logical_pages
-    for lpn in range(n):
-        ftl.write(lpn)
     count = (3 if quick else 5) * n
     if workload == "uniform":
-        warm = uniform_stream(n, n, seed=seed)
-        main = uniform_stream(n, count, seed=seed + 1)
+        warm = uniform_array(n, n, seed=seed)
+        main = uniform_array(n, count, seed=seed + 1)
     else:
-        warm = (a for a, _hot in hot_cold_stream(n, n, 0.1, 0.9, seed=seed))
-        main = (a for a, _hot in hot_cold_stream(n, count, 0.1, 0.9, seed=seed + 1))
-    for lpn in warm:
-        ftl.write(lpn)
+        warm = hot_cold_array(n, n, 0.1, 0.9, seed=seed)
+        main = hot_cold_array(n, count, 0.1, 0.9, seed=seed + 1)
+    fill_then_churn(ftl, warm)
     wa = _steady_wa(ftl, main)
     return {
         "policy": policy,

@@ -15,6 +15,7 @@ from repro.block.factory import DeviceSpec, build_stack
 from repro.experiments.base import ExperimentConfig, ExperimentResult, SweepSpec, experiment
 from repro.sim.engine import Engine, Timeout
 from repro.sim.rng import make_rng
+from repro.workloads.synthetic import fill_then_churn, uniform_array
 
 
 def measure(erase_suspend_slices: int, quick: bool, seed: int) -> dict:
@@ -32,11 +33,7 @@ def measure(erase_suspend_slices: int, quick: bool, seed: int) -> dict:
         engine=engine,
     )
     n = ssd.ftl.logical_pages
-    for lpn in range(n):
-        ssd.ftl.write(lpn)
-    churn = make_rng(seed + 2)
-    for _ in range(n // 2):
-        ssd.ftl.write(int(churn.integers(0, n)))
+    fill_then_churn(ssd.ftl, uniform_array(n, n // 2, seed=seed + 2))
 
     reads = 1500 if quick else 6000
     rng_w = make_rng(seed)

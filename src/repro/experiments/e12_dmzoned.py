@@ -21,7 +21,7 @@ from repro.block.factory import DeviceSpec, build_stack
 from repro.experiments.base import ExperimentConfig, ExperimentResult, SweepSpec, experiment
 from repro.sim.engine import Engine
 from repro.sim.rng import make_rng
-from repro.workloads.synthetic import uniform_stream
+from repro.workloads.synthetic import fill_then_churn, uniform_array, uniform_stream
 
 _OP = 0.11
 
@@ -31,10 +31,7 @@ def _wa_conventional(quick: bool, seed: int) -> dict:
         DeviceSpec(kind="conventional-ftl", geometry="small", ftl={"op_ratio": _OP})
     )
     n = ftl.logical_pages
-    for lpn in range(n):
-        ftl.write(lpn)
-    for lpn in uniform_stream(n, (2 if quick else 4) * n, seed=seed):
-        ftl.write(lpn)
+    fill_then_churn(ftl, uniform_array(n, (2 if quick else 4) * n, seed=seed))
     flash_pages = ftl.nand.physical_bytes_written() // ftl.geometry.page_size
     return {
         "stack": "conventional-ftl",
@@ -74,8 +71,7 @@ def _throughput_conventional(quick: bool, seed: int) -> float:
         engine=engine,
     )
     n = ssd.ftl.logical_pages
-    for lpn in range(n):
-        ssd.ftl.write(lpn)
+    fill_then_churn(ssd.ftl)
     writes = (n // 2) if quick else 2 * n
     rng = make_rng(seed)
 

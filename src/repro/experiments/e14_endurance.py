@@ -26,7 +26,7 @@ from repro.cost.lifetime import qlc_enablement_table
 from repro.experiments.base import ExperimentConfig, ExperimentResult, experiment
 from repro.experiments.e1_wa_vs_op import measure_wa
 from repro.ftl.wearlevel import WL_POLICIES, spare_report
-from repro.workloads.synthetic import hot_cold_stream
+from repro.workloads.synthetic import fill_then_churn, hot_cold_array
 
 
 def measure_wearlevel(wl_policy: str, quick: bool, seed: int) -> dict:
@@ -40,12 +40,9 @@ def measure_wearlevel(wl_policy: str, quick: bool, seed: int) -> dict:
         )
     )
     n = ftl.logical_pages
-    for lpn in range(n):
-        ftl.write(lpn)
     # 10% of pages take 90% of writes: the cold 90% pins its blocks at
     # zero erases unless the policy forcibly migrates them.
-    for lpn, _ in hot_cold_stream(n, (4 if quick else 6) * n, seed=seed):
-        ftl.write(lpn)
+    fill_then_churn(ftl, hot_cold_array(n, (4 if quick else 6) * n, seed=seed))
     report = spare_report(ftl)
     host = ftl.stats.host_pages_written
     copied = ftl.stats.gc_pages_copied

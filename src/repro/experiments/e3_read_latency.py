@@ -25,6 +25,7 @@ from repro.block.factory import DeviceSpec, build_stack
 from repro.experiments.base import ExperimentConfig, ExperimentResult, experiment
 from repro.sim.engine import Engine, Timeout
 from repro.sim.rng import make_rng
+from repro.workloads.synthetic import fill_then_churn, uniform_array
 from repro.zns.zone import ZoneState
 
 _WRITERS = 8
@@ -46,11 +47,7 @@ class _ConvRig:
         self.geometry = spec.flash_geometry()
         self.ssd = build_stack(spec, engine=self.engine)
         self.n = self.ssd.ftl.logical_pages
-        for lpn in range(self.n):
-            self.ssd.ftl.write(lpn)
-        churn_rng = make_rng(5)
-        for _ in range(self.n // 2):
-            self.ssd.ftl.write(int(churn_rng.integers(0, self.n)))
+        fill_then_churn(self.ssd.ftl, uniform_array(self.n, self.n // 2, seed=5))
         self.rng = make_rng(1234)
 
     def submit_write(self):

@@ -20,6 +20,7 @@ from repro.block.ramdisk import RamDisk
 from repro.experiments.base import ExperimentConfig, ExperimentResult, experiment
 from repro.sim.engine import Engine, Timeout
 from repro.sim.rng import draw_ints, make_rng
+from repro.workloads.synthetic import fill_then_churn
 from repro.zns.zone import ZoneState
 
 
@@ -44,8 +45,7 @@ def _replay_conventional(plan, reads, read_interval_us, seed):
         engine=engine,
     )
     n = ssd.ftl.logical_pages
-    for lpn in range(n):  # precondition: device fully mapped
-        ssd.ftl.write(lpn)
+    fill_then_churn(ssd.ftl)  # precondition: device fully mapped
     rng = make_rng(seed)
 
     def writer(engine, entries):

@@ -508,7 +508,9 @@ class NandArray:
         """On-die copy of one victim block's pages onto a contiguous run.
 
         The collector's shape: ``src_pages`` ascending within a single
-        source block, the destination the next ``n`` free pages of
+        source block -- not necessarily contiguous, and a strided view
+        is fine: multi-stream GC hands each destination every k-th valid
+        page -- the destination the next ``n`` free pages of
         ``dst_block``. Equivalent to :meth:`copy_page` per page -- the
         source block absorbs read disturb, the destination obeys program
         order, and the counter sink books the same copy count and byte

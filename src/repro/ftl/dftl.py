@@ -248,7 +248,7 @@ class DemandPagedFTL(ConventionalFTL):
         Falls back to the scalar per-lpn loop when a fault injector is
         armed: fault absorption is inherently per-page.
         """
-        lpns = np.asarray(lpns, dtype=np.int64)
+        lpns = self._checked_lpns(lpns)
         n = int(lpns.size)
         if n == 0:
             return 0
@@ -256,8 +256,6 @@ class DemandPagedFTL(ConventionalFTL):
             for lpn in lpns.tolist():
                 self.write(int(lpn), stream=stream, auto_gc=auto_gc)
             return n
-        if int(lpns.min()) < 0 or int(lpns.max()) >= self.logical_pages:
-            raise IndexError(f"lpn batch out of range [0, {self.logical_pages})")
         store = self.store
         # Partition the epoch by distinct translation page, groups in
         # first-appearance order so the LRU sequence matches a scalar

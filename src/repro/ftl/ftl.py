@@ -130,6 +130,10 @@ class ConventionalFTL:
 
     All mutating methods return the list of :class:`FlashOp` records
     describing the physical work performed, for optional replay in the DES.
+
+    Valid data leaves a block through one routine, :meth:`_copy_forward`,
+    in runs: one ``copy_run`` per GC destination stream and block boundary,
+    never a flash call per page (DESIGN.md §6 "Relocation moves in runs").
     """
 
     #: Free blocks the FTL always holds back from exported capacity:
@@ -424,6 +428,25 @@ class ConventionalFTL:
             done += take
         self.stats.host_pages_written += n
 
+    def _checked_lpns(self, lpns) -> np.ndarray:
+        """``lpns`` as a 1-D int64 array, or raise before anything is touched.
+
+        The batch entry points' one input check: not a flat sequence of
+        integers (bools and floats included; scalar ``write(1.5)`` raises
+        too), or an address outside the logical space.
+        """
+        lpns = np.asarray(lpns)
+        if lpns.ndim != 1:
+            raise ValueError(f"lpn batch must be 1-D, got shape {lpns.shape}")
+        if lpns.size == 0:
+            return np.empty(0, dtype=np.int64)
+        if lpns.dtype.kind not in "iu":
+            raise TypeError(f"lpn batch must hold integers, got dtype {lpns.dtype}")
+        lpns = lpns.astype(np.int64, copy=False)
+        if int(lpns.min()) < 0 or int(lpns.max()) >= self.logical_pages:
+            raise IndexError(f"lpn batch out of range [0, {self.logical_pages})")
+        return lpns
+
     def write_pages(
         self, lpns: np.ndarray, stream: int = 0, auto_gc: bool = True
     ) -> int:
@@ -436,14 +459,10 @@ class ConventionalFTL:
         Returns the number of pages written. Callers that replay physical
         ops in the DES must use the scalar path.
         """
-        lpns = np.asarray(lpns, dtype=np.int64)
-        n = int(lpns.size)
-        if n == 0:
-            return 0
-        if int(lpns.min()) < 0 or int(lpns.max()) >= self.logical_pages:
-            raise IndexError(f"lpn batch out of range [0, {self.logical_pages})")
-        self._write_chunks(lpns, stream, auto_gc, None)
-        return n
+        lpns = self._checked_lpns(lpns)
+        if lpns.size:
+            self._write_chunks(lpns, stream, auto_gc, None)
+        return int(lpns.size)
 
     def write_pages_timed(
         self, lpns: np.ndarray, stream: int = 0, auto_gc: bool = True
@@ -465,21 +484,11 @@ class ConventionalFTL:
         """
         if self.nand.faults is not None:
             raise ValueError("write_pages_timed requires no armed fault injector")
-        lpns = np.asarray(lpns, dtype=np.int64)
-        n = int(lpns.size)
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
-        if n <= 16:
-            for lpn in lpns.tolist():
-                if lpn < 0 or lpn >= self.logical_pages:
-                    raise IndexError(
-                        f"lpn batch out of range [0, {self.logical_pages})"
-                    )
-        elif int(lpns.min()) < 0 or int(lpns.max()) >= self.logical_pages:
-            raise IndexError(f"lpn batch out of range [0, {self.logical_pages})")
+        lpns = self._checked_lpns(lpns)
         program_us = self.nand.timing.program_total_us(self.geometry.page_size)
-        service = np.full(n, program_us, dtype=np.float64)
-        self._write_chunks(lpns, stream, auto_gc, service)
+        service = np.full(lpns.size, program_us, dtype=np.float64)
+        if lpns.size:
+            self._write_chunks(lpns, stream, auto_gc, service)
         return service
 
     def read_pages(self, lpns: np.ndarray) -> np.ndarray:
@@ -604,7 +613,7 @@ class ConventionalFTL:
         copies record fresh OOB), then the block is marked bad and leaves
         circulation -- it was active, so it sits in no other pool.
         """
-        moved = self._copy_forward(self.map.valid_pages_in_block(block), None)
+        moved = self._copy_forward(self.map.valid_pages_array(block), None)
         self.nand.wear.mark_bad(block)
         self._active[stream] = None
         self._fault_counts.pop(block, None)
@@ -695,50 +704,9 @@ class ConventionalFTL:
                 )
             )
         ops: list[FlashOp] = []
-        if self.config.gc_streams == 1:
-            # Single-destination fast path: copy the victim's valid pages
-            # in block-sized chunks instead of one page at a time. Seal
-            # times, allocation order, and map state match the scalar loop
-            # exactly (the clock never moves during a collection).
-            ppb = self.geometry.pages_per_block
-            copy_latency = self.nand.timing.read_us + self.nand.timing.program_us
-            uses_channel = not self.config.copyback
-            copied = 0
-            while copied < nvalid:
-                block = self._gc_active[0]
-                if block is None or self.nand.is_block_full(block):
-                    if block is not None:
-                        self._seal(block)
-                    block = self._take_free_block()
-                    self._gc_active[0] = block
-                offset = self.nand.write_offset(block)
-                take = min(ppb - offset, nvalid - copied)
-                chunk = valid[copied : copied + take]
-                first = block * ppb + offset
-                self.nand.copy_run(chunk, block, offset)
-                self.map.relocate_run(chunk, first)
-                self._oob_lpn[first : first + take] = self.map.p2l[first : first + take]
-                self._oob_serial[first : first + take] = np.arange(
-                    self._program_serial, self._program_serial + take, dtype=np.int64
-                )
-                self._program_serial += take
-                self._note_relocated(self._oob_lpn[first : first + take])
-                if build_ops:
-                    ops.extend(
-                        FlashOp(
-                            OpKind.COPY, block, page, copy_latency,
-                            uses_channel=uses_channel,
-                        )
-                        for page in range(first, first + take)
-                    )
-                copied += take
-            self._gc_cursor += nvalid
-            self.stats.gc_pages_copied += nvalid
-        else:
-            self._copy_forward(
-                valid.tolist(), ops if build_ops else None,
-                uses_channel=not self.config.copyback,
-            )
+        self._copy_forward(
+            valid, ops if build_ops else None, uses_channel=not self.config.copyback
+        )
         erase_latency, survived = self._erase_reclaimed(victim)
         self._sealed.discard(victim)
         self._seal_times.pop(victim, None)
@@ -767,51 +735,78 @@ class ConventionalFTL:
                 ops.extend(result)
         return ops
 
-    def _gc_destination(self) -> int:
-        """Current GC copy-forward block, opening a new one as needed.
-
-        GC gets its own active block(s) so relocated (cold-leaning) data
-        is not interleaved with fresh host writes. With ``gc_streams > 1``
-        destinations rotate round-robin across several open blocks (which
-        land on different planes), letting timed replays reclaim with
-        plane parallelism as real controllers do.
-        """
-        stream = self._gc_cursor % self.config.gc_streams
-        self._gc_cursor += 1
-        block = self._gc_active[stream]
-        if block is not None and not self.nand.is_block_full(block):
-            return block
-        if block is not None:
-            self._seal(block)
-        self._gc_active[stream] = self._take_free_block()
-        return self._gc_active[stream]
-
     def _copy_forward(
-        self, sources: list[int], ops: list[FlashOp] | None, uses_channel: bool = False
+        self, sources: np.ndarray, ops: list[FlashOp] | None, uses_channel: bool = False
     ) -> int:
-        """Move valid pages one by one to the GC destination; returns the count.
+        """Move one block's valid pages to the GC destinations; returns the count.
 
-        The page-at-a-time relocation shared by multi-stream GC, wear
-        leveling, scrubbing and block retirement (single-stream GC copies
-        in runs instead). Copy op records are appended to ``ops`` when given.
+        The one relocation routine (GC, wear leveling, scrubbing, block
+        retirement). GC has its own active blocks so relocated data is not
+        interleaved with fresh host writes; ``gc_streams = k > 1`` of them
+        sit on different planes, so timed replays reclaim in parallel.
+        ``sources`` (ascending pages of one block) are dealt round-robin,
+        source ``i`` to stream ``(_gc_cursor + i) % k`` with program serial
+        ``_program_serial + i``, so a stream's share is a strided slice and
+        moves as one run. A destination filling up splits the call at that
+        source index, where the full block is sealed and a free one taken:
+        seals, allocations and the state a mid-call :class:`GCStuckError`
+        leaves are those of moving one page at a time. Per-page copy op
+        records, in source order, are appended to ``ops`` when given.
         """
-        moved_lpns: list[int] = []
-        for src in sources:
-            dst_block = self._gc_destination()
-            offset = self.nand.write_offset(dst_block)
-            dst_page = self.geometry.first_page_of_block(dst_block) + offset
-            latency = self.nand.copy_page(src, dst_page)
-            lpn = self.map.relocate(src, dst_page)
-            self._oob_note(dst_page, lpn)
-            moved_lpns.append(lpn)
-            self.stats.gc_pages_copied += 1
-            if ops is not None:
-                ops.append(
-                    FlashOp(OpKind.COPY, dst_block, dst_page, latency, uses_channel=uses_channel)
+        n = len(sources)
+        k = self.config.gc_streams
+        ppb = self.geometry.pages_per_block
+        nand = self.nand
+        cursor = self._gc_cursor
+        serial = self._program_serial
+        copy_latency = nand.timing.read_us + nand.timing.program_us
+        done = 0
+        while done < n:
+            # Streams in dealing order from source ``done``: the j-th
+            # serves sources done + j, done + j + k, ... and, with room
+            # for r more pages, needs a fresh block at done + j + r * k.
+            # The first is due now, so it opens here; the others end the
+            # segment where they run out.
+            end = n
+            targets = []
+            for j in range(min(k, n - done)):
+                stream = (cursor + done + j) % k
+                block = self._gc_active[stream]
+                offset = ppb if block is None else nand.write_offset(block)
+                if offset == ppb and j == 0:
+                    self._gc_cursor = cursor + done + 1
+                    if block is not None:
+                        self._seal(block)
+                    block = self._gc_active[stream] = self._take_free_block()
+                    offset = 0
+                end = min(end, done + j + (ppb - offset) * k)
+                targets.append((block, offset))
+            copies = [None] * (end - done) if ops is not None else None
+            for j, (block, offset) in enumerate(targets):
+                if done + j >= end:
+                    break
+                run = sources[done + j : end : k]
+                take = len(run)
+                first = block * ppb + offset
+                nand.copy_run(run, block, offset)
+                self.map.relocate_run(run, first)
+                self._oob_lpn[first : first + take] = self.map.p2l[first : first + take]
+                self._oob_serial[first : first + take] = np.arange(
+                    serial + done + j, serial + end, k, dtype=np.int64
                 )
-        if moved_lpns:
-            self._note_relocated(np.asarray(moved_lpns, dtype=np.int64))
-        return len(moved_lpns)
+                self._note_relocated(self._oob_lpn[first : first + take])
+                if copies is not None:
+                    copies[j::k] = [
+                        FlashOp(OpKind.COPY, block, page, copy_latency, uses_channel=uses_channel)
+                        for page in range(first, first + take)
+                    ]
+            if copies is not None:
+                ops.extend(copies)
+            self.stats.gc_pages_copied += end - done
+            self._program_serial = serial + end
+            self._gc_cursor = cursor + end
+            done = end
+        return n
 
     # -- Wear leveling -----------------------------------------------------------
 
@@ -853,7 +848,7 @@ class ConventionalFTL:
                 )
             )
         ops: list[FlashOp] = []
-        self._copy_forward(self.map.valid_pages_in_block(coldest), ops)
+        self._copy_forward(self.map.valid_pages_array(coldest), ops)
         erase_latency, survived = self._erase_reclaimed(coldest)
         self._sealed.discard(coldest)
         self._seal_times.pop(coldest, None)
@@ -887,7 +882,7 @@ class ConventionalFTL:
                         free_blocks=len(self._free),
                     )
                 )
-            self._copy_forward(self.map.valid_pages_in_block(block), ops)
+            self._copy_forward(self.map.valid_pages_array(block), ops)
             erase_latency, survived = self._erase_reclaimed(block)
             self._sealed.discard(block)
             self._seal_times.pop(block, None)

@@ -3,6 +3,8 @@
 from repro.workloads.lifetime import LifetimeClass, ObjectEvent, ObjectLifetimeWorkload
 from repro.workloads.multitenant import BurstyTenant, TenantDemandEvent, demand_trace
 from repro.workloads.synthetic import (
+    fill_then_churn,
+    hot_cold_array,
     hot_cold_stream,
     read_write_mix,
     sequential_stream,
@@ -20,6 +22,8 @@ __all__ = [
     "TraceOp",
     "TraceRecord",
     "demand_trace",
+    "fill_then_churn",
+    "hot_cold_array",
     "hot_cold_stream",
     "read_write_mix",
     "replay_trace",

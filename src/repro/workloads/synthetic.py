@@ -15,6 +15,8 @@ import numpy as np
 
 from repro.sim.rng import make_rng
 
+_ZIPF_CHUNK = 4096
+
 
 def uniform_stream(
     num_pages: int, count: int, seed: int | np.random.Generator | None = 0
@@ -70,19 +72,25 @@ def zipfian_stream(
     if not 0 < theta < 1:
         raise ValueError("theta must be in (0, 1)")
     rng = make_rng(seed)
+    # Uniforms are drawn a chunk at a time, never more than are left, so
+    # a caller's Generator advances by exactly ``count`` draws and the
+    # addresses are those of one ``rng.random()`` per step.
+    takes = (min(_ZIPF_CHUNK, count - start) for start in range(0, count, _ZIPF_CHUNK))
     if num_pages <= 1 << 16:
         ranks = np.arange(1, num_pages + 1, dtype=np.float64)
         weights = ranks ** (-theta)
         cdf = np.cumsum(weights)
         cdf /= cdf[-1]
-        for _ in range(count):
-            yield int(np.searchsorted(cdf, rng.random()))
+        for take in takes:
+            yield from np.searchsorted(cdf, rng.random(take)).tolist()
     else:
-        # Power-law approximation adequate for large address spaces.
+        # Power-law approximation adequate for large address spaces. The
+        # power stays in Python floats: ``np.power`` may differ from libm
+        # in the last ulp, and ``int()`` truncates.
         exponent = 1.0 / (1.0 - theta)
-        for _ in range(count):
-            u = rng.random()
-            yield min(int(num_pages * (u**exponent)), num_pages - 1)
+        for take in takes:
+            for u in rng.random(take).tolist():
+                yield min(int(num_pages * (u**exponent)), num_pages - 1)
 
 
 def hot_cold_stream(
@@ -111,6 +119,37 @@ def hot_cold_stream(
             yield int(rng.integers(hot_pages, num_pages)), False
 
 
+def hot_cold_array(
+    num_pages: int,
+    count: int,
+    hot_fraction: float = 0.1,
+    hot_traffic: float = 0.9,
+    seed: int | np.random.Generator | None = 0,
+) -> np.ndarray:
+    """The addresses of :func:`hot_cold_stream` as one array.
+
+    Collected from the stream itself, not re-vectorised: each address is
+    a ``random()`` draw followed by an ``integers()`` draw whose bounds
+    depend on it, so drawing either in bulk would be another sequence.
+    """
+    stream = hot_cold_stream(num_pages, count, hot_fraction, hot_traffic, seed)
+    return np.fromiter((page for page, _hot in stream), dtype=np.int64, count=count)
+
+
+def fill_then_churn(ftl, churn: np.ndarray | None = None) -> None:
+    """Age a conventional FTL: map every logical page in order, then overwrite.
+
+    The precondition every conventional arm starts from -- a full drive,
+    and after ``churn`` (the addresses to overwrite, in order) one whose
+    free pool sits at the GC watermark. Both phases go down as
+    ``ftl.write_pages`` batches, which leave the state of one scalar
+    ``write`` per address.
+    """
+    ftl.write_pages(np.arange(ftl.logical_pages, dtype=np.int64))
+    if churn is not None:
+        ftl.write_pages(churn)
+
+
 def read_write_mix(
     num_pages: int,
     count: int,
@@ -136,6 +175,8 @@ def read_write_mix(
 
 
 __all__ = [
+    "fill_then_churn",
+    "hot_cold_array",
     "hot_cold_stream",
     "read_write_mix",
     "sequential_stream",

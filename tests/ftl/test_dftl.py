@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro.flash.geometry import FlashGeometry
+from repro.flash.nand import NandArray
 from repro.ftl.dftl import (
     DemandPagedFTL,
     oob_tag_for_tvpn,
     tvpn_from_oob,
 )
-from repro.ftl.ftl import FTLConfig
+from repro.ftl.ftl import ConventionalFTL, FTLConfig
+from repro.ftl.mapping import UNMAPPED
 from repro.sim.rng import make_rng
 
 
@@ -183,3 +185,104 @@ class TestCrashRecovery:
         device.recover(snapshot)
         drive(device, ops=1000, seed=8)
         device.check_invariants()
+
+
+class _FailNextPrograms:
+    """Injector stand-in: the next ``count`` scalar programs burn their page."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def on_program(self, block, page, latency):
+        if self.count:
+            self.count -= 1
+            return True, 0.0
+        return False, 0.0
+
+    def on_read(self, block, page):
+        return 0.0
+
+    def on_erase(self, block):
+        return False
+
+
+class TestRelocationOutsideGc:
+    """Wear leveling, scrubbing and block retirement move data pages with
+    no GC pass around them; the translation pages that map the moved
+    lpns must be rewritten all the same, and the moves must survive a
+    power cut."""
+
+    @staticmethod
+    def aged_and_clean():
+        geometry = FlashGeometry.small()
+        nand = NandArray(geometry, read_disturb_limit=40)
+        device = DemandPagedFTL(
+            geometry, FTLConfig(op_ratio=0.11), cmt_bytes=2 * geometry.page_size, nand=nand
+        )
+        drive(device, ops=3000, seed=9)
+        # Nothing dirty, nothing pending: whatever is afterwards, the
+        # relocation under test put there.
+        device._flush_pending()
+        device.store.flush()
+        assert not device.store.slot_dirty.any() and not device._pending_trans_dirty
+        return device
+
+    @staticmethod
+    def check_moves(device, before):
+        store = device.store
+        moved = np.flatnonzero(device.map.l2p != before)
+        assert moved.size > 1
+        for tvpn in np.unique(moved // store.entries_per_page).tolist():
+            slot = int(store.tvpn_slot[tvpn])
+            cached_dirty = slot != UNMAPPED and store.slot_dirty[slot] != 0
+            assert cached_dirty or tvpn in device._pending_trans_dirty, tvpn
+        new_ppns = device.map.l2p[moved].copy()
+        device._flush_pending()
+        device.store.flush()
+        device.crash()
+        device.recover(None)
+        device.check_invariants()
+        for lpn, ppn in zip(moved.tolist(), new_ppns.tolist()):
+            assert device.read(lpn).page == ppn
+
+    def test_wear_level_once(self):
+        device = self.aged_and_clean()
+        before = device.map.l2p.copy()
+        assert device.wear_level_once()
+        self.check_moves(device, before)
+
+    def test_scrub_disturbed(self):
+        device = self.aged_and_clean()
+        block = next(iter(device.sealed_blocks))
+        lpn = int(device.map.p2l[device.map.valid_pages_array(block)[0]])
+        for _ in range(40):
+            device.read(lpn)
+        device._flush_pending()
+        device.store.flush()
+        before = device.map.l2p.copy()
+        assert device.scrub_disturbed(threshold=0.8)
+        assert device.stats.scrubs >= 1
+        self.check_moves(device, before)
+
+    def test_program_fault_retirement(self):
+        device = self.aged_and_clean()
+        before = device.map.l2p.copy()
+        device.nand.faults = _FailNextPrograms(ConventionalFTL._RETIRE_AFTER_FAULTS)
+        device.write(0)
+        device.nand.faults = None
+        assert device.stats.blocks_retired == 1
+        self.check_moves(device, before)
+
+
+def test_rejected_batch_touches_no_translation_state():
+    device = small_dftl(cmt_pages=1)
+    device.write_pages(np.arange(3000))
+    lookups = device.store.stats.lookups
+    stamps = device.store.slot_stamp.copy()
+    with pytest.raises(ValueError):
+        device.write_pages(np.arange(3000).reshape(3, 1000))
+    with pytest.raises(TypeError):
+        device.write_pages(np.arange(3000) / 2)
+    assert device.store.stats.lookups == lookups
+    assert np.array_equal(device.store.slot_stamp, stamps)
+    assert device.stats.host_pages_written == 3000

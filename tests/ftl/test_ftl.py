@@ -13,6 +13,7 @@ from repro.ftl.ftl import (
     GCStuckError,
     UnmappedReadError,
 )
+from tests.ftl.test_batch_parity import full_state
 
 
 def make_ftl(op_ratio=0.25, **kwargs):
@@ -83,6 +84,41 @@ class TestReadWrite:
     def test_bad_stream_rejected(self):
         with pytest.raises(ValueError):
             make_ftl().write(0, stream=5)
+
+    @pytest.mark.parametrize("entry", ["write_pages", "write_pages_timed"])
+    @pytest.mark.parametrize(
+        "batch, error",
+        [
+            # At b057f0e the first programmed 4 pages and mapped none; the
+            # third wrote lpns 1 and 2.
+            pytest.param(np.array([[1, 2], [3, 4]]), ValueError, id="2-D"),
+            pytest.param(np.int64(3), ValueError, id="0-D"),
+            pytest.param([1.7, 2.2], TypeError, id="fractions"),
+            pytest.param(np.array([1.0, 2.0]), TypeError, id="float-dtype"),
+            pytest.param([True, False], TypeError, id="bools"),
+            pytest.param(["1", "2"], TypeError, id="strings"),
+            pytest.param([0, -1], IndexError, id="negative"),
+            pytest.param(np.array([2**63], dtype=np.uint64), IndexError, id="past-int64"),
+        ],
+    )
+    def test_batch_rejected_before_anything_is_touched(self, entry, batch, error):
+        ftl = make_ftl()
+        ftl.write_pages(np.arange(100))
+        before = full_state(ftl)  # NAND counters, write offsets, stats, maps, clock
+        with pytest.raises(error):
+            getattr(ftl, entry)(batch)
+        assert full_state(ftl) == before
+        ftl.check_invariants()
+
+    def test_batch_accepts_any_flat_integer_sequence(self):
+        ftl = make_ftl()
+        assert ftl.write_pages([3, 1, 2]) == 3
+        assert ftl.write_pages(np.array([4, 5], dtype=np.uint16)) == 2
+        assert ftl.write_pages(range(6, 9)) == 3
+        assert ftl.write_pages([]) == 0
+        assert ftl.write_pages_timed([]).shape == (0,)
+        assert ftl.stats.host_pages_written == 8
+        assert [ftl.map.is_mapped(lpn) for lpn in range(10)] == [False] + [True] * 8 + [False]
 
     def test_trim_unmaps(self):
         ftl = make_ftl()

@@ -58,6 +58,22 @@ class _GuardCountingTracer(Tracer):
         pass  # attach/detach bookkeeping is irrelevant here
 
 
+def _record_event_construction(monkeypatch) -> list:
+    """Stub every event class's ``__init__``; returns the list of classes built."""
+    constructed = []
+    for cls in vars(obs_events).values():
+        if dataclasses.is_dataclass(cls) and hasattr(cls, "kind"):
+            monkeypatch.setattr(
+                cls, "__init__", lambda self, *a, _cls=cls, **kw: constructed.append(_cls)
+            )
+    return constructed
+
+
+_FOUR_STREAM_SPEC = DeviceSpec(
+    kind="conventional-ftl", geometry="small", ftl={"op_ratio": 0.07, "gc_streams": 4}
+)
+
+
 class TestUnobservedBusIsFree:
     def test_batched_fill_pays_a_fixed_number_of_guards_and_builds_nothing(self, monkeypatch):
         """The two-phase batched fill (E1's shape) with every sink detached.
@@ -68,12 +84,7 @@ class TestUnobservedBusIsFree:
         per collection pass. A new publish site on the batch path, or a
         per-page one where a per-run one would do, moves the number.
         """
-        constructed = []
-        for cls in vars(obs_events).values():
-            if dataclasses.is_dataclass(cls) and hasattr(cls, "kind"):
-                monkeypatch.setattr(
-                    cls, "__init__", lambda self, *a, _cls=cls, **kw: constructed.append(_cls)
-                )
+        constructed = _record_event_construction(monkeypatch)
         tracer = _GuardCountingTracer()
         ftl = build_stack(
             DeviceSpec(
@@ -101,6 +112,50 @@ class TestUnobservedBusIsFree:
         assert sequential_guards == 120
         assert tracer.guard_reads == 5084  # 0.332 per host page over both phases
         assert constructed == []
+
+    def test_multi_stream_gc_pays_one_guard_per_copied_run(self, monkeypatch):
+        """The timed stack's shape, ``gc_streams=4``: relocation is dealt
+        across four destinations and still goes down in runs, so the bus
+        costs one guard per run (13,552 here), not per page (149,243)."""
+        constructed = _record_event_construction(monkeypatch)
+        tracer = _GuardCountingTracer()
+        ftl = build_stack(_FOUR_STREAM_SPEC, tracer=tracer)
+        for sink in list(tracer.sinks):
+            tracer.detach(sink)
+        calls = {"program_run": 0, "copy_run": 0}
+        for name in calls:
+            def counted(*args, _name=name, _call=getattr(ftl.nand, name)):
+                calls[_name] += 1
+                return _call(*args)
+
+            monkeypatch.setattr(ftl.nand, name, counted)
+        tracer.guard_reads = 0
+        n = ftl.logical_pages
+        ftl.write_pages(np.arange(n, dtype=np.int64))
+        ftl.write_pages(uniform_array(n, n, seed=0))
+        stats = ftl.stats
+        assert (stats.gc_runs, stats.foreground_gc_stalls, stats.gc_pages_copied) == (
+            2450, 59, 149243,
+        )
+        assert calls == {"program_run": 241, "copy_run": 13552}
+        assert tracer.guard_reads == 241 + 13552 + 2 * 59 + 3 * 2450 == 21261
+        assert constructed == []
+
+    def test_copy_events_per_run_sum_to_the_per_page_totals(self):
+        """Observed, each run is one aggregate copy event; what a counting
+        sink books from them is what one event per page would add up to."""
+        ftl = build_stack(_FOUR_STREAM_SPEC)
+        sink = ftl.tracer.attach(RecordingSink(layer="flash.nand"))
+        n = ftl.logical_pages
+        ftl.write_pages(np.arange(n, dtype=np.int64))
+        ftl.write_pages(uniform_array(n, n, seed=0))
+        copies = [e for e in sink.events if e.op == "copy"]
+        page_size = ftl.geometry.page_size
+        copied = ftl.stats.gc_pages_copied
+        assert len(copies) == 13552 and copied == 149243
+        assert sum(e.count for e in copies) == ftl.nand.counters.copies == copied
+        assert sum(e.nbytes for e in copies) == ftl.nand.counters.bytes_copied == copied * page_size
+        assert ftl.nand.counters.bytes_written == (2 * n + copied) * page_size
 
 
 class TestFanOut:

@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 from repro.block.ramdisk import RamDisk
+from repro.flash.geometry import FlashGeometry
+from repro.ftl.ftl import ConventionalFTL, FTLConfig
+from repro.sim.rng import make_rng
 from repro.workloads.lifetime import LifetimeClass, ObjectLifetimeWorkload
 from repro.workloads.multitenant import BurstyTenant, demand_trace
 from repro.workloads.synthetic import (
+    fill_then_churn,
+    hot_cold_array,
     hot_cold_stream,
     read_write_mix,
     sequential_stream,
+    uniform_array,
     uniform_stream,
     zipfian_stream,
 )
@@ -21,6 +27,7 @@ from repro.workloads.traces import (
     synthesize_trace,
     trace_lines,
 )
+from tests.ftl.test_batch_parity import full_state
 
 
 class TestSynthetic:
@@ -54,6 +61,74 @@ class TestSynthetic:
             list(zipfian_stream(10, 1, theta=1.5))
         with pytest.raises(ValueError):
             list(hot_cold_stream(10, 1, hot_fraction=0.0))
+
+
+def _scalar_zipfian(num_pages, count, theta, rng):
+    """``zipfian_stream`` as it drew before chunking: one ``rng.random()`` per step."""
+    if num_pages <= 1 << 16:
+        cdf = np.cumsum(np.arange(1, num_pages + 1, dtype=np.float64) ** (-theta))
+        cdf /= cdf[-1]
+        return [int(np.searchsorted(cdf, rng.random())) for _ in range(count)]
+    exponent = 1.0 / (1.0 - theta)
+    return [
+        min(int(num_pages * (rng.random() ** exponent)), num_pages - 1) for _ in range(count)
+    ]
+
+
+class TestArrayAndChunkedDrawsAreTheScalarStreams:
+    """The batched consumers (every ageing loop, E13's address stream)
+    rest on numpy drawing the same sequence in bulk as one at a time."""
+
+    # Below, at and just past the 4096-draw chunk, and several chunks.
+    @pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 10_000])
+    @pytest.mark.parametrize("num_pages", [7656, (1 << 16) + 1], ids=["cdf", "power-law"])
+    def test_zipfian_chunks_equal_scalar_draws(self, num_pages, count):
+        chunked, scalar = make_rng(11), make_rng(11)
+        samples = list(zipfian_stream(num_pages, count, theta=0.9, seed=chunked))
+        assert samples == _scalar_zipfian(num_pages, count, 0.9, scalar)
+        assert all(type(x) is int for x in samples)
+        # Exactly ``count`` draws consumed: the next one agrees.
+        assert chunked.random() == scalar.random()
+
+    @pytest.mark.parametrize("num_pages, count", [(1, 5), (100, 0), (7656, 3828), (7656, 20_000)])
+    def test_uniform_array_equals_uniform_stream(self, num_pages, count):
+        array = uniform_array(num_pages, count, seed=5)
+        assert array.dtype == np.int64
+        assert array.tolist() == list(uniform_stream(num_pages, count, seed=5))
+
+    def test_uniform_array_shares_a_generator_like_the_stream(self):
+        bulk, scalar = make_rng(7), make_rng(7)
+        first = uniform_array(500, 300, seed=bulk).tolist()
+        second = uniform_array(90, 1000, seed=bulk).tolist()
+        assert first == list(uniform_stream(500, 300, seed=scalar))
+        assert second == list(uniform_stream(90, 1000, seed=scalar))
+        assert bulk.random() == scalar.random()
+
+    def test_hot_cold_array_is_the_stream(self):
+        bulk, scalar = make_rng(3), make_rng(3)
+        array = hot_cold_array(1000, 5000, 0.1, 0.9, seed=bulk)
+        assert array.dtype == np.int64
+        assert array.tolist() == [page for page, _ in hot_cold_stream(1000, 5000, seed=scalar)]
+        assert bulk.random() == scalar.random()
+
+
+def test_fill_then_churn_leaves_the_scalar_loops_state():
+    def make():
+        return ConventionalFTL(FlashGeometry.small(), FTLConfig(op_ratio=0.07, gc_streams=4))
+
+    batched, scalar = make(), make()
+    n = scalar.logical_pages
+    fill_then_churn(batched, uniform_array(n, n // 2, seed=5))
+    for lpn in range(n):
+        scalar.write(lpn)
+    for lpn in uniform_stream(n, n // 2, seed=5):
+        scalar.write(lpn)
+    assert scalar.stats.gc_runs > 0
+    assert full_state(batched) == full_state(scalar)
+
+    untouched = make()
+    fill_then_churn(untouched)
+    assert untouched.stats.host_pages_written == n and untouched.stats.gc_runs == 0
 
 
 class TestHotCold:
