@@ -29,7 +29,6 @@ from repro.ftl.gc import VictimPolicy, make_policy
 from repro.metrics.counters import OpCounter
 from repro.obs.events import FlashOpEvent, ReclaimEvent, RecoveryEvent
 from repro.obs.runtime import new_tracer
-from repro.obs.sinks import OpCounterSink
 from repro.obs.tracer import Tracer
 from repro.zns.errors import ZoneOfflineError
 from repro.zns.zone import ZoneState
@@ -125,7 +124,9 @@ class ZonedBlockDevice:
         if tracer is None:
             tracer = getattr(device, "tracer", None) or new_tracer()
         self.tracer = tracer
-        self._counter_sink = self.tracer.attach(OpCounterSink("block.dmzoned"))
+        #: Host-layer block I/O counters (user reads and writes only;
+        #: reclaim traffic is in ``stats`` and the device's counters).
+        self.counters = OpCounter()
 
         pages_per_zone = device.geometry.pages_per_zone
         total_zones = device.zone_count
@@ -151,11 +152,6 @@ class ZonedBlockDevice:
         self._victim_offsets: list[int] = []
 
     # -- BlockDevice protocol -----------------------------------------------------
-
-    @property
-    def counters(self) -> OpCounter:
-        """Host-layer block I/O counters (a sink over the trace stream)."""
-        return self._counter_sink.counter
 
     @property
     def block_size(self) -> int:
@@ -224,6 +220,7 @@ class ZonedBlockDevice:
             self.stats.pages_lost += 1
             raise
         self.stats.user_pages_read += 1
+        self.counters.note_read(self.block_size)
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
@@ -268,6 +265,7 @@ class ZonedBlockDevice:
         else:
             raise TranslationError(f"write of lba {lba} failed: zones keep degrading")
         self.stats.user_pages_written += 1
+        self.counters.note_write(self.block_size)
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(

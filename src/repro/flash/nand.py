@@ -33,7 +33,6 @@ from repro.flash.wear import WearTracker
 from repro.metrics.counters import OpCounter
 from repro.obs.events import FlashOpEvent
 from repro.obs.runtime import new_tracer
-from repro.obs.sinks import OpCounterSink
 from repro.obs.tracer import Tracer
 
 if TYPE_CHECKING:  # imported lazily to avoid a faults <-> flash cycle
@@ -43,9 +42,10 @@ if TYPE_CHECKING:  # imported lazily to avoid a faults <-> flash cycle
 class NandArray:
     """Raw flash: program/read/erase with physical constraints enforced.
 
-    Every operation publishes a :class:`FlashOpEvent` (layer
-    ``flash.nand``) on the array's tracer; the operation counters are a
-    sink over that stream (see :attr:`counters`).
+    Every operation books itself in :attr:`counters`, a plain
+    :class:`OpCounter` the array owns, and -- only when a sink is
+    attached to the array's tracer -- publishes a :class:`FlashOpEvent`
+    (layer ``flash.nand``) carrying the same count and bytes.
 
     Parameters
     ----------
@@ -98,9 +98,9 @@ class NandArray:
             raise ValueError("read_disturb_limit must be >= 1")
         self.read_disturb_limit = read_disturb_limit
         self.tracer = tracer if tracer is not None else new_tracer()
-        self._counter_sink = self.tracer.attach(
-            OpCounterSink("flash.nand", copy_programs=True)
-        )
+        #: Physical operation counters; a copy also books its bytes as
+        #: programmed flash bytes (``bytes_written``).
+        self.counters = OpCounter()
         # Disarmed injectors are dropped: the hot-path guard is a single
         # attribute check, and no RNG is ever consulted.
         self.faults = faults if faults is not None and faults.armed else None
@@ -111,11 +111,6 @@ class NandArray:
         self._write_offsets = np.zeros(geometry.total_blocks, dtype=np.int32)
         self._reads_since_erase = np.zeros(geometry.total_blocks, dtype=np.int64)
         self._data: dict[int, Any] = {}
-
-    @property
-    def counters(self) -> OpCounter:
-        """Physical operation counters (a sink over the trace stream)."""
-        return self._counter_sink.counter
 
     # -- Introspection -------------------------------------------------------
 
@@ -182,6 +177,7 @@ class NandArray:
         self._write_offsets[block] = offset + 1
         if self.store_data:
             self._data[page] = data
+        self.counters.note_write(self.geometry.page_size)
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
@@ -215,6 +211,7 @@ class NandArray:
             # May raise UncorrectableReadError after walking the full ECC
             # retry ladder; otherwise adds the ladder/spike latency.
             latency += self.faults.on_read(block, page)
+        self.counters.note_read(self.geometry.page_size)
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
@@ -268,6 +265,7 @@ class NandArray:
         if self.store_data:
             for page in self.geometry.pages_of_block(block):
                 self._data.pop(page, None)
+        self.counters.note_erase()
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
@@ -300,8 +298,9 @@ class NandArray:
         if self.store_data:
             self._data[dst_page] = payload
         latency = self.timing.read_us + self.timing.program_us
-        # Not a host read/write: one copy event. The counter sink still
-        # books the programmed bytes as flash bytes (copy_programs=True).
+        # Not a host read/write: one copy, whose bytes were nonetheless
+        # programmed to flash.
+        self.counters.note_copy(self.geometry.page_size, programs=True)
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
@@ -315,9 +314,10 @@ class NandArray:
     #
     # The batch entry points perform the same state transitions as a loop of
     # scalar calls, with the same constraint checks, but mutate the arrays
-    # in bulk and publish ONE aggregate trace event per batch
-    # (``count=n``, ``nbytes=n * page_size``), so counter sinks book totals
-    # identical to the scalar stream. Constraints are validated before any
+    # in bulk, book the batch once and publish ONE aggregate trace event
+    # (``count=n``, ``nbytes=n * page_size``), so the counters -- and a
+    # counter sink over the stream -- read totals identical to the scalar
+    # calls. Constraints are validated before any
     # mutation, so a failed batch leaves the array untouched.
 
     def _check_program_order(
@@ -387,6 +387,7 @@ class NandArray:
             seq = data if isinstance(data, (list, tuple)) else [data] * len(pages)
             for page, payload in zip(pages.tolist(), seq):
                 self._data[page] = payload
+        self.counters.note_write(n * self.geometry.page_size, n)
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
@@ -424,6 +425,7 @@ class NandArray:
                 )
             latency += extra
         self._write_offsets[block] = offset + n
+        self.counters.note_write(n * self.geometry.page_size, n)
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
@@ -469,6 +471,7 @@ class NandArray:
             reads = self._reads_since_erase
             for block in block_list:
                 reads[block] += 1
+            self.counters.note_read(n * self.geometry.page_size, n)
             if self.tracer.enabled:
                 self.tracer.publish(
                     FlashOpEvent(
@@ -495,6 +498,7 @@ class NandArray:
             # page fails the batch before any disturb accounting.
             latency += self.faults.on_read_batch(n, int(blocks[0]), int(pages[0]))
         np.add.at(self._reads_since_erase, blocks, 1)
+        self.counters.note_read(n * self.geometry.page_size, n)
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
@@ -513,8 +517,8 @@ class NandArray:
         page -- the destination the next ``n`` free pages of
         ``dst_block``. Equivalent to :meth:`copy_page` per page -- the
         source block absorbs read disturb, the destination obeys program
-        order, and the counter sink books the same copy count and byte
-        totals from one aggregate event -- with O(1) validation.
+        order, and the counters book the same copy count and byte
+        totals (as does the one aggregate event) -- with O(1) validation.
         """
         n = len(src_pages)
         if n == 0:
@@ -546,6 +550,7 @@ class NandArray:
             for i, src in enumerate(src_pages.tolist()):
                 self._data[dst_first + i] = self._data.get(src)
         latency = n * (self.timing.read_us + self.timing.program_us)
+        self.counters.note_copy(n * self.geometry.page_size, n, programs=True)
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(

@@ -733,35 +733,42 @@ def simulate_device(
                     break
                 if services:
                     # Scalar left-to-right fold: the exact arithmetic of
-                    # the per-request loop's ``busy += service``.
+                    # the per-request loop's ``busy += service``. Warm-up
+                    # (no sink yet) folds without keeping the latencies.
+                    traced = tracer.enabled
                     latencies = []
                     for service in services:
                         busy += service
-                        latencies.append(busy - now)
-                    tracer.publish(
-                        HostRequestBatchEvent(
-                            "fleet.request", "write",
-                            latencies_us=latencies,
-                            count=len(latencies),
-                            first_request_id=request_id + 1,
+                        if traced:
+                            latencies.append(busy - now)
+                    if traced:
+                        tracer.publish(
+                            HostRequestBatchEvent(
+                                "fleet.request", "write",
+                                latencies_us=latencies,
+                                count=len(latencies),
+                                first_request_id=request_id + 1,
+                            )
                         )
-                    )
-                    request_id += len(latencies)
+                    request_id += len(services)
                 services = sim.read_epoch(spec.reads_per_tick, rng, frame)
                 if services:
+                    traced = tracer.enabled
                     latencies = []
                     for service in services:
                         busy += service
-                        latencies.append(busy - now)
-                    tracer.publish(
-                        HostRequestBatchEvent(
-                            "fleet.request", "read",
-                            latencies_us=latencies,
-                            count=len(latencies),
-                            first_request_id=request_id + 1,
+                        if traced:
+                            latencies.append(busy - now)
+                    if traced:
+                        tracer.publish(
+                            HostRequestBatchEvent(
+                                "fleet.request", "read",
+                                latencies_us=latencies,
+                                count=len(latencies),
+                                first_request_id=request_id + 1,
+                            )
                         )
-                    )
-                    request_id += len(latencies)
+                    request_id += len(services)
                 continue
             try:
                 for _ in range(schedules[tid][tick]):
@@ -769,12 +776,13 @@ def simulate_device(
                     if service > 0.0:
                         busy += service
                         request_id += 1
-                        tracer.publish(
-                            HostRequestEvent(
-                                "fleet.request", "write", "complete",
-                                request_id=request_id, latency_us=busy - now,
+                        if tracer.enabled:
+                            tracer.publish(
+                                HostRequestEvent(
+                                    "fleet.request", "write", "complete",
+                                    request_id=request_id, latency_us=busy - now,
+                                )
                             )
-                        )
             except GCStuckError:
                 # Spare blocks exhausted (fault-retired mid-life): the
                 # device bricked. Conventional only -- ZNS degrades zones.
@@ -786,12 +794,13 @@ def simulate_device(
                     continue
                 busy += latency
                 request_id += 1
-                tracer.publish(
-                    HostRequestEvent(
-                        "fleet.request", "read", "complete",
-                        request_id=request_id, latency_us=busy - now,
+                if tracer.enabled:
+                    tracer.publish(
+                        HostRequestEvent(
+                            "fleet.request", "read", "complete",
+                            request_id=request_id, latency_us=busy - now,
+                        )
                     )
-                )
 
     if frame is not sink.frame:
         # Died inside warmup: report the death on a clean measured frame.

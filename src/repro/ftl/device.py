@@ -24,7 +24,6 @@ from repro.flash.timing import TimingModel
 from repro.ftl.ftl import ConventionalFTL, FTLConfig
 from repro.metrics.latency import LatencyRecorder
 from repro.obs.events import GcEvent, HostRequestEvent
-from repro.obs.sinks import LatencySink
 from repro.obs.tracer import Tracer
 from repro.sim.engine import Engine
 
@@ -137,8 +136,9 @@ class TimedConventionalSSD:
             erase_suspend_slices=erase_suspend_slices,
             tracer=self.tracer,
         )
-        self._read_latency = self.tracer.attach(LatencySink(op="read"))
-        self._write_latency = self.tracer.attach(LatencySink(op="write"))
+        #: Host request latencies, recorded at each request's completion.
+        self.read_latency = LatencyRecorder()
+        self.write_latency = LatencyRecorder()
         self._request_ids = itertools.count()
         self.gc_poll_interval_us = gc_poll_interval_us
         # Writes stall at or below this many free blocks: it leaves the
@@ -146,15 +146,6 @@ class TimedConventionalSSD:
         # stream).
         self._stall_threshold = self.ftl.config.streams + self.ftl.config.gc_streams - 1
         self._collector = engine.process(self._collector_loop(), name="ftl-gc")
-
-    @property
-    def read_latency(self) -> LatencyRecorder:
-        """Host read latencies (a sink over the request event stream)."""
-        return self._read_latency.recorder
-
-    @property
-    def write_latency(self) -> LatencyRecorder:
-        return self._write_latency.recorder
 
     # -- Host request processes ------------------------------------------------
 
@@ -168,39 +159,44 @@ class TimedConventionalSSD:
         start = self.engine.now
         request_id = next(self._request_ids)
         pagesize = self.ftl.geometry.page_size
-        self.tracer.publish(
-            HostRequestEvent(
-                "hostio.request", "read", "enqueue",
-                request_id=request_id, nbytes=pagesize, t=start,
+        if self.tracer.enabled:
+            self.tracer.publish(
+                HostRequestEvent(
+                    "hostio.request", "read", "enqueue",
+                    request_id=request_id, nbytes=pagesize, t=start,
+                )
             )
-        )
         op = self.ftl.read(lpn)
-        self.tracer.publish(
-            HostRequestEvent(
-                "hostio.request", "read", "service-start",
-                request_id=request_id, t=self.engine.now,
+        if self.tracer.enabled:
+            self.tracer.publish(
+                HostRequestEvent(
+                    "hostio.request", "read", "service-start",
+                    request_id=request_id, t=self.engine.now,
+                )
             )
-        )
         yield self.engine.process(self.service.execute(op))
         latency = self.engine.now - start
-        self.tracer.publish(
-            HostRequestEvent(
-                "hostio.request", "read", "complete", request_id=request_id,
-                latency_us=latency, nbytes=pagesize, t=self.engine.now,
+        self.read_latency.record(latency)
+        if self.tracer.enabled:
+            self.tracer.publish(
+                HostRequestEvent(
+                    "hostio.request", "read", "complete", request_id=request_id,
+                    latency_us=latency, nbytes=pagesize, t=self.engine.now,
+                )
             )
-        )
         return latency
 
     def _write_proc(self, lpn: int) -> Generator:
         start = self.engine.now
         request_id = next(self._request_ids)
         pagesize = self.ftl.geometry.page_size
-        self.tracer.publish(
-            HostRequestEvent(
-                "hostio.request", "write", "enqueue",
-                request_id=request_id, nbytes=pagesize, t=start,
+        if self.tracer.enabled:
+            self.tracer.publish(
+                HostRequestEvent(
+                    "hostio.request", "write", "enqueue",
+                    request_id=request_id, nbytes=pagesize, t=start,
+                )
             )
-        )
         # If the FTL is nearly out of free blocks the write stalls until
         # the background collector frees some: the conventional-SSD
         # latency cliff.
@@ -214,22 +210,25 @@ class TimedConventionalSSD:
                     )
                 )
             yield self.engine.poll(self._stalled, self.gc_poll_interval_us)
-        self.tracer.publish(
-            HostRequestEvent(
-                "hostio.request", "write", "service-start",
-                request_id=request_id, t=self.engine.now,
+        if self.tracer.enabled:
+            self.tracer.publish(
+                HostRequestEvent(
+                    "hostio.request", "write", "service-start",
+                    request_id=request_id, t=self.engine.now,
+                )
             )
-        )
         ops = self.ftl.write(lpn, auto_gc=False)
         for op in ops:
             yield self.engine.process(self.service.execute(op))
         latency = self.engine.now - start
-        self.tracer.publish(
-            HostRequestEvent(
-                "hostio.request", "write", "complete", request_id=request_id,
-                latency_us=latency, nbytes=pagesize, t=self.engine.now,
+        self.write_latency.record(latency)
+        if self.tracer.enabled:
+            self.tracer.publish(
+                HostRequestEvent(
+                    "hostio.request", "write", "complete", request_id=request_id,
+                    latency_us=latency, nbytes=pagesize, t=self.engine.now,
+                )
             )
-        )
         return latency
 
     def _stalled(self) -> bool:

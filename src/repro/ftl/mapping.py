@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.flash.geometry import FlashGeometry
+from repro.obs.events import TranslationEvent
 from repro.sim import compiled
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -372,8 +373,6 @@ class TranslationStore:
             self.nand.read(ppn)
             self.stats.miss_reads += 1
             if self.tracer is not None and self.tracer.enabled:
-                from repro.obs.events import TranslationEvent
-
                 self.tracer.publish(
                     TranslationEvent("ftl.dftl", "miss-fetch", tvpn=tvpn)
                 )
@@ -447,8 +446,6 @@ class TranslationStore:
         self.stats.dirty_evict_writes += 1
         self._program_page(tvpn)
         if self.tracer is not None and self.tracer.enabled:
-            from repro.obs.events import TranslationEvent
-
             self.tracer.publish(TranslationEvent("ftl.dftl", "writeback", tvpn=tvpn))
 
     def flush(self) -> int:
@@ -470,8 +467,6 @@ class TranslationStore:
             # to keep that exact semantics.
             self.slot_dirty[self.tvpn_slot[tvpn]] = 0
         if dirty.size and self.tracer is not None and self.tracer.enabled:
-            from repro.obs.events import TranslationEvent
-
             self.tracer.publish(
                 TranslationEvent("ftl.dftl", "flush", pages=int(dirty.size))
             )

@@ -23,7 +23,6 @@ from repro.flash.timing import TimingModel
 from repro.hostio.scheduler import AlwaysOnScheduler, HostIOState, ReclaimScheduler
 from repro.metrics.latency import LatencyRecorder
 from repro.obs.events import HostRequestEvent, ReclaimEvent
-from repro.obs.sinks import LatencySink
 from repro.obs.tracer import Tracer
 from repro.sim.engine import Engine
 from repro.zns.device import ZNSDevice
@@ -65,22 +64,14 @@ class TimedZonedBlockDevice:
             tracer=self.tracer,
         )
         self.scheduler = scheduler or AlwaysOnScheduler()
-        self._read_latency = self.tracer.attach(LatencySink(op="read"))
-        self._write_latency = self.tracer.attach(LatencySink(op="write"))
+        #: Host request latencies, recorded at each request's completion.
+        self.read_latency = LatencyRecorder()
+        self.write_latency = LatencyRecorder()
         self._request_ids = itertools.count()
         self.reclaim_poll_interval_us = reclaim_poll_interval_us
         self.reclaim_quantum_copies = reclaim_quantum_copies
         self._io_state = HostIOState(low_watermark=self.layer.config.gc_low_zones)
         self._reclaimer = engine.process(self._reclaim_loop(), name="host-reclaim")
-
-    @property
-    def read_latency(self) -> LatencyRecorder:
-        """Host read latencies (a sink over the request event stream)."""
-        return self._read_latency.recorder
-
-    @property
-    def write_latency(self) -> LatencyRecorder:
-        return self._write_latency.recorder
 
     # -- Host requests --------------------------------------------------------
 
@@ -94,63 +85,71 @@ class TimedZonedBlockDevice:
         start = self.engine.now
         request_id = next(self._request_ids)
         pagesize = self.layer.block_size
-        self.tracer.publish(
-            HostRequestEvent(
-                "hostio.request", "read", "enqueue",
-                request_id=request_id, nbytes=pagesize, t=start,
+        if self.tracer.enabled:
+            self.tracer.publish(
+                HostRequestEvent(
+                    "hostio.request", "read", "enqueue",
+                    request_id=request_id, nbytes=pagesize, t=start,
+                )
             )
-        )
         self._io_state.pending_reads += 1
         try:
             _, op = self.layer.read(lba)
-            self.tracer.publish(
-                HostRequestEvent(
-                    "hostio.request", "read", "service-start",
-                    request_id=request_id, t=self.engine.now,
+            if self.tracer.enabled:
+                self.tracer.publish(
+                    HostRequestEvent(
+                        "hostio.request", "read", "service-start",
+                        request_id=request_id, t=self.engine.now,
+                    )
                 )
-            )
             yield self.engine.process(self.service.execute(op))
         finally:
             self._io_state.pending_reads -= 1
             self._io_state.last_read_at = self.engine.now
         latency = self.engine.now - start
-        self.tracer.publish(
-            HostRequestEvent(
-                "hostio.request", "read", "complete", request_id=request_id,
-                latency_us=latency, nbytes=pagesize, t=self.engine.now,
+        self.read_latency.record(latency)
+        if self.tracer.enabled:
+            self.tracer.publish(
+                HostRequestEvent(
+                    "hostio.request", "read", "complete", request_id=request_id,
+                    latency_us=latency, nbytes=pagesize, t=self.engine.now,
+                )
             )
-        )
         return latency
 
     def _write_proc(self, lba: int) -> Generator:
         start = self.engine.now
         request_id = next(self._request_ids)
         pagesize = self.layer.block_size
-        self.tracer.publish(
-            HostRequestEvent(
-                "hostio.request", "write", "enqueue",
-                request_id=request_id, nbytes=pagesize, t=start,
+        if self.tracer.enabled:
+            self.tracer.publish(
+                HostRequestEvent(
+                    "hostio.request", "write", "enqueue",
+                    request_id=request_id, nbytes=pagesize, t=start,
+                )
             )
-        )
         # Stall while the host is out of zones (reclaim will free some).
         if self._out_of_zones():
             yield self.engine.poll(self._out_of_zones, self.reclaim_poll_interval_us)
-        self.tracer.publish(
-            HostRequestEvent(
-                "hostio.request", "write", "service-start",
-                request_id=request_id, t=self.engine.now,
+        if self.tracer.enabled:
+            self.tracer.publish(
+                HostRequestEvent(
+                    "hostio.request", "write", "service-start",
+                    request_id=request_id, t=self.engine.now,
+                )
             )
-        )
         ops = self.layer.write(lba, auto_gc=False)
         for op in ops:
             yield self.engine.process(self.service.execute(op))
         latency = self.engine.now - start
-        self.tracer.publish(
-            HostRequestEvent(
-                "hostio.request", "write", "complete", request_id=request_id,
-                latency_us=latency, nbytes=pagesize, t=self.engine.now,
+        self.write_latency.record(latency)
+        if self.tracer.enabled:
+            self.tracer.publish(
+                HostRequestEvent(
+                    "hostio.request", "write", "complete", request_id=request_id,
+                    latency_us=latency, nbytes=pagesize, t=self.engine.now,
+                )
             )
-        )
         return latency
 
     def _out_of_zones(self) -> bool:

@@ -6,10 +6,10 @@
 - :mod:`repro.metrics.wa` -- write-amplification accounting split into the
   layers the paper discusses (application, host translation, device FTL).
 
-The device stack no longer mutates these instruments directly: layers
-publish typed events on the :mod:`repro.obs` bus, and the sinks in
-:mod:`repro.obs.sinks` feed the same ``OpCounter``/``LatencyRecorder``
-objects, so the familiar ``device.counters`` properties are unchanged.
+The device stack owns these instruments as plain fields (``counters``
+via ``OpCounter.note_*``, ``*_latency`` recorded at request completion),
+updated traced or not; the :mod:`repro.obs` bus carries the same numbers
+to whoever attaches a sink, it is not how the instruments are fed.
 """
 
 from repro.metrics.counters import OpCounter, ThroughputMeter

@@ -9,8 +9,12 @@ from dataclasses import dataclass, field
 class OpCounter:
     """Counts of device-level operations and bytes moved.
 
-    Devices update these on every primitive operation; experiments read
-    them to compute write amplification, erase counts, and I/O mixes.
+    Devices own one and book every primitive operation through the
+    ``note_*`` methods, the one place the count/byte arithmetic lives
+    (:class:`~repro.obs.sinks.OpCounterSink` rebuilds the totals from the
+    trace stream through the same methods): ``count`` pages (blocks, for
+    an erase) moved by one command, ``nbytes`` in total. Experiments read
+    the fields to compute write amplification, erase counts, and I/O mixes.
     """
 
     reads: int = 0
@@ -21,20 +25,24 @@ class OpCounter:
     bytes_written: int = 0
     bytes_copied: int = 0
 
-    def note_read(self, nbytes: int) -> None:
-        self.reads += 1
+    def note_read(self, nbytes: int, count: int = 1) -> None:
+        self.reads += count
         self.bytes_read += nbytes
 
-    def note_write(self, nbytes: int) -> None:
-        self.writes += 1
+    def note_write(self, nbytes: int, count: int = 1) -> None:
+        self.writes += count
         self.bytes_written += nbytes
 
-    def note_erase(self) -> None:
-        self.erases += 1
+    def note_erase(self, count: int = 1) -> None:
+        self.erases += count
 
-    def note_copy(self, nbytes: int) -> None:
-        self.copies += 1
+    def note_copy(self, nbytes: int, count: int = 1, programs: bool = False) -> None:
+        """``programs=True`` (physical NAND) also books the bytes as programmed;
+        command-level layers (ZNS simple copy) count the copy alone."""
+        self.copies += count
         self.bytes_copied += nbytes
+        if programs:
+            self.bytes_written += nbytes
 
     def snapshot(self) -> "OpCounter":
         """A copy frozen at this instant (for before/after diffs)."""

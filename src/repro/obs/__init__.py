@@ -1,16 +1,19 @@
 """repro.obs: the unified telemetry bus for the device stack.
 
-One event stream replaces three disconnected measurement mechanisms
-(hand-wired :class:`~repro.metrics.counters.OpCounter` fields, per-facade
-:class:`~repro.metrics.latency.LatencyRecorder` instances, and invisible
-GC/reclaim/scheduler decisions):
+One event stream makes visible what the devices' own instruments cannot
+show -- the order of things, and the GC/reclaim/scheduler/zone decisions
+behind the numbers. The instruments themselves
+(:class:`~repro.metrics.counters.OpCounter`,
+:class:`~repro.metrics.latency.LatencyRecorder`) are fields the devices
+update directly; the bus is for observers, and costs nothing until one
+attaches:
 
 - :mod:`repro.obs.events` -- the typed event vocabulary;
 - :mod:`repro.obs.tracer` -- the publish/fan-out bus (no-op when no
-  sinks are attached);
-- :mod:`repro.obs.sinks` -- counter/latency/throughput sinks (the legacy
-  instruments reimplemented over the stream), recording and
-  latency-breakdown aggregation;
+  sinks are attached, and nothing attaches one unasked);
+- :mod:`repro.obs.sinks` -- what an observer attaches: recording,
+  latency-breakdown aggregation, and counter/latency sinks that rebuild
+  the devices' fields from the stream alone;
 - :mod:`repro.obs.jsonl` -- JSONL trace export and multi-process merge;
 - :mod:`repro.obs.runtime` -- process-wide sink installation, including
   the ``ZNS_REPRO_TRACE`` / ``ZNS_REPRO_METRICS`` environment activation
@@ -56,7 +59,6 @@ from repro.obs.sinks import (
     LatencySink,
     OpCounterSink,
     RecordingSink,
-    ThroughputSink,
 )
 from repro.obs.tracer import Sink, Tracer
 
@@ -74,7 +76,6 @@ __all__ = [
     "ReclaimEvent",
     "RecordingSink",
     "Sink",
-    "ThroughputSink",
     "Tracer",
     "ZoneAppendEvent",
     "ZoneTransitionEvent",

@@ -1,17 +1,14 @@
 """Sinks: consumers of the trace stream.
 
-The legacy instruments (:class:`~repro.metrics.counters.OpCounter`,
-:class:`~repro.metrics.latency.LatencyRecorder`,
-:class:`~repro.metrics.counters.ThroughputMeter`) are reimplemented here
-as sinks over the event stream instead of fields threaded by hand through
-every layer. Devices attach their own filtered sinks and expose the
-underlying instrument through thin compatibility properties
-(``device.counters``, ``device.read_latency``), so call sites and
-reported values are unchanged.
-
-New capabilities that the hand-wired instruments could never provide:
+Nothing in the device stack attaches one of these by itself: the devices
+keep their own :class:`~repro.metrics.counters.OpCounter` and
+:class:`~repro.metrics.latency.LatencyRecorder` as plain fields, updated
+whether or not anyone listens. A sink is what an *observer* attaches:
 
 - :class:`RecordingSink` -- keep every event (tests, ad-hoc analysis);
+- :class:`OpCounterSink` / :class:`LatencySink` -- rebuild a device's
+  ``counters`` / ``*_latency`` from the stream alone (a replayed JSONL
+  trace, a cross-check that the fields and the events agree);
 - :class:`LatencyBreakdownSink` -- per-phase latency attribution
   (host queueing vs device service) from the host-request lifecycle,
   plus per-layer flash-op tallies. This is the aggregator behind the
@@ -22,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.metrics.counters import OpCounter, ThroughputMeter
+from repro.metrics.counters import OpCounter
 from repro.metrics.latency import LatencyRecorder
 from repro.obs.events import FaultEvent, FlashOpEvent, HostRequestEvent, RecoveryEvent
 
@@ -46,7 +43,8 @@ class RecordingSink:
 
 
 class OpCounterSink:
-    """Maintains an :class:`OpCounter` from one layer's flash-op events.
+    """Rebuilds one layer's :class:`OpCounter` from its flash-op events
+    (each carries the ``count`` and ``nbytes`` the device booked for it).
 
     Parameters
     ----------
@@ -69,28 +67,23 @@ class OpCounterSink:
         counter = self.counter
         op = event.op
         if op == "program":
-            counter.writes += event.count
-            counter.bytes_written += event.nbytes
+            counter.note_write(event.nbytes, event.count)
         elif op == "read":
-            counter.reads += event.count
-            counter.bytes_read += event.nbytes
+            counter.note_read(event.nbytes, event.count)
         elif op == "erase":
-            counter.erases += event.count
+            counter.note_erase(event.count)
         elif op == "copy":
-            counter.copies += event.count
-            counter.bytes_copied += event.nbytes
-            if self.copy_programs:
-                counter.bytes_written += event.nbytes
+            counter.note_copy(event.nbytes, event.count, self.copy_programs)
         else:
             raise ValueError(f"unknown flash op {op!r}")
 
 
 class LatencySink:
-    """Feeds a :class:`LatencyRecorder` from host-request completions.
+    """Rebuilds a :class:`LatencyRecorder` from host-request completions.
 
-    Filters on (layer, op): e.g. ``LatencySink("hostio.request", "read")``
-    reproduces the old hand-wired ``read_latency`` recorder exactly --
-    the same latencies, recorded at the same completion points.
+    Filters on (layer, op): ``LatencySink("hostio.request", "read")``
+    collects exactly what a timed device's own ``read_latency`` field
+    records -- the same latencies, at the same completion points.
     """
 
     def __init__(
@@ -111,30 +104,6 @@ class LatencySink:
             and event.layer == self.layer
         ):
             self.recorder.record(event.latency_us)
-
-
-class ThroughputSink:
-    """Feeds a :class:`ThroughputMeter` from host-request completions."""
-
-    def __init__(
-        self,
-        layer: str = "hostio.request",
-        ops: tuple[str, ...] = ("read", "write", "append"),
-        meter: ThroughputMeter | None = None,
-    ):
-        self.layer = layer
-        self.ops = ops
-        self.meter = meter or ThroughputMeter()
-
-    def on_event(self, event: Any) -> None:
-        if (
-            event.__class__ is HostRequestEvent
-            and event.phase == "complete"
-            and event.layer == self.layer
-            and event.op in self.ops
-            and event.t is not None
-        ):
-            self.meter.record(event.nbytes, event.t)
 
 
 class _PhaseStats:
@@ -251,5 +220,4 @@ __all__ = [
     "LatencySink",
     "OpCounterSink",
     "RecordingSink",
-    "ThroughputSink",
 ]

@@ -39,7 +39,6 @@ from repro.obs.events import (
     ZoneMgmtEvent,
     ZoneTransitionEvent,
 )
-from repro.obs.sinks import LatencySink, OpCounterSink
 from repro.obs.tracer import Tracer
 from repro.sim.engine import Engine
 from repro.sim.resources import Resource
@@ -114,11 +113,12 @@ class ZNSDevice:
         # The NAND keeps the injector only when armed; share its decision
         # so the zone-offline polls below stay strict no-ops when disarmed.
         self.faults = self.nand.faults
-        # Command-level events (layer "zns.device") share the NAND's bus,
-        # so one sink sees both the NVMe command and the flash ops it
-        # caused. The device's counters are a sink over that stream.
+        # Command-level events (layer "zns.device") share the NAND's bus, so
+        # one sink sees both the NVMe command and the flash ops it caused.
         self.tracer = tracer if tracer is not None else self.nand.tracer
-        self._counter_sink = self.tracer.attach(OpCounterSink("zns.device"))
+        #: Command-level operation counters (one count per page a command
+        #: moved; the physical view is ``nand.counters``).
+        self.counters = OpCounter()
         self.ftl = ZnsFTL(self.geometry, self.nand, spare_blocks=spare_blocks)
         self.striped = striped
         self.zones: list[Zone] = [
@@ -140,11 +140,6 @@ class ZNSDevice:
     def _open_order(self) -> list[int]:
         """Implicitly-open zones, LRU first (introspection/test view)."""
         return sorted(self._open_stamp, key=self._open_stamp.__getitem__)
-
-    @property
-    def counters(self) -> OpCounter:
-        """Command-level operation counters (a sink over the trace stream)."""
-        return self._counter_sink.counter
 
     def _publish_transition(self, zone: Zone, old_state: ZoneState, trigger: str) -> None:
         if self.tracer.enabled and zone.state is not old_state:
@@ -498,6 +493,7 @@ class ZNSDevice:
             FlashOp(OpKind.ERASE, block, None, latency, uses_channel=False)
             for block, latency in zip(blocks_before, latencies)
         ]
+        self.counters.note_erase(len(ops))
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent("zns.device", "erase", count=len(ops))
@@ -553,6 +549,8 @@ class ZNSDevice:
             )
         old_state = zone.state
         zone.advance(npages)
+        nbytes = npages * self.page_size
+        self.counters.note_write(nbytes, npages)
         if self.tracer.enabled:
             # One command-level event for the whole write (count=npages);
             # the per-page view is the flash.nand stream beneath it.
@@ -562,7 +560,7 @@ class ZNSDevice:
                     block=self.geometry.flash.block_of_page(
                         self._page_of(zone_id, start_wp)
                     ),
-                    count=npages, nbytes=npages * self.page_size,
+                    count=npages, nbytes=nbytes,
                 )
             )
         if zone.state is ZoneState.FULL:
@@ -594,12 +592,14 @@ class ZNSDevice:
         zone.check_readable(offset)
         page = self._page_of(zone_id, offset)
         payload, latency = self.nand.read(page)
+        nbytes = self.page_size
+        self.counters.note_read(nbytes)
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
                     "zns.device", "read",
                     block=self.geometry.flash.block_of_page(page),
-                    page=page, nbytes=self.page_size, latency_us=latency,
+                    page=page, nbytes=nbytes, latency_us=latency,
                 )
             )
         return payload, FlashOp(
@@ -626,12 +626,14 @@ class ZNSDevice:
             self.zone(zone_id).check_readable(offset)
             pages.append(self._page_of(zone_id, offset))
         self.nand.sense_batch(pages)
+        nbytes = n * self.page_size
+        self.counters.note_read(nbytes, n)
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
                     "zns.device", "read",
                     block=self.geometry.flash.block_of_page(pages[0]),
-                    page=pages[0], count=n, nbytes=n * self.page_size,
+                    page=pages[0], count=n, nbytes=nbytes,
                 )
             )
         return np.full(
@@ -686,6 +688,8 @@ class ZNSDevice:
             )
         old_state = dst.state
         dst.advance(len(sources))
+        nbytes = len(sources) * self.page_size
+        self.counters.note_copy(nbytes, len(sources))
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
@@ -693,7 +697,7 @@ class ZNSDevice:
                     block=self.geometry.flash.block_of_page(
                         self._page_of(dst_zone_id, start)
                     ),
-                    count=len(sources), nbytes=len(sources) * self.page_size,
+                    count=len(sources), nbytes=nbytes,
                 )
             )
         if dst.state is ZoneState.FULL:
@@ -770,12 +774,14 @@ class ZNSDevice:
                 raise
         old_state = zone.state
         zone.advance(npages)
+        nbytes = npages * self.page_size
+        self.counters.note_write(nbytes, npages)
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
                     "zns.device", "program",
                     block=first_block,
-                    count=npages, nbytes=npages * self.page_size,
+                    count=npages, nbytes=nbytes,
                 )
             )
         if zone.state is ZoneState.FULL:
@@ -871,9 +877,10 @@ class TimedZNSDevice:
             prioritize_reads=prioritize_reads,
             tracer=self.tracer,
         )
-        self._read_latency = self.tracer.attach(LatencySink(op="read"))
-        self._write_latency = self.tracer.attach(LatencySink(op="write"))
-        self._append_latency = self.tracer.attach(LatencySink(op="append"))
+        #: Host request latencies, recorded at each request's completion.
+        self.read_latency = LatencyRecorder()
+        self.write_latency = LatencyRecorder()
+        self.append_latency = LatencyRecorder()
         self._request_ids = itertools.count()
         self._zone_locks = [Resource(engine) for _ in range(self.device.zone_count)]
         self._mgmt_gates: list[Resource] | None = None
@@ -882,19 +889,6 @@ class TimedZNSDevice:
             # queued-behind); the inner device stays silent for those.
             self.device._defer_mgmt_events = True
             self._mgmt_gates = [Resource(engine) for _ in range(self.device.zone_count)]
-
-    @property
-    def read_latency(self) -> LatencyRecorder:
-        """Host read latencies (a sink over the request event stream)."""
-        return self._read_latency.recorder
-
-    @property
-    def write_latency(self) -> LatencyRecorder:
-        return self._write_latency.recorder
-
-    @property
-    def append_latency(self) -> LatencyRecorder:
-        return self._append_latency.recorder
 
     def submit_read(self, zone_id: int, offset: int):
         return self.engine.process(self._read_proc(zone_id, offset))
@@ -921,29 +915,33 @@ class TimedZNSDevice:
         start = self.engine.now
         request_id = next(self._request_ids)
         pagesize = self.device.page_size
-        self.tracer.publish(
-            HostRequestEvent(
-                "hostio.request", "read", "enqueue",
-                request_id=request_id, nbytes=pagesize, t=start,
+        if self.tracer.enabled:
+            self.tracer.publish(
+                HostRequestEvent(
+                    "hostio.request", "read", "enqueue",
+                    request_id=request_id, nbytes=pagesize, t=start,
+                )
             )
-        )
         if self._mgmt_gates is not None:
             yield from self._gate_pass(zone_id)
         _, op = self.device.read(zone_id, offset)
-        self.tracer.publish(
-            HostRequestEvent(
-                "hostio.request", "read", "service-start",
-                request_id=request_id, t=self.engine.now,
+        if self.tracer.enabled:
+            self.tracer.publish(
+                HostRequestEvent(
+                    "hostio.request", "read", "service-start",
+                    request_id=request_id, t=self.engine.now,
+                )
             )
-        )
         yield self.engine.process(self.service.execute(op))
         latency = self.engine.now - start
-        self.tracer.publish(
-            HostRequestEvent(
-                "hostio.request", "read", "complete", request_id=request_id,
-                latency_us=latency, nbytes=pagesize, t=self.engine.now,
+        self.read_latency.record(latency)
+        if self.tracer.enabled:
+            self.tracer.publish(
+                HostRequestEvent(
+                    "hostio.request", "read", "complete", request_id=request_id,
+                    latency_us=latency, nbytes=pagesize, t=self.engine.now,
+                )
             )
-        )
         return latency
 
     def _write_proc(self, zone_id: int, npages: int) -> Generator:
@@ -955,24 +953,26 @@ class TimedZNSDevice:
         start = self.engine.now
         request_id = next(self._request_ids)
         nbytes = npages * self.device.page_size
-        self.tracer.publish(
-            HostRequestEvent(
-                "hostio.request", "write", "enqueue",
-                request_id=request_id, nbytes=nbytes, t=start,
+        if self.tracer.enabled:
+            self.tracer.publish(
+                HostRequestEvent(
+                    "hostio.request", "write", "enqueue",
+                    request_id=request_id, nbytes=nbytes, t=start,
+                )
             )
-        )
         lock = self._zone_locks[zone_id]
         req = yield lock.request()
         if self._mgmt_gates is not None:
             yield from self._gate_pass(zone_id)
         # Queueing for this request is the zone-lock wait (§4.2): the
         # service phase begins once the write pointer is ours.
-        self.tracer.publish(
-            HostRequestEvent(
-                "hostio.request", "write", "service-start",
-                request_id=request_id, t=self.engine.now,
+        if self.tracer.enabled:
+            self.tracer.publish(
+                HostRequestEvent(
+                    "hostio.request", "write", "service-start",
+                    request_id=request_id, t=self.engine.now,
+                )
             )
-        )
         try:
             ops = self.device.write(zone_id, npages=npages)
             for op in ops:
@@ -980,12 +980,14 @@ class TimedZNSDevice:
         finally:
             lock.release(req)
         latency = self.engine.now - start
-        self.tracer.publish(
-            HostRequestEvent(
-                "hostio.request", "write", "complete", request_id=request_id,
-                latency_us=latency, nbytes=nbytes, t=self.engine.now,
+        self.write_latency.record(latency)
+        if self.tracer.enabled:
+            self.tracer.publish(
+                HostRequestEvent(
+                    "hostio.request", "write", "complete", request_id=request_id,
+                    latency_us=latency, nbytes=nbytes, t=self.engine.now,
+                )
             )
-        )
         return latency
 
     def _append_proc(self, zone_id: int, npages: int) -> Generator:
@@ -997,30 +999,34 @@ class TimedZNSDevice:
         start = self.engine.now
         request_id = next(self._request_ids)
         nbytes = npages * self.device.page_size
-        self.tracer.publish(
-            HostRequestEvent(
-                "hostio.request", "append", "enqueue",
-                request_id=request_id, nbytes=nbytes, t=start,
+        if self.tracer.enabled:
+            self.tracer.publish(
+                HostRequestEvent(
+                    "hostio.request", "append", "enqueue",
+                    request_id=request_id, nbytes=nbytes, t=start,
+                )
             )
-        )
         if self._mgmt_gates is not None:
             yield from self._gate_pass(zone_id)
         _, ops = self.device.append(zone_id, npages=npages)
-        self.tracer.publish(
-            HostRequestEvent(
-                "hostio.request", "append", "service-start",
-                request_id=request_id, t=self.engine.now,
+        if self.tracer.enabled:
+            self.tracer.publish(
+                HostRequestEvent(
+                    "hostio.request", "append", "service-start",
+                    request_id=request_id, t=self.engine.now,
+                )
             )
-        )
         for op in ops:
             yield self.engine.process(self.service.execute(op))
         latency = self.engine.now - start
-        self.tracer.publish(
-            HostRequestEvent(
-                "hostio.request", "append", "complete", request_id=request_id,
-                latency_us=latency, nbytes=nbytes, t=self.engine.now,
+        self.append_latency.record(latency)
+        if self.tracer.enabled:
+            self.tracer.publish(
+                HostRequestEvent(
+                    "hostio.request", "append", "complete", request_id=request_id,
+                    latency_us=latency, nbytes=nbytes, t=self.engine.now,
+                )
             )
-        )
         return latency
 
     def _reset_proc(self, zone_id: int) -> Generator:

@@ -74,10 +74,8 @@ def test_conventional_saturation_fingerprint():
     assert digest == PINNED["conventional"]
 
 
-def test_dmzoned_open_loop_fingerprint():
-    """E11's always-on arm, 64 read bursts: the open-loop writer outruns
-    host reclaim, so writes pile up out of zones and tick side by side
-    with the reclaim loop's idle poll on the same 100 us period."""
+def dmzoned_open_loop(bursts: int):
+    """E11's always-on arm run for ``bursts`` read bursts; returns (engine, host)."""
     engine = Engine()
     spec = DeviceSpec(
         kind="dmzoned-timed",
@@ -109,7 +107,7 @@ def test_dmzoned_open_loop_fingerprint():
             host.submit_write(int(rng_w.integers(0, n)))
 
     def reader(engine):
-        for _ in range(64):
+        for _ in range(bursts):
             for _ in range(20):
                 yield host.submit_read(int(rng_r.integers(0, n)))
             yield Timeout(engine, 4000.0)
@@ -117,6 +115,14 @@ def test_dmzoned_open_loop_fingerprint():
 
     engine.process(writer(engine))
     engine.run(until=engine.process(reader(engine)))
+    return engine, host
+
+
+def test_dmzoned_open_loop_fingerprint():
+    """E11's always-on arm, 64 read bursts: the open-loop writer outruns
+    host reclaim, so writes pile up out of zones and tick side by side
+    with the reclaim loop's idle poll on the same 100 us period."""
+    engine, host = dmzoned_open_loop(64)
 
     assert host.read_latency.count == 64 * 20
     # Far more events than requests: the surplus is stalled writers ticking.

@@ -1,26 +1,60 @@
-"""The sinks reproduce the hand-wired instruments exactly.
+"""The devices' own fields and the event stream tell the same story.
 
-The refactor's contract: every value the old threaded-through counters and
-latency recorders produced must come out of the event stream unchanged.
-These tests replay a recorded stream into fresh sinks and compare against
-the device's own (sink-backed) instruments, and pin hand-computed counts
-on small fixed workloads.
+Two implementations are compared here. The devices book every operation
+in plain fields (``counters``, ``read_latency`` ...) whether or not anyone
+listens; an observer that attaches a sink gets a :class:`FlashOpEvent` or
+:class:`HostRequestEvent` for the same operation, and
+:class:`OpCounterSink` / :class:`LatencySink` rebuild the fields' values
+from those events alone. Each test records a stream, replays it into
+fresh sinks and demands equality with the fields -- on the scalar calls,
+on the run/batch paths (one aggregate event must sum to the field) and
+around injected faults (a faulted op is counted by neither side) -- next
+to a few hand-computed counts on small fixed workloads.
 """
 
 import random
 
+import numpy as np
+import pytest
+
+from repro.block.dmzoned import ZonedBlockConfig, ZonedBlockDevice
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
+from repro.flash.errors import ProgramFaultError, UncorrectableReadError
 from repro.flash.geometry import FlashGeometry, ZonedGeometry
+from repro.flash.nand import NandArray
 from repro.ftl.device import ConventionalSSD, TimedConventionalSSD
 from repro.hostio.timed import TimedZonedBlockDevice
+from repro.metrics.counters import OpCounter
 from repro.obs.sinks import LatencySink, OpCounterSink, RecordingSink
 from repro.sim.engine import Engine
-from repro.zns.device import ZNSDevice
+from repro.zns.device import TimedZNSDevice, ZNSDevice
 
 
 def _replay(events, sink):
     for event in events:
         sink.on_event(event)
     return sink
+
+
+def _replayed_counters(events, layer: str) -> OpCounter:
+    sink = OpCounterSink(layer, copy_programs=(layer == "flash.nand"))
+    return _replay(events, sink).counter
+
+
+def _assert_latencies_match(events, device, ops: dict[str, int]) -> None:
+    """Each ``<op>_latency`` field holds the replayed stream's samples, once."""
+    for op, count in ops.items():
+        replayed = _replay(events, LatencySink(op=op)).recorder
+        field = getattr(device, f"{op}_latency")
+        assert field.count == count
+        assert field._samples == replayed._samples
+
+
+def _small_zoned(blocks_per_zone: int = 2) -> ZonedGeometry:
+    return ZonedGeometry(
+        flash=FlashGeometry.small(), blocks_per_zone=blocks_per_zone, max_active_zones=14
+    )
 
 
 class TestCounterParity:
@@ -33,12 +67,13 @@ class TestCounterParity:
             device.write_block(rng.randrange(hot))
         for _ in range(100):
             device.read_block(rng.randrange(hot))
-        replayed = _replay(
-            recording.events, OpCounterSink("flash.nand", copy_programs=True)
-        )
-        assert replayed.counter == device.ftl.nand.counters
-        # The workload is big enough to have forced GC copies.
-        assert device.ftl.nand.counters.copies > 0
+        counters = device.ftl.nand.counters
+        assert _replayed_counters(recording.events, "flash.nand") == counters
+        # The workload is big enough to have forced GC copies, and a
+        # physical copy is also a flash program.
+        assert counters.copies > 0
+        page = device.block_size
+        assert counters.bytes_written == (counters.writes + counters.copies) * page
 
     def test_nand_fixed_workload_exact_counts(self):
         device = ConventionalSSD(FlashGeometry.small())
@@ -82,8 +117,133 @@ class TestCounterParity:
         device.write(0, npages=geometry.pages_per_zone)
         device.simple_copy([(0, 0)], dst_zone_id=1)
         device.reset_zone(0)
-        replayed = _replay(recording.events, OpCounterSink("zns.device"))
-        assert replayed.counter == device.counters
+        assert _replayed_counters(recording.events, "zns.device") == device.counters
+        assert _replayed_counters(recording.events, "flash.nand") == device.nand.counters
+
+    def test_dmzoned_counters_through_prefill_collect_and_timed_reclaim(self):
+        """All three layers of the host stack: an untimed prefill and
+        churn that collects inline, then timed traffic whose reclaim runs
+        as ``reclaim_step`` quanta in the background loop."""
+        engine = Engine()
+        stack = TimedZonedBlockDevice(
+            engine,
+            _small_zoned(),
+            config=ZonedBlockConfig(
+                op_ratio=0.18, use_simple_copy=True, gc_low_zones=6, gc_high_zones=8
+            ),
+        )
+        recording = stack.tracer.attach(RecordingSink())
+        layer = stack.layer
+        n = layer.logical_pages
+        rng = random.Random(11)
+        for lba in range(n):
+            layer.write(lba)
+        for _ in range(n // 2):
+            layer.write(rng.randrange(n))
+        inline_runs = layer.stats.gc_runs
+        assert inline_runs > 0  # ``collect`` ran under the prefill
+        for _ in range(400):
+            engine.run(until=stack.submit_write(rng.randrange(n)))
+        for _ in range(40):
+            engine.run(until=stack.submit_read(rng.randrange(n)))
+        assert layer.stats.gc_runs > inline_runs  # and ``reclaim_step`` after it
+        events = recording.events
+        assert _replayed_counters(events, "block.dmzoned") == layer.counters
+        assert _replayed_counters(events, "zns.device") == layer.device.counters
+        assert _replayed_counters(events, "flash.nand") == layer.device.nand.counters
+        assert layer.counters.writes == n + n // 2 + 400
+        assert layer.counters.reads == 40
+        assert layer.device.counters.copies == layer.stats.gc_pages_copied > 0
+        _assert_latencies_match(events, stack, {"read": 40, "write": 400})
+
+
+class TestRunPathParity:
+    """One aggregate event per run or batch must sum to what the field booked."""
+
+    def test_program_run_copy_run_and_sense_batch(self):
+        geometry = FlashGeometry.small()
+        nand = NandArray(geometry)
+        recording = nand.tracer.attach(RecordingSink())
+        ppb, page = geometry.pages_per_block, geometry.page_size
+        nand.program_run(0, ppb)
+        nand.program_run(1, 5)
+        nand.program_batch(np.arange(2 * ppb, 2 * ppb + 7))
+        nand.copy_run(np.arange(0, 12, 3), 3, 0)          # strided, 4 pages
+        nand.copy_page(1, 3 * ppb + 4)
+        nand.sense_batch([0, 1, 2])                       # scalar-Python branch
+        nand.sense_batch(list(range(40)))                 # array branch
+        nand.erase(1)
+        assert [e.count for e in recording.events] == [ppb, 5, 7, 4, 1, 3, 40, 1]
+        counters = nand.counters
+        assert counters == _replayed_counters(recording.events, "flash.nand")
+        assert counters == OpCounter(
+            reads=43,
+            writes=ppb + 12,
+            erases=1,
+            copies=5,
+            bytes_read=43 * page,
+            bytes_written=(ppb + 12 + 5) * page,  # a copy programs its bytes too
+            bytes_copied=5 * page,
+        )
+
+    def test_zns_write_batch_append_batch_and_read_batch(self):
+        geometry = ZonedGeometry.small()
+        device = ZNSDevice(geometry)
+        recording = device.tracer.attach(RecordingSink())
+        pages, page = geometry.pages_per_zone, device.page_size
+        device.write_batch(0, pages)
+        assert device.append_batch(1, 9) == 0
+        assert device.append_batch(1, 4) == 9
+        device.read_batch([(0, 0), (0, 5), (1, 12)])
+        commands = [e for e in recording.events if e.layer == "zns.device" and e.kind == "flash-op"]
+        assert [(e.op, e.count) for e in commands] == [
+            ("program", pages), ("program", 9), ("program", 4), ("read", 3),
+        ]
+        assert device.counters == _replayed_counters(recording.events, "zns.device")
+        assert device.counters == OpCounter(
+            reads=3, writes=pages + 13, bytes_read=3 * page, bytes_written=(pages + 13) * page
+        )
+        nand = device.nand.counters
+        assert nand == _replayed_counters(recording.events, "flash.nand")
+        assert (nand.writes, nand.reads) == (pages + 13, 3)
+
+
+class TestFaultedOpsAreCountedByNeitherSide:
+    def test_program_faults(self):
+        geometry = FlashGeometry.small()
+        nand = NandArray(
+            geometry, faults=FaultInjector(FaultPlan(seed=3, program_fail_prob=0.3))
+        )
+        recording = nand.tracer.attach(RecordingSink())
+        burned = 0
+        for block in range(4):
+            for _ in range(geometry.pages_per_block):
+                try:
+                    nand.program_next(block)
+                except ProgramFaultError:
+                    burned += 1
+        attempts = 4 * geometry.pages_per_block
+        assert 0 < burned < attempts
+        assert nand.counters.writes == attempts - burned
+        assert nand.counters.bytes_written == (attempts - burned) * geometry.page_size
+        assert nand.counters == _replayed_counters(recording.events, "flash.nand")
+        assert len(recording.of_kind("fault")) == burned
+
+    def test_uncorrectable_reads(self):
+        geometry = FlashGeometry.small()
+        plan = FaultPlan(seed=5, read_error_prob=0.4, retry_success_prob=0.0)
+        nand = NandArray(geometry, faults=FaultInjector(plan))
+        recording = nand.tracer.attach(RecordingSink())
+        nand.program_run(0, geometry.pages_per_block)
+        lost = 0
+        for page in range(geometry.pages_per_block):
+            try:
+                nand.read(page)
+            except UncorrectableReadError:
+                lost += 1
+        assert 0 < lost < geometry.pages_per_block
+        assert nand.counters.reads == geometry.pages_per_block - lost
+        assert nand.counters == _replayed_counters(recording.events, "flash.nand")
 
 
 class TestLatencyParity:
@@ -102,13 +262,37 @@ class TestLatencyParity:
             procs.append(device.submit_read(rng.choice(written)))
         for proc in procs:
             engine.run(until=proc)
+        _assert_latencies_match(recording.events, device, {"read": 50, "write": 200})
 
-        reads = _replay(recording.events, LatencySink(op="read")).recorder
-        writes = _replay(recording.events, LatencySink(op="write")).recorder
-        assert reads._samples == device.read_latency._samples
-        assert writes._samples == device.write_latency._samples
-        assert reads.count == 50
-        assert writes.count == 200
+    def test_timed_zns_latencies_match_replayed_stream(self):
+        engine = Engine()
+        geometry = _small_zoned(blocks_per_zone=4)
+        device = TimedZNSDevice(engine, geometry)
+        recording = device.tracer.attach(RecordingSink())
+        rng = random.Random(5)
+        procs = [device.submit_write(0, npages=2) for _ in range(30)]
+        procs += [device.submit_append(1, npages=rng.randrange(1, 4)) for _ in range(40)]
+        for proc in procs:
+            engine.run(until=proc)
+        for _ in range(25):
+            engine.run(until=device.submit_read(0, rng.randrange(60)))
+        _assert_latencies_match(
+            recording.events, device, {"read": 25, "write": 30, "append": 40}
+        )
+        assert device.device.counters == _replayed_counters(recording.events, "zns.device")
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_latency_fields_do_not_depend_on_being_observed(self, traced):
+        engine = Engine()
+        device = TimedConventionalSSD(engine, FlashGeometry.small())
+        if traced:
+            device.tracer.attach(RecordingSink())
+        for lpn in range(20):
+            engine.run(until=device.submit_write(lpn))
+        for lpn in range(10):
+            engine.run(until=device.submit_read(lpn))
+        assert (device.write_latency.count, device.read_latency.count) == (20, 10)
+        assert device.ftl.nand.counters.writes == 20
 
     def test_request_lifecycle_phases_are_complete(self):
         engine = Engine()

@@ -3,13 +3,18 @@
 import dataclasses
 
 import numpy as np
+import pytest
 
-from repro.block.factory import DeviceSpec, build_stack
+from repro.block.factory import KINDS, DeviceSpec, build_stack
+from repro.experiments.e3_read_latency import _ConvRig, _saturation_mb_s, _ZnsRig
 from repro.obs import events as obs_events
 from repro.obs.events import FlashOpEvent, HostRequestEvent
 from repro.obs.sinks import RecordingSink
 from repro.obs.tracer import Tracer
+from repro.sim.engine import Engine
+from repro.sim.rng import make_rng
 from repro.workloads.synthetic import uniform_array
+from tests.hostio.test_stall_fingerprint import dmzoned_open_loop
 
 
 class TestZeroSink:
@@ -74,9 +79,91 @@ _FOUR_STREAM_SPEC = DeviceSpec(
 )
 
 
+def _e3_rig_run(rig) -> Engine:
+    """E3's saturation phase (8 closed-loop writers x 60) plus 50 reads."""
+    _saturation_mb_s(rig, 480)
+    rng = make_rng(9)
+    for _ in range(50):
+        rig.engine.run(until=rig.submit_read(rng))
+    return rig.engine
+
+
+def _conventional_timed_run() -> dict:
+    rig = _ConvRig(0.07)
+    engine = _e3_rig_run(rig)
+    ssd = rig.ssd
+    return {
+        "events": engine.processed_events,
+        "nand": dataclasses.asdict(ssd.ftl.nand.counters),
+        "reads": (ssd.read_latency.count, ssd.read_latency.mean),
+        "writes": (ssd.write_latency.count, ssd.write_latency.mean),
+    }
+
+
+def _zns_timed_run() -> dict:
+    rig = _ZnsRig()
+    engine = _e3_rig_run(rig)
+    timed = rig.device
+    return {
+        "events": engine.processed_events,
+        "nand": dataclasses.asdict(timed.device.nand.counters),
+        "zns": dataclasses.asdict(timed.device.counters),
+        "reads": (timed.read_latency.count, timed.read_latency.mean),
+        "writes": (timed.write_latency.count, timed.write_latency.mean),
+        "appends": (timed.append_latency.count, timed.append_latency.mean),
+    }
+
+
+def _dmzoned_timed_run() -> dict:
+    engine, host = dmzoned_open_loop(16)
+    return {
+        "events": engine.processed_events,
+        "nand": dataclasses.asdict(host.layer.device.nand.counters),
+        "zns": dataclasses.asdict(host.layer.device.counters),
+        "block": dataclasses.asdict(host.layer.counters),
+        "reads": (host.read_latency.count, host.read_latency.mean),
+        "writes": (host.write_latency.count, host.write_latency.mean),
+    }
+
+
 class TestUnobservedBusIsFree:
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_a_default_built_stack_attaches_no_sink(self, kind):
+        """``enabled`` is True only because somebody asked to observe: no
+        layer of any stack ``build_stack`` knows attaches a sink for its
+        own bookkeeping (the counters and recorders are fields)."""
+        spec = DeviceSpec(kind=kind, geometry="small")
+        stack = build_stack(spec, engine=Engine() if spec.timed else None)
+        assert stack.tracer.sinks == ()
+        assert stack.tracer.enabled is False
+
+    @pytest.mark.parametrize(
+        "run, requests",
+        [
+            (_conventional_timed_run, {"reads": 50, "writes": 480}),
+            (_zns_timed_run, {"reads": 50, "writes": 0, "appends": 480}),
+            (_dmzoned_timed_run, {"reads": 320}),
+        ],
+        ids=["conventional-timed", "zns-timed", "dmzoned-timed"],
+    )
+    def test_a_timed_run_builds_no_event_and_keeps_its_numbers(
+        self, monkeypatch, run, requests
+    ):
+        """One pinned run per timed stack (E3's two rigs in small, E11's
+        always-on arm at 16 bursts) as an experiment builds them: not one
+        event of any class is constructed -- request lifecycle, flash
+        service, GC, zone transition, reclaim -- and the counters and
+        latency recorders read what they read with events allowed."""
+        expected = run()
+        for name, count in requests.items():
+            assert expected[name][0] == count
+        assert expected["nand"]["writes"] > 0 and expected["events"] > 5_000
+        constructed = _record_event_construction(monkeypatch)
+        assert run() == expected
+        assert constructed == []
+
     def test_batched_fill_pays_a_fixed_number_of_guards_and_builds_nothing(self, monkeypatch):
-        """The two-phase batched fill (E1's shape) with every sink detached.
+        """The two-phase batched fill (E1's shape) on a stack as built.
 
         The cost of an unobserved bus is one ``tracer.enabled`` read per
         potential event, so it is pinned as a count, not a timing: one
@@ -99,8 +186,6 @@ class TestUnobservedBusIsFree:
             ),
             tracer=tracer,
         )
-        for sink in list(tracer.sinks):
-            tracer.detach(sink)
         tracer.guard_reads = 0
         n = ftl.logical_pages
         ftl.write_pages(np.arange(n, dtype=np.int64))
@@ -120,8 +205,6 @@ class TestUnobservedBusIsFree:
         constructed = _record_event_construction(monkeypatch)
         tracer = _GuardCountingTracer()
         ftl = build_stack(_FOUR_STREAM_SPEC, tracer=tracer)
-        for sink in list(tracer.sinks):
-            tracer.detach(sink)
         calls = {"program_run": 0, "copy_run": 0}
         for name in calls:
             def counted(*args, _name=name, _call=getattr(ftl.nand, name)):
