@@ -11,9 +11,11 @@ single-stack simulations to that setting:
   policies (round-robin / least-loaded / pack);
 - :mod:`repro.fleet.rack` -- the per-device serving simulation and the
   shard/merge machinery. Devices shard round-robin across workers, each
-  yields a :class:`~repro.obs.frame.MetricsFrame`, and because every
-  random stream seeds from the spec (never the shard), merged shard
-  frames are byte-identical to a serial run for any shard count.
+  yields a :class:`~repro.obs.frame.MetricsFrame` it booked itself
+  (only ``fleet.*`` keys; the device-level event stream is for whoever
+  attaches a sink), and because every random stream seeds from the spec
+  (never the shard), merged shard frames are byte-identical to a serial
+  run for any shard count.
 
 Entry points: :func:`simulate_fleet` for the whole rack,
 :func:`simulate_shard` for one worker's slice, :func:`fleet_summary` for

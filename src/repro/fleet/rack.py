@@ -17,6 +17,15 @@ associative and commutative. Hence ``simulate_shard`` results merge
 byte-identical to the serial run for any shard count -- the property
 :func:`repro.fleet.rack.simulate_fleet` exploits and the fleet tests pin.
 
+The frame is a field of the run, not a sink on the bus: the tenants and
+the serving loop book every ``fleet.*`` key themselves, and the request
+latencies are binned once when the device finishes. The four request
+publishes sit behind ``tracer.enabled`` for whoever asked to observe
+(``--trace``, ``--metrics-out``, a test's sink); nobody listening, a
+device builds no event. Tenant churn streams are a pure function of
+``(seed, tenant, lifetime_scale)``, so every scenario of a sweep replays
+one per-process buffer (:func:`_object_stream`) instead of regenerating.
+
 Storage semantics per interface (as in E3/§2.4's cache scenario): the
 conventional arm overwrites objects in place and trims deletions, paying
 device GC; the ZNS arm appends to per-tenant zone logs and reclaims
@@ -37,24 +46,38 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Iterator
 from dataclasses import replace
+from functools import lru_cache
 from typing import Any
 
 import numpy as np
 
 from repro.block.factory import DeviceSpec, build_stack
+from repro.flash.errors import ProgramFaultError, UncorrectableReadError
 from repro.flash.ops import FlashOp, OpKind
 from repro.fleet import placement
 from repro.fleet.spec import FleetSpec
+from repro.ftl.ftl import GCStuckError
 from repro.hostio.zonelife import ZoneLifecycleManager
 from repro.obs.events import HostRequestBatchEvent, HostRequestEvent
-from repro.obs.frame import FrameSink, MetricsFrame
+from repro.obs.frame import MetricsFrame
 from repro.obs.runtime import new_tracer
 from repro.sim.rng import make_rng
 from repro.workloads.lifetime import ObjectLifetimeWorkload
 from repro.workloads.multitenant import demand_trace
+from repro.zns.errors import (
+    RetryableZnsError,
+    ZoneFullError,
+    ZoneOfflineError,
+    ZoneReadOnlyError,
+    ZoneStateError,
+)
+from repro.zns.zone import ZoneState
 
 #: Stack kinds the rack knows how to drive.
 SERVING_KINDS = ("conventional-ftl", "zns")
+
+#: Objects per workload epoch of a tenant's churn stream.
+_EPOCH_OBJECTS = 4096
 
 #: Inline reset attempts a lifecycle-less (naive) tenant makes before
 #: giving up on a bouncing zone for this lap of the log.
@@ -95,20 +118,56 @@ def _intensity(spec: FleetSpec, tenant_id: int) -> list[int]:
     return out
 
 
-def _object_stream(spec: FleetSpec, tenant_id: int) -> Iterator[tuple[int, Any]]:
-    """Endless ``(epoch, event)`` stream of one tenant's object churn."""
+def _generate_codes(seed: int, tenant_id: int, lifetime_scale: float) -> Iterator[int]:
+    """One tenant's endless object churn, one int per event.
+
+    ``obj_id`` for a create, ``~obj_id`` for a delete -- the only two
+    fields a tenant reads. Every epoch is one seeded workload of
+    ``_EPOCH_OBJECTS`` objects, hence ``2 * _EPOCH_OBJECTS`` events.
+    """
     epoch = 0
     while True:
         workload = ObjectLifetimeWorkload(
-            num_objects=4096,
+            num_objects=_EPOCH_OBJECTS,
             owners=3,
             batch_size=4,
-            lifetime_scale=spec.lifetime_scale,
-            seed=derive_seed(spec.seed, "objects", tenant_id, epoch),
+            lifetime_scale=lifetime_scale,
+            seed=derive_seed(seed, "objects", tenant_id, epoch),
         )
         for event in workload.events():
-            yield epoch, event
+            yield ~event.obj_id if event.kind == "delete" else event.obj_id
         epoch += 1
+
+
+@lru_cache(maxsize=32)
+def _stream_buffer(
+    seed: int, tenant_id: int, lifetime_scale: float
+) -> tuple[list[int], Iterator[int]]:
+    """The codes one stream has generated so far, and what extends them.
+
+    Every scenario of a sweep replays the same few tenant streams, so
+    they are generated once per process. The stream is a pure function
+    of the key: eviction only costs a regeneration, and a consumer that
+    outlives its entry keeps reading the pair it holds.
+    """
+    return [], _generate_codes(seed, tenant_id, lifetime_scale)
+
+
+def _object_stream(spec: FleetSpec, tenant_id: int) -> Iterator[tuple[int, int]]:
+    """Endless ``(epoch, code)`` stream of one tenant's object churn.
+
+    ``code`` is the object id, bit-complemented for a delete. Replays
+    the shared buffer, extending it only when this consumer is the
+    furthest reader.
+    """
+    codes, more = _stream_buffer(spec.seed, tenant_id, spec.lifetime_scale)
+    epoch_events = 2 * _EPOCH_OBJECTS
+    index = 0
+    while True:
+        if index == len(codes):
+            codes.append(next(more))
+        yield index // epoch_events, codes[index]
+        index += 1
 
 
 def _service_us(ops: list) -> float:
@@ -195,18 +254,19 @@ class _ConventionalTenant:
         return np.arange(self.base, self.base + self.pages, dtype=np.int64)
 
     def step(self, frame: MetricsFrame) -> float:
-        epoch, event = next(self.events)
-        key = (epoch, event.obj_id)
-        if event.kind == "delete":
+        epoch, code = next(self.events)
+        if code < 0:
+            key = (epoch, ~code)
             if key in self.live:
                 self.ftl.trim(self.live.remove(key))
                 frame.add("fleet.objects_deleted")
             return 0.0
+        key = (epoch, code)
         # Scatter objects over the slice (Fibonacci hashing): creation
         # order is sequential, and sequential overwrite would hand the
         # FTL fully-invalid GC victims -- free GC that real object stores
         # placing by key hash never see.
-        key_ix = event.obj_id + 4096 * epoch
+        key_ix = code + _EPOCH_OBJECTS * epoch
         lpn = self.base + (key_ix * 2654435761 % 2**32) % self.pages
         old = self._owner_of_lpn.get(lpn)
         if old is not None and old in self.live:
@@ -218,8 +278,6 @@ class _ConventionalTenant:
         return _service_us(ops)
 
     def read(self, rng, frame: MetricsFrame) -> float | None:
-        from repro.flash.errors import UncorrectableReadError
-
         if not len(self.live):
             frame.add("fleet.reads_skipped")
             return None
@@ -248,9 +306,9 @@ class _ConventionalTenant:
         deleted = 0
         written = 0
         for _ in range(k):
-            epoch_ix, event = next(self.events)
-            key = (epoch_ix, event.obj_id)
-            if event.kind == "delete":
+            epoch_ix, code = next(self.events)
+            if code < 0:
+                key = (epoch_ix, ~code)
                 if key in self.live:
                     lpn = self.live.remove(key)
                     if lpn in pending_set:
@@ -263,7 +321,8 @@ class _ConventionalTenant:
                     self.ftl.trim(lpn)
                     deleted += 1
                 continue
-            key_ix = event.obj_id + 4096 * epoch_ix
+            key = (epoch_ix, code)
+            key_ix = code + _EPOCH_OBJECTS * epoch_ix
             lpn = self.base + (key_ix * 2654435761 % 2**32) % self.pages
             old = self._owner_of_lpn.get(lpn)
             if old is not None and old in self.live:
@@ -337,9 +396,6 @@ class _ZnsTenant:
         Without one -- the naive host -- bounced resets spin inline,
         charging every failed command's latency to the foreground path.
         """
-        from repro.zns.errors import RetryableZnsError, ZoneStateError
-        from repro.zns.zone import ZoneState
-
         self.cursor = (self.cursor + 1) % len(self.zones)
         zone = self.zones[self.cursor]
         state = self.device.zone(zone).state
@@ -412,22 +468,15 @@ class _ZnsTenant:
         return ops
 
     def step(self, frame: MetricsFrame) -> float:
-        from repro.flash.errors import ProgramFaultError
-        from repro.zns.errors import (
-            ZoneFullError,
-            ZoneOfflineError,
-            ZoneReadOnlyError,
-            ZoneStateError,
-        )
-
-        epoch, event = next(self.events)
-        key = (epoch, event.obj_id)
-        if event.kind == "delete":
+        epoch, code = next(self.events)
+        if code < 0:
             # Log semantics: a delete frees nothing until its zone resets.
+            key = (epoch, ~code)
             if key in self.live:
                 self.live.remove(key)
                 frame.add("fleet.objects_deleted")
             return 0.0
+        key = (epoch, code)
         service = 0.0
         for _attempt in range(len(self.zones) + 1):
             if not self.zones:
@@ -460,9 +509,6 @@ class _ZnsTenant:
         return service
 
     def read(self, rng, frame: MetricsFrame) -> float | None:
-        from repro.flash.errors import UncorrectableReadError
-        from repro.zns.errors import ZoneOfflineError
-
         if not len(self.live):
             frame.add("fleet.reads_skipped")
             return None
@@ -499,19 +545,17 @@ class _ZnsTenant:
         injector (the caller guarantees it): zones can neither fault nor
         go offline mid-epoch. Returns per-request service times in order.
         """
-        from repro.zns.zone import ZoneState
-
         keys: list[Any] = []
         deleted = 0
         for _ in range(k):
-            epoch_ix, event = next(self.events)
-            key = (epoch_ix, event.obj_id)
-            if event.kind == "delete":
+            epoch_ix, code = next(self.events)
+            if code < 0:
+                key = (epoch_ix, ~code)
                 if key in self.live:
                     self.live.remove(key)
                     deleted += 1
                 continue
-            keys.append(key)
+            keys.append((epoch_ix, code))
         if deleted:
             frame.add("fleet.objects_deleted", deleted)
         m = len(keys)
@@ -611,9 +655,6 @@ def simulate_device(
     injector -- with faults scheduled the device always serves
     per-request, which polls and absorbs faults between commands.
     """
-    from repro.ftl.ftl import GCStuckError
-    from repro.zns.zone import ZoneState
-
     dspec = _device_spec_for(spec, device_id)
     if dspec.kind not in SERVING_KINDS:
         raise ValueError(
@@ -622,7 +663,6 @@ def simulate_device(
         )
     tenants = placement.assign(spec)[device_id]
     tracer = new_tracer()
-    sink = FrameSink()
     stack = build_stack(dspec, tracer=tracer)
     rng = make_rng(derive_seed(spec.seed, "reads", device_id))
 
@@ -686,10 +726,14 @@ def simulate_device(
     managed = [sim for sim in sims if getattr(sim, "lifecycle", None) is not None]
 
     # Warmup ticks churn against a throwaway frame (GC / zone-reclaim
-    # pressure must be steady before counting starts); the real sink
-    # attaches -- and the faults wake -- at the measurement boundary.
+    # pressure must be steady before counting starts); the measured
+    # frame and latency lists start -- and the faults wake -- at the
+    # measurement boundary.
     schedules = {tid: _intensity(spec, tid) for tid in tenants}
     frame = MetricsFrame()
+    write_latencies: list[float] = []
+    read_latencies: list[float] = []
+    measured = False
     flash_before = nand.physical_bytes_written()
 
     # The epoch serving mode needs a quiet injector: batch entry points
@@ -707,8 +751,10 @@ def simulate_device(
             stack.nand.faults = injector
             if hasattr(stack, "faults"):
                 stack.faults = injector
-            tracer.attach(sink)
-            frame = sink.frame
+            frame = MetricsFrame()
+            write_latencies = []
+            read_latencies = []
+            measured = True
             flash_before = nand.physical_bytes_written()
         now = tick * spec.tick_us
         # Background lifecycle pass before the arrival clamp: deferred
@@ -733,38 +779,33 @@ def simulate_device(
                     break
                 if services:
                     # Scalar left-to-right fold: the exact arithmetic of
-                    # the per-request loop's ``busy += service``. Warm-up
-                    # (no sink yet) folds without keeping the latencies.
-                    traced = tracer.enabled
-                    latencies = []
+                    # the per-request loop's ``busy += service``.
+                    first = len(write_latencies)
                     for service in services:
                         busy += service
-                        if traced:
-                            latencies.append(busy - now)
-                    if traced:
+                        write_latencies.append(busy - now)
+                    if tracer.enabled:
                         tracer.publish(
                             HostRequestBatchEvent(
                                 "fleet.request", "write",
-                                latencies_us=latencies,
-                                count=len(latencies),
+                                latencies_us=write_latencies[first:],
+                                count=len(services),
                                 first_request_id=request_id + 1,
                             )
                         )
                     request_id += len(services)
                 services = sim.read_epoch(spec.reads_per_tick, rng, frame)
                 if services:
-                    traced = tracer.enabled
-                    latencies = []
+                    first = len(read_latencies)
                     for service in services:
                         busy += service
-                        if traced:
-                            latencies.append(busy - now)
-                    if traced:
+                        read_latencies.append(busy - now)
+                    if tracer.enabled:
                         tracer.publish(
                             HostRequestBatchEvent(
                                 "fleet.request", "read",
-                                latencies_us=latencies,
-                                count=len(latencies),
+                                latencies_us=read_latencies[first:],
+                                count=len(services),
                                 first_request_id=request_id + 1,
                             )
                         )
@@ -776,6 +817,7 @@ def simulate_device(
                     if service > 0.0:
                         busy += service
                         request_id += 1
+                        write_latencies.append(busy - now)
                         if tracer.enabled:
                             tracer.publish(
                                 HostRequestEvent(
@@ -794,6 +836,7 @@ def simulate_device(
                     continue
                 busy += latency
                 request_id += 1
+                read_latencies.append(busy - now)
                 if tracer.enabled:
                     tracer.publish(
                         HostRequestEvent(
@@ -802,10 +845,16 @@ def simulate_device(
                         )
                     )
 
-    if frame is not sink.frame:
+    if not measured:
         # Died inside warmup: report the death on a clean measured frame.
-        frame = sink.frame
+        frame = MetricsFrame()
+        write_latencies = []
+        read_latencies = []
         flash_before = nand.physical_bytes_written()
+    for op, latencies in (("write", write_latencies), ("read", read_latencies)):
+        if latencies:
+            frame.add(f"fleet.request.{op}.requests", len(latencies))
+            frame.observe_many(f"fleet.request.{op}.latency_us", latencies)
     flash_pages = (nand.physical_bytes_written() - flash_before) // nand.geometry.page_size
     frame.add("fleet.flash_pages_written", int(flash_pages))
     frame.add("fleet.devices")

@@ -10,6 +10,7 @@ and channels, reproducing the GC-interference tail latencies of §2.4.
 from __future__ import annotations
 
 from collections.abc import Generator
+from dataclasses import replace
 from typing import Any
 
 import itertools
@@ -18,6 +19,7 @@ import numpy as np
 
 from repro.block.interface import check_extent
 from repro.flash.geometry import FlashGeometry
+from repro.flash.nand import NandArray
 from repro.flash.ops import OpKind
 from repro.flash.service import FlashServiceModel
 from repro.flash.timing import TimingModel
@@ -44,8 +46,6 @@ class ConventionalSSD:
         tracer: Tracer | None = None,
     ):
         geometry = geometry or FlashGeometry.bench()
-        from repro.flash.nand import NandArray  # local to avoid cycle at import
-
         nand = NandArray(geometry, timing=timing, store_data=store_data, tracer=tracer)
         self.ftl = ConventionalFTL(geometry, config=config, nand=nand)
         self.tracer = self.ftl.tracer
@@ -122,8 +122,6 @@ class TimedConventionalSSD:
             # streams), matching real controllers.
             config = FTLConfig(gc_streams=4)
         elif config.gc_streams == 1:
-            from dataclasses import replace
-
             config = replace(config, gc_streams=4)
         self.engine = engine
         self.ftl = ConventionalFTL(geometry, config=config, timing=timing, tracer=tracer)

@@ -45,6 +45,7 @@ from repro.flash.nand import NandArray
 from repro.flash.ops import FlashOp, OpKind
 from repro.flash.timing import TimingModel
 from repro.flash.wear import WearTracker
+from repro.ftl.checkpoint import MappingSnapshot
 from repro.ftl.ftl import CapacityError, ConventionalFTL, FTLConfig
 from repro.ftl.mapping import UNMAPPED, TranslationStore
 from repro.metrics.wa import DeviceWriteAmpDecomposition
@@ -462,8 +463,6 @@ class DemandPagedFTL(ConventionalFTL):
         the snapshot's GTD is authoritative and recovery only replays
         translation programs past the serial horizon.
         """
-        from repro.ftl.checkpoint import MappingSnapshot
-
         self._flush_pending()
         self.store.flush()
         base = super().snapshot_mapping()

@@ -23,6 +23,7 @@ from repro.flash.nand import NandArray
 from repro.flash.ops import FlashOp, OpKind
 from repro.flash.timing import TimingModel
 from repro.flash.wear import WearTracker
+from repro.ftl.checkpoint import MappingSnapshot
 from repro.ftl.gc import VictimPolicy, make_policy
 from repro.ftl.mapping import UNMAPPED, FullPageMap
 from repro.ftl.wearlevel import make_wearlevel
@@ -904,8 +905,6 @@ class ConventionalFTL:
         reflected in the snapshot's map, programs at or past it are what
         :meth:`recover` replays from OOB metadata.
         """
-        from repro.ftl.checkpoint import MappingSnapshot
-
         return MappingSnapshot(
             serial=self._program_serial,
             clock=self._clock,

@@ -2,7 +2,7 @@
 
 - :mod:`repro.metrics.latency` -- streaming latency recorders with exact and
   reservoir-sampled percentiles.
-- :mod:`repro.metrics.counters` -- byte/op counters and throughput windows.
+- :mod:`repro.metrics.counters` -- byte/op counters.
 - :mod:`repro.metrics.wa` -- write-amplification accounting split into the
   layers the paper discusses (application, host translation, device FTL).
 
@@ -12,7 +12,7 @@ updated traced or not; the :mod:`repro.obs` bus carries the same numbers
 to whoever attaches a sink, it is not how the instruments are fed.
 """
 
-from repro.metrics.counters import OpCounter, ThroughputMeter
+from repro.metrics.counters import OpCounter
 from repro.metrics.latency import LatencyRecorder, LatencySummary
 from repro.metrics.wa import WriteAmpAccounting, WriteAmpBreakdown
 
@@ -20,7 +20,6 @@ __all__ = [
     "LatencyRecorder",
     "LatencySummary",
     "OpCounter",
-    "ThroughputMeter",
     "WriteAmpAccounting",
     "WriteAmpBreakdown",
 ]

@@ -1,8 +1,8 @@
-"""Operation counters and throughput meters."""
+"""Operation counters."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -69,46 +69,4 @@ class OpCounter:
         )
 
 
-@dataclass
-class ThroughputMeter:
-    """Tracks completed work against simulated time to yield throughput.
-
-    ``record(nbytes)`` marks one completed request; ``mb_per_sec(now)``
-    converts to MB/s over the window since construction (or last reset).
-    Time is in simulation microseconds to match the DES clock.
-    """
-
-    start_time: float = 0.0
-    bytes_done: int = 0
-    ops_done: int = 0
-    _last_time: float = field(default=0.0, repr=False)
-
-    def record(self, nbytes: int, now: float) -> None:
-        self.bytes_done += nbytes
-        self.ops_done += 1
-        self._last_time = now
-
-    def elapsed(self, now: float | None = None) -> float:
-        end = self._last_time if now is None else now
-        return max(end - self.start_time, 0.0)
-
-    def mb_per_sec(self, now: float | None = None) -> float:
-        elapsed_us = self.elapsed(now)
-        if elapsed_us <= 0:
-            return 0.0
-        return (self.bytes_done / (1024 * 1024)) / (elapsed_us / 1e6)
-
-    def ops_per_sec(self, now: float | None = None) -> float:
-        elapsed_us = self.elapsed(now)
-        if elapsed_us <= 0:
-            return 0.0
-        return self.ops_done / (elapsed_us / 1e6)
-
-    def reset(self, now: float) -> None:
-        self.start_time = now
-        self._last_time = now
-        self.bytes_done = 0
-        self.ops_done = 0
-
-
-__all__ = ["OpCounter", "ThroughputMeter"]
+__all__ = ["OpCounter"]

@@ -170,7 +170,7 @@ class HostRequestBatchEvent:
     The batched twin of ``count`` individual ``complete``-phase
     :class:`HostRequestEvent` publishes: ``latencies_us`` carries each
     request's end-to-end latency in completion order (a float sequence;
-    the fleet's epoch loop passes a numpy array). Sinks that aggregate
+    the fleet's epoch loop passes a list). Sinks that aggregate
     (FrameSink) bin the whole epoch in one vectorized pass; per-request
     consumers should keep using the scalar event, which the per-request
     serving loop still publishes.

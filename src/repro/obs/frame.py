@@ -20,8 +20,9 @@ property the fleet's merge-equals-serial test pins.
 
 Metric keys are normalized to dotted lower-snake form
 (:func:`normalize_metric_key`), ending the drift between ``p99_read_us``
-/ ``Read P99 (µs)`` spellings across modules. :class:`FrameSink` adapts
-the telemetry bus (:mod:`repro.obs.events`) into a frame.
+/ ``Read P99 (µs)`` spellings across modules. :class:`FrameSink` is what
+an observer attaches to fold the telemetry bus (:mod:`repro.obs.events`)
+into a frame.
 """
 
 from __future__ import annotations
@@ -249,13 +250,14 @@ class MetricsFrame:
 
 
 class FrameSink:
-    """A trace sink accumulating the event stream into a MetricsFrame.
+    """An observer's sink accumulating the event stream into a MetricsFrame.
 
     Counts flash operations and bytes per ``layer.op``, host-request
-    completion latencies into histograms, and fault/recovery events --
-    the raw material for fleet-level WA, tail-latency, and capacity-loss
-    aggregation. Attach to a stack's tracer, drive the stack, then take
-    :meth:`frame`.
+    completion latencies into histograms, and fault/recovery events.
+    Nothing in ``src/repro`` attaches one (the fleet books its own frame
+    as fields); attach it to a stack's tracer, or install it through
+    :func:`repro.obs.runtime.install_global_sink`, drive the stack, then
+    take :attr:`frame`.
     """
 
     def __init__(self) -> None:

@@ -17,11 +17,11 @@ with no sinks costs one attribute load per potential event -- nothing is
 allocated and nothing is called.
 
 ``enabled`` is True only because an observer asked: ``--trace`` /
-``--metrics-out`` (:mod:`repro.obs.runtime`), the fleet's ``FrameSink``
-in its measured phase, the perf ledger's traced pass, a test's sink. No
-device attaches one for its own bookkeeping (``counters`` and the
-``*_latency`` recorders are fields), so a run without those builds no
-event at all (``tests/obs/test_tracer.py::TestUnobservedBusIsFree``).
+``--metrics-out`` (:mod:`repro.obs.runtime`), the perf ledger's traced
+pass, a test's sink. No device and no rack attaches one for its own
+bookkeeping (``counters``, the ``*_latency`` recorders and the fleet's
+frame are fields), so a run without those builds no event at all
+(``tests/obs/test_tracer.py::TestUnobservedBusIsFree``).
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.flash.errors import BadBlockError
 from repro.flash.geometry import ZonedGeometry
 from repro.flash.nand import NandArray
 from repro.obs.events import GcEvent, RecoveryEvent
@@ -124,8 +125,6 @@ class ZnsFTL:
         surviving blocks join a free pool and the zone is rebacked with the
         least-worn available blocks.
         """
-        from repro.flash.errors import BadBlockError
-
         self._check(zone_id)
         latencies: list[float] = []
         survivors: list[int] = []

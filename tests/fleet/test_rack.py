@@ -22,7 +22,7 @@ from repro.fleet import (
     simulate_shard,
 )
 from repro.obs import runtime
-from repro.obs.frame import MetricsFrame
+from repro.obs.frame import FrameSink, MetricsFrame
 from repro.obs.sinks import RecordingSink
 
 # 64 blocks / 4096 pages per device: big enough to reach GC/reclaim,
@@ -124,12 +124,37 @@ class TestGlobalSinks:
         served = frame.counter("fleet.request.read.requests") + frame.counter(
             "fleet.request.write.requests"
         )
-        # At least the shard's own count: warm-up ticks publish too once
+        # More than the shard's own count: warm-up ticks publish too once
         # something listens, and the frame only starts after them.
-        assert len(sink.events) >= served > 0
+        assert len(sink.events) > served > 0
         seen = len(sink.events)
         simulate_shard(spec)
         assert len(sink.events) == seen
+
+    @pytest.mark.parametrize("epoch", [False, True], ids=["per-request", "epoch"])
+    @pytest.mark.parametrize("fault_scale", [0.0, 4.0], ids=["clean", "faulted"])
+    def test_frame_fields_equal_what_a_frame_sink_hears(self, epoch, fault_scale):
+        """The rack books its request counts and latencies as fields; a
+        ``FrameSink`` fed the published stream must arrive at the same
+        numbers (no warm-up here, so both cover the same requests)."""
+        from repro.experiments.e16_fleet_serving import fleet_plan
+
+        conv, zns = _CONV, _ZNS
+        if fault_scale:
+            conv = conv.with_faults(fleet_plan(0), fault_scale)
+            zns = zns.with_faults(fleet_plan(0), fault_scale)
+        spec = _fleet(((conv, 1), (zns, 1)), ticks=40, warmup_ticks=0)
+        sink = runtime.install_global_sink(FrameSink())
+        try:
+            frame = simulate_shard(spec, epoch=epoch)
+        finally:
+            runtime.remove_global_sink(sink)
+        for op in ("read", "write"):
+            requests = f"fleet.request.{op}.requests"
+            latency = f"fleet.request.{op}.latency_us"
+            assert frame.counter(requests) == sink.frame.counter(requests) > 0
+            assert frame.hists[latency] == sink.frame.hists[latency]
+            assert frame.observations(latency) == frame.counter(requests)
 
 
 class TestServingSemantics:

@@ -1,8 +1,8 @@
-"""Tests for op counters, throughput meters, and WA accounting."""
+"""Tests for op counters and WA accounting."""
 
 import pytest
 
-from repro.metrics.counters import OpCounter, ThroughputMeter
+from repro.metrics.counters import OpCounter
 from repro.metrics.wa import WriteAmpAccounting
 
 
@@ -36,32 +36,6 @@ class TestOpCounter:
         assert d.writes == 1
         assert d.erases == 1
         assert d.bytes_written == 100
-
-
-class TestThroughputMeter:
-    def test_mb_per_sec(self):
-        m = ThroughputMeter(start_time=0.0)
-        # 10 MiB over 1 second (1e6 us).
-        m.record(10 * 1024 * 1024, now=1e6)
-        assert m.mb_per_sec() == pytest.approx(10.0)
-
-    def test_ops_per_sec(self):
-        m = ThroughputMeter(start_time=0.0)
-        for i in range(100):
-            m.record(1, now=(i + 1) * 1e4)
-        assert m.ops_per_sec() == pytest.approx(100.0)
-
-    def test_zero_elapsed_is_zero_rate(self):
-        m = ThroughputMeter()
-        assert m.mb_per_sec() == 0.0
-
-    def test_reset_starts_new_window(self):
-        m = ThroughputMeter(start_time=0.0)
-        m.record(1000, now=1e6)
-        m.reset(now=1e6)
-        assert m.bytes_done == 0
-        m.record(5 * 1024 * 1024, now=1.5e6)
-        assert m.mb_per_sec() == pytest.approx(10.0)
 
 
 class TestWriteAmpAccounting:

@@ -1,12 +1,17 @@
 """Tracer bus semantics: no-op when silent, ordered fan-out when not."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.block.factory import KINDS, DeviceSpec, build_stack
+from repro.experiments import e16_fleet_serving, e17_reset_pressure
 from repro.experiments.e3_read_latency import _ConvRig, _saturation_mb_s, _ZnsRig
+from repro.fleet import FleetSpec, simulate_device
 from repro.obs import events as obs_events
 from repro.obs.events import FlashOpEvent, HostRequestEvent
 from repro.obs.sinks import RecordingSink
@@ -126,6 +131,23 @@ def _dmzoned_timed_run() -> dict:
     }
 
 
+def _serving_spec(kind: str) -> FleetSpec:
+    """One two-tenant device per serving kind, as E16/E17 build them."""
+    if kind == "conventional-faulted":
+        device = e16_fleet_serving.device_spec("conventional", 10.0, seed=0)
+    else:
+        device = e17_reset_pressure.device_spec("zns-naive", 5_000.0, 1.0, seed=0)
+    return FleetSpec(
+        mix=((device, 1),),
+        tenants=2,
+        ticks=120,
+        warmup_ticks=60,
+        utilization=0.9,
+        lifetime_scale=0.05,
+        zone_lifecycle=(kind == "zns-managed"),
+    )
+
+
 class TestUnobservedBusIsFree:
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_a_default_built_stack_attaches_no_sink(self, kind):
@@ -161,6 +183,40 @@ class TestUnobservedBusIsFree:
         constructed = _record_event_construction(monkeypatch)
         assert run() == expected
         assert constructed == []
+
+    @pytest.mark.parametrize("kind", ["conventional-faulted", "zns-naive", "zns-managed"])
+    def test_a_fleet_device_builds_no_event_and_keeps_its_frame(self, monkeypatch, kind):
+        """The serving plane books its frame as a field: warm-up and
+        measured phase alike construct no event (faults firing, zone
+        management charged, lifecycle manager ticking), and the frame is
+        the one returned with events allowed."""
+        spec = _serving_spec(kind)
+        expected = simulate_device(spec, 0).to_dict()
+        counters = expected["counters"]
+        assert counters["fleet.request.read.requests"] > 0
+        assert counters["fleet.request.write.requests"] > 0
+        if kind == "conventional-faulted":
+            assert counters["fleet.reads_lost"] > 0
+            assert counters["fleet.capacity_units_lost"] > 0
+        else:
+            assert counters["fleet.zone_resets"] > 0
+        constructed = _record_event_construction(monkeypatch)
+        assert simulate_device(spec, 0).to_dict() == expected
+        assert constructed == []
+
+    def test_only_the_runtime_attaches_sinks(self):
+        """``enabled`` turns True in one place: ``obs.runtime`` wiring the
+        sinks an observer installed. No simulation module attaches one."""
+        root = Path(repro.__file__).parent
+        attaching = {
+            str(path.relative_to(root))
+            for path in root.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "attach"
+        }
+        assert attaching == {"obs/runtime.py"}
 
     def test_batched_fill_pays_a_fixed_number_of_guards_and_builds_nothing(self, monkeypatch):
         """The two-phase batched fill (E1's shape) on a stack as built.
