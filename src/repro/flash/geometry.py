@@ -9,6 +9,11 @@ Blocks are striped across planes round-robin (block ``b`` lives on plane
 ``b % total_planes``), the common layout that lets a sequential block scan
 exploit all planes. Planes group into channels.
 
+An address is checked and resolved once (DESIGN.md §6): the layer a page
+id enters splits it with :meth:`FlashGeometry.split_page` -- one range
+test, one ``divmod`` -- and hands ``(block, offset)`` down. Hot paths test
+a range inline and call ``check_*`` only to raise.
+
 Real devices have much larger geometries than we simulate; experiments use
 scaled-down instances (see DESIGN.md §2) while cost models use
 :func:`FlashGeometry.datacenter_1tb`-style full-scale parameters for
@@ -83,13 +88,17 @@ class FlashGeometry:
 
     # -- Address arithmetic -------------------------------------------------
 
+    def split_page(self, page: int) -> tuple[int, int]:
+        """``(block, offset)`` of ``page``: the one checked split."""
+        if not 0 <= page < self.total_pages:
+            self.check_page(page)
+        return divmod(page, self.pages_per_block)
+
     def block_of_page(self, page: int) -> int:
-        self.check_page(page)
-        return page // self.pages_per_block
+        return self.split_page(page)[0]
 
     def page_offset_in_block(self, page: int) -> int:
-        self.check_page(page)
-        return page % self.pages_per_block
+        return self.split_page(page)[1]
 
     def first_page_of_block(self, block: int) -> int:
         self.check_block(block)

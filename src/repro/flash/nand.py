@@ -87,6 +87,9 @@ class NandArray:
     ):
         self.geometry = geometry
         self.timing = timing or TimingModel.for_cell(geometry.cell_type)
+        # Constants of two frozen dataclasses; ``timing`` is never rebound.
+        self._program_page_us = self.timing.program_total_us(geometry.page_size)
+        self._read_page_us = self.timing.read_total_us(geometry.page_size)
         self.wear = wear or WearTracker(total_blocks=geometry.total_blocks)
         if self.wear.total_blocks != geometry.total_blocks:
             raise ValueError(
@@ -116,7 +119,8 @@ class NandArray:
 
     def write_offset(self, block: int) -> int:
         """Offset of the next programmable page in ``block``."""
-        self.geometry.check_block(block)
+        if not 0 <= block < self.geometry.total_blocks:
+            self.geometry.check_block(block)
         return int(self._write_offsets[block])
 
     @property
@@ -136,8 +140,8 @@ class NandArray:
         return self.write_offset(block) == 0
 
     def is_programmed(self, page: int) -> bool:
-        block = self.geometry.block_of_page(page)
-        return self.geometry.page_offset_in_block(page) < self._write_offsets[block]
+        block, offset = self.geometry.split_page(page)
+        return offset < self._write_offsets[block]
 
     def free_pages_in_block(self, block: int) -> int:
         return self.geometry.pages_per_block - self.write_offset(block)
@@ -151,17 +155,16 @@ class NandArray:
         next free page of its block, and :class:`BadBlockError` if the
         block has been retired.
         """
-        block = self.geometry.block_of_page(page)
+        block, offset = self.geometry.split_page(page)
         if self.wear.is_bad(block):
             raise BadBlockError(f"program on retired block {block}")
-        offset = self.geometry.page_offset_in_block(page)
         expected = self._write_offsets[block]
         if offset != expected:
             raise ProgramOrderError(
                 f"page {page} is offset {offset} of block {block}; next "
                 f"programmable offset is {expected}"
             )
-        latency = self.timing.program_total_us(self.geometry.page_size)
+        latency = self._program_page_us
         if self.faults is not None:
             fault, extra = self.faults.on_program(block, page, latency)
             if fault:
@@ -193,10 +196,11 @@ class NandArray:
         Convenience used by append-style writers that track blocks, not
         page offsets.
         """
+        ppb = self.geometry.pages_per_block
         offset = self.write_offset(block)
-        if offset >= self.geometry.pages_per_block:
+        if offset >= ppb:
             raise ProgramOrderError(f"block {block} is full")
-        page = self.geometry.first_page_of_block(block) + offset
+        page = block * ppb + offset
         return page, self.program(page, data)
 
     def read(self, page: int) -> tuple[Any, float]:
@@ -204,9 +208,8 @@ class NandArray:
 
         Payload is ``None`` unless the array stores data.
         """
-        block = self.geometry.block_of_page(page)
-        payload = self._check_and_sense(block, page)
-        latency = self.timing.read_total_us(self.geometry.page_size)
+        block, payload = self._check_and_sense(page)
+        latency = self._read_page_us
         if self.faults is not None:
             # May raise UncorrectableReadError after walking the full ECC
             # retry ladder; otherwise adds the ladder/spike latency.
@@ -221,19 +224,20 @@ class NandArray:
             )
         return payload, latency
 
-    def _check_and_sense(self, block: int, page: int) -> Any:
+    def _check_and_sense(self, page: int) -> tuple[int, Any]:
         """Shared read path: constraint checks + read-disturb accounting.
 
         Used by host reads (which publish/count) and internal copy reads
         (which do not -- a copy is not a host read, but it still disturbs
-        the source block).
+        the source block). Returns ``(block, payload)``.
         """
+        block, offset = self.geometry.split_page(page)
         if self.wear.is_bad(block):
             raise BadBlockError(f"read on retired block {block}")
-        if not self.is_programmed(page):
+        if offset >= self._write_offsets[block]:
             raise ReadUnwrittenError(f"page {page} has not been programmed")
         self._reads_since_erase[block] += 1
-        return self._data.get(page) if self.store_data else None
+        return block, self._data.get(page) if self.store_data else None
 
     def sense_for_copy(self, page: int) -> Any:
         """Read a page for device-internal copying.
@@ -243,7 +247,7 @@ class NandArray:
         device-managed copies (copyback, NVMe simple copy) account for
         themselves at their own layer.
         """
-        return self._check_and_sense(self.geometry.block_of_page(page), page)
+        return self._check_and_sense(page)[1]
 
     def erase(self, block: int) -> float:
         """Erase a block; returns latency. May retire the block (wear-out).
@@ -284,12 +288,10 @@ class NandArray:
         device-side implementation of the NVMe *simple copy* command
         (paper §2.3) and by copyback-capable FTL garbage collection.
         """
-        src_block = self.geometry.block_of_page(src_page)
-        payload = self._check_and_sense(src_block, src_page)
-        block = self.geometry.block_of_page(dst_page)
+        _, payload = self._check_and_sense(src_page)
+        block, offset = self.geometry.split_page(dst_page)
         if self.wear.is_bad(block):
             raise BadBlockError(f"copy into retired block {block}")
-        offset = self.geometry.page_offset_in_block(dst_page)
         if offset != self._write_offsets[block]:
             raise ProgramOrderError(
                 f"copy destination page {dst_page} out of order in block {block}"

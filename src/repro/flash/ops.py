@@ -5,12 +5,16 @@ Device models (conventional FTL, ZNS) mutate state immediately and emit
 Untimed experiments ignore the records (or sum their latencies); timed
 experiments replay them against the :class:`~repro.flash.service.FlashServiceModel`
 so operations contend for planes and channels in the DES.
+
+One record is built per host page and per GC copy, so :class:`FlashOp` is
+a ``NamedTuple``: one ``tuple.__new__`` where a frozen dataclass paid four
+``object.__setattr__``, and still immutable and hashed by value.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class OpKind(enum.Enum):
@@ -21,8 +25,7 @@ class OpKind(enum.Enum):
     MGMT = "mgmt"  # zone-management overhead (reset/finish command cost)
 
 
-@dataclass(frozen=True)
-class FlashOp:
+class FlashOp(NamedTuple):
     """One physical NAND operation that a device performed.
 
     ``latency_us`` is the array+transfer time from the timing model;

@@ -346,21 +346,27 @@ class ConventionalFTL:
         Returns the op records: any GC copies/erases performed to make
         room, then the host program itself.
         """
-        self.map.check_lpn(lpn)
+        if not 0 <= lpn < self.logical_pages:
+            self.map.check_lpn(lpn)
         if stream not in self._active:
             raise ValueError(f"stream {stream} out of range [0, {self.config.streams})")
         self._clock += 1
         ops: list[FlashOp] = []
+        nand = self.nand
+        ppb = self.geometry.pages_per_block
 
         active = self._active[stream]
-        if active is None or self.nand.is_block_full(active):
+        offset = ppb if active is None else nand.write_offset(active)
+        if offset >= ppb:
             active, _ = self._open_next_block(stream, auto_gc, ops)
+            offset = 0  # free blocks are erased; program() holds it to that
 
-        if self.nand.faults is None:
-            page, latency = self.nand.program_next(active)
+        if nand.faults is None:
+            page = active * ppb + offset
+            latency = nand.program(page)
         else:
             page, latency = self._program_host_page(stream)
-            active = self.geometry.block_of_page(page)
+            active = page // ppb
         self.map.map(lpn, page)
         self._oob_lpn[page] = lpn
         self._oob_serial[page] = self._program_serial
@@ -656,7 +662,7 @@ class ConventionalFTL:
             raise UnmappedReadError(f"lpn {lpn} is unmapped")
         _, latency = self.nand.read(ppn)
         self.stats.host_pages_read += 1
-        return FlashOp(OpKind.READ, self.geometry.block_of_page(ppn), ppn, latency)
+        return FlashOp(OpKind.READ, ppn // self.geometry.pages_per_block, ppn, latency)
 
     def trim(self, lpn: int) -> None:
         """Discard a logical page (TRIM/deallocate); no flash ops needed."""
@@ -798,7 +804,7 @@ class ConventionalFTL:
                 self._note_relocated(self._oob_lpn[first : first + take])
                 if copies is not None:
                     copies[j::k] = [
-                        FlashOp(OpKind.COPY, block, page, copy_latency, uses_channel=uses_channel)
+                        FlashOp(OpKind.COPY, block, page, copy_latency, uses_channel)
                         for page in range(first, first + take)
                     ]
             if copies is not None:

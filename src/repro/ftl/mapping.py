@@ -65,7 +65,8 @@ class FullPageMap:
 
     def lookup(self, lpn: int) -> int:
         """Physical page for ``lpn`` or :data:`UNMAPPED`."""
-        self.check_lpn(lpn)
+        if not 0 <= lpn < self.logical_pages:
+            self.check_lpn(lpn)
         return int(self.l2p[lpn])
 
     def is_mapped(self, lpn: int) -> bool:
@@ -85,8 +86,11 @@ class FullPageMap:
         The caller must have programmed ``ppn`` already; double-mapping a
         physical page is a logic error.
         """
-        self.check_lpn(lpn)
-        self.geometry.check_page(ppn)
+        if not 0 <= lpn < self.logical_pages:
+            self.check_lpn(lpn)
+        geometry = self.geometry
+        if not 0 <= ppn < geometry.total_pages:
+            geometry.check_page(ppn)
         if self.p2l[ppn] != UNMAPPED:
             raise ValueError(f"physical page {ppn} is already mapped to lpn {self.p2l[ppn]}")
         old_ppn = int(self.l2p[lpn])
@@ -96,7 +100,7 @@ class FullPageMap:
             self.mapped_pages += 1
         self.l2p[lpn] = ppn
         self.p2l[ppn] = lpn
-        self.valid_counts[self.geometry.block_of_page(ppn)] += 1
+        self.valid_counts[ppn // geometry.pages_per_block] += 1
         return old_ppn
 
     def unmap(self, lpn: int) -> int:
@@ -112,7 +116,8 @@ class FullPageMap:
 
     def _invalidate_physical(self, ppn: int) -> None:
         self.p2l[ppn] = UNMAPPED
-        block = self.geometry.block_of_page(ppn)
+        # Every caller holds a mapped, hence in-range, ppn.
+        block = ppn // self.geometry.pages_per_block
         self.valid_counts[block] -= 1
         if self.valid_counts[block] < 0:
             # ValueError, matching the batch kernel's negative-count

@@ -241,7 +241,7 @@ class ZNSDevice:
     # -- Address translation -----------------------------------------------------
 
     def _page_of(self, zone_id: int, offset: int) -> int:
-        blocks = self.ftl.blocks_of_zone(zone_id)
+        blocks = self.ftl.live_blocks(zone_id)
         ppb = self.geometry.flash.pages_per_block
         if self.striped:
             width = len(blocks)
@@ -272,7 +272,7 @@ class ZNSDevice:
 
     def block_of_offset(self, zone_id: int, offset: int) -> int:
         """Physical block backing (zone, offset) -- for timed contention."""
-        return self.geometry.flash.block_of_page(self._page_of(zone_id, offset))
+        return self._page_of(zone_id, offset) // self.geometry.flash.pages_per_block
 
     # -- Zone resource limits -----------------------------------------------------
 
@@ -285,10 +285,14 @@ class ZNSDevice:
         host's to manage. If the *active* limit is reached the write is
         rejected -- the host must finish or reset a zone first.
         """
-        if zone.state.is_open:
-            self._touch_open(zone.zone_id)
+        state = zone.state
+        if state is ZoneState.IMPLICIT_OPEN:
+            # _open_stamp holds exactly the implicitly-open zones.
+            self._mark_open(zone.zone_id)
             return
-        if zone.state is ZoneState.EMPTY:
+        if state is ZoneState.EXPLICIT_OPEN:
+            return
+        if state is ZoneState.EMPTY:
             if self.active_count >= self.geometry.max_active_zones:
                 raise ActiveZoneLimitError(
                     f"{self.active_count} zones active; "
@@ -296,19 +300,14 @@ class ZNSDevice:
                 )
         if self.open_count >= self.geometry.open_limit:
             self._close_lru_implicit()
-        old_state = zone.state
         zone.transition_open(explicit=False)
         self._mark_open(zone.zone_id)
-        self._publish_transition(zone, old_state, "implicit-open")
+        self._publish_transition(zone, state, "implicit-open")
 
     def _mark_open(self, zone_id: int) -> None:
         """(Re)stamp a zone as most-recently-used implicit open. O(1)."""
         self._open_stamp[zone_id] = self._open_clock
         self._open_clock += 1
-
-    def _touch_open(self, zone_id: int) -> None:
-        if zone_id in self._open_stamp:
-            self._mark_open(zone_id)
 
     def _close_lru_implicit(self) -> None:
         lru_zone = -1
@@ -350,7 +349,7 @@ class ZNSDevice:
 
     def _mgmt_op(self, zone_id: int, latency_us: float) -> FlashOp:
         """The management-overhead op record: a die-lane hold, no channel."""
-        blocks = self.ftl.blocks_of_zone(zone_id)
+        blocks = self.ftl.live_blocks(zone_id)
         return FlashOp(
             OpKind.MGMT, blocks[0] if blocks else 0, None, latency_us,
             uses_channel=False,
@@ -523,43 +522,42 @@ class ZNSDevice:
         """
         if npages < 1:
             raise ValueError("npages must be >= 1")
+        # A list or tuple is one payload per page; anything else, every page's.
+        per_page = isinstance(data, (list, tuple))
+        if per_page and len(data) != npages:
+            raise ValueError(f"{len(data)} payloads for a write of {npages} pages")
         if self.faults is not None:
             self._poll_faults()
         zone = self.zone(zone_id)
         zone.check_writable(npages)
-        if offset is not None and offset != zone.wp:
+        start_wp = zone.wp
+        if offset is not None and offset != start_wp:
             raise WritePointerError(
-                f"write at offset {offset} but zone {zone_id} wp is {zone.wp}"
+                f"write at offset {offset} but zone {zone_id} wp is {start_wp}"
             )
         self._ensure_open_for_write(zone)
-        start_wp = zone.wp
+        ppb = self.geometry.flash.pages_per_block
         ops: list[FlashOp] = []
         for i in range(npages):
-            page = self._page_of(zone_id, zone.wp + i)
-            payload = data[i] if isinstance(data, (list, tuple)) else data
+            page = self._page_of(zone_id, start_wp + i)
             try:
-                latency = self.nand.program(page, payload)
+                latency = self.nand.program(page, data[i] if per_page else data)
             except ProgramFaultError:
                 # The burn broke the zone's offset<->flash correspondence;
                 # pages before it are durable, the zone degrades.
                 self._degrade_read_only(zone, durable_pages=i)
                 raise
-            ops.append(
-                FlashOp(OpKind.PROGRAM, self.geometry.flash.block_of_page(page), page, latency)
-            )
+            ops.append(FlashOp(OpKind.PROGRAM, page // ppb, page, latency))
         old_state = zone.state
         zone.advance(npages)
-        nbytes = npages * self.page_size
+        nbytes = npages * self.geometry.flash.page_size
         self.counters.note_write(nbytes, npages)
         if self.tracer.enabled:
             # One command-level event for the whole write (count=npages);
             # the per-page view is the flash.nand stream beneath it.
             self.tracer.publish(
                 FlashOpEvent(
-                    "zns.device", "program",
-                    block=self.geometry.flash.block_of_page(
-                        self._page_of(zone_id, start_wp)
-                    ),
+                    "zns.device", "program", block=ops[0].block,
                     count=npages, nbytes=nbytes,
                 )
             )
@@ -575,9 +573,9 @@ class ZNSDevice:
         write at the current pointer, but the caller never names an
         offset, so concurrent appenders cannot race.
         """
-        zone = self.zone(zone_id)
-        assigned = zone.wp
         ops = self.write(zone_id, offset=None, npages=npages, data=data)
+        # write() checked zone_id; it began npages below where the pointer stands.
+        assigned = self.zones[zone_id].wp - npages
         if self.tracer.enabled:
             self.tracer.publish(
                 ZoneAppendEvent("zns.device", zone_id, assigned, npages=npages)
@@ -591,20 +589,18 @@ class ZNSDevice:
         zone = self.zone(zone_id)
         zone.check_readable(offset)
         page = self._page_of(zone_id, offset)
+        block = page // self.geometry.flash.pages_per_block
         payload, latency = self.nand.read(page)
-        nbytes = self.page_size
+        nbytes = self.geometry.flash.page_size
         self.counters.note_read(nbytes)
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
-                    "zns.device", "read",
-                    block=self.geometry.flash.block_of_page(page),
+                    "zns.device", "read", block=block,
                     page=page, nbytes=nbytes, latency_us=latency,
                 )
             )
-        return payload, FlashOp(
-            OpKind.READ, self.geometry.flash.block_of_page(page), page, latency
-        )
+        return payload, FlashOp(OpKind.READ, block, page, latency)
 
     def read_batch(self, reads: list[tuple[int, int]]) -> np.ndarray:
         """Batched :meth:`read` over ``(zone, offset)`` pairs; returns latencies.
@@ -664,6 +660,7 @@ class ZNSDevice:
             self.zone(src_zone_id).check_readable(src_offset)
         self._ensure_open_for_write(dst)
         start = dst.wp
+        ppb = self.geometry.flash.pages_per_block
         ops: list[FlashOp] = []
         for i, (src_zone_id, src_offset) in enumerate(sources):
             src_page = self._page_of(src_zone_id, src_offset)
@@ -678,13 +675,7 @@ class ZNSDevice:
                 self._degrade_read_only(dst, durable_pages=i)
                 raise
             ops.append(
-                FlashOp(
-                    OpKind.COPY,
-                    self.geometry.flash.block_of_page(dst_page),
-                    dst_page,
-                    latency,
-                    uses_channel=False,
-                )
+                FlashOp(OpKind.COPY, dst_page // ppb, dst_page, latency, uses_channel=False)
             )
         old_state = dst.state
         dst.advance(len(sources))
@@ -693,10 +684,7 @@ class ZNSDevice:
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
-                    "zns.device", "copy",
-                    block=self.geometry.flash.block_of_page(
-                        self._page_of(dst_zone_id, start)
-                    ),
+                    "zns.device", "copy", block=ops[0].block,
                     count=len(sources), nbytes=nbytes,
                 )
             )
@@ -791,9 +779,8 @@ class ZNSDevice:
 
     def append_batch(self, zone_id: int, npages: int = 1) -> int:
         """Batched zone append; returns the assigned start offset."""
-        zone = self.zone(zone_id)
-        assigned = zone.wp
         self.write_batch(zone_id, npages)
+        assigned = self.zones[zone_id].wp - npages  # as in append()
         if self.tracer.enabled:
             self.tracer.publish(
                 ZoneAppendEvent("zns.device", zone_id, assigned, npages=npages)

@@ -10,8 +10,6 @@ zone's capacity when spares run out).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.flash.errors import BadBlockError
@@ -19,14 +17,6 @@ from repro.flash.geometry import ZonedGeometry
 from repro.flash.nand import NandArray
 from repro.obs.events import GcEvent, RecoveryEvent
 from repro.obs.tracer import Tracer
-
-
-@dataclass(frozen=True)
-class ZoneMapping:
-    """Physical erasure blocks currently backing one zone, in write order."""
-
-    zone_id: int
-    blocks: tuple[int, ...]
 
 
 class ZnsFTL:
@@ -86,8 +76,14 @@ class ZnsFTL:
     # -- Translation ---------------------------------------------------------
 
     def blocks_of_zone(self, zone_id: int) -> list[int]:
-        self._check(zone_id)
-        return list(self._zone_blocks[zone_id])
+        return list(self.live_blocks(zone_id))
+
+    def live_blocks(self, zone_id: int) -> list[int]:
+        """The zone's block list itself, not a copy: do not mutate it or
+        hold it across a reset (which rebinds the zone to a new list)."""
+        if not 0 <= zone_id < self.zone_count:
+            self._check(zone_id)
+        return self._zone_blocks[zone_id]
 
     def blocks_array(self, zone_id: int) -> np.ndarray:
         """Cached int64 array of :meth:`blocks_of_zone`. Do not mutate."""
@@ -97,19 +93,6 @@ class ZnsFTL:
             arr = np.asarray(self._zone_blocks[zone_id], dtype=np.int64)
             self._block_arrays[zone_id] = arr
         return arr
-
-    def page_of(self, zone_id: int, offset: int) -> int:
-        """Physical page for (zone, page offset within zone)."""
-        self._check(zone_id)
-        ppb = self.geometry.flash.pages_per_block
-        blocks = self._zone_blocks[zone_id]
-        index, within = divmod(offset, ppb)
-        if index >= len(blocks):
-            raise IndexError(
-                f"offset {offset} beyond zone {zone_id} "
-                f"({len(blocks)} blocks of {ppb} pages)"
-            )
-        return blocks[index] * ppb + within
 
     def zone_capacity_pages(self, zone_id: int) -> int:
         self._check(zone_id)
@@ -221,4 +204,4 @@ class ZnsFTL:
             raise IndexError(f"zone {zone_id} out of range [0, {self.zone_count})")
 
 
-__all__ = ["ZnsFTL", "ZoneMapping"]
+__all__ = ["ZnsFTL"]

@@ -90,13 +90,14 @@ class Zone:
             )
 
     def check_writable(self, npages: int) -> None:
-        if self.state is ZoneState.OFFLINE:
+        state = self.state
+        if state is ZoneState.OFFLINE:
             raise ZoneOfflineError(f"zone {self.zone_id} is offline")
-        if self.state is ZoneState.READ_ONLY:
+        if state is ZoneState.READ_ONLY:
             raise ZoneReadOnlyError(f"zone {self.zone_id} is read-only")
-        if self.state is ZoneState.FULL:
+        if state is ZoneState.FULL:
             raise ZoneStateError(f"zone {self.zone_id} is full")
-        if npages > self.remaining:
+        if npages > self.capacity_pages - self.wp:
             raise ZoneFullError(
                 f"write of {npages} pages exceeds zone {self.zone_id} "
                 f"remaining capacity {self.remaining}"

@@ -62,6 +62,24 @@ class TestBasicIO:
         d.write(0, npages=3, data=[b"a", b"b", b"c"])
         assert d.read(0, 1)[0] == b"b"
 
+    @pytest.mark.parametrize("payloads", [["a"], ["a", "b", "c", "d"], ()])
+    @pytest.mark.parametrize("command", ["write", "append"])
+    def test_payload_list_of_the_wrong_length_moves_nothing(self, command, payloads):
+        """One payload per page or one for all: a list of another length is
+        refused before the implicit open and before any page is programmed
+        (a short one used to program a page, then die on an IndexError with
+        the zone wedged: wp 0 over a block whose write offset was 1)."""
+        d = make_device(store_data=True)
+        with pytest.raises(ValueError, match="payloads for a write of 3 pages"):
+            getattr(d, command)(0, npages=3, data=payloads)
+        zone = d.zone(0)
+        assert (zone.wp, zone.state) == (0, ZoneState.EMPTY)
+        assert not d.nand.write_offsets.any()
+        assert d.counters.writes == d.nand.counters.writes == 0
+        d.check_invariants()
+        d.write(0, npages=3, data=["a", "b", "c"])
+        assert [d.read(0, i)[0] for i in range(3)] == ["a", "b", "c"]
+
     def test_fill_zone_goes_full(self):
         d = make_device()
         d.write(0, npages=d.geometry.pages_per_zone)

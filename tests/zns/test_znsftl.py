@@ -5,6 +5,7 @@ import pytest
 from repro.flash.geometry import ZonedGeometry
 from repro.flash.nand import NandArray
 from repro.flash.wear import WearTracker
+from repro.zns.device import ZNSDevice
 from repro.zns.ftl import ZnsFTL
 
 
@@ -36,19 +37,30 @@ class TestLayout:
         with pytest.raises(ValueError):
             ZnsFTL(zoned, nand, spare_blocks=zoned.flash.total_blocks)
 
+    # Translation is the device's one routine (ZNSDevice._page_of), over
+    # this FTL's block lists.
+
     def test_page_of_linear_layout(self):
-        ftl, _ = make_ftl()
-        ppb = ftl.geometry.flash.pages_per_block
-        blocks = ftl.blocks_of_zone(3)
-        assert ftl.page_of(3, 0) == blocks[0] * ppb
-        assert ftl.page_of(3, ppb) == blocks[1] * ppb
+        zoned = ZonedGeometry.small()
+        ppb = zoned.flash.pages_per_block
+        linear = ZNSDevice(zoned, striped=False)
+        blocks = linear.ftl.blocks_of_zone(3)
+        assert linear._page_of(3, 0) == blocks[0] * ppb
+        assert linear._page_of(3, ppb) == blocks[1] * ppb
+        striped = ZNSDevice(zoned)
+        assert striped._page_of(3, 0) == blocks[0] * ppb
+        assert striped._page_of(3, 1) == blocks[1] * ppb
+        assert striped._page_of(3, len(blocks)) == blocks[0] * ppb + 1
 
     def test_page_of_bounds(self):
-        ftl, _ = make_ftl()
+        for striped in (True, False):
+            device = ZNSDevice(ZonedGeometry.small(), striped=striped)
+            with pytest.raises(IndexError):
+                device._page_of(0, device.ftl.zone_capacity_pages(0))
+            with pytest.raises(IndexError):
+                device._page_of(device.zone_count, 0)
         with pytest.raises(IndexError):
-            ftl.page_of(0, ftl.zone_capacity_pages(0))
-        with pytest.raises(IndexError):
-            ftl.blocks_of_zone(ftl.zone_count)
+            device.ftl.blocks_of_zone(device.ftl.zone_count)
 
 
 class TestReset:
