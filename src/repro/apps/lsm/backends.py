@@ -100,6 +100,7 @@ class _Extent:
         return self.start + self.length
 
 
+_extent_start = attrgetter("start")
 _extent_end = attrgetter("end")
 
 
@@ -202,18 +203,37 @@ class ExtentAllocator:
         return taken
 
     def free(self, extents: list[_Extent]) -> None:
-        """Return extents to the free list, coalescing neighbors."""
-        merged = sorted(self._free + list(extents), key=lambda e: e.start)
-        out: list[_Extent] = []
-        for extent in merged:
-            if out and out[-1].end == extent.start:
-                out[-1] = _Extent(out[-1].start, out[-1].length + extent.length)
-            elif out and out[-1].end > extent.start:
+        """Return extents to the free list, coalescing neighbors.
+
+        The request is checked whole -- against the free list and against
+        itself -- before the list is edited, so a double free leaves the
+        allocator as it was. Each extent is then bisected into place and
+        joined to its two neighbors; the list is coalesced after every
+        call, so nothing further can merge.
+        """
+        free = self._free
+        behind = 0  # end of the previous extent of the request, in address order
+        for extent in sorted(extents, key=_extent_start):
+            at = bisect.bisect_right(free, extent.start, key=_extent_start)
+            if (
+                extent.start < behind
+                or (at and free[at - 1].end > extent.start)
+                or (at < len(free) and free[at].start < extent.end)
+            ):
                 raise ValueError(f"double free around block {extent.start}")
-            else:
-                out.append(extent)
-        self._free = out
-        self.free_blocks += sum(e.length for e in extents)
+            behind = extent.end
+        for extent in extents:
+            start, end = extent.start, extent.end
+            at = bisect.bisect_right(free, start, key=_extent_start)
+            if at and free[at - 1].end == start:
+                start = free[at - 1].start
+                at -= 1
+                del free[at]
+            if at < len(free) and free[at].start == end:
+                end = free[at].end
+                del free[at]
+            free.insert(at, _Extent(start, end - start))
+            self.free_blocks += extent.length
 
 
 class BlockFileBackend(LsmBackend):

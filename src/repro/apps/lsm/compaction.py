@@ -12,6 +12,8 @@ extra device WA underneath it.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Any
 
@@ -81,7 +83,9 @@ class LeveledCompaction:
         """Choose the most urgent compaction, or None if all within budget.
 
         L0 pressure (table count) takes priority, then the level with the
-        highest budget overflow ratio.
+        highest budget overflow ratio. The bottom level has nowhere to
+        push to and no budget (it absorbs overflow), so it is not ranked:
+        ranked, its ratio would outbid and starve every level above it.
         """
         if levels and len(levels[0]) >= self.l0_limit:
             upper = tuple(levels[0])
@@ -90,7 +94,7 @@ class LeveledCompaction:
 
         worst_level = None
         worst_ratio = 1.0
-        for level in range(1, len(levels)):
+        for level in range(1, len(levels) - 1):
             pages = sum(t.size_pages for t in levels[level])
             ratio = pages / self.level_budget_pages(level)
             if ratio > worst_ratio:
@@ -128,25 +132,27 @@ class LeveledCompaction:
         # (relevant for L0), larger table_id means a more recent flush.
         merged: dict[Any, Any] = {}
         for table in task.inputs_lower:
-            merged.update(table.entries)
+            merged.update(zip(table.keys, table.values))
         for table in sorted(task.inputs_upper, key=lambda t: t.table_id):
-            merged.update(table.entries)
+            merged.update(zip(table.keys, table.values))
+        # The two output columns; no (key, value) pair is ever built.
         keys = sorted(merged)
-        items = list(zip(keys, map(merged.__getitem__, keys)))
-        if bottom_level:
-            items = [kv for kv in items if kv[1] is not TOMBSTONE]
-        if not items:
-            return []
+        values = list(map(merged.__getitem__, keys))
+        if bottom_level and any(map(operator.is_, values, itertools.repeat(TOMBSTONE))):
+            live = [v is not TOMBSTONE for v in values]
+            keys = list(itertools.compress(keys, live))
+            values = list(itertools.compress(values, live))
         # Split into output tables of bounded size.
         entries_per_table = max(
             self.max_table_pages * self.page_size // self.entry_bytes, 1
         )
         outputs: list[SSTable] = []
-        for start in range(0, len(items), entries_per_table):
-            chunk = items[start : start + entries_per_table]
+        for start in range(0, len(keys), entries_per_table):
+            chunk = keys[start : start + entries_per_table]
             outputs.append(
                 SSTable(
-                    entries=chunk,
+                    keys=chunk,
+                    values=values[start : start + entries_per_table],
                     level=task.level + 1,
                     size_pages=size_in_pages(len(chunk), self.entry_bytes, self.page_size),
                 )

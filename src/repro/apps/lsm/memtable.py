@@ -15,16 +15,20 @@ class MemTable:
     tombstones so the absence can shadow older on-disk versions. The store
     flushes on entry count (``len``), which its fixed per-entry encoding
     model turns into on-flash pages.
+
+    ``data`` is the buffer itself, one dict for the life of the memtable:
+    ``LSMStore.put`` writes it directly (a put is one Python frame) and
+    ``LSMStore.scan`` iterates it unsorted.
     """
 
     def __init__(self) -> None:
-        self._data: dict[Any, Any] = {}
+        self.data: dict[Any, Any] = {}
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self.data)
 
     def put(self, key: Any, value: Any) -> None:
-        self._data[key] = value
+        self.data[key] = value
 
     def delete(self, key: Any) -> None:
         """Record a tombstone (even for keys never seen here)."""
@@ -32,17 +36,18 @@ class MemTable:
 
     def get(self, key: Any) -> tuple[bool, Any]:
         """Return (present, value); value may be TOMBSTONE."""
-        if key in self._data:
-            return True, self._data[key]
+        if key in self.data:
+            return True, self.data[key]
         return False, None
 
-    def sorted_items(self) -> list[tuple[Any, Any]]:
-        """Entries in key order, tombstones included (flush input)."""
-        keys = sorted(self._data)
-        return list(zip(keys, map(self._data.__getitem__, keys)))
+    def sorted_columns(self) -> tuple[list[Any], list[Any]]:
+        """The keys in order and their values, tombstones included: the
+        two columns of the flushed table."""
+        keys = sorted(self.data)
+        return keys, list(map(self.data.__getitem__, keys))
 
     def clear(self) -> None:
-        self._data.clear()
+        self.data.clear()
 
 
 __all__ = ["MemTable", "TOMBSTONE"]

@@ -1,10 +1,14 @@
 """Immutable sorted runs (SSTables).
 
-An SSTable owns a sorted list of (key, value) entries, knows its key
-range, and records where its pages live via an opaque backend handle.
-Entries stay in memory (this is a simulator -- the *backend* accounts the
-flash traffic); page boundaries are computed from an entry-size model so
-device I/O volume matches what a real encoding would produce.
+An SSTable is two parallel columns -- its sorted keys and their values --
+plus its key range and an opaque backend handle recording where its pages
+live. The write path (flush, compaction merge) hands the columns down as
+it computed them and builds no per-entry pair; pairs exist only at the
+``scan`` boundary (:meth:`SSTable.range_slice`) and in the ``entries``
+view tests and debugging read. The columns stay in memory (this is a
+simulator -- the *backend* accounts the flash traffic); page boundaries
+are computed from an entry-size model so device I/O volume matches what a
+real encoding would produce.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ class SSTable:
 
     Attributes
     ----------
-    entries:
-        Sorted (key, value) pairs; values may be TOMBSTONE.
+    keys, values:
+        The strictly ascending keys and, position for position, their
+        values (which may be TOMBSTONE). Owned by the table: never mutated.
     level:
         LSM level this table belongs to.
     size_pages:
@@ -40,23 +45,29 @@ class SSTable:
         First and last key, set at construction.
     """
 
-    entries: list[tuple[Any, Any]]
+    keys: list[Any]
+    values: list[Any]
     level: int
     size_pages: int
     table_id: int = field(default_factory=lambda: next(_ids))
     handle: Any = None
 
     def __post_init__(self) -> None:
-        if not self.entries:
+        keys = self.keys
+        if not keys:
             raise ValueError("SSTable cannot be empty")
-        # One key list serves the order check, the bisects and the bloom build.
-        keys = [k for k, _ in self.entries]
+        if len(keys) != len(self.values):
+            raise ValueError("SSTable needs one value per key")
         if any(map(operator.ge, keys, itertools.islice(keys, 1, None))):
             raise ValueError("SSTable entries must be strictly sorted by key")
-        self._keys = keys
         # Plain attributes: the level bisects read them once per probe.
         self.min_key = keys[0]
         self.max_key = keys[-1]
+
+    @property
+    def entries(self) -> list[tuple[Any, Any]]:
+        """The (key, value) pairs, built on demand -- a test/debug view."""
+        return list(zip(self.keys, self.values))
 
     @cached_property
     def bloom(self) -> BloomFilter:
@@ -66,7 +77,7 @@ class SSTable:
         Built on the first probe, so a table compacted away unprobed --
         every table of a write-only run -- never hashes its keys.
         """
-        return BloomFilter.build(self._keys)
+        return BloomFilter.build(self.keys)
 
     def might_contain(self, key: Any) -> bool:
         """Bloom check: False means the key is definitely not here."""
@@ -74,21 +85,21 @@ class SSTable:
 
     def range_slice(self, lo: Any, hi: Any) -> list[tuple[Any, Any]]:
         """Entries with lo <= key <= hi (for range scans)."""
-        start = bisect.bisect_left(self._keys, lo)
-        end = bisect.bisect_right(self._keys, hi)
-        return self.entries[start:end]
+        start = bisect.bisect_left(self.keys, lo)
+        end = bisect.bisect_right(self.keys, hi)
+        return list(zip(self.keys[start:end], self.values[start:end]))
 
     def pages_spanned(self, lo: Any, hi: Any) -> range:
         """The table pages a range scan over [lo, hi] must read."""
-        start = bisect.bisect_left(self._keys, lo)
-        end = bisect.bisect_right(self._keys, hi)
+        start = bisect.bisect_left(self.keys, lo)
+        end = bisect.bisect_right(self.keys, hi)
         if start >= end:
             return range(0)
         return range(self.page_of_entry(start), self.page_of_entry(end - 1) + 1)
 
     @property
     def entry_count(self) -> int:
-        return len(self.entries)
+        return len(self.keys)
 
     def overlaps(self, other: "SSTable") -> bool:
         return self.min_key <= other.max_key and other.min_key <= self.max_key
@@ -98,9 +109,10 @@ class SSTable:
 
     def find(self, key: Any) -> tuple[bool, Any, int]:
         """Binary search: returns (present, value, entry_index)."""
-        i = bisect.bisect_left(self._keys, key)
-        if i < len(self._keys) and self._keys[i] == key:
-            return True, self.entries[i][1], i
+        keys = self.keys
+        i = bisect.bisect_left(keys, key)
+        if i < len(keys) and keys[i] == key:
+            return True, self.values[i], i
         return False, None, i
 
     def page_of_entry(self, index: int) -> int:
@@ -110,9 +122,9 @@ class SSTable:
         on page i * P // N. Exact byte-accurate packing would shift
         boundaries slightly but not the I/O counts experiments measure.
         """
-        if not 0 <= index < len(self.entries):
+        if not 0 <= index < len(self.keys):
             raise IndexError(f"entry index {index} out of range")
-        return index * self.size_pages // len(self.entries)
+        return index * self.size_pages // len(self.keys)
 
     def is_tombstone(self, value: Any) -> bool:
         return value is TOMBSTONE

@@ -10,6 +10,10 @@ Write-ahead logging is on by default: WAL pages are small and die at the
 next flush, and *where they land* is a major interface difference -- the
 block backend interleaves them with file data inside erasure blocks while
 the zone backend isolates them in their own zone (ZenFS's layout).
+
+The write path does once what is known once: ``put`` is a single Python
+frame (``delete`` is a put of the tombstone), and flush and compaction
+pass a table's two columns down instead of (key, value) pairs.
 """
 
 from __future__ import annotations
@@ -101,7 +105,6 @@ class LSMStore:
         self.memtable = MemTable()
         self.levels: list[list[SSTable]] = [[] for _ in range(self.config.max_levels)]
         self.stats = LSMStats()
-        self._wal_entries_pending = 0
         self._wal_unsynced: list[tuple[Any, Any]] = []
         self._wal_logged: list[tuple[Any, Any]] = []
         self.compaction = LeveledCompaction(
@@ -116,44 +119,45 @@ class LSMStore:
         # the SSTables, so it and the flushed file agree:
         # len * entry_bytes // page_size >= memtable_pages  <=>  len >= ceil(...).
         entry_bytes, page_size = self.config.entry_bytes, backend.page_size
+        self._entry_bytes = entry_bytes
+        self._wal_enabled = self.config.wal_enabled
         self._wal_entries_per_page = max(page_size // entry_bytes, 1)
         self._flush_entries = -(-self.config.memtable_pages * page_size // entry_bytes)
 
     # -- Public API -------------------------------------------------------------
 
     def put(self, key: Any, value: Any) -> None:
-        """Insert or overwrite one key."""
-        self.stats.user_writes += 1
-        self.stats.user_bytes += self.config.entry_bytes
-        self.memtable.put(key, value)
-        self._log_to_wal(key, value)
-        self._maybe_flush()
+        """Insert or overwrite one key.
+
+        One Python frame in the steady state: the memtable's dict is
+        written directly and the WAL page boundary is read off the buffer
+        the entry joins. Entries wait in ``_wal_unsynced`` until a full
+        page is written, then move to ``_wal_logged`` (durable). That
+        boundary is what a crash exposes: see :meth:`crash_and_recover`.
+        """
+        stats = self.stats
+        stats.user_writes += 1
+        stats.user_bytes += self._entry_bytes
+        data = self.memtable.data
+        data[key] = value
+        if self._wal_enabled:
+            unsynced = self._wal_unsynced
+            unsynced.append((key, value))
+            if len(unsynced) >= self._wal_entries_per_page:
+                self._sync_wal_page()
+        if len(data) >= self._flush_entries:
+            self.flush()
 
     def delete(self, key: Any) -> None:
-        """Delete a key (tombstone write)."""
-        self.stats.user_writes += 1
-        self.stats.user_bytes += self.config.entry_bytes
-        self.memtable.delete(key)
-        self._log_to_wal(key, TOMBSTONE)
-        self._maybe_flush()
+        """Delete a key: a put of the tombstone."""
+        self.put(key, TOMBSTONE)
 
-    def _log_to_wal(self, key: Any, value: Any) -> None:
-        """Append to the WAL once enough entries accumulate for a page.
-
-        Entries buffer in ``_wal_unsynced`` until a full page is written,
-        then move to ``_wal_logged`` (durable). That boundary is what a
-        crash exposes: see :meth:`crash_and_recover`.
-        """
-        if not self.config.wal_enabled:
-            return
-        self._wal_unsynced.append((key, value))
-        self._wal_entries_pending += 1
-        if self._wal_entries_pending >= self._wal_entries_per_page:
-            self.backend.append_wal_page()
-            self.stats.wal_pages += 1
-            self._wal_entries_pending = 0
-            self._wal_logged.extend(self._wal_unsynced)
-            self._wal_unsynced.clear()
+    def _sync_wal_page(self) -> None:
+        """Write the buffered WAL entries as one durable page."""
+        self.backend.append_wal_page()
+        self.stats.wal_pages += 1
+        self._wal_logged.extend(self._wal_unsynced)
+        self._wal_unsynced.clear()
 
     def crash_and_recover(self) -> int:
         """Simulate power loss and WAL replay; returns entries lost.
@@ -171,9 +175,7 @@ class LSMStore:
         lost = len(self._wal_unsynced)
         self.memtable.clear()
         self._wal_unsynced.clear()
-        self._wal_entries_pending = 0
-        for key, value in self._wal_logged:
-            self.memtable.put(key, value)
+        self.memtable.data.update(self._wal_logged)
         self.stats.recoveries += 1
         return lost
 
@@ -232,7 +234,7 @@ class LSMStore:
                 continue
             self._charge_scan_pages(table, lo, hi)
             merged.update(table.range_slice(lo, hi))
-        for k, v in self.memtable.sorted_items():
+        for k, v in self.memtable.data.items():  # unsorted: the result is sorted below
             if lo <= k <= hi:
                 merged[k] = v
         return sorted(
@@ -249,31 +251,25 @@ class LSMStore:
         view: dict[Any, Any] = {}
         for level in range(len(self.levels) - 1, 0, -1):
             for table in self.levels[level]:
-                for k, v in table.entries:
-                    view[k] = v
+                view.update(zip(table.keys, table.values))
         for table in self.levels[0]:
-            for k, v in table.entries:
-                view[k] = v
-        for k, v in self.memtable.sorted_items():
-            view[k] = v
+            view.update(zip(table.keys, table.values))
+        view.update(self.memtable.data)
         return sum(1 for v in view.values() if v is not TOMBSTONE)
 
     # -- Flush and compaction ----------------------------------------------------
 
-    def _maybe_flush(self) -> None:
-        if len(self.memtable) >= self._flush_entries:
-            self.flush()
-
     def flush(self) -> None:
         """Write the memtable as a new L0 table and run due compactions."""
-        items = self.memtable.sorted_items()
-        if not items:
+        keys, values = self.memtable.sorted_columns()
+        if not keys:
             return
         table = SSTable(
-            entries=items,
+            keys=keys,
+            values=values,
             level=0,
             size_pages=size_in_pages(
-                len(items), self.config.entry_bytes, self.backend.page_size
+                len(keys), self.config.entry_bytes, self.backend.page_size
             ),
         )
         self.backend.write_table(table)
@@ -282,7 +278,6 @@ class LSMStore:
         if self.config.wal_enabled:
             # Everything in the WAL is now covered by the flushed table.
             self.backend.reset_wal()
-            self._wal_entries_pending = 0
             self._wal_logged.clear()
             self._wal_unsynced.clear()
         self.stats.flushes += 1
@@ -297,8 +292,6 @@ class LSMStore:
             task = self.compaction.pick_task(self.levels)
             if task is None:
                 return
-            if task.level + 1 >= self.config.max_levels:
-                return  # bottom level absorbs overflow
             bottom = task.level + 1 == self.config.max_levels - 1 or not any(
                 self.levels[task.level + 2 :]
             )

@@ -8,8 +8,10 @@ from repro.apps.lsm.sstable import SSTable
 
 
 def table(keys, level, value="v", size_pages=1):
+    keys = sorted(set(keys))
     return SSTable(
-        entries=[(k, f"{value}{k}") for k in sorted(set(keys))],
+        keys=keys,
+        values=[f"{value}{k}" for k in keys],
         level=level,
         size_pages=size_pages,
     )
@@ -60,6 +62,16 @@ class TestPickTask:
         with pytest.raises(ValueError):
             policy.level_budget_pages(0)
 
+    def test_bottom_level_is_not_ranked(self):
+        # It has no budget and nowhere to push to; ranked, its overflow
+        # ratio would outbid the levels above it and nothing would compact.
+        policy = make_policy(level0_pages=2, level_multiplier=2)
+        l1 = table([1, 2], 1, size_pages=3)  # 1.5x its budget of 2
+        bottom = table(range(10, 20), 2, size_pages=40)  # 10x a budget of 4
+        task = policy.pick_task([[], [l1], [bottom]])
+        assert task.level == 1 and task.inputs_upper == (l1,)
+        assert policy.pick_task([[], [], [bottom]]) is None
+
     def test_picks_cheapest_overlap(self):
         policy = make_policy(level0_pages=1)
         cheap = table([1, 2], 1, size_pages=2)       # no overlap below
@@ -93,8 +105,8 @@ class TestPickTask:
 class TestMerge:
     def test_newer_value_wins(self):
         policy = make_policy()
-        old = SSTable(entries=[(1, "old")], level=1, size_pages=1)
-        new = SSTable(entries=[(1, "new")], level=0, size_pages=1)
+        old = SSTable(keys=[1], values=["old"], level=1, size_pages=1)
+        new = SSTable(keys=[1], values=["new"], level=0, size_pages=1)
         task = CompactionTask(0, (new,), (old,))
         (out,) = policy.merge(task, bottom_level=False)
         assert out.entries == [(1, "new")]
@@ -102,35 +114,53 @@ class TestMerge:
 
     def test_l0_recency_by_table_id(self):
         policy = make_policy()
-        first = SSTable(entries=[(1, "first")], level=0, size_pages=1)
-        second = SSTable(entries=[(1, "second")], level=0, size_pages=1)
+        first = SSTable(keys=[1], values=["first"], level=0, size_pages=1)
+        second = SSTable(keys=[1], values=["second"], level=0, size_pages=1)
         task = CompactionTask(0, (first, second), ())
         (out,) = policy.merge(task, bottom_level=False)
         assert out.entries == [(1, "second")]
 
     def test_tombstones_kept_above_bottom(self):
         policy = make_policy()
-        dead = SSTable(entries=[(1, TOMBSTONE)], level=0, size_pages=1)
+        dead = SSTable(keys=[1], values=[TOMBSTONE], level=0, size_pages=1)
         task = CompactionTask(0, (dead,), ())
         (out,) = policy.merge(task, bottom_level=False)
         assert out.entries[0][1] is TOMBSTONE
 
     def test_tombstones_dropped_at_bottom(self):
         policy = make_policy()
-        dead = SSTable(entries=[(1, TOMBSTONE), (2, "live")], level=0, size_pages=1)
+        dead = SSTable(keys=[1, 2], values=[TOMBSTONE, "live"], level=0, size_pages=1)
         task = CompactionTask(0, (dead,), ())
         (out,) = policy.merge(task, bottom_level=True)
         assert out.entries == [(2, "live")]
 
     def test_all_tombstones_yield_no_output(self):
         policy = make_policy()
-        dead = SSTable(entries=[(1, TOMBSTONE)], level=0, size_pages=1)
+        dead = SSTable(keys=[1], values=[TOMBSTONE], level=0, size_pages=1)
         task = CompactionTask(0, (dead,), ())
         assert policy.merge(task, bottom_level=True) == []
 
+    def test_bottom_merge_drops_shadowed_keys_and_keeps_columns_aligned(self):
+        # 1 entry per output table: every surviving key must still sit
+        # beside its own value after the tombstone filter and the split.
+        policy = make_policy(max_table_pages=1, entry_bytes=4096)
+        lower = table(range(6), 1, value="old")
+        upper = SSTable(keys=[1, 4, 9], values=[TOMBSTONE, "new4", TOMBSTONE], level=0, size_pages=1)
+        task = CompactionTask(0, (upper,), (lower,))
+        kept = policy.merge(task, bottom_level=False)
+        assert [out.entries for out in kept] == [
+            [(0, "old0")], [(1, TOMBSTONE)], [(2, "old2")], [(3, "old3")],
+            [(4, "new4")], [(5, "old5")], [(9, TOMBSTONE)],
+        ]
+        dropped = policy.merge(task, bottom_level=True)
+        assert [out.entries for out in dropped] == [
+            [(0, "old0")], [(2, "old2")], [(3, "old3")], [(4, "new4")], [(5, "old5")],
+        ]
+        assert all(out.size_pages == 1 and out.level == 1 for out in kept + dropped)
+
     def test_outputs_split_at_max_size(self):
         policy = make_policy(max_table_pages=1, entry_bytes=4096)  # 1 entry/page
-        big = SSTable(entries=[(i, i) for i in range(5)], level=0, size_pages=5)
+        big = SSTable(keys=list(range(5)), values=list(range(5)), level=0, size_pages=5)
         task = CompactionTask(0, (big,), ())
         outs = policy.merge(task, bottom_level=False)
         assert len(outs) == 5

@@ -70,33 +70,36 @@ class TestMemTable:
         mt = MemTable()
         for k in ("c", "a", "b"):
             mt.put(k, k)
-        assert [k for k, _ in mt.sorted_items()] == ["a", "b", "c"]
+        mt.delete("b")
+        keys, values = mt.sorted_columns()
+        assert keys == ["a", "b", "c"]
+        assert values == ["a", TOMBSTONE, "c"]
 
 
 class TestSSTable:
     def test_requires_sorted_unique(self):
         with pytest.raises(ValueError):
-            SSTable(entries=[(2, "b"), (1, "a")], level=0, size_pages=1)
+            SSTable(keys=[2, 1], values=["b", "a"], level=0, size_pages=1)
         with pytest.raises(ValueError):
-            SSTable(entries=[(1, "a"), (1, "b")], level=0, size_pages=1)
+            SSTable(keys=[1, 1], values=["a", "b"], level=0, size_pages=1)
         with pytest.raises(ValueError):
-            SSTable(entries=[], level=0, size_pages=1)
+            SSTable(keys=[], values=[], level=0, size_pages=1)
 
     def test_find(self):
-        t = SSTable(entries=[(1, "a"), (3, "c")], level=0, size_pages=1)
+        t = SSTable(keys=[1, 3], values=["a", "c"], level=0, size_pages=1)
         assert t.find(1) == (True, "a", 0)
         assert t.find(2)[0] is False
         assert t.find(3) == (True, "c", 1)
 
     def test_overlap(self):
-        a = SSTable(entries=[(1, "a"), (5, "e")], level=1, size_pages=1)
-        b = SSTable(entries=[(4, "d"), (9, "i")], level=1, size_pages=1)
-        c = SSTable(entries=[(6, "f"), (9, "i")], level=1, size_pages=1)
+        a = SSTable(keys=[1, 5], values=["a", "e"], level=1, size_pages=1)
+        b = SSTable(keys=[4, 9], values=["d", "i"], level=1, size_pages=1)
+        c = SSTable(keys=[6, 9], values=["f", "i"], level=1, size_pages=1)
         assert a.overlaps(b)
         assert not a.overlaps(c)
 
     def test_page_of_entry_monotonic(self):
-        t = SSTable(entries=[(i, i) for i in range(100)], level=0, size_pages=4)
+        t = SSTable(keys=list(range(100)), values=list(range(100)), level=0, size_pages=4)
         pages = [t.page_of_entry(i) for i in range(100)]
         assert pages == sorted(pages)
         assert pages[0] == 0
@@ -342,6 +345,21 @@ class TestBackends:
             store.put(i % 500, i)
         assert store.backend.stats.backend_write_amplification >= 1.0
 
+    def test_full_bottom_level_does_not_starve_the_levels_above(self):
+        # Three levels, so the bottom fills at once; L1 must keep draining
+        # into it (parent: L1 reached 66x its budget on this fill).
+        cfg = LSMConfig(
+            memtable_pages=2, level0_pages=4, level_multiplier=2, max_table_pages=2, max_levels=3
+        )
+        store = ram_store(cfg)
+        rng = random.Random(0)
+        for i in range(40_000):
+            store.put(rng.randrange(20_000), i)
+            if i % 1000 == 999:
+                assert store.level_sizes_pages()[1] <= 2 * cfg.level0_pages
+        assert store.level_sizes_pages()[2] > 100 * cfg.level0_pages
+        store.check_invariants()
+
     def test_level_sizes_report(self):
         store = ram_store()
         for i in range(2000):
@@ -356,7 +374,7 @@ class TestZoneFileBackend:
 
     @staticmethod
     def table(pages, level=0):
-        return SSTable(entries=[(0, "v")], level=level, size_pages=pages)
+        return SSTable(keys=[0], values=["v"], level=level, size_pages=pages)
 
     def test_file_ending_on_zone_boundary_survives_dead_neighbours(self):
         backend = ZoneFileBackend(ZNSDevice(ZonedGeometry.small()))

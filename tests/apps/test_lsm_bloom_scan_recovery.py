@@ -74,7 +74,7 @@ class TestFilterBuiltOnFirstProbe:
 
     def test_first_probe_builds_once(self, build_calls):
         keys = list(range(0, 400, 2))
-        table = SSTable(entries=[(k, k) for k in keys], level=1, size_pages=4)
+        table = SSTable(keys=keys, values=list(keys), level=1, size_pages=4)
         assert build_calls == []
         assert table.might_contain(10)
         table.might_contain(11)
@@ -83,7 +83,7 @@ class TestFilterBuiltOnFirstProbe:
 
     def test_lazy_filter_is_the_eager_filter(self):
         keys = [("k", i) for i in range(300)]
-        table = SSTable(entries=[(k, None) for k in keys], level=0, size_pages=3)
+        table = SSTable(keys=keys, values=[None] * len(keys), level=0, size_pages=3)
         eager = BloomFilter.build(keys)
         assert bytes(table.bloom._bits) == bytes(eager._bits)
         assert (table.bloom.num_bits, table.bloom.num_hashes, table.bloom.items_added) == (

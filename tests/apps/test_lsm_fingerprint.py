@@ -68,6 +68,12 @@ def test_block_backend_fingerprint():
         store.scan(lo, lo + 100)
     store.check_invariants()
     assert _digest(store, ssd.ftl.nand) == PINNED["block"]
+    # What the in-place ``ExtentAllocator.free`` relies on: the free list
+    # is sorted and fully coalesced after every allocate and free.
+    allocator = store.backend.allocator
+    free = allocator._free
+    assert all(left.end < right.start for left, right in zip(free, free[1:]))
+    assert sum(extent.length for extent in free) == allocator.free_blocks
 
 
 def test_zone_backend_fingerprint():
