@@ -21,7 +21,6 @@ from functools import cached_property
 from typing import Any
 
 from repro.apps.lsm.bloom import BloomFilter
-from repro.apps.lsm.memtable import TOMBSTONE
 
 _ids = itertools.count()
 
@@ -125,9 +124,6 @@ class SSTable:
         if not 0 <= index < len(self.keys):
             raise IndexError(f"entry index {index} out of range")
         return index * self.size_pages // len(self.keys)
-
-    def is_tombstone(self, value: Any) -> bool:
-        return value is TOMBSTONE
 
 
 _min_key = operator.attrgetter("min_key")

@@ -207,7 +207,10 @@ class TimedConventionalSSD:
                         t=self.engine.now,
                     )
                 )
-            yield self.engine.poll(self._stalled, self.gc_poll_interval_us)
+            # Bound first: `stats.x += (yield ...)` would read the counter
+            # before suspending and drop every other writer's increments.
+            ticks = yield self.engine.poll(self._stalled, self.gc_poll_interval_us)
+            self.ftl.stats.foreground_gc_stalls += 1 + ticks
         if self.tracer.enabled:
             self.tracer.publish(
                 HostRequestEvent(
@@ -230,11 +233,8 @@ class TimedConventionalSSD:
         return latency
 
     def _stalled(self) -> bool:
-        """Whether a write must wait for free blocks; counts each check that says so."""
-        if self.ftl.free_block_count <= self._stall_threshold:
-            self.ftl.stats.foreground_gc_stalls += 1
-            return True
-        return False
+        """Whether a write must wait for free blocks (a pure poll predicate)."""
+        return self.ftl.free_block_count <= self._stall_threshold
 
     # -- Background collection ----------------------------------------------------
 

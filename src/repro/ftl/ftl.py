@@ -112,6 +112,9 @@ class FTLStats:
     blocks_erased: int = 0
     host_pages_read: int = 0
     trims: int = 0
+    #: Untimed, each inline collection a write had to wait for; timed
+    #: (``TimedConventionalSSD``), per stalled write the inline check plus
+    #: each blocked tick.
     foreground_gc_stalls: int = 0
     scrubs: int = 0
     program_faults: int = 0

@@ -12,9 +12,11 @@ The engine is a classic calendar-queue DES:
   each other.
 - :class:`Timeout` is an event that triggers ``delay`` after creation.
 - :class:`Poll` is an event that re-checks a predicate every ``interval``
-  and triggers at the first tick that finds it false. The engine itself
-  runs the ticks, so a waiter parked on a poll is resumed once, when the
-  condition clears, not once per tick.
+  and triggers at the first tick that finds it false. Its ticks wait in
+  the engine's poll lane, beside the heap, and a waiter parked on a poll
+  is resumed once, when the condition clears. ``run`` moves all the
+  blocked ticks due before the next other event on one predicate check,
+  so a tick costs neither a generator resume nor a heap sift.
 
 Example::
 
@@ -159,17 +161,22 @@ class Poll(Event):
         while blocked():
             yield engine.sleep(interval)
 
-    A tick is what one of that loop's sleeps was: one heap entry
-    ``interval`` after the previous one, one sequence number, one processed
-    event. On each tick the engine calls ``blocked()`` once. True re-arms
-    the poll ``interval`` later under the next sequence number; false runs
-    the callbacks inside that same event, so a waiting process continues at
-    the tick's time. Every tick keeps the ``(time, seq)`` key the loop's
-    sleep would have had, so ties with other same-time events resolve as
-    they did; what goes is the generator resume per tick. A tick that finds
-    no callbacks (its waiter was interrupted, or nothing ever waited)
-    lapses: it neither calls ``blocked()`` nor re-arms. Polls are not
+    A tick is what one of that loop's sleeps was: one entry ``interval``
+    after the previous one, one processed event, ordered against every
+    other event as the loop's sleep was. A blocked tick re-arms the poll
+    ``interval`` later; a clear one runs the callbacks inside that same
+    event, so a waiting process continues at the tick's time. The poll's
+    value is its number of blocked ticks (0 if the first tick is clear).
+    A tick that finds no callbacks (its waiter was interrupted, or nothing
+    ever waited) lapses: it neither checks nor re-arms. Polls are not
     pooled.
+
+    ``blocked`` must be a pure function of simulation state, because it is
+    not called once per tick: :meth:`Engine.run` checks it once for all
+    the consecutive ticks due before the next other event whose
+    predicates compare equal (``==``, as bound methods of one object do),
+    since nothing can change between them. All polls of an engine share
+    one interval while any is armed.
     """
 
     __slots__ = ("blocked", "interval")
@@ -180,13 +187,15 @@ class Poll(Event):
         super().__init__(engine)
         self.blocked = blocked
         self.interval = interval
+        self.value = 0
         self._state = _TRIGGERED
-        engine._schedule(self, interval)
+        engine._arm(self)
 
     def _process(self) -> None:
-        """One tick, as :meth:`Engine.step` drives it (``run`` inlines this)."""
+        """One tick, as :meth:`Engine.step` drives it (``run`` batches them)."""
         if self.callbacks and self.blocked():
-            self.engine._schedule(self, self.interval)
+            self.value += 1
+            self.engine._arm(self)
         else:
             Event._process(self)
 
@@ -340,9 +349,10 @@ class Process(Event):
 class Engine:
     """The simulation event loop.
 
-    Maintains the clock (:attr:`now`, microseconds) and a priority queue of
-    triggered events. :meth:`run` processes events in time order until the
-    queue is empty or ``until`` is reached.
+    Maintains the clock (:attr:`now`, microseconds), a priority queue of
+    triggered events, a fifo of zero-delay ones and a lane of armed polls.
+    :meth:`run` processes events in ``(time, seq)`` order across all three
+    until they are empty or ``until`` is reached.
     """
 
     #: Upper bound on each recycling pool; beyond this, events are simply
@@ -359,6 +369,11 @@ class Engine:
         # with the heap top recovers global (time, seq) order without
         # paying O(log n) per zero-delay event.
         self._fifo: deque[tuple[float, int, Event]] = deque()
+        # Poll lane: every armed Poll, sorted by construction for the same
+        # reason -- each is armed at ``now + interval`` under a fresh
+        # sequence number, with one interval for all of them.
+        self._lane: deque[tuple[float, int, Poll]] = deque()
+        self._lane_interval = 0.0
         self._sequence = itertools.count()
         self._processed_count = 0
         self._event_pool: list[Event] = []
@@ -377,6 +392,18 @@ class Engine:
         else:
             # Negative or NaN: either would put an entry behind the clock.
             raise SimulationError(f"delay must be a non-negative number, got {delay!r}")
+
+    def _arm(self, poll: Poll) -> None:
+        """Queue ``poll``'s next tick at the tail of the lane."""
+        lane = self._lane
+        if not lane:
+            self._lane_interval = poll.interval
+        elif poll.interval != self._lane_interval:
+            raise SimulationError(
+                f"poll interval {poll.interval!r} differs from the armed polls' "
+                f"{self._lane_interval!r}"
+            )
+        lane.append((self.now + poll.interval, next(self._sequence), poll))
 
     def _acquire_event(self) -> Event:
         """A pending pool-managed :class:`Event` (engine-internal use)."""
@@ -454,17 +481,12 @@ class Engine:
         Raises :class:`SimulationError` if the queue is empty (the kernel
         has nothing left to do).
         """
-        fifo = self._fifo
         queue = self._queue
-        if fifo:
-            if queue and queue[0] < fifo[0]:
-                when, _seq, event = heapq.heappop(queue)
-            else:
-                when, _seq, event = fifo.popleft()
-        elif queue:
-            when, _seq, event = heapq.heappop(queue)
-        else:
+        heads = [q for q in (self._fifo, queue, self._lane) if q]
+        if not heads:
             raise SimulationError("step() on an empty event queue")
+        source = min(heads, key=lambda q: q[0])
+        when, _seq, event = heapq.heappop(queue) if source is queue else source.popleft()
         self.now = when
         self._processed_count += 1
         event._process()
@@ -473,13 +495,8 @@ class Engine:
 
     def peek(self) -> float:
         """Time of the next event, or ``inf`` if the queue is empty."""
-        fifo = self._fifo
-        queue = self._queue
-        if fifo:
-            if queue and queue[0] < fifo[0]:
-                return queue[0][0]
-            return fifo[0][0]
-        return queue[0][0] if queue else float("inf")
+        heads = [q[0][0] for q in (self._fifo, self._queue, self._lane) if q]
+        return min(heads, default=float("inf"))
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run until the queue drains, ``until`` time passes, or event fires.
@@ -496,38 +513,67 @@ class Engine:
             if not horizon >= self.now:  # also refuses NaN
                 raise SimulationError(f"cannot run until {horizon}; now is {self.now}")
         # step() inlined: same pop order and processed_events accounting,
-        # without a call per event, and a blocked Poll tick is re-armed
-        # here without leaving the loop.
+        # without a call per event. The "real" source is whichever of the
+        # fifo and the heap holds the next non-poll event.
         fifo = self._fifo
         queue = self._queue
+        lane = self._lane
         sequence = self._sequence
         heappop = heapq.heappop
-        heapreplace = heapq.heapreplace
         while stop is None or stop._state != _PROCESSED:
             if fifo and not (queue and queue[0] < fifo[0]):
-                when, _seq, event = fifo[0]
-                if when > horizon:
-                    break
-                fifo.popleft()
+                source = fifo
             elif queue:
-                when, _seq, event = queue[0]
+                source = queue
+            else:
+                source = None
+            if lane and (source is None or lane[0] < source[0]):
+                when, _seq, poll = lane[0]
                 if when > horizon:
                     break
-                if type(event) is Poll and event.callbacks:
-                    self.now = when
+                self.now = when
+                if not (poll.callbacks and poll.blocked()):
+                    lane.popleft()
                     self._processed_count += 1
-                    if event.blocked():
-                        # Same entry as pop-then-push, one sift.
-                        heapreplace(queue, (when + event.interval, next(sequence), event))
-                    else:
-                        heappop(queue)
-                        Event._process(event)
+                    Event._process(poll)
                     continue
-                heappop(queue)
-            elif stop is not None:
-                raise SimulationError("event queue drained before `until` event triggered")
-            else:
+                # Blocked. Until the real head (or the horizon) nothing but
+                # ticks runs, so no state changes: every following tick
+                # with a waiter and an equal predicate is blocked too. All
+                # go to the tail under one sequence number -- nothing else
+                # is scheduled meanwhile, so it orders against every heap
+                # and fifo entry as distinct numbers would, and inside the
+                # lane order is by position.
+                limit = (horizon, float("inf"))
+                if source is not None:
+                    limit = min(source[0], limit)
+                blocked = poll.blocked
+                interval = self._lane_interval
+                seq = next(sequence)
+                ticks = 0
+                while True:
+                    lane.popleft()
+                    poll.value += 1
+                    lane.append((when + interval, seq, poll))
+                    ticks += 1
+                    head = lane[0]
+                    if not (head < limit and head[2].callbacks and head[2].blocked == blocked):
+                        break
+                    when, _seq, poll = head
+                self.now = when
+                self._processed_count += ticks
+                continue
+            if source is None:
+                if stop is not None:
+                    raise SimulationError("event queue drained before `until` event triggered")
                 break
+            when, _seq, event = source[0]
+            if when > horizon:
+                break
+            if source is fifo:
+                fifo.popleft()
+            else:
+                heappop(queue)
             self.now = when
             self._processed_count += 1
             event._process()

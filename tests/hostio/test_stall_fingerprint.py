@@ -3,10 +3,12 @@
 ``TimedConventionalSSD._write_proc`` and ``TimedZonedBlockDevice._write_proc``
 park a writer that finds no free block / zone and re-check every 100 us.
 Which stalled writer takes a freed block is decided by ``(time, seq)``
-among same-time heap entries, so a speed-only change to how a parked
-writer polls must leave every number below where it is: the event count
-and final clock (a tick is still an event), the per-tick stall counter,
-every request latency and the NAND traffic the interleaving produced.
+among same-time events, so a speed-only change to how a parked writer
+polls must leave every number below where it is: the event count and
+final clock (a tick is still an event, though no longer a generator
+resume or a heap entry), the stall counter (the inline check plus each
+blocked tick), every request latency and the NAND traffic the
+interleaving produced.
 
 Both digests were recorded on the source of commit c98fa0a -- where each
 writer still ran ``while <stalled>: yield engine.sleep(100.0)`` in its

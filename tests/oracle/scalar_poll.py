@@ -5,9 +5,11 @@ This is the stall loop as ``TimedConventionalSSD._write_proc`` and
 before polling moved into the engine (commit c98fa0a), kept verbatim:
 the waiter is resumed on every tick to re-read the condition and goes
 back to sleep on a fresh pooled ``Timeout``. It pins what ``Engine.poll``
-must reproduce -- one event and one sequence number per tick, one
-``blocked()`` call per tick, and the waiter continuing inside the tick
-that finds the condition clear.
+must reproduce -- one event per tick, in the ``(time, seq)`` order its
+sleeps had, the waiter continuing inside the tick that finds the condition
+clear, and as many blocked ticks as the loop had ``blocked()`` calls that
+said true after the inline one (the engine itself checks once per batch
+of ticks, not once per tick).
 """
 
 

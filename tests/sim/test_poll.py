@@ -3,8 +3,9 @@
 The order-of-events equivalence with the generator loop it replaced is
 ``test_poll_oracle.py``; this file holds the edges: a delay that would put
 an entry behind the clock is refused where it is passed, a poll needs a
-positive interval, and a poll whose waiter was interrupted lapses the way
-an orphaned ``Timeout`` does.
+positive interval, its value counts its blocked ticks, a poll whose waiter
+was interrupted lapses the way an orphaned ``Timeout`` does, and all polls
+armed at once share one interval.
 """
 
 import pytest
@@ -67,21 +68,25 @@ def test_poll_needs_a_positive_interval(interval):
         Engine().poll(lambda: False, interval)
 
 
+def _drive(engine: Engine, driver: str) -> None:
+    """Drain ``engine`` with ``run()`` or one ``step()`` at a time."""
+    if driver == "run":
+        engine.run()
+    else:
+        while engine.peek() != float("inf"):
+            engine.step()
+
+
 def test_poll_wakes_its_waiter_inside_the_tick_that_finds_it_clear():
     engine = Engine()
     gate = [True]
-    checks = []
     woke = []
-
-    def blocked():
-        checks.append(engine.now)
-        return gate[0]
 
     def waiter():
         yield Timeout(engine, 30.0)
-        if blocked():
-            yield engine.poll(blocked, 100.0)
-        woke.append((engine.now, engine.processed_events))
+        if gate[0]:
+            ticks = yield engine.poll(lambda: gate[0], 100.0)
+            woke.append((engine.now, engine.processed_events, ticks))
 
     def opener():
         yield Timeout(engine, 250.0)
@@ -90,45 +95,52 @@ def test_poll_wakes_its_waiter_inside_the_tick_that_finds_it_clear():
     engine.process(waiter())
     engine.process(opener())
     engine.run()
-    # First check inline at 30, then one per tick; clear at the 330 tick.
-    assert checks == [30.0, 130.0, 230.0, 330.0]
-    # Two bootstraps, two timeouts, the opener finishing, then the third
-    # tick: the wake happens inside the eighth event, not in one after it.
-    assert woke == [(330.0, 8)]
+    # Two bootstraps, the waiter's timeout, the blocked ticks at 130 and
+    # 230, the opener's timeout and its finishing, then the tick at 330
+    # that finds the gate open: the wake happens inside the eighth event,
+    # not in one after it, and the poll's value counts the two blocked ticks.
+    assert woke == [(330.0, 8, 2)]
     assert engine.now == 330.0
 
 
-def test_poll_is_an_event_with_no_value():
+@pytest.mark.parametrize("driver", ["run", "step"])
+def test_poll_value_is_its_blocked_tick_count(driver):
     engine = Engine()
+    gate = [True]
     got = []
+    # Gated first: its blocked tick at 100 must not carry the clear poll's
+    # tick (another predicate) into its batch.
+    gated = engine.poll(lambda: gate[0], 100.0)
+    clear = engine.poll(lambda: False, 100.0)
 
-    poll = engine.poll(lambda: False, 10.0)
+    def waiter(poll):
+        ticks = yield poll
+        got.append((poll is gated, engine.now, ticks))
 
-    def waiter():
-        got.append((yield poll))
+    def opener():
+        yield Timeout(engine, 250.0)
+        gate[0] = False
 
-    engine.process(waiter())
-    engine.run()
-    assert isinstance(poll, Poll) and poll.processed
-    assert got == [None] and engine.now == 10.0
+    engine.process(waiter(clear))
+    engine.process(waiter(gated))
+    engine.process(opener())
+    _drive(engine, driver)
+    assert isinstance(gated, Poll) and clear.processed and gated.processed
+    # Clear at its first tick: 0. Blocked at 100 and 200, clear at 300: 2.
+    assert got == [(False, 100.0, 0), (True, 300.0, 2)]
 
 
 @pytest.mark.parametrize("driver", ["run", "step"])
 def test_interrupted_waiter_gets_interrupt_and_the_poll_lapses(driver):
     """A 100 us poll interrupted at t=250 drains at 300.0: its next tick
-    is still on the heap, finds no waiter, and neither checks nor re-arms
+    is still in the lane, finds no waiter, and neither checks nor re-arms
     -- exactly what the loop's orphaned ``Timeout`` did."""
     engine = Engine()
-    checks = []
     caught = []
-
-    def blocked():
-        checks.append(engine.now)
-        return True  # would poll forever
 
     def waiter():
         try:
-            yield engine.poll(blocked, 100.0)
+            yield engine.poll(lambda: True, 100.0)  # would poll forever
         except Interrupt as exc:
             caught.append((engine.now, exc.cause))
 
@@ -139,14 +151,58 @@ def test_interrupted_waiter_gets_interrupt_and_the_poll_lapses(driver):
         victim.interrupt("shutdown")
 
     engine.process(interrupter())
-    if driver == "run":
-        engine.run()
-    else:
-        while engine.peek() != float("inf"):
-            engine.step()
+    _drive(engine, driver)
     assert caught == [(250.0, "shutdown")]
-    assert checks == [100.0, 200.0]
     assert engine.now == 300.0
+    # Two bootstraps, ticks at 100 and 200, the timeout, the interrupt,
+    # both processes finishing, the lapsed tick at 300.
+    assert engine.processed_events == 9
+
+
+def test_a_poll_nobody_waits_on_lapses_inside_a_batch():
+    """Two polls on one predicate, the second with no waiter: the first's
+    blocked tick at 100 starts a batch, which must stop at the orphan so
+    that it lapses at its first tick instead of re-arming."""
+    engine = Engine()
+    gate = [True]
+
+    def blocked():
+        return gate[0]
+
+    waited = engine.poll(blocked, 100.0)
+    orphan = engine.poll(blocked, 100.0)
+    woke = []
+
+    def waiter():
+        ticks = yield waited
+        woke.append((engine.now, ticks))
+
+    def opener():
+        yield Timeout(engine, 450.0)
+        gate[0] = False
+
+    engine.process(waiter())
+    engine.process(opener())
+    engine.run()
+    assert orphan.processed and orphan.value == 0
+    assert woke == [(500.0, 4)]
+
+
+def test_the_lane_refuses_a_second_interval_while_armed():
+    engine = Engine()
+    engine.poll(lambda: False, 100.0)
+    with pytest.raises(SimulationError, match="interval"):
+        engine.poll(lambda: False, 50.0)
+    assert engine.peek() == 100.0
+
+
+def test_the_lane_adopts_a_new_interval_once_drained():
+    engine = Engine()
+    engine.poll(lambda: False, 100.0)
+    engine.run()
+    poll = engine.poll(lambda: False, 50.0)
+    engine.run()
+    assert poll.processed and engine.now == 150.0
 
 
 def test_poll_nobody_waits_on_lapses_at_its_first_tick():
