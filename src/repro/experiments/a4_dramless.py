@@ -18,7 +18,7 @@ entirely in kilobytes, so its overhead is identically zero.
 from __future__ import annotations
 
 from repro.block.factory import DeviceSpec, build_stack
-from repro.experiments.base import ExperimentConfig, ExperimentResult, experiment
+from repro.experiments.base import ExperimentConfig, ExperimentResult, experiment, measurement
 from repro.sim.rng import make_rng
 
 
@@ -31,8 +31,12 @@ def _spec(quick: bool, **fields) -> DeviceSpec:
     )
 
 
+@measurement
 def measure_cmt_budget(cmt_bytes: int, quick: bool, seed: int) -> dict:
-    """Drive one DFTL at the given CMT budget; returns the measured row."""
+    """Drive one DFTL at the given CMT budget; returns the measured row.
+
+    E2 samples three of these points, so a run shares the computation.
+    """
     device = build_stack(_spec(quick, cmt_bytes=cmt_bytes))
     n = device.logical_pages
     for lpn in range(n):

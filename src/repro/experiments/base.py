@@ -20,16 +20,23 @@ convention (``run(quick=True, seed=0)``) has been removed; construct an
 Sweep-style experiments additionally publish a :class:`SweepSpec`
 (module attribute ``SWEEP``) decomposing the run into independent,
 picklable parameter points so the executor can fan them out.
+
+A device measurement two experiments share (E2 and A4 drive the same
+DFTL runs, E14 repeats one of E1's OP points) is a :func:`measurement`:
+the first caller in a process computes it, later callers get a copy.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import inspect
 import json
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
+
+from repro.obs.runtime import metrics_aggregator
 
 #: Version of the on-disk / on-the-wire dict schema for both
 #: :class:`ExperimentConfig` and :class:`ExperimentResult`. Bump when a
@@ -292,8 +299,6 @@ def experiment(
                     f"config is for {config.experiment_id!r}, "
                     f"this is experiment {experiment_id!r}"
                 )
-            from repro.obs.runtime import metrics_aggregator
-
             aggregator = metrics_aggregator()
             if aggregator is not None:
                 aggregator.reset()
@@ -307,6 +312,37 @@ def experiment(
         return run
 
     return decorate
+
+
+def measurement(fn: Callable[..., dict]) -> Callable[..., dict]:
+    """Compute a pure device measurement once per process.
+
+    ``fn`` must be a function of primitive arguments that returns a row
+    of primitives. The memo key is the call's arguments bound to ``fn``'s
+    signature with defaults applied, so a positional and a keyword call
+    share one entry; every caller gets its own copy of the stored row.
+    ``cache_clear()`` empties the memo, as on :func:`functools.lru_cache`.
+
+    While metrics collection is active the memo is neither read nor
+    filled: :attr:`ExperimentResult.metrics` summarises the events of the
+    experiment's own run, so that run must do its own work.
+    """
+    signature = inspect.signature(fn)
+    memo: dict[tuple, dict] = {}
+
+    @functools.wraps(fn)
+    def measured(*args: Any, **kwargs: Any) -> dict:
+        if metrics_aggregator() is not None:
+            return fn(*args, **kwargs)
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        key = tuple(bound.arguments.items())
+        if key not in memo:
+            memo[key] = fn(*args, **kwargs)
+        return dict(memo[key])
+
+    measured.cache_clear = memo.clear
+    return measured
 
 
 def _fmt(value: Any) -> str:
@@ -327,4 +363,5 @@ __all__ = [
     "ExperimentResult",
     "SweepSpec",
     "experiment",
+    "measurement",
 ]

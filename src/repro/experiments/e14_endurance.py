@@ -21,6 +21,8 @@ margin the same spare capacity must also cover.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.block.factory import DeviceSpec, build_stack
 from repro.cost.lifetime import qlc_enablement_table
 from repro.experiments.base import ExperimentConfig, ExperimentResult, experiment
@@ -29,20 +31,19 @@ from repro.ftl.wearlevel import WL_POLICIES, spare_report
 from repro.workloads.synthetic import fill_then_churn, hot_cold_array
 
 
-def measure_wearlevel(wl_policy: str, quick: bool, seed: int) -> dict:
-    """Erase-spread and WA for one policy under hot/cold traffic."""
-    ftl = build_stack(
-        DeviceSpec(
-            kind="conventional-ftl",
-            geometry="small" if quick else "bench",
-            ftl={"op_ratio": 0.11},
-            wl_policy=wl_policy,
-        )
+def _wearlevel_spec(wl_policy: str, quick: bool) -> DeviceSpec:
+    return DeviceSpec(
+        kind="conventional-ftl",
+        geometry="small" if quick else "bench",
+        ftl={"op_ratio": 0.11},
+        wl_policy=wl_policy,
     )
-    n = ftl.logical_pages
-    # 10% of pages take 90% of writes: the cold 90% pins its blocks at
-    # zero erases unless the policy forcibly migrates them.
-    fill_then_churn(ftl, hot_cold_array(n, (4 if quick else 6) * n, seed=seed))
+
+
+def measure_wearlevel(wl_policy: str, quick: bool, churn: np.ndarray) -> dict:
+    """Erase-spread and WA for one policy after ``churn``'s overwrites."""
+    ftl = build_stack(_wearlevel_spec(wl_policy, quick))
+    fill_then_churn(ftl, churn)
     report = spare_report(ftl)
     host = ftl.stats.host_pages_written
     copied = ftl.stats.gc_pages_copied
@@ -70,7 +71,13 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     )
     qlc = next(r for r in rows if r["cell"] == "QLC")
     tlc = next(r for r in rows if r["cell"] == "TLC")
-    wl_rows = [measure_wearlevel(p, quick, seed) for p in WL_POLICIES]
+    # 10% of pages take 90% of writes: the cold 90% pins its blocks at
+    # zero erases unless the policy forcibly migrates them. The policy
+    # does not change the exported capacity, so every arm replays one
+    # churn, drawn once.
+    n = build_stack(_wearlevel_spec(WL_POLICIES[0], quick)).logical_pages
+    churn = hot_cold_array(n, (4 if quick else 6) * n, seed=seed)
+    wl_rows = [measure_wearlevel(p, quick, churn) for p in WL_POLICIES]
     spreads = {r["wl_policy"]: r["erase_spread"] for r in wl_rows}
     rows = rows + wl_rows
     return ExperimentResult(

@@ -17,7 +17,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.block.factory import DeviceSpec, build_stack
-from repro.experiments.base import ExperimentConfig, ExperimentResult, SweepSpec, experiment
+from repro.experiments.base import (
+    ExperimentConfig,
+    ExperimentResult,
+    SweepSpec,
+    experiment,
+    measurement,
+)
 from repro.workloads.synthetic import uniform_array
 
 
@@ -40,6 +46,7 @@ def device_spec(
     return DeviceSpec(kind="conventional-ftl", geometry=geometry, ftl=ftl_cfg)
 
 
+@measurement
 def measure_wa(
     op_ratio: float,
     geometry: str = "bench",
@@ -47,7 +54,7 @@ def measure_wa(
     seed: int = 0,
     gc_policy: str = "greedy",
 ) -> dict:
-    """Steady-state device WA for one OP point."""
+    """Steady-state device WA for one OP point (E14 repeats the 28% one)."""
     ftl = build_stack(device_spec(op_ratio, geometry, gc_policy))
     n = ftl.logical_pages
     # Fill sequentially, then overwrite once to reach steady state. The

@@ -23,47 +23,16 @@ from repro.cost.dram import (
     dram_overhead_table,
     zns_mapping_dram_bytes,
 )
+from repro.experiments.a4_dramless import measure_cmt_budget
 from repro.experiments.base import ExperimentConfig, ExperimentResult, experiment
 from repro.flash.geometry import GIB, KIB, TIB, FlashGeometry, ZonedGeometry
 from repro.flash.nand import NandArray
 from repro.ftl.mapping import FullPageMap
-from repro.sim.rng import make_rng
 from repro.zns.ftl import ZnsFTL
 
 
-def measure_cmt_tradeoff(cmt_bytes: int, seed: int) -> dict:
-    """One point of the DRAM-budget vs translation-overhead curve.
-
-    Small geometry regardless of quick mode: the sweep probes the shape
-    of the trade (hit rate and miss amplification vs budget), which is
-    scale-free, and A4 covers the bench-scale measurement.
-    """
-    device = build_stack(
-        DeviceSpec(kind="dftl", geometry="small", ftl={"op_ratio": 0.11},
-                   cmt_bytes=cmt_bytes)
-    )
-    n = device.logical_pages
-    for lpn in range(n):
-        device.write(lpn)
-    rng = make_rng(seed)
-    for _ in range(2 * n):
-        lpn = int(rng.integers(0, n))
-        if rng.random() < 0.5:
-            device.read(lpn)
-        else:
-            device.write(lpn)
-    decomp = device.wa_decomposition()
-    store = device.store
-    return {
-        "model": "dftl-measured",
-        "cmt_kib": cmt_bytes // 1024,
-        "map_coverage_pct": round(
-            100 * min(store.capacity_pages / store.translation_pages, 1.0), 1
-        ),
-        "hit_rate": round(store.stats.hit_rate, 3),
-        "read_overhead": round(device.read_overhead_factor, 3),
-        "translation_factor": round(decomp.translation_factor, 3),
-    }
+#: The columns E2 reports from each of A4's measured DFTL rows.
+_DFTL_COLUMNS = ("cmt_kib", "map_coverage_pct", "hit_rate", "read_overhead", "translation_factor")
 
 
 @experiment("E2")
@@ -79,13 +48,19 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     per_block = zns_ftl.dram_bytes() / zoned.flash.total_blocks
 
     # Measured: what shrinking the conventional map's DRAM actually costs.
+    # Three of A4's quick-size DFTL runs, in small geometry whatever the
+    # mode: the sweep probes the shape of the trade, which is scale-free,
+    # and A4 covers the bench-scale measurement.
     probe = build_stack(
         DeviceSpec(kind="dftl", geometry="small", ftl={"op_ratio": 0.11})
     )
     full_map = probe.full_map_translation_pages
     page = geometry.page_size
     budgets = sorted({max(s, 1) for s in (1, full_map // 2, full_map)})
-    sweep = [measure_cmt_tradeoff(b * page, config.seed) for b in budgets]
+    sweep = []
+    for budget in budgets:
+        row = measure_cmt_budget(budget * page, True, config.seed)
+        sweep.append({"model": "dftl-measured", **{k: row[k] for k in _DFTL_COLUMNS}})
     rows = rows + sweep
 
     conv_1tb = conventional_mapping_dram_bytes(TIB)
@@ -117,4 +92,4 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     )
 
 
-__all__ = ["measure_cmt_tradeoff", "run"]
+__all__ = ["run"]

@@ -595,5 +595,18 @@ class NandArray:
         mask = (self._reads_since_erase >= limit) & ~self.wear.bad_mask
         return np.flatnonzero(mask).tolist()
 
+    # -- Consistency checking (used by property tests) -----------------------------
+
+    def check_invariants(self) -> None:
+        """Assert structural invariants; raises AssertionError on violation."""
+        ppb = self.geometry.pages_per_block
+        offsets = self._write_offsets
+        assert ((offsets >= 0) & (offsets <= ppb)).all(), "write offset outside [0, ppb]"
+        assert not self._reads_since_erase[offsets == 0].any(), "erased block has reads"
+        if self.store_data and self._data:
+            pages = np.fromiter(self._data, dtype=np.int64, count=len(self._data))
+            below = pages % ppb < offsets[pages // ppb]
+            assert below.all(), "payload at or above its block's write offset"
+
 
 __all__ = ["NandArray"]

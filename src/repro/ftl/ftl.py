@@ -1090,6 +1090,7 @@ class ConventionalFTL:
 
     def check_invariants(self) -> None:
         """Assert structural invariants; raises AssertionError on violation."""
+        self.nand.check_invariants()
         active_blocks = {b for b in self._active.values() if b is not None}
         active_blocks |= {b for b in self._gc_active.values() if b is not None}
         free = set(self._free)
@@ -1102,6 +1103,10 @@ class ConventionalFTL:
             assert self.nand.is_block_full(block), f"sealed block {block} not full"
         total_valid = int(self.map.valid_counts.sum())
         assert total_valid == self.map.mapped_pages, "valid counts disagree with map"
+        ppb = self.geometry.pages_per_block
+        valid = np.flatnonzero(self.map.p2l != UNMAPPED)
+        below = valid % ppb < self.nand.write_offsets[valid // ppb]
+        assert below.all(), "valid page at or above its block's write offset"
 
 
 __all__ = [

@@ -791,6 +791,7 @@ class ZNSDevice:
 
     def check_invariants(self) -> None:
         """Assert structural invariants; raises AssertionError on violation."""
+        self.nand.check_invariants()
         ppb = self.geometry.flash.pages_per_block
         for zone in self.zones:
             z, state = zone.zone_id, zone.state

@@ -1,9 +1,10 @@
 """The shape of each paper claim, checked against the committed golden.
 
-Every row is one claim about one experiment's seed-0 quick result.
-``tests/golden/run_all.json`` stores exactly those results (the nightly
-workflow byte-compares a fresh ``run all`` with it), so the claims are
-read from it and no experiment runs here.
+Every row is one claim about one experiment's result. Here the claims
+are read from ``tests/golden/run_all.json``, which stores exactly the
+seed-0 quick results (the nightly workflow byte-compares a fresh ``run
+all`` with it), so no experiment runs. :func:`failed_claims` takes any
+result list, e.g. another seed's or ``--full``'s ``run --json`` output.
 """
 
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "run_all.json"
-RESULTS = {r["experiment_id"]: r for r in json.loads(GOLDEN.read_text())}
+RESULTS = json.loads(GOLDEN.read_text())
 
 
 def _column(rows, key, value):
@@ -133,14 +134,47 @@ CLAIMS = [
 ]
 
 
+def failed_claims(results: list[dict]) -> list[tuple[str, str]]:
+    """``(experiment, claim)`` for every claim ``results`` break, in table order.
+
+    ``results`` are result dicts as ``zns-repro run --json`` writes them;
+    claims about experiments absent from them are not checked. A
+    predicate that raises (a missing column, say) counts as failed.
+    """
+    by_id = {result["experiment_id"]: result for result in results}
+    failed = []
+    for experiment, claim, predicate in CLAIMS:
+        if experiment not in by_id:
+            continue
+        result = by_id[experiment]
+        try:
+            held = predicate(result["headline"], result["rows"])
+        except Exception:
+            held = False
+        if not held:
+            failed.append((experiment, claim))
+    return failed
+
+
 def test_every_golden_experiment_has_a_claim():
-    assert {experiment for experiment, _, _ in CLAIMS} == set(RESULTS)
+    assert {experiment for experiment, _, _ in CLAIMS} == {r["experiment_id"] for r in RESULTS}
 
 
 @pytest.mark.parametrize(
-    ("experiment", "predicate"),
-    [pytest.param(e, p, id=f"{e}: {claim}") for e, claim, p in CLAIMS],
+    ("experiment", "claim"),
+    [pytest.param(e, claim, id=f"{e}: {claim}") for e, claim, _ in CLAIMS],
 )
-def test_claim_shape(experiment, predicate):
-    result = RESULTS[experiment]
-    assert predicate(result["headline"], result["rows"])
+def test_claim_shape(experiment, claim):
+    assert (experiment, claim) not in failed_claims(RESULTS)
+
+
+def test_failed_claims_names_a_broken_claim_and_skips_absent_ones():
+    (e2,) = [r for r in RESULTS if r["experiment_id"] == "E2"]
+    broken = {**e2, "headline": {**e2["headline"], "reduction_factor": 2}}
+    assert failed_claims([broken]) == [("E2", "4096x reduction")]
+    assert failed_claims([{**e2, "headline": {}}]) == [
+        ("E2", "~1 GB/TB conventional"),
+        ("E2", "~256 KB/TB ZNS"),
+        ("E2", "4096x reduction"),
+    ]
+    assert failed_claims([]) == []

@@ -205,3 +205,32 @@ class TestReadDisturb:
     def test_invalid_limit_rejected(self):
         with pytest.raises(ValueError):
             NandArray(FlashGeometry.small(), read_disturb_limit=0)
+
+
+class TestCheckInvariants:
+    def test_holds_through_program_read_copy_erase(self):
+        nand = NandArray(FlashGeometry.small(), store_data=True)
+        fill_block(nand, 0)
+        nand.read(3)
+        nand.copy_page(3, nand.geometry.first_page_of_block(1))
+        nand.erase(0)
+        nand.check_invariants()
+
+    @pytest.mark.parametrize(
+        ("store_data", "block", "offset"),
+        [
+            pytest.param(False, 1, FlashGeometry.small().pages_per_block + 1, id="past-ppb"),
+            pytest.param(False, 1, -1, id="negative"),
+            pytest.param(False, 0, 0, id="reads-on-erased-block"),
+            pytest.param(True, 0, 3, id="payload-at-offset"),
+        ],
+    )
+    def test_corrupt_offset_is_caught(self, store_data, block, offset):
+        nand = NandArray(FlashGeometry.small(), store_data=store_data)
+        for page in range(4):
+            nand.program(page, data=page)
+        nand.read(3)
+        nand.check_invariants()
+        nand._write_offsets[block] = offset
+        with pytest.raises(AssertionError):
+            nand.check_invariants()

@@ -288,6 +288,23 @@ class TestInvariants:
             ftl.write(int(rng.integers(0, ftl.logical_pages)))
         ftl.check_invariants()
 
+    def test_valid_page_above_write_offset_is_caught(self):
+        ftl = make_ftl()
+        for lpn in range(10):
+            ftl.write(lpn)
+        block = ftl.map.lookup(9) // ftl.geometry.pages_per_block
+        ftl.nand._write_offsets[block] = 5  # a legal offset for the NAND alone
+        ftl.nand.check_invariants()
+        with pytest.raises(AssertionError, match="write offset"):
+            ftl.check_invariants()
+
+    def test_checks_the_flash_underneath(self):
+        ftl = make_ftl()
+        ftl.write(0)
+        ftl.nand._reads_since_erase[ftl._free[-1]] = 1
+        with pytest.raises(AssertionError, match="erased block has reads"):
+            ftl.check_invariants()
+
     @settings(max_examples=20, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=1000),

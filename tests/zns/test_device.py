@@ -80,6 +80,14 @@ class TestBasicIO:
         d.write(0, npages=3, data=["a", "b", "c"])
         assert [d.read(0, i)[0] for i in range(3)] == ["a", "b", "c"]
 
+    def test_check_invariants_checks_the_flash_underneath(self):
+        d = make_device()
+        d.write(0, npages=2)
+        d.check_invariants()
+        d.nand._reads_since_erase[d.ftl.blocks_of_zone(1)[0]] = 1
+        with pytest.raises(AssertionError, match="erased block has reads"):
+            d.check_invariants()
+
     def test_fill_zone_goes_full(self):
         d = make_device()
         d.write(0, npages=d.geometry.pages_per_zone)
