@@ -48,11 +48,20 @@ class BloomFilter:
         """16 bytes per key: two little-endian u64 base hashes (frozen)."""
         return hashlib.blake2b(repr(key).encode(), digest_size=16).digest()
 
+    @classmethod
+    def hashes(cls, key: Any) -> tuple[int, int]:
+        """The key's (h1, h2) pair: the same for every filter, so a lookup
+        that probes several tables computes it once."""
+        digest = cls._digest(key)
+        return int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:], "little") | 1
+
     def might_contain(self, key: Any) -> bool:
         """False means definitely absent; True means probably present."""
-        digest = self._digest(key)
-        h1 = int.from_bytes(digest[:8], "little")
-        h2 = int.from_bytes(digest[8:], "little") | 1  # odd => full period
+        return self.might_contain_hashed(self.hashes(key))
+
+    def might_contain_hashed(self, hashes: tuple[int, int]) -> bool:
+        """:meth:`might_contain` for a key whose :meth:`hashes` are known."""
+        h1, h2 = hashes  # h2 is odd => full period
         bits, num_bits = self._bits, self.num_bits
         for i in range(self.num_hashes):
             pos = (h1 + i * h2) % num_bits

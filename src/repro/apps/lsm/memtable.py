@@ -17,8 +17,9 @@ class MemTable:
     model turns into on-flash pages.
 
     ``data`` is the buffer itself, one dict for the life of the memtable:
-    ``LSMStore.put`` writes it directly (a put is one Python frame) and
-    ``LSMStore.scan`` iterates it unsorted.
+    ``LSMStore.put`` writes it directly (a put is one Python frame),
+    ``LSMStore.get`` reads it directly, and ``LSMStore.scan`` filters it
+    unsorted.
     """
 
     def __init__(self) -> None:
@@ -33,12 +34,6 @@ class MemTable:
     def delete(self, key: Any) -> None:
         """Record a tombstone (even for keys never seen here)."""
         self.put(key, TOMBSTONE)
-
-    def get(self, key: Any) -> tuple[bool, Any]:
-        """Return (present, value); value may be TOMBSTONE."""
-        if key in self.data:
-            return True, self.data[key]
-        return False, None
 
     def sorted_columns(self) -> tuple[list[Any], list[Any]]:
         """The keys in order and their values, tombstones included: the

@@ -4,8 +4,8 @@ An SSTable is two parallel columns -- its sorted keys and their values --
 plus its key range and an opaque backend handle recording where its pages
 live. The write path (flush, compaction merge) hands the columns down as
 it computed them and builds no per-entry pair; pairs exist only at the
-``scan`` boundary (:meth:`SSTable.range_slice`) and in the ``entries``
-view tests and debugging read. The columns stay in memory (this is a
+``LSMStore.scan`` boundary and in the ``entries`` view tests and
+debugging read. The columns stay in memory (this is a
 simulator -- the *backend* accounts the flash traffic); page boundaries
 are computed from an entry-size model so device I/O volume matches what a
 real encoding would produce.
@@ -77,28 +77,6 @@ class SSTable:
         every table of a write-only run -- never hashes its keys.
         """
         return BloomFilter.build(self.keys)
-
-    def might_contain(self, key: Any) -> bool:
-        """Bloom check: False means the key is definitely not here."""
-        return self.bloom.might_contain(key)
-
-    def range_slice(self, lo: Any, hi: Any) -> list[tuple[Any, Any]]:
-        """Entries with lo <= key <= hi (for range scans)."""
-        start = bisect.bisect_left(self.keys, lo)
-        end = bisect.bisect_right(self.keys, hi)
-        return list(zip(self.keys[start:end], self.values[start:end]))
-
-    def pages_spanned(self, lo: Any, hi: Any) -> range:
-        """The table pages a range scan over [lo, hi] must read."""
-        start = bisect.bisect_left(self.keys, lo)
-        end = bisect.bisect_right(self.keys, hi)
-        if start >= end:
-            return range(0)
-        return range(self.page_of_entry(start), self.page_of_entry(end - 1) + 1)
-
-    @property
-    def entry_count(self) -> int:
-        return len(self.keys)
 
     def overlaps(self, other: "SSTable") -> bool:
         return self.min_key <= other.max_key and other.min_key <= self.max_key

@@ -13,18 +13,24 @@ the zone backend isolates them in their own zone (ZenFS's layout).
 
 The write path does once what is known once: ``put`` is a single Python
 frame (``delete`` is a put of the tombstone), and flush and compaction
-pass a table's two columns down instead of (key, value) pairs.
+pass a table's two columns down instead of (key, value) pairs. So does
+the read path: ``get`` hashes its key once and bisects each non-empty
+level once, and ``scan`` bisects each table once.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.apps.lsm.backends import BlockFileBackend, LsmBackend, ZoneFileBackend
+from repro.apps.lsm.bloom import BloomFilter
 from repro.apps.lsm.compaction import LeveledCompaction
 from repro.apps.lsm.memtable import TOMBSTONE, MemTable
-from repro.apps.lsm.sstable import SSTable, overlapping_run, size_in_pages
+from repro.apps.lsm.sstable import SSTable, _max_key, overlapping_run, size_in_pages
+
+_ABSENT = object()  # a memtable miss, distinct from every value and TOMBSTONE
 
 
 @dataclass(frozen=True)
@@ -182,34 +188,38 @@ class LSMStore:
     def get(self, key: Any) -> Any:
         """Point lookup; returns None for missing/deleted keys.
 
-        Search order: memtable, then L0 newest-first, then one candidate
-        table per deeper level. Each table probe that reaches flash does a
-        real backend page read.
+        Search order: memtable, then L0 newest-first, then the one candidate
+        table of each non-empty deeper level. The key's bloom hashes are
+        computed at its first bloom probe and serve every later one. Each
+        table probe that reaches flash does a real backend page read.
         """
-        self.stats.gets += 1
-        present, value = self.memtable.get(key)
-        if present:
+        stats = self.stats
+        stats.gets += 1
+        value = self.memtable.data.get(key, _ABSENT)
+        if value is not _ABSENT:
             return None if value is TOMBSTONE else value
-        for table in reversed(self.levels[0]):  # flush order, newest last
-            if not table.overlaps_range(key, key):
+        hashes = None
+        for number, tables in enumerate(self.levels):
+            if not tables:
                 continue
-            if not table.might_contain(key):
-                self.stats.bloom_skips += 1
-                continue
-            found, value, index = table.find(key)
-            self.backend.read_entry(table, min(index, table.entry_count - 1))
-            self.stats.table_reads += 1
-            if found:
-                return None if value is TOMBSTONE else value
-        for tables in self.levels[1:]:
-            # Sorted, disjoint level: at most one table can hold the key.
-            for table in overlapping_run(tables, key, key):
-                if not table.might_contain(key):
-                    self.stats.bloom_skips += 1
+            if number:
+                # Sorted, disjoint level: only the first table ending at or
+                # after the key can hold it.
+                start = bisect_left(tables, key, key=_max_key)
+                tables = tables[start : start + 1]
+            else:
+                tables = reversed(tables)  # flush order, newest last
+            for table in tables:
+                if not table.min_key <= key <= table.max_key:
+                    continue
+                if hashes is None:
+                    hashes = BloomFilter.hashes(key)
+                if not table.bloom.might_contain_hashed(hashes):
+                    stats.bloom_skips += 1
                     continue
                 found, value, index = table.find(key)
-                self.backend.read_entry(table, min(index, table.entry_count - 1))
-                self.stats.table_reads += 1
+                self.backend.read_entry(table, min(index, len(table.keys) - 1))
+                stats.table_reads += 1
                 if found:
                     return None if value is TOMBSTONE else value
         return None
@@ -217,34 +227,36 @@ class LSMStore:
     def scan(self, lo: Any, hi: Any) -> list[tuple[Any, Any]]:
         """Range scan: live (key, value) pairs with lo <= key <= hi.
 
-        Merges all levels newest-first (bloom filters do not help ranges)
-        and charges the backend for every table page the range touches.
+        Merges all levels, the newest version winning (bloom filters do not
+        help ranges), and charges the backend for every table page the
+        range touches.
+        One bisect pair per table: its entries [start, end) give both the
+        pages charged and the slice merged.
         """
         if lo > hi:
             raise ValueError("scan requires lo <= hi")
-        self.stats.scans += 1
-        merged: dict[Any, Any] = {}
+        stats = self.stats
+        stats.scans += 1
         # Oldest data first so newer versions overwrite during the merge.
-        for level in range(len(self.levels) - 1, 0, -1):
-            for table in overlapping_run(self.levels[level], lo, hi):
-                self._charge_scan_pages(table, lo, hi)
-                merged.update(table.range_slice(lo, hi))
-        for table in self.levels[0]:
-            if not table.overlaps_range(lo, hi):
+        tables = [t for level in self.levels[:0:-1] for t in overlapping_run(level, lo, hi)]
+        tables += [t for t in self.levels[0] if t.overlaps_range(lo, hi)]
+        merged: dict[Any, Any] = {}
+        read_table_page = self.backend.read_table_page
+        for table in tables:
+            keys = table.keys
+            start = bisect_left(keys, lo)
+            end = bisect_right(keys, hi, lo=start)
+            if start == end:
                 continue
-            self._charge_scan_pages(table, lo, hi)
-            merged.update(table.range_slice(lo, hi))
-        for k, v in self.memtable.data.items():  # unsorted: the result is sorted below
-            if lo <= k <= hi:
-                merged[k] = v
-        return sorted(
-            (k, v) for k, v in merged.items() if v is not TOMBSTONE
-        )
-
-    def _charge_scan_pages(self, table: SSTable, lo: Any, hi: Any) -> None:
-        for page_index in table.pages_spanned(lo, hi):
-            self.backend.read_table_page(table, page_index)
-            self.stats.scan_pages_read += 1
+            count, pages = len(keys), table.size_pages
+            first, last = start * pages // count, (end - 1) * pages // count
+            for page_index in range(first, last + 1):
+                read_table_page(table, page_index)
+            stats.scan_pages_read += last + 1 - first
+            merged.update(zip(keys[start:end], table.values[start:end]))
+        data = self.memtable.data  # unsorted: the result is sorted below
+        merged.update({k: v for k, v in data.items() if lo <= k <= hi})
+        return [(k, merged[k]) for k in sorted(merged) if merged[k] is not TOMBSTONE]
 
     def scan_count(self) -> int:
         """Number of live keys (full merge view) -- test/debug helper."""

@@ -84,6 +84,8 @@ class ZonedBlockStats:
     zones_degraded: int = 0  # write frontiers lost to READ_ONLY degradation
     zones_lost: int = 0  # zones gone OFFLINE (capacity permanently lost)
     pages_lost: int = 0  # mapped pages inside zones that went offline
+    write_stalls: int = 0  # timed writes that waited out an out-of-zones stall
+    write_stall_ticks: int = 0  # blocked reclaim-poll ticks those writes waited
 
     @property
     def host_write_amplification(self) -> float:

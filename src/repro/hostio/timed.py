@@ -130,7 +130,10 @@ class TimedZonedBlockDevice:
             )
         # Stall while the host is out of zones (reclaim will free some).
         if self._out_of_zones():
-            yield self.engine.poll(self._out_of_zones, self.reclaim_poll_interval_us)
+            # Bound first, as in TimedConventionalSSD._write_proc.
+            ticks = yield self.engine.poll(self._out_of_zones, self.reclaim_poll_interval_us)
+            self.layer.stats.write_stalls += 1
+            self.layer.stats.write_stall_ticks += ticks
         if self.tracer.enabled:
             self.tracer.publish(
                 HostRequestEvent(

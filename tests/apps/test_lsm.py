@@ -57,14 +57,25 @@ class TestMemTable:
     def test_put_get(self):
         mt = MemTable()
         mt.put("a", 1)
-        assert mt.get("a") == (True, 1)
-        assert mt.get("b") == (False, None)
+        assert mt.data == {"a": 1} and len(mt) == 1
+        store = ram_store()
+        store.put("a", 1)
+        store.put("c", None)  # a stored None is a hit, not a miss
+        assert store.memtable.data == {"a": 1, "c": None}
+        assert (store.get("a"), store.get("b"), store.get("c")) == (1, None, None)
+        assert store.stats.table_reads == store.stats.bloom_skips == 0
 
     def test_delete_is_tombstone(self):
         mt = MemTable()
         mt.delete("a")
-        present, value = mt.get("a")
-        assert present and value is TOMBSTONE
+        assert mt.data["a"] is TOMBSTONE
+        store = ram_store()
+        store.put("a", 1)
+        store.flush()
+        store.delete("a")
+        assert store.memtable.data["a"] is TOMBSTONE
+        assert store.get("a") is None  # shadows the flushed version unread
+        assert store.stats.table_reads == store.stats.bloom_skips == 0
 
     def test_sorted_items(self):
         mt = MemTable()

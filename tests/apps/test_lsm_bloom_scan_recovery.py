@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.apps.lsm import BlockFileBackend, LSMConfig, LSMStore, SSTable
 from repro.apps.lsm.bloom import BloomFilter
 from repro.block.ramdisk import RamDisk
+from tests.oracle.scalar_bloom import ScalarBloom
 
 SMALL_CFG = LSMConfig(memtable_pages=4, level0_pages=16, max_table_pages=8)
 
@@ -49,6 +50,23 @@ class TestBloomFilter:
         bloom = BloomFilter.build([])
         assert not bloom.might_contain("anything")  # overwhelmingly likely
 
+    def test_hashed_probe_is_the_key_probe(self):
+        """One hash pair serves every filter: the store computes it once per
+        lookup and hands it to each table's bloom. Both probes agree with
+        the scalar reference, which derives the pair on its own."""
+        filters = []
+        for size in (50, 5000):
+            reference = ScalarBloom(size)
+            for key in range(size):
+                reference.add(key)
+            filters.append((BloomFilter.build(list(range(size))), reference))
+        for key in [*range(-20, 6000, 7), "alpha", ("t", 1)]:
+            hashes = BloomFilter.hashes(key)
+            for bloom, reference in filters:
+                expected = reference.might_contain(key)
+                assert bloom.might_contain_hashed(hashes) == expected
+                assert bloom.might_contain(key) == expected
+
 
 @pytest.fixture
 def build_calls(monkeypatch):
@@ -76,9 +94,9 @@ class TestFilterBuiltOnFirstProbe:
         keys = list(range(0, 400, 2))
         table = SSTable(keys=keys, values=list(keys), level=1, size_pages=4)
         assert build_calls == []
-        assert table.might_contain(10)
-        table.might_contain(11)
-        table.bloom.might_contain(12)
+        assert table.bloom.might_contain(10)
+        table.bloom.might_contain(11)
+        table.bloom.might_contain_hashed(BloomFilter.hashes(12))
         assert build_calls == [len(keys)]
 
     def test_lazy_filter_is_the_eager_filter(self):

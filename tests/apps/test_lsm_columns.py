@@ -2,8 +2,8 @@
 
 An ``SSTable`` is two parallel columns and the flush/merge path hands the
 columns down as computed. Pinned here: a steady-state ``put`` is one Python
-frame, an E5-shaped fill stays out of the cyclic collector, the table
-agrees with a list-of-pairs reference, and ``ExtentAllocator.free`` checks
+frame, an E5-shaped fill stays out of the cyclic collector, the table (and
+a store scan of it) agrees with a list-of-pairs reference, and ``ExtentAllocator.free`` checks
 a whole request before it edits the free list.
 """
 
@@ -19,6 +19,7 @@ from repro.apps.lsm import LSMConfig, SSTable
 from repro.apps.lsm.backends import ExtentAllocator, _Extent
 from repro.apps.lsm.memtable import TOMBSTONE
 from tests.apps.test_lsm import ram_store
+from tests.apps.test_lsm_read_path import store_holding
 from tests.test_page_path import python_calls
 
 E5_CFG = LSMConfig(memtable_pages=64, level0_pages=768, max_table_pages=32)
@@ -94,7 +95,7 @@ def test_table_agrees_with_a_list_of_pairs(drawn, size_pages):
     pairs = list(zip(keys, values))
     table = SSTable(keys=keys, values=values, level=1, size_pages=size_pages)
     assert table.entries == pairs
-    assert (table.entry_count, table.min_key, table.max_key) == (len(pairs), keys[0], keys[-1])
+    assert (table.min_key, table.max_key) == (keys[0], keys[-1])
 
     for key in (probe, keys[len(keys) // 2]):
         if key in key_set:
@@ -103,13 +104,16 @@ def test_table_agrees_with_a_list_of_pairs(drawn, size_pages):
         else:
             assert table.find(key) == (False, None, bisect.bisect_left(keys, key))
 
+    # The table's share of a scan: its live entries in [lo, hi] and the
+    # contiguous run of pages from the first such entry's to the last's.
     lo, hi = sorted((probe, other))
     inside = [i for i, k in enumerate(keys) if lo <= k <= hi]
-    assert table.range_slice(lo, hi) == [pairs[i] for i in inside]
+    store, pages_read = store_holding(table)
+    assert store.scan(lo, hi) == [pairs[i] for i in inside if values[i] is not TOMBSTONE]
     pages = [i * size_pages // len(keys) for i in inside]
-    assert list(table.pages_spanned(lo, hi)) == (
-        list(range(pages[0], pages[-1] + 1)) if pages else []
-    )
+    expected = list(range(pages[0], pages[-1] + 1)) if pages else []
+    assert pages_read == [(table.table_id, page) for page in expected]
+    assert store.stats.scan_pages_read == len(expected)
 
 
 def test_table_rejects_what_it_cannot_search():

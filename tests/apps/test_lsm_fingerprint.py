@@ -68,6 +68,10 @@ def test_block_backend_fingerprint():
         store.scan(lo, lo + 100)
     store.check_invariants()
     assert _digest(store, ssd.ftl.nand) == PINNED["block"]
+    # The digest holds no flash reads: every get that reached a table and
+    # every page a scan charged is one. Recorded on 1368ad7, beside it.
+    reads = ssd.ftl.nand.counters.reads
+    assert reads == store.stats.table_reads + store.stats.scan_pages_read == 3_098
     # What the in-place ``ExtentAllocator.free`` relies on: the free list
     # is sorted and fully coalesced after every allocate and free.
     allocator = store.backend.allocator

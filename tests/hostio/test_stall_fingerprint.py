@@ -130,3 +130,8 @@ def test_dmzoned_open_loop_fingerprint():
     # Far more events than requests: the surplus is stalled writers ticking.
     assert engine.processed_events > 200_000
     assert _digest(engine, host, host.layer.device.nand) == PINNED["dmzoned"]
+    # Booked when a stall ends, from the poll's blocked-tick count; writers
+    # still parked when the reader finishes are not in them. Both numbers
+    # match a count of the sleeps of c98fa0a's `while <stalled>` loop.
+    stats = host.layer.stats
+    assert (stats.write_stalls, stats.write_stall_ticks) == (103, 25_282)
