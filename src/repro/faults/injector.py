@@ -20,9 +20,9 @@ Hook contract (what the device layers rely on):
 - ``on_program`` / ``on_erase`` decide *whether* the scalar operation
   fails; the array itself performs the state transition (a failed scalar
   program still burns its page, a failed erase retires the block).
-- ``on_program_batch`` / ``on_read_batch`` decide *before* any array
-  mutation, preserving the documented batch atomicity contract: a failed
-  batch leaves the array untouched.
+- ``on_program_batch`` decides *before* any array mutation, preserving
+  the documented batch atomicity contract: a failed batch leaves the
+  array untouched.
 - ``on_read`` walks the ECC read-retry ladder and returns the extra
   sense latency, raising
   :class:`~repro.flash.errors.UncorrectableReadError` only when every
@@ -198,21 +198,6 @@ class FaultInjector:
         p = self.plan.read_error_prob
         if p and self.rng.random() < p:
             extra += self._ladder(block, page)
-        return extra
-
-    def on_read_batch(self, n: int, block: int, first_page: int) -> float:
-        """Extra latency for a batch of host reads, decided pre-mutation.
-
-        Error pages each walk the ladder independently; one uncorrectable
-        page fails the batch before any read-disturb accounting.
-        """
-        self._tick(n)
-        extra = self._spike(n)
-        p = self.plan.read_error_prob
-        if p:
-            errors = int(np.count_nonzero(self.rng.random(n) < p))
-            for _ in range(errors):
-                extra += self._ladder(block, first_page)
         return extra
 
     # -- Zone-management hooks (consulted by ZNSDevice) ----------------------

@@ -437,79 +437,6 @@ class NandArray:
             )
         return first_page, latency
 
-    def sense_batch(self, pages: np.ndarray | list) -> float:
-        """Read many programmed pages; returns total latency.
-
-        Equivalent to ``for p in pages: self.read(p)`` for counting
-        purposes (payloads are not returned; use scalar reads when the
-        array stores data you need back). Batches of a few pages -- the
-        fleet serving loop's per-tick reads -- stay in scalar Python;
-        array construction alone would dominate them.
-        """
-        n = len(pages)
-        if n == 0:
-            raise ValueError("empty page batch")
-        ppb = self.geometry.pages_per_block
-        if n <= 16:
-            page_list = [int(p) for p in pages]
-            total = self.geometry.total_pages
-            bad_mask = self.wear.bad_mask
-            write_offsets = self._write_offsets
-            block_list = []
-            for page in page_list:
-                if page < 0 or page >= total:
-                    raise IndexError(f"page batch out of range [0, {total})")
-                block = page // ppb
-                if bad_mask[block]:
-                    raise BadBlockError(f"read on retired block {block}")
-                if page - block * ppb >= write_offsets[block]:
-                    raise ReadUnwrittenError(
-                        "batch reads at least one unprogrammed page"
-                    )
-                block_list.append(block)
-            latency = n * self.timing.read_total_us(self.geometry.page_size)
-            if self.faults is not None:
-                latency += self.faults.on_read_batch(n, block_list[0], page_list[0])
-            reads = self._reads_since_erase
-            for block in block_list:
-                reads[block] += 1
-            self.counters.note_read(n * self.geometry.page_size, n)
-            if self.tracer.enabled:
-                self.tracer.publish(
-                    FlashOpEvent(
-                        "flash.nand", "read", block_list[0], page_list[0],
-                        nbytes=n * self.geometry.page_size, count=n,
-                        latency_us=latency,
-                    )
-                )
-            return latency
-        pages = np.asarray(pages, dtype=np.int64)
-        lo, hi = int(pages.min()), int(pages.max())
-        if lo < 0 or hi >= self.geometry.total_pages:
-            raise IndexError(f"page batch out of range [0, {self.geometry.total_pages})")
-        blocks = pages // ppb
-        bad = self.wear.bad_mask[blocks]
-        if bad.any():
-            raise BadBlockError(f"read on retired block {int(blocks[bad][0])}")
-        offsets = pages - blocks * ppb
-        if np.any(offsets >= self._write_offsets[blocks]):
-            raise ReadUnwrittenError("batch reads at least one unprogrammed page")
-        latency = n * self.timing.read_total_us(self.geometry.page_size)
-        if self.faults is not None:
-            # Pre-mutation like the program batches; an uncorrectable
-            # page fails the batch before any disturb accounting.
-            latency += self.faults.on_read_batch(n, int(blocks[0]), int(pages[0]))
-        np.add.at(self._reads_since_erase, blocks, 1)
-        self.counters.note_read(n * self.geometry.page_size, n)
-        if self.tracer.enabled:
-            self.tracer.publish(
-                FlashOpEvent(
-                    "flash.nand", "read", int(blocks[0]), int(pages[0]),
-                    nbytes=n * self.geometry.page_size, count=n, latency_us=latency,
-                )
-            )
-        return latency
-
     def copy_run(self, src_pages: np.ndarray, dst_block: int, dst_offset: int) -> float:
         """On-die copy of one victim block's pages onto a contiguous run.
 

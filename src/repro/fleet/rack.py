@@ -19,7 +19,7 @@ byte-identical to the serial run for any shard count -- the property
 
 The frame is a field of the run, not a sink on the bus: the tenants and
 the serving loop book every ``fleet.*`` key themselves, and the request
-latencies are binned once when the device finishes. The four request
+latencies are binned once when the device finishes. The two request
 publishes sit behind ``tracer.enabled`` for whoever asked to observe
 (``--trace``, ``--metrics-out``, a test's sink); nobody listening, a
 device builds no event. Tenant churn streams are a pure function of
@@ -58,7 +58,7 @@ from repro.fleet import placement
 from repro.fleet.spec import FleetSpec
 from repro.ftl.ftl import GCStuckError
 from repro.hostio.zonelife import ZoneLifecycleManager
-from repro.obs.events import HostRequestBatchEvent, HostRequestEvent
+from repro.obs.events import HostRequestEvent
 from repro.obs.frame import MetricsFrame
 from repro.obs.runtime import new_tracer
 from repro.sim.rng import make_rng
@@ -227,17 +227,6 @@ class _LiveSet:
     def sample(self, rng) -> Any:
         return self._keys[int(rng.integers(0, len(self._keys)))]
 
-    def sample_batch(self, rng, n: int) -> list[Any]:
-        """``n`` independent samples in one draw.
-
-        numpy Generators emit the same sequence for one ``size=n`` call
-        as for ``n`` scalar calls, so this matches ``[self.sample(rng)
-        for _ in range(n)]`` exactly when nothing mutates the set
-        between samples.
-        """
-        keys = self._keys
-        return [keys[i] for i in rng.integers(0, len(keys), size=n).tolist()]
-
 
 class _ConventionalTenant:
     """One tenant's slice of a conventional (overwrite-in-place) device."""
@@ -288,69 +277,6 @@ class _ConventionalTenant:
             frame.add("fleet.reads_lost")
             return exc.latency_us
 
-    def epoch(self, k: int, frame: MetricsFrame) -> list[float]:
-        """Consume ``k`` churn events; service the creates as one batch.
-
-        The epoch twin of ``k`` :meth:`step` calls: the object
-        bookkeeping runs per event in arrival order, but the data writes
-        accumulate and go to flash through
-        :meth:`~repro.ftl.ftl.ConventionalFTL.write_pages_timed` as one
-        run. Deletes trim eagerly; a delete targeting an lpn whose write
-        is still pending flushes the batch first, so trim-after-write
-        ordering is preserved wherever it is observable. Returns the
-        per-request service times of the serviced creates, in order.
-        """
-        pending: list[int] = []
-        pending_set: set[int] = set()
-        services: list[float] = []
-        deleted = 0
-        written = 0
-        for _ in range(k):
-            epoch_ix, code = next(self.events)
-            if code < 0:
-                key = (epoch_ix, ~code)
-                if key in self.live:
-                    lpn = self.live.remove(key)
-                    if lpn in pending_set:
-                        services += self.ftl.write_pages_timed(
-                            np.asarray(pending, dtype=np.int64)
-                        ).tolist()
-                        written += len(pending)
-                        pending.clear()
-                        pending_set.clear()
-                    self.ftl.trim(lpn)
-                    deleted += 1
-                continue
-            key = (epoch_ix, code)
-            key_ix = code + _EPOCH_OBJECTS * epoch_ix
-            lpn = self.base + (key_ix * 2654435761 % 2**32) % self.pages
-            old = self._owner_of_lpn.get(lpn)
-            if old is not None and old in self.live:
-                self.live.remove(old)
-            self._owner_of_lpn[lpn] = key
-            self.live.add(key, lpn)
-            pending.append(lpn)
-            pending_set.add(lpn)
-        if pending:
-            services += self.ftl.write_pages_timed(
-                np.asarray(pending, dtype=np.int64)
-            ).tolist()
-            written += len(pending)
-        if deleted:
-            frame.add("fleet.objects_deleted", deleted)
-        if written:
-            frame.add("fleet.host_pages_written", written)
-        return services
-
-    def read_epoch(self, n: int, rng, frame: MetricsFrame) -> list[float]:
-        """``n`` random reads of live objects as one batched sense."""
-        if not len(self.live):
-            frame.add("fleet.reads_skipped", n)
-            return []
-        keys = self.live.sample_batch(rng, n)
-        lpns = [self.live.location(key) for key in keys]
-        return self.ftl.read_pages(lpns).tolist()
-
 
 class _ZnsTenant:
     """One tenant's zone log on a ZNS device (append + wholesale reset)."""
@@ -367,7 +293,6 @@ class _ZnsTenant:
         self.zones = zones
         self.cursor = 0
         self.lifecycle = lifecycle
-        self._program_us = device.nand.timing.program_total_us(device.page_size)
         self.epoch_of = {zone: 0 for zone in zones}
         self.live = _LiveSet()
         self._zone_keys: dict[int, list[Any]] = {zone: [] for zone in zones}
@@ -532,98 +457,6 @@ class _ZnsTenant:
                 self.cursor %= len(self.zones)
             return None
 
-    def epoch(self, k: int, frame: MetricsFrame) -> list[float]:
-        """Consume ``k`` churn events; append the creates in zone runs.
-
-        The epoch twin of ``k`` :meth:`step` calls: deletes resolve per
-        event (log semantics -- pure bookkeeping), while the creates fill
-        the log head in runs bounded by each zone's remaining capacity,
-        each run one :meth:`~repro.zns.device.ZnsDevice.append_batch`.
-        Advancing the head (and any zone reset it pays for) happens
-        between runs exactly as between scalar appends, and its service
-        time lands on the next serviced request. Requires no armed fault
-        injector (the caller guarantees it): zones can neither fault nor
-        go offline mid-epoch. Returns per-request service times in order.
-        """
-        keys: list[Any] = []
-        deleted = 0
-        for _ in range(k):
-            epoch_ix, code = next(self.events)
-            if code < 0:
-                key = (epoch_ix, ~code)
-                if key in self.live:
-                    self.live.remove(key)
-                    deleted += 1
-                continue
-            keys.append((epoch_ix, code))
-        if deleted:
-            frame.add("fleet.objects_deleted", deleted)
-        m = len(keys)
-        if not m:
-            return []
-        services = [self._program_us] * m
-        writable = (
-            ZoneState.EMPTY,
-            ZoneState.IMPLICIT_OPEN,
-            ZoneState.EXPLICIT_OPEN,
-            ZoneState.CLOSED,
-        )
-        done = 0
-        carried = 0.0
-        attempts = 0
-        while done < m:
-            if not self.zones or attempts > len(self.zones) + 1:
-                frame.add("fleet.writes_refused", m - done)
-                del services[done:]
-                break
-            zone_id = self.zones[self.cursor]
-            zone = self.device.zone(zone_id)
-            if zone.state not in writable or zone.remaining == 0:
-                carried += _service_us(self._advance(frame))
-                attempts += 1
-                continue
-            take = min(zone.remaining, m - done)
-            offset = self.device.append_batch(zone_id, take)
-            zone_epoch = self.epoch_of[zone_id]
-            zone_keys = self._zone_keys[zone_id]
-            for i in range(take):
-                key = keys[done + i]
-                self.live.add(key, (zone_id, zone_epoch, offset + i))
-                zone_keys.append(key)
-            services[done] += carried
-            carried = 0.0
-            attempts = 0
-            done += take
-        if done:
-            frame.add("fleet.host_pages_written", done)
-        return services
-
-    def read_epoch(self, n: int, rng, frame: MetricsFrame) -> list[float]:
-        """``n`` random reads of live objects as one batched sense.
-
-        Sampling stays per read (an aged-out sample mutates the live set,
-        which moves every later draw), but the surviving reads hit flash
-        as one :meth:`~repro.zns.device.ZnsDevice.read_batch`.
-        """
-        reads: list[tuple[int, int]] = []
-        skipped = 0
-        for _ in range(n):
-            if not len(self.live):
-                skipped += 1
-                continue
-            key = self.live.sample(rng)
-            zone, zone_epoch, offset = self.live.location(key)
-            if zone not in self.epoch_of or self.epoch_of[zone] != zone_epoch:
-                self.live.remove(key)
-                skipped += 1
-                continue
-            reads.append((zone, offset))
-        if skipped:
-            frame.add("fleet.reads_skipped", skipped)
-        if not reads:
-            return []
-        return self.device.read_batch(reads).tolist()
-
 
 def _device_spec_for(spec: FleetSpec, device_id: int) -> DeviceSpec:
     dspec = spec.device_specs()[device_id]
@@ -637,23 +470,12 @@ def _device_spec_for(spec: FleetSpec, device_id: int) -> DeviceSpec:
     return dspec
 
 
-def simulate_device(
-    spec: FleetSpec, device_id: int, epoch: bool = False
-) -> MetricsFrame:
+def simulate_device(spec: FleetSpec, device_id: int) -> MetricsFrame:
     """Serve one device's tenants; returns its telemetry frame.
 
-    ``epoch=True`` batches each tenant's per-tick burst into one epoch:
-    bookkeeping still runs per churn event, but flash work routes through
-    the batch entry points (``write_pages_timed`` / ``append_batch`` /
-    ``read_pages`` / ``read_batch``), and each epoch publishes one
-    aggregate :class:`HostRequestBatchEvent` instead of per-request
-    events (binned by the sink in one pass). Epoch
-    service times and latency bins match the per-request path's
-    constants; the epoch liberty is that a tick's writes hit flash as
-    one run (deletes resolve per event), so GC timing can differ
-    slightly from the per-request interleave. Requires no armed fault
-    injector -- with faults scheduled the device always serves
-    per-request, which polls and absorbs faults between commands.
+    Every request goes to flash as its own command -- a tenant's
+    ``step`` per churn event, its ``read`` per sampled read -- so an
+    armed fault injector fires between commands as a device sees them.
     """
     dspec = _device_spec_for(spec, device_id)
     if dspec.kind not in SERVING_KINDS:
@@ -736,11 +558,6 @@ def simulate_device(
     measured = False
     flash_before = nand.physical_bytes_written()
 
-    # The epoch serving mode needs a quiet injector: batch entry points
-    # cannot absorb per-page faults. Any scheduled faults force the
-    # per-request loop for the whole run.
-    epoch_mode = epoch and injector is None
-
     busy = 0.0
     died = False
     request_id = 0
@@ -771,46 +588,6 @@ def simulate_device(
         if busy < now:
             busy = now
         for tid, sim in zip(tenants, sims):
-            if epoch_mode:
-                try:
-                    services = sim.epoch(schedules[tid][tick], frame)
-                except GCStuckError:
-                    died = True
-                    break
-                if services:
-                    # Scalar left-to-right fold: the exact arithmetic of
-                    # the per-request loop's ``busy += service``.
-                    first = len(write_latencies)
-                    for service in services:
-                        busy += service
-                        write_latencies.append(busy - now)
-                    if tracer.enabled:
-                        tracer.publish(
-                            HostRequestBatchEvent(
-                                "fleet.request", "write",
-                                latencies_us=write_latencies[first:],
-                                count=len(services),
-                                first_request_id=request_id + 1,
-                            )
-                        )
-                    request_id += len(services)
-                services = sim.read_epoch(spec.reads_per_tick, rng, frame)
-                if services:
-                    first = len(read_latencies)
-                    for service in services:
-                        busy += service
-                        read_latencies.append(busy - now)
-                    if tracer.enabled:
-                        tracer.publish(
-                            HostRequestBatchEvent(
-                                "fleet.request", "read",
-                                latencies_us=read_latencies[first:],
-                                count=len(services),
-                                first_request_id=request_id + 1,
-                            )
-                        )
-                    request_id += len(services)
-                continue
             try:
                 for _ in range(schedules[tid][tick]):
                     service = sim.step(frame)
@@ -890,22 +667,18 @@ def simulate_device(
     return frame
 
 
-def simulate_shard(
-    spec: FleetSpec, shard: int = 0, shards: int = 1, epoch: bool = False
-) -> MetricsFrame:
+def simulate_shard(spec: FleetSpec, shard: int = 0, shards: int = 1) -> MetricsFrame:
     """Simulate one shard's devices; frames merge in device order."""
     if not 0 <= shard < shards:
         raise ValueError(f"shard {shard} out of range [0, {shards})")
     device_ids = shard_devices(spec.num_devices, shards)[shard]
-    return MetricsFrame.merge(simulate_device(spec, d, epoch=epoch) for d in device_ids)
+    return MetricsFrame.merge(simulate_device(spec, d) for d in device_ids)
 
 
-def simulate_fleet(
-    spec: FleetSpec, shards: int = 1, epoch: bool = False
-) -> MetricsFrame:
+def simulate_fleet(spec: FleetSpec, shards: int = 1) -> MetricsFrame:
     """The whole rack. Identical output for every ``shards`` value."""
     return MetricsFrame.merge(
-        simulate_shard(spec, shard, shards, epoch=epoch) for shard in range(shards)
+        simulate_shard(spec, shard, shards) for shard in range(shards)
     )
 
 

@@ -225,63 +225,16 @@ class DemandPagedFTL(ConventionalFTL):
     def write_pages(
         self, lpns: np.ndarray, stream: int = 0, auto_gc: bool = True
     ) -> int:
-        """Batched writes: the epoch path -- one fetch per translation page.
+        """Write many logical pages, each through :meth:`write`.
 
-        Where per-lpn :meth:`write` demand-faults every page's
-        translation entry as it goes (thrashing a small CMT on skewed
-        streams), the epoch path batches all of an epoch's updates to
-        the same translation page into a single read-modify-write, the
-        way real DFTLs coalesce mapping updates: the epoch's lpns are
-        partitioned by distinct translation page (one ``np.unique``
-        pass), each distinct page is accessed once (at most one demand
-        fault, then the group's remaining accesses are guaranteed hits
-        applied as bookkeeping), and the data pages are then programmed
-        through :meth:`ConventionalFTL.write_pages`. Runs of hit groups
-        are applied by the array probe
-        (:func:`repro.sim.compiled.cmt_probe_batch`); only miss groups
-        pay the scalar fault path with its real flash I/O and GC.
-
-        Aggregate physics is the per-lpn path's wherever they can agree
-        -- same final mapping, host pages, clock ticks, lookup count,
-        and LRU-stamp discipline -- but translation flash traffic is
-        genuinely lower: at most one miss fetch and one writeback per
-        distinct translation page per epoch, which is the optimization.
-        Falls back to the scalar per-lpn loop when a fault injector is
-        armed: fault absorption is inherently per-page.
+        The per-lpn loop, so every page demand-faults its translation
+        entry in order. :meth:`ConventionalFTL.write_pages` programs in
+        runs and would skip the CMT.
         """
         lpns = self._checked_lpns(lpns)
-        n = int(lpns.size)
-        if n == 0:
-            return 0
-        if self.nand.faults is not None:
-            for lpn in lpns.tolist():
-                self.write(int(lpn), stream=stream, auto_gc=auto_gc)
-            return n
-        store = self.store
-        # Partition the epoch by distinct translation page, groups in
-        # first-appearance order so the LRU sequence matches a scalar
-        # walk of the grouped accesses.
-        tvpns = lpns // store.entries_per_page
-        uniq, first_idx, counts = np.unique(
-            tvpns, return_index=True, return_counts=True
-        )
-        order = np.argsort(first_idx)
-        group_tvpns = uniq[order]
-        group_counts = counts[order]
-        total = int(group_tvpns.size)
-        gi = 0
-        while gi < total:
-            # Pending GC-dirtied translation pages drain at group
-            # boundaries (the scalar path's host-op boundaries); hit
-            # groups cannot create pending entries, so one drain per
-            # probe re-entry is the scalar order.
-            self._flush_pending()
-            gi += store.probe_groups(group_tvpns, group_counts, gi)
-            if gi < total:
-                store.access_group(int(group_tvpns[gi]), int(group_counts[gi]))
-                gi += 1
-        self._flush_pending()
-        return super().write_pages(lpns, stream=stream, auto_gc=auto_gc)
+        for lpn in lpns.tolist():
+            self.write(lpn, stream, auto_gc)
+        return int(lpns.size)
 
     def read(self, lpn: int) -> FlashOp:
         self.map.check_lpn(lpn)
@@ -570,6 +523,7 @@ class DemandPagedFTL(ConventionalFTL):
 
     def check_invariants(self) -> None:
         super().check_invariants()
+        self.store.check_invariants()
         data_active = {b for b in self._active.values() if b is not None}
         data_active |= {b for b in self._gc_active.values() if b is not None}
         trans = set(self._trans_sealed)

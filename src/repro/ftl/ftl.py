@@ -290,43 +290,26 @@ class ConventionalFTL:
 
     def _open_next_block(
         self, stream: int, auto_gc: bool, ops: list[FlashOp] | None = None
-    ) -> tuple[int, float]:
-        """Cross a block boundary on ``stream``; returns ``(block, stall_us)``.
+    ) -> int:
+        """Cross a block boundary on ``stream``; returns the new active block.
 
         The host write paths' one boundary policy: seal the full active
         block, run foreground GC to the high watermark if the free pool
         is at the low one, let the wear-level policy migrate, take a free
         block. GC and wear-leveling op records are appended to ``ops``
-        when given (GC skips building them otherwise). ``stall_us`` is
-        that work's single-server queue occupancy -- channel ops summed,
-        device-internal ops by their longest member -- with GC priced at
-        its fault-free constants (each copy read+program, one erase per
-        pass); :meth:`write_pages_timed`, its one reader, arms no faults.
+        when given (GC skips building them otherwise).
         """
         active = self._active[stream]
         if active is not None:
             self._seal(active)
             self._active[stream] = None
-        channel_us = 0.0
-        internal_us = 0.0
         if auto_gc and self.gc_needed():
             self.stats.foreground_gc_stalls += 1
             if self.tracer.enabled:
                 self.tracer.publish(GcEvent("ftl.gc", "watermark-low", free_blocks=len(self._free)))
-            copied0 = self.stats.gc_pages_copied
-            runs0 = self.stats.gc_runs
             gc_ops = self.collect(self.gc_high_watermark, build_ops=ops is not None)
             if ops is not None:
                 ops.extend(gc_ops)
-            timing = self.nand.timing
-            copies = self.stats.gc_pages_copied - copied0
-            copy_us = timing.read_us + timing.program_us
-            if not self.config.copyback:
-                channel_us = copies * copy_us
-            elif copies:
-                internal_us = copy_us
-            if self.stats.gc_runs > runs0:
-                internal_us = max(internal_us, timing.erase_us)
             if self.tracer.enabled:
                 self.tracer.publish(
                     GcEvent("ftl.gc", "watermark-recovered", free_blocks=len(self._free))
@@ -334,14 +317,9 @@ class ConventionalFTL:
         wl_ops = self._maybe_wear_level()
         if ops is not None:
             ops.extend(wl_ops)
-        for op in wl_ops:
-            if op.uses_channel:
-                channel_us += op.latency_us
-            elif op.latency_us > internal_us:
-                internal_us = op.latency_us
         active = self._take_free_block()
         self._active[stream] = active
-        return active, channel_us + internal_us
+        return active
 
     def write(self, lpn: int, stream: int = 0, auto_gc: bool = True) -> list[FlashOp]:
         """Write one logical page; may trigger foreground GC.
@@ -361,7 +339,7 @@ class ConventionalFTL:
         active = self._active[stream]
         offset = ppb if active is None else nand.write_offset(active)
         if offset >= ppb:
-            active, _ = self._open_next_block(stream, auto_gc, ops)
+            active = self._open_next_block(stream, auto_gc, ops)
             offset = 0  # free blocks are erased; program() holds it to that
 
         if nand.faults is None:
@@ -378,18 +356,41 @@ class ConventionalFTL:
         ops.append(FlashOp(OpKind.PROGRAM, active, page, latency))
         return ops
 
-    def _write_chunks(
-        self, lpns: np.ndarray, stream: int, auto_gc: bool, service: np.ndarray | None
-    ) -> None:
-        """Program validated ``lpns`` onto ``stream`` in active-block-sized runs.
+    def _checked_lpns(self, lpns) -> np.ndarray:
+        """``lpns`` as a 1-D int64 array, or raise before anything is touched.
 
-        The body of :meth:`write_pages` and :meth:`write_pages_timed`.
-        With ``service`` given, the page that opens a new active block
-        has that boundary's stall added to its entry.
+        The batch entry points' one input check: not a flat sequence of
+        integers (bools and floats included; scalar ``write(1.5)`` raises
+        too), or an address outside the logical space.
         """
-        if stream not in self._active:
-            raise ValueError(f"stream {stream} out of range [0, {self.config.streams})")
+        lpns = np.asarray(lpns)
+        if lpns.ndim != 1:
+            raise ValueError(f"lpn batch must be 1-D, got shape {lpns.shape}")
+        if lpns.size == 0:
+            return np.empty(0, dtype=np.int64)
+        if lpns.dtype.kind not in "iu":
+            raise TypeError(f"lpn batch must hold integers, got dtype {lpns.dtype}")
+        lpns = lpns.astype(np.int64, copy=False)
+        if int(lpns.min()) < 0 or int(lpns.max()) >= self.logical_pages:
+            raise IndexError(f"lpn batch out of range [0, {self.logical_pages})")
+        return lpns
+
+    def write_pages(
+        self, lpns: np.ndarray, stream: int = 0, auto_gc: bool = True
+    ) -> int:
+        """Write many logical pages; the batched twin of :meth:`write`.
+
+        Semantically identical to ``for lpn in lpns: self.write(lpn, stream,
+        auto_gc)`` -- same mapping table, counters, seal times, GC victim
+        sequence, and trace aggregates -- but programs the active block in
+        active-block-sized runs and skips building :class:`FlashOp`
+        records. Returns the number of pages written. Callers that replay
+        physical ops in the DES must use the scalar path.
+        """
+        lpns = self._checked_lpns(lpns)
         n = int(lpns.size)
+        if n and stream not in self._active:
+            raise ValueError(f"stream {stream} out of range [0, {self.config.streams})")
         ppb = self.geometry.pages_per_block
         done = 0
         while done < n:
@@ -400,9 +401,7 @@ class ConventionalFTL:
                 # advanced clock; the chunk's remaining ticks land after.
                 self._clock += 1
                 pending_tick = 1
-                active, stall_us = self._open_next_block(stream, auto_gc)
-                if service is not None:
-                    service[done] += stall_us
+                active = self._open_next_block(stream, auto_gc)
             else:
                 pending_tick = 0
             offset = self.nand.write_offset(active)
@@ -437,113 +436,7 @@ class ConventionalFTL:
             self._clock += take - pending_tick
             done += take
         self.stats.host_pages_written += n
-
-    def _checked_lpns(self, lpns) -> np.ndarray:
-        """``lpns`` as a 1-D int64 array, or raise before anything is touched.
-
-        The batch entry points' one input check: not a flat sequence of
-        integers (bools and floats included; scalar ``write(1.5)`` raises
-        too), or an address outside the logical space.
-        """
-        lpns = np.asarray(lpns)
-        if lpns.ndim != 1:
-            raise ValueError(f"lpn batch must be 1-D, got shape {lpns.shape}")
-        if lpns.size == 0:
-            return np.empty(0, dtype=np.int64)
-        if lpns.dtype.kind not in "iu":
-            raise TypeError(f"lpn batch must hold integers, got dtype {lpns.dtype}")
-        lpns = lpns.astype(np.int64, copy=False)
-        if int(lpns.min()) < 0 or int(lpns.max()) >= self.logical_pages:
-            raise IndexError(f"lpn batch out of range [0, {self.logical_pages})")
-        return lpns
-
-    def write_pages(
-        self, lpns: np.ndarray, stream: int = 0, auto_gc: bool = True
-    ) -> int:
-        """Write many logical pages; the batched twin of :meth:`write`.
-
-        Semantically identical to ``for lpn in lpns: self.write(lpn, stream,
-        auto_gc)`` -- same mapping table, counters, seal times, GC victim
-        sequence, and trace aggregates -- but programs the active block in
-        chunk-sized runs and skips building :class:`FlashOp` records.
-        Returns the number of pages written. Callers that replay physical
-        ops in the DES must use the scalar path.
-        """
-        lpns = self._checked_lpns(lpns)
-        if lpns.size:
-            self._write_chunks(lpns, stream, auto_gc, None)
-        return int(lpns.size)
-
-    def write_pages_timed(
-        self, lpns: np.ndarray, stream: int = 0, auto_gc: bool = True
-    ) -> np.ndarray:
-        """Batched writes returning each page's queue occupancy in us.
-
-        The epoch serving loop's twin of timing ``self.write(lpn)`` per
-        page: identical physics to :meth:`write_pages` (same mapping
-        table, GC victim sequence, seal times, counters, clock), plus a
-        per-page service-time array. Each page pays the host program
-        (channel time); a page that opens a new active block additionally
-        carries that boundary's GC and wear-leveling work, folded the way
-        a single-server queue occupies (see :meth:`_open_next_block`).
-        Requires no armed fault injector (fault absorption and its
-        latency adders are inherently per-page); callers with faults
-        armed must take the scalar path. Only the conventional data path
-        is timed here -- the demand-paged subclass's translation pre-pass
-        does not route through this entry point.
-        """
-        if self.nand.faults is not None:
-            raise ValueError("write_pages_timed requires no armed fault injector")
-        lpns = self._checked_lpns(lpns)
-        program_us = self.nand.timing.program_total_us(self.geometry.page_size)
-        service = np.full(lpns.size, program_us, dtype=np.float64)
-        if lpns.size:
-            self._write_chunks(lpns, stream, auto_gc, service)
-        return service
-
-    def read_pages(self, lpns: np.ndarray) -> np.ndarray:
-        """Batched reads returning each page's latency in us.
-
-        Equivalent to ``[self.read(lpn).latency_us for lpn in lpns]`` --
-        same disturb accounting, counters, and aggregate trace totals
-        (one count=n flash event) -- via :meth:`NandArray.sense_batch`.
-        Requires no armed fault injector: the ECC retry ladder's latency
-        adders are per-page.
-        """
-        if self.nand.faults is not None:
-            raise ValueError("read_pages requires no armed fault injector")
-        n = len(lpns)
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
-        if n <= 16:
-            # Scalar path for serving-sized batches: array construction
-            # and fancy indexing cost more than the loop below.
-            l2p = self.map.l2p
-            logical = self.logical_pages
-            ppns = []
-            for lpn in lpns:
-                lpn = int(lpn)
-                if lpn < 0 or lpn >= logical:
-                    raise IndexError(f"lpn batch out of range [0, {logical})")
-                ppn = int(l2p[lpn])
-                if ppn == UNMAPPED:
-                    raise UnmappedReadError(f"lpn {lpn} is unmapped")
-                ppns.append(ppn)
-            self.nand.sense_batch(ppns)
-        else:
-            lpns = np.asarray(lpns, dtype=np.int64)
-            if int(lpns.min()) < 0 or int(lpns.max()) >= self.logical_pages:
-                raise IndexError(f"lpn batch out of range [0, {self.logical_pages})")
-            ppns = self.map.l2p[lpns]
-            if np.any(ppns == UNMAPPED):
-                bad = int(lpns[ppns == UNMAPPED][0])
-                raise UnmappedReadError(f"lpn {bad} is unmapped")
-            self.nand.sense_batch(ppns)
-        self.stats.host_pages_read += n
-        return np.full(
-            n, self.nand.timing.read_total_us(self.geometry.page_size),
-            dtype=np.float64,
-        )
+        return n
 
     # -- Program-fault recovery ---------------------------------------------------
 

@@ -263,8 +263,8 @@ class TranslationStore:
     insert and every hit, so the least-recently-used entry is exactly
     the minimum-stamp slot -- semantically identical to the OrderedDict
     (hit = ``move_to_end``, evict = ``popitem(last=False)``) it
-    replaced, but probeable in bulk by the kernels in
-    :mod:`repro.sim.compiled` (``cmt_probe_batch`` / ``cmt_evict_batch``).
+    replaced, and selectable in bulk by
+    :func:`repro.sim.compiled.cmt_evict_batch` when flushing.
     """
 
     BYTES_PER_ENTRY = 4
@@ -392,48 +392,6 @@ class TranslationStore:
         if self._used > self._peak_used:
             self._peak_used = self._used
 
-    def access_group(self, tvpn: int, count: int) -> None:
-        """One epoch group: an access plus ``count - 1`` same-page hits.
-
-        The epoch write path batches all of an epoch's updates to one
-        translation page into a single read-modify-write: at most one
-        demand fault (the leading access, which may evict and write
-        back), then ``count - 1`` guaranteed hits applied as pure
-        bookkeeping -- the stamp counter advances once per access so
-        LRU order is exactly the per-access sequence's.
-        """
-        self.access_tvpn(tvpn, dirty=True)
-        if count > 1:
-            slot = int(self.tvpn_slot[tvpn])
-            self.stats.lookups += count - 1
-            self.stats.hits += count - 1
-            self.slot_stamp[slot] = self._stamp + count - 2
-            self._stamp += count - 1
-
-    def probe_groups(self, tvpns: np.ndarray, counts: np.ndarray, start: int) -> int:
-        """Epoch fast path: apply the leading run of all-hit groups.
-
-        ``tvpns``/``counts`` are an epoch's accesses grouped by distinct
-        translation page in first-appearance order. Applies the dirty
-        mark, LRU stamps, and stats for every leading group that hits
-        the CMT and returns how many groups were consumed; the first
-        missing group (if any) is left for :meth:`access_group`.
-        """
-        consumed, self._stamp = compiled.cmt_probe_batch(
-            self.tvpn_slot,
-            self.slot_dirty,
-            self.slot_stamp,
-            tvpns,
-            counts,
-            start,
-            self._stamp,
-        )
-        if consumed:
-            accesses = int(np.sum(counts[start : start + consumed]))
-            self.stats.lookups += accesses
-            self.stats.hits += accesses
-        return consumed
-
     def mark_dirty(self, tvpn: int) -> bool:
         """Dirty ``tvpn`` if cached (no LRU bump); True when it was cached.
 
@@ -484,6 +442,31 @@ class TranslationStore:
         self.slot_dirty.fill(0)
         self.slot_stamp.fill(0)
         self._used = 0
+
+    def check_invariants(self) -> None:
+        """Assert the CMT's index, slots, stamps and counters agree.
+
+        Slots below ``_used`` are the occupied ones: ``tvpn_slot`` and
+        ``slot_tvpn`` are inverse there and :data:`UNMAPPED` everywhere
+        else, each occupied slot has its own stamp below the counter, and
+        no empty slot is dirty.
+        """
+        used = self._used
+        assert 0 <= used <= self.capacity_pages, "CMT holds more pages than its budget"
+        assert self._peak_used >= used, "peak residency below current residency"
+        occupied = self.slot_tvpn[:used]
+        assert (self.slot_tvpn[used:] == UNMAPPED).all(), "empty slot caches a tvpn"
+        assert np.array_equal(self.tvpn_slot[occupied], np.arange(used)), (
+            "tvpn_slot is not the inverse of slot_tvpn"
+        )
+        assert int(np.count_nonzero(self.tvpn_slot != UNMAPPED)) == used, (
+            "tvpn_slot gives an uncached tvpn a slot"
+        )
+        stamps = self.slot_stamp[:used]
+        assert np.unique(stamps).size == used, "two cached pages share an LRU stamp"
+        assert (stamps < self._stamp).all(), "LRU stamp at or past the counter"
+        assert not self.slot_dirty[used:].any(), "empty slot marked dirty"
+        assert self.stats.hits <= self.stats.lookups, "more CMT hits than lookups"
 
 
 __all__ = [

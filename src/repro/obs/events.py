@@ -164,29 +164,6 @@ class HostRequestEvent:
 
 
 @dataclass(slots=True)
-class HostRequestBatchEvent:
-    """One epoch of completed host requests (layer ``fleet.request``).
-
-    The batched twin of ``count`` individual ``complete``-phase
-    :class:`HostRequestEvent` publishes: ``latencies_us`` carries each
-    request's end-to-end latency in completion order (a float sequence;
-    the fleet's epoch loop passes a list). Sinks that aggregate
-    (FrameSink) bin the whole epoch in one vectorized pass; per-request
-    consumers should keep using the scalar event, which the per-request
-    serving loop still publishes.
-    """
-
-    kind: ClassVar[str] = "host-request-batch"
-
-    layer: str
-    op: str  # "read" | "write" | "append"
-    latencies_us: Any = ()
-    count: int = 0
-    first_request_id: int = 0
-    t: float | None = None
-
-
-@dataclass(slots=True)
 class FaultEvent:
     """An injected fault fired (layer ``faults.injector``).
 
@@ -268,7 +245,6 @@ EVENT_TYPES: tuple[type, ...] = (
     ZoneMgmtEvent,
     ReclaimEvent,
     HostRequestEvent,
-    HostRequestBatchEvent,
     FaultEvent,
     RecoveryEvent,
     TranslationEvent,
@@ -282,7 +258,7 @@ def event_to_dict(event: Any) -> dict[str, Any]:
     payload: dict[str, Any] = {"event": event.kind}
     for spec in fields(event):
         value = getattr(event, spec.name)
-        if hasattr(value, "tolist"):  # numpy array payloads (batch events)
+        if hasattr(value, "tolist"):  # numpy scalar or array payloads
             value = value.tolist()
         payload[spec.name] = value
     return payload
@@ -303,7 +279,6 @@ __all__ = [
     "FaultEvent",
     "FlashOpEvent",
     "GcEvent",
-    "HostRequestBatchEvent",
     "HostRequestEvent",
     "ReclaimEvent",
     "RecoveryEvent",

@@ -172,8 +172,8 @@ class MetricsFrame:
         Exactly ``for v in values_us: self.observe(name, v)`` --
         ``np.searchsorted(edges, v)`` is ``bisect_left`` -- but one
         searchsorted + bincount instead of a Python loop per value.
-        Serving-epoch-sized batches stay on the bisect loop, which beats
-        the vector pass below a few dozen observations.
+        Short batches stay on the bisect loop, which beats the vector
+        pass below a few dozen observations.
         """
         n = len(values_us)
         if n == 0:
@@ -275,10 +275,6 @@ class FrameSink:
                 prefix = f"{event.layer}.{event.op}"
                 self.frame.add(f"{prefix}.requests")
                 self.frame.observe(f"{prefix}.latency_us", event.latency_us)
-        elif kind == "host-request-batch":
-            prefix = f"{event.layer}.{event.op}"
-            self.frame.add(f"{prefix}.requests", event.count)
-            self.frame.observe_many(f"{prefix}.latency_us", event.latencies_us)
         elif kind == "fault":
             self.frame.add(f"faults.{event.fault}")
         elif kind == "recovery":

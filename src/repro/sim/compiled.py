@@ -6,13 +6,12 @@ per-page Python work:
 - ``map_batch_apply`` / ``relocate_run_apply`` are what
   :class:`repro.ftl.mapping.FullPageMap` runs for a host write chunk and
   for a GC copy-forward run;
-- ``cmt_probe_batch`` / ``cmt_evict_batch`` are what
-  :class:`repro.ftl.mapping.TranslationStore` runs to apply a run of CMT
-  hits and to pick the dirty pages a flush writes back.
+- ``cmt_evict_batch`` is what :class:`repro.ftl.mapping.TranslationStore`
+  runs to pick the dirty pages a flush writes back.
 
 Every kernel leaves the arrays exactly as the scalar method it stands in
-for would (``map`` / ``relocate`` per page, ``access_tvpn`` per hit, an
-LRU-order walk of the cache); ``tests/sim/test_compiled_parity.py``
+for would (``map`` / ``relocate`` per page, an LRU-order walk of the
+cache); ``tests/sim/test_compiled_parity.py``
 checks that against scalar references over random sequences.
 """
 
@@ -83,43 +82,11 @@ def relocate_run_apply(l2p, p2l, valid_counts, src_pages, dst_first, src_block, 
 # The DFTL's CMT is slot arrays (tvpn -> slot, slot -> tvpn/dirty/stamp)
 # with a monotonically-stamped LRU: every insert and every hit assigns
 # the next stamp, so "least recently used" is exactly "minimum stamp" --
-# the array twin of an OrderedDict with move_to_end on hit. The kernels
-# below are the batch paths over those arrays; the scalar miss/evict
-# machinery stays in :class:`repro.ftl.mapping.TranslationStore` (it
-# issues real flash I/O and can recurse into GC, which no kernel can).
-
-
-def cmt_probe_batch(tvpn_slot, slot_dirty, slot_stamp, tvpns, counts, start, stamp):
-    """Apply the maximal all-hit prefix of the tvpn groups from ``start``.
-
-    ``tvpns``/``counts`` describe a batch's accesses grouped by distinct
-    translation page (first-appearance order; the grouping is the
-    caller's one ``np.unique`` pass). Each consumed hit group applies the
-    write-path bookkeeping in scalar order: dirty the slot, advance the
-    LRU stamp by the group's access count (one access plus count-1
-    immediate same-page hits), landing the slot on the group's last
-    stamp. Hits are pure bookkeeping -- no flash I/O, no GC, so they
-    cannot invalidate the probe's view. The first missing group is NOT
-    consumed: the caller routes it through the scalar demand-fault path
-    (which may read flash, write back, and GC) and then re-enters the
-    probe. Returns ``(groups_consumed, next_stamp)``; the caller owns
-    the lookups/hits counters.
-    """
-    if start >= tvpns.shape[0]:
-        return 0, stamp
-    slots = tvpn_slot[tvpns[start:]]
-    miss = slots < 0
-    consumed = int(miss.argmax()) if miss.any() else int(slots.shape[0])
-    if consumed:
-        # Groups are distinct tvpns, hence distinct slots: fancy
-        # assignment is alias-free and exact.
-        run = slots[:consumed]
-        kk = counts[start : start + consumed]
-        ends = stamp + np.cumsum(kk) - 1
-        slot_dirty[run] = 1
-        slot_stamp[run] = ends
-        stamp = int(ends[-1]) + 1
-    return consumed, stamp
+# the array twin of an OrderedDict with move_to_end on hit. The kernel
+# below is the flush's batch pass over those arrays; the scalar
+# hit/miss/evict machinery stays in
+# :class:`repro.ftl.mapping.TranslationStore` (it issues real flash I/O
+# and can recurse into GC, which no kernel can).
 
 
 def cmt_evict_batch(slot_tvpn, slot_dirty, slot_stamp):
@@ -140,7 +107,6 @@ def cmt_evict_batch(slot_tvpn, slot_dirty, slot_stamp):
 __all__ = [
     "UNMAPPED",
     "cmt_evict_batch",
-    "cmt_probe_batch",
     "map_batch_apply",
     "relocate_run_apply",
 ]

@@ -602,40 +602,6 @@ class ZNSDevice:
             )
         return payload, FlashOp(OpKind.READ, block, page, latency)
 
-    def read_batch(self, reads: list[tuple[int, int]]) -> np.ndarray:
-        """Batched :meth:`read` over ``(zone, offset)`` pairs; returns latencies.
-
-        Equivalent to ``[self.read(z, o)[1].latency_us for z, o in reads]``
-        -- same readability checks, disturb accounting, and counter totals
-        (one count=n command event over one aggregate NAND sense) -- for
-        epoch serving loops that neither need payloads back nor replay
-        per-page ops. Requires no armed fault injector: the ECC retry
-        ladder's latency adders are per-page.
-        """
-        if self.faults is not None:
-            raise ValueError("read_batch requires no armed fault injector")
-        n = len(reads)
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
-        pages = []
-        for zone_id, offset in reads:
-            self.zone(zone_id).check_readable(offset)
-            pages.append(self._page_of(zone_id, offset))
-        self.nand.sense_batch(pages)
-        nbytes = n * self.page_size
-        self.counters.note_read(nbytes, n)
-        if self.tracer.enabled:
-            self.tracer.publish(
-                FlashOpEvent(
-                    "zns.device", "read",
-                    block=self.geometry.flash.block_of_page(pages[0]),
-                    page=pages[0], count=n, nbytes=nbytes,
-                )
-            )
-        return np.full(
-            n, self.nand.timing.read_total_us(self.page_size), dtype=np.float64
-        )
-
     def simple_copy(
         self, sources: list[tuple[int, int]], dst_zone_id: int
     ) -> tuple[int, list[FlashOp]]:

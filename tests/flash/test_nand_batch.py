@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.flash.errors import ProgramOrderError, ReadUnwrittenError
+from repro.flash.errors import ProgramOrderError
 from repro.flash.geometry import FlashGeometry
 from repro.flash.nand import NandArray
 
@@ -71,45 +71,6 @@ class TestProgramBatch:
         assert nand_state(scalar) == nand_state(batched)
 
 
-class TestSenseBatch:
-    def test_matches_scalar_read_loop(self):
-        scalar, batched = make_nand(), make_nand()
-        for nand in (scalar, batched):
-            nand.program_batch(np.arange(16, dtype=np.int64))
-        pages = [0, 3, 3, 15, 7]
-        total = sum(scalar.read(page)[1] for page in pages)
-        assert batched.sense_batch(np.asarray(pages, dtype=np.int64)) == total
-        assert nand_state(scalar) == nand_state(batched)
-
-    def test_unwritten_page_rejected(self):
-        nand = make_nand()
-        nand.program(0)
-        with pytest.raises(ReadUnwrittenError):
-            nand.sense_batch(np.array([0, 1], dtype=np.int64))
-
-    @pytest.mark.parametrize("n", [10, 16, 17, 24])
-    def test_scalar_and_vector_tiers_match_across_threshold(self, n):
-        """Batches on both sides of the n<=16 fast-path split agree."""
-        scalar, batched = make_nand(), make_nand()
-        for nand in (scalar, batched):
-            nand.program_batch(np.arange(32, dtype=np.int64))
-        pages = [(7 * i) % 32 for i in range(n)]
-        total = sum(scalar.read(page)[1] for page in pages)
-        assert batched.sense_batch(np.asarray(pages, dtype=np.int64)) == total
-        assert nand_state(scalar) == nand_state(batched)
-
-    @pytest.mark.parametrize("n", [4, 24])
-    def test_failed_batch_mutates_nothing(self, n):
-        """Both tiers validate every page before any disturb accounting."""
-        nand = make_nand()
-        nand.program_batch(np.arange(n, dtype=np.int64))
-        before = nand_state(nand)
-        pages = list(range(n - 1)) + [nand.geometry.total_pages - 1]  # last unwritten
-        with pytest.raises(ReadUnwrittenError):
-            nand.sense_batch(np.asarray(pages, dtype=np.int64))
-        assert nand_state(nand) == before
-
-
 class TestBlockScans:
     def test_erased_blocks_matches_bruteforce(self):
         nand = make_nand()
@@ -121,11 +82,17 @@ class TestBlockScans:
         assert nand.erased_blocks() == expected
 
     def test_disturbed_blocks_matches_scalar_reads(self):
-        scalar, batched = make_nand(), make_nand()
-        for nand in (scalar, batched):
-            nand.program_batch(np.arange(64, dtype=np.int64))
-        pages = np.zeros(50, dtype=np.int64)  # hammer block 0
-        for page in pages.tolist():
-            scalar.read(page)
-        batched.sense_batch(pages)
-        assert scalar.disturbed_blocks(0.0001) == batched.disturbed_blocks(0.0001)
+        nand = make_nand()
+        ppb = nand.geometry.pages_per_block
+        nand.program_batch(np.arange(4 * ppb, dtype=np.int64))
+        for block, reads in ((0, 50), (1, 5), (3, 1)):  # block 2 is never read
+            for _ in range(reads):
+                nand.read(block * ppb)
+        limit = nand.read_disturb_limit
+        for threshold in (0.0001, 1 / limit, 5 / limit, 50 / limit, 1.0):
+            expected = [
+                block
+                for block in range(nand.geometry.total_blocks)
+                if nand.reads_since_erase(block) >= threshold * limit
+            ]
+            assert nand.disturbed_blocks(threshold) == expected

@@ -143,13 +143,3 @@ class TestBatchAtomicity:
         else:
             pytest.fail("batch never succeeded at prob=0.3")
         assert nand.write_offset(0) == 8
-
-    def test_uncorrectable_batch_read_decided_pre_mutation(self):
-        plan = FaultPlan(read_error_prob=1.0, retry_success_prob=0.0)
-        nand = make_nand(plan)
-        nand.program_run(0, 4)
-        disturb_before = nand.reads_since_erase(0)
-        with pytest.raises(UncorrectableReadError):
-            nand.sense_batch(np.arange(4, dtype=np.int64))
-        # Decided before any disturb accounting: the array is untouched.
-        assert nand.reads_since_erase(0) == disturb_before

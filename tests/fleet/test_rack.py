@@ -131,9 +131,8 @@ class TestGlobalSinks:
         simulate_shard(spec)
         assert len(sink.events) == seen
 
-    @pytest.mark.parametrize("epoch", [False, True], ids=["per-request", "epoch"])
     @pytest.mark.parametrize("fault_scale", [0.0, 4.0], ids=["clean", "faulted"])
-    def test_frame_fields_equal_what_a_frame_sink_hears(self, epoch, fault_scale):
+    def test_frame_fields_equal_what_a_frame_sink_hears(self, fault_scale):
         """The rack books its request counts and latencies as fields; a
         ``FrameSink`` fed the published stream must arrive at the same
         numbers (no warm-up here, so both cover the same requests)."""
@@ -146,7 +145,7 @@ class TestGlobalSinks:
         spec = _fleet(((conv, 1), (zns, 1)), ticks=40, warmup_ticks=0)
         sink = runtime.install_global_sink(FrameSink())
         try:
-            frame = simulate_shard(spec, epoch=epoch)
+            frame = simulate_shard(spec)
         finally:
             runtime.remove_global_sink(sink)
         for op in ("read", "write"):
@@ -223,59 +222,6 @@ class TestFaultArm:
         sharded = simulate_fleet(faulted, shards=2)
         assert sharded.to_dict() == serial.to_dict()
         assert serial.to_dict() != simulate_fleet(clean).to_dict()
-
-
-class TestEpochServing:
-    """The epoch serving mode: batch dispatch, per-request bookkeeping.
-
-    ``epoch=True`` routes each tenant-tick through the batch entry
-    points and publishes one aggregate HostRequestBatchEvent per epoch.
-    Merge==serial must keep holding shard-for-shard, the served workload
-    (request counts, host pages) must match the per-request loop exactly,
-    and the batch events must bin every latency the scalar path binned.
-    """
-
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), shards=st.integers(1, 6))
-    def test_epoch_merge_equals_serial(self, seed, shards):
-        spec = _fleet((( _CONV, 2), (_ZNS, 2)), seed=seed)
-        serial = simulate_fleet(spec, shards=1, epoch=True)
-        merged = simulate_fleet(spec, shards=shards, epoch=True)
-        assert merged.to_dict() == serial.to_dict()
-
-    @settings(max_examples=8, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_epoch_serves_the_per_request_workload(self, seed):
-        spec = _fleet((( _CONV, 2), (_ZNS, 2)), seed=seed)
-        scalar = simulate_fleet(spec, shards=1)
-        epoch = simulate_fleet(spec, shards=1, epoch=True)
-        # The epoch liberty is flash/GC interleaving *within* a tick;
-        # what gets served is bit-identical.
-        for key in (
-            "fleet.request.write.requests",
-            "fleet.request.read.requests",
-            "fleet.host_pages_written",
-            "fleet.reads_skipped",
-        ):
-            assert scalar.counter(key) == epoch.counter(key), key
-
-    @settings(max_examples=8, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_batch_events_bin_every_latency(self, seed):
-        spec = _fleet((( _CONV, 2), (_ZNS, 2)), seed=seed)
-        scalar = simulate_fleet(spec, shards=1)
-        epoch = simulate_fleet(spec, shards=1, epoch=True)
-        for op in ("write", "read"):
-            key = f"fleet.request.{op}.latency_us"
-            assert epoch.observations(key) == epoch.counter(
-                f"fleet.request.{op}.requests"
-            )
-            assert epoch.observations(key) == scalar.observations(key)
-
-    def test_epoch_mode_defaults_off(self):
-        spec = _fleet(((_CONV, 1), (_ZNS, 1)), seed=3)
-        serial = simulate_fleet(spec, shards=1)
-        assert simulate_fleet(spec).to_dict() == serial.to_dict()
 
 
 class TestZoneMgmtArm:

@@ -154,6 +154,59 @@ class TestDemandPagedFTL:
         device.check_invariants()
 
 
+def _swap_slots(store):
+    store.tvpn_slot[[0, 1]] = store.tvpn_slot[[1, 0]]
+
+
+def _set(attr, value):
+    return lambda store: setattr(store, attr, value)
+
+
+def _put(array, index, value):
+    return lambda store: getattr(store, array).__setitem__(index, value)
+
+
+class TestTranslationStoreInvariants:
+    """Each CMT rule ``DemandPagedFTL.check_invariants`` holds, broken once.
+
+    The device caches tvpns 0 and 1 in slots 0 and 1 of a 4-slot CMT;
+    slots 2 and 3 are empty.
+    """
+
+    @pytest.fixture
+    def device(self):
+        device = small_dftl(cmt_pages=4)
+        device.write(0)
+        device.write(device.store.entries_per_page)
+        assert device.store.slot_tvpn.tolist() == [0, 1, UNMAPPED, UNMAPPED]
+        device.check_invariants()
+        return device
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            pytest.param(_swap_slots, "not the inverse", id="index-not-inverse"),
+            pytest.param(_put("tvpn_slot", 5, 0), "uncached tvpn", id="uncached-tvpn"),
+            pytest.param(_put("slot_tvpn", 2, 5), "empty slot caches", id="empty-slot-tvpn"),
+            pytest.param(_set("_used", 5), "budget", id="used-past-capacity"),
+            pytest.param(_set("_peak_used", 1), "peak", id="peak-below-used"),
+            pytest.param(_put("slot_stamp", 1, 0), "share an LRU stamp", id="stamp-shared"),
+            pytest.param(_set("_stamp", 1), "past the counter", id="stamp-past-counter"),
+            pytest.param(_put("slot_dirty", 3, 1), "slot marked dirty", id="empty-slot-dirty"),
+        ],
+    )
+    def test_broken_rule_is_caught(self, device, corrupt, message):
+        corrupt(device.store)
+        with pytest.raises(AssertionError, match=message):
+            device.check_invariants()
+
+    def test_more_hits_than_lookups_is_caught(self, device):
+        stats = device.store.stats
+        stats.hits = stats.lookups + 1
+        with pytest.raises(AssertionError, match="more CMT hits than lookups"):
+            device.check_invariants()
+
+
 class TestCrashRecovery:
     def test_snapshot_recovery_restores_map_and_gtd(self):
         device = small_dftl(cmt_pages=1)

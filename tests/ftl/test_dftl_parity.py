@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.dftl import DemandPagedFTL
 from repro.ftl.ftl import ConventionalFTL, FTLConfig
+from repro.obs.frame import FrameSink
+from repro.obs.tracer import Tracer
 from repro.sim.rng import make_rng
 
 
@@ -181,85 +183,77 @@ class TestSeededDeterminism:
         a.check_invariants()
 
 
-class TestEpochWritePath:
-    """The grouped ``write_pages`` path: trace totals and group bookkeeping."""
+def cmt_pressure_dftl(tracer=None) -> DemandPagedFTL:
+    """The tiny geometry at 64 blocks under a 2-page CMT.
 
-    @staticmethod
-    def _run_epochs(seed: int) -> dict:
-        from repro.obs.frame import FrameSink
-        from repro.obs.tracer import Tracer
+    One translation page holds page_size/4 = 128 entries, so the 16-block
+    tiny geometry fits its whole map in one page and never misses; four
+    times the blocks spreads the map over ~4 translation pages, and a
+    2-page CMT then faults, evicts dirty pages and collects translation
+    blocks.
+    """
+    cfg = FTLConfig(
+        op_ratio=0.2, gc_policy="greedy", gc_low_watermark=1, gc_high_watermark=2
+    )
+    geometry = dataclasses.replace(tiny_geometry(), blocks_per_plane=16)
+    return DemandPagedFTL(geometry, cfg, cmt_bytes=2 * geometry.page_size, tracer=tracer)
 
-        cfg = FTLConfig(
-            op_ratio=0.2, gc_policy="greedy", gc_low_watermark=1, gc_high_watermark=2
-        )
-        # One translation page holds page_size/4 = 128 entries, so the
-        # tiny 16-block geometry fits its whole map in one page and
-        # never misses; quadruple the blocks so the map spans ~4
-        # translation pages and a 2-page CMT really faults and evicts.
-        geometry = dataclasses.replace(tiny_geometry(), blocks_per_plane=16)
-        tracer = Tracer()
-        sink = tracer.attach(FrameSink())
-        dftl = DemandPagedFTL(
-            geometry, cfg, cmt_bytes=2 * geometry.page_size, tracer=tracer
-        )
+
+def cmt_state(dftl: DemandPagedFTL) -> dict:
+    store = dftl.store
+    return {
+        "physics": physics_state(dftl),
+        "store_stats": dataclasses.asdict(store.stats),
+        "tvpn_slot": store.tvpn_slot.tolist(),
+        "slot_tvpn": store.slot_tvpn.tolist(),
+        "slot_dirty": store.slot_dirty.tolist(),
+        "slot_stamp": store.slot_stamp.tolist(),
+        "stamp": store._stamp,
+        "gtd": store.gtd.tolist(),
+    }
+
+
+batch_sizes = st.lists(st.integers(64, 256), min_size=4, max_size=8)
+
+
+class TestWritePages:
+    """``DemandPagedFTL.write_pages`` is the per-lpn ``write`` loop."""
+
+    @given(seed=st.integers(0, 2**16), sizes=batch_sizes)
+    @settings(max_examples=15, deadline=None)
+    def test_write_pages_leaves_the_write_loop_state(self, seed, sizes):
+        batched, looped = cmt_pressure_dftl(), cmt_pressure_dftl()
+        n = batched.logical_pages
         rng = make_rng(seed)
-        n = dftl.logical_pages
-        dftl.write_pages(np.arange(n, dtype=np.int64))
-        for _ in range(6):
-            epoch = rng.integers(0, n, size=int(rng.integers(1, 64)))
-            dftl.write_pages(epoch.astype(np.int64))
-        decomp = dftl.wa_decomposition()
-        return {
-            "physics": physics_state(dftl),
-            "store": dataclasses.asdict(dftl.store.stats),
-            "peak_resident_bytes": dftl.store.peak_resident_bytes,
-            "translation_counters": {
-                k: v
-                for k, v in sink.frame.counters.items()
-                if k.startswith("translation.")
-            },
-            "wa_decomposition": dataclasses.asdict(decomp),
-        }
+        for lpns in [np.arange(n, dtype=np.int64)] + [
+            rng.integers(0, n, size=size) for size in sizes
+        ]:
+            assert batched.write_pages(lpns) == lpns.size
+            for lpn in lpns.tolist():
+                looped.write(lpn)
+        assert cmt_state(batched) == cmt_state(looped)
+        stats = batched.store.stats
+        # Misses, dirty evictions and translation GC all ran in between.
+        assert stats.miss_reads > 0
+        assert stats.dirty_evict_writes > 0
+        assert stats.gc_runs > 0
+        batched.check_invariants()
 
     @given(seed=st.integers(0, 2**16))
     @settings(max_examples=15, deadline=None)
     def test_translation_events_match_store_stats(self, seed):
-        result = self._run_epochs(seed)
-        counters = result["translation_counters"]
-        store = result["store"]
-        assert counters.get("translation.miss_fetch", 0) == store["miss_reads"]
-        assert counters.get("translation.writeback", 0) == store["dirty_evict_writes"]
+        tracer = Tracer()
+        sink = tracer.attach(FrameSink())
+        dftl = cmt_pressure_dftl(tracer)
+        rng = make_rng(seed)
+        n = dftl.logical_pages
+        dftl.write_pages(np.arange(n, dtype=np.int64))
+        for _ in range(6):
+            dftl.write_pages(rng.integers(0, n, size=int(rng.integers(1, 64))))
+        counters = sink.frame.counters
+        store = dftl.store.stats
+        assert counters.get("translation.miss_fetch", 0) == store.miss_reads
+        assert counters.get("translation.writeback", 0) == store.dirty_evict_writes
         # The run must actually exercise the demand-fault machinery.
-        assert store["miss_reads"] > 0
-        assert store["dirty_evict_writes"] > 0
-
-    @given(
-        tvpn=st.integers(0, 3),
-        count=st.integers(1, 12),
-        warm=st.lists(st.integers(0, 3), max_size=6),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_access_group_is_count_scalar_accesses(self, tvpn, count, warm):
-        cfg = FTLConfig(
-            op_ratio=0.2, gc_policy="greedy", gc_low_watermark=1, gc_high_watermark=2
-        )
-        geometry = dataclasses.replace(tiny_geometry(), blocks_per_plane=16)
-        # 2-page CMT over a ~4-page translation map: group accesses can
-        # hit, miss, and evict.
-        grouped = DemandPagedFTL(geometry, cfg, cmt_bytes=2 * geometry.page_size)
-        scalar = DemandPagedFTL(geometry, cfg, cmt_bytes=2 * geometry.page_size)
-        npages = grouped.store.translation_pages
-        tvpn %= npages
-        for store in (grouped.store, scalar.store):
-            for w in warm:
-                store.access_tvpn(w % npages, dirty=True)
-        grouped.store.access_group(tvpn, count)
-        for _ in range(count):
-            scalar.store.access_tvpn(tvpn, dirty=True)
-        a, b = grouped.store, scalar.store
-        assert np.array_equal(a.tvpn_slot, b.tvpn_slot)
-        assert np.array_equal(a.slot_tvpn, b.slot_tvpn)
-        assert np.array_equal(a.slot_dirty, b.slot_dirty)
-        assert np.array_equal(a.slot_stamp, b.slot_stamp)
-        assert a._stamp == b._stamp
-        assert dataclasses.asdict(a.stats) == dataclasses.asdict(b.stats)
+        assert store.miss_reads > 0
+        assert store.dirty_evict_writes > 0

@@ -9,7 +9,6 @@ from repro.obs.events import (
     FaultEvent,
     FlashOpEvent,
     GcEvent,
-    HostRequestBatchEvent,
     HostRequestEvent,
     ReclaimEvent,
     RecoveryEvent,
@@ -35,9 +34,6 @@ SAMPLES = [
     ReclaimEvent("block.dmzoned", "zone-reset", zone=9, free_zones=4),
     HostRequestEvent("hostio.request", "write", "complete", request_id=11,
                      latency_us=350.0, nbytes=4096, t=99.0),
-    HostRequestBatchEvent("fleet.request", "write",
-                          latencies_us=[120.0, 310.5, 440.25], count=3,
-                          first_request_id=12),
     FaultEvent("flash.nand", "program-fail", block=3, page=97, retries=2,
                latency_us=90.0, op_index=1500),
     RecoveryEvent("ftl.ftl", "block-retired", block=3, pages_moved=12,

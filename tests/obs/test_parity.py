@@ -160,7 +160,7 @@ class TestCounterParity:
 class TestRunPathParity:
     """One aggregate event per run or batch must sum to what the field booked."""
 
-    def test_program_run_copy_run_and_sense_batch(self):
+    def test_program_run_copy_run_and_scalar_reads(self):
         geometry = FlashGeometry.small()
         nand = NandArray(geometry)
         recording = nand.tracer.attach(RecordingSink())
@@ -170,23 +170,23 @@ class TestRunPathParity:
         nand.program_batch(np.arange(2 * ppb, 2 * ppb + 7))
         nand.copy_run(np.arange(0, 12, 3), 3, 0)          # strided, 4 pages
         nand.copy_page(1, 3 * ppb + 4)
-        nand.sense_batch([0, 1, 2])                       # scalar-Python branch
-        nand.sense_batch(list(range(40)))                 # array branch
+        for read in (0, 1, 2, 2 * ppb + 6):
+            nand.read(read)
         nand.erase(1)
-        assert [e.count for e in recording.events] == [ppb, 5, 7, 4, 1, 3, 40, 1]
+        assert [e.count for e in recording.events] == [ppb, 5, 7, 4, 1, 1, 1, 1, 1, 1]
         counters = nand.counters
         assert counters == _replayed_counters(recording.events, "flash.nand")
         assert counters == OpCounter(
-            reads=43,
+            reads=4,
             writes=ppb + 12,
             erases=1,
             copies=5,
-            bytes_read=43 * page,
+            bytes_read=4 * page,
             bytes_written=(ppb + 12 + 5) * page,  # a copy programs its bytes too
             bytes_copied=5 * page,
         )
 
-    def test_zns_write_batch_append_batch_and_read_batch(self):
+    def test_zns_write_batch_append_batch_and_scalar_reads(self):
         geometry = ZonedGeometry.small()
         device = ZNSDevice(geometry)
         recording = device.tracer.attach(RecordingSink())
@@ -194,10 +194,12 @@ class TestRunPathParity:
         device.write_batch(0, pages)
         assert device.append_batch(1, 9) == 0
         assert device.append_batch(1, 4) == 9
-        device.read_batch([(0, 0), (0, 5), (1, 12)])
+        for zone, offset in ((0, 0), (0, 5), (1, 12)):
+            device.read(zone, offset)
         commands = [e for e in recording.events if e.layer == "zns.device" and e.kind == "flash-op"]
         assert [(e.op, e.count) for e in commands] == [
-            ("program", pages), ("program", 9), ("program", 4), ("read", 3),
+            ("program", pages), ("program", 9), ("program", 4),
+            ("read", 1), ("read", 1), ("read", 1),
         ]
         assert device.counters == _replayed_counters(recording.events, "zns.device")
         assert device.counters == OpCounter(

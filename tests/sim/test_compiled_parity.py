@@ -14,7 +14,7 @@ from repro.flash.geometry import FlashGeometry
 from repro.flash.nand import NandArray
 from repro.ftl.mapping import UNMAPPED, FullPageMap
 from repro.sim import compiled
-from tests.oracle.scalar_cmt import cmt_evict_loop, cmt_probe_loop
+from tests.oracle.scalar_cmt import cmt_evict_loop
 
 GEOMETRY = FlashGeometry.small()
 PPB = GEOMETRY.pages_per_block
@@ -140,65 +140,17 @@ class TestCopyRunParity:
 
 def _random_cmt(rng, capacity: int, ntvpns: int):
     """Random CMT slot-array state with unique stamps, like a live cache."""
-    tvpn_slot = np.full(ntvpns, UNMAPPED, dtype=np.int64)
     slot_tvpn = np.full(capacity, UNMAPPED, dtype=np.int64)
     slot_dirty = np.zeros(capacity, dtype=np.int8)
     used = int(rng.integers(0, capacity + 1))
     resident = rng.choice(ntvpns, size=used, replace=False)
     for slot, tvpn in enumerate(resident.tolist()):
-        tvpn_slot[tvpn] = slot
         slot_tvpn[slot] = tvpn
         slot_dirty[slot] = int(rng.integers(0, 2))
     # One monotonic counter stamps every insert/hit, so live stamps are
-    # unique; empty slots keep stale stamps, which the kernels ignore.
+    # unique; empty slots keep stale stamps, which the kernel ignores.
     slot_stamp = rng.permutation(capacity).astype(np.int64)
-    return tvpn_slot, slot_tvpn, slot_dirty, slot_stamp
-
-
-class TestCmtProbeParity:
-    @given(
-        capacity=st.integers(1, 12),
-        ntvpns=st.integers(12, 48),
-        ngroups=st.integers(1, 16),
-        seed=st.integers(0, 2**16),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_matches_scalar_probe_loop(self, capacity, ntvpns, ngroups, seed):
-        rng = np.random.default_rng(seed)
-        tvpn_slot, _slot_tvpn, slot_dirty, slot_stamp = _random_cmt(
-            rng, capacity, ntvpns
-        )
-        tvpns = rng.choice(ntvpns, size=min(ngroups, ntvpns), replace=False).astype(
-            np.int64
-        )
-        counts = rng.integers(1, 9, size=tvpns.size).astype(np.int64)
-        start = int(rng.integers(0, tvpns.size))
-        stamp = int(slot_stamp.max()) + 1
-
-        ref_slot_dirty = slot_dirty.copy()
-        ref_slot_stamp = slot_stamp.copy()
-        ref_consumed, ref_stamp = cmt_probe_loop(
-            tvpn_slot.copy(), ref_slot_dirty, ref_slot_stamp,
-            tvpns, counts, start, stamp,
-        )
-        consumed, next_stamp = compiled.cmt_probe_batch(
-            tvpn_slot, slot_dirty, slot_stamp, tvpns, counts, start, stamp
-        )
-        assert consumed == ref_consumed
-        assert next_stamp == ref_stamp
-        assert np.array_equal(slot_dirty, ref_slot_dirty), "dirty bits diverged"
-        assert np.array_equal(slot_stamp, ref_slot_stamp), "LRU stamps diverged"
-        # The first unconsumed group (if any) really is a miss.
-        if start + consumed < tvpns.size:
-            assert tvpn_slot[tvpns[start + consumed]] == UNMAPPED
-
-    def test_start_past_end_is_a_no_op(self):
-        tvpn_slot = np.full(4, UNMAPPED, dtype=np.int64)
-        consumed, stamp = compiled.cmt_probe_batch(
-            tvpn_slot, np.zeros(2, dtype=np.int8), np.zeros(2, dtype=np.int64),
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0, 7,
-        )
-        assert (consumed, stamp) == (0, 7)
+    return slot_tvpn, slot_dirty, slot_stamp
 
 
 class TestCmtEvictParity:
@@ -210,9 +162,7 @@ class TestCmtEvictParity:
     @settings(max_examples=80, deadline=None)
     def test_matches_scalar_evict_loop(self, capacity, ntvpns, seed):
         rng = np.random.default_rng(seed)
-        _tvpn_slot, slot_tvpn, slot_dirty, slot_stamp = _random_cmt(
-            rng, capacity, ntvpns
-        )
+        slot_tvpn, slot_dirty, slot_stamp = _random_cmt(rng, capacity, ntvpns)
         ref_dirty = slot_dirty.copy()
         ref = cmt_evict_loop(slot_tvpn.copy(), ref_dirty, slot_stamp.copy())
         got = compiled.cmt_evict_batch(slot_tvpn, slot_dirty, slot_stamp)
