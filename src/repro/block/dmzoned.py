@@ -138,9 +138,15 @@ class ZonedBlockDevice:
         by_op = int(usable_zones * pages_per_zone / (1.0 + self.config.op_ratio))
         self.logical_pages = min(by_op, usable_zones * pages_per_zone)
 
+        # Each map array has a ``*_v`` memoryview of its own buffer: scalar
+        # ops index the view (a plain int), scans the array. Neither is
+        # ever rebound.
         self._l2p = np.full(self.logical_pages, UNMAPPED, dtype=np.int64)
+        self._l2p_v = memoryview(self._l2p)
         self._p2l = np.full(total_zones * pages_per_zone, UNMAPPED, dtype=np.int64)
+        self._p2l_v = memoryview(self._p2l)
         self._valid = np.zeros(total_zones, dtype=np.int32)
+        self._valid_v = memoryview(self._valid)
         self._pages_per_zone = pages_per_zone
         self._free_zones: list[int] = list(range(total_zones))
         self._sealed: set[int] = set()
@@ -202,7 +208,7 @@ class ZonedBlockDevice:
 
     def read(self, lba: int) -> tuple[Any, FlashOp]:
         self._check(lba)
-        flat = int(self._l2p[lba])
+        flat = self._l2p_v[lba]
         if flat == UNMAPPED:
             raise TranslationError(f"lba {lba} is unmapped")
         zone, offset = divmod(flat, self._pages_per_zone)
@@ -218,7 +224,7 @@ class ZonedBlockDevice:
             # ECC ladder exhausted: this one page is lost; unmap it so
             # later reads fail fast instead of re-walking the ladder.
             self._unmap_physical(flat)
-            self._l2p[lba] = UNMAPPED
+            self._l2p_v[lba] = UNMAPPED
             self.stats.pages_lost += 1
             raise
         self.stats.user_pages_read += 1
@@ -279,30 +285,31 @@ class ZonedBlockDevice:
 
     def trim(self, lba: int) -> None:
         self._check(lba)
-        flat = int(self._l2p[lba])
+        flat = self._l2p_v[lba]
         if flat == UNMAPPED:
             return
         self._unmap_physical(flat)
-        self._l2p[lba] = UNMAPPED
+        self._l2p_v[lba] = UNMAPPED
 
     # -- Mapping helpers ------------------------------------------------------------
 
     def _map(self, lba: int, zone: int, offset: int) -> None:
         flat = self._flat(zone, offset)
-        if self._p2l[flat] != UNMAPPED:
+        if self._p2l_v[flat] != UNMAPPED:
             raise TranslationError(f"physical slot {flat} already mapped")
-        old = int(self._l2p[lba])
+        old = self._l2p_v[lba]
         if old != UNMAPPED:
             self._unmap_physical(old)
-        self._l2p[lba] = flat
-        self._p2l[flat] = lba
-        self._valid[zone] += 1
+        self._l2p_v[lba] = flat
+        self._p2l_v[flat] = lba
+        self._valid_v[zone] += 1
 
     def _unmap_physical(self, flat: int) -> None:
-        self._p2l[flat] = UNMAPPED
+        self._p2l_v[flat] = UNMAPPED
         zone = flat // self._pages_per_zone
-        self._valid[zone] -= 1
-        if self._valid[zone] < 0:
+        count = self._valid_v[zone] - 1
+        self._valid_v[zone] = count
+        if count < 0:
             raise AssertionError(f"zone {zone} valid count went negative")
 
     def _frontier_full(self, zone: int | None) -> bool:
@@ -337,9 +344,9 @@ class ZonedBlockDevice:
         slot = self._p2l[base : base + self._pages_per_zone]
         lost = slot[slot != UNMAPPED]
         for lba in lost.tolist():
-            self._l2p[lba] = UNMAPPED
+            self._l2p_v[lba] = UNMAPPED
         slot[:] = UNMAPPED
-        self._valid[zone] = 0
+        self._valid_v[zone] = 0
         self._sealed.discard(zone)
         self._seal_times.pop(zone, None)
         if zone in self._free_zones:
@@ -363,7 +370,7 @@ class ZonedBlockDevice:
             raise TranslationError("no sealed zones to collect")
         victim = self.policy.select(
             self._sealed,
-            lambda z: int(self._valid[z]),
+            lambda z: self._valid_v[z],
             self._pages_per_zone,
             lambda z: self._seal_times.get(z, 0),
             self._clock,
@@ -372,7 +379,7 @@ class ZonedBlockDevice:
         self._victim_offsets = [
             offset
             for offset in range(self.device.zone(victim).wp)
-            if self._p2l[self._flat(victim, offset)] != UNMAPPED
+            if self._p2l_v[self._flat(victim, offset)] != UNMAPPED
         ]
         if self.tracer.enabled:
             self.tracer.publish(
@@ -403,7 +410,7 @@ class ZonedBlockDevice:
         while self._victim_offsets and max_copies > 0:
             offset = self._victim_offsets.pop(0)
             # The page may have been overwritten (invalidated) since staging.
-            if self._p2l[self._flat(self._victim, offset)] == UNMAPPED:
+            if self._p2l_v[self._flat(self._victim, offset)] == UNMAPPED:
                 continue
             dst = self._gc_destination()
             try:
@@ -498,11 +505,11 @@ class ZonedBlockDevice:
             write_ops = self.device.write(dst_zone, npages=1, data=payload)
             ops = [read_op, *write_ops]
             self.stats.pcie_copy_pages += 1
-        lba = int(self._p2l[self._flat(victim, offset)])
+        lba = self._p2l_v[self._flat(victim, offset)]
         self._unmap_physical(self._flat(victim, offset))
-        self._l2p[lba] = self._flat(dst_zone, dst_offset)
-        self._p2l[self._flat(dst_zone, dst_offset)] = lba
-        self._valid[dst_zone] += 1
+        self._l2p_v[lba] = self._flat(dst_zone, dst_offset)
+        self._p2l_v[self._flat(dst_zone, dst_offset)] = lba
+        self._valid_v[dst_zone] += 1
         self.stats.gc_pages_copied += 1
         return ops
 
@@ -533,16 +540,16 @@ class ZonedBlockDevice:
     # -- Invariant checking (property tests) -------------------------------------------
 
     def check_invariants(self) -> None:
+        for name in ("_l2p", "_p2l", "_valid"):
+            view = getattr(self, name + "_v")
+            assert view.obj is getattr(self, name), f"{name} rebound away from its view"
         active = {z for z in (self._write_zone, self._gc_zone) if z is not None}
         free = set(self._free_zones)
         assert not (free & self._sealed), "zone both free and sealed"
         assert not (free & active), "zone both free and active"
-        mapped = int((self._l2p != UNMAPPED).sum())
-        assert int(self._valid.sum()) == mapped, "valid counts disagree with map"
-        for lba in range(self.logical_pages):
-            flat = int(self._l2p[lba])
-            if flat != UNMAPPED:
-                assert int(self._p2l[flat]) == lba
+        lbas = np.flatnonzero(self._l2p != UNMAPPED)
+        assert int(self._valid.sum()) == lbas.size, "valid counts disagree with map"
+        assert np.array_equal(self._p2l[self._l2p[lbas]], lbas), "p2l is not l2p's inverse"
 
 
 __all__ = ["TranslationError", "ZonedBlockConfig", "ZonedBlockDevice", "ZonedBlockStats"]

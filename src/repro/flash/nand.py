@@ -110,9 +110,14 @@ class NandArray:
         if self.faults is not None and self.faults.tracer is None:
             self.faults.bind(self.tracer)
         # Next programmable page offset within each block; == pages_per_block
-        # means the block is full.
+        # means the block is full. Each per-block array has a ``*_v``
+        # memoryview of its own buffer: scalar ops index the view (a plain
+        # int, no numpy scalar boxed), runs and scans the array. Neither is
+        # ever rebound (DESIGN.md §6, "Scalar state reads through a view").
         self._write_offsets = np.zeros(geometry.total_blocks, dtype=np.int32)
+        self._write_offsets_v = memoryview(self._write_offsets)
         self._reads_since_erase = np.zeros(geometry.total_blocks, dtype=np.int64)
+        self._reads_since_erase_v = memoryview(self._reads_since_erase)
         self._data: dict[int, Any] = {}
 
     # -- Introspection -------------------------------------------------------
@@ -121,7 +126,7 @@ class NandArray:
         """Offset of the next programmable page in ``block``."""
         if not 0 <= block < self.geometry.total_blocks:
             self.geometry.check_block(block)
-        return int(self._write_offsets[block])
+        return self._write_offsets_v[block]
 
     @property
     def write_offsets(self) -> np.ndarray:
@@ -141,7 +146,7 @@ class NandArray:
 
     def is_programmed(self, page: int) -> bool:
         block, offset = self.geometry.split_page(page)
-        return offset < self._write_offsets[block]
+        return offset < self._write_offsets_v[block]
 
     def free_pages_in_block(self, block: int) -> int:
         return self.geometry.pages_per_block - self.write_offset(block)
@@ -158,7 +163,7 @@ class NandArray:
         block, offset = self.geometry.split_page(page)
         if self.wear.is_bad(block):
             raise BadBlockError(f"program on retired block {block}")
-        expected = self._write_offsets[block]
+        expected = self._write_offsets_v[block]
         if offset != expected:
             raise ProgramOrderError(
                 f"page {page} is offset {offset} of block {block}; next "
@@ -171,13 +176,13 @@ class NandArray:
                 # The failed attempt still burns the page: the write
                 # offset advances, but the data is bad. The layer above
                 # must rewrite elsewhere.
-                self._write_offsets[block] = offset + 1
+                self._write_offsets_v[block] = offset + 1
                 raise ProgramFaultError(
                     f"program fault burned page {page} of block {block}",
                     latency_us=latency,
                 )
             latency += extra
-        self._write_offsets[block] = offset + 1
+        self._write_offsets_v[block] = offset + 1
         if self.store_data:
             self._data[page] = data
         self.counters.note_write(self.geometry.page_size)
@@ -234,9 +239,9 @@ class NandArray:
         block, offset = self.geometry.split_page(page)
         if self.wear.is_bad(block):
             raise BadBlockError(f"read on retired block {block}")
-        if offset >= self._write_offsets[block]:
+        if offset >= self._write_offsets_v[block]:
             raise ReadUnwrittenError(f"page {page} has not been programmed")
-        self._reads_since_erase[block] += 1
+        self._reads_since_erase_v[block] += 1
         return block, self._data.get(page) if self.store_data else None
 
     def sense_for_copy(self, page: int) -> Any:
@@ -264,8 +269,8 @@ class NandArray:
             # the block is retired, same as a wear-driven failure.
             self.wear.mark_bad(block)
             survived = False
-        self._write_offsets[block] = 0
-        self._reads_since_erase[block] = 0
+        self._write_offsets_v[block] = 0
+        self._reads_since_erase_v[block] = 0
         if self.store_data:
             for page in self.geometry.pages_of_block(block):
                 self._data.pop(page, None)
@@ -292,11 +297,11 @@ class NandArray:
         block, offset = self.geometry.split_page(dst_page)
         if self.wear.is_bad(block):
             raise BadBlockError(f"copy into retired block {block}")
-        if offset != self._write_offsets[block]:
+        if offset != self._write_offsets_v[block]:
             raise ProgramOrderError(
                 f"copy destination page {dst_page} out of order in block {block}"
             )
-        self._write_offsets[block] = offset + 1
+        self._write_offsets_v[block] = offset + 1
         if self.store_data:
             self._data[dst_page] = payload
         latency = self.timing.read_us + self.timing.program_us
@@ -408,9 +413,9 @@ class NandArray:
         self.geometry.check_block(block)
         if n < 1:
             raise ValueError("n must be >= 1")
-        if self.wear.bad_mask[block]:
+        if self.wear.bad_mask_v[block]:
             raise BadBlockError(f"program on retired block {block}")
-        offset = int(self._write_offsets[block])
+        offset = self._write_offsets_v[block]
         if offset + n > self.geometry.pages_per_block:
             raise ProgramOrderError(
                 f"block {block} has {self.geometry.pages_per_block - offset} "
@@ -426,7 +431,7 @@ class NandArray:
                     latency_us=latency,
                 )
             latency += extra
-        self._write_offsets[block] = offset + n
+        self._write_offsets_v[block] = offset + n
         self.counters.note_write(n * self.geometry.page_size, n)
         if self.tracer.enabled:
             self.tracer.publish(
@@ -460,20 +465,20 @@ class NandArray:
             raise IndexError(f"page batch out of range [0, {self.geometry.total_pages})")
         if last_src // ppb != src_block or last_src - first_src + 1 < n:
             raise ValueError("copy_run sources must ascend within one block")
-        if self.wear.bad_mask[src_block]:
+        if self.wear.bad_mask_v[src_block]:
             raise BadBlockError(f"read on retired block {src_block}")
-        if last_src - src_block * ppb >= self._write_offsets[src_block]:
+        if last_src - src_block * ppb >= self._write_offsets_v[src_block]:
             raise ReadUnwrittenError("batch copies at least one unprogrammed page")
-        if self.wear.bad_mask[dst_block]:
+        if self.wear.bad_mask_v[dst_block]:
             raise BadBlockError(f"program on retired block {dst_block}")
-        if dst_offset != self._write_offsets[dst_block]:
+        if dst_offset != self._write_offsets_v[dst_block]:
             raise ProgramOrderError(
                 f"copy destination offset {dst_offset} out of order in block {dst_block}"
             )
         if dst_offset + n > ppb:
             raise ProgramOrderError(f"copy run of {n} pages overflows block {dst_block}")
-        self._reads_since_erase[src_block] += n
-        self._write_offsets[dst_block] = dst_offset + n
+        self._reads_since_erase_v[src_block] += n
+        self._write_offsets_v[dst_block] = dst_offset + n
         dst_first = dst_block * ppb + dst_offset
         if self.store_data:
             for i, src in enumerate(src_pages.tolist()):
@@ -505,7 +510,7 @@ class NandArray:
     def reads_since_erase(self, block: int) -> int:
         """Reads the block has absorbed since its last erase."""
         self.geometry.check_block(block)
-        return int(self._reads_since_erase[block])
+        return self._reads_since_erase_v[block]
 
     def disturb_pressure(self, block: int) -> float:
         """Fraction of the read-disturb budget consumed (>= 1.0 is overdue)."""
@@ -526,6 +531,14 @@ class NandArray:
 
     def check_invariants(self) -> None:
         """Assert structural invariants; raises AssertionError on violation."""
+        for owner, name in (
+            (self, "_write_offsets"),
+            (self, "_reads_since_erase"),
+            (self.wear, "erase_counts"),
+            (self.wear, "bad_mask"),
+        ):
+            view = getattr(owner, name + "_v")
+            assert view.obj is getattr(owner, name), f"{name} rebound away from its view"
         ppb = self.geometry.pages_per_block
         offsets = self._write_offsets
         assert ((offsets >= 0) & (offsets <= ppb)).all(), "write offset outside [0, ppb]"

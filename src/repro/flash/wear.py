@@ -59,15 +59,21 @@ class WearTracker:
     #: Boolean retired-block mask kept in lockstep with the ``_bad`` set so
     #: bulk scans (erased/disturbed block sweeps) stay vectorized.
     bad_mask: np.ndarray = field(init=False, repr=False)
+    #: Memoryviews of the two arrays' buffers, for scalar access; neither
+    #: array is ever rebound (DESIGN.md §6).
+    erase_counts_v: memoryview = field(init=False, repr=False, compare=False)
+    bad_mask_v: memoryview = field(init=False, repr=False, compare=False)
     _bad: set[int] = field(default_factory=set, repr=False)
 
     def __post_init__(self) -> None:
         if self.total_blocks < 1:
             raise ValueError("total_blocks must be >= 1")
         self.erase_counts = np.zeros(self.total_blocks, dtype=np.int64)
+        self.erase_counts_v = memoryview(self.erase_counts)
         self.bad_mask = np.zeros(self.total_blocks, dtype=bool)
+        self.bad_mask_v = memoryview(self.bad_mask)
         for block in self._bad:
-            self.bad_mask[block] = True
+            self.bad_mask_v[block] = True
 
     @classmethod
     def for_cell(
@@ -93,7 +99,7 @@ class WearTracker:
         """Retire a block (grown defect or erase failure)."""
         self._check(block)
         self._bad.add(block)
-        self.bad_mask[block] = True
+        self.bad_mask_v[block] = True
 
     def record_erase(self, block: int) -> bool:
         """Count one erase; returns False if the block failed and retired.
@@ -107,18 +113,19 @@ class WearTracker:
         self._check(block)
         if block in self._bad:
             raise ValueError(f"erase on retired block {block}")
-        self.erase_counts[block] += 1
+        count = self.erase_counts_v[block] + 1
+        self.erase_counts_v[block] = count
         if self.endurance_cycles <= 0:
             return True
-        if self.erase_counts[block] <= self.endurance_cycles:
+        if count <= self.endurance_cycles:
             return True
         if self.failure_rng is None or self.failure_probability <= 0:
             self._bad.add(block)
-            self.bad_mask[block] = True
+            self.bad_mask_v[block] = True
             return False
         if self.failure_rng.random() < self.failure_probability:
             self._bad.add(block)
-            self.bad_mask[block] = True
+            self.bad_mask_v[block] = True
             return False
         return True
 
@@ -127,13 +134,10 @@ class WearTracker:
         self._check(block)
         if self.endurance_cycles <= 0:
             return 2**62
-        return max(self.endurance_cycles - int(self.erase_counts[block]), 0)
+        return max(self.endurance_cycles - self.erase_counts_v[block], 0)
 
     def stats(self) -> WearStats:
-        live = np.array(
-            [c for b, c in enumerate(self.erase_counts) if b not in self._bad],
-            dtype=np.int64,
-        )
+        live = self.erase_counts[~self.bad_mask]
         if live.size == 0:
             return WearStats(0, 0, 0.0, 0.0, len(self._bad))
         return WearStats(

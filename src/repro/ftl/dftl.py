@@ -144,8 +144,10 @@ class DemandPagedFTL(ConventionalFTL):
 
         self._trans_active: int | None = None
         self._trans_sealed: set[int] = set()
-        #: Valid (current per the GTD) translation pages per block.
+        #: Valid (current per the GTD) translation pages per block, with a
+        #: memoryview of its buffer for scalar access; never rebound.
         self._trans_valid = np.zeros(geometry.total_blocks, dtype=np.int32)
+        self._trans_valid_v = memoryview(self._trans_valid)
         #: tvpns dirtied by GC relocations while uncached; faulted in
         #: dirty at the next host-op boundary (a real DFTL batches these
         #: read-modify-writes the same way).
@@ -299,13 +301,14 @@ class DemandPagedFTL(ConventionalFTL):
         """Program one translation page (CMT writeback / flush path)."""
         block = self._trans_destination(allow_gc=True)
         page, _ = self.nand.program_next(block)
-        old = int(self.store.gtd[tvpn])
+        gtd = self.store.gtd_v
+        old = gtd[tvpn]
         if old != UNMAPPED:
-            self._trans_valid[self.geometry.block_of_page(old)] -= 1
-        self.store.gtd[tvpn] = page
-        self._trans_valid[block] += 1
-        self._oob_lpn[page] = oob_tag_for_tvpn(tvpn)
-        self._oob_serial[page] = self._program_serial
+            self._trans_valid_v[self.geometry.block_of_page(old)] -= 1
+        gtd[tvpn] = page
+        self._trans_valid_v[block] += 1
+        self._oob_lpn_v[page] = oob_tag_for_tvpn(tvpn)
+        self._oob_serial_v[page] = self._program_serial
         self._program_serial += 1
 
     # -- Garbage collection ----------------------------------------------------
@@ -320,7 +323,7 @@ class DemandPagedFTL(ConventionalFTL):
         best: int | None = None
         best_valid = 0
         for block in sorted(self._trans_sealed):
-            valid = int(self._trans_valid[block])
+            valid = self._trans_valid_v[block]
             if valid >= ppb:
                 continue
             if best is None or valid < best_valid:
@@ -337,7 +340,7 @@ class DemandPagedFTL(ConventionalFTL):
         """
         victim = self._select_trans_victim()
         if victim is not None:
-            tvalid = int(self._trans_valid[victim])
+            tvalid = self._trans_valid_v[victim]
             data_best: int | None = None
             if self._sealed:
                 cand = np.fromiter(
@@ -359,6 +362,8 @@ class DemandPagedFTL(ConventionalFTL):
         gtd = self.store.gtd
         in_victim = (gtd != UNMAPPED) & (gtd // ppb == victim)
         tvpns = np.flatnonzero(in_victim)
+        gtd_v = self.store.gtd_v
+        trans_valid = self._trans_valid_v
         if self.tracer.enabled:
             self.tracer.publish(
                 GcEvent(
@@ -369,16 +374,16 @@ class DemandPagedFTL(ConventionalFTL):
         ops: list[FlashOp] = []
         uses_channel = not self.config.copyback
         for tvpn in tvpns.tolist():
-            src = int(gtd[tvpn])
+            src = gtd_v[tvpn]
             dst_block = self._trans_destination(allow_gc=False)
             offset = self.nand.write_offset(dst_block)
             dst = g.first_page_of_block(dst_block) + offset
             latency = self.nand.copy_page(src, dst)
-            gtd[tvpn] = dst
-            self._trans_valid[victim] -= 1
-            self._trans_valid[dst_block] += 1
-            self._oob_lpn[dst] = oob_tag_for_tvpn(tvpn)
-            self._oob_serial[dst] = self._program_serial
+            gtd_v[tvpn] = dst
+            trans_valid[victim] -= 1
+            trans_valid[dst_block] += 1
+            self._oob_lpn_v[dst] = oob_tag_for_tvpn(tvpn)
+            self._oob_serial_v[dst] = self._program_serial
             self._program_serial += 1
             self.store.stats.gc_copies += 1
             if build_ops:
@@ -431,12 +436,10 @@ class DemandPagedFTL(ConventionalFTL):
         # The CMT and the in-DRAM GTD are volatile; translation pages on
         # flash (and their OOB tags) survive and seed recovery.
         self.store.drop_cache()
-        self.store.gtd = np.full(
-            self.store.translation_pages, UNMAPPED, dtype=np.int64
-        )
+        self.store.gtd.fill(UNMAPPED)
         self._trans_active = None
         self._trans_sealed = set()
-        self._trans_valid = np.zeros(self.geometry.total_blocks, dtype=np.int32)
+        self._trans_valid.fill(0)
         self._pending_trans_dirty = set()
         self._recovered_trans_blocks = set()
 
@@ -489,13 +492,11 @@ class DemandPagedFTL(ConventionalFTL):
 
         replayed = super().recover(snapshot)
 
-        self.store.gtd = gtd
+        self.store.gtd[:] = gtd
         self.store.drop_cache()
         self._pending_trans_dirty = set()
         live = gtd[gtd != UNMAPPED]
-        self._trans_valid = np.bincount(
-            live // ppb, minlength=g.total_blocks
-        ).astype(np.int32)
+        self._trans_valid[:] = np.bincount(live // ppb, minlength=g.total_blocks)
         self._trans_active = None
         self._trans_sealed = set()
         for block in self._recovered_trans_blocks:
@@ -524,6 +525,9 @@ class DemandPagedFTL(ConventionalFTL):
     def check_invariants(self) -> None:
         super().check_invariants()
         self.store.check_invariants()
+        assert self._trans_valid_v.obj is self._trans_valid, (
+            "_trans_valid rebound away from its view"
+        )
         data_active = {b for b in self._active.values() if b is not None}
         data_active |= {b for b in self._gc_active.values() if b is not None}
         trans = set(self._trans_sealed)

@@ -199,7 +199,10 @@ class ConventionalFTL:
         self._seal_times: dict[int, int] = {}
         # Array twin of _seal_times (stale entries for unsealed blocks are
         # never read), so victim selection indexes instead of dict-gets.
+        # Like the OOB columns below it has a ``*_v`` memoryview of its
+        # buffer for scalar writes, and is written in place, never rebound.
         self._seal_time_arr = np.zeros(geometry.total_blocks, dtype=np.int64)
+        self._seal_time_arr_v = memoryview(self._seal_time_arr)
         self._clock = 0  # logical time: one tick per host write
         self._active: dict[int, int | None] = {s: None for s in range(self.config.streams)}
         self._gc_active: dict[int, int | None] = {
@@ -215,7 +218,9 @@ class ConventionalFTL:
         # does the same. Erase invalidates OOB implicitly -- pages at or
         # past a block's write offset are never consulted.
         self._oob_lpn = np.full(geometry.total_pages, UNMAPPED, dtype=np.int64)
+        self._oob_lpn_v = memoryview(self._oob_lpn)
         self._oob_serial = np.zeros(geometry.total_pages, dtype=np.int64)
+        self._oob_serial_v = memoryview(self._oob_serial)
         self._program_serial = 0
         # Program faults seen per block since its last erase; feeds the
         # retire-after-repeated-faults policy.
@@ -283,7 +288,7 @@ class ConventionalFTL:
     def _seal(self, block: int) -> None:
         self._sealed.add(block)
         self._seal_times[block] = self._clock
-        self._seal_time_arr[block] = self._clock
+        self._seal_time_arr_v[block] = self._clock
         self.policy.notify_sealed(block, self._clock)
 
     # -- Host operations -------------------------------------------------------
@@ -349,8 +354,8 @@ class ConventionalFTL:
             page, latency = self._program_host_page(stream)
             active = page // ppb
         self.map.map(lpn, page)
-        self._oob_lpn[page] = lpn
-        self._oob_serial[page] = self._program_serial
+        self._oob_lpn_v[page] = lpn
+        self._oob_serial_v[page] = self._program_serial
         self._program_serial += 1
         self.stats.host_pages_written += 1
         ops.append(FlashOp(OpKind.PROGRAM, active, page, latency))
@@ -442,8 +447,8 @@ class ConventionalFTL:
 
     def _oob_note(self, page: int, lpn: int) -> None:
         """Record one page's out-of-band (lpn, serial) at program time."""
-        self._oob_lpn[page] = lpn
-        self._oob_serial[page] = self._program_serial
+        self._oob_lpn_v[page] = lpn
+        self._oob_serial_v[page] = self._program_serial
         self._program_serial += 1
 
     def _note_relocated(self, lpns: np.ndarray) -> None:
@@ -501,7 +506,7 @@ class ConventionalFTL:
             + self.nand.write_offset(block)
             - 1
         )
-        self._oob_lpn[burned] = UNMAPPED
+        self._oob_lpn_v[burned] = UNMAPPED
         count = self._fault_counts.get(block, 0) + 1
         self._fault_counts[block] = count
         if self.tracer.enabled:
@@ -838,7 +843,7 @@ class ConventionalFTL:
         self._free = []
         self._sealed = set()
         self._seal_times = {}
-        self._seal_time_arr = np.zeros(g.total_blocks, dtype=np.int64)
+        self._seal_time_arr.fill(0)
         self._clock = 0
         self._active = {s: None for s in range(self.config.streams)}
         self._gc_active = {s: None for s in range(self.config.gc_streams)}
@@ -908,14 +913,12 @@ class ConventionalFTL:
             l2p[self._oob_lpn[replay_sorted]] = replay_sorted
 
         self.map = FullPageMap(g, self.logical_pages)
-        self.map.l2p = l2p
+        self.map.l2p[:] = l2p
         mapped = np.flatnonzero(l2p != UNMAPPED)
         if mapped.size:
             ppns = l2p[mapped]
             self.map.p2l[ppns] = mapped
-            self.map.valid_counts = np.bincount(
-                ppns // ppb, minlength=g.total_blocks
-            ).astype(np.int32)
+            self.map.valid_counts[:] = np.bincount(ppns // ppb, minlength=g.total_blocks)
             self.map.mapped_pages = int(mapped.size)
 
         # Clock resumes past the snapshot; replayed programs stand in for
@@ -928,7 +931,7 @@ class ConventionalFTL:
 
         self.policy = make_policy(self.config.gc_policy)
         self._seal_times = {}
-        self._seal_time_arr = np.zeros(g.total_blocks, dtype=np.int64)
+        self._seal_time_arr.fill(0)
         self._sealed = set()
         live = ~bad
         excluded = self._recovery_excluded_blocks()
@@ -984,6 +987,16 @@ class ConventionalFTL:
     def check_invariants(self) -> None:
         """Assert structural invariants; raises AssertionError on violation."""
         self.nand.check_invariants()
+        for owner, name in (
+            (self.map, "l2p"),
+            (self.map, "p2l"),
+            (self.map, "valid_counts"),
+            (self, "_oob_lpn"),
+            (self, "_oob_serial"),
+            (self, "_seal_time_arr"),
+        ):
+            view = getattr(owner, name + "_v")
+            assert view.obj is getattr(owner, name), f"{name} rebound away from its view"
         active_blocks = {b for b in self._active.values() if b is not None}
         active_blocks |= {b for b in self._gc_active.values() if b is not None}
         free = set(self._free)

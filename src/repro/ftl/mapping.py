@@ -54,9 +54,15 @@ class FullPageMap:
             )
         self.geometry = geometry
         self.logical_pages = logical_pages
+        # Each array has a ``*_v`` memoryview of its own buffer: scalar
+        # ops index the view (a plain int), the run kernels the array.
+        # Neither is ever rebound; write in place.
         self.l2p = np.full(logical_pages, UNMAPPED, dtype=np.int64)
+        self.l2p_v = memoryview(self.l2p)
         self.p2l = np.full(geometry.total_pages, UNMAPPED, dtype=np.int64)
+        self.p2l_v = memoryview(self.p2l)
         self.valid_counts = np.zeros(geometry.total_blocks, dtype=np.int32)
+        self.valid_counts_v = memoryview(self.valid_counts)
         self.mapped_pages = 0
 
     def check_lpn(self, lpn: int) -> None:
@@ -67,7 +73,7 @@ class FullPageMap:
         """Physical page for ``lpn`` or :data:`UNMAPPED`."""
         if not 0 <= lpn < self.logical_pages:
             self.check_lpn(lpn)
-        return int(self.l2p[lpn])
+        return self.l2p_v[lpn]
 
     def is_mapped(self, lpn: int) -> bool:
         return self.lookup(lpn) != UNMAPPED
@@ -75,7 +81,7 @@ class FullPageMap:
     def owner_of(self, ppn: int) -> int:
         """Logical page stored at physical ``ppn`` or :data:`UNMAPPED`."""
         self.geometry.check_page(ppn)
-        return int(self.p2l[ppn])
+        return self.p2l_v[ppn]
 
     def is_valid(self, ppn: int) -> bool:
         return self.owner_of(ppn) != UNMAPPED
@@ -91,35 +97,38 @@ class FullPageMap:
         geometry = self.geometry
         if not 0 <= ppn < geometry.total_pages:
             geometry.check_page(ppn)
-        if self.p2l[ppn] != UNMAPPED:
-            raise ValueError(f"physical page {ppn} is already mapped to lpn {self.p2l[ppn]}")
-        old_ppn = int(self.l2p[lpn])
+        l2p = self.l2p_v
+        p2l = self.p2l_v
+        if p2l[ppn] != UNMAPPED:
+            raise ValueError(f"physical page {ppn} is already mapped to lpn {p2l[ppn]}")
+        old_ppn = l2p[lpn]
         if old_ppn != UNMAPPED:
             self._invalidate_physical(old_ppn)
         else:
             self.mapped_pages += 1
-        self.l2p[lpn] = ppn
-        self.p2l[ppn] = lpn
-        self.valid_counts[ppn // geometry.pages_per_block] += 1
+        l2p[lpn] = ppn
+        p2l[ppn] = lpn
+        self.valid_counts_v[ppn // geometry.pages_per_block] += 1
         return old_ppn
 
     def unmap(self, lpn: int) -> int:
         """Remove the binding for ``lpn`` (TRIM); returns the freed ppn."""
         self.check_lpn(lpn)
-        ppn = int(self.l2p[lpn])
+        ppn = self.l2p_v[lpn]
         if ppn == UNMAPPED:
             return UNMAPPED
         self._invalidate_physical(ppn)
-        self.l2p[lpn] = UNMAPPED
+        self.l2p_v[lpn] = UNMAPPED
         self.mapped_pages -= 1
         return ppn
 
     def _invalidate_physical(self, ppn: int) -> None:
-        self.p2l[ppn] = UNMAPPED
+        self.p2l_v[ppn] = UNMAPPED
         # Every caller holds a mapped, hence in-range, ppn.
         block = ppn // self.geometry.pages_per_block
-        self.valid_counts[block] -= 1
-        if self.valid_counts[block] < 0:
+        count = self.valid_counts_v[block] - 1
+        self.valid_counts_v[block] = count
+        if count < 0:
             # ValueError, matching the batch kernel's negative-count
             # contract -- scalar and batched paths fail identically.
             raise ValueError(f"valid count of block {block} went negative")
@@ -137,19 +146,19 @@ class FullPageMap:
 
     def block_valid_count(self, block: int) -> int:
         self.geometry.check_block(block)
-        return int(self.valid_counts[block])
+        return self.valid_counts_v[block]
 
     def relocate(self, ppn_from: int, ppn_to: int) -> int:
         """Move a valid page's binding (GC copy-forward); returns the lpn."""
         lpn = self.owner_of(ppn_from)
         if lpn == UNMAPPED:
             raise ValueError(f"relocate of invalid physical page {ppn_from}")
-        if self.p2l[ppn_to] != UNMAPPED:
+        if self.p2l_v[ppn_to] != UNMAPPED:
             raise ValueError(f"relocate target {ppn_to} already mapped")
         self._invalidate_physical(ppn_from)
-        self.l2p[lpn] = ppn_to
-        self.p2l[ppn_to] = lpn
-        self.valid_counts[self.geometry.block_of_page(ppn_to)] += 1
+        self.l2p_v[lpn] = ppn_to
+        self.p2l_v[ppn_to] = lpn
+        self.valid_counts_v[self.geometry.block_of_page(ppn_to)] += 1
         return lpn
 
     # -- Batched operations (exact-parity fast paths) -----------------------
@@ -294,13 +303,20 @@ class TranslationStore:
         #: page still caches one (the working set of the current access).
         self.capacity_pages = max(1, cmt_bytes // geometry.page_size)
         #: GTD: tvpn -> flash ppn of the authoritative translation page.
+        #: Each array below has a ``*_v`` memoryview of its buffer for
+        #: scalar access, as on :class:`FullPageMap`; none is rebound.
         self.gtd = np.full(self.translation_pages, UNMAPPED, dtype=np.int64)
+        self.gtd_v = memoryview(self.gtd)
         #: CMT slot arrays. ``tvpn_slot[tvpn]`` is the slot caching that
         #: tvpn or UNMAPPED; slots below ``_used`` are occupied.
         self.tvpn_slot = np.full(self.translation_pages, UNMAPPED, dtype=np.int64)
+        self.tvpn_slot_v = memoryview(self.tvpn_slot)
         self.slot_tvpn = np.full(self.capacity_pages, UNMAPPED, dtype=np.int64)
+        self.slot_tvpn_v = memoryview(self.slot_tvpn)
         self.slot_dirty = np.zeros(self.capacity_pages, dtype=np.uint8)
+        self.slot_dirty_v = memoryview(self.slot_dirty)
         self.slot_stamp = np.zeros(self.capacity_pages, dtype=np.int64)
+        self.slot_stamp_v = memoryview(self.slot_stamp)
         self._stamp = 0
         self._used = 0
         self._peak_used = 0
@@ -316,7 +332,7 @@ class TranslationStore:
         return self._used
 
     def is_cached(self, tvpn: int) -> bool:
-        return self.tvpn_slot[tvpn] != UNMAPPED
+        return self.tvpn_slot_v[tvpn] != UNMAPPED
 
     def dram_bytes(self) -> int:
         """DRAM the CMT budget occupies (the GTD rides along, tiny)."""
@@ -348,12 +364,13 @@ class TranslationStore:
 
     def access_tvpn(self, tvpn: int, dirty: bool) -> None:
         self.stats.lookups += 1
-        slot = int(self.tvpn_slot[tvpn])
+        tvpn_slot = self.tvpn_slot_v
+        slot = tvpn_slot[tvpn]
         if slot != UNMAPPED:
             self.stats.hits += 1
             if dirty:
-                self.slot_dirty[slot] = 1
-            self.slot_stamp[slot] = self._stamp
+                self.slot_dirty_v[slot] = 1
+            self.slot_stamp_v[slot] = self._stamp
             self._stamp += 1
             return
         if self._used >= self.capacity_pages:
@@ -363,17 +380,17 @@ class TranslationStore:
             # see it uncached (pending-dirty path), exactly as the dict
             # version's popitem-then-writeback order guaranteed.
             slot = int(np.argmin(self.slot_stamp))
-            victim = int(self.slot_tvpn[slot])
-            victim_dirty = self.slot_dirty[slot] != 0
-            self.tvpn_slot[victim] = UNMAPPED
-            self.slot_tvpn[slot] = UNMAPPED
-            self.slot_dirty[slot] = 0
+            victim = self.slot_tvpn_v[slot]
+            victim_dirty = self.slot_dirty_v[slot] != 0
+            tvpn_slot[victim] = UNMAPPED
+            self.slot_tvpn_v[slot] = UNMAPPED
+            self.slot_dirty_v[slot] = 0
             self._used -= 1
             if victim_dirty:
                 self._writeback(victim)
         else:
             slot = self._used
-        ppn = int(self.gtd[tvpn])
+        ppn = self.gtd_v[tvpn]
         if ppn != UNMAPPED:
             self.nand.read(ppn)
             self.stats.miss_reads += 1
@@ -383,10 +400,10 @@ class TranslationStore:
                 )
         else:
             self.stats.compulsory_misses += 1
-        self.tvpn_slot[tvpn] = slot
-        self.slot_tvpn[slot] = tvpn
-        self.slot_dirty[slot] = 1 if dirty else 0
-        self.slot_stamp[slot] = self._stamp
+        tvpn_slot[tvpn] = slot
+        self.slot_tvpn_v[slot] = tvpn
+        self.slot_dirty_v[slot] = 1 if dirty else 0
+        self.slot_stamp_v[slot] = self._stamp
         self._stamp += 1
         self._used += 1
         if self._used > self._peak_used:
@@ -399,9 +416,9 @@ class TranslationStore:
         entry, but the relocation is device-internal and must not perturb
         the host-driven LRU order.
         """
-        slot = int(self.tvpn_slot[tvpn])
+        slot = self.tvpn_slot_v[tvpn]
         if slot != UNMAPPED:
-            self.slot_dirty[slot] = 1
+            self.slot_dirty_v[slot] = 1
             return True
         return False
 
@@ -428,7 +445,7 @@ class TranslationStore:
             # re-dirty this very entry mid-flush; the scalar loop
             # cleared each flag *after* its program, so re-clear here
             # to keep that exact semantics.
-            self.slot_dirty[self.tvpn_slot[tvpn]] = 0
+            self.slot_dirty_v[self.tvpn_slot_v[tvpn]] = 0
         if dirty.size and self.tracer is not None and self.tracer.enabled:
             self.tracer.publish(
                 TranslationEvent("ftl.dftl", "flush", pages=int(dirty.size))
@@ -451,6 +468,9 @@ class TranslationStore:
         else, each occupied slot has its own stamp below the counter, and
         no empty slot is dirty.
         """
+        for name in ("gtd", "tvpn_slot", "slot_tvpn", "slot_dirty", "slot_stamp"):
+            view = getattr(self, name + "_v")
+            assert view.obj is getattr(self, name), f"{name} rebound away from its view"
         used = self._used
         assert 0 <= used <= self.capacity_pages, "CMT holds more pages than its budget"
         assert self._peak_used >= used, "peak residency below current residency"
