@@ -15,8 +15,8 @@ on:
   active-zone budgeting, lifetime-hint placement);
 - :mod:`repro.apps` -- applications held constant across interfaces (LSM
   KV store, flash caches, persistent queue, ZoneFS, LFS);
-- :mod:`repro.workloads`, :mod:`repro.metrics`, :mod:`repro.sim` --
-  workload generation, measurement, and the discrete-event kernel;
+- :mod:`repro.workloads`, :mod:`repro.sim` -- workload generation and
+  the discrete-event kernel;
 - :mod:`repro.cost`, :mod:`repro.survey` -- the economics and the Table 1
   corpus;
 - :mod:`repro.experiments` -- one module per table/figure/claim, each
@@ -24,9 +24,10 @@ on:
 - :mod:`repro.exec` -- the execution subsystem behind the ``zns-repro``
   CLI: process-pool fan-out (``--jobs``), a content-addressed result
   cache, and structured progress reporting;
-- :mod:`repro.obs` -- the telemetry bus: typed trace events published by
-  every layer above, pluggable sinks, JSONL export (``--trace``), and
-  latency-breakdown aggregation (``--metrics-out``).
+- :mod:`repro.obs` -- measurement and telemetry: the one aggregation
+  type (``MetricsFrame``, with ``OpCounter`` as its typed counter slice),
+  typed trace events published by every layer above, pluggable sinks,
+  JSONL export (``--trace``), and frame aggregation (``--metrics-out``).
 
 Quick taste::
 

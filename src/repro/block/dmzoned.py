@@ -26,8 +26,8 @@ from repro.block.interface import ZonedDevice, check_extent
 from repro.flash.errors import ProgramFaultError, UncorrectableReadError
 from repro.flash.ops import FlashOp
 from repro.ftl.gc import VictimPolicy, make_policy
-from repro.metrics.counters import OpCounter
 from repro.obs.events import FlashOpEvent, ReclaimEvent, RecoveryEvent
+from repro.obs.frame import OpCounter
 from repro.obs.runtime import new_tracer
 from repro.obs.tracer import Tracer
 from repro.zns.errors import ZoneOfflineError

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.block.interface import check_extent, check_lba
-from repro.metrics.counters import OpCounter
+from repro.obs.frame import OpCounter
 
 
 class RamDisk:

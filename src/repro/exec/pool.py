@@ -49,6 +49,8 @@ from repro.exec.errors import ErrorResult, backoff_delay, error_payload
 from repro.exec.profiling import PROFILE_ENV, profiled_call, profiling_requested
 from repro.exec.progress import NullReporter, ProgressReporter
 from repro.experiments.base import ExperimentConfig, ExperimentResult
+from repro.obs.frame import MetricsFrame
+from repro.obs.runtime import metrics_aggregator
 
 
 def _module_for(experiment_id: str):
@@ -88,16 +90,24 @@ def _worker_run(config_payload: dict) -> dict:
 def _worker_point(module_name: str, point_kwargs: dict) -> dict:
     """Run one sweep point in a worker.
 
-    Under profiling the row travels wrapped so the parent can strip the
-    per-point profile before handing rows to ``combine``. Exceptions
-    return as ``{"__error__": ...}`` payloads.
+    Under profiling or metrics collection the row travels wrapped, so the
+    parent can strip the per-point profile and metrics frame before
+    handing rows to ``combine``. Exceptions return as
+    ``{"__error__": ...}`` payloads.
     """
     try:
         module = importlib.import_module(module_name)
+        aggregator = metrics_aggregator()
+        if aggregator is not None:
+            aggregator.reset()
+        extras = {}
         if profiling_requested():
-            row, entries = profiled_call(module.SWEEP.point, **point_kwargs)
-            return {"__row__": row, "__profile__": entries}
-        return module.SWEEP.point(**point_kwargs)
+            row, extras["__profile__"] = profiled_call(module.SWEEP.point, **point_kwargs)
+        else:
+            row = module.SWEEP.point(**point_kwargs)
+        if aggregator is not None:
+            extras["__metrics__"] = aggregator.frame.to_dict()
+        return {"__row__": row, **extras} if extras else row
     except Exception as exc:
         return error_payload(exc)
 
@@ -154,6 +164,7 @@ class _PoolState:
 
     point_rows: dict[int, list[Any]] = field(default_factory=dict)
     point_profiles: dict[int, list[Any]] = field(default_factory=dict)
+    point_frames: dict[int, list[Any]] = field(default_factory=dict)
     remaining: dict[int, int] = field(default_factory=dict)
     started_at: dict[int, float] = field(default_factory=dict)
     errors: dict[int, list[ErrorResult]] = field(default_factory=dict)
@@ -356,6 +367,7 @@ class Executor:
                 points = sweep.points(config)
                 state.point_rows[index] = [None] * len(points)
                 state.point_profiles[index] = [None] * len(points)
+                state.point_frames[index] = [None] * len(points)
                 state.remaining[index] = len(points)
                 state.total_units[index] = len(points)
                 for slot, kwargs in enumerate(points):
@@ -408,8 +420,9 @@ class Executor:
         elif slot < 0:
             state.point_rows[index] = [ExperimentResult.from_dict(payload)]
         else:
-            if self.profile:
-                state.point_profiles[index][slot] = payload["__profile__"]
+            if isinstance(payload, dict) and "__row__" in payload:
+                state.point_profiles[index][slot] = payload.get("__profile__")
+                state.point_frames[index][slot] = payload.get("__metrics__")
                 payload = payload["__row__"]
             state.point_rows[index][slot] = payload
 
@@ -452,6 +465,7 @@ class Executor:
             return
         rows = state.point_rows.pop(index)
         profiles = state.point_profiles.pop(index)
+        frames = [frame for frame in state.point_frames.pop(index) if frame is not None]
         survivors = [row for slot, row in enumerate(rows) if slot not in failed]
         try:
             module = _module_for(config.experiment_id)
@@ -471,6 +485,11 @@ class Executor:
                 records, index, config, result, started, total, error=errors[-1]
             )
             return
+        if frames:
+            # Slot order, as a serial run visits the points: counters sum,
+            # bins add and maxima max, so this is the serial frame.
+            merged = MetricsFrame.merge(MetricsFrame.from_dict(frame) for frame in frames)
+            result.metrics = {**result.metrics, **merged.to_dict()}
         if self.profile:
             result.metrics = {
                 **result.metrics,

@@ -56,9 +56,9 @@ def measure(erase_suspend_slices: int, quick: bool, seed: int) -> dict:
     engine.run(until=r)
     return {
         "erase_slices": erase_suspend_slices,
-        "mean_read_us": round(ssd.read_latency.mean, 1),
-        "p99_read_us": round(ssd.read_latency.percentile(99), 1),
-        "p999_read_us": round(ssd.read_latency.percentile(99.9), 1),
+        "mean_read_us": round(ssd.frame.mean("hostio.request.read.latency_us"), 1),
+        "p99_read_us": round(ssd.frame.quantile("hostio.request.read.latency_us", 0.99), 1),
+        "p999_read_us": round(ssd.frame.quantile("hostio.request.read.latency_us", 0.999), 1),
     }
 
 

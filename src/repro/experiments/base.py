@@ -12,7 +12,7 @@ worker processes, neither of which tolerates ad-hoc ``**kwargs``.
 
 The :func:`experiment` decorator validates the config, attaches the
 experiment id, and -- when metrics collection is active (CLI
-``--metrics-out``) -- captures the run's telemetry summary into
+``--metrics-out``) -- captures the run's telemetry frame into
 :attr:`ExperimentResult.metrics`. The pre-redesign keyword calling
 convention (``run(quick=True, seed=0)``) has been removed; construct an
 :class:`ExperimentConfig`.
@@ -174,10 +174,12 @@ class ExperimentResult:
     notes:
         Caveats, substitutions, parameters.
     metrics:
-        Optional telemetry summary (per-phase latency breakdown, flash-op
-        tallies) captured from the trace bus when metrics collection is
-        active; empty otherwise. Omitted from the serialized form when
-        empty so results without telemetry are unchanged.
+        Optional telemetry: the ``MetricsFrame.to_dict()`` a
+        :class:`~repro.obs.frame.FrameSink` folded from the trace bus
+        when metrics collection is active (flash-op counts and bytes,
+        host-request latency, queueing and service histograms); empty
+        otherwise. Omitted from the serialized form when empty so
+        results without telemetry are unchanged.
     """
 
     experiment_id: str
@@ -282,9 +284,9 @@ def experiment(
         run(ExperimentConfig("E1", full=True, seed=7))
 
     and rejects anything else with :class:`TypeError`. When metrics
-    collection is active (:mod:`repro.obs.runtime`), the trace aggregator
-    is reset before the run and its summary is attached to the result's
-    ``metrics`` field afterwards.
+    collection is active (:mod:`repro.obs.runtime`), the process's
+    :class:`~repro.obs.frame.FrameSink` is reset before the run and its
+    frame's ``to_dict()`` becomes the result's ``metrics`` afterwards.
     """
 
     def decorate(fn: Callable[[ExperimentConfig], ExperimentResult]):
@@ -304,7 +306,7 @@ def experiment(
                 aggregator.reset()
             result = fn(config)
             if aggregator is not None:
-                result.metrics = aggregator.summary()
+                result.metrics = aggregator.frame.to_dict()
             return result
 
         run.experiment_id = experiment_id

@@ -74,10 +74,10 @@ def measure_scheduler(name: str, quick: bool, seed: int, **scheduler_kwargs) -> 
     engine.run(until=r)
     return {
         "scheduler": name,
-        "mean_read_us": round(host.read_latency.mean, 1),
-        "p99_read_us": round(host.read_latency.percentile(99), 1),
-        "p999_read_us": round(host.read_latency.percentile(99.9), 1),
-        "write_mean_us": round(host.write_latency.mean, 1),
+        "mean_read_us": round(host.frame.mean("hostio.request.read.latency_us"), 1),
+        "p99_read_us": round(host.frame.quantile("hostio.request.read.latency_us", 0.99), 1),
+        "p999_read_us": round(host.frame.quantile("hostio.request.read.latency_us", 0.999), 1),
+        "write_mean_us": round(host.frame.mean("hostio.request.write.latency_us"), 1),
     }
 
 

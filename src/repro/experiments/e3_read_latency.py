@@ -57,8 +57,8 @@ class _ConvRig:
         return self.ssd.submit_read(int(rng.integers(0, self.n)))
 
     @property
-    def read_latency(self):
-        return self.ssd.read_latency
+    def frame(self):
+        return self.ssd.frame
 
 
 class _ZnsRig:
@@ -107,8 +107,8 @@ class _ZnsRig:
         yield Timeout(self.engine, 0.0)
 
     @property
-    def read_latency(self):
-        return self.device.read_latency
+    def frame(self):
+        return self.device.frame
 
 
 def _saturation_mb_s(rig, total_writes: int) -> float:
@@ -148,8 +148,12 @@ def _read_latency_at_rate(rig, write_rate_mb_s: float, reads: int, seed: int) ->
     rig.engine.process(writer(rig.engine))
     done = rig.engine.process(reader(rig.engine))
     rig.engine.run(until=done)
-    summary = rig.read_latency.summary()
-    return {"mean": summary.mean, "p99": summary.p99, "p999": summary.p999}
+    key = "hostio.request.read.latency_us"
+    return {
+        "mean": rig.frame.mean(key),
+        "p99": rig.frame.quantile(key, 0.99),
+        "p999": rig.frame.quantile(key, 0.999),
+    }
 
 
 @experiment("E3")

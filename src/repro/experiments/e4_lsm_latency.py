@@ -79,8 +79,8 @@ def _replay_conventional(plan, reads, read_interval_us, seed):
     pages = sum(e.written_pages for e in plan)
     return {
         "stack": "conventional",
-        "p99_read_us": ssd.read_latency.percentile(99),
-        "p999_read_us": ssd.read_latency.percentile(99.9),
+        "p99_read_us": ssd.frame.quantile("hostio.request.read.latency_us", 0.99),
+        "p999_read_us": ssd.frame.quantile("hostio.request.read.latency_us", 0.999),
         "write_mb_s": pages * 4096 / (1024 * 1024) / write_elapsed_s,
     }
 
@@ -157,8 +157,8 @@ def _replay_zns(plan, reads, read_interval_us, seed):
     pages = sum(e.written_pages for e in plan)
     return {
         "stack": "zns",
-        "p99_read_us": device.read_latency.percentile(99),
-        "p999_read_us": device.read_latency.percentile(99.9),
+        "p99_read_us": device.frame.quantile("hostio.request.read.latency_us", 0.99),
+        "p999_read_us": device.frame.quantile("hostio.request.read.latency_us", 0.999),
         "write_mb_s": pages * 4096 / (1024 * 1024) / write_elapsed_s,
     }
 

@@ -61,12 +61,12 @@ def _throughput(writers: int, use_append: bool, records_per_writer: int) -> dict
         engine.run(until=proc)
     total_records = writers * records_per_writer
     elapsed_s = engine.now / 1e6
-    recorder = device.append_latency if use_append else device.write_latency
+    mode = "append" if use_append else "write"
     return {
         "writers": writers,
-        "mode": "append" if use_append else "write",
+        "mode": mode,
         "krecords_per_s": total_records / elapsed_s / 1000,
-        "mean_latency_us": recorder.mean,
+        "mean_latency_us": device.frame.mean(f"hostio.request.{mode}.latency_us"),
     }
 
 

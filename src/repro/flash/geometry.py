@@ -15,9 +15,7 @@ test, one ``divmod`` -- and hands ``(block, offset)`` down. Hot paths test
 a range inline and call ``check_*`` only to raise.
 
 Real devices have much larger geometries than we simulate; experiments use
-scaled-down instances (see DESIGN.md §2) while cost models use
-:func:`FlashGeometry.datacenter_1tb`-style full-scale parameters for
-closed-form arithmetic only.
+scaled-down instances (see DESIGN.md §2).
 """
 
 from __future__ import annotations
@@ -146,23 +144,6 @@ class FlashGeometry:
             blocks_per_plane=32,
             planes_per_channel=2,
             channels=8,
-            cell_type=cell_type,
-        )
-
-    @staticmethod
-    def datacenter_1tb(cell_type: CellType = CellType.TLC) -> "FlashGeometry":
-        """Full-scale 1 TiB parameters -- used by *cost arithmetic only*.
-
-        Instantiating a :class:`~repro.flash.nand.NandArray` at this scale
-        would allocate hundreds of millions of page records; the cost and
-        DRAM models in :mod:`repro.cost` consume only the derived counts.
-        """
-        return FlashGeometry(
-            page_size=4 * KIB,
-            pages_per_block=4096,  # 16 MiB erasure block, as in paper §2.2
-            blocks_per_plane=1024,
-            planes_per_channel=4,
-            channels=16,
             cell_type=cell_type,
         )
 

@@ -30,8 +30,8 @@ from repro.flash.errors import (
 from repro.flash.geometry import FlashGeometry
 from repro.flash.timing import TimingModel
 from repro.flash.wear import WearTracker
-from repro.metrics.counters import OpCounter
 from repro.obs.events import FlashOpEvent
+from repro.obs.frame import OpCounter
 from repro.obs.runtime import new_tracer
 from repro.obs.tracer import Tracer
 

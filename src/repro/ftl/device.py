@@ -24,8 +24,8 @@ from repro.flash.ops import OpKind
 from repro.flash.service import FlashServiceModel
 from repro.flash.timing import TimingModel
 from repro.ftl.ftl import ConventionalFTL, FTLConfig
-from repro.metrics.latency import LatencyRecorder
 from repro.obs.events import GcEvent, HostRequestEvent
+from repro.obs.frame import MetricsFrame
 from repro.obs.tracer import Tracer
 from repro.sim.engine import Engine
 
@@ -134,9 +134,9 @@ class TimedConventionalSSD:
             erase_suspend_slices=erase_suspend_slices,
             tracer=self.tracer,
         )
-        #: Host request latencies, recorded at each request's completion.
-        self.read_latency = LatencyRecorder()
-        self.write_latency = LatencyRecorder()
+        #: Host request latencies, one exact series per op
+        #: (``hostio.request.<op>.latency_us``), booked at completion.
+        self.frame = MetricsFrame()
         self._request_ids = itertools.count()
         self.gc_poll_interval_us = gc_poll_interval_us
         # Writes stall at or below this many free blocks: it leaves the
@@ -174,7 +174,7 @@ class TimedConventionalSSD:
             )
         yield self.engine.process(self.service.execute(op))
         latency = self.engine.now - start
-        self.read_latency.record(latency)
+        self.frame.sample("hostio.request.read.latency_us", latency)
         if self.tracer.enabled:
             self.tracer.publish(
                 HostRequestEvent(
@@ -222,7 +222,7 @@ class TimedConventionalSSD:
         for op in ops:
             yield self.engine.process(self.service.execute(op))
         latency = self.engine.now - start
-        self.write_latency.record(latency)
+        self.frame.sample("hostio.request.write.latency_us", latency)
         if self.tracer.enabled:
             self.tracer.publish(
                 HostRequestEvent(

@@ -21,7 +21,7 @@ shared flash counters:
 - translation blocks fill with stale translation pages and must be
   garbage collected -- copies and erases that compete with data GC and
   show up as the third term of the device-WA decomposition
-  (:class:`~repro.metrics.wa.DeviceWriteAmpDecomposition`);
+  (:class:`DeviceWriteAmpDecomposition`);
 - data-GC relocations rewrite mapping entries, dirtying the owning
   translation pages (the write-amplification-of-write-amplification
   real DFTLs pay);
@@ -36,7 +36,7 @@ the property the parity test suite pins.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,9 +48,40 @@ from repro.flash.wear import WearTracker
 from repro.ftl.checkpoint import MappingSnapshot
 from repro.ftl.ftl import CapacityError, ConventionalFTL, FTLConfig
 from repro.ftl.mapping import UNMAPPED, TranslationStore
-from repro.metrics.wa import DeviceWriteAmpDecomposition
 from repro.obs.events import GcEvent, TranslationEvent
 from repro.obs.tracer import Tracer
+
+
+@dataclass(frozen=True)
+class DeviceWriteAmpDecomposition:
+    """Device-internal WA split by *why* each flash program happened.
+
+    On a demand-paged FTL the device factor has three sources: the host
+    programs themselves, data-GC copy-forwards, and translation traffic
+    (dirty CMT writebacks plus translation-block GC copies). With the
+    whole map cached ``translation_pages`` is zero and this degenerates
+    to the classic host + GC accounting.
+    """
+
+    host_pages: int
+    data_gc_pages: int
+    translation_pages: int
+
+    @property
+    def device_wa(self) -> float:
+        """Programs per host program; 1.0 when nothing was written."""
+        if self.host_pages == 0:
+            return 1.0
+        total = self.host_pages + self.data_gc_pages + self.translation_pages
+        return total / self.host_pages
+
+    @property
+    def translation_factor(self) -> float:
+        """Translation programs per host program (miss amplification's write half)."""
+        if self.host_pages == 0:
+            return 0.0
+        return self.translation_pages / self.host_pages
+
 
 #: OOB tag for a translation page holding tvpn: ``-(2 + tvpn)``.
 #: Data pages carry their lpn (>= 0); UNMAPPED (-1) marks no record;

@@ -21,8 +21,8 @@ from repro.flash.geometry import ZonedGeometry
 from repro.flash.service import FlashServiceModel
 from repro.flash.timing import TimingModel
 from repro.hostio.scheduler import AlwaysOnScheduler, HostIOState, ReclaimScheduler
-from repro.metrics.latency import LatencyRecorder
 from repro.obs.events import HostRequestEvent, ReclaimEvent
+from repro.obs.frame import MetricsFrame
 from repro.obs.tracer import Tracer
 from repro.sim.engine import Engine
 from repro.zns.device import ZNSDevice
@@ -64,9 +64,9 @@ class TimedZonedBlockDevice:
             tracer=self.tracer,
         )
         self.scheduler = scheduler or AlwaysOnScheduler()
-        #: Host request latencies, recorded at each request's completion.
-        self.read_latency = LatencyRecorder()
-        self.write_latency = LatencyRecorder()
+        #: Host request latencies, one exact series per op
+        #: (``hostio.request.<op>.latency_us``), booked at completion.
+        self.frame = MetricsFrame()
         self._request_ids = itertools.count()
         self.reclaim_poll_interval_us = reclaim_poll_interval_us
         self.reclaim_quantum_copies = reclaim_quantum_copies
@@ -107,7 +107,7 @@ class TimedZonedBlockDevice:
             self._io_state.pending_reads -= 1
             self._io_state.last_read_at = self.engine.now
         latency = self.engine.now - start
-        self.read_latency.record(latency)
+        self.frame.sample("hostio.request.read.latency_us", latency)
         if self.tracer.enabled:
             self.tracer.publish(
                 HostRequestEvent(
@@ -145,7 +145,7 @@ class TimedZonedBlockDevice:
         for op in ops:
             yield self.engine.process(self.service.execute(op))
         latency = self.engine.now - start
-        self.write_latency.record(latency)
+        self.frame.sample("hostio.request.write.latency_us", latency)
         if self.tracer.enabled:
             self.tracer.publish(
                 HostRequestEvent(

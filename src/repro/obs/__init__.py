@@ -2,18 +2,21 @@
 
 One event stream makes visible what the devices' own instruments cannot
 show -- the order of things, and the GC/reclaim/scheduler/zone decisions
-behind the numbers. The instruments themselves
-(:class:`~repro.metrics.counters.OpCounter`,
-:class:`~repro.metrics.latency.LatencyRecorder`) are fields the devices
-update directly; the bus is for observers, and costs nothing until one
-attaches:
+behind the numbers. The instruments themselves are fields the devices
+update directly: an :class:`~repro.obs.frame.OpCounter` per layer, and a
+:class:`~repro.obs.frame.MetricsFrame` per timed device whose series hold
+the exact request latencies. The bus is for observers, and costs nothing
+until one attaches:
 
+- :mod:`repro.obs.frame` -- the one aggregation type
+  (:class:`~repro.obs.frame.MetricsFrame`, its typed counter slice
+  :class:`~repro.obs.frame.OpCounter`) and the one aggregating sink
+  (:class:`~repro.obs.frame.FrameSink`);
 - :mod:`repro.obs.events` -- the typed event vocabulary;
 - :mod:`repro.obs.tracer` -- the publish/fan-out bus (no-op when no
   sinks are attached, and nothing attaches one unasked);
-- :mod:`repro.obs.sinks` -- what an observer attaches: recording,
-  latency-breakdown aggregation, and counter/latency sinks that rebuild
-  the devices' fields from the stream alone;
+- :mod:`repro.obs.sinks` -- :class:`~repro.obs.sinks.RecordingSink`,
+  which keeps every event;
 - :mod:`repro.obs.jsonl` -- JSONL trace export and multi-process merge;
 - :mod:`repro.obs.runtime` -- process-wide sink installation, including
   the ``ZNS_REPRO_TRACE`` / ``ZNS_REPRO_METRICS`` environment activation
@@ -46,6 +49,7 @@ from repro.obs.events import (
 from repro.obs.frame import (
     FrameSink,
     MetricsFrame,
+    OpCounter,
     normalize_metric_key,
 )
 from repro.obs.jsonl import JsonlSink, merge_trace_parts, read_events
@@ -54,12 +58,7 @@ from repro.obs.runtime import (
     new_tracer,
     remove_global_sink,
 )
-from repro.obs.sinks import (
-    LatencyBreakdownSink,
-    LatencySink,
-    OpCounterSink,
-    RecordingSink,
-)
+from repro.obs.sinks import RecordingSink
 from repro.obs.tracer import Sink, Tracer
 
 __all__ = [
@@ -69,10 +68,8 @@ __all__ = [
     "GcEvent",
     "HostRequestEvent",
     "JsonlSink",
-    "LatencyBreakdownSink",
-    "LatencySink",
     "MetricsFrame",
-    "OpCounterSink",
+    "OpCounter",
     "ReclaimEvent",
     "RecordingSink",
     "Sink",

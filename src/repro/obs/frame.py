@@ -1,9 +1,11 @@
-"""First-class metric aggregation: ``MetricsFrame`` and ``FrameSink``.
+"""The one aggregation type: ``MetricsFrame``, its ``OpCounter`` slice, ``FrameSink``.
 
-Sharded runs (the fleet layer, pooled sweeps) produce per-shard telemetry
-that the parent must combine. Ad-hoc dict munging cannot guarantee the
-combined numbers match a serial run, so this module defines a frame whose
-merge is *exactly* associative and commutative:
+Everything the simulator counts, bins or samples lives in a frame (or,
+for the per-op device counters, in the frame's typed slice
+:class:`OpCounter`). Sharded runs (the fleet layer, pooled sweeps)
+produce per-shard telemetry that the parent must combine. Ad-hoc dict
+munging cannot guarantee the combined numbers match a serial run, so the
+frame's merge is *exactly* associative and commutative:
 
 - **counters** are integers merged by sum (integer addition commutes
   exactly -- no float reassociation);
@@ -17,6 +19,12 @@ merge is *exactly* associative and commutative:
 Consequently ``merge(merge(a, b), c) == merge(a, merge(b, c))`` and any
 shard interleaving reproduces the serial frame byte-for-byte -- the
 property the fleet's merge-equals-serial test pins.
+
+A frame also keeps **series**: exact samples in arrival order, merged by
+concatenation (so merge order matters for them, and only them). The
+timed devices book each host request's latency into one
+(``hostio.request.<op>.latency_us``); the percentiles and means the
+experiments report are read off those exact samples.
 
 Metric keys are normalized to dotted lower-snake form
 (:func:`normalize_metric_key`), ending the drift between ``p99_read_us``
@@ -71,6 +79,55 @@ def normalize_metric_key(name: str) -> str:
     return key.strip("._")
 
 
+@dataclass
+class OpCounter:
+    """One layer's operation and byte counts: the frame's typed counter slice.
+
+    Devices own one as a plain field and book every primitive operation
+    through the ``note_*`` methods: ``count`` pages (blocks, for an erase)
+    moved by one command, ``nbytes`` in total. Each field is the value a
+    :class:`FrameSink` reaches from the same layer's flash-op events:
+
+    - ``reads`` / ``bytes_read``: ``<layer>.read.ops`` / ``.read.bytes``;
+    - ``writes`` / ``bytes_written``: ``<layer>.program.ops`` /
+      ``.program.bytes``;
+    - ``erases``: ``<layer>.erase.ops``;
+    - ``copies`` / ``bytes_copied``: ``<layer>.copy.ops`` / ``.copy.bytes``.
+
+    On physical NAND (``flash.nand``, ``note_copy(programs=True)``) a
+    copy also programs its bytes, so ``bytes_written`` there is
+    ``program.bytes + copy.bytes``; command-level layers (ZNS simple
+    copy) count the copy alone.
+    """
+
+    reads: int = 0
+    writes: int = 0
+    erases: int = 0
+    copies: int = 0
+    bytes_read: int = 0
+    bytes_written: int = 0
+    bytes_copied: int = 0
+
+    def note_read(self, nbytes: int, count: int = 1) -> None:
+        self.reads += count
+        self.bytes_read += nbytes
+
+    def note_write(self, nbytes: int, count: int = 1) -> None:
+        self.writes += count
+        self.bytes_written += nbytes
+
+    def note_erase(self, count: int = 1) -> None:
+        self.erases += count
+
+    def note_copy(self, nbytes: int, count: int = 1, programs: bool = False) -> None:
+        """``programs=True`` (physical NAND) also books the bytes as programmed;
+        command-level layers (ZNS simple copy) count the copy alone."""
+        self.copies += count
+        self.bytes_copied += nbytes
+        if programs:
+            self.bytes_written += nbytes
+
+
 def _histogram() -> list[int]:
     return [0] * len(LATENCY_BIN_EDGES_US)
 
@@ -84,15 +141,18 @@ def _observe(counts: list[int], value_us: float) -> None:
 
 @dataclass
 class MetricsFrame:
-    """An associatively-mergeable bundle of counters, maxima, histograms.
+    """A mergeable bundle of counters, maxima, histograms and sample series.
 
-    Treat frames as immutable once built; combining goes through
-    :meth:`merged` / :meth:`merge`, which return new frames.
+    Combining goes through :meth:`merged` / :meth:`merge`, which return
+    new frames. Histograms and series are separate namespaces;
+    :meth:`quantile` and :meth:`observations` read a series when the
+    frame holds one under the name, else the histogram.
     """
 
     counters: dict[str, int] = field(default_factory=dict)
     maxima: dict[str, float] = field(default_factory=dict)
     hists: dict[str, list[int]] = field(default_factory=dict)
+    series: dict[str, list[float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.counters = {
@@ -111,6 +171,10 @@ class MetricsFrame:
                 )
             hists[normalize_metric_key(key)] = counts
         self.hists = hists
+        self.series = {
+            normalize_metric_key(k): [float(v) for v in values]
+            for k, values in self.series.items()
+        }
 
     # -- Reading ---------------------------------------------------------------
 
@@ -121,18 +185,45 @@ class MetricsFrame:
         return self.maxima.get(normalize_metric_key(name), default)
 
     def observations(self, name: str) -> int:
-        """Total observation count of one histogram (0 when absent)."""
-        return sum(self.hists.get(normalize_metric_key(name), ()))
+        """How many values a series or histogram holds (0 when absent)."""
+        key = normalize_metric_key(name)
+        if key in self.series:
+            return len(self.series[key])
+        return sum(self.hists.get(key, ()))
+
+    def mean(self, name: str) -> float:
+        """Mean of a series (0.0 when absent or empty).
+
+        The sum runs left to right in arrival order, one addition per
+        sample: neither ``sum()`` (compensated from Python 3.12 on) nor
+        ``np.mean`` (pairwise) rounds the same way, and experiments
+        report this mean unrounded.
+        """
+        values = self.series.get(normalize_metric_key(name))
+        if not values:
+            return 0.0
+        total = 0.0
+        for value in values:
+            total += value
+        return total / len(values)
 
     def quantile(self, name: str, q: float) -> float:
-        """The ``q``-quantile of a histogram, as its bin's upper edge (us).
+        """The ``q``-quantile of a series or histogram.
 
-        Deterministic for any shard interleaving: computed from merged
-        integer bin counts, never from raw observation order.
+        A series answers exactly, ``np.percentile(series, q * 100)``
+        (``np.quantile(series, q)`` rounds differently, and experiments
+        report series quantiles unrounded). A histogram answers with its
+        bin's upper edge (us), deterministic for any shard interleaving:
+        computed from merged integer bin counts, never from raw
+        observation order.
         """
         if not 0 < q <= 1:
             raise ValueError("q must be in (0, 1]")
-        counts = self.hists.get(normalize_metric_key(name))
+        key = normalize_metric_key(name)
+        values = self.series.get(key)
+        if values is not None:
+            return float(np.percentile(values, q * 100)) if values else 0.0
+        counts = self.hists.get(key)
         if not counts:
             return 0.0
         total = sum(counts)
@@ -166,6 +257,16 @@ class MetricsFrame:
             counts = self.hists[key] = _histogram()
         _observe(counts, value_us)
 
+    def sample(self, name: str, value: float) -> None:
+        """Append one exact sample (e.g. a request latency, us) to a series."""
+        if value < 0:
+            raise ValueError(f"negative sample for {name!r}: {value}")
+        key = normalize_metric_key(name)
+        values = self.series.get(key)
+        if values is None:
+            values = self.series[key] = []
+        values.append(value)
+
     def observe_many(self, name: str, values_us) -> None:
         """Bin a whole array of observations in one vectorized pass.
 
@@ -196,7 +297,8 @@ class MetricsFrame:
     # -- Merging ---------------------------------------------------------------
 
     def merged(self, other: "MetricsFrame") -> "MetricsFrame":
-        """This frame combined with ``other`` (neither is mutated)."""
+        """This frame combined with ``other`` (neither is mutated); a
+        series is this frame's samples followed by ``other``'s."""
         counters = dict(self.counters)
         for key, value in other.counters.items():
             counters[key] = counters.get(key, 0) + value
@@ -212,11 +314,15 @@ class MetricsFrame:
             else:
                 for index, count in enumerate(counts):
                     mine[index] += count
-        return MetricsFrame(counters=counters, maxima=maxima, hists=hists)
+        series = {key: list(values) for key, values in self.series.items()}
+        for key, values in other.series.items():
+            series.setdefault(key, []).extend(values)
+        return MetricsFrame(counters=counters, maxima=maxima, hists=hists, series=series)
 
     @classmethod
     def merge(cls, frames: Iterable["MetricsFrame"]) -> "MetricsFrame":
-        """Combine any number of frames (associative and commutative)."""
+        """Combine any number of frames, in order (associative; commutative
+        too, except that series concatenate in the order given)."""
         merged = cls()
         for frame in frames:
             merged = merged.merged(frame)
@@ -226,13 +332,19 @@ class MetricsFrame:
 
     def to_dict(self) -> dict[str, Any]:
         """A JSON-safe dict; zero-count histogram bins stay (exact merge
-        needs full vectors, and they compress fine on the wire)."""
-        return {
+        needs full vectors, and they compress fine on the wire). The
+        ``series`` key appears only when the frame holds a series."""
+        payload = {
             "schema_version": FRAME_VERSION,
             "counters": dict(sorted(self.counters.items())),
             "maxima": dict(sorted(self.maxima.items())),
             "hists": {key: list(counts) for key, counts in sorted(self.hists.items())},
         }
+        if self.series:
+            payload["series"] = {
+                key: list(values) for key, values in sorted(self.series.items())
+            }
+        return payload
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "MetricsFrame":
@@ -246,22 +358,31 @@ class MetricsFrame:
             counters=dict(payload.get("counters", {})),
             maxima=dict(payload.get("maxima", {})),
             hists={k: list(v) for k, v in payload.get("hists", {}).items()},
+            series={k: list(v) for k, v in payload.get("series", {}).items()},
         )
 
 
 class FrameSink:
-    """An observer's sink accumulating the event stream into a MetricsFrame.
+    """The one aggregating sink: folds the event stream into a MetricsFrame.
 
-    Counts flash operations and bytes per ``layer.op``, host-request
-    completion latencies into histograms, and fault/recovery events.
-    Nothing in ``src/repro`` attaches one (the fleet books its own frame
-    as fields); attach it to a stack's tracer, or install it through
-    :func:`repro.obs.runtime.install_global_sink`, drive the stack, then
-    take :attr:`frame`.
+    Counts flash operations and bytes per ``<layer>.<op>``, host-request
+    completions and their latencies, fault/recovery/translation events,
+    and zone-management holds. From the host-request lifecycle (enqueue
+    -> service-start -> complete) it also splits each request's latency
+    into *host queueing* (enqueue to service start: write stalls on free
+    space, zone-lock waits) and *device service* (the rest), the split
+    the paper's §2.4 tail-latency discussion turns on:
+    ``<layer>.<op>.queued_us`` / ``.service_us`` histograms.
+
+    Nothing in ``src/repro`` attaches one by itself (the devices and the
+    fleet book their own fields); attach it to a stack's tracer, or
+    install it through :func:`repro.obs.runtime.install_global_sink`,
+    drive the stack, then take :attr:`frame`. ``ZNS_REPRO_METRICS``
+    (the CLI's ``--metrics-out``) installs one per process.
     """
 
     def __init__(self) -> None:
-        self.frame = MetricsFrame()
+        self.reset()
 
     def on_event(self, event: Any) -> None:
         kind = event.kind
@@ -271,10 +392,7 @@ class FrameSink:
             if event.nbytes:
                 self.frame.add(f"{prefix}.bytes", event.nbytes)
         elif kind == "host-request":
-            if event.phase == "complete":
-                prefix = f"{event.layer}.{event.op}"
-                self.frame.add(f"{prefix}.requests")
-                self.frame.observe(f"{prefix}.latency_us", event.latency_us)
+            self._host_request(event)
         elif kind == "fault":
             self.frame.add(f"faults.{event.fault}")
         elif kind == "recovery":
@@ -287,8 +405,30 @@ class FrameSink:
             self.frame.add(f"zone_mgmt.{event.action}.ops")
             self.frame.observe(f"zone_mgmt.{event.action}.latency_us", event.latency_us)
 
+    def _host_request(self, event: Any) -> None:
+        key = (event.layer, event.op, event.request_id)
+        phase = event.phase
+        if phase == "enqueue":
+            if event.t is not None:
+                self._open[key] = (event.t, event.t)
+        elif phase == "service-start":
+            entry = self._open.get(key)
+            if entry is not None and event.t is not None:
+                self._open[key] = (entry[0], event.t)
+        elif phase == "complete":
+            prefix = f"{event.layer}.{event.op}"
+            self.frame.add(f"{prefix}.requests")
+            self.frame.observe(f"{prefix}.latency_us", event.latency_us)
+            entry = self._open.pop(key, None)
+            if entry is not None and event.t is not None:
+                enqueued_at, service_at = entry
+                queued = service_at - enqueued_at
+                self.frame.observe(f"{prefix}.queued_us", queued)
+                self.frame.observe(f"{prefix}.service_us", event.latency_us - queued)
+
     def reset(self) -> None:
         self.frame = MetricsFrame()
+        self._open: dict[tuple[str, str, int], tuple[float, float]] = {}
 
 
 __all__ = [
@@ -296,5 +436,6 @@ __all__ = [
     "LATENCY_BIN_EDGES_US",
     "FrameSink",
     "MetricsFrame",
+    "OpCounter",
     "normalize_metric_key",
 ]

@@ -9,10 +9,11 @@ CLI observes devices it never constructs itself:
   :class:`~repro.obs.jsonl.JsonlSink` writing ``<path>.<pid>.part``
   (workers forked by ``--jobs`` detect the pid change and open their own
   part file; the CLI merges parts afterwards).
-- ``ZNS_REPRO_METRICS=1`` installs one
-  :class:`~repro.obs.sinks.LatencyBreakdownSink`; the experiment entry
-  point (:func:`repro.experiments.base.experiment`) snapshots it around
-  each run to fill ``ExperimentResult.metrics``.
+- ``ZNS_REPRO_METRICS=1`` installs one :class:`~repro.obs.frame.FrameSink`
+  per process; the experiment entry point
+  (:func:`repro.experiments.base.experiment`) resets it before each run
+  and stores its frame's ``to_dict()`` as ``ExperimentResult.metrics``
+  (a pool worker does the same around each sweep point).
 
 Environment state is re-checked on every ``new_tracer`` call, so enabling
 or disabling tracing never requires re-importing anything.
@@ -23,8 +24,8 @@ from __future__ import annotations
 import os
 from typing import Any
 
+from repro.obs.frame import FrameSink
 from repro.obs.jsonl import JsonlSink
-from repro.obs.sinks import LatencyBreakdownSink
 from repro.obs.tracer import Sink, Tracer
 
 TRACE_ENV = "ZNS_REPRO_TRACE"
@@ -37,7 +38,7 @@ _global_sinks: list[Sink] = []
 _env_pid: int | None = None
 _env_trace_path: str | None = None
 _env_trace_sink: JsonlSink | None = None
-_env_metrics_sink: LatencyBreakdownSink | None = None
+_env_metrics_sink: FrameSink | None = None
 
 
 def install_global_sink(sink: Sink) -> Sink:
@@ -67,15 +68,15 @@ def _sync_env_sinks() -> None:
         _env_trace_path = path
     if fresh:
         want_metrics = bool(os.environ.get(METRICS_ENV))
-        _env_metrics_sink = LatencyBreakdownSink() if want_metrics else None
+        _env_metrics_sink = FrameSink() if want_metrics else None
     elif bool(os.environ.get(METRICS_ENV)) != (_env_metrics_sink is not None):
         _env_metrics_sink = (
-            LatencyBreakdownSink() if os.environ.get(METRICS_ENV) else None
+            FrameSink() if os.environ.get(METRICS_ENV) else None
         )
     _env_pid = pid
 
 
-def metrics_aggregator() -> LatencyBreakdownSink | None:
+def metrics_aggregator() -> FrameSink | None:
     """The process-wide metrics sink, or None when metrics are off."""
     _sync_env_sinks()
     return _env_metrics_sink

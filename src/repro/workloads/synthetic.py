@@ -3,8 +3,8 @@
 All generators are lazy (yield one address per step), deterministic given a
 seed, and sized in *logical pages* so they plug straight into device
 facades. The shapes match the workloads the paper's experiments imply:
-uniform random overwrites (the §2.2 WA curve), skewed traffic (cache and
-KV workloads), and mixed read/write streams (the §2.4 latency claims).
+uniform random overwrites (the §2.2 WA curve) and skewed traffic (cache
+and KV workloads).
 """
 
 from __future__ import annotations
@@ -43,14 +43,6 @@ def uniform_array(
         raise ValueError("num_pages must be >= 1")
     rng = make_rng(seed)
     return rng.integers(0, num_pages, size=count, dtype=np.int64)
-
-
-def sequential_stream(num_pages: int, count: int, start: int = 0) -> Iterator[int]:
-    """Sequential addresses with wraparound: the best case (WA -> 1)."""
-    if num_pages < 1:
-        raise ValueError("num_pages must be >= 1")
-    for i in range(count):
-        yield (start + i) % num_pages
 
 
 def zipfian_stream(
@@ -150,36 +142,10 @@ def fill_then_churn(ftl, churn: np.ndarray | None = None) -> None:
         ftl.write_pages(churn)
 
 
-def read_write_mix(
-    num_pages: int,
-    count: int,
-    read_fraction: float = 0.5,
-    seed: int | np.random.Generator | None = 0,
-) -> Iterator[tuple[str, int]]:
-    """Mixed stream of ('read'|'write', page) with uniform addresses.
-
-    Reads only target pages already written in this stream (or page 0 as a
-    warmed default), so replay never reads unwritten space.
-    """
-    if not 0 <= read_fraction <= 1:
-        raise ValueError("read_fraction must be in [0, 1]")
-    rng = make_rng(seed)
-    written_high = 0  # pages [0, written_high) have been written
-    for _ in range(count):
-        if rng.random() < read_fraction and written_high > 0:
-            yield "read", int(rng.integers(0, written_high))
-        else:
-            page = int(rng.integers(0, num_pages))
-            written_high = max(written_high, page + 1)
-            yield "write", page
-
-
 __all__ = [
     "fill_then_churn",
     "hot_cold_array",
     "hot_cold_stream",
-    "read_write_mix",
-    "sequential_stream",
     "uniform_array",
     "uniform_stream",
     "zipfian_stream",

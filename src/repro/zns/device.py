@@ -29,8 +29,6 @@ from repro.flash.nand import NandArray
 from repro.flash.ops import FlashOp, OpKind
 from repro.flash.service import FlashServiceModel
 from repro.flash.timing import TimingModel, ZoneMgmtTiming
-from repro.metrics.counters import OpCounter
-from repro.metrics.latency import LatencyRecorder
 from repro.obs.events import (
     FlashOpEvent,
     HostRequestEvent,
@@ -39,6 +37,7 @@ from repro.obs.events import (
     ZoneMgmtEvent,
     ZoneTransitionEvent,
 )
+from repro.obs.frame import MetricsFrame, OpCounter
 from repro.obs.tracer import Tracer
 from repro.sim.engine import Engine
 from repro.sim.resources import Resource
@@ -831,10 +830,9 @@ class TimedZNSDevice:
             prioritize_reads=prioritize_reads,
             tracer=self.tracer,
         )
-        #: Host request latencies, recorded at each request's completion.
-        self.read_latency = LatencyRecorder()
-        self.write_latency = LatencyRecorder()
-        self.append_latency = LatencyRecorder()
+        #: Host request latencies, one exact series per op
+        #: (``hostio.request.<op>.latency_us``), booked at completion.
+        self.frame = MetricsFrame()
         self._request_ids = itertools.count()
         self._zone_locks = [Resource(engine) for _ in range(self.device.zone_count)]
         self._mgmt_gates: list[Resource] | None = None
@@ -888,7 +886,7 @@ class TimedZNSDevice:
             )
         yield self.engine.process(self.service.execute(op))
         latency = self.engine.now - start
-        self.read_latency.record(latency)
+        self.frame.sample("hostio.request.read.latency_us", latency)
         if self.tracer.enabled:
             self.tracer.publish(
                 HostRequestEvent(
@@ -934,7 +932,7 @@ class TimedZNSDevice:
         finally:
             lock.release(req)
         latency = self.engine.now - start
-        self.write_latency.record(latency)
+        self.frame.sample("hostio.request.write.latency_us", latency)
         if self.tracer.enabled:
             self.tracer.publish(
                 HostRequestEvent(
@@ -973,7 +971,7 @@ class TimedZNSDevice:
         for op in ops:
             yield self.engine.process(self.service.execute(op))
         latency = self.engine.now - start
-        self.append_latency.record(latency)
+        self.frame.sample("hostio.request.append.latency_us", latency)
         if self.tracer.enabled:
             self.tracer.publish(
                 HostRequestEvent(

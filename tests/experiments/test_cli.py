@@ -167,7 +167,22 @@ class TestTelemetry:
         metrics_file = tmp_path / "metrics.json"
         assert main(["run", "E14", "--metrics-out", str(metrics_file)]) == 0
         metrics = json.loads(metrics_file.read_text())
-        assert metrics["E14"]["flash_ops"]["flash.nand"]["program"] > 0
+        assert metrics["E14"]["counters"]["flash.nand.program.ops"] > 0
+
+    def test_metrics_out_is_the_same_at_any_jobs(self, tmp_path):
+        """Sweep points run in workers under --jobs 2; each returns its
+        frame and the parent merges them in point order, so the file is
+        byte-identical to the serial one."""
+        written = []
+        for jobs in ("1", "2"):
+            path = tmp_path / f"metrics-{jobs}.json"
+            argv = ["run", "E1,E11", "--jobs", jobs, "--no-cache", "--metrics-out", str(path)]
+            assert main(argv) == 0
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
+        metrics = json.loads(written[0])
+        assert metrics["E1"]["counters"]["flash.nand.program.ops"] > 0
+        assert sum(metrics["E11"]["hists"]["hostio.request.read.queued_us"]) > 0
 
     def test_trace_env_restored_after_run(self, tmp_path, monkeypatch):
         import os

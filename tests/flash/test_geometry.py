@@ -3,7 +3,7 @@
 import pytest
 
 from repro.flash.cells import CellType
-from repro.flash.geometry import GIB, KIB, MIB, FlashGeometry, ZonedGeometry
+from repro.flash.geometry import KIB, MIB, FlashGeometry, ZonedGeometry
 
 
 class TestFlashGeometry:
@@ -61,12 +61,6 @@ class TestFlashGeometry:
             g.check_page(-1)
         with pytest.raises(IndexError):
             g.check_block(g.total_blocks)
-
-    def test_datacenter_geometry_has_16mib_blocks(self):
-        g = FlashGeometry.datacenter_1tb()
-        assert g.block_size == 16 * MIB
-        assert g.capacity_bytes >= GIB  # full-scale, used for arithmetic only
-
 
 class TestZonedGeometry:
     def test_zone_counts(self):

@@ -76,8 +76,8 @@ class TestTimedConventionalSSD:
         p = eng.process(driver(eng, ssd))
         latency = eng.run(until=p)
         assert latency > 0
-        assert ssd.read_latency.count == 1
-        assert ssd.write_latency.count == 1
+        assert ssd.frame.observations("hostio.request.read.latency_us") == 1
+        assert ssd.frame.observations("hostio.request.write.latency_us") == 1
 
     def test_background_gc_sustains_random_overwrites(self):
         eng = Engine()
@@ -124,9 +124,9 @@ class TestTimedConventionalSSD:
         r = eng.process(reader(eng, ssd))
         eng.run(until=w)
         eng.run(until=r)
-        summary = ssd.read_latency.summary()
+        p99 = ssd.frame.quantile("hostio.request.read.latency_us", 0.99)
         raw_read = ssd.service.timing.read_total_us(ssd.ftl.geometry.page_size)
-        assert summary.p99 > 2 * raw_read
+        assert p99 > 2 * raw_read
 
 
 class TestTimedZNSDevice:
@@ -151,7 +151,7 @@ class TestTimedZNSDevice:
             eng.run(until=p)
         program = dev.service.timing.program_total_us(dev.device.page_size)
         # Lock serialization: last write waited for the first three.
-        assert dev.write_latency.summary().max >= 3.5 * program
+        assert dev.frame.quantile("hostio.request.write.latency_us", 1.0) >= 3.5 * program
 
     def test_concurrent_appends_one_zone_parallelize(self):
         eng = Engine()
@@ -161,7 +161,7 @@ class TestTimedZNSDevice:
             eng.run(until=p)
         program = dev.service.timing.program_total_us(dev.device.page_size)
         # Striped appends land on distinct planes: far better than 4x serial.
-        assert dev.append_latency.summary().max < 3 * program
+        assert dev.frame.quantile("hostio.request.append.latency_us", 1.0) < 3 * program
 
     def test_reset_erases_in_parallel(self):
         eng = Engine()

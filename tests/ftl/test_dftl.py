@@ -127,6 +127,12 @@ class TestDemandPagedFTL:
         assert decomp.device_wa > 1.0
         assert decomp.translation_factor > 0.0
 
+    def test_wa_decomposition_of_an_unwritten_device_is_unity(self):
+        decomp = small_dftl(cmt_pages=1).wa_decomposition()
+        assert (decomp.host_pages, decomp.data_gc_pages, decomp.translation_pages) == (0, 0, 0)
+        assert decomp.device_wa == 1.0
+        assert decomp.translation_factor == 0.0
+
     def test_data_path_unaffected(self):
         """The data path (mapping correctness, GC) is the plain FTL's."""
         device = small_dftl(cmt_pages=1, op_ratio=0.25)

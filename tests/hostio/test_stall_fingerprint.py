@@ -36,13 +36,18 @@ PINNED = {
 _WRITERS = 8
 
 
+def _latencies(device, op: str) -> list:
+    key = f"hostio.request.{op}.latency_us"
+    return [device.frame.observations(key), device.frame.mean(key)]
+
+
 def _digest(engine: Engine, device, nand, **extra) -> str:
     counters = nand.counters
     state = {
         "now": engine.now,
         "processed_events": engine.processed_events,
-        "write_latency": [device.write_latency.count, device.write_latency.mean],
-        "read_latency": [device.read_latency.count, device.read_latency.mean],
+        "write_latency": _latencies(device, "write"),
+        "read_latency": _latencies(device, "read"),
         "nand": [counters.writes, counters.copies, counters.erases],
         **extra,
     }
@@ -71,7 +76,7 @@ def test_conventional_saturation_fingerprint():
 
     stalls = ssd.ftl.stats.foreground_gc_stalls
     assert stalls > 100_000  # the scenario is nothing if it stops stalling
-    assert ssd.write_latency.count == 60 * _WRITERS
+    assert ssd.frame.observations("hostio.request.write.latency_us") == 60 * _WRITERS
     digest = _digest(engine, ssd, ssd.ftl.nand, foreground_gc_stalls=stalls)
     assert digest == PINNED["conventional"]
 
@@ -126,7 +131,7 @@ def test_dmzoned_open_loop_fingerprint():
     with the reclaim loop's idle poll on the same 100 us period."""
     engine, host = dmzoned_open_loop(64)
 
-    assert host.read_latency.count == 64 * 20
+    assert host.frame.observations("hostio.request.read.latency_us") == 64 * 20
     # Far more events than requests: the surplus is stalled writers ticking.
     assert engine.processed_events > 200_000
     assert _digest(engine, host, host.layer.device.nand) == PINNED["dmzoned"]

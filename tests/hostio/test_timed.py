@@ -24,9 +24,9 @@ class TestTimedZonedBlockDevice:
 
         p = engine.process(driver(engine))
         engine.run(until=p)
-        assert host.write_latency.count == 1
-        assert host.read_latency.count == 1
-        assert host.read_latency.mean > 0
+        assert host.frame.observations("hostio.request.write.latency_us") == 1
+        assert host.frame.observations("hostio.request.read.latency_us") == 1
+        assert host.frame.mean("hostio.request.read.latency_us") > 0
 
     def test_background_reclaim_sustains_overwrites(self):
         engine = Engine()
@@ -71,7 +71,7 @@ class TestTimedZonedBlockDevice:
 
         w = engine.process(writer(engine))
         engine.run(until=w)
-        assert host.write_latency.count == n // 2
+        assert host.frame.observations("hostio.request.write.latency_us") == n // 2
 
     def test_reclaim_runs_in_bounded_quanta(self):
         engine = Engine()

@@ -1,14 +1,18 @@
-"""Tests for MetricsFrame: exact merge algebra, quantiles, the sink.
+"""Tests for MetricsFrame: exact merge algebra, quantiles, series, the sink.
 
 The load-bearing property is that ``merge`` is exactly associative and
 commutative -- integer sums, order-free maxima, element-wise histogram
 adds -- so sharded telemetry reassembles byte-identical to a serial run
 no matter how observations were partitioned. Hypothesis drives random
-frames and random partitions at that claim.
+frames and random partitions at that claim. Series keep exact samples:
+their quantiles and means must round exactly as the experiments' golden
+numbers were computed.
 """
 
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +27,7 @@ from repro.obs.frame import (
     LATENCY_BIN_EDGES_US,
     FrameSink,
     MetricsFrame,
+    OpCounter,
     normalize_metric_key,
 )
 
@@ -201,6 +206,59 @@ class TestFrameSink:
         assert frame.counter("faults.program-fail") == 1
         assert frame.counter("recovery.ftl.page-rewrite") == 1
 
+    def test_lifecycle_splits_latency_into_queued_and_service(self):
+        sink = FrameSink()
+        for event in (
+            HostRequestEvent("hostio.request", "write", "enqueue", request_id=7, t=100.0),
+            HostRequestEvent("hostio.request", "write", "service-start", request_id=7, t=130.0),
+            HostRequestEvent(
+                "hostio.request", "write", "complete", request_id=7, latency_us=50.0, t=150.0
+            ),
+        ):
+            sink.on_event(event)
+        frame = sink.frame
+        assert frame.counter("hostio.request.write.requests") == 1
+        for phase, value in (("latency", 50.0), ("queued", 30.0), ("service", 20.0)):
+            key = f"hostio.request.write.{phase}_us"
+            assert frame.observations(key) == 1
+            assert frame.quantile(key, 1.0) == min(e for e in LATENCY_BIN_EDGES_US if e >= value)
+
+    def test_a_completion_without_a_lifecycle_books_no_split(self):
+        # The fleet publishes only ``complete``: latency, but no queueing.
+        sink = FrameSink()
+        sink.on_event(HostRequestEvent("fleet.request", "read", "complete", latency_us=9.0))
+        assert sink.frame.observations("fleet.request.read.latency_us") == 1
+        assert "fleet.request.read.queued_us" not in sink.frame.hists
+
+    def test_open_requests_are_keyed_by_layer_op_and_id(self):
+        sink = FrameSink()
+        for layer, t in (("hostio.request", 0.0), ("other.request", 5.0)):
+            sink.on_event(HostRequestEvent(layer, "read", "enqueue", request_id=1, t=t))
+        for layer, t in (("other.request", 45.0), ("hostio.request", 8.0)):
+            sink.on_event(HostRequestEvent(layer, "read", "service-start", request_id=1, t=t))
+        sink.on_event(
+            HostRequestEvent(
+                "hostio.request", "read", "complete", request_id=1, latency_us=12.0, t=12.0
+            )
+        )
+        frame = sink.frame
+        # 8 and 4 us are bin edges, so each quantile reads back exactly.
+        assert frame.quantile("hostio.request.read.queued_us", 1.0) == 8.0
+        assert frame.quantile("hostio.request.read.service_us", 1.0) == 4.0
+        assert "other.request.read.queued_us" not in frame.hists
+
+    def test_reset_forgets_open_requests(self):
+        sink = FrameSink()
+        sink.on_event(HostRequestEvent("hostio.request", "read", "enqueue", request_id=3, t=0.0))
+        sink.reset()
+        sink.on_event(
+            HostRequestEvent(
+                "hostio.request", "read", "complete", request_id=3, latency_us=4.0, t=4.0
+            )
+        )
+        assert sink.frame.observations("hostio.request.read.latency_us") == 1
+        assert "hostio.request.read.queued_us" not in sink.frame.hists
+
     def test_reset_starts_a_fresh_frame(self):
         sink = FrameSink()
         sink.on_event(FlashOpEvent("flash.nand", "program", 0, 0))
@@ -227,8 +285,6 @@ class TestObserveMany:
     @settings(max_examples=20, deadline=None)
     @given(st.lists(_LATENCIES, min_size=1, max_size=80))
     def test_accepts_lists_and_arrays_identically(self, values):
-        import numpy as np
-
         from_list = MetricsFrame()
         from_list.observe_many("lat_us", values)
         from_array = MetricsFrame()
@@ -239,3 +295,93 @@ class TestObserveMany:
         frame = MetricsFrame()
         frame.observe_many("lat_us", [])
         assert frame.hists == {}
+
+
+class TestOpCounter:
+    def test_notes_accumulate(self):
+        c = OpCounter()
+        c.note_read(4096)
+        c.note_write(4096)
+        c.note_write(4096)
+        c.note_erase()
+        c.note_copy(4096)
+        assert (c.reads, c.writes, c.erases, c.copies) == (1, 2, 1, 1)
+        assert c.bytes_written == 8192
+        assert c.bytes_copied == 4096
+
+    def test_a_programming_copy_also_books_written_bytes(self):
+        c = OpCounter()
+        c.note_copy(4096, count=2, programs=True)
+        assert (c.copies, c.bytes_copied, c.bytes_written, c.writes) == (2, 4096, 4096, 0)
+
+
+class TestSeries:
+    def test_empty_series_reads_zero(self):
+        frame = MetricsFrame()
+        assert frame.observations("lat_us") == 0
+        assert frame.mean("lat_us") == 0.0
+        assert frame.quantile("lat_us", 0.99) == 0.0
+        assert "series" not in frame.to_dict()
+
+    def test_exact_percentiles(self):
+        frame = MetricsFrame()
+        for value in range(1, 101):
+            frame.sample("lat_us", float(value))
+        assert frame.observations("lat_us") == 100
+        assert frame.mean("lat_us") == pytest.approx(50.5)
+        assert frame.quantile("lat_us", 0.5) == pytest.approx(50.5)
+        assert frame.quantile("lat_us", 1.0) == 100.0
+
+    def test_negative_sample_rejected(self):
+        with pytest.raises(ValueError):
+            MetricsFrame().sample("lat_us", -1.0)
+
+    def test_quantile_is_np_percentile_on_the_percent_scale(self):
+        # np.quantile(x, 0.999) and np.percentile(x, 99.9) round apart on
+        # most arrays; experiments report p99.9 unrounded, so the series
+        # must answer exactly as np.percentile does.
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            values = rng.exponential(300.0, size=int(rng.integers(10, 3000))).tolist()
+            frame = MetricsFrame(series={"lat_us": values})
+            for q in (0.5, 0.9, 0.95, 0.99, 0.999):
+                assert frame.quantile("lat_us", q) == float(np.percentile(values, q * 100))
+
+    def test_mean_is_a_left_to_right_running_sum(self):
+        # Experiments report means unrounded: compensated (math.fsum, and
+        # sum() from Python 3.12 on) or pairwise (np.mean) summation would
+        # move these digits.
+        values = [1e16, 1.0, 1.0, 3.0, 0.1, 0.2, 0.3]
+        frame = MetricsFrame()
+        total = 0.0
+        for value in values:
+            frame.sample("lat_us", value)
+            total += value
+        assert frame.mean("lat_us") == total / len(values)
+        assert frame.mean("lat_us") != math.fsum(values) / len(values)
+
+    def test_series_and_histograms_are_separate_namespaces(self):
+        frame = MetricsFrame()
+        frame.observe("binned_us", 3.0)
+        frame.sample("exact_us", 3.0)
+        assert frame.quantile("exact_us", 1.0) == 3.0
+        assert frame.quantile("binned_us", 1.0) == min(e for e in LATENCY_BIN_EDGES_US if e >= 3.0)
+        assert frame.observations("exact_us") == frame.observations("binned_us") == 1
+        assert list(frame.hists) == ["binned_us"]
+        assert list(frame.series) == ["exact_us"]
+
+    def test_merge_concatenates_in_order(self):
+        a = MetricsFrame(series={"lat_us": [3.0, 1.0]})
+        b = MetricsFrame(series={"lat_us": [2.0], "other_us": [5.0]})
+        merged = MetricsFrame.merge([a, b])
+        assert merged.series == {"lat_us": [3.0, 1.0, 2.0], "other_us": [5.0]}
+        assert a.series == {"lat_us": [3.0, 1.0]}
+
+    def test_round_trip_through_json(self):
+        frame = MetricsFrame()
+        frame.add("x.ops", 2)
+        frame.sample("Lat US", 12.5)
+        frame.sample("lat_us", 7.0)
+        wire = json.loads(json.dumps(frame.to_dict()))
+        assert wire["series"] == {"lat_us": [12.5, 7.0]}
+        assert MetricsFrame.from_dict(wire).to_dict() == frame.to_dict()

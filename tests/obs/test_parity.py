@@ -1,12 +1,13 @@
 """The devices' own fields and the event stream tell the same story.
 
 Two implementations are compared here. The devices book every operation
-in plain fields (``counters``, ``read_latency`` ...) whether or not anyone
-listens; an observer that attaches a sink gets a :class:`FlashOpEvent` or
-:class:`HostRequestEvent` for the same operation, and
-:class:`OpCounterSink` / :class:`LatencySink` rebuild the fields' values
-from those events alone. Each test records a stream, replays it into
-fresh sinks and demands equality with the fields -- on the scalar calls,
+in plain fields (``counters``, the timed devices' latency ``frame``)
+whether or not anyone listens; an observer that attaches a sink gets a
+:class:`FlashOpEvent` or :class:`HostRequestEvent` for the same
+operation. A :class:`FrameSink` folds the flash ops into the frame keys
+each :class:`OpCounter` field maps to, and the ``complete`` events carry
+the exact latencies. Each test records a stream, replays it and demands
+equality with the fields -- on the scalar calls,
 on the run/batch paths (one aggregate event must sum to the field) and
 around injected faults (a faulted op is counted by neither side) -- next
 to a few hand-computed counts on small fixed workloads.
@@ -25,10 +26,15 @@ from repro.flash.geometry import FlashGeometry, ZonedGeometry
 from repro.flash.nand import NandArray
 from repro.ftl.device import ConventionalSSD, TimedConventionalSSD
 from repro.hostio.timed import TimedZonedBlockDevice
-from repro.metrics.counters import OpCounter
-from repro.obs.sinks import LatencySink, OpCounterSink, RecordingSink
+from repro.obs import runtime
+from repro.obs.frame import FrameSink, OpCounter
+from repro.obs.sinks import RecordingSink
+from repro.obs.tracer import Tracer
 from repro.sim.engine import Engine
+from repro.sim.rng import make_rng
 from repro.zns.device import TimedZNSDevice, ZNSDevice
+from tests.ftl.test_dftl_parity import cmt_pressure_dftl
+from tests.hostio.test_stall_fingerprint import dmzoned_open_loop
 
 
 def _replay(events, sink):
@@ -38,17 +44,40 @@ def _replay(events, sink):
 
 
 def _replayed_counters(events, layer: str) -> OpCounter:
-    sink = OpCounterSink(layer, copy_programs=(layer == "flash.nand"))
-    return _replay(events, sink).counter
+    """One layer's counters as a :class:`FrameSink` hears them: on
+    physical NAND a copy's bytes also count as programmed."""
+    count = _replay(events, FrameSink()).frame.counter
+    copied = count(f"{layer}.copy.bytes")
+    programmed = count(f"{layer}.program.bytes")
+    return OpCounter(
+        reads=count(f"{layer}.read.ops"),
+        writes=count(f"{layer}.program.ops"),
+        erases=count(f"{layer}.erase.ops"),
+        copies=count(f"{layer}.copy.ops"),
+        bytes_read=count(f"{layer}.read.bytes"),
+        bytes_written=programmed + copied if layer == "flash.nand" else programmed,
+        bytes_copied=copied,
+    )
+
+
+def _replayed_latencies(events, op: str) -> list[float]:
+    """The exact latencies of the stream's completed ``op`` host requests."""
+    return [
+        event.latency_us
+        for event in events
+        if event.kind == "host-request"
+        and event.layer == "hostio.request"
+        and event.op == op
+        and event.phase == "complete"
+    ]
 
 
 def _assert_latencies_match(events, device, ops: dict[str, int]) -> None:
-    """Each ``<op>_latency`` field holds the replayed stream's samples, once."""
+    """Each op's latency series holds the replayed stream's samples, once."""
     for op, count in ops.items():
-        replayed = _replay(events, LatencySink(op=op)).recorder
-        field = getattr(device, f"{op}_latency")
-        assert field.count == count
-        assert field._samples == replayed._samples
+        key = f"hostio.request.{op}.latency_us"
+        assert device.frame.observations(key) == count
+        assert device.frame.series[key] == _replayed_latencies(events, op)
 
 
 def _small_zoned(blocks_per_zone: int = 2) -> ZonedGeometry:
@@ -293,7 +322,11 @@ class TestLatencyParity:
             engine.run(until=device.submit_write(lpn))
         for lpn in range(10):
             engine.run(until=device.submit_read(lpn))
-        assert (device.write_latency.count, device.read_latency.count) == (20, 10)
+        frame = device.frame
+        assert (
+            frame.observations("hostio.request.write.latency_us"),
+            frame.observations("hostio.request.read.latency_us"),
+        ) == (20, 10)
         assert device.ftl.nand.counters.writes == 20
 
     def test_request_lifecycle_phases_are_complete(self):
@@ -332,3 +365,49 @@ class TestCrossLayerStream:
             "block.dmzoned",
             "hostio.request",
         } <= layers
+
+
+class TestConservation:
+    """Device numbers derived from one sink's frame must add up."""
+
+    def test_nand_programs_are_the_dftl_wa_decomposition(self):
+        tracer = Tracer()
+        sink = tracer.attach(FrameSink())
+        dftl = cmt_pressure_dftl(tracer)
+        rng = make_rng(3)
+        n = dftl.logical_pages
+        dftl.write_pages(np.arange(n, dtype=np.int64))
+        for _ in range(30):
+            dftl.write_pages(rng.integers(0, n, size=int(rng.integers(1, 64))))
+        count = sink.frame.counter
+        decomp = dftl.wa_decomposition()
+        assert decomp.data_gc_pages > 0 and decomp.translation_pages > 0
+        programs = count("flash.nand.program.ops") + count("flash.nand.copy.ops")
+        assert programs == (
+            decomp.host_pages + decomp.data_gc_pages + decomp.translation_pages
+        )
+        assert decomp.translation_pages == (
+            count("translation.writeback") + count("translation.gc")
+        )
+
+    def test_timed_dmzoned_latency_histograms_count_their_requests(self):
+        """E11's always-on arm (open-loop writes, read bursts): every
+        completed request is one latency, one queued and one service
+        observation, whatever was still in flight when the run stopped."""
+        sink = runtime.install_global_sink(FrameSink())
+        try:
+            dmzoned_open_loop(8)
+        finally:
+            runtime.remove_global_sink(sink)
+        frame = sink.frame
+        latencies = [key for key in frame.hists if key.endswith(".latency_us")]
+        assert sorted(latencies) == [
+            "hostio.request.read.latency_us",
+            "hostio.request.write.latency_us",
+        ]
+        for key in latencies:
+            prefix = key.removesuffix(".latency_us")
+            assert frame.observations(key) == frame.counter(f"{prefix}.requests") > 0
+            for phase in ("queued_us", "service_us"):
+                assert frame.observations(f"{prefix}.{phase}") == frame.observations(key)
+        assert frame.counter("hostio.request.read.requests") == 8 * 20

@@ -70,5 +70,4 @@ class TestMetricsAggregator:
         aggregator.reset()
         device = ConventionalSSD(FlashGeometry.small())
         device.write_block(0)
-        summary = aggregator.summary()
-        assert summary["flash_ops"]["flash.nand"]["program"] == 1
+        assert aggregator.frame.counter("flash.nand.program.ops") == 1

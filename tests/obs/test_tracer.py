@@ -93,6 +93,12 @@ def _e3_rig_run(rig) -> Engine:
     return rig.engine
 
 
+def _latencies(device, op: str) -> tuple[int, float]:
+    """Count and mean of a timed device's ``op`` latency series."""
+    key = f"hostio.request.{op}.latency_us"
+    return device.frame.observations(key), device.frame.mean(key)
+
+
 def _conventional_timed_run() -> dict:
     rig = _ConvRig(0.07)
     engine = _e3_rig_run(rig)
@@ -100,8 +106,8 @@ def _conventional_timed_run() -> dict:
     return {
         "events": engine.processed_events,
         "nand": dataclasses.asdict(ssd.ftl.nand.counters),
-        "reads": (ssd.read_latency.count, ssd.read_latency.mean),
-        "writes": (ssd.write_latency.count, ssd.write_latency.mean),
+        "reads": _latencies(ssd, "read"),
+        "writes": _latencies(ssd, "write"),
     }
 
 
@@ -113,9 +119,9 @@ def _zns_timed_run() -> dict:
         "events": engine.processed_events,
         "nand": dataclasses.asdict(timed.device.nand.counters),
         "zns": dataclasses.asdict(timed.device.counters),
-        "reads": (timed.read_latency.count, timed.read_latency.mean),
-        "writes": (timed.write_latency.count, timed.write_latency.mean),
-        "appends": (timed.append_latency.count, timed.append_latency.mean),
+        "reads": _latencies(timed, "read"),
+        "writes": _latencies(timed, "write"),
+        "appends": _latencies(timed, "append"),
     }
 
 
@@ -126,8 +132,8 @@ def _dmzoned_timed_run() -> dict:
         "nand": dataclasses.asdict(host.layer.device.nand.counters),
         "zns": dataclasses.asdict(host.layer.device.counters),
         "block": dataclasses.asdict(host.layer.counters),
-        "reads": (host.read_latency.count, host.read_latency.mean),
-        "writes": (host.write_latency.count, host.write_latency.mean),
+        "reads": _latencies(host, "read"),
+        "writes": _latencies(host, "write"),
     }
 
 

@@ -1,10 +1,12 @@
 """Cross-package integration tests.
 
-These exercise whole stacks end to end: the same trace against every
-block-device implementation, the LSM store over the host-translated ZNS
+These exercise whole stacks end to end: the same op sequence against
+every block-device implementation, the LSM store over the host-translated ZNS
 stack (three layers deep), and the experiment harness against the devices
 it claims to measure.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,8 +17,6 @@ from repro.block.ramdisk import RamDisk
 from repro.flash.geometry import FlashGeometry, ZonedGeometry
 from repro.ftl.device import ConventionalSSD
 from repro.ftl.ftl import FTLConfig
-from repro.workloads.synthetic import read_write_mix
-from repro.workloads.traces import replay_trace, synthesize_trace
 from repro.zns.device import ZNSDevice
 
 
@@ -30,25 +30,54 @@ def all_block_devices():
     return {"ramdisk": ram, "conventional": conventional, "zns+host": zoned}
 
 
+def mixed_ops(count: int, seed: int) -> list[tuple[str, int]]:
+    """``(op, lba)`` draws over 2048 LBAs: 30% reads, 5% trims, the rest writes."""
+    rng = np.random.default_rng(seed)
+    draws = rng.random(count)
+    lbas = rng.integers(0, 2048, size=count)
+    return [
+        ("read" if draw < 0.30 else "trim" if draw < 0.35 else "write", int(lba))
+        for draw, lba in zip(draws, lbas)
+    ]
+
+
+def apply_ops(device, ops: list[tuple[str, int]]) -> Counter:
+    """Apply ``ops`` through the block interface; a read or trim of an LBA
+    that holds no data is skipped and counted as such."""
+    counts = Counter()
+    written = set()
+    for op, lba in ops:
+        if op == "write":
+            device.write_block(lba)
+            written.add(lba)
+        elif lba not in written:
+            counts[f"skipped_{op}"] += 1
+            continue
+        elif op == "read":
+            device.read_block(lba)
+        else:
+            device.trim_block(lba)
+            written.discard(lba)
+        counts[op] += 1
+    return counts
+
+
 class TestTraceAcrossDevices:
     def test_same_trace_same_counts_everywhere(self):
-        ops = list(read_write_mix(2048, 6000, read_fraction=0.3, seed=0))
-        trace = synthesize_trace(ops)
+        ops = mixed_ops(6000, seed=0)
         results = {
-            name: replay_trace(trace, device)
-            for name, device in all_block_devices().items()
+            name: apply_ops(device, ops) for name, device in all_block_devices().items()
         }
         baseline = results["ramdisk"]
+        assert min(baseline["read"], baseline["trim"], baseline["skipped_read"]) > 0
         for name, counts in results.items():
             assert counts == baseline, f"{name} diverged: {counts} vs {baseline}"
 
     def test_flash_devices_amplify_ram_does_not(self):
-        ops = [("write", int(lba)) for lba in
-               np.random.default_rng(1).integers(0, 2048, size=12_000)]
-        trace = synthesize_trace(ops)
+        lbas = np.random.default_rng(1).integers(0, 2048, size=12_000)
         devices = all_block_devices()
         for device in devices.values():
-            replay_trace(trace, device)
+            apply_ops(device, [("write", int(lba)) for lba in lbas])
         assert devices["ramdisk"].counters.writes == 12_000
         conventional = devices["conventional"]
         flash_writes = conventional.ftl.nand.counters.bytes_written // 4096
@@ -78,8 +107,6 @@ class TestLsmOverHostTranslation:
 
     def test_wa_ledger_multiplies_across_layers(self):
         """user -> app (LSM) -> host (translation) -> flash bytes all line up."""
-        from repro.metrics.wa import WriteAmpAccounting
-
         device = ZNSDevice(ZonedGeometry.small())
         zoned_layer = ZonedBlockDevice(device, ZonedBlockConfig(op_ratio=0.11))
         store = LSMStore(
@@ -90,19 +117,20 @@ class TestLsmOverHostTranslation:
         for i in range(6000):
             store.put(int(rng.integers(0, 800)), i)
 
-        ledger = WriteAmpAccounting()
-        ledger.record_user(store.stats.user_bytes)
-        ledger.record_app(store.stats.app_pages_written * 4096)
+        user_bytes = store.stats.user_bytes
+        app_bytes = store.stats.app_pages_written * 4096
         host_pages = zoned_layer.stats.user_pages_written + zoned_layer.stats.gc_pages_copied
-        ledger.record_host(host_pages * 4096)
-        ledger.record_flash(device.nand.physical_bytes_written())
-        breakdown = ledger.breakdown()
-        assert breakdown.application > 1.0  # compaction + WAL
-        assert breakdown.host >= 1.0  # translation reclaim
-        assert breakdown.device >= 0.99  # thin FTL adds nothing
-        # Product consistency: total equals flash/user directly.
-        direct = device.nand.physical_bytes_written() / store.stats.user_bytes
-        assert breakdown.total == pytest.approx(direct, rel=0.01)
+        host_bytes = host_pages * 4096
+        flash_bytes = device.nand.physical_bytes_written()
+        application = app_bytes / user_bytes
+        host = host_bytes / app_bytes
+        device_wa = flash_bytes / host_bytes
+        assert application > 1.0  # compaction + WAL
+        assert host >= 1.0  # translation reclaim
+        assert device_wa >= 0.99  # thin FTL adds nothing
+        # Product consistency: the layers multiply to flash/user directly.
+        direct = flash_bytes / user_bytes
+        assert application * host * device_wa == pytest.approx(direct, rel=0.01)
 
 
 class TestDeterminism:

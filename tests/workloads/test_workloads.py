@@ -1,9 +1,8 @@
-"""Tests for workload generators and traces."""
+"""Tests for workload generators."""
 
 import numpy as np
 import pytest
 
-from repro.block.ramdisk import RamDisk
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.ftl import ConventionalFTL, FTLConfig
 from repro.sim.rng import make_rng
@@ -13,19 +12,9 @@ from repro.workloads.synthetic import (
     fill_then_churn,
     hot_cold_array,
     hot_cold_stream,
-    read_write_mix,
-    sequential_stream,
     uniform_array,
     uniform_stream,
     zipfian_stream,
-)
-from repro.workloads.traces import (
-    TraceOp,
-    TraceRecord,
-    parse_trace,
-    replay_trace,
-    synthesize_trace,
-    trace_lines,
 )
 from tests.ftl.test_batch_parity import full_state
 
@@ -36,10 +25,6 @@ class TestSynthetic:
         b = list(uniform_stream(100, 50, seed=1))
         assert a == b
         assert all(0 <= x < 100 for x in a)
-
-    def test_sequential_wraps(self):
-        assert list(sequential_stream(4, 6)) == [0, 1, 2, 3, 0, 1]
-        assert list(sequential_stream(4, 3, start=2)) == [2, 3, 0]
 
     def test_zipfian_skew(self):
         samples = list(zipfian_stream(1000, 20_000, theta=0.99, seed=2))
@@ -143,20 +128,6 @@ class TestHotCold:
                 assert page >= 100
 
 
-class TestReadWriteMix:
-    def test_reads_target_written_space(self):
-        written = set()
-        for op, page in read_write_mix(1000, 5000, read_fraction=0.5, seed=4):
-            if op == "write":
-                written.add(page)
-            else:
-                assert page <= max(written)
-
-    def test_all_writes_when_fraction_zero(self):
-        ops = [op for op, _ in read_write_mix(100, 200, read_fraction=0.0, seed=5)]
-        assert set(ops) == {"write"}
-
-
 class TestLifetimeWorkload:
     def test_every_create_gets_a_delete(self):
         wl = ObjectLifetimeWorkload(num_objects=500, seed=6)
@@ -231,29 +202,3 @@ class TestMultitenant:
         initial = [e for e in events if e.time == 0]
         assert len(initial) == 3
 
-
-class TestTraces:
-    def test_round_trip_serialization(self):
-        trace = synthesize_trace(
-            [("write", 5), ("read", 5), ("trim", 5)], interarrival_us=10.0
-        )
-        lines = list(trace_lines(trace))
-        parsed = list(parse_trace(lines))
-        assert parsed == trace
-
-    def test_parse_skips_comments_and_blanks(self):
-        lines = ["# header", "", "0.000 write 3"]
-        parsed = list(parse_trace(lines))
-        assert parsed == [TraceRecord(TraceOp.WRITE, 3, 0.0)]
-
-    def test_replay_counts_and_skips_unwritten_reads(self):
-        disk = RamDisk(16)
-        trace = synthesize_trace([("read", 1), ("write", 1), ("read", 1), ("trim", 1)])
-        counts = replay_trace(trace, disk)
-        assert counts == {"read": 1, "write": 1, "trim": 1, "skipped_reads": 1}
-
-    def test_timestamps_monotonic(self):
-        trace = synthesize_trace([("write", i) for i in range(5)], interarrival_us=2.0)
-        times = [r.time for r in trace]
-        assert times == sorted(times)
-        assert times[-1] == pytest.approx(8.0)
