@@ -126,7 +126,7 @@ class ZoneLogCache:
             return
         zone = self._open_zone()
         offset = self.device.zone(zone).wp
-        self.device.write(zone, npages=1)
+        self.device.write(zone, npages=1, build_ops=False)
         self._location[obj_id] = (zone, offset)
         self._zone_objects.setdefault(zone, []).append(obj_id)
         self.stats.insertions += 1

@@ -446,7 +446,7 @@ class ZoneFileBackend(LsmBackend):
             zone_obj = self.device.zone(zone)
             chunk = min(remaining, zone_obj.remaining)
             offset = zone_obj.wp
-            self.device.write(zone, npages=chunk)
+            self.device.write(zone, npages=chunk, build_ops=False)
             extents.append(_ZoneExtent(zone, offset, chunk))
             # Count the chunk live before the seal below can look: a zone
             # whose earlier files are all dead would otherwise be reset

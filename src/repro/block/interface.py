@@ -131,15 +131,16 @@ class ZonedDevice(Protocol):
     def write(
         self,
         zone_id: int,
-        offset: int | None = None,
         npages: int = 1,
+        offset: int | None = None,
         data: Any = None,
+        build_ops: bool = True,
     ) -> list["FlashOp"]:
-        """Sequential write at the write pointer."""
+        """Sequential write at the write pointer (``[]`` without ``build_ops``)."""
         ...
 
     def append(
-        self, zone_id: int, npages: int = 1, data: Any = None
+        self, zone_id: int, npages: int = 1, data: Any = None, build_ops: bool = True
     ) -> tuple[int, list["FlashOp"]]:
         """Zone append: the device assigns the offset."""
         ...

@@ -17,12 +17,11 @@ schedules show up in ``--trace`` output next to the operations they hit.
 
 Hook contract (what the device layers rely on):
 
-- ``on_program`` / ``on_erase`` decide *whether* the scalar operation
-  fails; the array itself performs the state transition (a failed scalar
-  program still burns its page, a failed erase retires the block).
-- ``on_program_batch`` decides *before* any array mutation, preserving
-  the documented batch atomicity contract: a failed batch leaves the
-  array untouched.
+- ``on_program`` / ``on_erase`` decide *whether* the operation fails;
+  the array itself performs the state transition (a failed program
+  still burns its page, a failed erase retires the block). There is one
+  program contract: writers under an armed injector program page by
+  page; the array's runs, like its copies, are never fault-injected.
 - ``on_read`` walks the ECC read-retry ladder and returns the extra
   sense latency, raising
   :class:`~repro.flash.errors.UncorrectableReadError` only when every
@@ -80,8 +79,8 @@ class FaultInjector:
 
     # -- Internals -----------------------------------------------------------
 
-    def _tick(self, n: int = 1) -> None:
-        self.ops += n
+    def _tick(self) -> None:
+        self.ops += 1
         while self._grown_next < len(self._grown) and (
             self._grown[self._grown_next][0] <= self.ops
         ):
@@ -106,21 +105,13 @@ class FaultInjector:
                 )
             )
 
-    def _spike(self, n: int = 1) -> float:
-        """Latency-spike penalty over ``n`` operations (0.0 when disarmed)."""
+    def _spike(self) -> float:
+        """Latency-spike penalty for one operation (0.0 when none fires)."""
         p = self.plan.latency_spike_prob
-        if not p:
+        if not p or self.rng.random() >= p:
             return 0.0
-        if n == 1:
-            hits = 1 if self.rng.random() < p else 0
-        else:
-            hits = int(np.count_nonzero(self.rng.random(n) < p))
-        if not hits:
-            return 0.0
-        penalty = hits * self.plan.latency_spike_us
-        for _ in range(hits):
-            self._fire("latency-spike", latency_us=self.plan.latency_spike_us)
-        return penalty
+        self._fire("latency-spike", latency_us=self.plan.latency_spike_us)
+        return self.plan.latency_spike_us
 
     def _ladder(self, block: int, page: int | None) -> float:
         """Walk the ECC retry ladder for one erroneous page.
@@ -148,7 +139,7 @@ class FaultInjector:
     # -- Hooks consulted by NandArray ---------------------------------------
 
     def on_program(self, block: int, page: int, latency_us: float) -> tuple[bool, float]:
-        """Decide one scalar program; returns ``(fault, extra_latency_us)``.
+        """Decide one program; returns ``(fault, extra_latency_us)``.
 
         On fault the caller burns the page (write offset advances, data
         bad) and raises; ``extra`` only applies to the success path.
@@ -158,22 +149,6 @@ class FaultInjector:
             self._fire("program-fail", block, page, latency_us=latency_us)
             return True, 0.0
         return False, self._spike()
-
-    def on_program_batch(
-        self, n: int, block: int, first_page: int, latency_us: float
-    ) -> tuple[bool, float]:
-        """Decide a batch program *before any mutation*.
-
-        A hit anywhere in the batch fails the whole command with the
-        array untouched (the batch atomicity contract); callers retry the
-        batch on a fresh block or fall back to scalar writes.
-        """
-        self._tick(n)
-        p = self.plan.program_fail_prob
-        if p and bool(np.any(self.rng.random(n) < p)):
-            self._fire("program-fail", block, first_page, latency_us=latency_us)
-            return True, 0.0
-        return False, self._spike(n)
 
     def on_erase(self, block: int) -> bool:
         """Decide one erase; True means the block fails and is retired."""
@@ -205,9 +180,9 @@ class FaultInjector:
     def on_zone_reset(self, zone: int) -> bool:
         """Decide one zone reset; True means it fails transiently.
 
-        The decision lands *before* any erase is issued (pre-mutation,
-        like the batch program contract): a failed reset leaves zone and
-        flash state untouched and the host simply retries.
+        The decision lands *before* any erase is issued (pre-mutation): a
+        failed reset leaves zone and flash state untouched and the host
+        simply retries.
         """
         self._tick()
         if self.plan.reset_fail_prob and self.rng.random() < self.plan.reset_fail_prob:

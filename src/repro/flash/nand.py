@@ -161,7 +161,7 @@ class NandArray:
         block has been retired.
         """
         block, offset = self.geometry.split_page(page)
-        if self.wear.is_bad(block):
+        if self.wear.bad_mask_v[block]:
             raise BadBlockError(f"program on retired block {block}")
         expected = self._write_offsets_v[block]
         if offset != expected:
@@ -317,100 +317,27 @@ class NandArray:
             )
         return latency
 
-    # -- Batched operations ------------------------------------------------------
+    # -- Run operations ------------------------------------------------------------
     #
-    # The batch entry points perform the same state transitions as a loop of
-    # scalar calls, with the same constraint checks, but mutate the arrays
-    # in bulk, book the batch once and publish ONE aggregate trace event
+    # A run performs the same state transitions as a loop of scalar calls,
+    # with the same constraint checks, but mutates the arrays in bulk,
+    # books the run once and publishes ONE aggregate trace event
     # (``count=n``, ``nbytes=n * page_size``), so the counters -- and a
     # counter sink over the stream -- read totals identical to the scalar
-    # calls. Constraints are validated before any
-    # mutation, so a failed batch leaves the array untouched.
-
-    def _check_program_order(
-        self, pages: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Validate a batch program destination; returns (blocks, ublocks, counts).
-
-        Every block touched must receive its pages strictly sequentially
-        from its current write offset (the scalar :meth:`program` rule,
-        applied per block across the whole batch).
-        """
-        if pages.size == 0:
-            raise ValueError("empty page batch")
-        lo, hi = int(pages.min()), int(pages.max())
-        if lo < 0 or hi >= self.geometry.total_pages:
-            raise IndexError(f"page batch out of range [0, {self.geometry.total_pages})")
-        ppb = self.geometry.pages_per_block
-        blocks = pages // ppb
-        offsets = pages - blocks * ppb
-        order = np.lexsort((offsets, blocks))
-        sblocks = blocks[order]
-        soffsets = offsets[order]
-        ublocks, first, counts = np.unique(
-            sblocks, return_index=True, return_counts=True
-        )
-        if self.wear.bad_mask[ublocks].any():
-            bad = int(ublocks[self.wear.bad_mask[ublocks]][0])
-            raise BadBlockError(f"program on retired block {bad}")
-        step = np.diff(soffsets)
-        boundaries = np.zeros(len(soffsets) - 1, dtype=bool) if len(soffsets) > 1 else None
-        if boundaries is not None:
-            boundaries[first[1:] - 1] = True
-            if not np.all((step == 1) | boundaries):
-                raise ProgramOrderError("batch pages not sequential within a block")
-        if not np.array_equal(soffsets[first], self._write_offsets[ublocks]):
-            raise ProgramOrderError(
-                "batch does not start at each block's next programmable offset"
-            )
-        return blocks, ublocks, counts
-
-    def program_batch(self, pages: np.ndarray, data: Any = None) -> float:
-        """Program many pages at once; returns the batch's total latency.
-
-        Equivalent to ``for p in pages: self.program(p)`` (same ordering
-        constraints, same counter totals) with one aggregate trace event.
-        """
-        pages = np.asarray(pages, dtype=np.int64)
-        blocks, ublocks, counts = self._check_program_order(pages)
-        n = len(pages)
-        latency = n * self.timing.program_total_us(self.geometry.page_size)
-        if self.faults is not None:
-            # Decided before any mutation: a failed batch leaves the
-            # array untouched (unlike a scalar fault, which burns its
-            # page) so callers can retry the whole command elsewhere.
-            fault, extra = self.faults.on_program_batch(
-                n, int(blocks[0]), int(pages[0]), latency
-            )
-            if fault:
-                raise ProgramFaultError(
-                    f"program fault failed batch of {n} pages starting at "
-                    f"page {int(pages[0])}",
-                    latency_us=latency,
-                )
-            latency += extra
-        self._write_offsets[ublocks] += counts.astype(np.int32)
-        if self.store_data:
-            seq = data if isinstance(data, (list, tuple)) else [data] * len(pages)
-            for page, payload in zip(pages.tolist(), seq):
-                self._data[page] = payload
-        self.counters.note_write(n * self.geometry.page_size, n)
-        if self.tracer.enabled:
-            self.tracer.publish(
-                FlashOpEvent(
-                    "flash.nand", "program", int(blocks[0]), int(pages[0]),
-                    nbytes=n * self.geometry.page_size, count=n, latency_us=latency,
-                )
-            )
-        return latency
+    # calls. Constraints are validated before any mutation.
 
     def program_run(self, block: int, n: int) -> tuple[int, float]:
         """Program the next ``n`` free pages of ``block``; returns (first_page, latency).
 
-        The append-style batch: no per-page addresses needed, just the run
-        length. Fastest path for FTL active-block fills.
+        The append-style run: no per-page addresses needed, just the run
+        length. Fastest path for FTL active-block fills and zone lanes.
+        Like a copy, a run is never fault-injected: an armed injector has
+        one program contract, a fault burning its page in :meth:`program`,
+        so writers under one program page by page (and recovery pads,
+        which must not fail, use a run).
         """
-        self.geometry.check_block(block)
+        if not 0 <= block < self.geometry.total_blocks:
+            self.geometry.check_block(block)
         if n < 1:
             raise ValueError("n must be >= 1")
         if self.wear.bad_mask_v[block]:
@@ -422,15 +349,7 @@ class NandArray:
                 f"free pages; batch wants {n}"
             )
         first_page = block * self.geometry.pages_per_block + offset
-        latency = n * self.timing.program_total_us(self.geometry.page_size)
-        if self.faults is not None:
-            fault, extra = self.faults.on_program_batch(n, block, first_page, latency)
-            if fault:
-                raise ProgramFaultError(
-                    f"program fault failed run of {n} pages in block {block}",
-                    latency_us=latency,
-                )
-            latency += extra
+        latency = n * self._program_page_us
         self._write_offsets_v[block] = offset + n
         self.counters.note_write(n * self.geometry.page_size, n)
         if self.tracer.enabled:

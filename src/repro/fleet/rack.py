@@ -489,7 +489,8 @@ def simulate_device(spec: FleetSpec, device_id: int) -> MetricsFrame:
     rng = make_rng(derive_seed(spec.seed, "reads", device_id))
 
     # Faults sleep through the prefill: the filler is anonymous history,
-    # and a burned prefill batch would abort construction, not serving.
+    # and a program fault in the prefill would abort construction, not
+    # serving.
     injector = stack.nand.faults
     stack.nand.faults = None
     if hasattr(stack, "faults"):
@@ -528,7 +529,7 @@ def simulate_device(spec: FleetSpec, device_id: int) -> MetricsFrame:
             for i, tid in enumerate(tenants):
                 zones = list(range(i * zones_per_tenant, (i + 1) * zones_per_tenant))
                 for zone in zones[:fill]:
-                    stack.append_batch(zone, pages_per_zone)
+                    stack.append(zone, pages_per_zone, build_ops=False)
                 lifecycle = None
                 if spec.zone_lifecycle:
                     lifecycle = ZoneLifecycleManager(stack)

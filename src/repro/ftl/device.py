@@ -75,13 +75,7 @@ class ConventionalSSD:
 
     def write_blocks(self, start: int, count: int) -> None:
         check_extent(self, start, count)
-        if self.ftl.nand.faults is None:
-            self.ftl.write_pages(np.arange(start, start + count))
-        else:
-            # A batch that draws a program fault degrades chunk-wise, not
-            # page-wise; the scalar path keeps fault absorption in order.
-            for lba in range(start, start + count):
-                self.ftl.write(lba)
+        self.ftl.write_pages(np.arange(start, start + count))
         if self._store_data:
             self._payloads.update(dict.fromkeys(range(start, start + count)))
 

@@ -421,11 +421,8 @@ class DemandPagedFTL(ConventionalFTL):
                 ops.append(
                     FlashOp(OpKind.COPY, dst_block, dst, latency, uses_channel=uses_channel)
                 )
-        erase_latency, survived = self._erase_reclaimed(victim)
+        erase_latency = self._erase_reclaimed(victim)
         self._trans_sealed.discard(victim)
-        if survived:
-            self._free.append(victim)
-            self.stats.blocks_erased += 1
         if build_ops:
             ops.append(FlashOp(OpKind.ERASE, victim, None, erase_latency))
         self.store.stats.gc_runs += 1
@@ -542,12 +539,7 @@ class DemandPagedFTL(ConventionalFTL):
     def _trans_pad_and_seal(self, block: int) -> None:
         """Pad a partial translation block shut (recovery only)."""
         free = self.geometry.pages_per_block - self.nand.write_offset(block)
-        saved = self.nand.faults
-        self.nand.faults = None
-        try:
-            first, _ = self.nand.program_run(block, free)
-        finally:
-            self.nand.faults = saved
+        first, _ = self.nand.program_run(block, free)
         self._oob_lpn[first : first + free] = UNMAPPED
         self._trans_seal(block)
 

@@ -196,18 +196,14 @@ class ConventionalFTL:
 
         self._free: list[int] = list(range(geometry.total_blocks))
         self._sealed: set[int] = set()
-        self._seal_times: dict[int, int] = {}
-        # Array twin of _seal_times (stale entries for unsealed blocks are
-        # never read), so victim selection indexes instead of dict-gets.
-        # Like the OOB columns below it has a ``*_v`` memoryview of its
-        # buffer for scalar writes, and is written in place, never rebound.
+        # Logical seal time per block (stale for unsealed blocks, never
+        # read). Like the OOB columns below it has a ``*_v`` memoryview of
+        # its buffer for scalar access, and is written in place.
         self._seal_time_arr = np.zeros(geometry.total_blocks, dtype=np.int64)
         self._seal_time_arr_v = memoryview(self._seal_time_arr)
         self._clock = 0  # logical time: one tick per host write
         self._active: dict[int, int | None] = {s: None for s in range(self.config.streams)}
-        self._gc_active: dict[int, int | None] = {
-            s: None for s in range(self.config.gc_streams)
-        }
+        self._gc_active: dict[int, int | None] = {s: None for s in range(self.config.gc_streams)}
         self._gc_cursor = 0
         self._plane_cursor = 0
 
@@ -248,10 +244,6 @@ class ConventionalFTL:
         return frozenset(self._sealed)
 
     @property
-    def exported_bytes(self) -> int:
-        return self.logical_pages * self.geometry.page_size
-
-    @property
     def effective_spare_factor(self) -> float:
         """Physical pages beyond exported, as a fraction of exported."""
         return (self.geometry.total_pages - self.logical_pages) / self.logical_pages
@@ -287,15 +279,12 @@ class ConventionalFTL:
 
     def _seal(self, block: int) -> None:
         self._sealed.add(block)
-        self._seal_times[block] = self._clock
         self._seal_time_arr_v[block] = self._clock
         self.policy.notify_sealed(block, self._clock)
 
     # -- Host operations -------------------------------------------------------
 
-    def _open_next_block(
-        self, stream: int, auto_gc: bool, ops: list[FlashOp] | None = None
-    ) -> int:
+    def _open_next_block(self, stream: int, auto_gc: bool, ops: list[FlashOp] | None = None) -> int:
         """Cross a block boundary on ``stream``; returns the new active block.
 
         The host write paths' one boundary policy: seal the full active
@@ -334,31 +323,14 @@ class ConventionalFTL:
         """
         if not 0 <= lpn < self.logical_pages:
             self.map.check_lpn(lpn)
-        if stream not in self._active:
-            raise ValueError(f"stream {stream} out of range [0, {self.config.streams})")
-        self._clock += 1
         ops: list[FlashOp] = []
-        nand = self.nand
-        ppb = self.geometry.pages_per_block
-
-        active = self._active[stream]
-        offset = ppb if active is None else nand.write_offset(active)
-        if offset >= ppb:
-            active = self._open_next_block(stream, auto_gc, ops)
-            offset = 0  # free blocks are erased; program() holds it to that
-
-        if nand.faults is None:
-            page = active * ppb + offset
-            latency = nand.program(page)
-        else:
-            page, latency = self._program_host_page(stream)
-            active = page // ppb
+        page, _, latency = self._program_host(stream, 1, auto_gc, ops)
         self.map.map(lpn, page)
         self._oob_lpn_v[page] = lpn
         self._oob_serial_v[page] = self._program_serial
         self._program_serial += 1
         self.stats.host_pages_written += 1
-        ops.append(FlashOp(OpKind.PROGRAM, active, page, latency))
+        ops.append(FlashOp(OpKind.PROGRAM, page // self.geometry.pages_per_block, page, latency))
         return ops
 
     def _checked_lpns(self, lpns) -> np.ndarray:
@@ -380,76 +352,65 @@ class ConventionalFTL:
             raise IndexError(f"lpn batch out of range [0, {self.logical_pages})")
         return lpns
 
-    def write_pages(
-        self, lpns: np.ndarray, stream: int = 0, auto_gc: bool = True
-    ) -> int:
-        """Write many logical pages; the batched twin of :meth:`write`.
+    def write_pages(self, lpns: np.ndarray, stream: int = 0, auto_gc: bool = True) -> int:
+        """Write many logical pages: :meth:`write`, a block run at a time.
 
-        Semantically identical to ``for lpn in lpns: self.write(lpn, stream,
+        State-identical to ``for lpn in lpns: self.write(lpn, stream,
         auto_gc)`` -- same mapping table, counters, seal times, GC victim
-        sequence, and trace aggregates -- but programs the active block in
-        active-block-sized runs and skips building :class:`FlashOp`
-        records. Returns the number of pages written. Callers that replay
-        physical ops in the DES must use the scalar path.
+        sequence, and trace aggregates -- but each run to the end of the
+        active block is one program, mapped in bulk, and no
+        :class:`FlashOp` records are built. Returns the number of pages
+        written. Callers that replay physical ops in the DES must use
+        :meth:`write`.
         """
         lpns = self._checked_lpns(lpns)
         n = int(lpns.size)
-        if n and stream not in self._active:
-            raise ValueError(f"stream {stream} out of range [0, {self.config.streams})")
-        ppb = self.geometry.pages_per_block
         done = 0
         while done < n:
-            active = self._active[stream]
-            if active is None or self.nand.is_block_full(active):
-                # The scalar path ticks the clock BEFORE boundary handling,
-                # so the seal time and any GC this write triggers see the
-                # advanced clock; the chunk's remaining ticks land after.
-                self._clock += 1
-                pending_tick = 1
-                active = self._open_next_block(stream, auto_gc)
-            else:
-                pending_tick = 0
-            offset = self.nand.write_offset(active)
-            take = min(ppb - offset, n - done)
-            try:
-                first, _ = self.nand.program_run(active, take)
-            except ProgramFaultError:
-                # The batch failed whole, pre-mutation (atomicity
-                # contract). Degrade this chunk to scalar programs so
-                # individual burns can be absorbed page by page.
-                self.stats.program_faults += 1
-                if self.tracer.enabled:
-                    self.tracer.publish(
-                        RecoveryEvent(
-                            "ftl.ftl", "batch-degraded", block=active,
-                            pages_moved=take,
-                        )
-                    )
-                for lpn in lpns[done : done + take].tolist():
-                    page, _ = self._program_host_page(stream)
-                    self.map.map(lpn, page)
-                    self._oob_note(page, lpn)
-            else:
-                self.map.map_batch(
-                    lpns[done : done + take], first + np.arange(take, dtype=np.int64)
-                )
-                self._oob_lpn[first : first + take] = lpns[done : done + take]
-                self._oob_serial[first : first + take] = np.arange(
-                    self._program_serial, self._program_serial + take, dtype=np.int64
-                )
-                self._program_serial += take
-            self._clock += take - pending_tick
+            first, take, _ = self._program_host(stream, n - done, auto_gc, None)
+            chunk = lpns[done : done + take]
+            self.map.map_batch(chunk, first + np.arange(take, dtype=np.int64))
+            self._oob_lpn[first : first + take] = chunk
+            self._oob_serial[first : first + take] = np.arange(
+                self._program_serial, self._program_serial + take, dtype=np.int64
+            )
+            self._program_serial += take
             done += take
         self.stats.host_pages_written += n
         return n
 
-    # -- Program-fault recovery ---------------------------------------------------
+    def _program_host(
+        self, stream: int, n: int, auto_gc: bool, ops: list[FlashOp] | None
+    ) -> tuple[int, int, float]:
+        """Program up to ``n`` host pages on ``stream``: both write paths' one routine.
 
-    def _oob_note(self, page: int, lpn: int) -> None:
-        """Record one page's out-of-band (lpn, serial) at program time."""
-        self._oob_lpn_v[page] = lpn
-        self._oob_serial_v[page] = self._program_serial
-        self._program_serial += 1
+        Ticks the clock once per page -- the first tick before crossing a
+        full active block's boundary (:meth:`_open_next_block`, GC ops to
+        ``ops`` when given), so the seal and its GC see it -- then programs
+        to the end of the active block in one ``program_run``; under an
+        armed injector, one page through :meth:`_program_host_page`, the
+        only fault path. Returns ``(first_page, pages, latency)``.
+        """
+        try:
+            active = self._active[stream]
+        except KeyError:
+            raise ValueError(f"stream {stream} out of range [0, {self.config.streams})") from None
+        self._clock += 1
+        nand = self.nand
+        ppb = self.geometry.pages_per_block
+        offset = ppb if active is None else nand.write_offset(active)
+        if offset >= ppb:
+            active = self._open_next_block(stream, auto_gc, ops)
+            offset = 0  # free blocks are erased; program_run holds it to that
+        if nand.faults is not None:
+            page, latency = self._program_host_page(stream)
+            return page, 1, latency
+        take = n if n < ppb - offset else ppb - offset
+        first, latency = nand.program_run(active, take)
+        self._clock += take - 1
+        return first, take, latency
+
+    # -- Program-fault recovery ---------------------------------------------------
 
     def _note_relocated(self, lpns: np.ndarray) -> None:
         """Hook: these logical pages just moved (GC/WL/scrub/retire).
@@ -473,18 +434,10 @@ class ConventionalFTL:
         for _ in range(self._MAX_PROGRAM_ATTEMPTS):
             active = self._active[stream]
             if active is None or self.nand.is_block_full(active):
-                if active is not None:
-                    self._seal(active)
-                    self._active[stream] = None
-                # Burned pages can fill the block mid-write; replenish via
-                # foreground GC before taking a free block, exactly like the
-                # unfaulted block-boundary paths, or the fallback loop would
-                # drain the free pool and wedge the device.
-                if self.gc_needed():
-                    self.stats.foreground_gc_stalls += 1
-                    self.collect(self.gc_high_watermark, build_ops=False)
-                active = self._take_free_block()
-                self._active[stream] = active
+                # Burned pages can fill the block mid-write: cross the
+                # boundary like any write, foreground GC included, or the
+                # retry loop would drain the free pool and wedge the device.
+                active = self._open_next_block(stream, auto_gc=True)
             try:
                 page, latency = self.nand.program_next(active)
                 return page, total + latency
@@ -501,11 +454,7 @@ class ConventionalFTL:
         self.stats.program_faults += 1
         # The burned page sits just below the advanced write offset; clear
         # its OOB so crash recovery never replays garbage data.
-        burned = (
-            self.geometry.first_page_of_block(block)
-            + self.nand.write_offset(block)
-            - 1
-        )
+        burned = self.geometry.first_page_of_block(block) + self.nand.write_offset(block) - 1
         self._oob_lpn_v[burned] = UNMAPPED
         count = self._fault_counts.get(block, 0) + 1
         self._fault_counts[block] = count
@@ -534,17 +483,43 @@ class ConventionalFTL:
                 )
             )
 
-    def _erase_reclaimed(self, block: int) -> tuple[float, bool]:
-        """Erase a block whose valid data has been copied out.
+    def _reclaim(
+        self, block: int, action: str, ops: list[FlashOp] | None, uses_channel: bool = False
+    ) -> int:
+        """Copy ``block``'s valid pages forward and erase it; returns pages moved.
 
-        Returns ``(latency, survived)``. A failed erase (wear-out or an
-        injected grown bad block) retires the block: it leaves circulation
-        and the FTL's spare capacity silently shrinks -- §2.1's failure
-        handling, absorbed invisibly behind the block interface.
+        The one reclaim routine (GC, wear leveling, scrubbing): publishes
+        ``action`` for the victim, then appends the copies' and the
+        erase's op records to ``ops`` when given.
+        """
+        valid = self.map.valid_pages_array(block)
+        if self.tracer.enabled:
+            self.tracer.publish(
+                GcEvent(
+                    "ftl.gc", action, victim=block,
+                    valid_pages=int(valid.size), free_blocks=len(self._free),
+                )
+            )
+        self._copy_forward(valid, ops, uses_channel=uses_channel)
+        erase_latency = self._erase_reclaimed(block)
+        if ops is not None:
+            ops.append(FlashOp(OpKind.ERASE, block, None, erase_latency))
+        return int(valid.size)
+
+    def _erase_reclaimed(self, block: int) -> float:
+        """Erase a block whose valid data has been copied out; returns latency.
+
+        The block leaves the sealed pool and the victim policy's view, and
+        rejoins the free pool. A failed erase (wear-out or an injected
+        grown bad block) retires it instead: it leaves circulation and the
+        FTL's spare capacity silently shrinks -- §2.1's failure handling,
+        absorbed invisibly behind the block interface.
         """
         self._fault_counts.pop(block, None)
+        self._sealed.discard(block)
+        self.policy.notify_erased(block)
         try:
-            return self.nand.erase(block), True
+            latency = self.nand.erase(block)
         except BadBlockError:
             self.stats.blocks_retired += 1
             if self.tracer.enabled:
@@ -554,7 +529,10 @@ class ConventionalFTL:
                         detail="erase failure",
                     )
                 )
-            return self.nand.timing.erase_us, False
+            return self.nand.timing.erase_us
+        self._free.append(block)
+        self.stats.blocks_erased += 1
+        return latency
 
     def read(self, lpn: int) -> FlashOp:
         """Read one logical page; raises :class:`UnmappedReadError` if empty."""
@@ -577,7 +555,7 @@ class ConventionalFTL:
 
         ``build_ops=False`` skips constructing the per-page :class:`FlashOp`
         records (returning an empty list) for callers that never replay
-        them -- the batched host-write path uses this.
+        them -- :meth:`write_pages` uses this.
         """
         candidates = self._sealed
         if not candidates:
@@ -593,37 +571,19 @@ class ConventionalFTL:
             self._seal_time_arr,
             self._clock,
         )
-        if self.map.block_valid_count(victim) >= self.geometry.pages_per_block:
+        ppb = self.geometry.pages_per_block
+        if self.map.block_valid_count(victim) >= ppb:
             # Validity-blind policies (FIFO) can pick a fully-valid block,
             # which reclaims nothing; fall back to the emptiest candidate,
             # as production cleaners do.
             victim = int(cand_arr[np.argmin(self.map.valid_counts[cand_arr])])
-        valid = self.map.valid_pages_array(victim)
-        nvalid = int(valid.size)
-        if nvalid >= self.geometry.pages_per_block:
-            raise GCStuckError(
-                f"victim block {victim} is fully valid; no spare capacity"
-            )
-        if self.tracer.enabled:
-            self.tracer.publish(
-                GcEvent(
-                    "ftl.gc", "victim-selected", victim=victim,
-                    valid_pages=nvalid, free_blocks=len(self._free),
-                )
-            )
+            if self.map.block_valid_count(victim) >= ppb:
+                raise GCStuckError(f"victim block {victim} is fully valid; no spare capacity")
         ops: list[FlashOp] = []
-        self._copy_forward(
-            valid, ops if build_ops else None, uses_channel=not self.config.copyback
+        nvalid = self._reclaim(
+            victim, "victim-selected", ops if build_ops else None,
+            uses_channel=not self.config.copyback,
         )
-        erase_latency, survived = self._erase_reclaimed(victim)
-        self._sealed.discard(victim)
-        self._seal_times.pop(victim, None)
-        self.policy.notify_erased(victim)
-        if survived:
-            self._free.append(victim)
-            self.stats.blocks_erased += 1
-        if build_ops:
-            ops.append(FlashOp(OpKind.ERASE, victim, None, erase_latency))
         self.stats.gc_runs += 1
         if self.tracer.enabled:
             self.tracer.publish(
@@ -746,25 +706,9 @@ class ConventionalFTL:
         """
         if not self._sealed:
             return []
-        coldest = min(self._sealed, key=lambda b: self._seal_times.get(b, 0))
-        if self.tracer.enabled:
-            self.tracer.publish(
-                GcEvent(
-                    "ftl.gc", "wear-level", victim=coldest,
-                    valid_pages=self.map.block_valid_count(coldest),
-                    free_blocks=len(self._free),
-                )
-            )
+        coldest = min(self._sealed, key=self._seal_time_arr_v.__getitem__)
         ops: list[FlashOp] = []
-        self._copy_forward(self.map.valid_pages_array(coldest), ops)
-        erase_latency, survived = self._erase_reclaimed(coldest)
-        self._sealed.discard(coldest)
-        self._seal_times.pop(coldest, None)
-        self.policy.notify_erased(coldest)
-        if survived:
-            self._free.append(coldest)
-            self.stats.blocks_erased += 1
-        ops.append(FlashOp(OpKind.ERASE, coldest, None, erase_latency))
+        self._reclaim(coldest, "wear-level", ops)
         return ops
 
     # -- Read-disturb scrubbing ---------------------------------------------------
@@ -782,24 +726,8 @@ class ConventionalFTL:
         for block in self.nand.disturbed_blocks(threshold):
             if block not in self._sealed:
                 continue  # active/free blocks refresh naturally
-            if self.tracer.enabled:
-                self.tracer.publish(
-                    GcEvent(
-                        "ftl.gc", "scrub", victim=block,
-                        valid_pages=self.map.block_valid_count(block),
-                        free_blocks=len(self._free),
-                    )
-                )
-            self._copy_forward(self.map.valid_pages_array(block), ops)
-            erase_latency, survived = self._erase_reclaimed(block)
-            self._sealed.discard(block)
-            self._seal_times.pop(block, None)
-            self.policy.notify_erased(block)
-            if survived:
-                self._free.append(block)
-                self.stats.blocks_erased += 1
+            self._reclaim(block, "scrub", ops)
             self.stats.scrubs += 1
-            ops.append(FlashOp(OpKind.ERASE, block, None, erase_latency))
         return ops
 
     # -- Power loss and recovery ---------------------------------------------------
@@ -842,7 +770,6 @@ class ConventionalFTL:
         self.policy = make_policy(self.config.gc_policy)
         self._free = []
         self._sealed = set()
-        self._seal_times = {}
         self._seal_time_arr.fill(0)
         self._clock = 0
         self._active = {s: None for s in range(self.config.streams)}
@@ -930,7 +857,6 @@ class ConventionalFTL:
         self._fault_counts = {}
 
         self.policy = make_policy(self.config.gc_policy)
-        self._seal_times = {}
         self._seal_time_arr.fill(0)
         self._sealed = set()
         live = ~bad
@@ -969,16 +895,11 @@ class ConventionalFTL:
 
         Used when recovery finds more partially-written blocks than it
         has active slots; the padding carries no logical data, so its
-        OOB is cleared. Padding is never fault-injected -- a paranoid
-        firmware pads with relaxed single-level-cell programs.
+        OOB is cleared. Padding is a ``program_run``, never fault-injected
+        -- a paranoid firmware pads with relaxed single-level-cell programs.
         """
         free = self.geometry.pages_per_block - self.nand.write_offset(block)
-        saved = self.nand.faults
-        self.nand.faults = None
-        try:
-            first, _ = self.nand.program_run(block, free)
-        finally:
-            self.nand.faults = saved
+        first, _ = self.nand.program_run(block, free)
         self._oob_lpn[first : first + free] = UNMAPPED
         self._seal(block)
 

@@ -13,6 +13,12 @@ entry per logical page (~4 bytes in optimized implementations, paper
   currently sits, and a small DRAM-budgeted Cached Mapping Table (CMT)
   holds the hot translation pages. Misses cost real flash reads; dirty
   evictions cost real flash programs.
+
+The array kernels at the bottom are the bulk halves of both: each
+mutates the caller's numpy arrays in place with no per-page Python work,
+and leaves them exactly as the scalar method it stands in for would
+(``tests/sim/test_compiled_parity.py`` checks that against scalar
+references over random sequences).
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ import numpy as np
 
 from repro.flash.geometry import FlashGeometry
 from repro.obs.events import TranslationEvent
-from repro.sim import compiled
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.flash.nand import NandArray
@@ -186,7 +191,7 @@ class FullPageMap:
         # Last occurrence of each lpn wins; earlier in-batch occurrences
         # map-then-invalidate entirely inside ``block`` (net zero on its
         # valid count), so only survivors touch the maps.
-        self.mapped_pages += compiled.map_batch_apply(
+        self.mapped_pages += map_batch_apply(
             self.l2p, self.p2l, self.valid_counts, lpns, ppns, block, ppb
         )
 
@@ -203,7 +208,7 @@ class FullPageMap:
         if n == 0:
             return
         ppb = self.geometry.pages_per_block
-        compiled.relocate_run_apply(
+        relocate_run_apply(
             self.l2p,
             self.p2l,
             self.valid_counts,
@@ -273,7 +278,7 @@ class TranslationStore:
     the minimum-stamp slot -- semantically identical to the OrderedDict
     (hit = ``move_to_end``, evict = ``popitem(last=False)``) it
     replaced, and selectable in bulk by
-    :func:`repro.sim.compiled.cmt_evict_batch` when flushing.
+    :func:`cmt_evict_batch` when flushing.
     """
 
     BYTES_PER_ENTRY = 4
@@ -434,10 +439,10 @@ class TranslationStore:
         Entries stay cached but clean, in unchanged LRU order, so a
         flush is observable only through the flash programs it issues.
         The dirty set is selected in one batched pass
-        (:func:`repro.sim.compiled.cmt_evict_batch`, LRU-ascending --
+        (:func:`cmt_evict_batch`, LRU-ascending --
         the order the dict version walked).
         """
-        dirty = compiled.cmt_evict_batch(self.slot_tvpn, self.slot_dirty, self.slot_stamp)
+        dirty = cmt_evict_batch(self.slot_tvpn, self.slot_dirty, self.slot_stamp)
         for tvpn in dirty.tolist():
             self.stats.dirty_evict_writes += 1
             self._program_page(tvpn)
@@ -487,6 +492,83 @@ class TranslationStore:
         assert (stamps < self._stamp).all(), "LRU stamp at or past the counter"
         assert not self.slot_dirty[used:].any(), "empty slot marked dirty"
         assert self.stats.hits <= self.stats.lookups, "more CMT hits than lookups"
+
+
+# -- Mapping-table appliers -----------------------------------------------------
+#
+# The appliers mutate the FullPageMap arrays (l2p, p2l, valid_counts) in
+# place. Contracts match FullPageMap.map_batch / relocate_run:
+# destinations are freshly-programmed pages within ONE erasure block.
+
+
+def map_batch_apply(l2p, p2l, valid_counts, lpns, ppns, block, ppb):
+    """Bind ``lpns[i] -> ppns[i]`` in scalar order; returns mapped-page delta.
+
+    All ``ppns`` must be unmapped, freshly-programmed pages inside
+    erasure block ``block``. In-batch duplicate lpns resolve exactly as a
+    scalar loop would (later occurrences supersede earlier ones).
+    """
+    n = lpns.shape[0]
+    rev_unique, rev_first = np.unique(lpns[::-1], return_index=True)
+    survivor_idx = n - 1 - rev_first
+    final_ppns = ppns[survivor_idx]
+    prev = l2p[rev_unique]
+    remapped = prev != UNMAPPED
+    prev_ppns = prev[remapped]
+    if prev_ppns.size:
+        p2l[prev_ppns] = UNMAPPED
+        np.subtract.at(valid_counts, prev_ppns // ppb, 1)
+        if valid_counts[prev_ppns // ppb].min() < 0:
+            raise ValueError("valid count went negative in map batch")
+    l2p[rev_unique] = final_ppns
+    p2l[final_ppns] = rev_unique
+    valid_counts[block] += rev_unique.size
+    return int(rev_unique.size - np.count_nonzero(remapped))
+
+
+def relocate_run_apply(l2p, p2l, valid_counts, src_pages, dst_first, src_block, dst_block):
+    """GC copy-forward applier: move valid bindings onto a contiguous run.
+
+    ``src_pages`` must be valid, distinct pages of ``src_block``;
+    destinations are the fresh run ``dst_first .. dst_first+n`` inside
+    ``dst_block``. Mirrors ``FullPageMap.relocate`` x n exactly.
+    """
+    n = src_pages.shape[0]
+    lpns = p2l[src_pages]
+    if lpns.size and int(lpns.min()) == UNMAPPED:
+        raise ValueError("relocate of invalid physical page")
+    p2l[src_pages] = UNMAPPED
+    dst = np.arange(dst_first, dst_first + n, dtype=np.int64)
+    l2p[lpns] = dst
+    p2l[dst_first : dst_first + n] = lpns
+    valid_counts[src_block] -= n
+    valid_counts[dst_block] += n
+
+
+# -- CMT (cached mapping table) kernels -----------------------------------------
+#
+# The DFTL's CMT is slot arrays (tvpn -> slot, slot -> tvpn/dirty/stamp)
+# with a monotonically-stamped LRU: every insert and every hit assigns
+# the next stamp, so "least recently used" is exactly "minimum stamp" --
+# the array twin of an OrderedDict with move_to_end on hit. The kernel
+# below is the flush's batch pass over those arrays; the scalar
+# hit/miss/evict machinery stays in :class:`TranslationStore` (it issues
+# real flash I/O and can recurse into GC, which no kernel can).
+
+
+def cmt_evict_batch(slot_tvpn, slot_dirty, slot_stamp):
+    """Batched dirty write-back selection: dirty tvpns in LRU order.
+
+    Clears the selected slots' dirty flags and returns their tvpns
+    oldest-stamp first -- the order a scalar flush walks the cache.
+    Stamps are unique (one monotonic counter), so the order is total.
+    The caller issues the actual translation programs.
+    """
+    idx = np.flatnonzero((slot_tvpn >= 0) & (slot_dirty != 0))
+    idx = idx[np.argsort(slot_stamp[idx])]
+    out = slot_tvpn[idx].copy()
+    slot_dirty[idx] = 0
+    return out
 
 
 __all__ = [

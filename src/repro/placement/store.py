@@ -109,7 +109,7 @@ class ZonedObjectStore:
         label = self.hint_policy(event)
         zone = self._open_zone_for(label, event.size_pages)
         offset = self.device.zone(zone).wp
-        self.device.write(zone, npages=event.size_pages)
+        self.device.write(zone, npages=event.size_pages, build_ops=False)
         stored = StoredObject(event.obj_id, zone, offset, event.size_pages)
         self.objects[event.obj_id] = stored
         self._live[zone] = self._live.get(zone, 0) + event.size_pages

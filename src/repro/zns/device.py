@@ -21,8 +21,6 @@ from typing import Any, TYPE_CHECKING
 
 import itertools
 
-import numpy as np
-
 from repro.flash.errors import ProgramFaultError
 from repro.flash.geometry import ZonedGeometry
 from repro.flash.nand import NandArray
@@ -77,12 +75,13 @@ class ZNSDevice:
         linear layout.
     faults:
         Optional armed :class:`~repro.faults.injector.FaultInjector`.
-        Program faults degrade the struck zone to READ_ONLY (scalar) or
-        fail the command with zone state untouched (batch, per the
-        atomicity contract); scheduled zone-offline events are polled
-        before every host command; management commands (reset/finish)
-        can bounce with retryable errors (reset failures, finish
-        timeouts, stuck-open zones). Disarmed injectors cost nothing.
+        A program fault degrades the struck zone to READ_ONLY, keeping
+        the pages before it (the one fault contract of :meth:`write`,
+        :meth:`append` and :meth:`simple_copy`); scheduled zone-offline
+        events are polled before every host command; management
+        commands (reset/finish) can bounce with retryable errors (reset
+        failures, finish timeouts, stuck-open zones). Disarmed injectors
+        cost nothing.
     mgmt_timing:
         Optional :class:`~repro.flash.timing.ZoneMgmtTiming`: when set,
         reset/finish charge their management overhead (as an extra
@@ -128,10 +127,8 @@ class ZNSDevice:
         # Timed wrappers own the ZoneMgmtEvent publish (they know the
         # queued-behind count); they set this to suppress ours.
         self._defer_mgmt_events = False
-        # Implicitly-open zones as zone -> monotonic stamp: touch and
-        # removal are O(1) dict ops, LRU eviction a min-stamp scan over
-        # at most open_limit entries (the CMT pattern; the old list paid
-        # an O(n) ``remove`` scan on every touch).
+        # Implicitly-open zones as zone -> monotonic stamp: O(1) touch and
+        # removal, LRU eviction a min-stamp scan over open_limit entries.
         self._open_stamp: dict[int, int] = {}
         self._open_clock = 0
 
@@ -197,12 +194,6 @@ class ZNSDevice:
                 )
             )
 
-    def _revert_implicit_open(self, zone: Zone, old_state: ZoneState) -> None:
-        """Undo this command's implicit open after a pre-mutation batch fault."""
-        if zone.state.is_open and not old_state.is_open:
-            zone.transition_closed()
-            self._note_no_longer_open(zone.zone_id)
-
     # -- Introspection / report ----------------------------------------------------
 
     @property
@@ -252,23 +243,6 @@ class ZNSDevice:
             raise IndexError(f"offset {offset} beyond zone {zone_id}")
         return blocks[block_index] * ppb + within
 
-    def _pages_of(self, zone_id: int, offsets: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`_page_of` over an offset array."""
-        blocks = self.ftl.blocks_array(zone_id)
-        ppb = self.geometry.flash.pages_per_block
-        if self.striped:
-            width = len(blocks)
-            block_index = offsets % width
-            within = offsets // width
-        else:
-            block_index, within = np.divmod(offsets, ppb)
-        if offsets.size and (
-            int(within.max()) >= ppb or int(block_index.max()) >= len(blocks)
-        ):
-            bad = int(offsets[(within >= ppb) | (block_index >= len(blocks))][0])
-            raise IndexError(f"offset {bad} beyond zone {zone_id}")
-        return blocks[block_index] * ppb + within
-
     def block_of_offset(self, zone_id: int, offset: int) -> int:
         """Physical block backing (zone, offset) -- for timed contention."""
         return self._page_of(zone_id, offset) // self.geometry.flash.pages_per_block
@@ -291,17 +265,19 @@ class ZNSDevice:
             return
         if state is ZoneState.EXPLICIT_OPEN:
             return
-        if state is ZoneState.EMPTY:
-            if self.active_count >= self.geometry.max_active_zones:
-                raise ActiveZoneLimitError(
-                    f"{self.active_count} zones active; "
-                    f"limit {self.geometry.max_active_zones}"
-                )
-        if self.open_count >= self.geometry.open_limit:
-            self._close_lru_implicit()
+        self._make_room_to_open(zone)
         zone.transition_open(explicit=False)
         self._mark_open(zone.zone_id)
         self._publish_transition(zone, state, "implicit-open")
+
+    def _make_room_to_open(self, zone: Zone) -> None:
+        """Refuse an EMPTY zone past the active limit; evict past the open one."""
+        if zone.state is ZoneState.EMPTY and self.active_count >= self.geometry.max_active_zones:
+            raise ActiveZoneLimitError(
+                f"{self.active_count} zones active; limit {self.geometry.max_active_zones}"
+            )
+        if self.open_count >= self.geometry.open_limit:
+            self._close_lru_implicit()
 
     def _mark_open(self, zone_id: int) -> None:
         """(Re)stamp a zone as most-recently-used implicit open. O(1)."""
@@ -357,9 +333,9 @@ class ZNSDevice:
     def _check_mgmt_faults(self, zone: Zone, command: str) -> None:
         """Bounce a management command with a retryable error, pre-mutation.
 
-        Consulted by reset/finish before any state change, mirroring the
-        batch atomicity contract: a bounced command leaves zone and flash
-        state untouched so the host may simply retry.
+        Consulted by reset/finish before any state change: a bounced
+        command leaves zone and flash state untouched so the host may
+        simply retry.
         """
         if self.faults is None:
             return
@@ -389,12 +365,8 @@ class ZNSDevice:
             return
         if zone.state is ZoneState.FULL:
             raise ZoneStateError(f"cannot open full zone {zone_id}")
-        if zone.state is ZoneState.EMPTY and self.active_count >= self.geometry.max_active_zones:
-            raise ActiveZoneLimitError(
-                f"{self.active_count} zones active; limit {self.geometry.max_active_zones}"
-            )
-        if not zone.state.is_open and self.open_count >= self.geometry.open_limit:
-            self._close_lru_implicit()
+        if not zone.state.is_open:
+            self._make_room_to_open(zone)
         self._note_no_longer_open(zone_id)
         old_state = zone.state
         zone.transition_open(explicit=True)
@@ -509,15 +481,24 @@ class ZNSDevice:
     def write(
         self,
         zone_id: int,
-        offset: int | None = None,
         npages: int = 1,
+        offset: int | None = None,
         data: Any = None,
+        build_ops: bool = True,
     ) -> list[FlashOp]:
-        """Sequential write at the write pointer.
+        """Sequential write at the write pointer: the one write command.
 
         ``offset``, when given, must equal the zone's current write pointer
-        (otherwise :class:`WritePointerError` -- the §4.2 race). Returns
-        the program op records.
+        (otherwise :class:`WritePointerError` -- the §4.2 race). ``data``
+        is one payload for every page, or a list or tuple of one per page.
+        Pages program one at a time in offset order, and a program fault
+        degrades the zone to READ_ONLY with the pages before it durable
+        (:meth:`simple_copy` keeps the same contract). Returns the per-page
+        op records in offset order. With ``build_ops=False`` (callers that
+        never replay ops), no armed injector and no payload, each block of
+        the zone instead takes its share as one ``program_run`` (its pages
+        are sequential from its write offset by the zone invariant), and
+        the command returns ``[]``.
         """
         if npages < 1:
             raise ValueError("npages must be >= 1")
@@ -535,18 +516,24 @@ class ZNSDevice:
                 f"write at offset {offset} but zone {zone_id} wp is {start_wp}"
             )
         self._ensure_open_for_write(zone)
-        ppb = self.geometry.flash.pages_per_block
         ops: list[FlashOp] = []
-        for i in range(npages):
-            page = self._page_of(zone_id, start_wp + i)
-            try:
-                latency = self.nand.program(page, data[i] if per_page else data)
-            except ProgramFaultError:
-                # The burn broke the zone's offset<->flash correspondence;
-                # pages before it are durable, the zone degrades.
-                self._degrade_read_only(zone, durable_pages=i)
-                raise
-            ops.append(FlashOp(OpKind.PROGRAM, page // ppb, page, latency))
+        if not build_ops and self.nand.faults is None and data is None:
+            for block, count in self._runs_of(zone_id, start_wp, npages):
+                self.nand.program_run(block, count)
+        else:
+            ppb = self.geometry.flash.pages_per_block
+            for i in range(npages):
+                page = self._page_of(zone_id, start_wp + i)
+                try:
+                    latency = self.nand.program(page, data[i] if per_page else data)
+                except ProgramFaultError:
+                    # The one fault contract: the burn broke the zone's
+                    # offset<->flash correspondence; the pages before it
+                    # stay durable and the zone degrades.
+                    self._degrade_read_only(zone, durable_pages=i)
+                    raise
+                if build_ops:
+                    ops.append(FlashOp(OpKind.PROGRAM, page // ppb, page, latency))
         old_state = zone.state
         zone.advance(npages)
         nbytes = npages * self.geometry.flash.page_size
@@ -556,7 +543,8 @@ class ZNSDevice:
             # the per-page view is the flash.nand stream beneath it.
             self.tracer.publish(
                 FlashOpEvent(
-                    "zns.device", "program", block=ops[0].block,
+                    "zns.device", "program",
+                    block=self.block_of_offset(zone_id, start_wp),
                     count=npages, nbytes=nbytes,
                 )
             )
@@ -565,14 +553,35 @@ class ZNSDevice:
             self._publish_transition(zone, old_state, "write-full")
         return ops
 
-    def append(self, zone_id: int, npages: int = 1, data: Any = None) -> tuple[int, list[FlashOp]]:
+    def _runs_of(self, zone_id: int, start: int, npages: int) -> list[tuple[int, int]]:
+        """A command's pages as per-block runs ``(block, count)``, in lane order."""
+        blocks = self.ftl.live_blocks(zone_id)
+        if self.striped:
+            width = len(blocks)
+            return [
+                (blocks[(start + j) % width], -(-(npages - j) // width))
+                for j in range(min(width, npages))
+            ]
+        ppb = self.geometry.flash.pages_per_block
+        runs = []
+        done = 0
+        while done < npages:
+            index, within = divmod(start + done, ppb)
+            count = min(ppb - within, npages - done)
+            runs.append((blocks[index], count))
+            done += count
+        return runs
+
+    def append(
+        self, zone_id: int, npages: int = 1, data: Any = None, build_ops: bool = True
+    ) -> tuple[int, list[FlashOp]]:
         """Zone append: device assigns the offset (paper §4.2).
 
         Returns ``(assigned_offset, ops)``. Semantically identical to a
         write at the current pointer, but the caller never names an
         offset, so concurrent appenders cannot race.
         """
-        ops = self.write(zone_id, offset=None, npages=npages, data=data)
+        ops = self.write(zone_id, npages, data=data, build_ops=build_ops)
         # write() checked zone_id; it began npages below where the pointer stands.
         assigned = self.zones[zone_id].wp - npages
         if self.tracer.enabled:
@@ -657,100 +666,6 @@ class ZNSDevice:
             self._note_no_longer_open(dst_zone_id)
             self._publish_transition(dst, old_state, "write-full")
         return start, ops
-
-    # -- Batched data commands ------------------------------------------------------
-    #
-    # The batch twins of write/append: same zone state machine,
-    # same command-level events and counter totals, but the flash work goes
-    # through the NAND batch entry points (one aggregate flash event per
-    # command) and no per-page FlashOp records are built. Callers that
-    # replay physical ops in the DES must use the scalar commands.
-
-    def write_batch(self, zone_id: int, npages: int, offset: int | None = None) -> int:
-        """Batched sequential write at the write pointer; returns ``npages``."""
-        if npages < 1:
-            raise ValueError("npages must be >= 1")
-        if self.faults is not None:
-            self._poll_faults()
-        zone = self.zone(zone_id)
-        zone.check_writable(npages)
-        if offset is not None and offset != zone.wp:
-            raise WritePointerError(
-                f"write at offset {offset} but zone {zone_id} wp is {zone.wp}"
-            )
-        pre_open_state = zone.state
-        self._ensure_open_for_write(zone)
-        start_wp = zone.wp
-        ppb = self.geometry.flash.pages_per_block
-        if self.faults is None and self.nand.faults is None:
-            # Fault-free fast path: the run decomposes into at most
-            # stripe-width per-block runs (each block's pages are already
-            # sequential from its write offset by the zone invariant), so
-            # the flash work is O(lanes) ``program_run`` calls with no
-            # per-page address array. Counter totals match
-            # ``program_batch`` exactly (events carry ``count``); with no
-            # injector armed nothing can fail between lanes, so batch
-            # atomicity is preserved too.
-            blocks = self.ftl.blocks_array(zone_id)
-            if self.striped:
-                width = len(blocks)
-                first_block = int(blocks[start_wp % width])
-                for j in range(min(width, npages)):
-                    lane = (start_wp + j) % width
-                    self.nand.program_run(
-                        int(blocks[lane]), (npages - j + width - 1) // width
-                    )
-            else:
-                block_index = start_wp // ppb
-                first_block = int(blocks[block_index])
-                within = start_wp % ppb
-                left = npages
-                while left:
-                    take = min(ppb - within, left)
-                    self.nand.program_run(int(blocks[block_index]), take)
-                    left -= take
-                    block_index += 1
-                    within = 0
-        else:
-            pages = self._pages_of(
-                zone_id, np.arange(start_wp, start_wp + npages, dtype=np.int64)
-            )
-            first_block = int(pages[0]) // ppb
-            try:
-                self.nand.program_batch(pages)
-            except ProgramFaultError:
-                # The fault was decided pre-mutation (batch atomicity), so
-                # the flash and the write pointer are untouched: the
-                # command is transient and the host may simply retry it.
-                # Undo the implicit open so zone state is untouched too.
-                self._revert_implicit_open(zone, pre_open_state)
-                raise
-        old_state = zone.state
-        zone.advance(npages)
-        nbytes = npages * self.page_size
-        self.counters.note_write(nbytes, npages)
-        if self.tracer.enabled:
-            self.tracer.publish(
-                FlashOpEvent(
-                    "zns.device", "program",
-                    block=first_block,
-                    count=npages, nbytes=nbytes,
-                )
-            )
-        if zone.state is ZoneState.FULL:
-            self._note_no_longer_open(zone_id)
-            self._publish_transition(zone, old_state, "write-full")
-        return npages
-
-    def append_batch(self, zone_id: int, npages: int = 1) -> int:
-        """Batched zone append; returns the assigned start offset."""
-        self.write_batch(zone_id, npages)
-        assigned = self.zones[zone_id].wp - npages  # as in append()
-        if self.tracer.enabled:
-            self.tracer.publish(
-                ZoneAppendEvent("zns.device", zone_id, assigned, npages=npages)
-            )
-        return assigned
 
     # -- Consistency checking (used by property tests) -----------------------------
 
@@ -843,173 +758,102 @@ class TimedZNSDevice:
             self._mgmt_gates = [Resource(engine) for _ in range(self.device.zone_count)]
 
     def submit_read(self, zone_id: int, offset: int):
-        return self.engine.process(self._read_proc(zone_id, offset))
+        return self.engine.process(
+            self._request("read", zone_id, 1, lambda: [self.device.read(zone_id, offset)[1]])
+        )
 
     def submit_write(self, zone_id: int, npages: int = 1):
-        return self.engine.process(self._write_proc(zone_id, npages))
+        """A regular write holds the zone's lock across the whole request.
+
+        The lock models host-side write-pointer coordination (§4.2): the
+        next writer cannot compute its offset until this write is
+        durable, so a write's queueing is the lock wait.
+        """
+        return self.engine.process(
+            self._request(
+                "write", zone_id, npages, lambda: self.device.write(zone_id, npages),
+                lock=self._zone_locks[zone_id],
+            )
+        )
 
     def submit_append(self, zone_id: int, npages: int = 1):
-        return self.engine.process(self._append_proc(zone_id, npages))
-
-    def submit_reset(self, zone_id: int):
-        return self.engine.process(self._reset_proc(zone_id))
-
-    def submit_finish(self, zone_id: int):
-        return self.engine.process(self._finish_proc(zone_id))
-
-    def _gate_pass(self, zone_id: int) -> Generator:
-        """Queue behind any in-flight management command on this zone."""
-        gate = self._mgmt_gates[zone_id]
-        req = yield gate.request()
-        gate.release(req)
-
-    def _read_proc(self, zone_id: int, offset: int) -> Generator:
-        start = self.engine.now
-        request_id = next(self._request_ids)
-        pagesize = self.device.page_size
-        if self.tracer.enabled:
-            self.tracer.publish(
-                HostRequestEvent(
-                    "hostio.request", "read", "enqueue",
-                    request_id=request_id, nbytes=pagesize, t=start,
-                )
-            )
-        if self._mgmt_gates is not None:
-            yield from self._gate_pass(zone_id)
-        _, op = self.device.read(zone_id, offset)
-        if self.tracer.enabled:
-            self.tracer.publish(
-                HostRequestEvent(
-                    "hostio.request", "read", "service-start",
-                    request_id=request_id, t=self.engine.now,
-                )
-            )
-        yield self.engine.process(self.service.execute(op))
-        latency = self.engine.now - start
-        self.frame.sample("hostio.request.read.latency_us", latency)
-        if self.tracer.enabled:
-            self.tracer.publish(
-                HostRequestEvent(
-                    "hostio.request", "read", "complete", request_id=request_id,
-                    latency_us=latency, nbytes=pagesize, t=self.engine.now,
-                )
-            )
-        return latency
-
-    def _write_proc(self, zone_id: int, npages: int) -> Generator:
-        """A regular write: hold the zone lock across the whole request.
-
-        The lock models host-side write-pointer coordination -- the next
-        writer cannot compute its offset until this write is durable.
-        """
-        start = self.engine.now
-        request_id = next(self._request_ids)
-        nbytes = npages * self.device.page_size
-        if self.tracer.enabled:
-            self.tracer.publish(
-                HostRequestEvent(
-                    "hostio.request", "write", "enqueue",
-                    request_id=request_id, nbytes=nbytes, t=start,
-                )
-            )
-        lock = self._zone_locks[zone_id]
-        req = yield lock.request()
-        if self._mgmt_gates is not None:
-            yield from self._gate_pass(zone_id)
-        # Queueing for this request is the zone-lock wait (§4.2): the
-        # service phase begins once the write pointer is ours.
-        if self.tracer.enabled:
-            self.tracer.publish(
-                HostRequestEvent(
-                    "hostio.request", "write", "service-start",
-                    request_id=request_id, t=self.engine.now,
-                )
-            )
-        try:
-            ops = self.device.write(zone_id, npages=npages)
-            for op in ops:
-                yield self.engine.process(self.service.execute(op))
-        finally:
-            lock.release(req)
-        latency = self.engine.now - start
-        self.frame.sample("hostio.request.write.latency_us", latency)
-        if self.tracer.enabled:
-            self.tracer.publish(
-                HostRequestEvent(
-                    "hostio.request", "write", "complete", request_id=request_id,
-                    latency_us=latency, nbytes=nbytes, t=self.engine.now,
-                )
-            )
-        return latency
-
-    def _append_proc(self, zone_id: int, npages: int) -> Generator:
         """Zone append: offset assignment is instant; programs run unlocked.
 
         Multiple in-flight appends to one zone land on different blocks of
         the zone's stripe, so they program planes in parallel.
         """
+        return self.engine.process(
+            self._request("append", zone_id, npages, lambda: self.device.append(zone_id, npages)[1])
+        )
+
+    def submit_reset(self, zone_id: int):
+        return self.engine.process(self._mgmt_proc(zone_id, "reset", self.device.reset_zone))
+
+    def submit_finish(self, zone_id: int):
+        return self.engine.process(self._mgmt_proc(zone_id, "finish", self.device.finish_zone))
+
+    def _request(
+        self, op: str, zone_id: int, npages: int, command, lock: Resource | None = None
+    ) -> Generator:
+        """One host request: enqueue, wait, issue ``command``, replay its ops.
+
+        The request waits for ``lock`` when given, then behind any
+        in-flight management command on its zone; ``command()`` issues the
+        device command and returns its flash ops, which replay in order.
+        The end-to-end latency is booked at completion and returned.
+        """
         start = self.engine.now
         request_id = next(self._request_ids)
         nbytes = npages * self.device.page_size
         if self.tracer.enabled:
             self.tracer.publish(
                 HostRequestEvent(
-                    "hostio.request", "append", "enqueue",
+                    "hostio.request", op, "enqueue",
                     request_id=request_id, nbytes=nbytes, t=start,
                 )
             )
+        if lock is not None:
+            req = yield lock.request()
         if self._mgmt_gates is not None:
-            yield from self._gate_pass(zone_id)
-        _, ops = self.device.append(zone_id, npages=npages)
-        if self.tracer.enabled:
-            self.tracer.publish(
-                HostRequestEvent(
-                    "hostio.request", "append", "service-start",
-                    request_id=request_id, t=self.engine.now,
+            gate = self._mgmt_gates[zone_id]
+            gate.release((yield gate.request()))
+        try:
+            ops = command()
+            if self.tracer.enabled:
+                self.tracer.publish(
+                    HostRequestEvent(
+                        "hostio.request", op, "service-start",
+                        request_id=request_id, t=self.engine.now,
+                    )
                 )
-            )
-        for op in ops:
-            yield self.engine.process(self.service.execute(op))
+            for flash_op in ops:
+                yield self.engine.process(self.service.execute(flash_op))
+        finally:
+            if lock is not None:
+                lock.release(req)
         latency = self.engine.now - start
-        self.frame.sample("hostio.request.append.latency_us", latency)
+        self.frame.sample(f"hostio.request.{op}.latency_us", latency)
         if self.tracer.enabled:
             self.tracer.publish(
                 HostRequestEvent(
-                    "hostio.request", "append", "complete", request_id=request_id,
+                    "hostio.request", op, "complete", request_id=request_id,
                     latency_us=latency, nbytes=nbytes, t=self.engine.now,
                 )
             )
         return latency
 
-    def _reset_proc(self, zone_id: int) -> Generator:
-        if self._mgmt_gates is None:
-            ops = self.device.reset_zone(zone_id)
-            # Erases of a zone's blocks proceed in parallel across planes.
-            procs = [self.engine.process(self.service.execute(op)) for op in ops]
-            for proc in procs:
-                yield proc
-            return None
-        yield from self._mgmt_proc(zone_id, "reset", self.device.reset_zone)
-        return None
-
-    def _finish_proc(self, zone_id: int) -> Generator:
-        if self._mgmt_gates is None:
-            for op in self.device.finish_zone(zone_id):
-                yield self.engine.process(self.service.execute(op))
-            return None
-        yield from self._mgmt_proc(zone_id, "finish", self.device.finish_zone)
-        return None
-
     def _mgmt_proc(self, zone_id: int, action: str, command) -> Generator:
-        """Run a management command holding the zone's gate throughout.
+        """Run a management command; with a gate, holding it throughout.
 
         The command-processing overhead (the MGMT op) runs first as a
         die-lane hold; erases then proceed in parallel across planes.
-        Requests that arrived while the gate was held are counted as
-        ``queued_behind`` on the published event.
+        With management timing attached, requests that arrived while the
+        zone's gate was held are counted as ``queued_behind`` on the
+        published event.
         """
-        gate = self._mgmt_gates[zone_id]
-        req = yield gate.request()
+        gate = None if self._mgmt_gates is None else self._mgmt_gates[zone_id]
+        if gate is not None:
+            req = yield gate.request()
         start = self.engine.now
         try:
             ops = command(zone_id)
@@ -1024,9 +868,10 @@ class TimedZNSDevice:
             for proc in procs:
                 yield proc
         finally:
-            queued = gate.queue_length
-            gate.release(req)
-        if self.tracer.enabled:
+            if gate is not None:
+                queued = gate.queue_length
+                gate.release(req)
+        if gate is not None and self.tracer.enabled:
             self.tracer.publish(
                 ZoneMgmtEvent(
                     "zns.device", action, zone_id,

@@ -10,8 +10,6 @@ zone's capacity when spares run out).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.flash.errors import BadBlockError
 from repro.flash.geometry import ZonedGeometry
 from repro.flash.nand import NandArray
@@ -68,10 +66,6 @@ class ZnsFTL:
         mapped = self.zone_count * geometry.blocks_per_zone
         self._spares: list[int] = list(range(mapped, flash.total_blocks))
         self._free_pool: list[int] = []
-        # Per-zone numpy twins of _zone_blocks, built lazily and dropped
-        # on reset (the only mutation point). The batched write path
-        # indexes these instead of building a fresh list per command.
-        self._block_arrays: dict[int, np.ndarray] = {}
 
     # -- Translation ---------------------------------------------------------
 
@@ -84,15 +78,6 @@ class ZnsFTL:
         if not 0 <= zone_id < self.zone_count:
             self._check(zone_id)
         return self._zone_blocks[zone_id]
-
-    def blocks_array(self, zone_id: int) -> np.ndarray:
-        """Cached int64 array of :meth:`blocks_of_zone`. Do not mutate."""
-        arr = self._block_arrays.get(zone_id)
-        if arr is None:
-            self._check(zone_id)
-            arr = np.asarray(self._zone_blocks[zone_id], dtype=np.int64)
-            self._block_arrays[zone_id] = arr
-        return arr
 
     def zone_capacity_pages(self, zone_id: int) -> int:
         self._check(zone_id)
@@ -161,7 +146,6 @@ class ZnsFTL:
             self._zone_blocks[zone_id] = take
         else:
             self._zone_blocks[zone_id] = pool[:want]
-        self._block_arrays.pop(zone_id, None)
 
         if len(self._zone_blocks[zone_id]) < want and self.tracer.enabled:
             # Spares exhausted: the zone comes back narrower (paper §2.1,

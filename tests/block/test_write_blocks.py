@@ -49,7 +49,7 @@ def ssd_state(ssd: ConventionalSSD) -> dict:
         "stats": dataclasses.asdict(ftl.stats),
         "nand": dataclasses.asdict(ftl.nand.counters),
         "erase_counts": ftl.nand.wear.erase_counts.tolist(),
-        "seal_times": dict(ftl._seal_times),
+        "seal_times": {b: ftl._seal_time_arr_v[b] for b in ftl.sealed_blocks},
         "free": list(ftl._free),
         "payloads": dict(ssd._payloads),
     }
@@ -78,9 +78,11 @@ class TestConventionalSSD:
         assert ssd.ftl.stats.host_pages_written == 20
 
     def test_armed_fault_plan_takes_the_scalar_loop(self, monkeypatch):
+        # Armed, ``write_pages`` programs page by page through the one
+        # fault path, so faults land exactly where the loop's do.
         plan = FaultPlan(seed=5, program_fail_prob=0.01, latency_spike_prob=0.05)
         looped, ranged = make_ssd(plan), make_ssd(plan)
-        monkeypatch.setattr(ranged.ftl, "write_pages", None)  # a batch call would raise
+        monkeypatch.setattr(ranged.ftl, "write", None)  # a scalar call would raise
         fill = [(0, looped.num_blocks)]
         drive_twins(looped, ranged, fill + random_extents(looped.num_blocks, 60, seed=2))
         assert looped.ftl.stats.program_faults > 0

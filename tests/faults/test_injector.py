@@ -25,7 +25,7 @@ def drive(injector: FaultInjector, n: int = 200) -> list:
         elif kind == 2:
             decisions.append(injector.on_erase(i % 8))
         else:
-            decisions.append(injector.on_program_batch(4, i % 8, i, 800.0))
+            decisions.append(("reset", injector.on_zone_reset(i % 8)))
     return decisions
 
 
@@ -39,6 +39,7 @@ class TestDeterminism:
             erase_fail_prob=0.1,
             read_error_prob=0.2,
             latency_spike_prob=0.05,
+            reset_fail_prob=0.1,
             grown_bad_blocks=((30, 2), (90, 5)),
         )
         a, b = FaultInjector(plan), FaultInjector(plan)
@@ -75,8 +76,12 @@ class TestSchedules:
         assert injector.due_zone_offlines() == []  # consumed
 
     def test_batch_ops_advance_schedule_clock(self):
+        # A multi-page command ticks the clock once per page it programs.
         injector = FaultInjector(FaultPlan(zone_offline_at=((100, 1),)))
-        injector.on_program_batch(100, 0, 0, 800.0)
+        for page in range(99):
+            injector.on_program(0, page, 200.0)
+        assert injector.due_zone_offlines() == []
+        injector.on_program(0, 99, 200.0)
         assert injector.due_zone_offlines() == [1]
 
 

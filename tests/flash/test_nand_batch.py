@@ -1,8 +1,7 @@
-"""Batched NandArray entry points: parity with scalar ops and error fidelity."""
+"""NandArray runs and block scans: parity with scalar ops and error fidelity."""
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.flash.errors import ProgramOrderError
@@ -26,41 +25,21 @@ def nand_state(nand: NandArray) -> dict:
 
 
 class TestProgramBatch:
+    """``program_run``, the one bulk program, against the scalar loop."""
+
     def test_matches_scalar_program_loop(self):
         ppb = FlashGeometry.small().pages_per_block
-        pages = list(range(0, ppb)) + list(range(5 * ppb, 5 * ppb + 7))
         scalar, batched = make_nand(), make_nand()
-        for page in pages:
+        for page in list(range(0, ppb)) + list(range(5 * ppb, 5 * ppb + 7)):
             scalar.program(page)
-        batched.program_batch(np.asarray(pages, dtype=np.int64))
+        batched.program_run(0, ppb)
+        batched.program_run(5, 7)
         assert nand_state(scalar) == nand_state(batched)
 
     def test_aggregate_latency_equals_scalar_sum(self):
         scalar, batched = make_nand(), make_nand()
         total = sum(scalar.program(page) for page in range(10))
-        assert batched.program_batch(np.arange(10, dtype=np.int64)) == total
-
-    def test_permuted_contiguous_batch_accepted(self):
-        """Within one batch, per-block pages may arrive in any order."""
-        nand = make_nand()
-        nand.program_batch(np.array([2, 0, 1], dtype=np.int64))
-        assert nand.write_offset(0) == 3
-
-    def test_duplicate_page_in_batch_rejected(self):
-        nand = make_nand()
-        with pytest.raises(ProgramOrderError):
-            nand.program_batch(np.array([0, 0, 1], dtype=np.int64))
-
-    def test_gap_within_batch_rejected(self):
-        nand = make_nand()
-        with pytest.raises(ProgramOrderError):
-            nand.program_batch(np.array([0, 2], dtype=np.int64))
-
-    def test_gap_after_write_offset_rejected(self):
-        nand = make_nand()
-        nand.program(0)
-        with pytest.raises(ProgramOrderError):
-            nand.program_batch(np.array([3], dtype=np.int64))
+        assert batched.program_run(0, 10) == (0, total)
 
     def test_program_run_matches_program_next(self):
         scalar, batched = make_nand(), make_nand()
@@ -70,11 +49,52 @@ class TestProgramBatch:
         assert first == 3 * scalar.geometry.pages_per_block
         assert nand_state(scalar) == nand_state(batched)
 
+    # An arbitrary page list has no bulk entry point: it programs one page
+    # at a time, refused at the first page out of order, the pages before
+    # it kept (a run cannot express a duplicate or a gap).
+
+    def test_duplicate_page_in_batch_rejected(self):
+        nand = make_nand()
+        with pytest.raises(ProgramOrderError, match="page 0 is offset 0"):
+            for page in (0, 0, 1):
+                nand.program(page)
+        assert nand.write_offset(0) == 1
+
+    def test_gap_within_batch_rejected(self):
+        nand = make_nand()
+        with pytest.raises(ProgramOrderError, match="page 2 is offset 2"):
+            for page in (0, 2):
+                nand.program(page)
+        assert nand.write_offset(0) == 1
+
+    def test_gap_after_write_offset_rejected(self):
+        nand = make_nand()
+        nand.program(0)
+        with pytest.raises(ProgramOrderError, match="next programmable offset is 1"):
+            nand.program(3)
+        first, _ = nand.program_run(0, 2)  # a run starts at the write offset
+        assert (first, nand.write_offset(0)) == (1, 3)
+
+    def test_run_past_the_block_end_rejected(self):
+        nand = make_nand()
+        nand.program(0)
+        ppb = nand.geometry.pages_per_block
+        with pytest.raises(ProgramOrderError, match=f"has {ppb - 1} free pages"):
+            nand.program_run(0, ppb)
+        assert nand.write_offset(0) == 1
+
+
+def fill(nand: NandArray, npages: int) -> None:
+    """Program pages ``0 .. npages - 1``, a block run at a time."""
+    ppb = nand.geometry.pages_per_block
+    for block in range(-(-npages // ppb)):
+        nand.program_run(block, min(ppb, npages - block * ppb))
+
 
 class TestBlockScans:
     def test_erased_blocks_matches_bruteforce(self):
         nand = make_nand()
-        nand.program_batch(np.arange(40, dtype=np.int64))
+        fill(nand, 40)
         nand.erase(0)
         expected = [
             b for b in range(nand.geometry.total_blocks) if nand.is_block_erased(b)
@@ -84,7 +104,7 @@ class TestBlockScans:
     def test_disturbed_blocks_matches_scalar_reads(self):
         nand = make_nand()
         ppb = nand.geometry.pages_per_block
-        nand.program_batch(np.arange(4 * ppb, dtype=np.int64))
+        fill(nand, 4 * ppb)
         for block, reads in ((0, 50), (1, 5), (3, 1)):  # block 2 is never read
             for _ in range(reads):
                 nand.read(block * ppb)

@@ -1,8 +1,7 @@
-"""NAND under an armed FaultInjector: burns, retirement, ladders, atomicity."""
+"""NAND under an armed FaultInjector: burns, retirement, ladders, runs."""
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.faults import FaultInjector, FaultPlan
@@ -110,36 +109,11 @@ class TestReadFaults:
 
 
 class TestBatchAtomicity:
-    """A failed batch leaves the array exactly as it was (satellite 4)."""
+    """One program contract: a run, like a copy, is never fault-injected."""
 
-    def test_failed_program_batch_mutates_nothing(self):
-        nand = make_nand(FaultPlan(program_fail_prob=1.0))
-        before = nand_state(nand)
-        pages = np.arange(4, dtype=np.int64)
-        with pytest.raises(ProgramFaultError):
-            nand.program_batch(pages)
-        after = nand_state(nand)
-        # The op clock advanced (time passed) but no flash state did.
-        assert after == before
-
-    def test_failed_program_run_mutates_nothing(self):
-        nand = make_nand(FaultPlan(program_fail_prob=1.0))
-        before = nand_state(nand)
-        with pytest.raises(ProgramFaultError):
-            nand.program_run(0, 4)
-        assert nand_state(nand) == before
-
-    def test_successful_batch_after_transient_failure(self):
-        # prob < 1 with a fixed seed: retrying the batch eventually lands,
-        # and the landed batch is complete (no partial writes ever).
-        nand = make_nand(FaultPlan(seed=7, program_fail_prob=0.3))
-        pages = np.arange(8, dtype=np.int64)
-        for _ in range(50):
-            try:
-                nand.program_batch(pages)
-                break
-            except ProgramFaultError:
-                assert nand.write_offset(0) == 0
-        else:
-            pytest.fail("batch never succeeded at prob=0.3")
-        assert nand.write_offset(0) == 8
+    def test_program_run_is_never_fault_injected(self):
+        nand = make_nand(FaultPlan(program_fail_prob=1.0, latency_spike_prob=1.0))
+        first, latency = nand.program_run(0, 4)
+        assert (first, nand.write_offset(0)) == (0, 4)
+        assert latency == 4 * nand.timing.program_total_us(nand.geometry.page_size)
+        assert nand.faults.ops == 0 and nand.faults.summary() == {}

@@ -53,7 +53,7 @@ def full_state(ftl: ConventionalFTL) -> dict:
         "clock": ftl._clock,
         "free": list(ftl._free),
         "sealed": sorted(ftl._sealed),
-        "seal_times": dict(ftl._seal_times),
+        "seal_times": {b: ftl._seal_time_arr_v[b] for b in ftl.sealed_blocks},
         "seal_time_arr": ftl._seal_time_arr.tolist(),
         "active": dict(ftl._active),
         "gc_active": dict(ftl._gc_active),

@@ -87,7 +87,7 @@ class TestReserve:
             device, policy=ZoneLifecyclePolicy(reserve_zones=2)
         )
         for zone_id in (0, 1, 2):
-            device.write_batch(zone_id, device.zone(zone_id).capacity_pages)
+            device.write(zone_id, device.zone(zone_id).capacity_pages, build_ops=False)
             assert device.zone(zone_id).state is ZoneState.FULL
             manager.note_reclaimable(zone_id)
         assert manager.backlog == 3
@@ -111,7 +111,7 @@ class TestReserve:
             device, policy=ZoneLifecyclePolicy(reserve_zones=3)
         )
         for zone_id in (0, 1, 2):
-            device.write_batch(zone_id, device.zone(zone_id).capacity_pages)
+            device.write(zone_id, device.zone(zone_id).capacity_pages, build_ops=False)
             manager.note_reclaimable(zone_id)
         # Each reset is priced from the FTL's zone->block map.
         estimate = manager.reset_estimate_us(0)
@@ -126,7 +126,7 @@ class TestReserve:
 
     def test_reset_now_counts_and_resets(self):
         device = ZNSDevice(tiny_geometry())
-        device.write_batch(0, device.zone(0).capacity_pages)
+        device.write(0, device.zone(0).capacity_pages, build_ops=False)
         manager = ZoneLifecycleManager(device)
         manager.reset_now(0)
         assert device.zone(0).state is ZoneState.EMPTY
@@ -165,7 +165,7 @@ class TestDeferredFinish:
 class TestRetryWithBackoff:
     def test_bounces_are_retried_and_charged(self):
         device = BouncyDevice(tiny_geometry(), bounces=2, latency_us=500.0)
-        device.write_batch(0, device.zone(0).capacity_pages)
+        device.write(0, device.zone(0).capacity_pages, build_ops=False)
         manager = ZoneLifecycleManager(
             device,
             policy=ZoneLifecyclePolicy(max_retries=4, retry_backoff_us=200.0),
@@ -196,7 +196,7 @@ class TestRetryWithBackoff:
 class TestQuarantine:
     def _exhausted(self, max_retries: int = 2):
         device = BouncyDevice(tiny_geometry(), bounces=10**9, latency_us=300.0)
-        device.write_batch(0, device.zone(0).capacity_pages)
+        device.write(0, device.zone(0).capacity_pages, build_ops=False)
         log = device.tracer.attach(_EventLog())
         manager = ZoneLifecycleManager(
             device,
@@ -246,7 +246,7 @@ class TestQuarantine:
 class TestSchedulerGating:
     def test_denied_window_defers_everything(self):
         device = ZNSDevice(tiny_geometry())
-        device.write_batch(0, device.zone(0).capacity_pages)
+        device.write(0, device.zone(0).capacity_pages, build_ops=False)
         scheduler = _FlagScheduler(granted=False)
         manager = ZoneLifecycleManager(device, scheduler=scheduler)
         manager.note_reclaimable(0)

@@ -187,7 +187,7 @@ class TestCounterParity:
 
 
 class TestRunPathParity:
-    """One aggregate event per run or batch must sum to what the field booked."""
+    """One aggregate event per run must sum to what the field booked."""
 
     def test_program_run_copy_run_and_scalar_reads(self):
         geometry = FlashGeometry.small()
@@ -196,7 +196,7 @@ class TestRunPathParity:
         ppb, page = geometry.pages_per_block, geometry.page_size
         nand.program_run(0, ppb)
         nand.program_run(1, 5)
-        nand.program_batch(np.arange(2 * ppb, 2 * ppb + 7))
+        nand.program_run(2, 7)
         nand.copy_run(np.arange(0, 12, 3), 3, 0)          # strided, 4 pages
         nand.copy_page(1, 3 * ppb + 4)
         for read in (0, 1, 2, 2 * ppb + 6):
@@ -215,14 +215,14 @@ class TestRunPathParity:
             bytes_copied=5 * page,
         )
 
-    def test_zns_write_batch_append_batch_and_scalar_reads(self):
+    def test_zns_lane_writes_appends_and_scalar_reads(self):
         geometry = ZonedGeometry.small()
         device = ZNSDevice(geometry)
         recording = device.tracer.attach(RecordingSink())
         pages, page = geometry.pages_per_zone, device.page_size
-        device.write_batch(0, pages)
-        assert device.append_batch(1, 9) == 0
-        assert device.append_batch(1, 4) == 9
+        assert len(device.write(0, pages)) == pages
+        assert device.append(1, 9, build_ops=False) == (0, [])
+        assert device.append(1, 4)[0] == 9
         for zone, offset in ((0, 0), (0, 5), (1, 12)):
             device.read(zone, offset)
         commands = [e for e in recording.events if e.layer == "zns.device" and e.kind == "flash-op"]

@@ -1,4 +1,4 @@
-"""Scalar reference for the CMT kernel in ``repro.sim.compiled``.
+"""Scalar reference for the CMT kernel in ``repro.ftl.mapping``.
 
 One slot at a time, over the same slot arrays the kernel takes -- the
 loop ``cmt_evict_batch`` stands in for.

@@ -35,7 +35,9 @@ def copy_forward(ftl, sources, ops, uses_channel=False) -> int:
         dst_page = ftl.geometry.first_page_of_block(dst_block) + offset
         latency = ftl.nand.copy_page(src, dst_page)
         lpn = ftl.map.relocate(src, dst_page)
-        ftl._oob_note(dst_page, lpn)
+        ftl._oob_lpn_v[dst_page] = lpn
+        ftl._oob_serial_v[dst_page] = ftl._program_serial
+        ftl._program_serial += 1
         moved_lpns.append(lpn)
         ftl.stats.gc_pages_copied += 1
         if ops is not None:

@@ -1,4 +1,4 @@
-"""Parity suite for the array kernels (:mod:`repro.sim.compiled`).
+"""Parity suite for the array kernels in :mod:`repro.ftl.mapping`.
 
 The contract under test is *state identity*: every kernel must leave the
 mapping/flash state bit-for-bit equal to the scalar path it stands in
@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from repro.flash.geometry import FlashGeometry
 from repro.flash.nand import NandArray
+from repro.ftl import mapping
 from repro.ftl.mapping import UNMAPPED, FullPageMap
-from repro.sim import compiled
 from tests.oracle.scalar_cmt import cmt_evict_loop
 
 GEOMETRY = FlashGeometry.small()
@@ -33,7 +33,14 @@ def assert_maps_equal(a: FullPageMap, b: FullPageMap):
 
 
 def test_unmapped_sentinel_matches_mapping_module():
-    assert compiled.UNMAPPED == UNMAPPED
+    """What the kernels write for "no binding" is the module's ``UNMAPPED``."""
+    m = FullPageMap(GEOMETRY, 64)
+    lpns = np.arange(20, dtype=np.int64)  # past the scalar cutoff: the kernel runs
+    m.map_batch(lpns, np.arange(PPB, PPB + 20, dtype=np.int64))
+    m.map_batch(lpns, np.arange(2 * PPB, 2 * PPB + 20, dtype=np.int64))
+    m.relocate_run(np.arange(2 * PPB, 2 * PPB + 5, dtype=np.int64), 3 * PPB)
+    assert (m.p2l[PPB : 2 * PPB + 5] == UNMAPPED).all()
+    assert m.mapped_pages == 20
 
 
 class TestMapBatchParity:
@@ -165,7 +172,7 @@ class TestCmtEvictParity:
         slot_tvpn, slot_dirty, slot_stamp = _random_cmt(rng, capacity, ntvpns)
         ref_dirty = slot_dirty.copy()
         ref = cmt_evict_loop(slot_tvpn.copy(), ref_dirty, slot_stamp.copy())
-        got = compiled.cmt_evict_batch(slot_tvpn, slot_dirty, slot_stamp)
+        got = mapping.cmt_evict_batch(slot_tvpn, slot_dirty, slot_stamp)
         assert got.tolist() == ref
         assert np.array_equal(slot_dirty, ref_dirty), "dirty bits diverged"
         # Selected tvpns come back LRU-ascending and all dirty bits clear.

@@ -68,7 +68,7 @@ class TestCallBudget:
     def test_nand_program_and_read(self):
         nand = NandArray(FlashGeometry.bench())
         nand.program(0)
-        assert python_calls(lambda: nand.program(1)) <= 4
+        assert python_calls(lambda: nand.program(1)) <= 3
         assert python_calls(lambda: nand.read(1)) <= 5
 
     def test_zns_append_and_read(self):
@@ -80,8 +80,8 @@ class TestCallBudget:
     def test_ftl_write_overwrite_and_read(self):
         ftl = ConventionalFTL(FlashGeometry.bench())
         ftl.write(0)  # opens the first active block
-        assert python_calls(lambda: ftl.write(1)) <= 8
-        assert python_calls(lambda: ftl.write(0)) <= 9  # + one invalidation
+        assert python_calls(lambda: ftl.write(1)) <= 7
+        assert python_calls(lambda: ftl.write(0)) <= 8  # + one invalidation
         assert python_calls(lambda: ftl.read(1)) <= 8
 
 

@@ -3,7 +3,7 @@
 DESIGN.md §6, "Scalar state reads through a view, not a copy": every
 per-block and per-page array a one-page op indexes has a ``*_v``
 ``memoryview`` beside it. The scalar path indexes the view, which yields
-a plain ``int``; runs, scans and the ``repro.sim.compiled`` kernels use
+a plain ``int``; runs, scans and the ``repro.ftl.mapping`` kernels use
 the array. Both name one buffer, so they cannot drift apart -- unless
 the array is rebound, which every ``check_invariants()`` covering one
 catches (``view.obj is array``).

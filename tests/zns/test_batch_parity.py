@@ -1,11 +1,13 @@
-"""Property tests: batched ZNS commands are state-identical to scalar ones.
+"""Property tests: the one ``write``'s two flash paths are state-identical.
 
-``write_batch``/``append_batch`` run the same zone state machine and
-publish the same command-level counter totals as their scalar twins;
-only the flash work is vectorized. Hypothesis drives both devices through
+Asked for no op records and with no armed injector, ``ZNSDevice.write``
+programs each block of the zone's stripe as one ``program_run`` (the
+"batched" device below); otherwise it programs page by page in offset
+order (the "scalar" device, building op records and armed with an
+injector that never fires). Hypothesis drives both devices through
 identical command scripts (including commands that must fail, and simple
-copies interleaved with either kind of write) and compares zone states,
-write pointers, flash write offsets, and both counter layers.
+copies interleaved with the writes) and compares zone states, write
+pointers, flash write offsets, and both counter layers.
 """
 
 import dataclasses
@@ -13,6 +15,7 @@ import dataclasses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import FaultInjector, FaultPlan
 from repro.flash.geometry import FlashGeometry, ZonedGeometry
 from repro.zns.device import ZNSDevice
 from repro.zns.errors import ZnsError
@@ -27,6 +30,12 @@ def tiny_geometry() -> ZonedGeometry:
         channels=2,
     )
     return ZonedGeometry(flash=flash, blocks_per_zone=2, max_active_zones=4)
+
+
+def page_path_device(**kwargs) -> ZNSDevice:
+    """A device armed with a fault that never comes: writes go page by page."""
+    never = FaultInjector(FaultPlan(grown_bad_blocks=((10**12, 0),)))
+    return ZNSDevice(tiny_geometry(), faults=never, **kwargs)
 
 
 ZONES = tiny_geometry().zone_count
@@ -79,16 +88,11 @@ def apply_command(device: ZNSDevice, command: tuple, batched: bool) -> tuple:
     try:
         if kind == "append":
             _, zone_id, n = command
-            if batched:
-                return ("ok", device.append_batch(zone_id, n))
-            assigned, _ = device.append(zone_id, n)
+            assigned, _ = device.append(zone_id, n, build_ops=not batched)
             return ("ok", assigned)
         if kind == "write":
             _, zone_id, n = command
-            if batched:
-                device.write_batch(zone_id, n)
-            else:
-                device.write(zone_id, npages=n)
+            device.write(zone_id, npages=n, build_ops=not batched)
             return ("ok", n)
         if kind == "copy":
             _, src_zone, dst_zone, n = command
@@ -113,7 +117,7 @@ class TestZnsBatchParity:
     @settings(max_examples=40, deadline=None)
     @given(script=commands)
     def test_batched_equals_scalar(self, script):
-        scalar = ZNSDevice(tiny_geometry(), striped=True)
+        scalar = page_path_device(striped=True)
         batched = ZNSDevice(tiny_geometry(), striped=True)
         for command in script:
             scalar_outcome = apply_command(scalar, command, batched=False)
@@ -126,7 +130,7 @@ class TestZnsBatchParity:
     @settings(max_examples=15, deadline=None)
     @given(script=commands)
     def test_parity_holds_unstriped(self, script):
-        scalar = ZNSDevice(tiny_geometry(), striped=False)
+        scalar = page_path_device(striped=False)
         batched = ZNSDevice(tiny_geometry(), striped=False)
         for command in script:
             assert apply_command(scalar, command, batched=False) == apply_command(
@@ -138,10 +142,10 @@ class TestZnsBatchParity:
 
     def test_copy_accounting_matches_scalar(self):
         """simple_copy books sense+program at flash level, copy at command level."""
-        scalar = ZNSDevice(tiny_geometry())
+        scalar = page_path_device()
         batched = ZNSDevice(tiny_geometry())
         scalar.write(0, npages=6)
-        batched.write_batch(0, 6)
+        batched.write(0, npages=6, build_ops=False)
         for device in (scalar, batched):
             device.simple_copy([(0, 0), (0, 3), (0, 5)], 1)
         assert device_state(scalar) == device_state(batched)

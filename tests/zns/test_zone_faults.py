@@ -1,11 +1,11 @@
-"""ZNS devices under injected faults: degradation, offlining, atomicity.
+"""ZNS devices under injected faults: degradation, offlining, shrinking.
 
 The ZNS half of the recovery story (paper §2.1): where a conventional
 FTL hides media failure behind remapping, the ZNS device *surfaces* it
 -- a failed append degrades the zone to READ_ONLY, grown bad blocks
 shrink the zone at its next reset, and scheduled media death turns
-zones OFFLINE. Batched commands keep their atomicity contract: a
-failed batch leaves zone and flash state untouched.
+zones OFFLINE. Every write command has one fault contract: the pages
+before the fault stay durable and the zone degrades to READ_ONLY.
 """
 
 import dataclasses
@@ -124,42 +124,69 @@ class TestGrownBadBlockShrinksZone:
         assert 0 not in device.ftl.blocks_of_zone(0)
 
 
-class TestBatchAtomicity:
-    """Failed batch commands leave zone and NAND state untouched."""
+class _FailNthProgram(FaultInjector):
+    """Armed, but failing exactly the ``n``-th program it decides (1-based)."""
 
-    def test_failed_write_batch_is_a_no_op(self):
-        device = make_device(FaultPlan(program_fail_prob=1.0))
-        before = zone_and_flash_state(device)
+    def __init__(self, n: int):
+        super().__init__(FaultPlan(grown_bad_blocks=((10**12, 0),)))
+        self.n = n
+
+    def on_program(self, block, page, latency_us):
+        self._tick()
+        return self.ops == self.n, 0.0
+
+
+def device_failing_program(n: int, **kwargs) -> ZNSDevice:
+    return ZNSDevice(tiny_geometry(), faults=_FailNthProgram(n), **kwargs)
+
+
+class TestOneFaultContract:
+    """A fault mid-command degrades the zone and keeps the pages before it."""
+
+    @pytest.mark.parametrize("striped", [True, False], ids=["striped", "linear"])
+    def test_failed_multi_page_write_keeps_its_prefix(self, striped):
+        device = device_failing_program(3, striped=striped)
         with pytest.raises(ProgramFaultError):
-            device.write_batch(0, 4)
-        assert zone_and_flash_state(device) == before
+            device.write(0, npages=6)
+        zone = device.zone(0)
+        assert (zone.state, zone.wp) == (ZoneState.READ_ONLY, 2)
+        # Three programs reached flash: two durable pages and the burn.
+        assert sum(device.nand.write_offset(b) for b in device.ftl.blocks_of_zone(0)) == 3
+        assert device.counters.writes == 0  # the command did not complete
+        assert device.nand.counters.writes == 2
+        device.check_invariants()
 
-    def test_failed_append_batch_is_a_no_op(self):
-        device = make_device(FaultPlan(program_fail_prob=1.0))
-        before = zone_and_flash_state(device)
+    def test_failed_append_degrades_exactly_like_write(self):
+        written, appended = device_failing_program(3), device_failing_program(3)
         with pytest.raises(ProgramFaultError):
-            device.append_batch(0, 4)
-        assert zone_and_flash_state(device) == before
+            written.write(0, npages=5)
+        with pytest.raises(ProgramFaultError):
+            appended.append(0, npages=5, build_ops=False)
+        assert zone_and_flash_state(written) == zone_and_flash_state(appended)
 
-    def test_failed_batch_keeps_explicit_open_state(self):
-        device = make_device(FaultPlan(program_fail_prob=1.0))
+    def test_failed_write_frees_an_explicit_open_slot(self):
+        device = device_failing_program(2)
         device.open_zone(0)
-        before = zone_and_flash_state(device)
         with pytest.raises(ProgramFaultError):
-            device.write_batch(0, 2)
-        # The zone was already explicitly open; the failed batch must
-        # not close it (only *this command's* implicit open unwinds).
-        assert zone_and_flash_state(device) == before
-        assert device.zone(0).state is ZoneState.EXPLICIT_OPEN
+            device.write(0, npages=4)
+        assert device.zone(0).state is ZoneState.READ_ONLY
+        assert device.open_count == 0 and device.active_count == 0
 
-    def test_batch_retry_succeeds_after_transient_fault(self):
+    def test_host_recovers_by_resetting_the_degraded_zone(self):
         device = make_device(FaultPlan(seed=5, program_fail_prob=0.4))
-        for _ in range(50):
+        degraded = []
+        for zone_id in range(device.zone_count):
             try:
-                device.write_batch(0, 4)
+                device.write(zone_id, npages=4)
                 break
             except ProgramFaultError:
-                assert device.zone(0).wp == 0
+                assert device.zone(zone_id).state is ZoneState.READ_ONLY
+                degraded.append(zone_id)
         else:
-            pytest.fail("write_batch never succeeded at prob=0.4")
-        assert device.zone(0).wp == 4
+            pytest.fail("no zone took a write at prob=0.4")
+        assert degraded, "seed 5 no longer faults the first write"
+        assert device.zone(zone_id).wp == 4
+        for zone_id in degraded:
+            device.reset_zone(zone_id)
+            assert device.zone(zone_id).state is ZoneState.EMPTY
+        device.check_invariants()

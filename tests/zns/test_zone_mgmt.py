@@ -77,7 +77,7 @@ class TestNvmeEdgeSemantics:
 
     def test_finish_full_zone_is_a_noop_success(self):
         device = make_device()
-        device.write_batch(0, device.zone(0).capacity_pages)
+        device.write(0, device.zone(0).capacity_pages, build_ops=False)
         assert device.zone(0).state is ZoneState.FULL
         assert device.finish_zone(0) == []
 
@@ -116,7 +116,7 @@ class TestNvmeEdgeSemantics:
 class TestMgmtTiming:
     def test_reset_leads_with_the_management_hold(self):
         device = make_device(mgmt=ZoneMgmtTiming(reset_us=700.0))
-        device.write_batch(0, 4)
+        device.write(0, 4, build_ops=False)
         ops = device.reset_zone(0)
         assert ops[0].kind is OpKind.MGMT
         assert ops[0].latency_us == 700.0
@@ -133,7 +133,7 @@ class TestMgmtTiming:
         device = make_device(
             mgmt=ZoneMgmtTiming(finish_us=100.0, finish_per_page_us=10.0)
         )
-        device.write_batch(0, 4)
+        device.write(0, 4, build_ops=False)
         unwritten = device.zone(0).remaining
         (op,) = device.finish_zone(0)
         assert op.kind is OpKind.MGMT
@@ -141,7 +141,7 @@ class TestMgmtTiming:
 
     def test_zero_timing_adds_no_ops(self):
         device = make_device(mgmt=ZoneMgmtTiming())
-        device.write_batch(0, 4)
+        device.write(0, 4, build_ops=False)
         assert all(op.kind is OpKind.ERASE for op in device.reset_zone(0))
         assert device.finish_zone(1) == []
 
@@ -151,7 +151,7 @@ class TestMgmtTiming:
         device.open_zone(0)
         device.write(0, npages=1)
         device.close_zone(0)
-        device.write_batch(1, 4)
+        device.write(1, 4, build_ops=False)
         device.reset_zone(1)
         device.finish_zone(2)
         actions = [(e.action, e.zone) for e in log.of_kind("zone-mgmt")]
@@ -165,7 +165,7 @@ class TestMgmtTiming:
     def test_no_timing_means_no_mgmt_events(self):
         device = make_device()
         log = device.tracer.attach(_EventLog())
-        device.write_batch(0, 4)
+        device.write(0, 4, build_ops=False)
         device.reset_zone(0)
         assert log.of_kind("zone-mgmt") == []
 
@@ -173,7 +173,7 @@ class TestMgmtTiming:
 class TestMgmtFaults:
     def test_reset_failure_is_typed_retryable_and_premutation(self):
         device = make_device(FaultPlan(seed=3, reset_fail_prob=1.0))
-        device.write_batch(0, 4)
+        device.write(0, 4, build_ops=False)
         wp_before = device.zone(0).wp
         erases_before = device.nand.counters.erases
         with pytest.raises(ZoneResetFailedError) as err:
@@ -188,14 +188,14 @@ class TestMgmtFaults:
         device = make_device(
             FaultPlan(reset_fail_prob=1.0), mgmt=ZoneMgmtTiming(reset_us=700.0)
         )
-        device.write_batch(0, 4)
+        device.write(0, 4, build_ops=False)
         with pytest.raises(ZoneResetFailedError) as err:
             device.reset_zone(0)
         assert err.value.latency_us == 700.0
 
     def test_reset_retry_succeeds_after_transient_bounce(self):
         device = make_device(FaultPlan(seed=11, reset_fail_prob=0.5))
-        device.write_batch(0, 4)
+        device.write(0, 4, build_ops=False)
         for _ in range(50):
             try:
                 device.reset_zone(0)
@@ -229,7 +229,7 @@ class TestMgmtFaults:
     def test_stuck_zone_only_applies_while_open(self):
         plan = FaultPlan(stuck_open_zones=((0, 0),), stuck_release_after=99)
         device = make_device(plan)
-        device.write_batch(0, device.zone(0).capacity_pages)
+        device.write(0, device.zone(0).capacity_pages, build_ops=False)
         assert device.zone(0).state is ZoneState.FULL
         # FULL is not an open state: reset proceeds despite the stuck plan.
         device.reset_zone(0)
@@ -292,7 +292,7 @@ class TestTimedMgmtGate:
 
     def test_append_queues_behind_inflight_reset(self):
         eng, dev, log = self._device()
-        dev.device.write_batch(0, 4)
+        dev.device.write(0, 4, build_ops=False)
 
         def driver():
             reset = dev.submit_reset(0)
@@ -310,8 +310,8 @@ class TestTimedMgmtGate:
 
     def test_other_zones_are_not_gated(self):
         eng, dev, _ = self._device()
-        dev.device.write_batch(0, 4)
-        dev.device.write_batch(1, 1)
+        dev.device.write(0, 4, build_ops=False)
+        dev.device.write(1, 1, build_ops=False)
 
         def driver():
             reset = dev.submit_reset(0)
@@ -332,7 +332,7 @@ class TestTimedMgmtGate:
 
     def test_inner_device_events_deferred_to_timed_wrapper(self):
         eng, dev, log = self._device()
-        dev.device.write_batch(0, 4)
+        dev.device.write(0, 4, build_ops=False)
         eng.run(until=dev.submit_reset(0))
         resets = [e for e in log.of_kind("zone-mgmt") if e.action == "reset"]
         assert len(resets) == 1  # the timed span, not a device duplicate
@@ -341,6 +341,6 @@ class TestTimedMgmtGate:
         eng = Engine()
         dev = TimedZNSDevice(eng, tiny_geometry())
         assert dev._mgmt_gates is None
-        dev.device.write_batch(0, 4)
+        dev.device.write(0, 4, build_ops=False)
         eng.run(until=dev.submit_reset(0))
         assert dev.device.zone(0).state is ZoneState.EMPTY
