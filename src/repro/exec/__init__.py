@@ -1,20 +1,13 @@
 """The execution subsystem: cached, parallel experiment running.
 
 ``repro.exec`` sits between the experiment registry
-(:mod:`repro.experiments.runner`) and the CLI. It owns three concerns
-the experiments themselves stay ignorant of:
-
-- **fan-out** -- a process pool runs independent experiments, and the
-  parameter points *inside* sweep-style experiments, concurrently
-  (:mod:`repro.exec.pool`);
-- **memoization** -- a content-addressed on-disk cache keyed on config
-  hash + code version (:mod:`repro.exec.cache`);
-- **observability** -- structured per-experiment progress lines and a
-  wall-clock summary (:mod:`repro.exec.progress`);
-- **resilience** -- structured :class:`~repro.exec.errors.ErrorResult`
-  reporting for failed units of work, per-unit timeouts, transient-error
-  retries, and graceful degradation when a worker kills its process pool
-  (:mod:`repro.exec.errors`, :mod:`repro.exec.pool`).
+(:mod:`repro.experiments.runner`) and the CLI: :func:`execute` runs
+experiments and their sweep points, inline or over a process pool
+(:mod:`~repro.exec.pool`); a content-addressed on-disk cache keyed on
+config hash + code version serves repeats (:mod:`~repro.exec.cache`);
+progress lines and a summary report the run (:mod:`~repro.exec.progress`);
+and a unit that fails costs only its own result, as an
+:class:`~repro.exec.errors.ErrorResult`.
 """
 
 from repro.exec.cache import (
@@ -24,8 +17,8 @@ from repro.exec.cache import (
     code_version,
     default_cache_dir,
 )
-from repro.exec.errors import ErrorResult, TransientError, backoff_delay
-from repro.exec.pool import ExecutionRecord, Executor, execute
+from repro.exec.errors import ErrorResult
+from repro.exec.pool import ExecutionRecord, execute
 from repro.exec.progress import NullReporter, ProgressReporter
 
 __all__ = [
@@ -33,12 +26,9 @@ __all__ = [
     "CacheStats",
     "ErrorResult",
     "ExecutionRecord",
-    "Executor",
     "NullReporter",
     "ProgressReporter",
     "ResultCache",
-    "TransientError",
-    "backoff_delay",
     "code_version",
     "default_cache_dir",
     "execute",

@@ -3,10 +3,10 @@
 A cache entry is one JSON file named by the SHA-256 of the
 :class:`~repro.experiments.base.ExperimentConfig`'s canonical encoding
 plus the *code version* -- a digest over every ``repro`` source file. The
-key therefore changes when either the inputs or the code that produced
-the result change, so re-running ``zns-repro run all`` after touching one
-module recomputes only what that edit could have affected, and stale
-results can never be served after a refactor.
+key therefore changes when either the inputs or the code change: an edit
+to any ``repro`` module invalidates every entry, so stale results can
+never be served after a refactor, and a repeated run with no edit in
+between is served whole from the cache.
 """
 
 from __future__ import annotations
@@ -60,14 +60,9 @@ class CacheStats:
 class ResultCache:
     """Maps configs to stored :class:`ExperimentResult` payloads.
 
-    Parameters
-    ----------
-    cache_dir:
-        Where entries live; created on first store. Defaults to
-        :func:`default_cache_dir`.
-    version:
-        The code-version component of the key. Defaults to
-        :func:`code_version`; tests pin it to exercise invalidation.
+    ``cache_dir`` (created on first store) defaults to
+    :func:`default_cache_dir`; ``version``, the code-version part of the
+    key, to :func:`code_version` (tests pin it to exercise invalidation).
     """
 
     cache_dir: Path = field(default_factory=default_cache_dir)
@@ -128,10 +123,4 @@ class ResultCache:
         return removed
 
 
-__all__ = [
-    "CACHE_DIR_ENV",
-    "CacheStats",
-    "ResultCache",
-    "code_version",
-    "default_cache_dir",
-]
+__all__ = ["CACHE_DIR_ENV", "CacheStats", "ResultCache", "code_version", "default_cache_dir"]

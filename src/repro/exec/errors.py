@@ -1,53 +1,26 @@
 """Structured failure reporting for the executor.
 
-A sweep point that dies -- an exception, a hung worker, a worker process
-killed outright -- must cost exactly its own result, not the run
-(ISSUE: "one failing sweep point produces a structured error instead of
-killing the whole run"). :class:`ErrorResult` is that structure: enough
-context to debug the failure offline (experiment id, config hash, the
-*remote* traceback captured in the worker before pickling could lose
-it), and JSON-safe so it travels through ``--json`` output and result
-metrics unchanged.
-
-:class:`TransientError` marks failures worth retrying; the executor also
-treats pool collapse and timeouts as retryable up to its retry budget.
+A unit of work that fails costs exactly its own result, not the run.
+:class:`ErrorResult` records enough to debug it offline, and is JSON-safe
+so it travels through ``--json`` output and result metrics unchanged.
 """
 
 from __future__ import annotations
 
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any
-
-
-class TransientError(Exception):
-    """A failure the caller expects to succeed on retry (flaky resource)."""
 
 
 @dataclass
 class ErrorResult:
     """One failed unit of work: a whole experiment or a single sweep point.
 
-    Attributes
-    ----------
-    experiment_id:
-        The experiment the failing unit belonged to.
-    error_type:
-        Exception class name, or the synthetic kinds ``"Timeout"`` and
-        ``"WorkerDied"`` for hung and killed workers (no exception object
-        ever reaches the parent in those cases).
-    message:
-        ``str(exception)`` or a synthetic description.
-    traceback:
-        The formatted *remote* traceback, captured inside the worker.
-        Empty for timeouts and killed workers.
-    config_hash:
-        The failing config's content hash (matches the result cache key
-        material), so a failure can be tied to an exact configuration.
-    point_index:
-        Sweep point slot, or -1 when the whole experiment failed.
-    attempts:
-        Total tries spent on this unit (1 = failed first try, no retry).
+    ``error_type`` is the exception's class name, or ``"WorkerDied"`` for
+    a unit lost with a killed worker (no exception reaches the parent
+    then, so ``traceback`` is empty). ``config_hash`` ties the failure to
+    an exact configuration (the cache key material); ``point_index`` is
+    the sweep point slot, or -1 when the whole experiment failed.
     """
 
     experiment_id: str
@@ -56,7 +29,6 @@ class ErrorResult:
     traceback: str = ""
     config_hash: str = ""
     point_index: int = -1
-    attempts: int = 1
 
     @classmethod
     def from_exception(
@@ -65,7 +37,6 @@ class ErrorResult:
         experiment_id: str = "",
         config_hash: str = "",
         point_index: int = -1,
-        attempts: int = 1,
     ) -> "ErrorResult":
         return cls(
             experiment_id=experiment_id,
@@ -76,13 +47,7 @@ class ErrorResult:
             ),
             config_hash=config_hash,
             point_index=point_index,
-            attempts=attempts,
         )
-
-    @property
-    def is_transient(self) -> bool:
-        """Failure kinds the executor's retry budget applies to."""
-        return self.error_type in ("TransientError", "Timeout", "WorkerDied")
 
     def describe(self) -> str:
         """One-line summary for progress output."""
@@ -91,51 +56,11 @@ class ErrorResult:
         return f"{self.experiment_id}{where}: {self.error_type}: {first}"
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "experiment_id": self.experiment_id,
-            "error_type": self.error_type,
-            "message": self.message,
-            "traceback": self.traceback,
-            "config_hash": self.config_hash,
-            "point_index": self.point_index,
-            "attempts": self.attempts,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "ErrorResult":
         return cls(**payload)
 
 
-def error_payload(exc: BaseException) -> dict[str, Any]:
-    """Wrap a worker-side exception as a plain-dict future payload.
-
-    Workers return this instead of raising: exception objects may not
-    pickle, and a raise would surface in the parent stripped of its
-    remote traceback. The parent recognises the ``"__error__"`` key.
-    """
-    return {
-        "__error__": {
-            "error_type": type(exc).__name__,
-            "message": str(exc),
-            "traceback": "".join(
-                traceback.format_exception(type(exc), exc, exc.__traceback__)
-            ),
-        }
-    }
-
-
-def backoff_delay(attempt: int, base_s: float = 0.1, cap_s: float = 5.0) -> float:
-    """Exponential backoff with deterministic jitter.
-
-    ``attempt`` counts completed tries (1 = first retry). The jitter is
-    a hash-derived fraction of the step rather than an RNG draw, so
-    executor behaviour stays reproducible run to run.
-    """
-    step = min(base_s * (2 ** (attempt - 1)), cap_s)
-    # Knuth multiplicative hash; str hash() is salted per-process and
-    # would make delays differ between identical runs.
-    jitter = ((attempt * 2654435761) % 1000) / 1000.0
-    return step * (0.5 + 0.5 * jitter)
-
-
-__all__ = ["ErrorResult", "TransientError", "backoff_delay", "error_payload"]
+__all__ = ["ErrorResult"]

@@ -1,10 +1,9 @@
 """cProfile capture for experiment runs (``zns-repro run --profile``).
 
-Profiling composes with the process pool: the executor raises
-:data:`PROFILE_ENV` before forking workers, each worker profiles its own
-unit of work (a whole experiment or a single sweep point) independently,
-and the top cumulative-time entries travel back with the result payload
-into :attr:`ExperimentResult.metrics`.
+The executor profiles each unit of work (a whole experiment or a single
+sweep point) on its own, inline or in a pool worker, and the top
+cumulative-time entries travel back with the unit's output into
+:attr:`ExperimentResult.metrics`.
 """
 
 from __future__ import annotations
@@ -14,17 +13,8 @@ import os
 import pstats
 from typing import Any, Callable
 
-#: Set (to anything but ""/"0") to make worker entry points profile
-#: themselves. The executor manages this around pool creation.
-PROFILE_ENV = "ZNS_REPRO_PROFILE"
-
 #: How many entries of the cumulative-time ranking are kept.
 TOP_ENTRIES = 30
-
-
-def profiling_requested() -> bool:
-    """True when the profiling env var is raised (worker-side check)."""
-    return os.environ.get(PROFILE_ENV, "") not in ("", "0")
 
 
 def profiled_call(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> tuple[Any, list[dict]]:
@@ -40,23 +30,20 @@ def profiled_call(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> tuple[An
 
 def top_entries(profile: cProfile.Profile, limit: int = TOP_ENTRIES) -> list[dict]:
     """The ``limit`` hottest functions by cumulative time, JSON-safe."""
-    stats = pstats.Stats(profile)
-    rows = []
-    for (filename, line, func), (_cc, ncalls, tottime, cumtime, _callers) in (
-        stats.stats.items()  # type: ignore[attr-defined]
-    ):
-        location = f"{os.path.basename(filename)}:{line}" if line else filename
-        rows.append(
-            {
-                "function": func,
-                "location": location,
-                "ncalls": int(ncalls),
-                "tottime_s": round(tottime, 6),
-                "cumtime_s": round(cumtime, 6),
-            }
+    rows = [
+        {
+            "function": func,
+            "location": f"{os.path.basename(filename)}:{line}" if line else filename,
+            "ncalls": int(ncalls),
+            "tottime_s": round(tottime, 6),
+            "cumtime_s": round(cumtime, 6),
+        }
+        for (filename, line, func), (_cc, ncalls, tottime, cumtime, _callers) in (
+            pstats.Stats(profile).stats.items()  # type: ignore[attr-defined]
         )
+    ]
     rows.sort(key=lambda row: (-row["cumtime_s"], row["location"], row["function"]))
     return rows[:limit]
 
 
-__all__ = ["PROFILE_ENV", "TOP_ENTRIES", "profiled_call", "profiling_requested", "top_entries"]
+__all__ = ["TOP_ENTRIES", "profiled_call", "top_entries"]

@@ -36,27 +36,17 @@ class ProgressReporter:
         )
 
     def failed(
-        self,
-        config: "ExperimentConfig",
-        error: "ErrorResult",
-        index: int,
-        total: int,
+        self, config: "ExperimentConfig", error: "ErrorResult", index: int, total: int
     ) -> None:
         self._emit(f"[{index + 1:>2}/{total}] FAIL {error.describe()}")
 
     def unit_finished(
-        self,
-        config: "ExperimentConfig",
-        index: int,
-        total: int,
-        done_units: int,
-        total_units: int,
+        self, config: "ExperimentConfig", index: int, total: int, done_units: int, total_units: int
     ) -> None:
         """One sweep point (e.g. one fleet shard) of one experiment landed.
 
-        ``done_units`` counts distinct completed units; the executor
-        guarantees each (experiment, slot) is reported exactly once, so
-        nested fan-out (shards inside a sweep) cannot inflate the count.
+        The executor collects points in slot order, so ``done_units``
+        runs 1..``total_units`` once per experiment.
         """
         self._emit(
             f"[{index + 1:>2}/{total}] {config.experiment_id:<4} "
@@ -86,9 +76,6 @@ class NullReporter(ProgressReporter):
 
     def __init__(self) -> None:
         super().__init__(stream=None, enabled=False)
-
-    def _emit(self, line: str) -> None:
-        return
 
 
 __all__ = ["NullReporter", "ProgressReporter"]

@@ -17,16 +17,13 @@ from repro.experiments.base import (
     SweepSpec,
 )
 from repro.experiments.runner import (
-    EXPERIMENTS,
     MODULES,
     UnknownExperimentError,
     run_all,
     run_config,
-    run_experiment,
 )
 
 __all__ = [
-    "EXPERIMENTS",
     "MODULES",
     "SCHEMA_VERSION",
     "ExperimentConfig",
@@ -35,5 +32,4 @@ __all__ = [
     "UnknownExperimentError",
     "run_all",
     "run_config",
-    "run_experiment",
 ]

@@ -28,7 +28,7 @@ from repro.experiments.runner import (
     MODULES,
     UnknownExperimentError,
     resolve_id,
-    run_experiment,
+    run_config,
 )
 
 _DESCRIPTIONS = {
@@ -130,25 +130,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--profile",
         action="store_true",
-        help="capture a cProfile top-30 (cumulative time) per experiment "
-        "into the result metrics; with --jobs, each worker profiles its "
-        "own unit of work independently (implies --no-cache)",
-    )
-    run_parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="with --jobs, abandon any unit of work (experiment or sweep "
-        "point) still running after SECONDS with a structured Timeout error",
-    )
-    run_parser.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        metavar="N",
-        help="retry transient failures (TransientError, timeouts, killed "
-        "workers) up to N extra times with exponential backoff",
+        help="capture a cProfile top-30 (cumulative time) per unit of work "
+        "(a whole experiment, or each sweep point) into the result "
+        "metrics (implies --no-cache)",
     )
     return parser
 
@@ -172,17 +156,27 @@ def _render(result, fmt: str) -> str:
     return result.format()
 
 
-def _run_instrumented(executor, configs, args):
-    """Run via ``executor`` with env-driven telemetry sinks if requested.
+def _run_instrumented(configs, cache, args):
+    """Execute ``configs`` with env-driven telemetry sinks if requested.
 
     The trace/metrics env vars are set before any worker is forked (pool
     workers inherit them and write per-pid part files) and restored
     afterwards; part files are merged into ``args.trace`` on the way out.
     """
+    from repro.exec import ProgressReporter, execute
     from repro.obs import runtime as obs_runtime
 
+    def run():
+        return execute(
+            configs,
+            jobs=args.jobs,
+            cache=cache,
+            reporter=ProgressReporter(stream=sys.stderr),
+            profile=args.profile,
+        )
+
     if not (args.trace or args.metrics_out):
-        return executor.run(configs)
+        return run()
 
     saved: dict[str, str | None] = {}
     if args.trace:
@@ -192,7 +186,7 @@ def _run_instrumented(executor, configs, args):
         saved[obs_runtime.METRICS_ENV] = os.environ.get(obs_runtime.METRICS_ENV)
         os.environ[obs_runtime.METRICS_ENV] = "1"
     try:
-        return executor.run(configs)
+        return run()
     finally:
         obs_runtime.flush_trace()
         for key, value in saved.items():
@@ -210,7 +204,7 @@ def _run_instrumented(executor, configs, args):
 
 
 def _cmd_run(args) -> int:
-    from repro.exec import Executor, ProgressReporter, ResultCache
+    from repro.exec import ResultCache
 
     try:
         ids = _resolve_ids(args.experiment)
@@ -233,16 +227,8 @@ def _cmd_run(args) -> int:
     cache = None
     if not args.no_cache and not instrumented:
         cache = ResultCache(args.cache_dir) if args.cache_dir else ResultCache()
-    executor = Executor(
-        jobs=args.jobs,
-        cache=cache,
-        reporter=ProgressReporter(stream=sys.stderr),
-        profile=args.profile,
-        timeout_s=args.timeout,
-        retries=args.retries,
-    )
     try:
-        records = _run_instrumented(executor, configs, args)
+        records = _run_instrumented(configs, cache, args)
     except OSError as exc:
         # Experiments themselves do no file I/O; an OSError here means the
         # cache directory or a --trace/--metrics-out path is unusable.
@@ -306,7 +292,8 @@ def _cmd_chart(args) -> int:
     from repro.experiments.figures import render_figure
 
     try:
-        result = run_experiment(args.experiment, quick=not args.full, seed=args.seed)
+        config = ExperimentConfig(resolve_id(args.experiment), full=args.full, seed=args.seed)
+        result = run_config(config)
         print(f"{result.experiment_id}: {result.title}")
         print(render_figure(result))
     except (UnknownExperimentError, KeyError) as exc:

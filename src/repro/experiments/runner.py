@@ -3,13 +3,12 @@
 The registry maps DESIGN.md ids to experiment *modules*; every module
 exposes the uniform entry point ``run(config: ExperimentConfig)``.
 Execution (caching, process-pool fan-out, progress) lives in
-:mod:`repro.exec`; this module stays a thin, import-cheap index plus
-compatibility shims for the pre-config API.
+:mod:`repro.exec`; this module is only the index. Importing it imports
+all 23 experiment modules.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from types import ModuleType
 
 from repro.experiments import (
@@ -81,11 +80,6 @@ DEFAULT_IDS: tuple[str, ...] = tuple(
     key for key in MODULES if key not in ("E15", "E16", "E17")
 )
 
-#: id -> run callable. Pre-redesign shim; prefer :func:`run_config`.
-EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
-    key: module.run for key, module in MODULES.items()
-}
-
 
 def resolve_id(experiment_id: str) -> str:
     """Canonical registry key for ``experiment_id`` (case-insensitive)."""
@@ -107,13 +101,6 @@ def run_config(config: ExperimentConfig) -> ExperimentResult:
     return module_for(config.experiment_id).run(config)
 
 
-def run_experiment(experiment_id: str, quick: bool = True, seed: int = 0) -> ExperimentResult:
-    """Run one experiment by its DESIGN.md id (legacy keyword style)."""
-    return run_config(
-        ExperimentConfig(resolve_id(experiment_id), full=not quick, seed=seed)
-    )
-
-
 def run_all(
     quick: bool = True,
     seed: int = 0,
@@ -131,12 +118,10 @@ def run_all(
 
 __all__ = [
     "DEFAULT_IDS",
-    "EXPERIMENTS",
     "MODULES",
     "UnknownExperimentError",
     "module_for",
     "resolve_id",
     "run_all",
     "run_config",
-    "run_experiment",
 ]

@@ -10,16 +10,12 @@ from __future__ import annotations
 
 import os
 import signal
-import time
 
-from repro.exec.errors import TransientError
 from repro.experiments.base import ExperimentConfig, ExperimentResult, SweepSpec
 
-#: How the designated bad unit misbehaves: "" (healthy), "raise", "kill"
-#: (SIGKILL its own worker process), "hang", or "transient" (fail once,
-#: succeed on retry, coordinated through REPRO_TEST_SENTINEL).
+#: How the designated bad unit misbehaves: "" (healthy), "raise", or
+#: "kill" (SIGKILL its own worker process).
 MODE_ENV = "REPRO_TEST_FAULT_MODE"
-SENTINEL_ENV = "REPRO_TEST_SENTINEL"
 
 POINTS = 4
 BAD_SLOT = 2
@@ -31,14 +27,6 @@ def _misbehave() -> None:
         raise ValueError("injected unit failure")
     if mode == "kill":
         os.kill(os.getpid(), signal.SIGKILL)
-    if mode == "hang":
-        time.sleep(120)
-    if mode == "transient":
-        sentinel = os.environ[SENTINEL_ENV]
-        if not os.path.exists(sentinel):
-            with open(sentinel, "w") as handle:
-                handle.write("tripped")
-            raise TransientError("flaky exactly once")
 
 
 def _points(config: ExperimentConfig) -> list[dict]:
@@ -70,8 +58,6 @@ def run(config: ExperimentConfig) -> ExperimentResult:
 
 class _WholeModule:
     """A registry entry without a SWEEP: the whole run misbehaves."""
-
-    __name__ = __name__ + "._WholeModule"
 
     @staticmethod
     def run(config: ExperimentConfig) -> ExperimentResult:

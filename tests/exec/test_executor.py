@@ -6,7 +6,6 @@ import pytest
 
 from repro.exec import (
     ExecutionRecord,
-    Executor,
     NullReporter,
     ProgressReporter,
     ResultCache,
@@ -22,7 +21,7 @@ FAST_IDS = ["T1", "E2", "E6", "E10"]
 class TestSerial:
     def test_records_in_input_order(self):
         configs = [ExperimentConfig(i) for i in FAST_IDS]
-        records = Executor(jobs=1).run(configs)
+        records = execute(configs, jobs=1)
         assert [r.config.experiment_id for r in records] == FAST_IDS
         assert all(isinstance(r, ExecutionRecord) for r in records)
         assert all(not r.cached for r in records)
@@ -30,7 +29,7 @@ class TestSerial:
 
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError):
-            Executor(jobs=0)
+            execute([ExperimentConfig("E2")], jobs=0)
 
     def test_execute_wrapper(self):
         records = execute([ExperimentConfig("E2")])
@@ -41,21 +40,21 @@ class TestCacheIntegration:
     def test_second_run_served_from_cache(self, tmp_path):
         cache = ResultCache(tmp_path, version="pinned")
         configs = [ExperimentConfig(i) for i in FAST_IDS]
-        first = Executor(jobs=1, cache=cache).run(configs)
-        second = Executor(jobs=1, cache=ResultCache(tmp_path, version="pinned")).run(configs)
+        first = execute(configs, jobs=1, cache=cache)
+        second = execute(configs, cache=ResultCache(tmp_path, version="pinned"))
         assert all(not r.cached for r in first)
         assert all(r.cached for r in second)
         assert [r.result for r in first] == [r.result for r in second]
 
     def test_cache_disabled_recomputes(self):
-        records = Executor(jobs=1, cache=None).run([ExperimentConfig("E2")])
+        records = execute([ExperimentConfig("E2")], jobs=1, cache=None)
         assert not records[0].cached
 
     def test_partial_cache_mixes(self, tmp_path):
         cache = ResultCache(tmp_path, version="pinned")
-        Executor(jobs=1, cache=cache).run([ExperimentConfig("E2")])
-        records = Executor(jobs=1, cache=cache).run(
-            [ExperimentConfig("E2"), ExperimentConfig("E6")]
+        execute([ExperimentConfig("E2")], jobs=1, cache=cache)
+        records = execute(
+            [ExperimentConfig("E2"), ExperimentConfig("E6")], jobs=1, cache=cache
         )
         assert records[0].cached
         assert not records[1].cached
@@ -64,24 +63,24 @@ class TestCacheIntegration:
 class TestPooled:
     def test_parallel_matches_serial(self):
         configs = [ExperimentConfig(i) for i in FAST_IDS]
-        serial = Executor(jobs=1).run(configs)
-        pooled = Executor(jobs=2).run(configs)
+        serial = execute(configs, jobs=1)
+        pooled = execute(configs, jobs=2)
         assert [r.result for r in serial] == [r.result for r in pooled]
 
     def test_sweep_fan_out_matches_serial(self):
-        # E9 publishes a SWEEP, so jobs>1 runs its points as separate
-        # worker tasks and combines in the parent -- results must be
-        # bit-identical to the serial path.
+        # E9 publishes a SWEEP, so its points are separate units of work,
+        # combined in the parent -- jobs>1 runs them in workers, and the
+        # results must be bit-identical to the inline run.
         config = ExperimentConfig("E9")
-        serial = Executor(jobs=1).run([config])
-        pooled = Executor(jobs=4).run([config])
+        serial = execute([config], jobs=1)
+        pooled = execute([config], jobs=4)
         assert serial[0].result == pooled[0].result
 
     def test_pooled_populates_cache(self, tmp_path):
         cache = ResultCache(tmp_path, version="pinned")
         configs = [ExperimentConfig(i) for i in FAST_IDS]
-        Executor(jobs=2, cache=cache).run(configs)
-        again = Executor(jobs=2, cache=ResultCache(tmp_path, version="pinned")).run(configs)
+        execute(configs, jobs=2, cache=cache)
+        again = execute(configs, jobs=2, cache=ResultCache(tmp_path, version="pinned"))
         assert all(r.cached for r in again)
 
 
@@ -89,7 +88,7 @@ class TestProgressReporting:
     def test_reporter_lines(self):
         stream = io.StringIO()
         reporter = ProgressReporter(stream=stream)
-        Executor(jobs=1, reporter=reporter).run([ExperimentConfig("E2")])
+        execute([ExperimentConfig("E2")], jobs=1, reporter=reporter)
         out = stream.getvalue()
         assert "E2" in out
         assert "start" in out
@@ -98,15 +97,14 @@ class TestProgressReporting:
 
     def test_cached_marked_in_report(self, tmp_path):
         cache = ResultCache(tmp_path, version="pinned")
-        Executor(jobs=1, cache=cache).run([ExperimentConfig("E2")])
+        execute([ExperimentConfig("E2")], jobs=1, cache=cache)
         stream = io.StringIO()
-        Executor(
-            jobs=1, cache=cache, reporter=ProgressReporter(stream=stream)
-        ).run([ExperimentConfig("E2")])
+        reporter = ProgressReporter(stream=stream)
+        execute([ExperimentConfig("E2")], jobs=1, cache=cache, reporter=reporter)
         assert "cached" in stream.getvalue()
 
     def test_null_reporter_is_silent(self, capsys):
-        Executor(jobs=1, reporter=NullReporter()).run([ExperimentConfig("E2")])
+        execute([ExperimentConfig("E2")], jobs=1, reporter=NullReporter())
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ""

@@ -1,14 +1,12 @@
 """Tests for per-unit progress accounting: exactly-once, monotone, bounded.
 
-PR context: nested fan-out (fleet shards inside a sweep) used to bump
-the progress line once per payload, so a straggler result landing after
-its retry double-counted. The executor now keys completed units by
-(experiment, slot) and reports each exactly once.
+The executor collects each sweep's points in slot order, so every
+(experiment, slot) is reported once and the count runs 1..total.
 """
 
 import io
 
-from repro.exec import Executor, NullReporter, ProgressReporter
+from repro.exec import NullReporter, ProgressReporter, execute
 from repro.experiments.base import ExperimentConfig
 
 
@@ -27,7 +25,7 @@ class TestUnitAccounting:
     def test_pooled_sweep_reports_each_point_exactly_once(self):
         # E9 is the cheapest sweep; jobs>1 fans its points out as units.
         reporter = RecordingReporter()
-        Executor(jobs=2, reporter=reporter).run([ExperimentConfig("E9")])
+        execute([ExperimentConfig("E9")], jobs=2, reporter=reporter)
         assert reporter.units, "pooled sweep must report per-unit progress"
         assert {experiment_id for experiment_id, _, _, _ in reporter.units} == {"E9"}
         totals = {total for _, _, _, total in reporter.units}
@@ -40,7 +38,7 @@ class TestUnitAccounting:
     def test_multiple_sweeps_account_independently(self):
         reporter = RecordingReporter()
         configs = [ExperimentConfig("E9"), ExperimentConfig("E9", seed=1)]
-        Executor(jobs=2, reporter=reporter).run(configs)
+        execute(configs, jobs=2, reporter=reporter)
         for config_index in (0, 1):
             done = sorted(
                 done

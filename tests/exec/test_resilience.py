@@ -1,23 +1,23 @@
-"""Executor survival under failing, crashing, and hanging workers.
+"""The executor under failing and crashing units of work.
 
-The acceptance bar (ISSUE 5): a worker that raises, hangs, or dies must
-yield a structured ErrorResult for its own unit of work only -- the rest
-of the sweep completes and the run reports the loss instead of dying.
+A unit that raises yields a structured ErrorResult for itself only: the
+rest of the sweep completes and the run reports the loss instead of
+dying. A worker that dies breaks the pool; every unit whose output had
+not yet arrived is lost as ``WorkerDied``, and the call still returns.
 
 The fault modes are injected through ``tests.exec.faulty_experiments``,
 registered under a synthetic id via monkeypatch; pool workers inherit
-both (fork) plus the fault-mode env vars.
+both (fork) plus the fault-mode env var.
 """
 
 import json
-import os
 
 import pytest
 
-from repro.exec import ErrorResult, Executor, ResultCache, backoff_delay
-from repro.exec.errors import error_payload
+from repro.exec import ErrorResult, ResultCache, execute
 from repro.experiments import runner
-from repro.experiments.base import ExperimentConfig
+from repro.experiments.base import ExperimentConfig, SweepSpec
+from repro.experiments.cli import main
 from tests.exec import faulty_experiments as faulty
 
 FAULTY_ID = "E99"
@@ -51,63 +51,66 @@ class TestErrorResult:
         assert err.error_type == "RuntimeError"
         assert "boom" in err.message
         assert "RuntimeError: boom" in err.traceback
-        assert not err.is_transient
-
-    def test_synthetic_kinds_are_transient(self):
-        for kind in ("Timeout", "WorkerDied", "TransientError"):
-            assert ErrorResult("E1", kind, "x").is_transient
-        assert not ErrorResult("E1", "ValueError", "x").is_transient
 
     def test_json_round_trip(self):
-        err = ErrorResult("E1", "ValueError", "bad", "tb", "abcd", 3, 2)
+        err = ErrorResult("E1", "ValueError", "bad", "tb", "abcd", 3)
         assert ErrorResult.from_dict(json.loads(json.dumps(err.to_dict()))) == err
 
-    def test_error_payload_shape(self):
-        payload = error_payload(ValueError("nope"))
-        assert payload["__error__"]["error_type"] == "ValueError"
-        assert "nope" in payload["__error__"]["traceback"]
 
-    def test_backoff_is_deterministic_and_bounded(self):
-        delays = [backoff_delay(a) for a in range(1, 10)]
-        assert delays == [backoff_delay(a) for a in range(1, 10)]
-        assert all(0 < d <= 5.0 for d in delays)
-        # Exponential envelope: the cap dominates eventually.
-        assert backoff_delay(1) < 0.2
+def _assert_costs_only_bad_slot(record, config):
+    assert record.error is None  # combine still produced a result
+    assert not record.ok
+    errors = record.result.metrics["errors"]
+    assert len(errors) == 1
+    assert errors[0]["error_type"] == "ValueError"
+    assert errors[0]["point_index"] == faulty.BAD_SLOT
+    assert "injected unit failure" in errors[0]["traceback"]
+    assert errors[0]["config_hash"] == config.content_hash()[:16]
+    # The three surviving points combined normally.
+    assert [row["slot"] for row in record.result.rows] == EXPECTED_GOOD_SLOTS
 
 
 class TestSweepPointFailure:
     def test_raising_point_costs_only_itself(self, registered, monkeypatch):
         _set_mode(monkeypatch, "raise")
-        (record,) = Executor(jobs=2).run([registered])
-        assert record.error is None  # combine still produced a result
-        assert not record.ok
-        errors = record.result.metrics["errors"]
-        assert len(errors) == 1
-        assert errors[0]["error_type"] == "ValueError"
-        assert errors[0]["point_index"] == faulty.BAD_SLOT
-        assert "injected unit failure" in errors[0]["traceback"]
-        assert errors[0]["config_hash"] == registered.content_hash()[:16]
-        # The three surviving points combined normally.
-        assert [row["slot"] for row in record.result.rows] == EXPECTED_GOOD_SLOTS
+        (record,) = execute([registered], jobs=2)
+        _assert_costs_only_bad_slot(record, registered)
 
-    def test_serial_whole_run_failure_is_structured(self, registered, monkeypatch):
+    def test_serial_raising_point_costs_only_itself(self, registered, monkeypatch):
         _set_mode(monkeypatch, "raise")
-        (record,) = Executor(jobs=1).run([registered])
+        (record,) = execute([registered], jobs=1)
+        _assert_costs_only_bad_slot(record, registered)
+
+    def test_serial_whole_run_failure_is_structured(self, registered_whole, monkeypatch):
+        _set_mode(monkeypatch, "raise")
+        (record,) = execute([registered_whole], jobs=1)
         assert record.error is not None
         assert record.error.error_type == "ValueError"
         assert "FAILED" in record.result.title
         assert record.result.metrics["errors"][0]["error_type"] == "ValueError"
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_raising_points_fails_the_experiment(self, registered, monkeypatch, jobs):
+        def points(config):
+            raise ValueError("bad sweep parameters")
+
+        sweep = SweepSpec(points=points, point=faulty.SWEEP.point, combine=faulty.SWEEP.combine)
+        monkeypatch.setattr(faulty, "SWEEP", sweep)
+        (record,) = execute([registered], jobs=jobs)
+        assert record.error is not None
+        assert record.error.error_type == "ValueError"
+        assert "bad sweep parameters" in record.error.traceback
+
     def test_failures_never_cached(self, registered, monkeypatch, tmp_path):
         _set_mode(monkeypatch, "raise")
         cache = ResultCache(tmp_path, version="pinned")
-        Executor(jobs=2, cache=cache).run([registered])
+        execute([registered], jobs=2, cache=cache)
         monkeypatch.delenv(faulty.MODE_ENV)
-        (record,) = Executor(jobs=2, cache=cache).run([registered])
+        (record,) = execute([registered], jobs=2, cache=cache)
         assert not record.cached and record.ok
 
     def test_healthy_sweep_unaffected(self, registered):
-        (record,) = Executor(jobs=2).run([registered])
+        (record,) = execute([registered], jobs=2)
         assert record.ok
         assert record.result.headline == {"total": 14, "rows": 4}
 
@@ -117,73 +120,62 @@ class TestWorkerDeath:
         self, registered, monkeypatch
     ):
         _set_mode(monkeypatch, "kill")
-        (record,) = Executor(jobs=2).run([registered])
-        assert not record.ok
+        (record,) = execute([registered], jobs=2)
+        assert record.error is None and not record.ok
         errors = record.result.metrics["errors"]
-        assert [e["error_type"] for e in errors] == ["WorkerDied"]
-        assert errors[0]["point_index"] == faulty.BAD_SLOT
-        assert [row["slot"] for row in record.result.rows] == EXPECTED_GOOD_SLOTS
+        assert {e["error_type"] for e in errors} == {"WorkerDied"}
+        lost = [e["point_index"] for e in errors]
+        assert faulty.BAD_SLOT in lost
+        # Outputs arrive in slot order: the points that arrived before the
+        # pool broke are combined, every later one is lost with it.
+        kept = [row["slot"] for row in record.result.rows]
+        assert kept == list(range(min(lost)))
+        assert kept + lost == list(range(faulty.POINTS))
 
     def test_whole_experiment_killed_worker(self, registered_whole, monkeypatch):
         _set_mode(monkeypatch, "kill")
-        good = ExperimentConfig("E2")
-        bad, ok = Executor(jobs=2).run([registered_whole, good])
+        bad, after = execute([registered_whole, ExperimentConfig("E2")], jobs=2)
         assert bad.error is not None
         assert bad.error.error_type == "WorkerDied"
-        assert ok.ok  # the innocent experiment still completed
+        # E2's output comes after the broken unit's, so it never arrives.
+        assert after.error is not None
+        assert after.error.error_type == "WorkerDied"
 
 
-class TestHungWorker:
-    def test_timeout_yields_error_and_sweep_completes(self, registered, monkeypatch):
-        _set_mode(monkeypatch, "hang")
-        (record,) = Executor(jobs=2, timeout_s=2.0).run([registered])
-        assert not record.ok
-        errors = record.result.metrics["errors"]
-        assert [e["error_type"] for e in errors] == ["Timeout"]
-        assert errors[0]["point_index"] == faulty.BAD_SLOT
-        assert [row["slot"] for row in record.result.rows] == EXPECTED_GOOD_SLOTS
+def _cli(capsys, jobs):
+    code = main(["run", FAULTY_ID, "--jobs", str(jobs), "--no-cache", "--json"])
+    captured = capsys.readouterr()
+    return code, json.loads(captured.out), captured.err
 
 
-class TestRetry:
-    def test_transient_failure_retried_to_success(
-        self, registered, monkeypatch, tmp_path
-    ):
-        _set_mode(monkeypatch, "transient")
-        monkeypatch.setenv(faulty.SENTINEL_ENV, str(tmp_path / "tripped"))
-        (record,) = Executor(jobs=2, retries=2).run([registered])
-        assert record.ok
-        assert record.result.headline == {"total": 14, "rows": 4}
+@pytest.mark.parametrize("jobs", [1, 2])
+class TestExitCodes:
+    """The CLI's exit codes: 0 clean, 1 failed or partial."""
 
-    def test_transient_failure_without_retries_fails(
-        self, registered, monkeypatch, tmp_path
-    ):
-        _set_mode(monkeypatch, "transient")
-        monkeypatch.setenv(faulty.SENTINEL_ENV, str(tmp_path / "tripped"))
-        (record,) = Executor(jobs=2, retries=0).run([registered])
-        assert not record.ok
-        assert (
-            record.result.metrics["errors"][0]["error_type"] == "TransientError"
-        )
+    def test_clean_run_exits_0(self, registered, capsys, jobs):
+        code, payload, err = _cli(capsys, jobs)
+        assert code == 0
+        assert payload[0]["headline"] == {"total": 14, "rows": 4}
+        assert "FAIL" not in err and "PARTIAL" not in err
 
-    def test_deterministic_failure_not_retried(self, registered, monkeypatch):
-        # A ValueError is not transient; retries must not re-run it.
+    def test_raising_point_is_partial(self, registered, monkeypatch, capsys, jobs):
         _set_mode(monkeypatch, "raise")
-        (record,) = Executor(jobs=2, retries=3).run([registered])
-        errors = record.result.metrics["errors"]
-        assert errors[0]["attempts"] == 1
+        code, payload, err = _cli(capsys, jobs)
+        assert code == 1
+        assert f"PARTIAL {FAULTY_ID}: 1 sweep point(s) failed" in err
+        assert [row["slot"] for row in payload[0]["rows"]] == EXPECTED_GOOD_SLOTS
 
-    def test_serial_transient_retry(self, registered, monkeypatch, tmp_path):
-        _set_mode(monkeypatch, "transient")
-        monkeypatch.setenv(faulty.SENTINEL_ENV, str(tmp_path / "tripped"))
-        (record,) = Executor(jobs=1, retries=1).run([registered])
-        assert record.ok
+    def test_raising_experiment_fails(self, registered_whole, monkeypatch, capsys, jobs):
+        _set_mode(monkeypatch, "raise")
+        code, payload, err = _cli(capsys, jobs)
+        assert code == 1
+        assert f"FAILED {FAULTY_ID}: ValueError" in err
+        assert payload == []
 
 
-class TestExecutorValidation:
-    def test_bad_timeout_rejected(self):
-        with pytest.raises(ValueError):
-            Executor(timeout_s=0)
-
-    def test_bad_retries_rejected(self):
-        with pytest.raises(ValueError):
-            Executor(retries=-1)
+def test_killed_worker_exits_1(registered, monkeypatch, capsys):
+    # Only a pool has a worker to kill: inline, the unit is this process.
+    _set_mode(monkeypatch, "kill")
+    code, _, err = _cli(capsys, 2)
+    assert code == 1
+    assert "WorkerDied" in err

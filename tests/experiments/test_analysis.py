@@ -112,10 +112,10 @@ class TestCliFormats:
 
 class TestFigures:
     def test_figures_render_for_supported_ids(self):
-        from repro.experiments import run_experiment
+        from repro.experiments import ExperimentConfig, run_config
         from repro.experiments.figures import FIGURES, render_figure
 
-        result = run_experiment("E14", quick=True)
+        result = run_config(ExperimentConfig("E14"))
         chart = render_figure(result)
         assert "QLC" in chart
         assert set(FIGURES) == {"E1", "E7", "E9", "E14", "E15"}

@@ -12,7 +12,7 @@ import pytest
 from repro.exec import ResultCache
 from repro.experiments.base import ExperimentConfig, ExperimentResult
 from repro.experiments.cli import _DESCRIPTIONS, main
-from repro.experiments.runner import DEFAULT_IDS, EXPERIMENTS, MODULES
+from repro.experiments.runner import DEFAULT_IDS, MODULES
 
 # Pure-computation experiments that finish in milliseconds.
 FAST_IDS = ["T1", "E2", "E6", "E10"]
@@ -22,11 +22,11 @@ class TestList:
     def test_lists_every_experiment(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        for key in EXPERIMENTS:
+        for key in MODULES:
             assert key in out
 
     def test_descriptions_cover_registry(self):
-        assert set(_DESCRIPTIONS) == set(EXPERIMENTS)
+        assert set(_DESCRIPTIONS) == set(MODULES)
 
 
 class TestRun:

@@ -7,21 +7,21 @@ suite instead and only registry-level properties are checked here.
 
 import pytest
 
-from repro.experiments import EXPERIMENTS, run_experiment
-from repro.experiments.base import ExperimentResult
+from repro.experiments import MODULES, run_config
+from repro.experiments.base import ExperimentConfig, ExperimentResult
 
 
 class TestRegistry:
     def test_all_design_md_ids_present(self):
         expected = {"T1"} | {f"E{i}" for i in range(1, 18)} | {"A1", "A2", "A3", "A4", "A5"}
-        assert set(EXPERIMENTS) == expected
+        assert set(MODULES) == expected
 
     def test_unknown_id_rejected(self):
         with pytest.raises(KeyError):
-            run_experiment("E99")
+            run_config(ExperimentConfig("E99"))
 
     def test_lookup_case_insensitive(self):
-        result = run_experiment("t1")
+        result = run_config(ExperimentConfig("t1"))
         assert result.experiment_id == "T1"
 
 
@@ -47,14 +47,14 @@ class TestResultFormatting:
 
 class TestT1:
     def test_reproduces_table_exactly(self):
-        result = run_experiment("T1")
+        result = run_config(ExperimentConfig("T1"))
         assert result.headline["exact_match"] is True
         assert result.headline["simplified_pct"] == pytest.approx(23.1, abs=0.1)
 
 
 class TestE2:
     def test_dram_reduction(self):
-        result = run_experiment("E2")
+        result = run_config(ExperimentConfig("E2"))
         assert result.headline["conventional_gb_per_tb"] == pytest.approx(1.0)
         assert result.headline["zns_kb_per_tb"] == pytest.approx(256.0)
         assert result.headline["reduction_factor"] == 4096
@@ -62,21 +62,21 @@ class TestE2:
 
 class TestE6:
     def test_cost_shape(self):
-        result = run_experiment("E6")
+        result = run_config(ExperimentConfig("E6"))
         assert result.headline["premium_exceeds_2x"] is True
         assert result.headline["zns_saving_vs_28pct_op"] > 0.1
 
 
 class TestE8:
     def test_dynamic_beats_static(self):
-        result = run_experiment("E8")
+        result = run_config(ExperimentConfig("E8"))
         assert result.headline["dynamic_satisfaction"] > result.headline["static_satisfaction"]
         assert result.headline["multiplexing_gain"] > 1.1
 
 
 class TestE10:
     def test_erase_program_ratio(self):
-        result = run_experiment("E10")
+        result = run_config(ExperimentConfig("E10"))
         assert result.headline["within_5x_to_7x"] is True
         assert result.headline["measured_on_array"] == pytest.approx(
             result.headline["tlc_erase_program_ratio"], rel=0.01
@@ -87,6 +87,6 @@ class TestE10:
 
 class TestE7:
     def test_append_scales_writes_do_not(self):
-        result = run_experiment("E7")
+        result = run_config(ExperimentConfig("E7"))
         assert result.headline["append_speedup_at_max_writers"] > 2.0
         assert result.headline["write_mode_scaling"] < 1.3

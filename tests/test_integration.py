@@ -135,12 +135,12 @@ class TestLsmOverHostTranslation:
 
 class TestDeterminism:
     def test_experiments_are_seed_deterministic(self):
-        from repro.experiments import run_experiment
+        from repro.experiments import ExperimentConfig, run_config
 
-        a = run_experiment("E8", quick=True, seed=5)
-        b = run_experiment("E8", quick=True, seed=5)
+        a = run_config(ExperimentConfig("E8", seed=5))
+        b = run_config(ExperimentConfig("E8", seed=5))
         assert a.rows == b.rows
-        c = run_experiment("E8", quick=True, seed=6)
+        c = run_config(ExperimentConfig("E8", seed=6))
         assert c.rows != a.rows  # and the seed actually matters
 
     def test_device_state_machines_deterministic(self):
