@@ -14,7 +14,7 @@ on:
   host storage stack (block-on-ZNS translation, reclaim scheduling,
   active-zone budgeting, lifetime-hint placement);
 - :mod:`repro.apps` -- applications held constant across interfaces (LSM
-  KV store, flash caches, persistent queue, ZoneFS, LFS);
+  KV store, flash caches);
 - :mod:`repro.workloads`, :mod:`repro.sim` -- workload generation and
   the discrete-event kernel;
 - :mod:`repro.cost`, :mod:`repro.survey` -- the economics and the Table 1

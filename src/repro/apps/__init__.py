@@ -8,9 +8,4 @@ experiments compare *interfaces* with the application held constant:
   stand-in for the §2.4 claims).
 - :mod:`repro.apps.cache` -- a log-structured flash cache (CacheLib/RIPQ
   flavor, §2 and §4.1).
-- :mod:`repro.apps.queue` -- a persistent append-only queue (the §4.2
-  write-pointer-contention workload).
-- :mod:`repro.apps.zonefs` -- a ZoneFS-like filesystem (zone == file).
-- :mod:`repro.apps.lfs` -- a log-structured filesystem with file metadata
-  for placement hints.
 """

@@ -510,14 +510,18 @@ class ZoneFileBackend(LsmBackend):
                 # registered table yet, so a reset would lose its pages.
                 pinned = {e.zone for e in self._wal_extents + self._appending}
                 candidates = [z for z in self._sealed if z not in pinned]
+                where = (
+                    f"pinned zones {sorted(pinned)}, {len(self._sealed)} sealed of "
+                    f"{self.device.zone_count} on the device"
+                )
                 if not candidates:
-                    raise AllocationError("nothing to reclaim")
+                    raise AllocationError(f"nothing to reclaim ({where})")
                 victim = min(
                     candidates, key=lambda z: self._zones.get(z, _ZoneInfo()).live_pages
                 )
                 info = self._zones.get(victim, _ZoneInfo())
                 if info.live_pages >= self.device.geometry.pages_per_zone:
-                    raise AllocationError("all zones fully live")
+                    raise AllocationError(f"all zones fully live ({where})")
                 self._evacuate(victim)
                 self._reset(victim)
         finally:

@@ -88,9 +88,5 @@ class BloomFilter:
         bloom.items_added = len(keys)
         return bloom
 
-    @property
-    def size_bytes(self) -> int:
-        return len(self._bits)
-
 
 __all__ = ["BloomFilter"]

@@ -25,7 +25,6 @@ import numpy as np
 from repro.block.interface import ZonedDevice, check_extent
 from repro.flash.errors import ProgramFaultError, UncorrectableReadError
 from repro.flash.ops import FlashOp
-from repro.ftl.gc import VictimPolicy, make_policy
 from repro.obs.events import FlashOpEvent, ReclaimEvent, RecoveryEvent
 from repro.obs.frame import OpCounter
 from repro.obs.runtime import new_tracer
@@ -52,15 +51,12 @@ class ZonedBlockConfig:
     use_simple_copy:
         Reclaim valid data with the device-managed simple-copy command
         (no PCIe traffic) instead of host read+write.
-    gc_policy:
-        Victim-selection policy name (shared with the conventional FTL).
     gc_low_zones / gc_high_zones:
         Free-zone watermarks bracketing reclaim activity.
     """
 
     op_ratio: float = 0.07
     use_simple_copy: bool = True
-    gc_policy: str = "greedy"
     gc_low_zones: int = 2
     gc_high_zones: int = 4
 
@@ -119,7 +115,6 @@ class ZonedBlockDevice:
         # through its bounded-retry path instead of raw device commands,
         # so transient management faults degrade instead of propagating.
         self.lifecycle = lifecycle
-        self.policy: VictimPolicy = make_policy(self.config.gc_policy)
         self.stats = ZonedBlockStats()
         # Share the device's bus so host-layer events interleave with the
         # NVMe commands and flash ops they cause; standalone otherwise.
@@ -150,8 +145,6 @@ class ZonedBlockDevice:
         self._pages_per_zone = pages_per_zone
         self._free_zones: list[int] = list(range(total_zones))
         self._sealed: set[int] = set()
-        self._seal_times: dict[int, int] = {}
-        self._clock = 0
         self._write_zone: int | None = None
         self._gc_zone: int | None = None
         # Incremental-reclaim state: the victim being drained and its
@@ -240,7 +233,6 @@ class ZonedBlockDevice:
 
     def write(self, lba: int, data: Any = None, auto_gc: bool = True) -> list[FlashOp]:
         self._check(lba)
-        self._clock += 1
         ops: list[FlashOp] = []
         # Each retry consumes a fresh frontier zone, so the attempt bound
         # only trips when the device keeps degrading zones under us.
@@ -328,8 +320,6 @@ class ZonedBlockDevice:
 
     def _seal(self, zone: int) -> list[FlashOp]:
         self._sealed.add(zone)
-        self._seal_times[zone] = self._clock
-        self.policy.notify_sealed(zone, self._clock)
         # Finishing releases the device's active-zone resources; degraded
         # (READ_ONLY/OFFLINE) zones hold none and cannot be finished.
         if self.device.zone(zone).state.is_active:
@@ -348,10 +338,8 @@ class ZonedBlockDevice:
         slot[:] = UNMAPPED
         self._valid_v[zone] = 0
         self._sealed.discard(zone)
-        self._seal_times.pop(zone, None)
         if zone in self._free_zones:
             self._free_zones.remove(zone)
-        self.policy.notify_erased(zone)
         self.stats.zones_lost += 1
         self.stats.pages_lost += int(lost.size)
         if self.tracer.enabled:
@@ -368,13 +356,8 @@ class ZonedBlockDevice:
         """Pick the next victim and stage its surviving offsets."""
         if not self._sealed:
             raise TranslationError("no sealed zones to collect")
-        victim = self.policy.select(
-            self._sealed,
-            lambda z: self._valid_v[z],
-            self._pages_per_zone,
-            lambda z: self._seal_times.get(z, 0),
-            self._clock,
-        )
+        # Greedy: fewest valid pages; a tie goes to the first in set order.
+        victim = min(self._sealed, key=self._valid_v.__getitem__)
         self._victim = victim
         self._victim_offsets = [
             offset
@@ -459,8 +442,6 @@ class ZonedBlockDevice:
             else:
                 ops.extend(self.device.reset_zone(victim))
             self._sealed.discard(victim)
-            self._seal_times.pop(victim, None)
-            self.policy.notify_erased(victim)
             state = self.device.zone(victim).state
             if state is ZoneState.OFFLINE:
                 # Reset retired the last backing blocks (spares exhausted).

@@ -70,18 +70,12 @@ class NandArray:
         an array built with no injector at all.
     """
 
-    #: Reads a block can absorb after erase before neighboring cells
-    #: degrade enough to warrant a refresh (read disturb). Representative
-    #: for TLC; the FTL is responsible for scrubbing before this point.
-    DEFAULT_READ_DISTURB_LIMIT = 100_000
-
     def __init__(
         self,
         geometry: FlashGeometry,
         timing: TimingModel | None = None,
         wear: WearTracker | None = None,
         store_data: bool = False,
-        read_disturb_limit: int = DEFAULT_READ_DISTURB_LIMIT,
         tracer: Tracer | None = None,
         faults: "FaultInjector | None" = None,
     ):
@@ -97,9 +91,6 @@ class NandArray:
                 f"geometry has {geometry.total_blocks}"
             )
         self.store_data = store_data
-        if read_disturb_limit < 1:
-            raise ValueError("read_disturb_limit must be >= 1")
-        self.read_disturb_limit = read_disturb_limit
         self.tracer = tracer if tracer is not None else new_tracer()
         #: Physical operation counters; a copy also books its bytes as
         #: programmed flash bytes (``bytes_written``).
@@ -116,8 +107,6 @@ class NandArray:
         # ever rebound (DESIGN.md §6, "Scalar state reads through a view").
         self._write_offsets = np.zeros(geometry.total_blocks, dtype=np.int32)
         self._write_offsets_v = memoryview(self._write_offsets)
-        self._reads_since_erase = np.zeros(geometry.total_blocks, dtype=np.int64)
-        self._reads_since_erase_v = memoryview(self._reads_since_erase)
         self._data: dict[int, Any] = {}
 
     # -- Introspection -------------------------------------------------------
@@ -230,27 +219,26 @@ class NandArray:
         return payload, latency
 
     def _check_and_sense(self, page: int) -> tuple[int, Any]:
-        """Shared read path: constraint checks + read-disturb accounting.
+        """Shared read path: the constraint checks.
 
         Used by host reads (which publish/count) and internal copy reads
-        (which do not -- a copy is not a host read, but it still disturbs
-        the source block). Returns ``(block, payload)``.
+        (which do not -- a copy is not a host read). Returns
+        ``(block, payload)``.
         """
         block, offset = self.geometry.split_page(page)
         if self.wear.is_bad(block):
             raise BadBlockError(f"read on retired block {block}")
         if offset >= self._write_offsets_v[block]:
             raise ReadUnwrittenError(f"page {page} has not been programmed")
-        self._reads_since_erase_v[block] += 1
         return block, self._data.get(page) if self.store_data else None
 
     def sense_for_copy(self, page: int) -> Any:
         """Read a page for device-internal copying.
 
-        Physical constraint checks and read-disturb accounting apply, but
-        the access is neither counted nor published as a host read --
-        device-managed copies (copyback, NVMe simple copy) account for
-        themselves at their own layer.
+        Physical constraint checks apply, but the access is neither
+        counted nor published as a host read -- device-managed copies
+        (copyback, NVMe simple copy) account for themselves at their own
+        layer.
         """
         return self._check_and_sense(page)[1]
 
@@ -270,7 +258,6 @@ class NandArray:
             self.wear.mark_bad(block)
             survived = False
         self._write_offsets_v[block] = 0
-        self._reads_since_erase_v[block] = 0
         if self.store_data:
             for page in self.geometry.pages_of_block(block):
                 self._data.pop(page, None)
@@ -369,7 +356,7 @@ class NandArray:
         is fine: multi-stream GC hands each destination every k-th valid
         page -- the destination the next ``n`` free pages of
         ``dst_block``. Equivalent to :meth:`copy_page` per page -- the
-        source block absorbs read disturb, the destination obeys program
+        source pages must be programmed, the destination obeys program
         order, and the counters book the same copy count and byte
         totals (as does the one aggregate event) -- with O(1) validation.
         """
@@ -396,7 +383,6 @@ class NandArray:
             )
         if dst_offset + n > ppb:
             raise ProgramOrderError(f"copy run of {n} pages overflows block {dst_block}")
-        self._reads_since_erase_v[src_block] += n
         self._write_offsets_v[dst_block] = dst_offset + n
         dst_first = dst_block * ppb + dst_offset
         if self.store_data:
@@ -424,35 +410,12 @@ class NandArray:
         """Total bytes programmed to flash (host writes + copies)."""
         return self.counters.bytes_written
 
-    # -- Read disturb ------------------------------------------------------------
-
-    def reads_since_erase(self, block: int) -> int:
-        """Reads the block has absorbed since its last erase."""
-        self.geometry.check_block(block)
-        return self._reads_since_erase_v[block]
-
-    def disturb_pressure(self, block: int) -> float:
-        """Fraction of the read-disturb budget consumed (>= 1.0 is overdue)."""
-        return self.reads_since_erase(block) / self.read_disturb_limit
-
-    def disturbed_blocks(self, threshold: float = 0.8) -> list[int]:
-        """Live blocks whose disturb pressure is at or past ``threshold``.
-
-        FTL firmware scrubs these (copies valid data forward and erases)
-        before the data becomes unreadable -- one more maintenance task
-        the block interface hides from hosts and ZNS surfaces to them.
-        """
-        limit = threshold * self.read_disturb_limit
-        mask = (self._reads_since_erase >= limit) & ~self.wear.bad_mask
-        return np.flatnonzero(mask).tolist()
-
     # -- Consistency checking (used by property tests) -----------------------------
 
     def check_invariants(self) -> None:
         """Assert structural invariants; raises AssertionError on violation."""
         for owner, name in (
             (self, "_write_offsets"),
-            (self, "_reads_since_erase"),
             (self.wear, "erase_counts"),
             (self.wear, "bad_mask"),
         ):
@@ -461,7 +424,6 @@ class NandArray:
         ppb = self.geometry.pages_per_block
         offsets = self._write_offsets
         assert ((offsets >= 0) & (offsets <= ppb)).all(), "write offset outside [0, ppb]"
-        assert not self._reads_since_erase[offsets == 0].any(), "erased block has reads"
         if self.store_data and self._data:
             pages = np.fromiter(self._data, dtype=np.int64, count=len(self._data))
             below = pages % ppb < offsets[pages // ppb]

@@ -57,7 +57,7 @@ class WearTracker:
     failure_rng: np.random.Generator | None = None
     erase_counts: np.ndarray = field(init=False, repr=False)
     #: Boolean retired-block mask kept in lockstep with the ``_bad`` set so
-    #: bulk scans (erased/disturbed block sweeps) stay vectorized.
+    #: bulk scans (erased-block sweeps) stay vectorized.
     bad_mask: np.ndarray = field(init=False, repr=False)
     #: Memoryviews of the two arrays' buffers, for scalar access; neither
     #: array is ever rebound (DESIGN.md §6).

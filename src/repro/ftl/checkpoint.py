@@ -141,12 +141,6 @@ class CheckpointedFTL:
 
     # -- Power-loss protocol -------------------------------------------------
 
-    def checkpoint_now(self) -> int:
-        """Force a checkpoint; captures the durable mapping snapshot."""
-        written = self.policy.checkpoint()
-        self.snapshot = self.ftl.snapshot_mapping()
-        return written
-
     def crash(self) -> None:
         """Power loss: the wrapped FTL drops all volatile state."""
         self.ftl.crash()

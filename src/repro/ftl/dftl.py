@@ -211,14 +211,6 @@ class DemandPagedFTL(ConventionalFTL):
         return self.store.translation_pages
 
     @property
-    def extra_flash_reads(self) -> int:
-        return self.store.stats.miss_reads
-
-    @property
-    def extra_flash_writes(self) -> int:
-        return self.store.stats.translation_writes
-
-    @property
     def read_overhead_factor(self) -> float:
         """Flash reads per host read, including translation fetches.
 

@@ -116,7 +116,6 @@ class FTLStats:
     #: (``TimedConventionalSSD``), per stalled write the inline check plus
     #: each blocked tick.
     foreground_gc_stalls: int = 0
-    scrubs: int = 0
     program_faults: int = 0
     blocks_retired: int = 0
     crash_recoveries: int = 0
@@ -413,7 +412,7 @@ class ConventionalFTL:
     # -- Program-fault recovery ---------------------------------------------------
 
     def _note_relocated(self, lpns: np.ndarray) -> None:
-        """Hook: these logical pages just moved (GC/WL/scrub/retire).
+        """Hook: these logical pages just moved (GC/WL/retire).
 
         No-op here -- the full page map is volatile DRAM, so relocation
         is free. The demand-paged subclass overrides this to mark the
@@ -488,7 +487,7 @@ class ConventionalFTL:
     ) -> int:
         """Copy ``block``'s valid pages forward and erase it; returns pages moved.
 
-        The one reclaim routine (GC, wear leveling, scrubbing): publishes
+        The one reclaim routine (GC and wear leveling): publishes
         ``action`` for the victim, then appends the copies' and the
         erase's op records to ``ops`` when given.
         """
@@ -560,11 +559,10 @@ class ConventionalFTL:
         candidates = self._sealed
         if not candidates:
             raise GCStuckError("no sealed blocks to collect")
-        # The candidate array preserves set iteration order so the
-        # vectorized policies' first-occurrence tie-breaks match the
-        # scalar loops they replace.
+        # The candidate array preserves set iteration order, so a tie goes
+        # to the first sealed block in that order.
         cand_arr = np.fromiter(candidates, dtype=np.int64, count=len(candidates))
-        victim = self.policy.select_array(
+        victim = self.policy.select(
             cand_arr,
             self.map.valid_counts,
             self.geometry.pages_per_block,
@@ -608,8 +606,8 @@ class ConventionalFTL:
     ) -> int:
         """Move one block's valid pages to the GC destinations; returns the count.
 
-        The one relocation routine (GC, wear leveling, scrubbing, block
-        retirement). GC has its own active blocks so relocated data is not
+        The one relocation routine (GC, wear leveling, block retirement).
+        GC has its own active blocks so relocated data is not
         interleaved with fresh host writes; ``gc_streams = k > 1`` of them
         sit on different planes, so timed replays reclaim in parallel.
         ``sources`` (ascending pages of one block) are dealt round-robin,
@@ -709,25 +707,6 @@ class ConventionalFTL:
         coldest = min(self._sealed, key=self._seal_time_arr_v.__getitem__)
         ops: list[FlashOp] = []
         self._reclaim(coldest, "wear-level", ops)
-        return ops
-
-    # -- Read-disturb scrubbing ---------------------------------------------------
-
-    def scrub_disturbed(self, threshold: float = 0.8) -> list[FlashOp]:
-        """Refresh sealed blocks nearing their read-disturb budget.
-
-        Valid pages are copied forward and the block erased -- like GC,
-        but triggered by reads rather than space pressure, and entirely
-        invisible through the block interface (another source of the
-        "unpredictable performance" of §2.4; on ZNS the host sees and
-        schedules the equivalent zone rewrite itself).
-        """
-        ops: list[FlashOp] = []
-        for block in self.nand.disturbed_blocks(threshold):
-            if block not in self._sealed:
-                continue  # active/free blocks refresh naturally
-            self._reclaim(block, "scrub", ops)
-            self.stats.scrubs += 1
         return ops
 
     # -- Power loss and recovery ---------------------------------------------------

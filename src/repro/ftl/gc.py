@@ -21,7 +21,6 @@ barrier, which is what moving GC to the host removes.
 from __future__ import annotations
 
 import abc
-from collections.abc import Iterable
 
 import numpy as np
 
@@ -31,7 +30,8 @@ class VictimPolicy(abc.ABC):
 
     name: str = "abstract"
 
-    def select_array(
+    @abc.abstractmethod
+    def select(
         self,
         candidates: np.ndarray,
         valid_counts: np.ndarray,
@@ -39,44 +39,21 @@ class VictimPolicy(abc.ABC):
         seal_times: np.ndarray,
         now: int,
     ) -> int:
-        """Vectorized :meth:`select` over per-block state arrays.
-
-        ``candidates`` preserves the iteration order the scalar path would
-        see, so first-minimum tie-breaking (``np.argmin``/``argmax`` return
-        the first occurrence) picks the exact same victim. ``valid_counts``
-        and ``seal_times`` are indexed by block id. The default falls back
-        to the scalar strategy.
-        """
-        return self.select(
-            candidates.tolist(),
-            lambda b: int(valid_counts[b]),
-            pages_per_block,
-            lambda b: int(seal_times[b]),
-            now,
-        )
-
-    @abc.abstractmethod
-    def select(
-        self,
-        candidates: Iterable[int],
-        valid_count: "callable",
-        pages_per_block: int,
-        seal_time: "callable",
-        now: int,
-    ) -> int:
         """Return the victim block id.
 
         Parameters
         ----------
         candidates:
-            Sealed block ids eligible for collection (non-empty).
-        valid_count:
-            ``block -> int`` callable giving current valid pages.
+            Sealed block ids eligible for collection, in the FTL's
+            iteration order. A tie goes to the first occurrence
+            (``np.argmin``/``argmax`` semantics).
+        valid_counts:
+            Current valid pages, indexed by block id.
         pages_per_block:
             Block capacity, for computing utilization.
-        seal_time:
-            ``block -> int`` callable giving the logical time the block was
-            sealed (monotonic counter maintained by the FTL).
+        seal_times:
+            The logical time each block was sealed (monotonic counter
+            maintained by the FTL), indexed by block id.
         now:
             Current logical time (same counter).
         """
@@ -93,25 +70,9 @@ class GreedyPolicy(VictimPolicy):
 
     name = "greedy"
 
-    def select(self, candidates, valid_count, pages_per_block, seal_time, now):
-        best = None
-        best_valid = None
-        for block in candidates:
-            v = valid_count(block)
-            if best_valid is None or v < best_valid:
-                best, best_valid = block, v
-                if v == 0:
-                    break  # cannot do better than a fully-invalid block
-        if best is None:
-            raise ValueError("no GC candidates")
-        return best
-
-    def select_array(self, candidates, valid_counts, pages_per_block, seal_times, now):
+    def select(self, candidates, valid_counts, pages_per_block, seal_times, now):
         if candidates.size == 0:
             raise ValueError("no GC candidates")
-        # argmin returns the first index holding the minimum, matching the
-        # scalar loop's strict-inequality tie-break (and its v == 0 early
-        # exit, which also lands on the first zero in iteration order).
         return int(candidates[np.argmin(valid_counts[candidates])])
 
 
@@ -120,24 +81,9 @@ class CostBenefitPolicy(VictimPolicy):
 
     name = "cost-benefit"
 
-    def select(self, candidates, valid_count, pages_per_block, seal_time, now):
-        best = None
-        best_score = None
-        for block in candidates:
-            u = valid_count(block) / pages_per_block
-            age = max(now - seal_time(block), 1)
-            score = (1.0 - u) * age / (1.0 + u)
-            if best_score is None or score > best_score:
-                best, best_score = block, score
-        if best is None:
-            raise ValueError("no GC candidates")
-        return best
-
-    def select_array(self, candidates, valid_counts, pages_per_block, seal_times, now):
+    def select(self, candidates, valid_counts, pages_per_block, seal_times, now):
         if candidates.size == 0:
             raise ValueError("no GC candidates")
-        # Same float64 arithmetic in the same order as the scalar loop, so
-        # scores (and therefore the argmax victim) are bit-identical.
         u = valid_counts[candidates] / pages_per_block
         age = np.maximum(now - seal_times[candidates], 1)
         score = (1.0 - u) * age / (1.0 + u)
@@ -160,18 +106,7 @@ class FifoPolicy(VictimPolicy):
     def notify_erased(self, block: int) -> None:
         self._order.pop(block, None)
 
-    def select(self, candidates, valid_count, pages_per_block, seal_time, now):
-        best = None
-        best_rank = None
-        for block in candidates:
-            rank = self._order.get(block, 0)
-            if best_rank is None or rank < best_rank:
-                best, best_rank = block, rank
-        if best is None:
-            raise ValueError("no GC candidates")
-        return best
-
-    def select_array(self, candidates, valid_counts, pages_per_block, seal_times, now):
+    def select(self, candidates, valid_counts, pages_per_block, seal_times, now):
         if candidates.size == 0:
             raise ValueError("no GC candidates")
         get = self._order.get

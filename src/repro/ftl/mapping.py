@@ -249,10 +249,6 @@ class TranslationStats:
         return self.hits / self.lookups
 
     @property
-    def translation_reads(self) -> int:
-        return self.miss_reads
-
-    @property
     def translation_writes(self) -> int:
         return self.dirty_evict_writes + self.gc_copies
 
@@ -331,10 +327,6 @@ class TranslationStore:
 
     def tvpn_of(self, lpn: int) -> int:
         return lpn // self.entries_per_page
-
-    @property
-    def cached_pages(self) -> int:
-        return self._used
 
     def is_cached(self, tvpn: int) -> bool:
         return self.tvpn_slot_v[tvpn] != UNMAPPED

@@ -10,7 +10,7 @@ go" questions:
   runs, queueing vs service time on planes/channels (§2.4 interference).
 - :class:`GcEvent` -- FTL garbage-collection activity: victim selection,
   completed collection passes, watermark crossings, foreground stalls,
-  wear-leveling and scrub passes (§2.2 write amplification).
+  and wear-leveling passes (§2.2 write amplification).
 - :class:`ZoneTransitionEvent` -- ZNS zone lifecycle changes
   (open/close/finish/full/reset) with the trigger that caused them.
 - :class:`ZoneAppendEvent` -- a zone-append command and the offset the
@@ -66,8 +66,7 @@ class GcEvent:
 
     layer: str
     action: str  # "victim-selected" | "collected" | "watermark-low" |
-    #              "watermark-recovered" | "stall" | "wear-level" | "scrub" |
-    #              "zone-reset"
+    #              "watermark-recovered" | "stall" | "wear-level" | "zone-reset"
     victim: int | None = None
     valid_pages: int = 0
     pages_copied: int = 0

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.block.interface import ZonedDevice
-from repro.ftl.gc import make_policy
 from repro.placement.hints import HintPolicy, no_hint
 from repro.workloads.lifetime import ObjectEvent
 from repro.zns.zone import ZoneState
@@ -60,8 +59,6 @@ class ZonedObjectStore:
         Maps create events to placement labels; one open zone per label.
     reserve_zones:
         Free zones the store keeps in reserve for reclaim destinations.
-    gc_policy:
-        Victim selection among sealed zones (shared policy registry).
     """
 
     def __init__(
@@ -69,14 +66,12 @@ class ZonedObjectStore:
         device: ZonedDevice,
         hint_policy: HintPolicy = no_hint,
         reserve_zones: int = 2,
-        gc_policy: str = "greedy",
     ):
         if device.zone_count <= reserve_zones + 1:
             raise ValueError("device too small for the configured reserve")
         self.device = device
         self.hint_policy = hint_policy
         self.reserve_zones = reserve_zones
-        self.policy = make_policy(gc_policy)
         self.stats = StoreStats()
         self.objects: dict[int, StoredObject] = {}
         self._live: dict[int, int] = {}  # zone -> live page count
@@ -84,8 +79,6 @@ class ZonedObjectStore:
         self._open_by_label: dict[str, int] = {}
         self._free: list[int] = list(range(device.zone_count))
         self._sealed: set[int] = set()
-        self._seal_times: dict[int, int] = {}
-        self._clock = 0
         self._in_reclaim = False
 
     # -- Introspection ---------------------------------------------------------
@@ -105,7 +98,6 @@ class ZonedObjectStore:
             raise ValueError(f"object {event.obj_id} already stored")
         if event.size_pages < 1:
             raise ValueError("objects must be at least one page")
-        self._clock += 1
         label = self.hint_policy(event)
         zone = self._open_zone_for(label, event.size_pages)
         offset = self.device.zone(zone).wp
@@ -162,8 +154,6 @@ class ZonedObjectStore:
         if self.device.zone(zone).state is not ZoneState.FULL:
             self.device.finish_zone(zone)
         self._sealed.add(zone)
-        self._seal_times[zone] = self._clock
-        self.policy.notify_sealed(zone, self._clock)
         if self._open_by_label.get(label) == zone:
             del self._open_by_label[label]
 
@@ -180,19 +170,13 @@ class ZonedObjectStore:
                 if self._live.get(zone, 0) == 0:
                     self._reset(zone)
                     self.stats.free_resets += 1
-            # Pass 2: victims chosen by policy, survivors relocated.
+            # Pass 2: greedy victims (fewest live pages), survivors relocated.
             while len(self._free) < target_free:
                 if not self._sealed:
                     if self._free:
                         return  # best effort: nothing more is reclaimable
                     raise StoreFullError("nothing left to reclaim")
-                victim = self.policy.select(
-                    self._sealed,
-                    lambda z: self._live.get(z, 0),
-                    self.device.geometry.pages_per_zone,
-                    lambda z: self._seal_times.get(z, 0),
-                    self._clock,
-                )
+                victim = min(self._sealed, key=self.live_pages)
                 if self._live.get(victim, 0) >= self.device.geometry.pages_per_zone:
                     # Every remaining candidate is fully live. That is fatal
                     # only if the store is actually out of writable space;
@@ -229,8 +213,6 @@ class ZonedObjectStore:
             raise AssertionError(f"resetting zone {zone} with live data")
         self.device.reset_zone(zone)
         self._sealed.discard(zone)
-        self._seal_times.pop(zone, None)
-        self.policy.notify_erased(zone)
         self._free.append(zone)
         self._zone_objects.pop(zone, None)
         self.stats.zones_reset += 1

@@ -16,7 +16,6 @@ without precision issues over simulated runs of minutes.
 from repro.sim.engine import (
     Engine,
     Event,
-    Interrupt,
     Poll,
     Process,
     SimulationError,
@@ -28,7 +27,6 @@ from repro.sim.rng import make_rng, spawn_rngs
 __all__ = [
     "Engine",
     "Event",
-    "Interrupt",
     "Poll",
     "Process",
     "PriorityResource",

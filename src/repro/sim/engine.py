@@ -45,17 +45,6 @@ class SimulationError(RuntimeError):
     """Raised for misuse of the simulation kernel (e.g. double trigger)."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    The ``cause`` attribute carries the value passed to ``interrupt``.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 # Event lifecycle states.
 _PENDING = 0  # created, not yet triggered
 _TRIGGERED = 1  # scheduled on the event queue
@@ -134,10 +123,6 @@ class Event:
         for callback in callbacks:
             callback(self)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = {_PENDING: "pending", _TRIGGERED: "triggered", _PROCESSED: "processed"}
-        return f"<{type(self).__name__} {state[self._state]} at {id(self):#x}>"
-
 
 class Timeout(Event):
     """An event that triggers ``delay`` time units after creation."""
@@ -167,9 +152,8 @@ class Poll(Event):
     ``interval`` later; a clear one runs the callbacks inside that same
     event, so a waiting process continues at the tick's time. The poll's
     value is its number of blocked ticks (0 if the first tick is clear).
-    A tick that finds no callbacks (its waiter was interrupted, or nothing
-    ever waited) lapses: it neither checks nor re-arms. Polls are not
-    pooled.
+    A tick that finds no callbacks (nothing ever waited) lapses: it
+    neither checks nor re-arms. Polls are not pooled.
 
     ``blocked`` must be a pure function of simulation state, because it is
     not called once per tick: :meth:`Engine.run` checks it once for all
@@ -232,31 +216,6 @@ class AllOf(Event):
             self.succeed([e.value for e in self._events])
 
 
-class AnyOf(Event):
-    """Triggers when the first child event is processed; value is that child."""
-
-    __slots__ = ("_events",)
-
-    def __init__(self, engine: Engine, events: list[Event]):
-        super().__init__(engine)
-        self._events = list(events)
-        if not self._events:
-            raise SimulationError("AnyOf requires at least one event")
-        for event in self._events:
-            if event.processed:
-                self._on_child(event)
-                break
-            event.callbacks.append(self._on_child)
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            self.fail(event._exception)
-            return
-        self.succeed(event)
-
-
 class Process(Event):
     """A running generator; also an event that triggers on return.
 
@@ -266,48 +225,19 @@ class Process(Event):
     process event succeeds with the generator's return value.
     """
 
-    __slots__ = ("generator", "_waiting_on", "name")
+    __slots__ = ("generator", "name")
 
     def __init__(self, engine: Engine, generator: Generator, name: str | None = None):
         super().__init__(engine)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._waiting_on: Event | None = None
         # Bootstrap: resume on an immediately-triggered event. The event is
         # engine-internal (no reference escapes), so it comes from a pool.
         start = engine._acquire_event()
         start.callbacks.append(self._resume)
         start.succeed()
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is an error; interrupting a process
-        that is waiting on an event detaches it from that event.
-        """
-        if self.triggered:
-            raise SimulationError(f"cannot interrupt finished process {self.name}")
-        interrupt_event = Event(self.engine)
-        interrupt_event._exception = Interrupt(cause)
-        interrupt_event._state = _TRIGGERED
-        interrupt_event.callbacks.append(self._resume)
-        # Detach from whatever we were waiting on so a late trigger of that
-        # event does not resume us twice.
-        if self._waiting_on is not None:
-            try:
-                self._waiting_on.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-            self._waiting_on = None
-        self.engine._schedule(interrupt_event, 0.0)
-
     def _resume(self, event: Event) -> None:
-        self._waiting_on = None
-        engine = self.engine
         while True:
             try:
                 if event._exception is not None:
@@ -317,11 +247,6 @@ class Process(Event):
             except StopIteration as stop:
                 if not self.triggered:
                     self.succeed(stop.value)
-                return
-            except Interrupt as exc:
-                # Unhandled interrupt kills the process as a failure.
-                if not self.triggered:
-                    self.fail(exc)
                 return
             except BaseException as exc:
                 # Any other exception fails the process; waiters receive
@@ -341,7 +266,6 @@ class Process(Event):
                 # Already done -- loop and resume immediately with its value.
                 event = target
                 continue
-            self._waiting_on = target
             target.callbacks.append(self._resume)
             return
 
@@ -470,9 +394,6 @@ class Engine:
     def all_of(self, events: list[Event]) -> AllOf:
         return AllOf(self, events)
 
-    def any_of(self, events: list[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     # -- Execution --------------------------------------------------------
 
     def step(self) -> None:
@@ -590,10 +511,8 @@ class Engine:
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Engine",
     "Event",
-    "Interrupt",
     "Poll",
     "Process",
     "SimulationError",

@@ -50,10 +50,8 @@ class Resource:
         self.count = 0
         self._waiting: list[tuple[float, int, Request]] = []
         self._sequence = itertools.count()
-        # Observability: total grants and cumulative wait time.
+        # Observability: grants so far (the flash service model reads it).
         self.total_grants = 0
-        self.total_wait_time = 0.0
-        self._request_times: dict[int, float] = {}
 
     @property
     def queue_length(self) -> int:
@@ -62,7 +60,6 @@ class Resource:
     def request(self, priority: float = 0.0) -> Request:
         """Claim a slot; the returned event triggers when granted."""
         req = Request(self, priority)
-        self._request_times[id(req)] = self.engine.now
         if self.count < self.capacity and not self._waiting:
             self._grant(req)
         else:
@@ -76,38 +73,15 @@ class Resource:
     def _grant(self, req: Request) -> None:
         self.count += 1
         self.total_grants += 1
-        requested_at = self._request_times.pop(id(req), self.engine.now)
-        self.total_wait_time += self.engine.now - requested_at
         req.succeed(req)
 
     def release(self, req: Request) -> None:
         """Return a granted slot; the longest-waiting request is granted."""
-        if not req.triggered:
-            # The request was never granted -- cancel it instead.
-            self.cancel(req)
-            return
-        if self.count <= 0:
+        if not req.triggered or self.count <= 0:
             raise SimulationError("release() without matching grant")
         self.count -= 1
         while self._waiting and self.count < self.capacity:
-            _prio, _seq, waiter = heapq.heappop(self._waiting)
-            if waiter.triggered:  # cancelled while queued
-                continue
-            self._grant(waiter)
-
-    def cancel(self, req: Request) -> None:
-        """Withdraw a request that has not been granted yet."""
-        if req.triggered:
-            raise SimulationError("cannot cancel a granted request")
-        self._request_times.pop(id(req), None)
-        # Mark as failed so the queue scan skips it; nobody awaits it.
-        req._state = 2  # processed, no callbacks to run
-
-    def mean_wait(self) -> float:
-        """Average time requests spent queued before being granted."""
-        if self.total_grants == 0:
-            return 0.0
-        return self.total_wait_time / self.total_grants
+            self._grant(heapq.heappop(self._waiting)[2])
 
 
 class PriorityResource(Resource):

@@ -115,15 +115,6 @@ class ObjectLifetimeWorkload:
         self.lifetime_scale = lifetime_scale
         self.rng = make_rng(seed)
 
-    def _draw_class(self, owner: int) -> LifetimeClass:
-        mix = self._OWNER_MIXES[owner % len(self._OWNER_MIXES)]
-        r = self.rng.random()
-        if r < mix[0]:
-            return LifetimeClass.SHORT
-        if r < mix[0] + mix[1]:
-            return LifetimeClass.MEDIUM
-        return LifetimeClass.LONG
-
     def events(self) -> Iterator[ObjectEvent]:
         """Yield the merged create/delete stream in time order.
 

@@ -640,8 +640,8 @@ class ZNSDevice:
             src_page = self._page_of(src_zone_id, src_offset)
             dst_page = self._page_of(dst_zone_id, start + i)
             # Device-internal movement: sense + program without channel
-            # use. The sense is not a host read (it still disturbs the
-            # source block); the command accounts for itself below.
+            # use. The sense is not a host read; the command accounts for
+            # itself below.
             payload = self.nand.sense_for_copy(src_page)
             try:
                 latency = self.nand.program(dst_page, payload)

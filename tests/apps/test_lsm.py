@@ -455,6 +455,18 @@ class TestZoneFileBackend:
                 backend.read_table_page(table, page)
         backend.check_invariants()
 
+    def test_fully_live_device_names_the_pins_and_its_size(self):
+        """The shape of A2's width-16 failure: every unpinned sealed zone is
+        fully live and the one with room is pinned by the append in flight."""
+        backend = ZoneFileBackend(tiny_zns(zones=8, zone_pages=8))
+        for _ in range(5):
+            backend.write_table(self.table(8))  # zones 0-4, fully live
+        with pytest.raises(
+            AllocationError,
+            match=r"all zones fully live \(pinned zones \[5\], 6 sealed of 8 on the device\)",
+        ):
+            backend.write_table(self.table(12))  # seals zone 5, then needs a sixth
+
     def test_check_invariants_catches_bookkeeping_drift(self):
         def churned():
             store = LSMStore(ZoneFileBackend(tiny_zns()), TINY_CFG)

@@ -178,35 +178,6 @@ class TestCopyPage:
             nand.copy_page(0, nand.geometry.first_page_of_block(1))
 
 
-class TestReadDisturb:
-    def test_reads_counted_per_block(self):
-        nand = NandArray(FlashGeometry.small(), read_disturb_limit=100)
-        nand.program(0)
-        for _ in range(5):
-            nand.read(0)
-        assert nand.reads_since_erase(0) == 5
-        assert nand.disturb_pressure(0) == pytest.approx(0.05)
-
-    def test_erase_resets_disturb_counter(self):
-        nand = NandArray(FlashGeometry.small(), read_disturb_limit=100)
-        nand.program(0)
-        nand.read(0)
-        nand.erase(0)
-        assert nand.reads_since_erase(0) == 0
-
-    def test_disturbed_blocks_listing(self):
-        nand = NandArray(FlashGeometry.small(), read_disturb_limit=10)
-        nand.program(0)
-        for _ in range(9):
-            nand.read(0)
-        assert nand.disturbed_blocks(threshold=0.8) == [0]
-        assert nand.disturbed_blocks(threshold=1.0) == []
-
-    def test_invalid_limit_rejected(self):
-        with pytest.raises(ValueError):
-            NandArray(FlashGeometry.small(), read_disturb_limit=0)
-
-
 class TestCheckInvariants:
     def test_holds_through_program_read_copy_erase(self):
         nand = NandArray(FlashGeometry.small(), store_data=True)
@@ -221,7 +192,6 @@ class TestCheckInvariants:
         [
             pytest.param(False, 1, FlashGeometry.small().pages_per_block + 1, id="past-ppb"),
             pytest.param(False, 1, -1, id="negative"),
-            pytest.param(False, 0, 0, id="reads-on-erased-block"),
             pytest.param(True, 0, 3, id="payload-at-offset"),
         ],
     )

@@ -100,19 +100,3 @@ class TestBlockScans:
             b for b in range(nand.geometry.total_blocks) if nand.is_block_erased(b)
         ]
         assert nand.erased_blocks() == expected
-
-    def test_disturbed_blocks_matches_scalar_reads(self):
-        nand = make_nand()
-        ppb = nand.geometry.pages_per_block
-        fill(nand, 4 * ppb)
-        for block, reads in ((0, 50), (1, 5), (3, 1)):  # block 2 is never read
-            for _ in range(reads):
-                nand.read(block * ppb)
-        limit = nand.read_disturb_limit
-        for threshold in (0.0001, 1 / limit, 5 / limit, 50 / limit, 1.0):
-            expected = [
-                block
-                for block in range(nand.geometry.total_blocks)
-                if nand.reads_since_erase(block) >= threshold * limit
-            ]
-            assert nand.disturbed_blocks(threshold) == expected

@@ -56,7 +56,6 @@ def observe(ftl):
     return {
         **full_state(ftl),
         "sealed_in_order": list(ftl._sealed),
-        "reads_since_erase": nand._reads_since_erase.tolist(),
         "oob_lpn": ftl._oob_lpn.tolist(),
         "oob_serial": ftl._oob_serial.tolist(),
         "program_serial": ftl._program_serial,

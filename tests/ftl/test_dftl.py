@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.flash.geometry import FlashGeometry
-from repro.flash.nand import NandArray
 from repro.ftl.dftl import (
     DemandPagedFTL,
     oob_tag_for_tvpn,
@@ -266,7 +265,7 @@ class _FailNextPrograms:
 
 
 class TestRelocationOutsideGc:
-    """Wear leveling, scrubbing and block retirement move data pages with
+    """Wear leveling and block retirement move data pages with
     no GC pass around them; the translation pages that map the moved
     lpns must be rewritten all the same, and the moves must survive a
     power cut."""
@@ -274,9 +273,8 @@ class TestRelocationOutsideGc:
     @staticmethod
     def aged_and_clean():
         geometry = FlashGeometry.small()
-        nand = NandArray(geometry, read_disturb_limit=40)
         device = DemandPagedFTL(
-            geometry, FTLConfig(op_ratio=0.11), cmt_bytes=2 * geometry.page_size, nand=nand
+            geometry, FTLConfig(op_ratio=0.11), cmt_bytes=2 * geometry.page_size
         )
         drive(device, ops=3000, seed=9)
         # Nothing dirty, nothing pending: whatever is afterwards, the
@@ -308,19 +306,6 @@ class TestRelocationOutsideGc:
         device = self.aged_and_clean()
         before = device.map.l2p.copy()
         assert device.wear_level_once()
-        self.check_moves(device, before)
-
-    def test_scrub_disturbed(self):
-        device = self.aged_and_clean()
-        block = next(iter(device.sealed_blocks))
-        lpn = int(device.map.p2l[device.map.valid_pages_array(block)[0]])
-        for _ in range(40):
-            device.read(lpn)
-        device._flush_pending()
-        device.store.flush()
-        before = device.map.l2p.copy()
-        assert device.scrub_disturbed(threshold=0.8)
-        assert device.stats.scrubs >= 1
         self.check_moves(device, before)
 
     def test_program_fault_retirement(self):

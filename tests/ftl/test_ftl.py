@@ -299,8 +299,8 @@ class TestInvariants:
     def test_checks_the_flash_underneath(self):
         ftl = make_ftl()
         ftl.write(0)
-        ftl.nand._reads_since_erase[ftl._free[-1]] = 1
-        with pytest.raises(AssertionError, match="erased block has reads"):
+        ftl.nand._write_offsets[ftl._free[-1]] = ftl.geometry.pages_per_block + 1
+        with pytest.raises(AssertionError, match=r"write offset outside \[0, ppb\]"):
             ftl.check_invariants()
 
     @settings(max_examples=20, deadline=None)
@@ -324,46 +324,3 @@ class TestInvariants:
         for lpn in range(0, n, 97):
             if ftl.map.is_mapped(lpn):
                 ftl.read(lpn)
-
-
-class TestReadDisturbScrub:
-    def test_disturbed_block_refreshed(self):
-        from repro.flash.nand import NandArray
-        from repro.flash.geometry import FlashGeometry
-
-        geometry = FlashGeometry.small()
-        nand = NandArray(geometry, read_disturb_limit=100)
-        ftl = ConventionalFTL(geometry, FTLConfig(op_ratio=0.25), nand=nand)
-        fill_logical(ftl)
-        # Hammer one logical page until its block crosses the threshold.
-        victim_block = ftl.geometry.block_of_page(ftl.map.lookup(0))
-        for _ in range(90):
-            ftl.read(0)
-        assert nand.disturb_pressure(victim_block) >= 0.8
-        ops = ftl.scrub_disturbed(threshold=0.8)
-        assert ops, "expected a scrub"
-        assert ftl.stats.scrubs >= 1
-        # The hammered data moved and the old block was recycled.
-        assert ftl.geometry.block_of_page(ftl.map.lookup(0)) != victim_block
-        assert nand.reads_since_erase(victim_block) == 0
-        ftl.check_invariants()
-
-    def test_scrub_noop_below_threshold(self):
-        ftl = make_ftl(op_ratio=0.25)
-        fill_logical(ftl)
-        ftl.read(0)
-        assert ftl.scrub_disturbed() == []
-
-    def test_data_survives_scrub(self):
-        from repro.flash.nand import NandArray
-        from repro.flash.geometry import FlashGeometry
-
-        geometry = FlashGeometry.small()
-        nand = NandArray(geometry, read_disturb_limit=50)
-        ftl = ConventionalFTL(geometry, FTLConfig(op_ratio=0.25), nand=nand)
-        fill_logical(ftl)
-        for _ in range(60):
-            ftl.read(5)
-        ftl.scrub_disturbed(threshold=0.8)
-        for lpn in range(ftl.logical_pages):
-            ftl.read(lpn)  # everything still resolves

@@ -1,19 +1,23 @@
 """Tests for GC victim-selection policies."""
 
+import numpy as np
 import pytest
 
 from repro.ftl.gc import CostBenefitPolicy, FifoPolicy, GreedyPolicy, make_policy
 
 
 def select(policy, valid_map, seal_map=None, now=100, ppb=64):
+    """Run ``policy.select`` the way the FTL calls it: candidates in the
+    dict's order, per-block state as arrays indexed by block id."""
     seal_map = seal_map or {}
-    return policy.select(
-        list(valid_map),
-        lambda b: valid_map[b],
-        ppb,
-        lambda b: seal_map.get(b, 0),
-        now,
-    )
+    size = max(valid_map, default=0) + 1
+    valid_counts = np.zeros(size, dtype=np.int32)
+    seal_times = np.zeros(size, dtype=np.int64)
+    for block, valid in valid_map.items():
+        valid_counts[block] = valid
+        seal_times[block] = seal_map.get(block, 0)
+    candidates = np.fromiter(valid_map, dtype=np.int64, count=len(valid_map))
+    return policy.select(candidates, valid_counts, ppb, seal_times, now)
 
 
 class TestGreedy:
@@ -26,6 +30,10 @@ class TestGreedy:
     def test_no_candidates_rejected(self):
         with pytest.raises(ValueError):
             select(GreedyPolicy(), {})
+
+    def test_tie_goes_to_first_candidate(self):
+        # Blocks 7 and 5 tie; 7 comes first in candidate order.
+        assert select(GreedyPolicy(), {7: 1, 2: 5, 5: 1}) == 7
 
 
 class TestCostBenefit:
@@ -72,6 +80,13 @@ class TestFifo:
         policy.notify_erased(5)
         policy.notify_sealed(5, now=3)  # re-sealed later
         assert select(policy, {3: 10, 5: 10}) == 3
+
+    def test_tie_goes_to_first_candidate(self):
+        # Neither 8 nor 4 was sealed under this policy: both rank 0, and
+        # 8 comes first in candidate order.
+        policy = FifoPolicy()
+        policy.notify_sealed(6, now=1)
+        assert select(policy, {8: 10, 6: 0, 4: 10}) == 8
 
 
 class TestFactory:

@@ -4,10 +4,8 @@ import pytest
 
 from repro.sim.engine import (
     AllOf,
-    AnyOf,
     Engine,
     Event,
-    Interrupt,
     SimulationError,
     Timeout,
 )
@@ -216,37 +214,8 @@ def test_yielding_non_event_is_error():
         eng.run()
 
 
-def test_interrupt_is_catchable():
-    eng = Engine()
-    log = []
-
-    def sleeper(eng):
-        try:
-            yield Timeout(eng, 100.0)
-            log.append("slept")
-        except Interrupt as exc:
-            log.append(("interrupted", exc.cause, eng.now))
-
-    def interrupter(eng, victim):
-        yield Timeout(eng, 2.0)
-        victim.interrupt("wake up")
-
-    victim = eng.process(sleeper(eng))
-    eng.process(interrupter(eng, victim))
-    eng.run()
-    assert log == [("interrupted", "wake up", 2.0)]
 
 
-def test_interrupt_finished_process_rejected():
-    eng = Engine()
-
-    def quick(eng):
-        yield Timeout(eng, 1.0)
-
-    p = eng.process(quick(eng))
-    eng.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
 
 
 def test_all_of_waits_for_everything():
@@ -276,20 +245,6 @@ def test_all_of_empty_fires_immediately():
     assert eng.run(until=p) == []
 
 
-def test_any_of_returns_first():
-    eng = Engine()
-
-    def worker(eng, delay):
-        yield Timeout(eng, delay)
-        return delay
-
-    def parent(eng):
-        children = [eng.process(worker(eng, d)) for d in (3.0, 1.0, 2.0)]
-        first = yield AnyOf(eng, children)
-        return (eng.now, first.value)
-
-    p = eng.process(parent(eng))
-    assert eng.run(until=p) == (1.0, 1.0)
 
 
 def test_run_until_event_never_triggered_is_error():
@@ -348,27 +303,6 @@ def test_all_of_propagates_first_failure():
     assert eng.run(until=p) == "caught child died"
 
 
-def test_any_of_failure_propagates():
-    eng = Engine()
-
-    def bad(eng):
-        yield Timeout(eng, 1.0)
-        raise ValueError("fast failure")
-
-    def slow(eng):
-        yield Timeout(eng, 100.0)
-        return "slow"
-
-    def parent(eng):
-        children = [eng.process(bad(eng)), eng.process(slow(eng))]
-        try:
-            yield AnyOf(eng, children)
-        except ValueError:
-            return "propagated"
-
-    p = eng.process(parent(eng))
-    assert eng.run(until=p) == "propagated"
-    eng.run()  # the slow child still completes harmlessly
 
 
 def test_engine_peek():

@@ -11,7 +11,7 @@ global (time, creation-order) processing order, unchanged
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import Engine, Interrupt, SimulationError, Timeout
+from repro.sim.engine import Engine, SimulationError, Timeout
 
 
 class TestFifoLaneOrdering:
@@ -89,26 +89,6 @@ class TestFifoLaneOrdering:
             return 42
 
         assert engine.run(until=engine.process(proc())) == 42
-
-    def test_interrupt_travels_through_fifo(self):
-        engine = Engine()
-        caught = []
-
-        def sleeper():
-            try:
-                yield Timeout(engine, 100.0)
-            except Interrupt as exc:
-                caught.append((engine.now, exc.cause))
-
-        victim = engine.process(sleeper())
-
-        def interrupter():
-            yield Timeout(engine, 2.0)
-            victim.interrupt("wake")
-
-        engine.process(interrupter())
-        engine.run()
-        assert caught == [(2.0, "wake")]
 
 
 class TestEventPooling:

@@ -3,15 +3,15 @@
 The order-of-events equivalence with the generator loop it replaced is
 ``test_poll_oracle.py``; this file holds the edges: a delay that would put
 an entry behind the clock is refused where it is passed, a poll needs a
-positive interval, its value counts its blocked ticks, a poll whose waiter
-was interrupted lapses the way an orphaned ``Timeout`` does, and all polls
-armed at once share one interval.
+positive interval, its value counts its blocked ticks, a poll nobody waits
+on lapses the way an orphaned ``Timeout`` does, and all polls armed at once
+share one interval.
 """
 
 import pytest
 
 from repro.sim import Poll
-from repro.sim.engine import Engine, Interrupt, SimulationError, Timeout
+from repro.sim.engine import Engine, SimulationError, Timeout
 
 
 def _warm_sleep(engine: Engine, delay: float):
@@ -128,35 +128,6 @@ def test_poll_value_is_its_blocked_tick_count(driver):
     assert isinstance(gated, Poll) and clear.processed and gated.processed
     # Clear at its first tick: 0. Blocked at 100 and 200, clear at 300: 2.
     assert got == [(False, 100.0, 0), (True, 300.0, 2)]
-
-
-@pytest.mark.parametrize("driver", ["run", "step"])
-def test_interrupted_waiter_gets_interrupt_and_the_poll_lapses(driver):
-    """A 100 us poll interrupted at t=250 drains at 300.0: its next tick
-    is still in the lane, finds no waiter, and neither checks nor re-arms
-    -- exactly what the loop's orphaned ``Timeout`` did."""
-    engine = Engine()
-    caught = []
-
-    def waiter():
-        try:
-            yield engine.poll(lambda: True, 100.0)  # would poll forever
-        except Interrupt as exc:
-            caught.append((engine.now, exc.cause))
-
-    victim = engine.process(waiter())
-
-    def interrupter():
-        yield Timeout(engine, 250.0)
-        victim.interrupt("shutdown")
-
-    engine.process(interrupter())
-    _drive(engine, driver)
-    assert caught == [(250.0, "shutdown")]
-    assert engine.now == 300.0
-    # Two bootstraps, ticks at 100 and 200, the timeout, the interrupt,
-    # both processes finishing, the lapsed tick at 300.
-    assert engine.processed_events == 9
 
 
 def test_a_poll_nobody_waits_on_lapses_inside_a_batch():

@@ -107,32 +107,8 @@ def test_release_without_grant_rejected():
         res.release(req)
 
 
-def test_cancel_queued_request_skipped_at_grant():
-    eng = Engine()
-    res = Resource(eng)
-    log = []
-
-    def holder(eng):
-        req = yield res.request()
-        yield Timeout(eng, 10.0)
-        res.release(req)
-
-    eng.process(holder(eng))
-    eng.run(until=1.0)
-    queued = res.request()  # waits behind holder
-    res.cancel(queued)
-    eng.process(hold(eng, res, 5.0, log, "after-cancel"))
-    eng.run()
-    assert ("start", "after-cancel", 10.0) in log
 
 
-def test_cancel_granted_request_rejected():
-    eng = Engine()
-    res = Resource(eng)
-    req = res.request()
-    eng.run()
-    with pytest.raises(SimulationError):
-        res.cancel(req)
 
 
 def test_wait_accounting():
@@ -143,7 +119,6 @@ def test_wait_accounting():
     eng.process(hold(eng, res, 10.0, log, "b"))
     eng.run()
     assert res.total_grants == 2
-    assert res.mean_wait() == pytest.approx(5.0)  # (0 + 10) / 2
 
 
 def test_queue_length_visible():

@@ -58,7 +58,6 @@ class TestScalarReadsArePythonInts:
         nand.program(0)
         nand.read(0)
         assert type(nand.write_offset(0)) is int
-        assert type(nand.reads_since_erase(0)) is int
         assert nand.is_programmed(0) is True
         assert nand.is_programmed(1) is False
 
@@ -114,7 +113,7 @@ REBINDINGS = [
     *((_ftl, path) for path in (
         "map.l2p", "map.p2l", "map.valid_counts",
         "_oob_lpn", "_oob_serial", "_seal_time_arr",
-        "nand._write_offsets", "nand._reads_since_erase",
+        "nand._write_offsets",
         "nand.wear.erase_counts", "nand.wear.bad_mask",
     )),
     *((_dftl, path) for path in (

@@ -84,8 +84,8 @@ class TestBasicIO:
         d = make_device()
         d.write(0, npages=2)
         d.check_invariants()
-        d.nand._reads_since_erase[d.ftl.blocks_of_zone(1)[0]] = 1
-        with pytest.raises(AssertionError, match="erased block has reads"):
+        d.nand._write_offsets[d.ftl.blocks_of_zone(1)[0]] = -1
+        with pytest.raises(AssertionError, match=r"write offset outside \[0, ppb\]"):
             d.check_invariants()
 
     def test_fill_zone_goes_full(self):
