@@ -1,0 +1,116 @@
+"""Pinned event order of one short traced run per timed stack.
+
+Each digest is the sha256 of the JSONL lines a ``--trace`` file would
+hold for the run (``json.dumps(event_to_dict(event), sort_keys=True)``
+plus a newline per event), with the sink attached after the untimed
+prefill. It pins where every event lands among its neighbours, which
+no latency or counter digest does: the ``service-start`` phase of a
+host request comes after the command's flash events for reads and for
+every ZNS request, and before them for conventional and dm-zoned
+writes, so a refactor of the request lifecycle can reorder the stream
+without moving a single number. A deliberate trace change re-records
+them and says so.
+"""
+
+import hashlib
+import json
+
+from repro.flash.geometry import FlashGeometry, ZonedGeometry
+from repro.flash.timing import ZoneMgmtTiming
+from repro.ftl.device import TimedConventionalSSD
+from repro.ftl.ftl import FTLConfig
+from repro.obs.events import event_to_dict
+from repro.sim.engine import Engine
+from repro.sim.rng import make_rng
+from repro.zns.device import TimedZNSDevice
+from tests.hostio.test_stall_fingerprint import dmzoned_open_loop
+
+#: (sha256, line count) per run.
+PINNED = {
+    "conventional": ("2d73d4b3f9f3b924191f02a09c5047b3864b91b31fac3a5f1f76dcf9ab5fef9f", 7180),
+    "dmzoned": ("b4eb3605a067bbaabdbc83d447a92ce09a83e3a75f45753c2899f75f35cf7ba7", 2092),
+    "zns": ("1d672278f5c916c43fb46224f32326963e5a8ff1320afdb8ccc166f790b3d8bb", 547),
+}
+
+
+class DigestSink:
+    """Hashes each event as its JSONL trace line."""
+
+    def __init__(self):
+        self.lines = 0
+        self._sha = hashlib.sha256()
+
+    def on_event(self, event) -> None:
+        self.lines += 1
+        self._sha.update(json.dumps(event_to_dict(event), sort_keys=True).encode())
+        self._sha.update(b"\n")
+
+    def hexdigest(self) -> str:
+        return self._sha.hexdigest()
+
+
+def test_conventional_saturation_trace():
+    """Eight closed-loop writers and a reader against a full, half-churned
+    drive: writes stall, the collector runs, reads queue behind it."""
+    engine = Engine()
+    ssd = TimedConventionalSSD(engine, FlashGeometry.small(), FTLConfig(op_ratio=0.07))
+    n = ssd.ftl.logical_pages
+    for lpn in range(n):
+        ssd.ftl.write(lpn)
+    churn = make_rng(5)
+    for _ in range(n // 2):
+        ssd.ftl.write(int(churn.integers(0, n)))
+    sink = ssd.tracer.attach(DigestSink())
+    rng = make_rng(77)
+
+    def writer(engine):
+        for _ in range(40):
+            yield ssd.submit_write(int(rng.integers(0, n)))
+
+    def reader(engine):
+        for _ in range(40):
+            yield ssd.submit_read(int(rng.integers(0, n)))
+
+    procs = [engine.process(writer(engine)) for _ in range(8)]
+    engine.run(until=engine.all_of([*procs, engine.process(reader(engine))]))
+
+    assert ssd.ftl.stats.foreground_gc_stalls > 0
+    assert (sink.hexdigest(), sink.lines) == PINNED["conventional"]
+
+
+def test_dmzoned_open_loop_trace():
+    sink = DigestSink()
+    engine, host = dmzoned_open_loop(8, sink=sink)
+    assert host.frame.observations("hostio.request.read.latency_us") == 8 * 20
+    assert (sink.hexdigest(), sink.lines) == PINNED["dmzoned"]
+
+
+def test_zns_mixed_trace():
+    """Locked writes and appends fill four zones; then a reset and a
+    finish hold their zones while appends, a write and reads queue
+    behind the management gates."""
+    engine = Engine()
+    dev = TimedZNSDevice(
+        engine,
+        ZonedGeometry.small(),
+        mgmt_timing=ZoneMgmtTiming(reset_us=2_000.0, finish_us=500.0, finish_per_page_us=2.0),
+    )
+    sink = dev.tracer.attach(DigestSink())
+
+    def driver():
+        yield engine.all_of(
+            [dev.submit_write(zone, 2) for zone in (0, 1) for _ in range(8)]
+            + [dev.submit_append(zone) for zone in (2, 3) for _ in range(16)]
+        )
+        yield engine.all_of(
+            [dev.submit_reset(0), dev.submit_finish(1)]
+            + [dev.submit_append(0) for _ in range(4)]
+            + [dev.submit_write(0, 1)]
+            + [dev.submit_read(1, offset) for offset in range(0, 16, 2)]
+        )
+        yield engine.all_of(
+            [dev.submit_read(zone, offset) for zone in (2, 3) for offset in range(8)]
+        )
+
+    engine.run(until=engine.process(driver()))
+    assert (sink.hexdigest(), sink.lines) == PINNED["zns"]
