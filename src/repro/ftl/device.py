@@ -9,23 +9,20 @@ and channels, reproducing the GC-interference tail latencies of §2.4.
 
 from __future__ import annotations
 
-from collections.abc import Generator
 from dataclasses import replace
 from typing import Any
-
-import itertools
 
 import numpy as np
 
 from repro.block.interface import check_extent
 from repro.flash.geometry import FlashGeometry
 from repro.flash.nand import NandArray
-from repro.flash.ops import OpKind
+from repro.flash.ops import FlashOp, OpKind
 from repro.flash.service import FlashServiceModel
 from repro.flash.timing import TimingModel
 from repro.ftl.ftl import ConventionalFTL, FTLConfig
-from repro.obs.events import GcEvent, HostRequestEvent
-from repro.obs.frame import MetricsFrame
+from repro.hostio.frontend import TimedFrontEnd
+from repro.obs.events import GcEvent
 from repro.obs.tracer import Tracer
 from repro.sim.engine import Engine
 
@@ -84,19 +81,15 @@ class ConventionalSSD:
         self._payloads.pop(lba, None)
 
 
-class TimedConventionalSSD:
+class TimedConventionalSSD(TimedFrontEnd):
     """DES-driven conventional SSD with background garbage collection.
 
-    Host requests are issued with :meth:`submit_read` / :meth:`submit_write`
-    (each returns a :class:`~repro.sim.engine.Process` whose value is the
-    request latency). A background collector process watches the free-block
-    watermarks and performs GC op-by-op, holding planes/channels while it
-    works -- host requests queued behind it observe the interference.
-
-    The ``gc_pause`` event hook lets host-side schedulers (§4.1 / E11)
-    gate when the collector may run; on a conventional SSD that knob does
-    not exist, which is precisely the paper's complaint, so by default the
-    collector is always allowed.
+    :meth:`submit_read` / :meth:`submit_write` each return a
+    :class:`~repro.sim.engine.Process` whose value is the request latency.
+    The collector runs whenever the free-block watermarks ask for it,
+    holding planes/channels while it works, so host requests queue behind
+    it: a conventional SSD has no knob for when GC may run, which is
+    precisely the paper's complaint.
     """
 
     def __init__(
@@ -105,7 +98,6 @@ class TimedConventionalSSD:
         geometry: FlashGeometry | None = None,
         config: FTLConfig | None = None,
         timing: TimingModel | None = None,
-        gc_poll_interval_us: float = 100.0,
         prioritize_reads: bool = False,
         erase_suspend_slices: int = 1,
         tracer: Tracer | None = None,
@@ -117,143 +109,52 @@ class TimedConventionalSSD:
             config = FTLConfig(gc_streams=4)
         elif config.gc_streams == 1:
             config = replace(config, gc_streams=4)
-        self.engine = engine
         self.ftl = ConventionalFTL(geometry, config=config, timing=timing, tracer=tracer)
-        self.tracer = self.ftl.tracer
-        self.service = FlashServiceModel(
-            engine,
-            geometry,
-            timing=self.ftl.nand.timing,
-            prioritize_reads=prioritize_reads,
-            erase_suspend_slices=erase_suspend_slices,
-            tracer=self.tracer,
-        )
-        #: Host request latencies, one exact series per op
-        #: (``hostio.request.<op>.latency_us``), booked at completion.
-        self.frame = MetricsFrame()
-        self._request_ids = itertools.count()
-        self.gc_poll_interval_us = gc_poll_interval_us
         # Writes stall at or below this many free blocks: it leaves the
-        # collector its transient working blocks (one per GC destination
-        # stream).
+        # collector one transient working block per GC destination stream.
         self._stall_threshold = self.ftl.config.streams + self.ftl.config.gc_streams - 1
-        self._collector = engine.process(self._collector_loop(), name="ftl-gc")
-
-    # -- Host request processes ------------------------------------------------
+        service = FlashServiceModel(
+            engine, geometry, timing=self.ftl.nand.timing, prioritize_reads=prioritize_reads,
+            erase_suspend_slices=erase_suspend_slices, tracer=self.ftl.tracer,
+        )
+        super().__init__(engine, service, background="ftl-gc")
 
     def submit_read(self, lpn: int):
-        return self.engine.process(self._read_proc(lpn), name=f"read-{lpn}")
+        return self.engine.process(
+            self._request("read", self.ftl.geometry.page_size, lambda: [self.ftl.read(lpn)])
+        )
 
     def submit_write(self, lpn: int):
-        return self.engine.process(self._write_proc(lpn), name=f"write-{lpn}")
-
-    def _read_proc(self, lpn: int) -> Generator:
-        start = self.engine.now
-        request_id = next(self._request_ids)
-        pagesize = self.ftl.geometry.page_size
-        if self.tracer.enabled:
-            self.tracer.publish(
-                HostRequestEvent(
-                    "hostio.request", "read", "enqueue",
-                    request_id=request_id, nbytes=pagesize, t=start,
-                )
+        """Stalls while the FTL is nearly out of free blocks: the latency cliff."""
+        return self.engine.process(
+            self._request(
+                "write", self.ftl.geometry.page_size,
+                lambda: self.ftl.write(lpn, auto_gc=False), may_stall=True,
             )
-        op = self.ftl.read(lpn)
-        if self.tracer.enabled:
-            self.tracer.publish(
-                HostRequestEvent(
-                    "hostio.request", "read", "service-start",
-                    request_id=request_id, t=self.engine.now,
-                )
-            )
-        yield self.engine.process(self.service.execute(op))
-        latency = self.engine.now - start
-        self.frame.sample("hostio.request.read.latency_us", latency)
-        if self.tracer.enabled:
-            self.tracer.publish(
-                HostRequestEvent(
-                    "hostio.request", "read", "complete", request_id=request_id,
-                    latency_us=latency, nbytes=pagesize, t=self.engine.now,
-                )
-            )
-        return latency
-
-    def _write_proc(self, lpn: int) -> Generator:
-        start = self.engine.now
-        request_id = next(self._request_ids)
-        pagesize = self.ftl.geometry.page_size
-        if self.tracer.enabled:
-            self.tracer.publish(
-                HostRequestEvent(
-                    "hostio.request", "write", "enqueue",
-                    request_id=request_id, nbytes=pagesize, t=start,
-                )
-            )
-        # If the FTL is nearly out of free blocks the write stalls until
-        # the background collector frees some: the conventional-SSD
-        # latency cliff.
-        if self._stalled():
-            if self.tracer.enabled:
-                self.tracer.publish(
-                    GcEvent(
-                        "ftl.gc", "stall",
-                        free_blocks=self.ftl.free_block_count,
-                        t=self.engine.now,
-                    )
-                )
-            # Bound first: `stats.x += (yield ...)` would read the counter
-            # before suspending and drop every other writer's increments.
-            ticks = yield self.engine.poll(self._stalled, self.gc_poll_interval_us)
-            self.ftl.stats.foreground_gc_stalls += 1 + ticks
-        if self.tracer.enabled:
-            self.tracer.publish(
-                HostRequestEvent(
-                    "hostio.request", "write", "service-start",
-                    request_id=request_id, t=self.engine.now,
-                )
-            )
-        ops = self.ftl.write(lpn, auto_gc=False)
-        for op in ops:
-            yield self.engine.process(self.service.execute(op))
-        latency = self.engine.now - start
-        self.frame.sample("hostio.request.write.latency_us", latency)
-        if self.tracer.enabled:
-            self.tracer.publish(
-                HostRequestEvent(
-                    "hostio.request", "write", "complete", request_id=request_id,
-                    latency_us=latency, nbytes=pagesize, t=self.engine.now,
-                )
-            )
-        return latency
+        )
 
     def _stalled(self) -> bool:
-        """Whether a write must wait for free blocks (a pure poll predicate)."""
         return self.ftl.free_block_count <= self._stall_threshold
 
-    # -- Background collection ----------------------------------------------------
+    def _stall_began(self) -> None:
+        if self.tracer.enabled:
+            self.tracer.publish(
+                GcEvent("ftl.gc", "stall", free_blocks=self.ftl.free_block_count, t=self.engine.now)
+            )
 
-    def _collector_loop(self) -> Generator:
-        while True:
-            if self.ftl.gc_needed() and self.ftl.sealed_blocks:
-                ops = self.ftl.collect_once()
-                # Copies fan out (multi-stream GC destinations sit on
-                # different planes); the erase runs after they land.
-                copies = [op for op in ops if op.kind is not OpKind.ERASE]
-                erases = [op for op in ops if op.kind is OpKind.ERASE]
-                # GC ops run at the same priority as host I/O: the FTL's
-                # internal scheduling is opaque FIFO, which is exactly the
-                # §2.4 interference complaint. (Host-side reclaim over ZNS
-                # is where priorities become possible -- see E11.)
-                in_flight = [
-                    self.engine.process(self.service.execute(op))
-                    for op in copies
-                ]
-                if in_flight:
-                    yield self.engine.all_of(in_flight)
-                for op in erases:
-                    yield self.engine.process(self.service.execute(op))
-            else:
-                yield self.engine.sleep(self.gc_poll_interval_us)
+    def _stall_ended(self, ticks: int) -> None:
+        self.ftl.stats.foreground_gc_stalls += 1 + ticks
+
+    def _background_step(self) -> tuple[list[FlashOp], list[FlashOp], None] | None:
+        """One collection: its copies fan out across the GC destination
+        streams' planes, then its erases run. All at host I/O priority:
+        the FTL's scheduling is opaque FIFO, the §2.4 interference."""
+        if not (self.ftl.gc_needed() and self.ftl.sealed_blocks):
+            return None
+        ops = self.ftl.collect_once()
+        copies = [op for op in ops if op.kind is not OpKind.ERASE]
+        erases = [op for op in ops if op.kind is OpKind.ERASE]
+        return copies, erases, None
 
 
 __all__ = ["ConventionalSSD", "TimedConventionalSSD"]

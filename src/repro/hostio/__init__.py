@@ -6,6 +6,11 @@ flash (:mod:`repro.hostio.scheduler`), how the scarce active-zone budget
 is shared among tenants (:mod:`repro.hostio.zonealloc`), and how the host
 survives zone management being slow and failure-prone
 (:mod:`repro.hostio.zonelife`).
+
+The timed front end every DES stack shares (:mod:`repro.hostio.frontend`)
+and the timed block-on-ZNS stack (:mod:`repro.hostio.timed`) are imported
+from their modules: the ZNS device imports the front end, so this package
+cannot import the stack that builds a ZNS device.
 """
 
 from repro.hostio.scheduler import (
@@ -14,7 +19,6 @@ from repro.hostio.scheduler import (
     ReclaimScheduler,
     make_scheduler,
 )
-from repro.hostio.timed import TimedZonedBlockDevice
 from repro.hostio.zonealloc import (
     DynamicAllocator,
     FairShareAllocator,
@@ -35,7 +39,6 @@ __all__ = [
     "IdleWindowScheduler",
     "ReclaimScheduler",
     "StaticPartitionAllocator",
-    "TimedZonedBlockDevice",
     "ZoneBudgetAllocator",
     "ZoneLifecycleManager",
     "ZoneLifecyclePolicy",

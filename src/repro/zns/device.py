@@ -7,7 +7,8 @@ the simple-copy command (paper §2.3). Zone data is striped across the
 zone's erasure blocks so sequential zone fills exploit plane parallelism,
 as real devices do.
 
-:class:`TimedZNSDevice` runs the same state machine inside the DES. Its
+:class:`TimedZNSDevice` runs the same state machine inside the DES, on
+the timed front end (:class:`~repro.hostio.frontend.TimedFrontEnd`). Its
 crucial modeling choice reproduces §4.2's contention discussion: regular
 writes must present the current write pointer, so concurrent writers to
 one zone serialize on a host-side lock; zone appends let the *device*
@@ -16,10 +17,8 @@ assign offsets, so they only contend for planes and channels.
 
 from __future__ import annotations
 
-from collections.abc import Generator
+from collections.abc import Callable, Generator
 from typing import Any, TYPE_CHECKING
-
-import itertools
 
 from repro.flash.errors import ProgramFaultError
 from repro.flash.geometry import ZonedGeometry
@@ -27,15 +26,15 @@ from repro.flash.nand import NandArray
 from repro.flash.ops import FlashOp, OpKind
 from repro.flash.service import FlashServiceModel
 from repro.flash.timing import TimingModel, ZoneMgmtTiming
+from repro.hostio.frontend import TimedFrontEnd
 from repro.obs.events import (
     FlashOpEvent,
-    HostRequestEvent,
     RecoveryEvent,
     ZoneAppendEvent,
     ZoneMgmtEvent,
     ZoneTransitionEvent,
 )
-from repro.obs.frame import MetricsFrame, OpCounter
+from repro.obs.frame import OpCounter
 from repro.obs.tracer import Tracer
 from repro.sim.engine import Engine
 from repro.sim.resources import Resource
@@ -706,7 +705,7 @@ class ZNSDevice:
         assert self.active_count <= self.geometry.max_active_zones, "active limit exceeded"
 
 
-class TimedZNSDevice:
+class TimedZNSDevice(TimedFrontEnd):
     """DES wrapper: ZNS requests with plane/channel contention.
 
     Regular writes to a zone serialize on that zone's host-side write
@@ -732,23 +731,15 @@ class TimedZNSDevice:
         tracer: Tracer | None = None,
         mgmt_timing: ZoneMgmtTiming | None = None,
     ):
-        self.engine = engine
         self.device = ZNSDevice(
             geometry or ZonedGeometry.bench(), timing=timing, striped=striped,
             tracer=tracer, mgmt_timing=mgmt_timing,
         )
-        self.tracer = self.device.tracer
-        self.service = FlashServiceModel(
-            engine,
-            self.device.geometry.flash,
-            timing=self.device.nand.timing,
-            prioritize_reads=prioritize_reads,
-            tracer=self.tracer,
+        service = FlashServiceModel(
+            engine, self.device.geometry.flash, timing=self.device.nand.timing,
+            prioritize_reads=prioritize_reads, tracer=self.device.tracer,
         )
-        #: Host request latencies, one exact series per op
-        #: (``hostio.request.<op>.latency_us``), booked at completion.
-        self.frame = MetricsFrame()
-        self._request_ids = itertools.count()
+        super().__init__(engine, service)
         self._zone_locks = [Resource(engine) for _ in range(self.device.zone_count)]
         self._mgmt_gates: list[Resource] | None = None
         if mgmt_timing is not None:
@@ -758,9 +749,7 @@ class TimedZNSDevice:
             self._mgmt_gates = [Resource(engine) for _ in range(self.device.zone_count)]
 
     def submit_read(self, zone_id: int, offset: int):
-        return self.engine.process(
-            self._request("read", zone_id, 1, lambda: [self.device.read(zone_id, offset)[1]])
-        )
+        return self._submit("read", zone_id, 1, lambda: [self.device.read(zone_id, offset)[1]])
 
     def submit_write(self, zone_id: int, npages: int = 1):
         """A regular write holds the zone's lock across the whole request.
@@ -769,11 +758,9 @@ class TimedZNSDevice:
         next writer cannot compute its offset until this write is
         durable, so a write's queueing is the lock wait.
         """
-        return self.engine.process(
-            self._request(
-                "write", zone_id, npages, lambda: self.device.write(zone_id, npages),
-                lock=self._zone_locks[zone_id],
-            )
+        return self._submit(
+            "write", zone_id, npages, lambda: self.device.write(zone_id, npages),
+            lock=self._zone_locks[zone_id],
         )
 
     def submit_append(self, zone_id: int, npages: int = 1):
@@ -782,8 +769,8 @@ class TimedZNSDevice:
         Multiple in-flight appends to one zone land on different blocks of
         the zone's stripe, so they program planes in parallel.
         """
-        return self.engine.process(
-            self._request("append", zone_id, npages, lambda: self.device.append(zone_id, npages)[1])
+        return self._submit(
+            "append", zone_id, npages, lambda: self.device.append(zone_id, npages)[1]
         )
 
     def submit_reset(self, zone_id: int):
@@ -792,55 +779,14 @@ class TimedZNSDevice:
     def submit_finish(self, zone_id: int):
         return self.engine.process(self._mgmt_proc(zone_id, "finish", self.device.finish_zone))
 
-    def _request(
-        self, op: str, zone_id: int, npages: int, command, lock: Resource | None = None
-    ) -> Generator:
-        """One host request: enqueue, wait, issue ``command``, replay its ops.
-
-        The request waits for ``lock`` when given, then behind any
-        in-flight management command on its zone; ``command()`` issues the
-        device command and returns its flash ops, which replay in order.
-        The end-to-end latency is booked at completion and returned.
-        """
-        start = self.engine.now
-        request_id = next(self._request_ids)
+    def _submit(
+        self, op: str, zone_id: int, npages: int, command: Callable[[], list],
+        lock: Resource | None = None,
+    ):
+        """A host request to ``zone_id``, behind its management gate if any."""
+        gate = None if self._mgmt_gates is None else self._mgmt_gates[zone_id]
         nbytes = npages * self.device.page_size
-        if self.tracer.enabled:
-            self.tracer.publish(
-                HostRequestEvent(
-                    "hostio.request", op, "enqueue",
-                    request_id=request_id, nbytes=nbytes, t=start,
-                )
-            )
-        if lock is not None:
-            req = yield lock.request()
-        if self._mgmt_gates is not None:
-            gate = self._mgmt_gates[zone_id]
-            gate.release((yield gate.request()))
-        try:
-            ops = command()
-            if self.tracer.enabled:
-                self.tracer.publish(
-                    HostRequestEvent(
-                        "hostio.request", op, "service-start",
-                        request_id=request_id, t=self.engine.now,
-                    )
-                )
-            for flash_op in ops:
-                yield self.engine.process(self.service.execute(flash_op))
-        finally:
-            if lock is not None:
-                lock.release(req)
-        latency = self.engine.now - start
-        self.frame.sample(f"hostio.request.{op}.latency_us", latency)
-        if self.tracer.enabled:
-            self.tracer.publish(
-                HostRequestEvent(
-                    "hostio.request", op, "complete", request_id=request_id,
-                    latency_us=latency, nbytes=nbytes, t=self.engine.now,
-                )
-            )
-        return latency
+        return self.engine.process(self._request(op, nbytes, command, lock=lock, gate=gate))
 
     def _mgmt_proc(self, zone_id: int, action: str, command) -> Generator:
         """Run a management command; with a gate, holding it throughout.

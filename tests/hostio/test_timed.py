@@ -8,7 +8,8 @@ from repro.flash.geometry import FlashGeometry, ZonedGeometry
 from repro.flash.ops import FlashOp, OpKind
 from repro.flash.service import FlashServiceModel
 from repro.hostio.scheduler import AlwaysOnScheduler, IdleWindowScheduler
-from repro.hostio.timed import TimedZonedBlockDevice
+from repro.hostio.timed import RECLAIM_QUANTUM_COPIES, TimedZonedBlockDevice
+from repro.obs.sinks import RecordingSink
 from repro.sim.engine import Engine, Timeout
 from repro.sim.rng import make_rng
 
@@ -74,16 +75,18 @@ class TestTimedZonedBlockDevice:
         assert host.frame.observations("hostio.request.write.latency_us") == n // 2
 
     def test_reclaim_runs_in_bounded_quanta(self):
+        """Every reclaim step copies at most one quantum, the steps add up
+        to every page reclaim copied, and a backlog fills whole quanta."""
         engine = Engine()
         host = TimedZonedBlockDevice(
             engine,
             ZonedGeometry.small(),
             config=ZonedBlockConfig(op_ratio=0.11),
-            reclaim_quantum_copies=2,
         )
         n = host.layer.logical_pages
         for lpn in range(n):
             host.layer.write(lpn)
+        recording = host.tracer.attach(RecordingSink(layer="block.dmzoned"))
         rng = make_rng(2)
 
         def writer(engine):
@@ -92,8 +95,10 @@ class TestTimedZonedBlockDevice:
 
         w = engine.process(writer(engine))
         engine.run(until=w)
-        # Reclaim happened and copies were spread over many quanta.
-        assert host.layer.stats.gc_pages_copied > 0
+        copies = [e.copies for e in recording.of_kind("reclaim") if e.action == "step"]
+        assert copies and max(copies) <= RECLAIM_QUANTUM_COPIES
+        assert sum(copies) == host.layer.stats.gc_pages_copied
+        assert copies.count(RECLAIM_QUANTUM_COPIES) > 0
 
 
 class TestEraseSuspension:

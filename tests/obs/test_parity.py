@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.block.dmzoned import ZonedBlockConfig, ZonedBlockDevice
+from repro.block.factory import DeviceSpec, build_stack
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.flash.errors import ProgramFaultError, UncorrectableReadError
@@ -329,20 +330,31 @@ class TestLatencyParity:
         ) == (20, 10)
         assert device.ftl.nand.counters.writes == 20
 
-    def test_request_lifecycle_phases_are_complete(self):
+    @pytest.mark.parametrize("kind", ["conventional-timed", "dmzoned-timed", "zns-timed"])
+    def test_request_lifecycle_phases_are_complete(self, kind):
         engine = Engine()
-        device = TimedConventionalSSD(engine, FlashGeometry.small())
+        device = build_stack(DeviceSpec(kind=kind, geometry="small"), engine=engine)
         recording = device.tracer.attach(RecordingSink())
-        write = device.submit_write(1)
-        engine.run(until=write)
-        read = device.submit_read(1)
-        engine.run(until=read)
+        if kind == "zns-timed":
+            submits = [
+                lambda: device.submit_write(0),
+                lambda: device.submit_append(0),
+                lambda: device.submit_read(0, 1),
+            ]
+        else:
+            submits = [lambda: device.submit_write(1), lambda: device.submit_read(1)]
+        for submit in submits:
+            engine.run(until=submit())
         requests = recording.of_kind("host-request")
         by_id = {}
         for event in requests:
             by_id.setdefault((event.op, event.request_id), []).append(event.phase)
+        assert len(by_id) == len(submits)
         for phases in by_id.values():
             assert phases == ["enqueue", "service-start", "complete"]
+        for op in {op for op, _ in by_id}:
+            completes = [e for e in requests if e.op == op and e.phase == "complete"]
+            assert len(completes) == device.frame.observations(f"hostio.request.{op}.latency_us")
 
 
 class TestCrossLayerStream:

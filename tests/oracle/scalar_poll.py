@@ -1,8 +1,9 @@
 """Scalar reference for ``repro.sim.engine.Poll``.
 
-This is the stall loop as ``TimedConventionalSSD._write_proc`` and
-``TimedZonedBlockDevice._write_proc`` ran it in their own generators
-before polling moved into the engine (commit c98fa0a), kept verbatim:
+This is the stall loop as the conventional and dm-zoned timed stacks'
+write processes ran it in their own generators before polling moved
+into the engine (commit c98fa0a; today both stacks' writes wait in
+``TimedFrontEnd._request``), kept verbatim:
 the waiter is resumed on every tick to re-read the condition and goes
 back to sleep on a fresh pooled ``Timeout``. It pins what ``Engine.poll``
 must reproduce -- one event per tick, in the ``(time, seq)`` order its
