@@ -71,7 +71,7 @@ class ExecutionRecord:
         return self.error is None and "errors" not in self.result.metrics
 
 
-def _run_unit(unit: _Unit) -> tuple[Any, dict | None, list | None]:
+def _run_unit(unit: _Unit) -> tuple[Any, MetricsFrame | None, list | None]:
     """Run one unit of work, inline or in a pool worker; never raises.
 
     Returns (value, frame, ranking): the result or row, or an
@@ -89,7 +89,7 @@ def _run_unit(unit: _Unit) -> tuple[Any, dict | None, list | None]:
             if aggregator is not None:
                 aggregator.reset()
         value, ranking = profiled_call(call) if profile else (call(), None)
-        frame = aggregator.frame.to_dict() if aggregator is not None else None
+        frame = aggregator.frame if aggregator is not None else None
         return value, frame, ranking
     except Exception as exc:
         error = ErrorResult.from_exception(exc, config.experiment_id, _config_hash(config), slot)
@@ -140,10 +140,11 @@ def _fold(
             result = ErrorResult.from_exception(exc, config.experiment_id, _config_hash(config))
             errors.append(result)
         else:
-            frames = [MetricsFrame.from_dict(f) for _, f, _ in outputs if f is not None]
+            frames = [f for _, f, _ in outputs if f is not None]
             if frames:
                 # Slot order, as SweepSpec.run visits the points: counters
-                # sum, bins add and maxima max, so this is the one-run frame.
+                # sum, maxima max and series concatenate in that order, so
+                # this is the one-run frame.
                 result.metrics = {**result.metrics, **MetricsFrame.merge(frames).to_dict()}
             if profile:
                 ranked = [{"point": i, "entries": r} for i, (_, _, r) in enumerate(outputs)]

@@ -177,7 +177,7 @@ class ExperimentResult:
         Optional telemetry: the ``MetricsFrame.to_dict()`` a
         :class:`~repro.obs.frame.FrameSink` folded from the trace bus
         when metrics collection is active (flash-op counts and bytes,
-        host-request latency, queueing and service histograms); empty
+        host-request latency, queueing and service samples); empty
         otherwise. Omitted from the serialized form when empty so
         results without telemetry are unchanged.
     """

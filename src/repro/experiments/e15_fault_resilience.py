@@ -18,7 +18,16 @@ This sweep arms one seeded :class:`~repro.faults.plan.FaultPlan` on both
 stacks at a ladder of fault-rate scales (0 = fault-free reference) and
 measures what each philosophy costs: steady-state write amplification,
 read p99 under ECC retry ladders, permanently lost capacity, and whether
-the device survived the run at all.
+the device survived the run at all (``died_at_op``: the host writes it
+completed before it ran out of spare capacity). WA and read p99 are
+measured over the last pass only; an arm that died before finishing it
+reports both as ``None`` rather than a number over a truncated phase.
+
+One program fault degrades a whole ZNS zone READ_ONLY, and the dm-zoned
+host relocates the zone's valid pages to reclaim it. Zone-granular
+relocation turns program faults into write amplification, and the extra
+programs draw more faults: a feedback loop the conventional arm, which
+rewrites one page per fault, does not have.
 
 Geometry is pinned to :meth:`FlashGeometry.small` on quick *and* full
 runs (full scales the overwrite volume instead) so the plan's scheduled
@@ -97,23 +106,21 @@ def _arm_spec(arm: str, fault_scale: float, seed: int) -> DeviceSpec:
     return spec
 
 
-def _read_tail(read_one, n: int, seed: int) -> tuple[float, int]:
-    """(p99 latency, lost reads) over _READS uniform reads via ``read_one``."""
+def _read_p99(read_one, n: int, seed: int) -> float:
+    """p99 latency over _READS uniform reads via ``read_one``."""
     latencies: list[float] = []
-    lost = 0
     for lpn in uniform_array(n, _READS, seed=seed + 17):
         try:
             latencies.append(read_one(int(lpn)))
         except UncorrectableReadError as exc:
             # ECC ladder exhausted: the data is gone, the time was spent.
             latencies.append(exc.latency_us)
-            lost += 1
         except (ZoneOfflineError, TranslationError):
             # The lba sat in a zone that died (or was unmapped by an
             # earlier loss); no media latency to account.
-            lost += 1
+            pass
     p99 = float(np.percentile(latencies, 99)) if latencies else 0.0
-    return round(p99, 1), lost
+    return round(p99, 1)
 
 
 def measure_arm(arm: str, fault_scale: float, quick: bool, seed: int) -> dict:
@@ -183,21 +190,21 @@ def measure_arm(arm: str, fault_scale: float, quick: bool, seed: int) -> dict:
         drive(uniform_array(n, n, seed=seed + 1))
     host = host_written() - host_before
     flash_pages = (nand.physical_bytes_written() - flash_before) // page_size
-    read_p99_us, reads_lost = _read_tail(read_one, n, seed) if not died else (0.0, 0)
     return {
         "arm": arm,
         "fault_scale": fault_scale,
-        "write_amplification": round(flash_pages / host, 2) if host else 0.0,
-        "read_p99_us": read_p99_us,
-        "reads_lost": reads_lost,
+        # Only a completed measured pass gives comparable numbers.
+        "write_amplification": None if died else round(flash_pages / host, 2),
+        "read_p99_us": None if died else _read_p99(read_one, n, seed),
         "capacity_lost_pct": round(capacity_lost_pct(), 2),
         "recovered_faults": recovered(),
         "faults_injected": sum(injector.summary().values()) if injector else 0,
         "died": died,
+        "died_at_op": writes_done if died else None,
     }
 
 
-_SCALES = [0.0, 1.0, 2.0, 4.0]
+_SCALES = [0.0, 0.5, 1.0, 2.0, 4.0]
 
 
 def sweep_points(config: ExperimentConfig) -> list[dict]:
@@ -248,7 +255,12 @@ def combine(config: ExperimentConfig, rows: list[dict]) -> ExperimentResult:
             "deaths on the ZNS arm); geometry pinned small so scheduled "
             "faults land mid-life. Conventional capacity loss = retired "
             "blocks (invisible to the host until GC wedges); ZNS loss = "
-            "offline zones (visible, host remaps around them)."
+            "offline zones (visible, host remaps around them). One "
+            "program fault degrades a whole ZNS zone READ_ONLY: "
+            "zone-granular relocation turns faults into WA, and the "
+            "extra programs into more faults. WA and read p99 are null "
+            "for an arm that died before its measured pass; died_at_op "
+            "counts the host writes it completed."
         ),
     )
 

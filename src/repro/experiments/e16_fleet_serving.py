@@ -4,7 +4,7 @@ The paper's single-device results (E3, E10) show ZNS removing device-GC
 interference from the read path. A fleet operator's question is harsher:
 with bursty multi-tenant load, a placement policy that may co-locate the
 noisiest tenants, and media faults arriving fleet-wide, does that win
-still show up in the rack-level p99/p999 -- or does queueing noise bury
+still show up in the rack-level read p99 -- or does queueing noise bury
 it?
 
 This sweep drives :mod:`repro.fleet` racks across four axes:
@@ -145,7 +145,7 @@ def measure_shard(
         "load": load,
         "fault_scale": fault_scale,
         "shard": shard,
-        "frame": frame.to_dict(),
+        "frame": frame,
     }
 
 
@@ -184,7 +184,7 @@ def combine(config: ExperimentConfig, rows: list[dict]) -> ExperimentResult:
     scenarios: dict[tuple, list[MetricsFrame]] = {}
     for row in rows:
         key = (row["arm"], row["placement"], row["load"], row["fault_scale"])
-        scenarios.setdefault(key, []).append(MetricsFrame.from_dict(row["frame"]))
+        scenarios.setdefault(key, []).append(row["frame"])
 
     out_rows = []
     for (arm, placement, load, scale), frames in scenarios.items():

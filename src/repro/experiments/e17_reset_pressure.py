@@ -141,7 +141,7 @@ def measure_shard(
         "pressure_us": pressure_us,
         "mgmt_scale": mgmt_scale,
         "shard": shard,
-        "frame": frame.to_dict(),
+        "frame": frame,
     }
 
 
@@ -188,7 +188,7 @@ def combine(config: ExperimentConfig, rows: list[dict]) -> ExperimentResult:
     scenarios: dict[tuple, list[MetricsFrame]] = {}
     for row in rows:
         key = (row["arm"], row["pressure_us"], row["mgmt_scale"])
-        scenarios.setdefault(key, []).append(MetricsFrame.from_dict(row["frame"]))
+        scenarios.setdefault(key, []).append(row["frame"])
 
     out_rows = []
     for (arm, pressure, scale), frames in scenarios.items():

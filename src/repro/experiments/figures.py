@@ -54,7 +54,7 @@ def chart_e15(result: ExperimentResult) -> str:
         tag = "conv" if row["arm"] == "conventional" else "zns"
         suffix = " DEAD" if row["died"] else ""
         labels.append(f"{tag}@{row['fault_scale']:g}x{suffix}")
-        values.append(row["write_amplification"])
+        values.append(row["write_amplification"] or 0.0)  # None: died
     return ascii_bars(labels, values, unit="x WA")
 
 

@@ -14,8 +14,8 @@ single-stack simulations to that setting:
   yields a :class:`~repro.obs.frame.MetricsFrame` it booked itself
   (only ``fleet.*`` keys; the device-level event stream is for whoever
   attaches a sink), and because every random stream seeds from the spec
-  (never the shard), merged shard frames are byte-identical to a serial
-  run for any shard count.
+  (never the shard), merged shard frames hold a serial run's counters,
+  maxima and latency samples (in shard order) for any shard count.
 
 Entry points: :func:`simulate_fleet` for the whole rack,
 :func:`simulate_shard` for one worker's slice, :func:`fleet_summary` for

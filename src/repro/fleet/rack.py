@@ -12,14 +12,18 @@ stalls the reads behind it -- the §2.4 interference, at rack scale.
 Determinism is the load-bearing property: every random stream seeds from
 ``(fleet seed, purpose, tenant/device id)``, never from which shard runs
 the device, and the per-device result is a
-:class:`~repro.obs.frame.MetricsFrame` whose merge is exactly
-associative and commutative. Hence ``simulate_shard`` results merge
-byte-identical to the serial run for any shard count -- the property
+:class:`~repro.obs.frame.MetricsFrame`. Its counters and maxima merge
+exactly and order-free, and its latency series concatenate in merge
+order, so ``simulate_shard`` results merge to the serial run's counters
+and maxima for any shard count, and to the same latency samples in
+another order (round-robin shards interleave devices). The summary's
+quantiles read only the multiset of samples, so
+:func:`fleet_summary` is identical for any shard count -- the property
 :func:`repro.fleet.rack.simulate_fleet` exploits and the fleet tests pin.
 
 The frame is a field of the run, not a sink on the bus: the tenants and
-the serving loop book every ``fleet.*`` key themselves, and the request
-latencies are binned once when the device finishes. The two request
+the serving loop book every ``fleet.*`` key themselves, and each served
+request's latency is sampled as it completes. The two request
 publishes sit behind ``tracer.enabled`` for whoever asked to observe
 (``--trace``, ``--metrics-out``, a test's sink); nobody listening, a
 device builds no event. Tenant churn streams are a pure function of
@@ -82,6 +86,10 @@ _EPOCH_OBJECTS = 4096
 #: Inline reset attempts a lifecycle-less (naive) tenant makes before
 #: giving up on a bouncing zone for this lap of the log.
 _NAIVE_RESET_TRIES = 3
+
+#: The frame series each served request's latency (us) is sampled into.
+_WRITE_LATENCY = "fleet.request.write.latency_us"
+_READ_LATENCY = "fleet.request.read.latency_us"
 
 
 def derive_seed(*parts: Any) -> int:
@@ -550,12 +558,9 @@ def simulate_device(spec: FleetSpec, device_id: int) -> MetricsFrame:
 
     # Warmup ticks churn against a throwaway frame (GC / zone-reclaim
     # pressure must be steady before counting starts); the measured
-    # frame and latency lists start -- and the faults wake -- at the
-    # measurement boundary.
+    # frame starts -- and the faults wake -- at the measurement boundary.
     schedules = {tid: _intensity(spec, tid) for tid in tenants}
     frame = MetricsFrame()
-    write_latencies: list[float] = []
-    read_latencies: list[float] = []
     measured = False
     flash_before = nand.physical_bytes_written()
 
@@ -570,8 +575,6 @@ def simulate_device(spec: FleetSpec, device_id: int) -> MetricsFrame:
             if hasattr(stack, "faults"):
                 stack.faults = injector
             frame = MetricsFrame()
-            write_latencies = []
-            read_latencies = []
             measured = True
             flash_before = nand.physical_bytes_written()
         now = tick * spec.tick_us
@@ -595,12 +598,13 @@ def simulate_device(spec: FleetSpec, device_id: int) -> MetricsFrame:
                     if service > 0.0:
                         busy += service
                         request_id += 1
-                        write_latencies.append(busy - now)
+                        waited = busy - now
+                        frame.sample(_WRITE_LATENCY, waited)
                         if tracer.enabled:
                             tracer.publish(
                                 HostRequestEvent(
                                     "fleet.request", "write", "complete",
-                                    request_id=request_id, latency_us=busy - now,
+                                    request_id=request_id, latency_us=waited,
                                 )
                             )
             except GCStuckError:
@@ -614,25 +618,24 @@ def simulate_device(spec: FleetSpec, device_id: int) -> MetricsFrame:
                     continue
                 busy += latency
                 request_id += 1
-                read_latencies.append(busy - now)
+                waited = busy - now
+                frame.sample(_READ_LATENCY, waited)
                 if tracer.enabled:
                     tracer.publish(
                         HostRequestEvent(
                             "fleet.request", "read", "complete",
-                            request_id=request_id, latency_us=busy - now,
+                            request_id=request_id, latency_us=waited,
                         )
                     )
 
     if not measured:
         # Died inside warmup: report the death on a clean measured frame.
         frame = MetricsFrame()
-        write_latencies = []
-        read_latencies = []
         flash_before = nand.physical_bytes_written()
-    for op, latencies in (("write", write_latencies), ("read", read_latencies)):
-        if latencies:
-            frame.add(f"fleet.request.{op}.requests", len(latencies))
-            frame.observe_many(f"fleet.request.{op}.latency_us", latencies)
+    for op, key in (("write", _WRITE_LATENCY), ("read", _READ_LATENCY)):
+        served = frame.observations(key)
+        if served:
+            frame.add(f"fleet.request.{op}.requests", served)
     flash_pages = (nand.physical_bytes_written() - flash_before) // nand.geometry.page_size
     frame.add("fleet.flash_pages_written", int(flash_pages))
     frame.add("fleet.devices")
@@ -662,7 +665,7 @@ def simulate_device(spec: FleetSpec, device_id: int) -> MetricsFrame:
     host = frame.counter("fleet.host_pages_written")
     if host:
         frame.peak("fleet.device_wa_max", flash_pages / host)
-    p99 = frame.quantile("fleet.request.read.latency_us", 0.99)
+    p99 = frame.quantile(_READ_LATENCY, 0.99)
     if p99:
         frame.peak("fleet.device_read_p99_us_max", p99)
     return frame
@@ -677,7 +680,8 @@ def simulate_shard(spec: FleetSpec, shard: int = 0, shards: int = 1) -> MetricsF
 
 
 def simulate_fleet(spec: FleetSpec, shards: int = 1) -> MetricsFrame:
-    """The whole rack. Identical output for every ``shards`` value."""
+    """The whole rack. The same counters, maxima and latency samples
+    (series in shard order) for every ``shards`` value."""
     return MetricsFrame.merge(
         simulate_shard(spec, shard, shards) for shard in range(shards)
     )
@@ -690,8 +694,7 @@ def fleet_summary(frame: MetricsFrame) -> dict[str, Any]:
     units = frame.counter("fleet.capacity_units")
     return {
         "fleet_wa": round(flash / host, 2) if host else 0.0,
-        "read_p99_us": round(frame.quantile("fleet.request.read.latency_us", 0.99), 1),
-        "read_p999_us": round(frame.quantile("fleet.request.read.latency_us", 0.999), 1),
+        "read_p99_us": round(frame.quantile(_READ_LATENCY, 0.99), 1),
         "reads": frame.counter("fleet.request.read.requests"),
         "writes": frame.counter("fleet.request.write.requests"),
         "reads_lost": frame.counter("fleet.reads_lost"),

@@ -1,29 +1,28 @@
 """The one aggregation type: ``MetricsFrame``, its ``OpCounter`` slice, ``FrameSink``.
 
-Everything the simulator counts, bins or samples lives in a frame (or,
-for the per-op device counters, in the frame's typed slice
+Everything the simulator counts or samples lives in a frame (or, for
+the per-op device counters, in the frame's typed slice
 :class:`OpCounter`). Sharded runs (the fleet layer, pooled sweeps)
-produce per-shard telemetry that the parent must combine. Ad-hoc dict
-munging cannot guarantee the combined numbers match a serial run, so the
-frame's merge is *exactly* associative and commutative:
+produce per-shard telemetry that the parent must combine, so the merge
+is defined field by field:
 
-- **counters** are integers merged by sum (integer addition commutes
-  exactly -- no float reassociation);
+- **counters** are integers merged by sum (exact and order-free);
 - **maxima** are floats merged by ``max`` (order-free);
-- **histograms** are integer bin counts over one fixed, log-spaced bin
-  ladder shared by every frame, merged by element-wise addition; tail
-  quantiles (p99/p999) are read off the merged counts, so the quantile of
-  a merge equals the merge of the observations, no matter how the
-  observations were sharded.
+- **series** are exact samples in arrival order (each an
+  ``array("d")``), merged by concatenation in the order given.
 
-Consequently ``merge(merge(a, b), c) == merge(a, merge(b, c))`` and any
-shard interleaving reproduces the serial frame byte-for-byte -- the
-property the fleet's merge-equals-serial test pins.
+So ``merge(merge(a, b), c) == merge(a, merge(b, c))`` byte-for-byte,
+but the merge is not commutative: swapping two frames reorders their
+series. Callers merge in a fixed order -- slot order in
+:mod:`repro.exec`, device order within a fleet shard -- so every result
+is deterministic. A quantile or a sample count depends only on the
+multiset of samples, so a fleet's summary is the same for any shard
+count even though its series' order is not; a :meth:`MetricsFrame.mean`
+is a left-to-right sum and does depend on order.
 
-A frame also keeps **series**: exact samples in arrival order, merged by
-concatenation (so merge order matters for them, and only them). The
-timed devices book each host request's latency into one
-(``hostio.request.<op>.latency_us``); the percentiles and means the
+The timed devices book each host request's latency into a series
+(``hostio.request.<op>.latency_us``) and the fleet books each request's
+(``fleet.request.<op>.latency_us``); the percentiles and means the
 experiments report are read off those exact samples.
 
 Metric keys are normalized to dotted lower-snake form
@@ -36,7 +35,7 @@ into a frame.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
+from array import array
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -44,21 +43,9 @@ from typing import Any
 
 import numpy as np
 
-#: Version of the frame's dict schema. Bump when the layout or the bin
-#: ladder changes (merges across ladder versions would be silently wrong).
-FRAME_VERSION = 1
-
-#: Upper bin edges in microseconds: quarter-octave steps from 0.25us to
-#: ~16.8s. Fixed for all frames -- merging histograms is only meaningful
-#: on a shared ladder. Bin ``i`` counts observations in
-#: ``(edges[i-1], edges[i]]`` (bin 0: ``[0, 0.25]``); the last bin also
-#: absorbs overflow.
-LATENCY_BIN_EDGES_US: tuple[float, ...] = tuple(
-    0.25 * 2 ** (i / 4) for i in range(105)
-)
-
-#: The bin ladder as an array, for vectorized binning (`observe_many`).
-_EDGES_ARR = np.asarray(LATENCY_BIN_EDGES_US, dtype=np.float64)
+#: Version of the frame's dict schema. Bump when the layout changes
+#: (version 1 also held binned latency histograms).
+FRAME_VERSION = 2
 
 _KEY_JUNK = re.compile(r"[^a-z0-9.]+")
 
@@ -128,31 +115,17 @@ class OpCounter:
             self.bytes_written += nbytes
 
 
-def _histogram() -> list[int]:
-    return [0] * len(LATENCY_BIN_EDGES_US)
-
-
-def _observe(counts: list[int], value_us: float) -> None:
-    index = bisect_left(LATENCY_BIN_EDGES_US, value_us)
-    if index >= len(counts):
-        index = len(counts) - 1
-    counts[index] += 1
-
-
 @dataclass
 class MetricsFrame:
-    """A mergeable bundle of counters, maxima, histograms and sample series.
+    """A mergeable bundle of counters, maxima and exact sample series.
 
-    Combining goes through :meth:`merged` / :meth:`merge`, which return
-    new frames. Histograms and series are separate namespaces;
-    :meth:`quantile` and :meth:`observations` read a series when the
-    frame holds one under the name, else the histogram.
+    Combining goes through :meth:`merge`, which returns a new frame; see
+    the module docstring for the merge algebra.
     """
 
     counters: dict[str, int] = field(default_factory=dict)
     maxima: dict[str, float] = field(default_factory=dict)
-    hists: dict[str, list[int]] = field(default_factory=dict)
-    series: dict[str, list[float]] = field(default_factory=dict)
+    series: dict[str, array] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.counters = {
@@ -161,18 +134,8 @@ class MetricsFrame:
         self.maxima = {
             normalize_metric_key(k): float(v) for k, v in self.maxima.items()
         }
-        hists: dict[str, list[int]] = {}
-        for key, counts in self.hists.items():
-            counts = [int(c) for c in counts]
-            if len(counts) != len(LATENCY_BIN_EDGES_US):
-                raise ValueError(
-                    f"histogram {key!r} has {len(counts)} bins, "
-                    f"expected {len(LATENCY_BIN_EDGES_US)}"
-                )
-            hists[normalize_metric_key(key)] = counts
-        self.hists = hists
         self.series = {
-            normalize_metric_key(k): [float(v) for v in values]
+            normalize_metric_key(k): array("d", values)
             for k, values in self.series.items()
         }
 
@@ -185,11 +148,8 @@ class MetricsFrame:
         return self.maxima.get(normalize_metric_key(name), default)
 
     def observations(self, name: str) -> int:
-        """How many values a series or histogram holds (0 when absent)."""
-        key = normalize_metric_key(name)
-        if key in self.series:
-            return len(self.series[key])
-        return sum(self.hists.get(key, ()))
+        """How many samples a series holds (0 when absent)."""
+        return len(self.series.get(normalize_metric_key(name), ()))
 
     def mean(self, name: str) -> float:
         """Mean of a series (0.0 when absent or empty).
@@ -208,35 +168,16 @@ class MetricsFrame:
         return total / len(values)
 
     def quantile(self, name: str, q: float) -> float:
-        """The ``q``-quantile of a series or histogram.
+        """The ``q``-quantile of a series (0.0 when absent or empty).
 
-        A series answers exactly, ``np.percentile(series, q * 100)``
-        (``np.quantile(series, q)`` rounds differently, and experiments
-        report series quantiles unrounded). A histogram answers with its
-        bin's upper edge (us), deterministic for any shard interleaving:
-        computed from merged integer bin counts, never from raw
-        observation order.
+        Exactly ``np.percentile(series, q * 100)``: ``np.quantile(series,
+        q)`` rounds differently, and experiments report series quantiles
+        unrounded.
         """
         if not 0 < q <= 1:
             raise ValueError("q must be in (0, 1]")
-        key = normalize_metric_key(name)
-        values = self.series.get(key)
-        if values is not None:
-            return float(np.percentile(values, q * 100)) if values else 0.0
-        counts = self.hists.get(key)
-        if not counts:
-            return 0.0
-        total = sum(counts)
-        if total == 0:
-            return 0.0
-        # Smallest bin whose cumulative count covers q of the total.
-        need = q * total
-        running = 0
-        for index, count in enumerate(counts):
-            running += count
-            if running >= need:
-                return LATENCY_BIN_EDGES_US[index]
-        return LATENCY_BIN_EDGES_US[-1]  # pragma: no cover - q <= 1 covers
+        values = self.series.get(normalize_metric_key(name))
+        return float(np.percentile(values, q * 100)) if values else 0.0
 
     # -- Building --------------------------------------------------------------
 
@@ -250,13 +191,6 @@ class MetricsFrame:
         if value > self.maxima.get(key, float("-inf")):
             self.maxima[key] = value
 
-    def observe(self, name: str, value_us: float) -> None:
-        key = normalize_metric_key(name)
-        counts = self.hists.get(key)
-        if counts is None:
-            counts = self.hists[key] = _histogram()
-        _observe(counts, value_us)
-
     def sample(self, name: str, value: float) -> None:
         """Append one exact sample (e.g. a request latency, us) to a series."""
         if value < 0:
@@ -264,87 +198,41 @@ class MetricsFrame:
         key = normalize_metric_key(name)
         values = self.series.get(key)
         if values is None:
-            values = self.series[key] = []
+            values = self.series[key] = array("d")
         values.append(value)
-
-    def observe_many(self, name: str, values_us) -> None:
-        """Bin a whole array of observations in one vectorized pass.
-
-        Exactly ``for v in values_us: self.observe(name, v)`` --
-        ``np.searchsorted(edges, v)`` is ``bisect_left`` -- but one
-        searchsorted + bincount instead of a Python loop per value.
-        Short batches stay on the bisect loop, which beats the vector
-        pass below a few dozen observations.
-        """
-        n = len(values_us)
-        if n == 0:
-            return
-        key = normalize_metric_key(name)
-        counts = self.hists.get(key)
-        if counts is None:
-            counts = self.hists[key] = _histogram()
-        if n < 32:
-            for value in values_us:
-                _observe(counts, value)
-            return
-        values = np.asarray(values_us, dtype=np.float64)
-        index = np.searchsorted(_EDGES_ARR, values)
-        np.minimum(index, len(counts) - 1, out=index)
-        binned = np.bincount(index, minlength=len(counts))
-        for bin_ix in np.flatnonzero(binned).tolist():
-            counts[bin_ix] += int(binned[bin_ix])
 
     # -- Merging ---------------------------------------------------------------
 
-    def merged(self, other: "MetricsFrame") -> "MetricsFrame":
-        """This frame combined with ``other`` (neither is mutated); a
-        series is this frame's samples followed by ``other``'s."""
-        counters = dict(self.counters)
-        for key, value in other.counters.items():
-            counters[key] = counters.get(key, 0) + value
-        maxima = dict(self.maxima)
-        for key, value in other.maxima.items():
-            if key not in maxima or value > maxima[key]:
-                maxima[key] = value
-        hists = {key: list(counts) for key, counts in self.hists.items()}
-        for key, counts in other.hists.items():
-            mine = hists.get(key)
-            if mine is None:
-                hists[key] = list(counts)
-            else:
-                for index, count in enumerate(counts):
-                    mine[index] += count
-        series = {key: list(values) for key, values in self.series.items()}
-        for key, values in other.series.items():
-            series.setdefault(key, []).extend(values)
-        return MetricsFrame(counters=counters, maxima=maxima, hists=hists, series=series)
-
     @classmethod
     def merge(cls, frames: Iterable["MetricsFrame"]) -> "MetricsFrame":
-        """Combine any number of frames, in order (associative; commutative
-        too, except that series concatenate in the order given)."""
-        merged = cls()
+        """Combine any number of frames, in order (associative; series
+        concatenate in the order given). No input is mutated."""
+        out = cls()
+        counters, maxima, series = out.counters, out.maxima, out.series
         for frame in frames:
-            merged = merged.merged(frame)
-        return merged
+            for key, value in frame.counters.items():
+                counters[key] = counters.get(key, 0) + value
+            for key, value in frame.maxima.items():
+                if key not in maxima or value > maxima[key]:
+                    maxima[key] = value
+            for key, values in frame.series.items():
+                mine = series.get(key)
+                if mine is None:
+                    series[key] = array("d", values)
+                else:
+                    mine.extend(values)
+        return out
 
     # -- Serialization ---------------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        """A JSON-safe dict; zero-count histogram bins stay (exact merge
-        needs full vectors, and they compress fine on the wire). The
-        ``series`` key appears only when the frame holds a series."""
-        payload = {
+        """A JSON-safe dict, keys sorted; each series a list in arrival order."""
+        return {
             "schema_version": FRAME_VERSION,
             "counters": dict(sorted(self.counters.items())),
             "maxima": dict(sorted(self.maxima.items())),
-            "hists": {key: list(counts) for key, counts in sorted(self.hists.items())},
+            "series": {key: values.tolist() for key, values in sorted(self.series.items())},
         }
-        if self.series:
-            payload["series"] = {
-                key: list(values) for key, values in sorted(self.series.items())
-            }
-        return payload
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "MetricsFrame":
@@ -357,8 +245,7 @@ class MetricsFrame:
         return cls(
             counters=dict(payload.get("counters", {})),
             maxima=dict(payload.get("maxima", {})),
-            hists={k: list(v) for k, v in payload.get("hists", {}).items()},
-            series={k: list(v) for k, v in payload.get("series", {}).items()},
+            series=dict(payload.get("series", {})),
         )
 
 
@@ -372,7 +259,7 @@ class FrameSink:
     into *host queueing* (enqueue to service start: write stalls on free
     space, zone-lock waits) and *device service* (the rest), the split
     the paper's §2.4 tail-latency discussion turns on:
-    ``<layer>.<op>.queued_us`` / ``.service_us`` histograms.
+    ``<layer>.<op>.queued_us`` / ``.service_us`` series.
 
     Nothing in ``src/repro`` attaches one by itself (the devices and the
     fleet book their own fields); attach it to a stack's tracer, or
@@ -403,7 +290,7 @@ class FrameSink:
             # Only flows when a device opted into zone-management cost
             # modeling (ZoneMgmtTiming attached); absent otherwise.
             self.frame.add(f"zone_mgmt.{event.action}.ops")
-            self.frame.observe(f"zone_mgmt.{event.action}.latency_us", event.latency_us)
+            self.frame.sample(f"zone_mgmt.{event.action}.latency_us", event.latency_us)
 
     def _host_request(self, event: Any) -> None:
         key = (event.layer, event.op, event.request_id)
@@ -418,13 +305,13 @@ class FrameSink:
         elif phase == "complete":
             prefix = f"{event.layer}.{event.op}"
             self.frame.add(f"{prefix}.requests")
-            self.frame.observe(f"{prefix}.latency_us", event.latency_us)
+            self.frame.sample(f"{prefix}.latency_us", event.latency_us)
             entry = self._open.pop(key, None)
             if entry is not None and event.t is not None:
                 enqueued_at, service_at = entry
                 queued = service_at - enqueued_at
-                self.frame.observe(f"{prefix}.queued_us", queued)
-                self.frame.observe(f"{prefix}.service_us", event.latency_us - queued)
+                self.frame.sample(f"{prefix}.queued_us", queued)
+                self.frame.sample(f"{prefix}.service_us", event.latency_us - queued)
 
     def reset(self) -> None:
         self.frame = MetricsFrame()
@@ -433,7 +320,6 @@ class FrameSink:
 
 __all__ = [
     "FRAME_VERSION",
-    "LATENCY_BIN_EDGES_US",
     "FrameSink",
     "MetricsFrame",
     "OpCounter",

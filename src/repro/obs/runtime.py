@@ -13,7 +13,8 @@ CLI observes devices it never constructs itself:
   per process; the experiment entry point
   (:func:`repro.experiments.base.experiment`) resets it before each run
   and stores its frame's ``to_dict()`` as ``ExperimentResult.metrics``
-  (a pool worker does the same around each sweep point).
+  (around each sweep point, :mod:`repro.exec` resets it and returns the
+  point's frame for the parent to merge).
 
 Environment state is re-checked on every ``new_tracer`` call, so enabling
 or disabling tracing never requires re-importing anything.

@@ -1,10 +1,11 @@
-"""The shape of each paper claim, checked against the committed golden.
+"""The shape of each paper claim, checked against the committed goldens.
 
 Every row is one claim about one experiment's result. Here the claims
-are read from ``tests/golden/run_all.json``, which stores exactly the
-seed-0 quick results (the nightly workflow byte-compares a fresh ``run
-all`` with it), so no experiment runs. :func:`failed_claims` takes any
-result list, e.g. another seed's or ``--full``'s ``run --json`` output.
+are read from ``tests/golden/run_all.json`` and
+``tests/golden/run_e15_e16_e17.json``, which store exactly the seed-0
+quick results (the nightly workflow byte-compares fresh runs with
+them), so no experiment runs. :func:`failed_claims` takes any result
+list, e.g. another seed's or ``--full``'s ``run --json`` output.
 """
 
 import json
@@ -12,8 +13,11 @@ from pathlib import Path
 
 import pytest
 
-GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "run_all.json"
-RESULTS = json.loads(GOLDEN.read_text())
+GOLDENS = [
+    Path(__file__).resolve().parents[1] / "golden" / name
+    for name in ("run_all.json", "run_e15_e16_e17.json")
+]
+RESULTS = [result for path in GOLDENS for result in json.loads(path.read_text())]
 
 
 def _column(rows, key, value):
@@ -41,6 +45,35 @@ def _e10_erase_dominates(h, rows):
     erase = _column(rows, "cell", "erase_us")
     program = _column(rows, "cell", "program_us")
     return bool(erase) and all(erase[c] > program[c] for c in erase)
+
+
+def _e15_conventional_survives_1x(h, rows):
+    (row,) = [r for r in rows if r["arm"] == "conventional" and r["fault_scale"] == 1.0]
+    return not row["died"] and row["capacity_lost_pct"] > 0
+
+
+def _e15_zns_relocation_costs_wa(h, rows):
+    # At every faulted scale where both arms finish, ZNS pays more WA.
+    wa = {(r["arm"], r["fault_scale"]): r["write_amplification"] for r in rows}
+    both = [
+        scale
+        for (arm, scale), value in wa.items()
+        if arm == "zns" and scale > 0 and value is not None
+        and wa.get(("conventional", scale)) is not None
+    ]
+    return bool(both) and all(wa["zns", s] > wa["conventional", s] for s in both)
+
+
+def _e15_zns_dies_first(h, rows):
+    def first_death(arm):
+        return min(r["fault_scale"] for r in rows if r["arm"] == arm and r["died"])
+
+    return first_death("zns") < first_death("conventional")
+
+
+def _e17_managed_under_the_bar(h, rows):
+    managed = [r["read_p99_us"] for r in rows if r["arm"] == "zns-managed"]
+    return bool(managed) and max(managed) < h["conventional_p99_us"]
 
 
 # (experiment, claim, predicate over (headline, rows))
@@ -106,6 +139,39 @@ CLAIMS = [
         "E14", "QLC clears 5 years only at ZNS-level WA",
         lambda h, rows: h["qlc_5y_viable_only_on_zns"] is True,
     ),
+    ("E15", "conventional hides 1x faults and survives", _e15_conventional_survives_1x),
+    (
+        "E15", "ZNS surfaces faults as lost zones",
+        lambda h, rows: all(
+            r["capacity_lost_pct"] > 0 for r in rows if r["arm"] == "zns" and r["fault_scale"] > 0
+        ),
+    ),
+    ("E15", "zone-granular relocation costs ZNS more WA", _e15_zns_relocation_costs_wa),
+    ("E15", "the WA feedback loop kills ZNS first", _e15_zns_dies_first),
+    (
+        "E15", "both die at 2x and 4x",
+        lambda h, rows: all(r["died"] for r in rows if r["fault_scale"] >= 2.0),
+    ),
+    ("E16", "ZNS worst tail beats conventional", lambda h, rows: h["zns_win_survives"] is True),
+    (
+        "E16", "the win survives the hard scenario",
+        lambda h, rows: h["zns_p99_hard_us"] < h["conv_p99_hard_us"],
+    ),
+    (
+        "E16", "fleet WA 1.0 on ZNS, above it on conventional",
+        lambda h, rows: h["zns_wa_worst"] == 1.0 < h["conv_wa_worst"],
+    ),
+    ("E17", "naive inline resets lose the win", lambda h, rows: h["naive_loses_win"] is True),
+    (
+        "E17", "naive loses it by 5 ms per reset",
+        lambda h, rows: h["naive_crossover_pressure_us"] <= 5_000.0,
+    ),
+    (
+        "E17", "naive goes worse than conventional at the top",
+        lambda h, rows: h["naive_p99_at_top_us"] > h["conventional_p99_us"],
+    ),
+    ("E17", "the lifecycle layer keeps the win", lambda h, rows: h["managed_keeps_win"] is True),
+    ("E17", "managed p99 stays under the bar everywhere", _e17_managed_under_the_bar),
     (
         "A1", "cost-benefit beats greedy under skew",
         lambda h, rows: h["costbenefit_hotcold"] < h["greedy_hotcold"],

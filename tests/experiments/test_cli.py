@@ -182,7 +182,7 @@ class TestTelemetry:
         assert written[0] == written[1]
         metrics = json.loads(written[0])
         assert metrics["E1"]["counters"]["flash.nand.program.ops"] > 0
-        assert sum(metrics["E11"]["hists"]["hostio.request.read.queued_us"]) > 0
+        assert len(metrics["E11"]["series"]["hostio.request.read.queued_us"]) > 0
 
     def test_trace_env_restored_after_run(self, tmp_path, monkeypatch):
         import os

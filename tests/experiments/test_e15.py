@@ -33,11 +33,12 @@ class TestMeasurement:
 
     def test_faulted_arm_injects_and_recovers(self):
         clean = measure_arm("zns", 0.0, quick=True, seed=0)
-        faulted = measure_arm("zns", 1.0, quick=True, seed=0)
+        faulted = measure_arm("zns", 0.5, quick=True, seed=0)
         assert faulted["faults_injected"] > 0
         assert faulted["recovered_faults"] > 0
         assert faulted["capacity_lost_pct"] > 0.0
         # Surviving the plan costs write amplification.
+        assert not faulted["died"] and faulted["died_at_op"] is None
         assert faulted["write_amplification"] > clean["write_amplification"]
 
     def test_rows_are_seed_deterministic(self):
@@ -55,5 +56,12 @@ class TestSweep:
         assert len(result.rows) == 4  # 2 arms x 2 scales
         assert {row["arm"] for row in result.rows} == {"conventional", "zns"}
         assert result.headline["conv_wa_faulted"] >= result.headline["conv_wa_clean"]
+        # Seed 0's ZNS arm runs out of free zones at 1x: a dead arm
+        # reports when it died, not a WA over a truncated phase.
+        (dead,) = [r for r in result.rows if r["died"]]
+        assert (dead["arm"], dead["fault_scale"]) == ("zns", 1.0)
+        assert dead["died_at_op"] > 0
+        assert dead["write_amplification"] is None and dead["read_p99_us"] is None
+        assert result.headline["zns_wa_faulted"] is None
         chart = render_figure(result)
         assert "conv@1x" in chart and "zns@1x" in chart

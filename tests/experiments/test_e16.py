@@ -79,7 +79,7 @@ class TestShardInvariance:
         assert len(one_shard.rows) == 2  # one row per arm's lone scenario
         for row in one_shard.rows:
             assert row["reads"] > 0 and row["writes"] > 0
-            assert row["read_p999_us"] >= row["read_p99_us"] > 0
+            assert row["read_p99_us"] > 0
         headline = one_shard.headline
         assert isinstance(headline["zns_win_survives"], bool)
         assert headline["hard_scenario"] == "pack/bursty/0.0"

@@ -1,16 +1,17 @@
 """Tests for MetricsFrame: exact merge algebra, quantiles, series, the sink.
 
-The load-bearing property is that ``merge`` is exactly associative and
-commutative -- integer sums, order-free maxima, element-wise histogram
-adds -- so sharded telemetry reassembles byte-identical to a serial run
-no matter how observations were partitioned. Hypothesis drives random
-frames and random partitions at that claim. Series keep exact samples:
-their quantiles and means must round exactly as the experiments' golden
-numbers were computed.
+The load-bearing property is that ``merge`` is exactly associative --
+integer sums, order-free maxima, series concatenated in the order given
+-- so sharded telemetry merged in a fixed order reassembles a serial run
+byte-for-byte. Swapping two frames changes only the order of their
+series' samples. Hypothesis drives random frames and random partitions
+at those claims. Series keep exact samples: their quantiles and means
+must round exactly as the experiments' golden numbers were computed.
 """
 
 import json
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from repro.obs.events import (
     RecoveryEvent,
 )
 from repro.obs.frame import (
-    LATENCY_BIN_EDGES_US,
+    FRAME_VERSION,
     FrameSink,
     MetricsFrame,
     OpCounter,
@@ -68,7 +69,7 @@ def frames(draw) -> MetricsFrame:
     for key, value in draw(st.lists(st.tuples(_KEYS, _LATENCIES), max_size=4)):
         frame.peak(key, value)
     for key, value in draw(st.lists(st.tuples(_KEYS, _LATENCIES), max_size=8)):
-        frame.observe(key, value)
+        frame.sample(key, value)
     return frame
 
 
@@ -76,26 +77,32 @@ class TestMergeAlgebra:
     @given(a=frames(), b=frames())
     @settings(max_examples=30, deadline=None)
     def test_commutative(self, a, b):
-        assert a.merged(b).to_dict() == b.merged(a).to_dict()
+        # Counters and maxima commute exactly; a series concatenates in
+        # merge order, so swapping the frames keeps its multiset only.
+        ab, ba = MetricsFrame.merge([a, b]), MetricsFrame.merge([b, a])
+        assert (ab.counters, ab.maxima) == (ba.counters, ba.maxima)
+        assert {k: sorted(v) for k, v in ab.series.items()} == {
+            k: sorted(v) for k, v in ba.series.items()
+        }
 
     @given(a=frames(), b=frames(), c=frames())
     @settings(max_examples=30, deadline=None)
     def test_associative(self, a, b, c):
-        left = a.merged(b).merged(c)
-        right = a.merged(b.merged(c))
+        left = MetricsFrame.merge([MetricsFrame.merge([a, b]), c])
+        right = MetricsFrame.merge([a, MetricsFrame.merge([b, c])])
         assert left.to_dict() == right.to_dict()
 
     @given(a=frames())
     @settings(max_examples=20, deadline=None)
     def test_empty_frame_is_identity(self, a):
-        assert MetricsFrame().merged(a).to_dict() == a.to_dict()
-        assert a.merged(MetricsFrame()).to_dict() == a.to_dict()
+        assert MetricsFrame.merge([MetricsFrame(), a]).to_dict() == a.to_dict()
+        assert MetricsFrame.merge([a, MetricsFrame()]).to_dict() == a.to_dict()
 
     @given(a=frames(), b=frames())
     @settings(max_examples=20, deadline=None)
     def test_merge_does_not_mutate_inputs(self, a, b):
         before_a, before_b = a.to_dict(), b.to_dict()
-        a.merged(b)
+        MetricsFrame.merge([a, b])
         assert a.to_dict() == before_a
         assert b.to_dict() == before_b
 
@@ -106,22 +113,25 @@ class TestMergeAlgebra:
     )
     @settings(max_examples=40, deadline=None)
     def test_sharded_observation_equals_serial(self, values, cuts, q):
-        # Any partition of the observation stream merges back to the
-        # serial frame -- bins are integers, so equality is exact.
+        # Any partition of the sample stream into contiguous shards,
+        # merged in stream order, gives back the serial frame exactly.
         serial = MetricsFrame()
         for value in values:
-            serial.observe("lat_us", value)
+            serial.sample("lat_us", value)
 
         bounds = sorted({min(c, len(values)) for c in cuts} | {0, len(values)})
         shards = []
         for lo, hi in zip(bounds, bounds[1:]):
             shard = MetricsFrame()
             for value in values[lo:hi]:
-                shard.observe("lat_us", value)
+                shard.sample("lat_us", value)
             shards.append(shard)
         merged = MetricsFrame.merge(shards)
         assert merged.to_dict() == serial.to_dict()
         assert merged.quantile("lat_us", q) == serial.quantile("lat_us", q)
+        # Merged in any other order, the quantile still agrees exactly.
+        shuffled = MetricsFrame.merge(reversed(shards))
+        assert shuffled.quantile("lat_us", q) == serial.quantile("lat_us", q)
 
 
 class TestReads:
@@ -140,30 +150,12 @@ class TestReads:
         assert frame.counter("read_ops") == 1
         assert MetricsFrame(counters={"Read Ops": 2}).counter("read_ops") == 2
 
-    def test_quantile_is_a_bin_upper_edge_covering_the_value(self):
-        frame = MetricsFrame()
-        for value in (10.0, 20.0, 30.0, 1000.0):
-            frame.observe("lat", value)
-        p50 = frame.quantile("lat", 0.5)
-        assert p50 in LATENCY_BIN_EDGES_US
-        assert p50 >= 20.0
-        assert frame.quantile("lat", 1.0) >= 1000.0
-        assert frame.observations("lat") == 4
-
     def test_quantile_validates_q(self):
         frame = MetricsFrame()
         with pytest.raises(ValueError):
             frame.quantile("lat", 0.0)
         with pytest.raises(ValueError):
             frame.quantile("lat", 1.5)
-
-    def test_quantile_of_missing_histogram_is_zero(self):
-        assert MetricsFrame().quantile("lat", 0.99) == 0.0
-
-    def test_overflow_lands_in_the_last_bin(self):
-        frame = MetricsFrame()
-        frame.observe("lat", 10 * LATENCY_BIN_EDGES_US[-1])
-        assert frame.quantile("lat", 1.0) == LATENCY_BIN_EDGES_US[-1]
 
 
 class TestSerializationFrame:
@@ -177,9 +169,11 @@ class TestSerializationFrame:
         with pytest.raises(ValueError, match="schema version"):
             MetricsFrame.from_dict({"schema_version": 99})
 
-    def test_wrong_bin_count_rejected(self):
-        with pytest.raises(ValueError, match="bins"):
-            MetricsFrame(hists={"lat": [0, 1, 2]})
+    def test_version_1_payload_rejected(self):
+        # Version 1 carried binned histograms; its tails were bin edges.
+        assert FRAME_VERSION == 2
+        with pytest.raises(ValueError, match="schema version 1"):
+            MetricsFrame.from_dict({"schema_version": 1, "counters": {"a": 1}})
 
 
 class TestFrameSink:
@@ -201,8 +195,7 @@ class TestFrameSink:
         assert frame.counter("flash.nand.erase.ops") == 1
         # Only the "complete" phase counts as a served request.
         assert frame.counter("fleet.request.read.requests") == 1
-        assert frame.observations("fleet.request.read.latency_us") == 1
-        assert frame.quantile("fleet.request.read.latency_us", 1.0) >= 120.0
+        assert frame.series["fleet.request.read.latency_us"].tolist() == [120.0]
         assert frame.counter("faults.program-fail") == 1
         assert frame.counter("recovery.ftl.page-rewrite") == 1
 
@@ -220,15 +213,14 @@ class TestFrameSink:
         assert frame.counter("hostio.request.write.requests") == 1
         for phase, value in (("latency", 50.0), ("queued", 30.0), ("service", 20.0)):
             key = f"hostio.request.write.{phase}_us"
-            assert frame.observations(key) == 1
-            assert frame.quantile(key, 1.0) == min(e for e in LATENCY_BIN_EDGES_US if e >= value)
+            assert frame.series[key].tolist() == [value]
 
     def test_a_completion_without_a_lifecycle_books_no_split(self):
         # The fleet publishes only ``complete``: latency, but no queueing.
         sink = FrameSink()
         sink.on_event(HostRequestEvent("fleet.request", "read", "complete", latency_us=9.0))
         assert sink.frame.observations("fleet.request.read.latency_us") == 1
-        assert "fleet.request.read.queued_us" not in sink.frame.hists
+        assert "fleet.request.read.queued_us" not in sink.frame.series
 
     def test_open_requests_are_keyed_by_layer_op_and_id(self):
         sink = FrameSink()
@@ -242,10 +234,9 @@ class TestFrameSink:
             )
         )
         frame = sink.frame
-        # 8 and 4 us are bin edges, so each quantile reads back exactly.
-        assert frame.quantile("hostio.request.read.queued_us", 1.0) == 8.0
-        assert frame.quantile("hostio.request.read.service_us", 1.0) == 4.0
-        assert "other.request.read.queued_us" not in frame.hists
+        assert frame.series["hostio.request.read.queued_us"].tolist() == [8.0]
+        assert frame.series["hostio.request.read.service_us"].tolist() == [4.0]
+        assert "other.request.read.queued_us" not in frame.series
 
     def test_reset_forgets_open_requests(self):
         sink = FrameSink()
@@ -257,7 +248,7 @@ class TestFrameSink:
             )
         )
         assert sink.frame.observations("hostio.request.read.latency_us") == 1
-        assert "hostio.request.read.queued_us" not in sink.frame.hists
+        assert "hostio.request.read.queued_us" not in sink.frame.series
 
     def test_reset_starts_a_fresh_frame(self):
         sink = FrameSink()
@@ -266,35 +257,6 @@ class TestFrameSink:
         sink.reset()
         assert sink.frame is not old
         assert sink.frame.counter("flash.nand.program.ops") == 0
-
-
-class TestObserveMany:
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(_LATENCIES, max_size=80))
-    def test_equals_scalar_observe_loop(self, values):
-        # Sizes straddle the 32-observation threshold where observe_many
-        # switches from the bisect loop to searchsorted+bincount; both
-        # sides must bin exactly like per-value observe().
-        batched = MetricsFrame()
-        batched.observe_many("lat_us", values)
-        scalar = MetricsFrame()
-        for value in values:
-            scalar.observe("lat_us", value)
-        assert batched.to_dict() == scalar.to_dict()
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.lists(_LATENCIES, min_size=1, max_size=80))
-    def test_accepts_lists_and_arrays_identically(self, values):
-        from_list = MetricsFrame()
-        from_list.observe_many("lat_us", values)
-        from_array = MetricsFrame()
-        from_array.observe_many("lat_us", np.asarray(values, dtype=np.float64))
-        assert from_list.to_dict() == from_array.to_dict()
-
-    def test_empty_batch_creates_no_histogram(self):
-        frame = MetricsFrame()
-        frame.observe_many("lat_us", [])
-        assert frame.hists == {}
 
 
 class TestOpCounter:
@@ -321,7 +283,7 @@ class TestSeries:
         assert frame.observations("lat_us") == 0
         assert frame.mean("lat_us") == 0.0
         assert frame.quantile("lat_us", 0.99) == 0.0
-        assert "series" not in frame.to_dict()
+        assert frame.to_dict()["series"] == {}
 
     def test_exact_percentiles(self):
         frame = MetricsFrame()
@@ -360,22 +322,19 @@ class TestSeries:
         assert frame.mean("lat_us") == total / len(values)
         assert frame.mean("lat_us") != math.fsum(values) / len(values)
 
-    def test_series_and_histograms_are_separate_namespaces(self):
-        frame = MetricsFrame()
-        frame.observe("binned_us", 3.0)
-        frame.sample("exact_us", 3.0)
-        assert frame.quantile("exact_us", 1.0) == 3.0
-        assert frame.quantile("binned_us", 1.0) == min(e for e in LATENCY_BIN_EDGES_US if e >= 3.0)
-        assert frame.observations("exact_us") == frame.observations("binned_us") == 1
-        assert list(frame.hists) == ["binned_us"]
-        assert list(frame.series) == ["exact_us"]
-
     def test_merge_concatenates_in_order(self):
         a = MetricsFrame(series={"lat_us": [3.0, 1.0]})
         b = MetricsFrame(series={"lat_us": [2.0], "other_us": [5.0]})
         merged = MetricsFrame.merge([a, b])
-        assert merged.series == {"lat_us": [3.0, 1.0, 2.0], "other_us": [5.0]}
-        assert a.series == {"lat_us": [3.0, 1.0]}
+        assert merged.to_dict()["series"] == {"lat_us": [3.0, 1.0, 2.0], "other_us": [5.0]}
+        assert a.series["lat_us"].tolist() == [3.0, 1.0]
+
+    def test_series_are_float_arrays(self):
+        # Not lists: a fleet sweep point ships ~10k samples between processes.
+        frame = MetricsFrame(series={"lat_us": [1, 2.5]})
+        frame.sample("new_us", 4)
+        for values in (*frame.series.values(), *MetricsFrame.merge([frame]).series.values()):
+            assert isinstance(values, array) and values.typecode == "d"
 
     def test_round_trip_through_json(self):
         frame = MetricsFrame()

@@ -78,7 +78,7 @@ def _assert_latencies_match(events, device, ops: dict[str, int]) -> None:
     for op, count in ops.items():
         key = f"hostio.request.{op}.latency_us"
         assert device.frame.observations(key) == count
-        assert device.frame.series[key] == _replayed_latencies(events, op)
+        assert device.frame.series[key].tolist() == _replayed_latencies(events, op)
 
 
 def _small_zoned(blocks_per_zone: int = 2) -> ZonedGeometry:
@@ -412,7 +412,7 @@ class TestConservation:
         finally:
             runtime.remove_global_sink(sink)
         frame = sink.frame
-        latencies = [key for key in frame.hists if key.endswith(".latency_us")]
+        latencies = [key for key in frame.series if key.endswith(".latency_us")]
         assert sorted(latencies) == [
             "hostio.request.read.latency_us",
             "hostio.request.write.latency_us",
