@@ -30,7 +30,7 @@ def run_set_associative():
         if not cache.get(obj):
             cache.admit(obj)
     flash_pages = ssd.ftl.nand.physical_bytes_written() // 4096
-    return cache, flash_pages, ssd.ftl.nand.counters.erases
+    return cache, flash_pages, ssd.ftl.nand.counters.count("erase")
 
 
 def run_zone_log():
@@ -43,7 +43,7 @@ def run_zone_log():
         if not cache.get(obj):
             cache.admit(obj)
     flash_pages = device.nand.physical_bytes_written() // 4096
-    return cache, flash_pages, device.nand.counters.erases
+    return cache, flash_pages, device.nand.counters.count("erase")
 
 
 def main() -> None:

@@ -51,7 +51,7 @@ def demo_conventional_tax() -> None:
     for _ in range(2 * n):               # random overwrites
         ssd.write_block(int(rng.integers(0, n)))
     print(f"host wrote {3 * n} pages; flash absorbed "
-          f"{ssd.ftl.stats.gc_pages_copied} extra GC copies")
+          f"{ssd.ftl.nand.counters.count('copy', 'gc')} extra GC copies")
     print(f"device write amplification at 7% OP: "
           f"{ssd.device_write_amplification:.2f}x\n")
 

@@ -25,9 +25,10 @@ on:
   CLI: process-pool fan-out (``--jobs``), a content-addressed result
   cache, and structured progress reporting;
 - :mod:`repro.obs` -- measurement and telemetry: the one aggregation
-  type (``MetricsFrame``, with ``OpCounter`` as its typed counter slice),
-  typed trace events published by every layer above, pluggable sinks,
-  JSONL export (``--trace``), and frame aggregation (``--metrics-out``).
+  type (``MetricsFrame``, with ``OpCounter`` as its typed counter slice,
+  where every flash op is counted once under its cause), typed trace
+  events published by every layer above, pluggable sinks, JSONL export
+  (``--trace``), and frame aggregation (``--metrics-out``).
 
 Quick taste::
 

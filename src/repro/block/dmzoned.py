@@ -221,12 +221,12 @@ class ZonedBlockDevice:
             self.stats.pages_lost += 1
             raise
         self.stats.user_pages_read += 1
-        self.counters.note_read(self.block_size)
+        self.counters.note_read("host", self.block_size)
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
                     "block.dmzoned", "read", block=op.block, page=op.page,
-                    nbytes=self.block_size,
+                    nbytes=self.block_size, cause="host",
                 )
             )
         return payload, op
@@ -265,12 +265,12 @@ class ZonedBlockDevice:
         else:
             raise TranslationError(f"write of lba {lba} failed: zones keep degrading")
         self.stats.user_pages_written += 1
-        self.counters.note_write(self.block_size)
+        self.counters.note_program("host", self.block_size)
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
                     "block.dmzoned", "program", block=ops[-1].block,
-                    page=ops[-1].page, nbytes=self.block_size,
+                    page=ops[-1].page, nbytes=self.block_size, cause="host",
                 )
             )
         return ops
@@ -482,8 +482,8 @@ class ZonedBlockDevice:
         if self.config.use_simple_copy:
             _, ops = self.device.simple_copy([(victim, offset)], dst_zone)
         else:
-            payload, read_op = self.device.read(victim, offset)
-            write_ops = self.device.write(dst_zone, npages=1, data=payload)
+            payload, read_op = self.device.read(victim, offset, "reclaim")
+            write_ops = self.device.write(dst_zone, npages=1, data=payload, cause="reclaim")
             ops = [read_op, *write_ops]
             self.stats.pcie_copy_pages += 1
         lba = self._p2l_v[self._flat(victim, offset)]

@@ -135,6 +135,7 @@ class ZonedDevice(Protocol):
         offset: int | None = None,
         data: Any = None,
         build_ops: bool = True,
+        cause: str = "host",
     ) -> list["FlashOp"]:
         """Sequential write at the write pointer (``[]`` without ``build_ops``)."""
         ...
@@ -145,7 +146,7 @@ class ZonedDevice(Protocol):
         """Zone append: the device assigns the offset."""
         ...
 
-    def read(self, zone_id: int, offset: int) -> tuple[Any, "FlashOp"]:
+    def read(self, zone_id: int, offset: int, cause: str = "host") -> tuple[Any, "FlashOp"]:
         """Read one page at (zone, offset below the write pointer)."""
         ...
 

@@ -17,12 +17,9 @@ from repro.workloads.synthetic import fill_then_churn, hot_cold_array, uniform_a
 
 
 def _steady_wa(ftl: ConventionalFTL, addresses) -> float:
-    host0 = ftl.stats.host_pages_written
-    copied0 = ftl.stats.gc_pages_copied
+    before = ftl.nand.counters.snapshot()
     ftl.write_pages(addresses)
-    host = ftl.stats.host_pages_written - host0
-    copied = ftl.stats.gc_pages_copied - copied0
-    return (host + copied) / host
+    return ftl.nand.counters.write_amplification(since=before)
 
 
 def measure(policy: str, workload: str, quick: bool, seed: int) -> dict:

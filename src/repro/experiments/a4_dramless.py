@@ -49,21 +49,25 @@ def measure_cmt_budget(cmt_bytes: int, quick: bool, seed: int) -> dict:
             device.read(lpn)
         else:
             device.write(lpn)
-    decomp = device.wa_decomposition()
     store = device.store
     coverage = store.capacity_pages / store.translation_pages
+    # Every number below is a NAND count, split by the cause it was booked under.
+    count = device.nand.counters.count
+    host_reads = count("read", "host")
+    host = count("program", "host")
+    translation = count("program", "translation-writeback") + count("copy", "translation-gc")
     return {
         "cmt_kib": cmt_bytes // 1024,
         "cmt_translation_pages": store.capacity_pages,
         "map_coverage_pct": round(100 * min(coverage, 1.0), 1),
         "hit_rate": round(store.stats.hit_rate, 3),
-        "read_overhead": round(device.read_overhead_factor, 3),
-        "write_overhead": round(device.write_overhead_factor, 3),
-        "wa_host_pages": decomp.host_pages,
-        "wa_data_gc_pages": decomp.data_gc_pages,
-        "wa_translation_pages": decomp.translation_pages,
-        "device_wa": round(decomp.device_wa, 3),
-        "translation_factor": round(decomp.translation_factor, 3),
+        "read_overhead": round(count("read") / host_reads, 3),
+        "write_overhead": round((host + translation) / host, 3),
+        "wa_host_pages": host,
+        "wa_data_gc_pages": count("copy", "gc"),
+        "wa_translation_pages": translation,
+        "device_wa": round(device.nand.counters.write_amplification(), 3),
+        "translation_factor": round(translation / host, 3),
         "translation_gc_runs": store.stats.gc_runs,
     }
 

@@ -41,7 +41,7 @@ def measure_conventional(interval: int, quick: bool, seed: int) -> dict:
         "checkpoint_interval": interval,
         "metadata_pages": stats.metadata_pages_written,
         "metadata_overhead_pct": round(
-            100 * stats.metadata_overhead(device.ftl.stats.host_pages_written), 2
+            100 * stats.metadata_overhead(ftl.nand.counters.count("program", "host")), 2
         ),
         "total_wa": round(device.total_write_amplification, 3),
     }

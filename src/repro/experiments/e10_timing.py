@@ -35,8 +35,8 @@ def run(config: ExperimentConfig) -> ExperimentResult:
 
     # Live validation: measure one program and one erase on the array.
     nand = NandArray(FlashGeometry.small(CellType.TLC), TimingModel.for_cell(CellType.TLC))
-    program_latency = nand.program(0)
-    erase_latency = nand.erase(0)
+    program_latency = nand.program(0, "host")
+    erase_latency = nand.erase(0, "host")
     measured_ratio = erase_latency / (
         program_latency - nand.timing.transfer_us(nand.geometry.page_size)
     )

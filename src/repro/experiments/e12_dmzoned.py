@@ -32,10 +32,9 @@ def _wa_conventional(quick: bool, seed: int) -> dict:
     )
     n = ftl.logical_pages
     fill_then_churn(ftl, uniform_array(n, (2 if quick else 4) * n, seed=seed))
-    flash_pages = ftl.nand.physical_bytes_written() // ftl.geometry.page_size
     return {
         "stack": "conventional-ftl",
-        "total_wa": round(flash_pages / ftl.stats.host_pages_written, 2),
+        "total_wa": round(ftl.nand.counters.write_amplification(), 2),
         "pcie_reclaim_pages": 0,  # GC never crosses the host interface
     }
 
@@ -56,10 +55,9 @@ def _wa_host(simple_copy: bool, quick: bool, seed: int) -> dict:
         layer.write(lpn)
     for lpn in uniform_stream(n, (2 if quick else 4) * n, seed=seed):
         layer.write(lpn)
-    flash_pages = device.nand.physical_bytes_written() // device.page_size
     return {
         "stack": "zns+host-copy" if not simple_copy else "zns+simple-copy",
-        "total_wa": round(flash_pages / layer.stats.user_pages_written, 2),
+        "total_wa": round(device.nand.counters.write_amplification(), 2),
         "pcie_reclaim_pages": layer.stats.pcie_copy_pages,
     }
 

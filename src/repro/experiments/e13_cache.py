@@ -35,7 +35,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         "cache": "set-assoc/conventional",
         "hit_ratio": round(set_cache.stats.hit_ratio, 3),
         "device_wa": round(conv_flash / max(set_cache.stats.insertions, 1), 2),
-        "erases": conv.ftl.nand.counters.erases,
+        "erases": conv.ftl.nand.counters.count("erase"),
     }
 
     zns = build_stack(
@@ -50,7 +50,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         "cache": "zone-log/zns",
         "hit_ratio": round(log_cache.stats.hit_ratio, 3),
         "device_wa": round(zns_flash / max(log_cache.stats.insertions, 1), 2),
-        "erases": zns.nand.counters.erases,
+        "erases": zns.nand.counters.count("erase"),
     }
 
     rows = [conv_row, zns_row]

@@ -45,12 +45,10 @@ def measure_wearlevel(wl_policy: str, quick: bool, churn: np.ndarray) -> dict:
     ftl = build_stack(_wearlevel_spec(wl_policy, quick))
     fill_then_churn(ftl, churn)
     report = spare_report(ftl)
-    host = ftl.stats.host_pages_written
-    copied = ftl.stats.gc_pages_copied
     return {
         "measurement": "wear-leveling",
         **report,
-        "write_amplification": round((host + copied) / host, 3),
+        "write_amplification": round(ftl.nand.counters.write_amplification(), 3),
         "gc_runs": ftl.stats.gc_runs,
     }
 

@@ -141,9 +141,6 @@ def measure_arm(arm: str, fault_scale: float, quick: bool, seed: int) -> dict:
         def recovered() -> int:
             return stats.program_faults
 
-        def host_written() -> int:
-            return stats.host_pages_written
-
     else:
         layer = stack
         device = layer.device
@@ -159,14 +156,10 @@ def measure_arm(arm: str, fault_scale: float, quick: bool, seed: int) -> dict:
         def recovered() -> int:
             return stats.zones_degraded
 
-        def host_written() -> int:
-            return stats.user_pages_written
-
     # The injector the factory armed (None on the clean reference arm).
     injector = nand.faults
     died = False
     writes_done = 0
-    page_size = nand.geometry.page_size
 
     def drive(lpns: np.ndarray) -> bool:
         nonlocal died, writes_done
@@ -185,16 +178,15 @@ def measure_arm(arm: str, fault_scale: float, quick: bool, seed: int) -> dict:
     alive = drive(np.arange(n, dtype=np.int64))
     if alive:
         alive = drive(uniform_array(n, (multiple - 1) * n, seed=seed))
-    host_before, flash_before = host_written(), nand.physical_bytes_written()
+    before = nand.counters.snapshot()
     if alive:
         drive(uniform_array(n, n, seed=seed + 1))
-    host = host_written() - host_before
-    flash_pages = (nand.physical_bytes_written() - flash_before) // page_size
+    wa = nand.counters.write_amplification(since=before)
     return {
         "arm": arm,
         "fault_scale": fault_scale,
         # Only a completed measured pass gives comparable numbers.
-        "write_amplification": None if died else round(flash_pages / host, 2),
+        "write_amplification": None if died else round(wa, 2),
         "read_p99_us": None if died else _read_p99(read_one, n, seed),
         "capacity_lost_pct": round(capacity_lost_pct(), 2),
         "recovered_faults": recovered(),

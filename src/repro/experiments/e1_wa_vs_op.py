@@ -63,15 +63,12 @@ def measure_wa(
     ftl.write_pages(np.arange(n, dtype=np.int64))
     ftl.write_pages(uniform_array(n, n, seed=seed))
     # Measure over the steady-state phase only.
-    host_before = ftl.stats.host_pages_written
-    copied_before = ftl.stats.gc_pages_copied
+    before = ftl.nand.counters.snapshot()
     ftl.write_pages(uniform_array(n, int(overwrite_multiple * n), seed=seed + 1))
-    host = ftl.stats.host_pages_written - host_before
-    copied = ftl.stats.gc_pages_copied - copied_before
     return {
         "op_pct": round(op_ratio * 100, 1),
         "effective_spare_pct": round(ftl.effective_spare_factor * 100, 1),
-        "write_amplification": (host + copied) / host,
+        "write_amplification": ftl.nand.counters.write_amplification(since=before),
         "gc_runs": ftl.stats.gc_runs,
     }
 

@@ -42,10 +42,12 @@ if TYPE_CHECKING:  # imported lazily to avoid a faults <-> flash cycle
 class NandArray:
     """Raw flash: program/read/erase with physical constraints enforced.
 
-    Every operation books itself in :attr:`counters`, a plain
-    :class:`OpCounter` the array owns, and -- only when a sink is
-    attached to the array's tracer -- publishes a :class:`FlashOpEvent`
-    (layer ``flash.nand``) carrying the same count and bytes.
+    Every operation takes the cause its caller names (one of
+    :data:`~repro.obs.events.CAUSES`) and books itself once, under that
+    cause, in :attr:`counters`, a plain :class:`OpCounter` the array
+    owns; only when a sink is attached to the array's tracer does it
+    also publish a :class:`FlashOpEvent` (layer ``flash.nand``) carrying
+    the same cause, count and bytes.
 
     Parameters
     ----------
@@ -92,8 +94,8 @@ class NandArray:
             )
         self.store_data = store_data
         self.tracer = tracer if tracer is not None else new_tracer()
-        #: Physical operation counters; a copy also books its bytes as
-        #: programmed flash bytes (``bytes_written``).
+        #: Physical operation counters, per op and cause; a copy also
+        #: books its bytes as programmed flash bytes (``bytes_written``).
         self.counters = OpCounter()
         # Disarmed injectors are dropped: the hot-path guard is a single
         # attribute check, and no RNG is ever consulted.
@@ -142,7 +144,7 @@ class NandArray:
 
     # -- Operations ------------------------------------------------------------
 
-    def program(self, page: int, data: Any = None) -> float:
+    def program(self, page: int, cause: str, data: Any = None) -> float:
         """Program one page; returns operation latency in microseconds.
 
         Raises :class:`ProgramOrderError` unless ``page`` is exactly the
@@ -174,17 +176,17 @@ class NandArray:
         self._write_offsets_v[block] = offset + 1
         if self.store_data:
             self._data[page] = data
-        self.counters.note_write(self.geometry.page_size)
+        self.counters.note_program(cause, self.geometry.page_size)
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
                     "flash.nand", "program", block, page,
-                    nbytes=self.geometry.page_size, latency_us=latency,
+                    nbytes=self.geometry.page_size, latency_us=latency, cause=cause,
                 )
             )
         return latency
 
-    def program_next(self, block: int, data: Any = None) -> tuple[int, float]:
+    def program_next(self, block: int, cause: str, data: Any = None) -> tuple[int, float]:
         """Program the next free page of ``block``; returns (page, latency).
 
         Convenience used by append-style writers that track blocks, not
@@ -195,9 +197,9 @@ class NandArray:
         if offset >= ppb:
             raise ProgramOrderError(f"block {block} is full")
         page = block * ppb + offset
-        return page, self.program(page, data)
+        return page, self.program(page, cause, data)
 
-    def read(self, page: int) -> tuple[Any, float]:
+    def read(self, page: int, cause: str) -> tuple[Any, float]:
         """Read one page; returns (payload, latency_us).
 
         Payload is ``None`` unless the array stores data.
@@ -208,12 +210,12 @@ class NandArray:
             # May raise UncorrectableReadError after walking the full ECC
             # retry ladder; otherwise adds the ladder/spike latency.
             latency += self.faults.on_read(block, page)
-        self.counters.note_read(self.geometry.page_size)
+        self.counters.note_read(cause, self.geometry.page_size)
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
                     "flash.nand", "read", block, page,
-                    nbytes=self.geometry.page_size, latency_us=latency,
+                    nbytes=self.geometry.page_size, latency_us=latency, cause=cause,
                 )
             )
         return payload, latency
@@ -242,7 +244,7 @@ class NandArray:
         """
         return self._check_and_sense(page)[1]
 
-    def erase(self, block: int) -> float:
+    def erase(self, block: int, cause: str) -> float:
         """Erase a block; returns latency. May retire the block (wear-out).
 
         Raises :class:`BadBlockError` if the block was already retired or
@@ -261,18 +263,19 @@ class NandArray:
         if self.store_data:
             for page in self.geometry.pages_of_block(block):
                 self._data.pop(page, None)
-        self.counters.note_erase()
+        self.counters.note_erase(cause)
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
-                    "flash.nand", "erase", block, latency_us=self.timing.erase_us
+                    "flash.nand", "erase", block, latency_us=self.timing.erase_us,
+                    cause=cause,
                 )
             )
         if not survived:
             raise BadBlockError(f"block {block} failed erase and was retired")
         return self.timing.erase_us
 
-    def copy_page(self, src_page: int, dst_page: int) -> float:
+    def copy_page(self, src_page: int, dst_page: int, cause: str) -> float:
         """On-die copy (copyback / NVMe simple-copy building block).
 
         Moves a page without crossing the host interface: read array time
@@ -294,12 +297,12 @@ class NandArray:
         latency = self.timing.read_us + self.timing.program_us
         # Not a host read/write: one copy, whose bytes were nonetheless
         # programmed to flash.
-        self.counters.note_copy(self.geometry.page_size, programs=True)
+        self.counters.note_copy(cause, self.geometry.page_size, programs=True)
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
                     "flash.nand", "copy", block, dst_page,
-                    nbytes=self.geometry.page_size, latency_us=latency,
+                    nbytes=self.geometry.page_size, latency_us=latency, cause=cause,
                 )
             )
         return latency
@@ -313,7 +316,7 @@ class NandArray:
     # counter sink over the stream -- read totals identical to the scalar
     # calls. Constraints are validated before any mutation.
 
-    def program_run(self, block: int, n: int) -> tuple[int, float]:
+    def program_run(self, block: int, n: int, cause: str) -> tuple[int, float]:
         """Program the next ``n`` free pages of ``block``; returns (first_page, latency).
 
         The append-style run: no per-page addresses needed, just the run
@@ -338,17 +341,20 @@ class NandArray:
         first_page = block * self.geometry.pages_per_block + offset
         latency = n * self._program_page_us
         self._write_offsets_v[block] = offset + n
-        self.counters.note_write(n * self.geometry.page_size, n)
+        self.counters.note_program(cause, n * self.geometry.page_size, n)
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
                     "flash.nand", "program", block, first_page,
                     nbytes=n * self.geometry.page_size, count=n, latency_us=latency,
+                    cause=cause,
                 )
             )
         return first_page, latency
 
-    def copy_run(self, src_pages: np.ndarray, dst_block: int, dst_offset: int) -> float:
+    def copy_run(
+        self, src_pages: np.ndarray, dst_block: int, dst_offset: int, cause: str
+    ) -> float:
         """On-die copy of one victim block's pages onto a contiguous run.
 
         The collector's shape: ``src_pages`` ascending within a single
@@ -389,12 +395,13 @@ class NandArray:
             for i, src in enumerate(src_pages.tolist()):
                 self._data[dst_first + i] = self._data.get(src)
         latency = n * (self.timing.read_us + self.timing.program_us)
-        self.counters.note_copy(n * self.geometry.page_size, n, programs=True)
+        self.counters.note_copy(cause, n * self.geometry.page_size, n, programs=True)
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
                     "flash.nand", "copy", dst_block, dst_first,
                     nbytes=n * self.geometry.page_size, count=n, latency_us=latency,
+                    cause=cause,
                 )
             )
         return latency
@@ -428,6 +435,15 @@ class NandArray:
             pages = np.fromiter(self._data, dtype=np.int64, count=len(self._data))
             below = pages % ppb < offsets[pages // ppb]
             assert below.all(), "payload at or above its block's write offset"
+        # The op counts are stored per cause only; the byte totals must be
+        # what those counts moved, a page each.
+        counters, page = self.counters, self.geometry.page_size
+        copied = counters.count("copy") * page
+        assert counters.bytes_read == counters.count("read") * page, "read bytes != read ops"
+        assert counters.bytes_copied == copied, "copy bytes != copy ops"
+        assert counters.bytes_written == counters.count("program") * page + copied, (
+            "programmed bytes != program + copy ops"
+        )
 
 
 __all__ = ["NandArray"]

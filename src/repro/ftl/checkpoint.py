@@ -48,11 +48,11 @@ class CheckpointStats:
     checkpoints: int = 0
     metadata_pages_written: int = 0
 
-    def metadata_overhead(self, host_pages_written: int) -> float:
+    def metadata_overhead(self, host_pages: int) -> float:
         """Extra flash writes per host write from metadata durability."""
-        if host_pages_written == 0:
+        if host_pages == 0:
             return 0.0
-        return self.metadata_pages_written / host_pages_written
+        return self.metadata_pages_written / host_pages
 
 
 class CheckpointPolicy:
@@ -151,16 +151,10 @@ class CheckpointedFTL:
 
     @property
     def total_write_amplification(self) -> float:
-        """GC WA plus the metadata-durability surcharge."""
-        stats = self.ftl.stats
-        if stats.host_pages_written == 0:
-            return 1.0
-        total = (
-            stats.host_pages_written
-            + stats.gc_pages_copied
-            + self.policy.stats.metadata_pages_written
+        """Device WA plus the metadata-durability surcharge."""
+        return self.ftl.nand.counters.write_amplification(
+            metadata_pages=self.policy.stats.metadata_pages_written
         )
-        return total / stats.host_pages_written
 
 
 __all__ = [

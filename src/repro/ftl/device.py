@@ -59,7 +59,7 @@ class ConventionalSSD:
 
     @property
     def device_write_amplification(self) -> float:
-        return self.ftl.stats.device_write_amplification
+        return self.ftl.nand.counters.write_amplification()
 
     def read_block(self, lba: int) -> Any:
         self.ftl.read(lba)

@@ -13,15 +13,17 @@ lives in *translation pages* programmed to flash (each covering
 ``page_size / 4`` logical pages), a Global Translation Directory tracks
 where each translation page currently sits, and only a DRAM-budgeted
 Cached Mapping Table is resident. Consequences, all observable in the
-shared flash counters:
+shared flash counters, each op booked under its cause:
 
-- a host I/O whose translation misses the CMT costs a real flash read;
+- a host I/O whose translation misses the CMT costs a real flash read
+  (``translation-fetch``);
 - evicting a dirty CMT entry costs a real flash program, into dedicated
-  translation blocks drawn from the same free pool as data blocks;
+  translation blocks drawn from the same free pool as data blocks
+  (``translation-writeback``);
 - translation blocks fill with stale translation pages and must be
-  garbage collected -- copies and erases that compete with data GC and
-  show up as the third term of the device-WA decomposition
-  (:class:`DeviceWriteAmpDecomposition`);
+  garbage collected -- copies and erases that compete with data GC
+  (``translation-gc``), the device WA's third term beside ``host`` and
+  ``gc``;
 - data-GC relocations rewrite mapping entries, dirtying the owning
   translation pages (the write-amplification-of-write-amplification
   real DFTLs pay);
@@ -36,7 +38,7 @@ the property the parity test suite pins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -50,37 +52,6 @@ from repro.ftl.ftl import CapacityError, ConventionalFTL, FTLConfig
 from repro.ftl.mapping import UNMAPPED, TranslationStore
 from repro.obs.events import GcEvent, TranslationEvent
 from repro.obs.tracer import Tracer
-
-
-@dataclass(frozen=True)
-class DeviceWriteAmpDecomposition:
-    """Device-internal WA split by *why* each flash program happened.
-
-    On a demand-paged FTL the device factor has three sources: the host
-    programs themselves, data-GC copy-forwards, and translation traffic
-    (dirty CMT writebacks plus translation-block GC copies). With the
-    whole map cached ``translation_pages`` is zero and this degenerates
-    to the classic host + GC accounting.
-    """
-
-    host_pages: int
-    data_gc_pages: int
-    translation_pages: int
-
-    @property
-    def device_wa(self) -> float:
-        """Programs per host program; 1.0 when nothing was written."""
-        if self.host_pages == 0:
-            return 1.0
-        total = self.host_pages + self.data_gc_pages + self.translation_pages
-        return total / self.host_pages
-
-    @property
-    def translation_factor(self) -> float:
-        """Translation programs per host program (miss amplification's write half)."""
-        if self.host_pages == 0:
-            return 0.0
-        return self.translation_pages / self.host_pages
 
 
 #: OOB tag for a translation page holding tvpn: ``-(2 + tvpn)``.
@@ -193,51 +164,12 @@ class DemandPagedFTL(ConventionalFTL):
             tracer=self.tracer,
         )
 
-    # -- Back-compat / reporting surface -------------------------------------
-
-    @property
-    def ftl(self) -> "DemandPagedFTL":
-        """The old wrapper exposed ``.ftl``; the FTL is no longer wrapped."""
-        return self
-
-    @property
-    def cache(self) -> TranslationStore:
-        """The old wrapper's ``.cache``; now the real translation store."""
-        return self.store
+    # -- Reporting surface ---------------------------------------------------
 
     @property
     def full_map_translation_pages(self) -> int:
         """Translation pages a full map of this device needs."""
         return self.store.translation_pages
-
-    @property
-    def read_overhead_factor(self) -> float:
-        """Flash reads per host read, including translation fetches.
-
-        Translation fetches triggered by writes/trims also appear in the
-        numerator: they are reads the flash must serve either way.
-        """
-        host_reads = self.stats.host_pages_read
-        if host_reads == 0:
-            return 1.0
-        return (host_reads + self.store.stats.miss_reads) / host_reads
-
-    @property
-    def write_overhead_factor(self) -> float:
-        """Flash writes per host write added by translation programs
-        (on top of the data path's GC write amplification)."""
-        host_writes = self.stats.host_pages_written
-        if host_writes == 0:
-            return 1.0
-        return (host_writes + self.store.stats.translation_writes) / host_writes
-
-    def wa_decomposition(self) -> DeviceWriteAmpDecomposition:
-        """Device WA split into host / data-GC / translation programs."""
-        return DeviceWriteAmpDecomposition(
-            host_pages=self.stats.host_pages_written,
-            data_gc_pages=self.stats.gc_pages_copied,
-            translation_pages=self.store.stats.translation_writes,
-        )
 
     # -- Host operations ------------------------------------------------------
 
@@ -323,7 +255,7 @@ class DemandPagedFTL(ConventionalFTL):
     def _trans_program_page(self, tvpn: int) -> None:
         """Program one translation page (CMT writeback / flush path)."""
         block = self._trans_destination(allow_gc=True)
-        page, _ = self.nand.program_next(block)
+        page, _ = self.nand.program_next(block, "translation-writeback")
         gtd = self.store.gtd_v
         old = gtd[tvpn]
         if old != UNMAPPED:
@@ -401,19 +333,18 @@ class DemandPagedFTL(ConventionalFTL):
             dst_block = self._trans_destination(allow_gc=False)
             offset = self.nand.write_offset(dst_block)
             dst = g.first_page_of_block(dst_block) + offset
-            latency = self.nand.copy_page(src, dst)
+            latency = self.nand.copy_page(src, dst, "translation-gc")
             gtd_v[tvpn] = dst
             trans_valid[victim] -= 1
             trans_valid[dst_block] += 1
             self._oob_lpn_v[dst] = oob_tag_for_tvpn(tvpn)
             self._oob_serial_v[dst] = self._program_serial
             self._program_serial += 1
-            self.store.stats.gc_copies += 1
             if build_ops:
                 ops.append(
                     FlashOp(OpKind.COPY, dst_block, dst, latency, uses_channel=uses_channel)
                 )
-        erase_latency = self._erase_reclaimed(victim)
+        erase_latency = self._erase_reclaimed(victim, "translation-gc")
         self._trans_sealed.discard(victim)
         if build_ops:
             ops.append(FlashOp(OpKind.ERASE, victim, None, erase_latency))
@@ -531,7 +462,7 @@ class DemandPagedFTL(ConventionalFTL):
     def _trans_pad_and_seal(self, block: int) -> None:
         """Pad a partial translation block shut (recovery only)."""
         free = self.geometry.pages_per_block - self.nand.write_offset(block)
-        first, _ = self.nand.program_run(block, free)
+        first, _ = self.nand.program_run(block, free, "recovery")
         self._oob_lpn[first : first + free] = UNMAPPED
         self._trans_seal(block)
 

@@ -104,13 +104,11 @@ class FTLConfig:
 
 @dataclass
 class FTLStats:
-    """Cumulative accounting; device WA derives from these."""
+    """Cumulative FTL decisions. The flash ops they cost are counted once,
+    per cause, by the NAND (``nand.counters``), and device WA is
+    :meth:`~repro.obs.frame.OpCounter.write_amplification` over them."""
 
-    host_pages_written: int = 0
-    gc_pages_copied: int = 0
     gc_runs: int = 0
-    blocks_erased: int = 0
-    host_pages_read: int = 0
     trims: int = 0
     #: Untimed, each inline collection a write had to wait for; timed
     #: (``TimedConventionalSSD._stall_ended``), per stalled write the
@@ -120,12 +118,6 @@ class FTLStats:
     blocks_retired: int = 0
     crash_recoveries: int = 0
     pages_replayed: int = 0
-
-    @property
-    def device_write_amplification(self) -> float:
-        if self.host_pages_written == 0:
-            return 1.0
-        return (self.host_pages_written + self.gc_pages_copied) / self.host_pages_written
 
 
 class ConventionalFTL:
@@ -328,7 +320,6 @@ class ConventionalFTL:
         self._oob_lpn_v[page] = lpn
         self._oob_serial_v[page] = self._program_serial
         self._program_serial += 1
-        self.stats.host_pages_written += 1
         ops.append(FlashOp(OpKind.PROGRAM, page // self.geometry.pages_per_block, page, latency))
         return ops
 
@@ -375,7 +366,6 @@ class ConventionalFTL:
             )
             self._program_serial += take
             done += take
-        self.stats.host_pages_written += n
         return n
 
     def _program_host(
@@ -405,7 +395,7 @@ class ConventionalFTL:
             page, latency = self._program_host_page(stream)
             return page, 1, latency
         take = n if n < ppb - offset else ppb - offset
-        first, latency = nand.program_run(active, take)
+        first, latency = nand.program_run(active, take, "host")
         self._clock += take - 1
         return first, take, latency
 
@@ -438,7 +428,7 @@ class ConventionalFTL:
                 # retry loop would drain the free pool and wedge the device.
                 active = self._open_next_block(stream, auto_gc=True)
             try:
-                page, latency = self.nand.program_next(active)
+                page, latency = self.nand.program_next(active, "host")
                 return page, total + latency
             except ProgramFaultError as exc:
                 total += exc.latency_us
@@ -469,7 +459,7 @@ class ConventionalFTL:
         copies record fresh OOB), then the block is marked bad and leaves
         circulation -- it was active, so it sits in no other pool.
         """
-        moved = self._copy_forward(self.map.valid_pages_array(block), None)
+        moved = self._copy_forward(self.map.valid_pages_array(block), None, "recovery")
         self.nand.wear.mark_bad(block)
         self._active[stream] = None
         self._fault_counts.pop(block, None)
@@ -483,29 +473,30 @@ class ConventionalFTL:
             )
 
     def _reclaim(
-        self, block: int, action: str, ops: list[FlashOp] | None, uses_channel: bool = False
+        self, block: int, cause: str, ops: list[FlashOp] | None, uses_channel: bool = False
     ) -> int:
         """Copy ``block``'s valid pages forward and erase it; returns pages moved.
 
-        The one reclaim routine (GC and wear leveling): publishes
-        ``action`` for the victim, then appends the copies' and the
-        erase's op records to ``ops`` when given.
+        The one reclaim routine, for ``cause`` ``gc`` or ``wear-level``:
+        publishes the victim (GC's action is ``victim-selected``), then
+        appends the copies' and the erase's op records to ``ops`` when
+        given.
         """
         valid = self.map.valid_pages_array(block)
         if self.tracer.enabled:
             self.tracer.publish(
                 GcEvent(
-                    "ftl.gc", action, victim=block,
+                    "ftl.gc", "victim-selected" if cause == "gc" else cause, victim=block,
                     valid_pages=int(valid.size), free_blocks=len(self._free),
                 )
             )
-        self._copy_forward(valid, ops, uses_channel=uses_channel)
-        erase_latency = self._erase_reclaimed(block)
+        self._copy_forward(valid, ops, cause, uses_channel=uses_channel)
+        erase_latency = self._erase_reclaimed(block, cause)
         if ops is not None:
             ops.append(FlashOp(OpKind.ERASE, block, None, erase_latency))
         return int(valid.size)
 
-    def _erase_reclaimed(self, block: int) -> float:
+    def _erase_reclaimed(self, block: int, cause: str) -> float:
         """Erase a block whose valid data has been copied out; returns latency.
 
         The block leaves the sealed pool and the victim policy's view, and
@@ -518,7 +509,7 @@ class ConventionalFTL:
         self._sealed.discard(block)
         self.policy.notify_erased(block)
         try:
-            latency = self.nand.erase(block)
+            latency = self.nand.erase(block, cause)
         except BadBlockError:
             self.stats.blocks_retired += 1
             if self.tracer.enabled:
@@ -530,7 +521,6 @@ class ConventionalFTL:
                 )
             return self.nand.timing.erase_us
         self._free.append(block)
-        self.stats.blocks_erased += 1
         return latency
 
     def read(self, lpn: int) -> FlashOp:
@@ -538,8 +528,7 @@ class ConventionalFTL:
         ppn = self.map.lookup(lpn)
         if ppn == UNMAPPED:
             raise UnmappedReadError(f"lpn {lpn} is unmapped")
-        _, latency = self.nand.read(ppn)
-        self.stats.host_pages_read += 1
+        _, latency = self.nand.read(ppn, "host")
         return FlashOp(OpKind.READ, ppn // self.geometry.pages_per_block, ppn, latency)
 
     def trim(self, lpn: int) -> None:
@@ -579,7 +568,7 @@ class ConventionalFTL:
                 raise GCStuckError(f"victim block {victim} is fully valid; no spare capacity")
         ops: list[FlashOp] = []
         nvalid = self._reclaim(
-            victim, "victim-selected", ops if build_ops else None,
+            victim, "gc", ops if build_ops else None,
             uses_channel=not self.config.copyback,
         )
         self.stats.gc_runs += 1
@@ -602,11 +591,13 @@ class ConventionalFTL:
         return ops
 
     def _copy_forward(
-        self, sources: np.ndarray, ops: list[FlashOp] | None, uses_channel: bool = False
+        self, sources: np.ndarray, ops: list[FlashOp] | None, cause: str,
+        uses_channel: bool = False,
     ) -> int:
         """Move one block's valid pages to the GC destinations; returns the count.
 
-        The one relocation routine (GC, wear leveling, block retirement).
+        The one relocation routine, its copies booked under ``cause``: GC,
+        wear leveling, or block retirement (``recovery``).
         GC has its own active blocks so relocated data is not
         interleaved with fresh host writes; ``gc_streams = k > 1`` of them
         sit on different planes, so timed replays reclaim in parallel.
@@ -654,7 +645,7 @@ class ConventionalFTL:
                 run = sources[done + j : end : k]
                 take = len(run)
                 first = block * ppb + offset
-                nand.copy_run(run, block, offset)
+                nand.copy_run(run, block, offset, cause)
                 self.map.relocate_run(run, first)
                 self._oob_lpn[first : first + take] = self.map.p2l[first : first + take]
                 self._oob_serial[first : first + take] = np.arange(
@@ -668,7 +659,6 @@ class ConventionalFTL:
                     ]
             if copies is not None:
                 ops.extend(copies)
-            self.stats.gc_pages_copied += end - done
             self._program_serial = serial + end
             self._gc_cursor = cursor + end
             done = end
@@ -878,7 +868,7 @@ class ConventionalFTL:
         -- a paranoid firmware pads with relaxed single-level-cell programs.
         """
         free = self.geometry.pages_per_block - self.nand.write_offset(block)
-        first, _ = self.nand.program_run(block, free)
+        first, _ = self.nand.program_run(block, free, "recovery")
         self._oob_lpn[first : first + free] = UNMAPPED
         self._seal(block)
 

@@ -225,20 +225,16 @@ class FullPageMap:
 
 @dataclass
 class TranslationStats:
-    """CMT/GTD accounting; DFTL's extra flash traffic derives from these."""
+    """CMT/GTD accounting. The flash traffic it causes is counted by the
+    NAND, per cause: ``translation-fetch`` reads for misses on materialized
+    translation pages, ``translation-writeback`` programs for dirty
+    evictions and flushes, ``translation-gc`` copies and erases."""
 
     lookups: int = 0
     hits: int = 0
-    #: CMT misses served by reading a materialized translation page.
-    miss_reads: int = 0
     #: CMT misses for translation pages never yet written to flash --
     #: no read needed, the cached copy starts empty.
     compulsory_misses: int = 0
-    #: Translation-page programs forced by evicting a dirty CMT entry
-    #: (or by an explicit flush).
-    dirty_evict_writes: int = 0
-    #: Translation pages copied forward by translation-block GC.
-    gc_copies: int = 0
     gc_runs: int = 0
 
     @property
@@ -247,10 +243,6 @@ class TranslationStats:
         if self.lookups == 0:
             return 0.0
         return self.hits / self.lookups
-
-    @property
-    def translation_writes(self) -> int:
-        return self.dirty_evict_writes + self.gc_copies
 
 
 class TranslationStore:
@@ -389,8 +381,7 @@ class TranslationStore:
             slot = self._used
         ppn = self.gtd_v[tvpn]
         if ppn != UNMAPPED:
-            self.nand.read(ppn)
-            self.stats.miss_reads += 1
+            self.nand.read(ppn, "translation-fetch")
             if self.tracer is not None and self.tracer.enabled:
                 self.tracer.publish(
                     TranslationEvent("ftl.dftl", "miss-fetch", tvpn=tvpn)
@@ -420,7 +411,6 @@ class TranslationStore:
         return False
 
     def _writeback(self, tvpn: int) -> None:
-        self.stats.dirty_evict_writes += 1
         self._program_page(tvpn)
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.publish(TranslationEvent("ftl.dftl", "writeback", tvpn=tvpn))
@@ -436,7 +426,6 @@ class TranslationStore:
         """
         dirty = cmt_evict_batch(self.slot_tvpn, self.slot_dirty, self.slot_stamp)
         for tvpn in dirty.tolist():
-            self.stats.dirty_evict_writes += 1
             self._program_page(tvpn)
             # A translation program can recurse into GC, which may
             # re-dirty this very entry mid-flush; the scalar loop

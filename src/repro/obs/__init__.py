@@ -3,7 +3,9 @@
 One event stream makes visible what the devices' own instruments cannot
 show -- the order of things, and the GC/reclaim/scheduler/zone decisions
 behind the numbers. The instruments themselves are fields the devices
-update directly: an :class:`~repro.obs.frame.OpCounter` per layer, and a
+update directly: an :class:`~repro.obs.frame.OpCounter` per layer, which
+counts each flash op once under its cause
+(:data:`~repro.obs.events.CAUSES`), and a
 :class:`~repro.obs.frame.MetricsFrame` per timed device whose series hold
 the exact request latencies. The bus is for observers, and costs nothing
 until one attaches:
@@ -12,7 +14,8 @@ until one attaches:
   (:class:`~repro.obs.frame.MetricsFrame`, its typed counter slice
   :class:`~repro.obs.frame.OpCounter`) and the one aggregating sink
   (:class:`~repro.obs.frame.FrameSink`);
-- :mod:`repro.obs.events` -- the typed event vocabulary;
+- :mod:`repro.obs.events` -- the typed event vocabulary, and the closed
+  set of flash-op causes;
 - :mod:`repro.obs.tracer` -- the publish/fan-out bus (no-op when no
   sinks are attached, and nothing attaches one unasked);
 - :mod:`repro.obs.sinks` -- :class:`~repro.obs.sinks.RecordingSink`,

@@ -33,6 +33,22 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Any, ClassVar
 
+#: Why a flash op happened: the closed set every ``cause`` is drawn from,
+#: wiscsee's tags (``data.user``, ``data.cleaning``, ``trans.cache``, ...)
+#: spread over this stack's layers. DESIGN.md §2 names the call site
+#: behind each one.
+CAUSES: tuple[str, ...] = (
+    "host",
+    "gc",
+    "wear-level",
+    "translation-fetch",
+    "translation-writeback",
+    "translation-gc",
+    "zone-mgmt",
+    "reclaim",
+    "recovery",
+)
+
 
 @dataclass(slots=True)
 class FlashOpEvent:
@@ -42,7 +58,9 @@ class FlashOpEvent:
     per page/block operation) from command-level views (``zns.device``,
     ``block.dmzoned``: one event per command, ``count`` operations).
     ``queued_us`` is only nonzero for ``flash.service`` events, where it
-    is the wait for the first plane/channel grant.
+    is the wait for the first plane/channel grant. ``cause`` is one of
+    :data:`CAUSES`, the one the op was booked under; ``flash.service``
+    events carry ``""`` (untagged).
     """
 
     kind: ClassVar[str] = "flash-op"
@@ -56,6 +74,7 @@ class FlashOpEvent:
     latency_us: float = 0.0
     queued_us: float = 0.0
     t: float | None = None
+    cause: str = ""
 
 
 @dataclass(slots=True)
@@ -274,6 +293,7 @@ def event_from_dict(payload: dict[str, Any]) -> Any:
 
 
 __all__ = [
+    "CAUSES",
     "EVENT_TYPES",
     "FaultEvent",
     "FlashOpEvent",

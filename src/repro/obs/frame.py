@@ -2,7 +2,8 @@
 
 Everything the simulator counts or samples lives in a frame (or, for
 the per-op device counters, in the frame's typed slice
-:class:`OpCounter`). Sharded runs (the fleet layer, pooled sweeps)
+:class:`OpCounter`, which counts each flash op once, under the cause its
+issuer named -- ``<layer>.<op>.<cause>`` in a frame). Sharded runs (the fleet layer, pooled sweeps)
 produce per-shard telemetry that the parent must combine, so the merge
 is defined field by field:
 
@@ -34,6 +35,7 @@ into a frame.
 
 from __future__ import annotations
 
+import copy
 import re
 from array import array
 from collections.abc import Iterable, Mapping
@@ -42,6 +44,8 @@ from functools import lru_cache
 from typing import Any
 
 import numpy as np
+
+from repro.obs.events import CAUSES
 
 #: Version of the frame's dict schema. Bump when the layout changes
 #: (version 1 also held binned latency histograms).
@@ -66,20 +70,26 @@ def normalize_metric_key(name: str) -> str:
     return key.strip("._")
 
 
+def _no_ops() -> dict[str, dict[str, int]]:
+    return {op: dict.fromkeys(CAUSES, 0) for op in ("read", "program", "erase", "copy")}
+
+
 @dataclass
 class OpCounter:
     """One layer's operation and byte counts: the frame's typed counter slice.
 
     Devices own one as a plain field and book every primitive operation
-    through the ``note_*`` methods: ``count`` pages (blocks, for an erase)
-    moved by one command, ``nbytes`` in total. Each field is the value a
-    :class:`FrameSink` reaches from the same layer's flash-op events:
+    once, under the cause its caller named (:data:`~repro.obs.events.CAUSES`;
+    any other raises ``KeyError``), through the ``note_*`` methods:
+    ``count`` pages (blocks, for an erase) moved by one command, ``nbytes``
+    in total. ``ops[op][cause]`` is the only op count -- a total is the sum
+    :meth:`count` takes -- and each entry is the value a :class:`FrameSink`
+    reaches from the same layer's flash-op events:
 
-    - ``reads`` / ``bytes_read``: ``<layer>.read.ops`` / ``.read.bytes``;
-    - ``writes`` / ``bytes_written``: ``<layer>.program.ops`` /
-      ``.program.bytes``;
-    - ``erases``: ``<layer>.erase.ops``;
-    - ``copies`` / ``bytes_copied``: ``<layer>.copy.ops`` / ``.copy.bytes``.
+    - ``ops[op][cause]``: ``<layer>.<op>.<cause>``, for ``op`` one of
+      read, program, erase, copy; ``count(op)``: ``<layer>.<op>.ops``;
+    - ``bytes_read`` / ``bytes_written`` / ``bytes_copied``:
+      ``<layer>.read.bytes`` / ``.program.bytes`` / ``.copy.bytes``.
 
     On physical NAND (``flash.nand``, ``note_copy(programs=True)``) a
     copy also programs its bytes, so ``bytes_written`` there is
@@ -87,32 +97,57 @@ class OpCounter:
     copy) count the copy alone.
     """
 
-    reads: int = 0
-    writes: int = 0
-    erases: int = 0
-    copies: int = 0
+    ops: dict[str, dict[str, int]] = field(default_factory=_no_ops)
     bytes_read: int = 0
     bytes_written: int = 0
     bytes_copied: int = 0
 
-    def note_read(self, nbytes: int, count: int = 1) -> None:
-        self.reads += count
+    def note_read(self, cause: str, nbytes: int, count: int = 1) -> None:
+        self.ops["read"][cause] += count
         self.bytes_read += nbytes
 
-    def note_write(self, nbytes: int, count: int = 1) -> None:
-        self.writes += count
+    def note_program(self, cause: str, nbytes: int, count: int = 1) -> None:
+        self.ops["program"][cause] += count
         self.bytes_written += nbytes
 
-    def note_erase(self, count: int = 1) -> None:
-        self.erases += count
+    def note_erase(self, cause: str, count: int = 1) -> None:
+        self.ops["erase"][cause] += count
 
-    def note_copy(self, nbytes: int, count: int = 1, programs: bool = False) -> None:
+    def note_copy(self, cause: str, nbytes: int, count: int = 1, programs: bool = False) -> None:
         """``programs=True`` (physical NAND) also books the bytes as programmed;
         command-level layers (ZNS simple copy) count the copy alone."""
-        self.copies += count
+        self.ops["copy"][cause] += count
         self.bytes_copied += nbytes
         if programs:
             self.bytes_written += nbytes
+
+    def count(self, op: str, *causes: str) -> int:
+        """``op``s booked under ``causes``, or under any cause when none is named."""
+        by_cause = self.ops[op]
+        return sum(by_cause[cause] for cause in causes) if causes else sum(by_cause.values())
+
+    def snapshot(self) -> "OpCounter":
+        """A copy that later bookings leave alone (for :meth:`write_amplification`)."""
+        return copy.deepcopy(self)
+
+    def write_amplification(
+        self, since: "OpCounter | None" = None, metadata_pages: int = 0
+    ) -> float:
+        """Device write amplification: pages programmed per ``host`` program.
+
+        The one formula every experiment reports. The numerator is every
+        program and copy whatever its cause -- GC, wear leveling,
+        translation traffic, relocation, padding -- plus ``metadata_pages``
+        a caller models off the flash (a checkpoint policy's). ``since``,
+        an earlier :meth:`snapshot`, limits both sides to the ops booked
+        after it. 1.0 when there is no host program to divide by.
+        """
+        flash = self.count("program") + self.count("copy") + metadata_pages
+        host = self.count("program", "host")
+        if since is not None:
+            flash -= since.count("program") + since.count("copy")
+            host -= since.count("program", "host")
+        return flash / host if host else 1.0
 
 
 @dataclass
@@ -252,7 +287,10 @@ class MetricsFrame:
 class FrameSink:
     """The one aggregating sink: folds the event stream into a MetricsFrame.
 
-    Counts flash operations and bytes per ``<layer>.<op>``, host-request
+    Counts flash operations and bytes per ``<layer>.<op>``, the same
+    operations per ``<layer>.<op>.<cause>`` (every ``flash.nand``,
+    ``zns.device`` and ``block.dmzoned`` op carries a cause, so those sum
+    to ``.ops``; ``flash.service`` ops are untagged), host-request
     completions and their latencies, fault/recovery/translation events,
     and zone-management holds. From the host-request lifecycle (enqueue
     -> service-start -> complete) it also splits each request's latency
@@ -276,6 +314,8 @@ class FrameSink:
         if kind == "flash-op":
             prefix = f"{event.layer}.{event.op}"
             self.frame.add(f"{prefix}.ops", event.count)
+            if event.cause:
+                self.frame.add(f"{prefix}.{event.cause}", event.count)
             if event.nbytes:
                 self.frame.add(f"{prefix}.bytes", event.nbytes)
         elif kind == "host-request":

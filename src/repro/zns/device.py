@@ -462,10 +462,10 @@ class ZNSDevice:
             FlashOp(OpKind.ERASE, block, None, latency, uses_channel=False)
             for block, latency in zip(blocks_before, latencies)
         ]
-        self.counters.note_erase(len(ops))
+        self.counters.note_erase("zone-mgmt", len(ops))
         if self.tracer.enabled:
             self.tracer.publish(
-                FlashOpEvent("zns.device", "erase", count=len(ops))
+                FlashOpEvent("zns.device", "erase", count=len(ops), cause="zone-mgmt")
             )
         self._publish_transition(zone, old_state, "reset")
         if self.mgmt_timing is not None:
@@ -484,6 +484,7 @@ class ZNSDevice:
         offset: int | None = None,
         data: Any = None,
         build_ops: bool = True,
+        cause: str = "host",
     ) -> list[FlashOp]:
         """Sequential write at the write pointer: the one write command.
 
@@ -497,7 +498,8 @@ class ZNSDevice:
         never replay ops), no armed injector and no payload, each block of
         the zone instead takes its share as one ``program_run`` (its pages
         are sequential from its write offset by the zone invariant), and
-        the command returns ``[]``.
+        the command returns ``[]``. Its pages are booked under ``cause``,
+        ``reclaim`` for a host-side relocation.
         """
         if npages < 1:
             raise ValueError("npages must be >= 1")
@@ -518,13 +520,13 @@ class ZNSDevice:
         ops: list[FlashOp] = []
         if not build_ops and self.nand.faults is None and data is None:
             for block, count in self._runs_of(zone_id, start_wp, npages):
-                self.nand.program_run(block, count)
+                self.nand.program_run(block, count, cause)
         else:
             ppb = self.geometry.flash.pages_per_block
             for i in range(npages):
                 page = self._page_of(zone_id, start_wp + i)
                 try:
-                    latency = self.nand.program(page, data[i] if per_page else data)
+                    latency = self.nand.program(page, cause, data[i] if per_page else data)
                 except ProgramFaultError:
                     # The one fault contract: the burn broke the zone's
                     # offset<->flash correspondence; the pages before it
@@ -536,7 +538,7 @@ class ZNSDevice:
         old_state = zone.state
         zone.advance(npages)
         nbytes = npages * self.geometry.flash.page_size
-        self.counters.note_write(nbytes, npages)
+        self.counters.note_program(cause, nbytes, npages)
         if self.tracer.enabled:
             # One command-level event for the whole write (count=npages);
             # the per-page view is the flash.nand stream beneath it.
@@ -544,7 +546,7 @@ class ZNSDevice:
                 FlashOpEvent(
                     "zns.device", "program",
                     block=self.block_of_offset(zone_id, start_wp),
-                    count=npages, nbytes=nbytes,
+                    count=npages, nbytes=nbytes, cause=cause,
                 )
             )
         if zone.state is ZoneState.FULL:
@@ -589,22 +591,22 @@ class ZNSDevice:
             )
         return assigned, ops
 
-    def read(self, zone_id: int, offset: int) -> tuple[Any, FlashOp]:
-        """Read one page at (zone, offset below the write pointer)."""
+    def read(self, zone_id: int, offset: int, cause: str = "host") -> tuple[Any, FlashOp]:
+        """Read one page at (zone, offset below the write pointer), booked under ``cause``."""
         if self.faults is not None:
             self._poll_faults()
         zone = self.zone(zone_id)
         zone.check_readable(offset)
         page = self._page_of(zone_id, offset)
         block = page // self.geometry.flash.pages_per_block
-        payload, latency = self.nand.read(page)
+        payload, latency = self.nand.read(page, cause)
         nbytes = self.geometry.flash.page_size
-        self.counters.note_read(nbytes)
+        self.counters.note_read(cause, nbytes)
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
                     "zns.device", "read", block=block,
-                    page=page, nbytes=nbytes, latency_us=latency,
+                    page=page, nbytes=nbytes, latency_us=latency, cause=cause,
                 )
             )
         return payload, FlashOp(OpKind.READ, block, page, latency)
@@ -643,7 +645,7 @@ class ZNSDevice:
             # itself below.
             payload = self.nand.sense_for_copy(src_page)
             try:
-                latency = self.nand.program(dst_page, payload)
+                latency = self.nand.program(dst_page, "reclaim", payload)
             except ProgramFaultError:
                 self._degrade_read_only(dst, durable_pages=i)
                 raise
@@ -653,12 +655,12 @@ class ZNSDevice:
         old_state = dst.state
         dst.advance(len(sources))
         nbytes = len(sources) * self.page_size
-        self.counters.note_copy(nbytes, len(sources))
+        self.counters.note_copy("reclaim", nbytes, len(sources))
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
                     "zns.device", "copy", block=ops[0].block,
-                    count=len(sources), nbytes=nbytes,
+                    count=len(sources), nbytes=nbytes, cause="reclaim",
                 )
             )
         if dst.state is ZoneState.FULL:

@@ -98,7 +98,7 @@ class ZnsFTL:
         survivors: list[int] = []
         for block in self._zone_blocks[zone_id]:
             try:
-                latencies.append(self.nand.erase(block))
+                latencies.append(self.nand.erase(block, "zone-mgmt"))
                 survivors.append(block)
             except BadBlockError:
                 # Block retired; charge the (wasted) erase time anyway.
@@ -124,7 +124,7 @@ class ZnsFTL:
             if not self.nand.wear.is_bad(spare):
                 if not self.nand.is_block_erased(spare):
                     try:
-                        latencies.append(self.nand.erase(spare))
+                        latencies.append(self.nand.erase(spare, "recovery"))
                     except BadBlockError:
                         # The spare itself died on its first erase.
                         latencies.append(self.nand.timing.erase_us)

@@ -36,14 +36,14 @@ class TestSetAssociativeCache:
         cache = SetAssociativeCache(disk, ways=4)
         for i in range(100):
             cache.admit(i)
-        assert disk.counters.writes == 100
+        assert disk.counters.count("program") == 100
 
     def test_readmitting_resident_is_noop(self):
         disk = RamDisk(64)
         cache = SetAssociativeCache(disk)
         cache.admit(1)
         cache.admit(1)
-        assert disk.counters.writes == 1
+        assert disk.counters.count("program") == 1
 
 
 class TestZoneLogCache:

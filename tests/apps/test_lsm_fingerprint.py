@@ -35,7 +35,7 @@ def _digest(store: LSMStore, nand) -> str:
         "io_plan": [asdict(entry) for entry in store.stats.io_plan],
         "levels": store.level_sizes_pages(),
         "backend": asdict(store.backend.stats),
-        "nand": [counters.writes, counters.copies, counters.erases],
+        "nand": [counters.count("program"), counters.count("copy"), counters.count("erase")],
     }
     return hashlib.sha256(json.dumps(state, sort_keys=True).encode()).hexdigest()
 
@@ -70,7 +70,7 @@ def test_block_backend_fingerprint():
     assert _digest(store, ssd.ftl.nand) == PINNED["block"]
     # The digest holds no flash reads: every get that reached a table and
     # every page a scan charged is one. Recorded on 1368ad7, beside it.
-    reads = ssd.ftl.nand.counters.reads
+    reads = ssd.ftl.nand.counters.count("read")
     assert reads == store.stats.table_reads + store.stats.scan_pages_read == 3_098
     # What the in-place ``ExtentAllocator.free`` relies on: the free list
     # is sorted and fully coalesced after every allocate and free.

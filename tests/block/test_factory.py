@@ -244,9 +244,7 @@ class TestMappingAndWearLevelFields:
                 kind=kind, geometry="small", ftl={"op_ratio": 0.11},
                 wl_policy="static",
             )
-            device = build_stack(spec)
-            ftl = device if isinstance(device, ConventionalFTL) else device.ftl
-            assert ftl.wearlevel.name == "static"
+            assert build_stack(spec).wearlevel.name == "static"
 
     def test_cmt_bytes_rejected_off_dftl(self):
         with pytest.raises(ValueError, match="cmt_bytes"):

@@ -75,7 +75,7 @@ class TestConventionalSSD:
         ssd = make_ssd()
         monkeypatch.setattr(ssd.ftl, "write", None)  # a scalar call would raise
         ssd.write_blocks(3, 20)
-        assert ssd.ftl.stats.host_pages_written == 20
+        assert ssd.ftl.nand.counters.count("program", "host") == 20
 
     def test_armed_fault_plan_takes_the_scalar_loop(self, monkeypatch):
         # Armed, ``write_pages`` programs page by page through the one
@@ -107,8 +107,8 @@ def make_dmzoned() -> ZonedBlockDevice:
 
 
 DEVICES = [
-    (make_ssd, lambda ssd: ssd.ftl.stats.host_pages_written),
-    (make_ramdisk, lambda disk: disk.counters.writes),
+    (make_ssd, lambda ssd: ssd.ftl.nand.counters.count("program", "host")),
+    (make_ramdisk, lambda disk: disk.counters.count("program")),
     (make_dmzoned, lambda layer: layer.stats.user_pages_written),
 ]
 

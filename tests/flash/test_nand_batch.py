@@ -31,21 +31,21 @@ class TestProgramBatch:
         ppb = FlashGeometry.small().pages_per_block
         scalar, batched = make_nand(), make_nand()
         for page in list(range(0, ppb)) + list(range(5 * ppb, 5 * ppb + 7)):
-            scalar.program(page)
-        batched.program_run(0, ppb)
-        batched.program_run(5, 7)
+            scalar.program(page, "host")
+        batched.program_run(0, ppb, "host")
+        batched.program_run(5, 7, "host")
         assert nand_state(scalar) == nand_state(batched)
 
     def test_aggregate_latency_equals_scalar_sum(self):
         scalar, batched = make_nand(), make_nand()
-        total = sum(scalar.program(page) for page in range(10))
-        assert batched.program_run(0, 10) == (0, total)
+        total = sum(scalar.program(page, "host") for page in range(10))
+        assert batched.program_run(0, 10, "host") == (0, total)
 
     def test_program_run_matches_program_next(self):
         scalar, batched = make_nand(), make_nand()
         for _ in range(5):
-            scalar.program_next(3)
-        first, _ = batched.program_run(3, 5)
+            scalar.program_next(3, "host")
+        first, _ = batched.program_run(3, 5, "host")
         assert first == 3 * scalar.geometry.pages_per_block
         assert nand_state(scalar) == nand_state(batched)
 
@@ -57,30 +57,30 @@ class TestProgramBatch:
         nand = make_nand()
         with pytest.raises(ProgramOrderError, match="page 0 is offset 0"):
             for page in (0, 0, 1):
-                nand.program(page)
+                nand.program(page, "host")
         assert nand.write_offset(0) == 1
 
     def test_gap_within_batch_rejected(self):
         nand = make_nand()
         with pytest.raises(ProgramOrderError, match="page 2 is offset 2"):
             for page in (0, 2):
-                nand.program(page)
+                nand.program(page, "host")
         assert nand.write_offset(0) == 1
 
     def test_gap_after_write_offset_rejected(self):
         nand = make_nand()
-        nand.program(0)
+        nand.program(0, "host")
         with pytest.raises(ProgramOrderError, match="next programmable offset is 1"):
-            nand.program(3)
-        first, _ = nand.program_run(0, 2)  # a run starts at the write offset
+            nand.program(3, "host")
+        first, _ = nand.program_run(0, 2, "host")  # a run starts at the write offset
         assert (first, nand.write_offset(0)) == (1, 3)
 
     def test_run_past_the_block_end_rejected(self):
         nand = make_nand()
-        nand.program(0)
+        nand.program(0, "host")
         ppb = nand.geometry.pages_per_block
         with pytest.raises(ProgramOrderError, match=f"has {ppb - 1} free pages"):
-            nand.program_run(0, ppb)
+            nand.program_run(0, ppb, "host")
         assert nand.write_offset(0) == 1
 
 
@@ -88,14 +88,14 @@ def fill(nand: NandArray, npages: int) -> None:
     """Program pages ``0 .. npages - 1``, a block run at a time."""
     ppb = nand.geometry.pages_per_block
     for block in range(-(-npages // ppb)):
-        nand.program_run(block, min(ppb, npages - block * ppb))
+        nand.program_run(block, min(ppb, npages - block * ppb), "host")
 
 
 class TestBlockScans:
     def test_erased_blocks_matches_bruteforce(self):
         nand = make_nand()
         fill(nand, 40)
-        nand.erase(0)
+        nand.erase(0, "host")
         expected = [
             b for b in range(nand.geometry.total_blocks) if nand.is_block_erased(b)
         ]

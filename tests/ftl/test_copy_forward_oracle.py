@@ -42,7 +42,7 @@ def build(k, invalid, fills, free_blocks, cursor):
             continue
         ftl._gc_active[stream] = ftl._take_free_block()
         if fill:
-            nand.program_run(ftl._gc_active[stream], fill)
+            nand.program_run(ftl._gc_active[stream], fill, "host")
     for page in range(GEOMETRY.total_pages):
         if nand.is_programmed(page):
             nand._data[page] = ("payload", page)
@@ -67,7 +67,7 @@ def relocate(copy, ftl, sources, with_ops, uses_channel):
     """Run one relocation; returns ``(count or 'stuck', ops)``."""
     ops = [] if with_ops else None
     try:
-        return copy(ftl, sources, ops, uses_channel), ops
+        return copy(ftl, sources, ops, "gc", uses_channel), ops
     except GCStuckError:
         return "stuck", ops
 
@@ -105,15 +105,15 @@ def test_examples_cross_a_boundary_on_several_streams():
     """The pinned examples above do what their comments say."""
     ftl, sources = build(4, {0}, [60, 61, 62, 64], 6, 3)
     sealed = len(ftl.sealed_blocks)
-    assert ftl._copy_forward(sources, None) == PPB - 1
+    assert ftl._copy_forward(sources, None, "gc") == PPB - 1
     assert len(ftl.sealed_blocks) == sealed + 4
 
     ftl, sources = build(4, {0, 1}, [63, None, 20, 58], 1, 0)
     sealed = len(ftl.sealed_blocks)
     with pytest.raises(GCStuckError):
-        ftl._copy_forward(sources, None)
+        ftl._copy_forward(sources, None, "gc")
     # Stream 1 took the only free block at source 1; stream 0 sealed its
     # full block at source 4 and found none.
     assert len(ftl.sealed_blocks) == sealed + 1
     assert ftl.free_block_count == 0
-    assert 0 < ftl.stats.gc_pages_copied < len(sources)
+    assert 0 < ftl.nand.counters.count("copy", "gc") < len(sources)

@@ -11,6 +11,7 @@ from repro.ftl.dftl import (
 )
 from repro.ftl.ftl import ConventionalFTL, FTLConfig
 from repro.ftl.mapping import UNMAPPED
+from repro.obs.frame import OpCounter
 from repro.sim.rng import make_rng
 
 
@@ -87,15 +88,17 @@ class TestDemandPagedFTL:
         drive(device)
         # Misses are compulsory only, and a never-written translation
         # page has nothing to fetch from flash: zero translation I/O.
-        assert device.store.stats.miss_reads == 0
-        assert device.read_overhead_factor == pytest.approx(1.0)
-        assert device.write_overhead_factor == pytest.approx(1.0)
+        counters = device.nand.counters
+        assert counters.count("read") == counters.count("read", "host") > 0
+        assert counters.count("program") == counters.count("program", "host") > 0
+        assert counters.count("copy", "translation-gc") == 0
 
     def test_starved_cache_pays_flash_reads(self):
         device = small_dftl(cmt_pages=1)
         drive(device)
-        assert device.store.stats.miss_reads > 0
-        assert device.read_overhead_factor > 1.5
+        counters = device.nand.counters
+        assert counters.count("read", "translation-fetch") > 0
+        assert counters.count("read") / counters.count("read", "host") > 1.5
         assert device.store.stats.hit_rate < 0.8
 
     def test_overhead_monotone_in_cache_size(self):
@@ -103,7 +106,8 @@ class TestDemandPagedFTL:
         for pages in (1, 2, 4):
             device = small_dftl(cmt_pages=pages)
             drive(device, seed=1)
-            overheads.append(device.read_overhead_factor)
+            counters = device.nand.counters
+            overheads.append(counters.count("read") / counters.count("read", "host"))
         assert overheads == sorted(overheads, reverse=True)
 
     def test_translation_pages_live_on_flash(self):
@@ -118,19 +122,17 @@ class TestDemandPagedFTL:
     def test_wa_decomposition_separates_translation_traffic(self):
         device = small_dftl(cmt_pages=1)
         drive(device, ops=4000)
-        decomp = device.wa_decomposition()
-        assert decomp.host_pages == device.stats.host_pages_written
-        assert decomp.data_gc_pages == device.stats.gc_pages_copied
-        assert decomp.translation_pages == device.store.stats.translation_writes
-        assert decomp.translation_pages > 0
-        assert decomp.device_wa > 1.0
-        assert decomp.translation_factor > 0.0
+        count = device.nand.counters.count
+        host = count("program", "host")
+        translation = count("program", "translation-writeback") + count("copy", "translation-gc")
+        assert translation > 0
+        assert count("program") + count("copy") == host + count("copy", "gc") + translation
+        assert device.nand.counters.write_amplification() > 1.0
 
     def test_wa_decomposition_of_an_unwritten_device_is_unity(self):
-        decomp = small_dftl(cmt_pages=1).wa_decomposition()
-        assert (decomp.host_pages, decomp.data_gc_pages, decomp.translation_pages) == (0, 0, 0)
-        assert decomp.device_wa == 1.0
-        assert decomp.translation_factor == 0.0
+        counters = small_dftl(cmt_pages=1).nand.counters
+        assert counters == OpCounter()
+        assert counters.write_amplification() == 1.0
 
     def test_data_path_unaffected(self):
         """The data path (mapping correctness, GC) is the plain FTL's."""
@@ -329,4 +331,4 @@ def test_rejected_batch_touches_no_translation_state():
         device.write_pages(np.arange(3000) / 2)
     assert device.store.stats.lookups == lookups
     assert np.array_equal(device.store.slot_stamp, stamps)
-    assert device.stats.host_pages_written == 3000
+    assert device.nand.counters.count("program", "host") == 3000

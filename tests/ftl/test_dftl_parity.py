@@ -96,8 +96,7 @@ class TestFullMapParity:
                 plain.trim(lpn)
                 written.discard(lpn)
         # Zero translation flash traffic at full coverage...
-        assert dftl.store.stats.miss_reads == 0
-        assert dftl.store.stats.translation_writes == 0
+        assert dftl.nand.counters == plain.nand.counters
         assert dftl.store.stats.gc_runs == 0
         # ...hence identical physics.
         assert physics_state(dftl) == physics_state(plain)
@@ -112,9 +111,10 @@ class TestFullMapParity:
             if op == "write":
                 dftl.write(lpn)
                 plain.write(lpn)
-        decomp = dftl.wa_decomposition()
-        assert decomp.translation_pages == 0
-        assert decomp.device_wa == plain.stats.device_write_amplification
+        count = dftl.nand.counters.count
+        assert count("program", "translation-writeback") + count("copy", "translation-gc") == 0
+        wa = dftl.nand.counters.write_amplification()
+        assert wa == plain.nand.counters.write_amplification()
 
 
 def pressure_geometry():
@@ -232,11 +232,11 @@ class TestWritePages:
             for lpn in lpns.tolist():
                 looped.write(lpn)
         assert cmt_state(batched) == cmt_state(looped)
-        stats = batched.store.stats
+        count = batched.nand.counters.count
         # Misses, dirty evictions and translation GC all ran in between.
-        assert stats.miss_reads > 0
-        assert stats.dirty_evict_writes > 0
-        assert stats.gc_runs > 0
+        assert count("read", "translation-fetch") > 0
+        assert count("program", "translation-writeback") > 0
+        assert batched.store.stats.gc_runs > 0
         batched.check_invariants()
 
     @given(seed=st.integers(0, 2**16))
@@ -251,9 +251,11 @@ class TestWritePages:
         for _ in range(6):
             dftl.write_pages(rng.integers(0, n, size=int(rng.integers(1, 64))))
         counters = sink.frame.counters
-        store = dftl.store.stats
-        assert counters.get("translation.miss_fetch", 0) == store.miss_reads
-        assert counters.get("translation.writeback", 0) == store.dirty_evict_writes
+        count = dftl.nand.counters.count
+        fetched = count("read", "translation-fetch")
+        written_back = count("program", "translation-writeback")
+        assert counters.get("translation.miss_fetch", 0) == fetched
+        assert counters.get("translation.writeback", 0) == written_back
         # The run must actually exercise the demand-fault machinery.
-        assert store.miss_reads > 0
-        assert store.dirty_evict_writes > 0
+        assert fetched > 0
+        assert written_back > 0

@@ -13,6 +13,7 @@ from repro.ftl.ftl import (
     GCStuckError,
     UnmappedReadError,
 )
+from repro.obs.events import CAUSES
 from tests.ftl.test_batch_parity import full_state
 
 
@@ -63,7 +64,7 @@ class TestReadWrite:
         ftl.write(42)
         op = ftl.read(42)
         assert op.page is not None
-        assert ftl.stats.host_pages_read == 1
+        assert ftl.nand.counters.ops["read"] == {**dict.fromkeys(CAUSES, 0), "host": 1}
 
     def test_read_unmapped_rejected(self):
         with pytest.raises(UnmappedReadError):
@@ -115,7 +116,7 @@ class TestReadWrite:
         assert ftl.write_pages(np.array([4, 5], dtype=np.uint16)) == 2
         assert ftl.write_pages(range(6, 9)) == 3
         assert ftl.write_pages([]) == 0
-        assert ftl.stats.host_pages_written == 8
+        assert ftl.nand.counters.count("program", "host") == 8
         assert [ftl.map.is_mapped(lpn) for lpn in range(10)] == [False] + [True] * 8 + [False]
 
     def test_trim_unmaps(self):
@@ -137,8 +138,8 @@ class TestGarbageCollection:
     def test_sequential_fill_no_gc(self):
         ftl = make_ftl()
         fill_logical(ftl)
-        assert ftl.stats.gc_pages_copied == 0
-        assert ftl.stats.device_write_amplification == pytest.approx(1.0)
+        assert ftl.nand.counters.count("copy") == 0
+        assert ftl.nand.counters.write_amplification() == 1.0
 
     def test_steady_state_random_writes_trigger_gc(self):
         ftl = make_ftl(op_ratio=0.25)
@@ -147,7 +148,7 @@ class TestGarbageCollection:
         for _ in range(2 * ftl.logical_pages):
             ftl.write(int(rng.integers(0, ftl.logical_pages)))
         assert ftl.stats.gc_runs > 0
-        assert ftl.stats.device_write_amplification > 1.0
+        assert ftl.nand.counters.write_amplification() > 1.0
 
     def test_wa_decreases_with_more_op(self):
         results = {}
@@ -159,7 +160,7 @@ class TestGarbageCollection:
             ftl.write_pages(np.arange(n))
             rng = np.random.default_rng(1)
             ftl.write_pages(rng.integers(0, n, size=2 * n))
-            results[op] = ftl.stats.device_write_amplification
+            results[op] = ftl.nand.counters.write_amplification()
         assert results[0.28] < results[0.07]
 
     def test_gc_preserves_data_mappings(self):
@@ -196,10 +197,11 @@ class TestGarbageCollection:
         fill_logical(ftl)
         for lpn in range(ftl.logical_pages):
             ftl.trim(lpn)
-        writes_before = ftl.stats.host_pages_written
+        writes_before = ftl.nand.counters.count("program", "host")
         fill_logical(ftl)  # refill: GC only erases, never copies
-        assert ftl.stats.host_pages_written == 2 * writes_before
-        assert ftl.stats.gc_pages_copied == 0
+        assert ftl.nand.counters.count("program", "host") == 2 * writes_before
+        assert ftl.nand.counters.count("copy") == 0
+        assert ftl.nand.counters.count("erase", "gc") > 0
 
 
 class TestMultiStream:
@@ -228,8 +230,7 @@ class TestMultiStream:
             for lpn in range(n):
                 ftl.write(lpn, stream=0)
             # Measure WA over the steady-state phase only.
-            host_before = ftl.stats.host_pages_written
-            gc_before = ftl.stats.gc_pages_copied
+            before = ftl.nand.counters.snapshot()
             for _ in range(4 * n):
                 # 95% of writes hit the hot 5% of the space.
                 if rng.random() < 0.95:
@@ -238,9 +239,7 @@ class TestMultiStream:
                 else:
                     lpn = int(rng.integers(hot, n))
                     ftl.write(lpn, stream=0)
-            host = ftl.stats.host_pages_written - host_before
-            copied = ftl.stats.gc_pages_copied - gc_before
-            return (host + copied) / host
+            return ftl.nand.counters.write_amplification(since=before)
 
         assert run(streams=2) < run(streams=1)
 

@@ -117,7 +117,7 @@ class TestConfigPlumbing:
         assert np.array_equal(
             default.nand.wear.erase_counts, explicit.nand.wear.erase_counts
         )
-        assert default.stats.gc_pages_copied == explicit.stats.gc_pages_copied
+        assert default.nand.counters == explicit.nand.counters
 
 
 class TestWearOutcomes:

@@ -49,7 +49,7 @@ def _digest(engine: Engine, device, nand, **extra) -> str:
         "processed_events": engine.processed_events,
         "write_latency": _latencies(device, "write"),
         "read_latency": _latencies(device, "read"),
-        "nand": [counters.writes, counters.copies, counters.erases],
+        "nand": [counters.count("program"), counters.count("copy"), counters.count("erase")],
         **extra,
     }
     return hashlib.sha256(json.dumps(state, sort_keys=True).encode()).hexdigest()

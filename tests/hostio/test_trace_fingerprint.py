@@ -9,7 +9,8 @@ host request comes after the command's flash events for reads and for
 every ZNS request, and before them for conventional and dm-zoned
 writes, so a refactor of the request lifecycle can reorder the stream
 without moving a single number. A deliberate trace change re-records
-them and says so.
+them and says so: the last did when flash-op events gained ``cause``,
+and hashing each line with ``cause`` removed gave the previous digests.
 """
 
 import hashlib
@@ -27,9 +28,9 @@ from tests.hostio.test_stall_fingerprint import dmzoned_open_loop
 
 #: (sha256, line count) per run.
 PINNED = {
-    "conventional": ("2d73d4b3f9f3b924191f02a09c5047b3864b91b31fac3a5f1f76dcf9ab5fef9f", 7180),
-    "dmzoned": ("b4eb3605a067bbaabdbc83d447a92ce09a83e3a75f45753c2899f75f35cf7ba7", 2092),
-    "zns": ("1d672278f5c916c43fb46224f32326963e5a8ff1320afdb8ccc166f790b3d8bb", 547),
+    "conventional": ("76eb9f20b2423b7ba3f63eaa1b6a3ec62c6d60d537e1b88a3515f34e0614ff0c", 7180),
+    "dmzoned": ("d8a099037ee129daa412f53c2cd89aa06a00e27c993170c5cb720b338d47ef51", 2092),
+    "zns": ("044183cb4516a5fd13563f1f53422097c7c5112ccc6036dd66bfea74dca9e87e", 547),
 }
 
 

@@ -179,9 +179,10 @@ class TestSerializationFrame:
 class TestFrameSink:
     def test_event_stream_accumulates(self):
         sink = FrameSink()
-        sink.on_event(FlashOpEvent("flash.nand", "program", 0, 0, nbytes=4096))
-        sink.on_event(FlashOpEvent("flash.nand", "program", 0, 1, nbytes=4096))
-        sink.on_event(FlashOpEvent("flash.nand", "erase", 0, count=1))
+        sink.on_event(FlashOpEvent("flash.nand", "program", 0, 0, nbytes=4096, cause="host"))
+        sink.on_event(FlashOpEvent("flash.nand", "program", 0, 1, nbytes=4096, cause="gc"))
+        sink.on_event(FlashOpEvent("flash.nand", "erase", 0, count=1, cause="wear-level"))
+        sink.on_event(FlashOpEvent("flash.service", "read", 0, 0, count=3))
         sink.on_event(
             HostRequestEvent("fleet.request", "read", "complete", latency_us=120.0)
         )
@@ -193,6 +194,12 @@ class TestFrameSink:
         assert frame.counter("flash.nand.program.ops") == 2
         assert frame.counter("flash.nand.program.bytes") == 8192
         assert frame.counter("flash.nand.erase.ops") == 1
+        # One key per cause, normalized like every key; an untagged op has none.
+        assert frame.counter("flash.nand.program.host") == 1
+        assert frame.counter("flash.nand.program.gc") == 1
+        assert frame.counters["flash.nand.erase.wear_level"] == 1
+        service_keys = [key for key in frame.counters if key.startswith("flash.service.")]
+        assert service_keys == ["flash.service.read.ops"]
         # Only the "complete" phase counts as a served request.
         assert frame.counter("fleet.request.read.requests") == 1
         assert frame.series["fleet.request.read.latency_us"].tolist() == [120.0]
@@ -262,19 +269,45 @@ class TestFrameSink:
 class TestOpCounter:
     def test_notes_accumulate(self):
         c = OpCounter()
-        c.note_read(4096)
-        c.note_write(4096)
-        c.note_write(4096)
-        c.note_erase()
-        c.note_copy(4096)
-        assert (c.reads, c.writes, c.erases, c.copies) == (1, 2, 1, 1)
+        c.note_read("host", 4096)
+        c.note_program("host", 4096)
+        c.note_program("translation-writeback", 4096)
+        c.note_erase("gc")
+        c.note_copy("gc", 4096)
+        assert [c.count(op) for op in ("read", "program", "erase", "copy")] == [1, 2, 1, 1]
+        assert c.count("program", "host") == c.count("program", "translation-writeback") == 1
+        assert c.count("program", "host", "translation-writeback", "gc") == 2
         assert c.bytes_written == 8192
         assert c.bytes_copied == 4096
 
     def test_a_programming_copy_also_books_written_bytes(self):
         c = OpCounter()
-        c.note_copy(4096, count=2, programs=True)
-        assert (c.copies, c.bytes_copied, c.bytes_written, c.writes) == (2, 4096, 4096, 0)
+        c.note_copy("gc", 4096, count=2, programs=True)
+        counts = (c.count("copy"), c.bytes_copied, c.bytes_written, c.count("program"))
+        assert counts == (2, 4096, 4096, 0)
+
+    def test_the_cause_set_is_closed(self):
+        c = OpCounter()
+        with pytest.raises(KeyError):
+            c.note_program("user", 4096)
+        with pytest.raises(KeyError):
+            c.count("program", "cleaning")
+        assert c == OpCounter()
+
+    def test_write_amplification_counts_every_cause_per_host_program(self):
+        c = OpCounter()
+        assert c.write_amplification() == 1.0  # nothing to divide by
+        c.note_program("host", 4096, count=4)
+        before = c.snapshot()
+        c.note_program("host", 4096, count=2)
+        c.note_copy("gc", 4096, count=3, programs=True)
+        c.note_program("translation-writeback", 4096)
+        c.note_read("translation-fetch", 4096)  # reads and erases write nothing
+        c.note_erase("gc")
+        assert c.write_amplification() == (6 + 3 + 1) / 6
+        assert c.write_amplification(metadata_pages=2) == (6 + 3 + 1 + 2) / 6
+        assert c.write_amplification(since=before) == (2 + 3 + 1) / 2
+        assert before.count("program") == 4  # a snapshot does not move
 
 
 class TestSeries:

@@ -13,6 +13,7 @@ around injected faults (a faulted op is counted by neither side) -- next
 to a few hand-computed counts on small fixed workloads.
 """
 
+import dataclasses
 import random
 
 import numpy as np
@@ -27,14 +28,17 @@ from repro.flash.geometry import FlashGeometry, ZonedGeometry
 from repro.flash.nand import NandArray
 from repro.ftl.device import ConventionalSSD, TimedConventionalSSD
 from repro.hostio.timed import TimedZonedBlockDevice
+from repro.ftl.ftl import ConventionalFTL, FTLConfig
 from repro.obs import runtime
+from repro.obs.events import CAUSES
 from repro.obs.frame import FrameSink, OpCounter
 from repro.obs.sinks import RecordingSink
 from repro.obs.tracer import Tracer
 from repro.sim.engine import Engine
 from repro.sim.rng import make_rng
 from repro.zns.device import TimedZNSDevice, ZNSDevice
-from tests.ftl.test_dftl_parity import cmt_pressure_dftl
+from repro.workloads.synthetic import hot_cold_array
+from tests.ftl.test_dftl_parity import cmt_pressure_dftl, tiny_geometry
 from tests.hostio.test_stall_fingerprint import dmzoned_open_loop
 
 
@@ -45,20 +49,34 @@ def _replay(events, sink):
 
 
 def _replayed_counters(events, layer: str) -> OpCounter:
-    """One layer's counters as a :class:`FrameSink` hears them: on
-    physical NAND a copy's bytes also count as programmed."""
+    """One layer's counters as a :class:`FrameSink` hears them, per cause:
+    on physical NAND a copy's bytes also count as programmed. Every op of
+    the layer's stream carries a cause, so the causes sum to ``.ops``."""
     count = _replay(events, FrameSink()).frame.counter
     copied = count(f"{layer}.copy.bytes")
     programmed = count(f"{layer}.program.bytes")
-    return OpCounter(
-        reads=count(f"{layer}.read.ops"),
-        writes=count(f"{layer}.program.ops"),
-        erases=count(f"{layer}.erase.ops"),
-        copies=count(f"{layer}.copy.ops"),
+    counters = OpCounter(
         bytes_read=count(f"{layer}.read.bytes"),
         bytes_written=programmed + copied if layer == "flash.nand" else programmed,
         bytes_copied=copied,
     )
+    for op, by_cause in counters.ops.items():
+        for cause in CAUSES:
+            by_cause[cause] = count(f"{layer}.{op}.{cause}")
+        assert sum(by_cause.values()) == count(f"{layer}.{op}.ops"), (layer, op)
+    return counters
+
+
+def _counter(page: int, **ops: dict[str, int]) -> OpCounter:
+    """An :class:`OpCounter` holding ``ops[op][cause]`` ops of one
+    ``page`` each (a copy programs its bytes, as on NAND)."""
+    counters = OpCounter()
+    for op, by_cause in ops.items():
+        counters.ops[op].update(by_cause)
+    counters.bytes_read = counters.count("read") * page
+    counters.bytes_copied = counters.count("copy") * page
+    counters.bytes_written = counters.count("program") * page + counters.bytes_copied
+    return counters
 
 
 def _replayed_latencies(events, op: str) -> list[float]:
@@ -101,9 +119,9 @@ class TestCounterParity:
         assert _replayed_counters(recording.events, "flash.nand") == counters
         # The workload is big enough to have forced GC copies, and a
         # physical copy is also a flash program.
-        assert counters.copies > 0
+        assert counters.count("copy") > 0
         page = device.block_size
-        assert counters.bytes_written == (counters.writes + counters.copies) * page
+        assert counters.bytes_written == (counters.count("program") + counters.count("copy")) * page
 
     def test_nand_fixed_workload_exact_counts(self):
         device = ConventionalSSD(FlashGeometry.small())
@@ -112,11 +130,11 @@ class TestCounterParity:
         for lba in range(4):
             device.read_block(lba)
         counters = device.ftl.nand.counters
-        assert counters.writes == 10
-        assert counters.reads == 4
+        assert counters.count("program") == 10
+        assert counters.count("read") == 4
         assert counters.bytes_written == 10 * device.block_size
         assert counters.bytes_read == 4 * device.block_size
-        assert counters.erases == 0
+        assert counters.count("erase") == 0
 
     def test_zns_command_counters_exact(self):
         geometry = ZonedGeometry.small()
@@ -130,15 +148,15 @@ class TestCounterParity:
         device.reset_zone(0)
         counters = device.counters
         page = device.page_size
-        assert counters.writes == pages + 3
+        assert counters.count("program") == pages + 3
         assert counters.bytes_written == (pages + 3) * page
-        assert counters.reads == 5
+        assert counters.count("read") == 5
         assert counters.bytes_read == 5 * page
-        assert counters.copies == 2
+        assert counters.count("copy") == 2
         assert counters.bytes_copied == 2 * page
-        assert counters.erases == geometry.blocks_per_zone
+        assert counters.count("erase") == geometry.blocks_per_zone
         # Device-internal copy senses are not host reads at any layer.
-        assert device.nand.counters.reads == 5
+        assert device.nand.counters.count("read") == 5
 
     def test_zns_counters_match_replayed_stream(self):
         geometry = ZonedGeometry.small()
@@ -181,9 +199,9 @@ class TestCounterParity:
         assert _replayed_counters(events, "block.dmzoned") == layer.counters
         assert _replayed_counters(events, "zns.device") == layer.device.counters
         assert _replayed_counters(events, "flash.nand") == layer.device.nand.counters
-        assert layer.counters.writes == n + n // 2 + 400
-        assert layer.counters.reads == 40
-        assert layer.device.counters.copies == layer.stats.gc_pages_copied > 0
+        assert layer.counters.count("program") == n + n // 2 + 400
+        assert layer.counters.count("read") == 40
+        assert layer.device.counters.count("copy") == layer.stats.gc_pages_copied > 0
         _assert_latencies_match(events, stack, {"read": 40, "write": 400})
 
 
@@ -195,26 +213,26 @@ class TestRunPathParity:
         nand = NandArray(geometry)
         recording = nand.tracer.attach(RecordingSink())
         ppb, page = geometry.pages_per_block, geometry.page_size
-        nand.program_run(0, ppb)
-        nand.program_run(1, 5)
-        nand.program_run(2, 7)
-        nand.copy_run(np.arange(0, 12, 3), 3, 0)          # strided, 4 pages
-        nand.copy_page(1, 3 * ppb + 4)
-        for read in (0, 1, 2, 2 * ppb + 6):
-            nand.read(read)
-        nand.erase(1)
+        nand.program_run(0, ppb, "host")
+        nand.program_run(1, 5, "translation-writeback")
+        nand.program_run(2, 7, "recovery")
+        nand.copy_run(np.arange(0, 12, 3), 3, 0, "gc")          # strided, 4 pages
+        nand.copy_page(1, 3 * ppb + 4, "wear-level")
+        for read in (0, 1, 2 * ppb + 6):
+            nand.read(read, "host")
+        nand.read(2, "translation-fetch")
+        nand.erase(1, "translation-gc")
         assert [e.count for e in recording.events] == [ppb, 5, 7, 4, 1, 1, 1, 1, 1, 1]
         counters = nand.counters
         assert counters == _replayed_counters(recording.events, "flash.nand")
-        assert counters == OpCounter(
-            reads=4,
-            writes=ppb + 12,
-            erases=1,
-            copies=5,
-            bytes_read=4 * page,
-            bytes_written=(ppb + 12 + 5) * page,  # a copy programs its bytes too
-            bytes_copied=5 * page,
+        assert counters == _counter(
+            page,
+            read={"host": 3, "translation-fetch": 1},
+            program={"host": ppb, "translation-writeback": 5, "recovery": 7},
+            erase={"translation-gc": 1},
+            copy={"gc": 4, "wear-level": 1},
         )
+        nand.check_invariants()
 
     def test_zns_lane_writes_appends_and_scalar_reads(self):
         geometry = ZonedGeometry.small()
@@ -232,12 +250,10 @@ class TestRunPathParity:
             ("read", 1), ("read", 1), ("read", 1),
         ]
         assert device.counters == _replayed_counters(recording.events, "zns.device")
-        assert device.counters == OpCounter(
-            reads=3, writes=pages + 13, bytes_read=3 * page, bytes_written=(pages + 13) * page
-        )
-        nand = device.nand.counters
-        assert nand == _replayed_counters(recording.events, "flash.nand")
-        assert (nand.writes, nand.reads) == (pages + 13, 3)
+        expected = _counter(page, read={"host": 3}, program={"host": pages + 13})
+        assert device.counters == expected
+        assert device.nand.counters == _replayed_counters(recording.events, "flash.nand")
+        assert device.nand.counters == expected
 
 
 class TestFaultedOpsAreCountedByNeitherSide:
@@ -248,15 +264,20 @@ class TestFaultedOpsAreCountedByNeitherSide:
         )
         recording = nand.tracer.attach(RecordingSink())
         burned = 0
-        for block in range(4):
+        programmed = dict.fromkeys(CAUSES, 0)
+        for block, cause in enumerate(("host", "host", "recovery", "translation-writeback")):
             for _ in range(geometry.pages_per_block):
                 try:
-                    nand.program_next(block)
+                    nand.program_next(block, cause)
+                    programmed[cause] += 1
                 except ProgramFaultError:
                     burned += 1
         attempts = 4 * geometry.pages_per_block
         assert 0 < burned < attempts
-        assert nand.counters.writes == attempts - burned
+        # A burned page is booked under no cause: each cause holds exactly
+        # the programs that landed.
+        assert nand.counters.ops["program"] == programmed
+        assert nand.counters.count("program") == attempts - burned
         assert nand.counters.bytes_written == (attempts - burned) * geometry.page_size
         assert nand.counters == _replayed_counters(recording.events, "flash.nand")
         assert len(recording.of_kind("fault")) == burned
@@ -266,15 +287,16 @@ class TestFaultedOpsAreCountedByNeitherSide:
         plan = FaultPlan(seed=5, read_error_prob=0.4, retry_success_prob=0.0)
         nand = NandArray(geometry, faults=FaultInjector(plan))
         recording = nand.tracer.attach(RecordingSink())
-        nand.program_run(0, geometry.pages_per_block)
+        nand.program_run(0, geometry.pages_per_block, "host")
         lost = 0
         for page in range(geometry.pages_per_block):
             try:
-                nand.read(page)
+                nand.read(page, "host")
             except UncorrectableReadError:
                 lost += 1
         assert 0 < lost < geometry.pages_per_block
-        assert nand.counters.reads == geometry.pages_per_block - lost
+        assert nand.counters.count("read", "host") == geometry.pages_per_block - lost
+        assert nand.counters.count("read") == geometry.pages_per_block - lost
         assert nand.counters == _replayed_counters(recording.events, "flash.nand")
 
 
@@ -328,7 +350,7 @@ class TestLatencyParity:
             frame.observations("hostio.request.write.latency_us"),
             frame.observations("hostio.request.read.latency_us"),
         ) == (20, 10)
-        assert device.ftl.nand.counters.writes == 20
+        assert device.ftl.nand.counters.count("program") == 20
 
     @pytest.mark.parametrize("kind", ["conventional-timed", "dmzoned-timed", "zns-timed"])
     def test_request_lifecycle_phases_are_complete(self, kind):
@@ -380,9 +402,11 @@ class TestCrossLayerStream:
 
 
 class TestConservation:
-    """Device numbers derived from one sink's frame must add up."""
+    """Device numbers derived from one sink's frame must add up, per cause."""
 
     def test_nand_programs_are_the_dftl_wa_decomposition(self):
+        """Host, data GC and translation traffic: the NAND's ops split
+        exactly into the causes a demand-paged FTL names."""
         tracer = Tracer()
         sink = tracer.attach(FrameSink())
         dftl = cmt_pressure_dftl(tracer)
@@ -391,16 +415,87 @@ class TestConservation:
         dftl.write_pages(np.arange(n, dtype=np.int64))
         for _ in range(30):
             dftl.write_pages(rng.integers(0, n, size=int(rng.integers(1, 64))))
+            for lpn in rng.integers(0, n, size=8).tolist():
+                dftl.read(lpn)
         count = sink.frame.counter
-        decomp = dftl.wa_decomposition()
-        assert decomp.data_gc_pages > 0 and decomp.translation_pages > 0
-        programs = count("flash.nand.program.ops") + count("flash.nand.copy.ops")
-        assert programs == (
-            decomp.host_pages + decomp.data_gc_pages + decomp.translation_pages
+        host, gc = count("flash.nand.program.host"), count("flash.nand.copy.gc")
+        writeback = count("flash.nand.program.translation-writeback")
+        trans_gc = count("flash.nand.copy.translation-gc")
+        fetch = count("flash.nand.read.translation-fetch")
+        assert min(gc, writeback, trans_gc, fetch) > 0
+        assert host + gc + writeback + trans_gc == (
+            count("flash.nand.program.ops") + count("flash.nand.copy.ops")
         )
-        assert decomp.translation_pages == (
-            count("translation.writeback") + count("translation.gc")
+        assert count("flash.nand.read.host") + fetch == count("flash.nand.read.ops")
+        assert count("flash.nand.read.host") == 30 * 8
+        # The translation stream says the same.
+        assert writeback + trans_gc == count("translation.writeback") + count("translation.gc")
+        assert fetch == count("translation.miss_fetch")
+
+    def test_conventional_copies_split_into_gc_wear_level_and_recovery(self):
+        """Static wear leveling and program faults on one drive: each copy
+        cause's count is the pages its own events say moved."""
+        tracer = Tracer()
+        sink = tracer.attach(FrameSink())
+        recording = tracer.attach(RecordingSink())
+        ftl = ConventionalFTL(
+            dataclasses.replace(tiny_geometry(), blocks_per_plane=16),
+            FTLConfig(op_ratio=0.2, wl_policy="static"),
+            tracer=tracer,
+            faults=FaultInjector(FaultPlan(seed=1, program_fail_prob=0.01)),
         )
+        n = ftl.logical_pages
+        writes = hot_cold_array(n, 12 * n, 0.1, 0.9, seed=0).tolist()
+        for lpn in writes:
+            ftl.write(lpn)
+        count = sink.frame.counter
+        gc_events = recording.of_kind("gc")
+        collected = sum(e.pages_copied for e in gc_events if e.action == "collected")
+        migrated = sum(e.valid_pages for e in gc_events if e.action == "wear-level")
+        retired = sum(
+            e.pages_moved for e in recording.of_kind("recovery") if e.action == "block-retired"
+        )
+        assert min(collected, migrated, retired) > 0
+        assert count("flash.nand.copy.gc") == collected
+        assert count("flash.nand.copy.wear-level") == migrated
+        assert count("flash.nand.copy.recovery") == retired
+        assert count("flash.nand.copy.ops") == collected + migrated + retired
+        assert count("flash.nand.program.ops") == count("flash.nand.program.host") == len(writes)
+        assert ftl.nand.counters == _replayed_counters(recording.events, "flash.nand")
+        ftl.check_invariants()
+
+    @pytest.mark.parametrize("simple_copy", [False, True])
+    def test_dmzoned_reclaim_and_resets_are_the_reclaim_events(self, simple_copy):
+        geometry = _small_zoned()
+        device = ZNSDevice(geometry)
+        sink = device.tracer.attach(FrameSink())
+        recording = device.tracer.attach(RecordingSink())
+        layer = ZonedBlockDevice(
+            device, ZonedBlockConfig(op_ratio=0.11, use_simple_copy=simple_copy)
+        )
+        n = layer.logical_pages
+        rng = random.Random(2)
+        for lba in range(n):
+            layer.write(lba)
+        for _ in range(2 * n):
+            layer.write(rng.randrange(n))
+        count = sink.frame.counter
+        reclaims = recording.of_kind("reclaim")
+        copies = sum(e.copies for e in reclaims if e.action == "step")
+        resets = sum(e.action == "zone-reset" for e in reclaims)
+        assert copies > 0 and resets > 0
+        erased = resets * geometry.blocks_per_zone
+        assert count("flash.nand.erase.zone-mgmt") == count("flash.nand.erase.ops") == erased
+        assert count("zns.device.erase.zone-mgmt") == erased
+        # A relocation is one NAND program either way; only the host copy
+        # also reads the page back over the interface.
+        assert count("flash.nand.program.reclaim") == copies
+        assert count("flash.nand.read.reclaim") == (0 if simple_copy else copies)
+        command = "copy" if simple_copy else "program"
+        assert count(f"zns.device.{command}.reclaim") == copies
+        assert count("flash.nand.program.host") == count("block.dmzoned.program.host") == 3 * n
+        for name in ("flash.nand", "zns.device", "block.dmzoned"):
+            _replayed_counters(recording.events, name)  # every op carries a cause
 
     def test_timed_dmzoned_latency_histograms_count_their_requests(self):
         """E11's always-on arm (open-loop writes, read bursts): every

@@ -185,7 +185,7 @@ class TestUnobservedBusIsFree:
         expected = run()
         for name, count in requests.items():
             assert expected[name][0] == count
-        assert expected["nand"]["writes"] > 0 and expected["events"] > 5_000
+        assert expected["nand"]["ops"]["program"]["host"] > 0 and expected["events"] > 5_000
         constructed = _record_event_construction(monkeypatch)
         assert run() == expected
         assert constructed == []
@@ -279,7 +279,8 @@ class TestUnobservedBusIsFree:
         ftl.write_pages(np.arange(n, dtype=np.int64))
         ftl.write_pages(uniform_array(n, n, seed=0))
         stats = ftl.stats
-        assert (stats.gc_runs, stats.foreground_gc_stalls, stats.gc_pages_copied) == (
+        copied = ftl.nand.counters.count("copy", "gc")
+        assert (stats.gc_runs, stats.foreground_gc_stalls, copied) == (
             2450, 59, 149243,
         )
         assert calls == {"program_run": 241, "copy_run": 13552}
@@ -296,9 +297,9 @@ class TestUnobservedBusIsFree:
         ftl.write_pages(uniform_array(n, n, seed=0))
         copies = [e for e in sink.events if e.op == "copy"]
         page_size = ftl.geometry.page_size
-        copied = ftl.stats.gc_pages_copied
+        copied = ftl.nand.counters.count("copy", "gc")
         assert len(copies) == 13552 and copied == 149243
-        assert sum(e.count for e in copies) == ftl.nand.counters.copies == copied
+        assert sum(e.count for e in copies) == ftl.nand.counters.count("copy") == copied
         assert sum(e.nbytes for e in copies) == ftl.nand.counters.bytes_copied == copied * page_size
         assert ftl.nand.counters.bytes_written == (2 * n + copied) * page_size
 

@@ -7,7 +7,8 @@ verbatim with ``self`` spelled ``ftl``: one ``NandArray.copy_page``, one
 stream chosen per page from ``_gc_cursor``. They pin what the run-based
 routine must reproduce -- which page lands where, the order of seals and
 free-block takes, the state a mid-call ``GCStuckError`` leaves behind,
-and the per-page ``FlashOp`` list.
+and the per-page ``FlashOp`` list. Since then both take the cause their
+copies are booked under, and the copy count is the NAND's alone.
 """
 
 import numpy as np
@@ -27,19 +28,18 @@ def gc_destination(ftl) -> int:
     return ftl._gc_active[stream]
 
 
-def copy_forward(ftl, sources, ops, uses_channel=False) -> int:
+def copy_forward(ftl, sources, ops, cause, uses_channel=False) -> int:
     moved_lpns: list[int] = []
     for src in sources:
         dst_block = gc_destination(ftl)
         offset = ftl.nand.write_offset(dst_block)
         dst_page = ftl.geometry.first_page_of_block(dst_block) + offset
-        latency = ftl.nand.copy_page(src, dst_page)
+        latency = ftl.nand.copy_page(src, dst_page, cause)
         lpn = ftl.map.relocate(src, dst_page)
         ftl._oob_lpn_v[dst_page] = lpn
         ftl._oob_serial_v[dst_page] = ftl._program_serial
         ftl._program_serial += 1
         moved_lpns.append(lpn)
-        ftl.stats.gc_pages_copied += 1
         if ops is not None:
             ops.append(
                 FlashOp(OpKind.COPY, dst_block, dst_page, latency, uses_channel=uses_channel)

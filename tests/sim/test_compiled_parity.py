@@ -111,7 +111,7 @@ class TestRelocateRunParity:
 class TestCopyRunParity:
     def _programmed_nand(self):
         nand = NandArray(GEOMETRY)
-        nand.program_run(0, PPB)
+        nand.program_run(0, PPB, "host")
         return nand
 
     @given(nsrc=st.integers(1, PPB), seed=st.integers(0, 2**16))
@@ -122,12 +122,12 @@ class TestCopyRunParity:
         a, b = self._programmed_nand(), self._programmed_nand()
         dst_block = 2
         lat_a = sum(
-            a.copy_page(page, dst_block * PPB + i) for i, page in enumerate(src.tolist())
+            a.copy_page(page, dst_block * PPB + i, "gc") for i, page in enumerate(src.tolist())
         )
-        lat_b = b.copy_run(src, dst_block, 0)
+        lat_b = b.copy_run(src, dst_block, 0, "gc")
         assert lat_a == pytest.approx(lat_b)
         assert np.array_equal(a.write_offsets, b.write_offsets)
-        assert a.counters.copies == b.counters.copies
+        assert a.counters.count("copy") == b.counters.count("copy")
         assert a.counters.bytes_copied == b.counters.bytes_copied
 
     def test_rejects_out_of_order_destination(self):
@@ -135,13 +135,13 @@ class TestCopyRunParity:
         from repro.flash.errors import ProgramOrderError
 
         with pytest.raises(ProgramOrderError):
-            nand.copy_run(np.array([0, 1], dtype=np.int64), 2, 5)
+            nand.copy_run(np.array([0, 1], dtype=np.int64), 2, 5, "gc")
 
     def test_rejects_multi_block_sources(self):
         nand = self._programmed_nand()
-        nand.program_run(1, 2)
+        nand.program_run(1, 2, "host")
         with pytest.raises(ValueError, match="one block"):
-            nand.copy_run(np.array([0, PPB + 1], dtype=np.int64), 2, 0)
+            nand.copy_run(np.array([0, PPB + 1], dtype=np.int64), 2, 0, "gc")
 
 
 def _random_cmt(rng, capacity: int, ntvpns: int):

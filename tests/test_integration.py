@@ -78,7 +78,7 @@ class TestTraceAcrossDevices:
         devices = all_block_devices()
         for device in devices.values():
             apply_ops(device, [("write", int(lba)) for lba in lbas])
-        assert devices["ramdisk"].counters.writes == 12_000
+        assert devices["ramdisk"].counters.count("program") == 12_000
         conventional = devices["conventional"]
         flash_writes = conventional.ftl.nand.counters.bytes_written // 4096
         assert flash_writes > 12_000  # GC copies on top of host writes

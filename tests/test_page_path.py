@@ -67,9 +67,9 @@ class TestCallBudget:
 
     def test_nand_program_and_read(self):
         nand = NandArray(FlashGeometry.bench())
-        nand.program(0)
-        assert python_calls(lambda: nand.program(1)) <= 3
-        assert python_calls(lambda: nand.read(1)) <= 5
+        nand.program(0, "host")
+        assert python_calls(lambda: nand.program(1, "host")) <= 3
+        assert python_calls(lambda: nand.read(1, "host")) <= 5
 
     def test_zns_append_and_read(self):
         device = ZNSDevice(ZonedGeometry.bench())
@@ -97,8 +97,8 @@ def test_the_cached_page_latencies_cannot_go_stale():
     with pytest.raises(AttributeError):
         nand.geometry.page_size = 1
     page_size = nand.geometry.page_size
-    assert nand.program(0) == nand.timing.program_total_us(page_size)
-    assert nand.read(0)[1] == nand.timing.read_total_us(page_size)
+    assert nand.program(0, "host") == nand.timing.program_total_us(page_size)
+    assert nand.read(0, "host")[1] == nand.timing.read_total_us(page_size)
     root = Path(repro.__file__).parent
     rebinding = [
         f"{path.relative_to(root)}:{node.lineno}"
@@ -123,7 +123,7 @@ PPB = SMALL.pages_per_block
 def _nand(programmed: int = 0, retire: int | None = None) -> NandArray:
     nand = NandArray(SMALL)
     for page in range(programmed):
-        nand.program(page)
+        nand.program(page, "host")
     if retire is not None:
         nand.wear.mark_bad(retire)
     return nand
@@ -131,10 +131,10 @@ def _nand(programmed: int = 0, retire: int | None = None) -> NandArray:
 
 def _page_range_rows():
     entries = {
-        "program": lambda page: _nand().program(page),
-        "read": lambda page: _nand().read(page),
-        "copy_page-src": lambda page: _nand().copy_page(page, 0),
-        "copy_page-dst": lambda page: _nand(1).copy_page(0, page),
+        "program": lambda page: _nand().program(page, "host"),
+        "read": lambda page: _nand().read(page, "host"),
+        "copy_page-src": lambda page: _nand().copy_page(page, 0, "gc"),
+        "copy_page-dst": lambda page: _nand(1).copy_page(0, page, "gc"),
         "sense_for_copy": lambda page: _nand().sense_for_copy(page),
         "block_of_page": SMALL.block_of_page,
         "page_offset_in_block": SMALL.page_offset_in_block,
@@ -244,35 +244,35 @@ def _zone_rows():
 STRICTNESS = [
     *_page_range_rows(),
     pytest.param(
-        lambda: _nand().program(1),
+        lambda: _nand().program(1, "host"),
         ProgramOrderError,
         "page 1 is offset 1 of block 0; next programmable offset is 0",
         id="program(out-of-order)",
     ),
     pytest.param(
-        lambda: _nand(1).program(0),
+        lambda: _nand(1).program(0, "host"),
         ProgramOrderError,
         "page 0 is offset 0 of block 0; next programmable offset is 1",
         id="program(reprogram)",
     ),
     pytest.param(
-        lambda: _nand(PPB).program_next(0),
+        lambda: _nand(PPB).program_next(0, "host"),
         ProgramOrderError, "block 0 is full", id="program_next(full)",
     ),
     pytest.param(
-        lambda: _nand().program_next(SMALL.total_blocks),
+        lambda: _nand().program_next(SMALL.total_blocks, "host"),
         IndexError,
         r"block %d out of range \[0, %d\)" % (SMALL.total_blocks, SMALL.total_blocks),
         id="program_next(block-range)",
     ),
     pytest.param(
-        lambda: _nand(1).copy_page(0, 2),
+        lambda: _nand(1).copy_page(0, 2, "gc"),
         ProgramOrderError,
         "copy destination page 2 out of order in block 0",
         id="copy_page(out-of-order)",
     ),
     pytest.param(
-        lambda: _nand(1).read(1),
+        lambda: _nand(1).read(1, "host"),
         ReadUnwrittenError, "page 1 has not been programmed", id="read(unwritten)",
     ),
     pytest.param(
@@ -280,19 +280,19 @@ STRICTNESS = [
         ReadUnwrittenError, "page 1 has not been programmed", id="sense_for_copy(unwritten)",
     ),
     pytest.param(
-        lambda: _nand(1).copy_page(1, PPB),
+        lambda: _nand(1).copy_page(1, PPB, "gc"),
         ReadUnwrittenError, "page 1 has not been programmed", id="copy_page(unwritten-src)",
     ),
     pytest.param(
-        lambda: _nand(retire=0).program(0),
+        lambda: _nand(retire=0).program(0, "host"),
         BadBlockError, "program on retired block 0", id="program(retired)",
     ),
     pytest.param(
-        lambda: _nand(retire=0).program_next(0),
+        lambda: _nand(retire=0).program_next(0, "host"),
         BadBlockError, "program on retired block 0", id="program_next(retired)",
     ),
     pytest.param(
-        lambda: _nand(1, retire=0).read(0),
+        lambda: _nand(1, retire=0).read(0, "host"),
         BadBlockError, "read on retired block 0", id="read(retired)",
     ),
     pytest.param(
@@ -300,15 +300,15 @@ STRICTNESS = [
         BadBlockError, "read on retired block 0", id="sense_for_copy(retired)",
     ),
     pytest.param(
-        lambda: _nand(1, retire=0).copy_page(0, PPB),
+        lambda: _nand(1, retire=0).copy_page(0, PPB, "gc"),
         BadBlockError, "read on retired block 0", id="copy_page(retired-src)",
     ),
     pytest.param(
-        lambda: _nand(1, retire=1).copy_page(0, PPB),
+        lambda: _nand(1, retire=1).copy_page(0, PPB, "gc"),
         BadBlockError, "copy into retired block 1", id="copy_page(retired-dst)",
     ),
     pytest.param(
-        lambda: _nand(retire=0).erase(0),
+        lambda: _nand(retire=0).erase(0, "host"),
         BadBlockError, "erase on retired block 0", id="erase(retired)",
     ),
     *_lpn_range_rows(),

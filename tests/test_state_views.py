@@ -55,8 +55,8 @@ class TestScalarReadsArePythonInts:
 
     def test_nand_introspection(self):
         nand = NandArray(SMALL)
-        nand.program(0)
-        nand.read(0)
+        nand.program(0, "host")
+        nand.read(0, "host")
         assert type(nand.write_offset(0)) is int
         assert nand.is_programmed(0) is True
         assert nand.is_programmed(1) is False

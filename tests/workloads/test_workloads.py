@@ -113,7 +113,8 @@ def test_fill_then_churn_leaves_the_scalar_loops_state():
 
     untouched = make()
     fill_then_churn(untouched)
-    assert untouched.stats.host_pages_written == n and untouched.stats.gc_runs == 0
+    assert untouched.nand.counters.count("program", "host") == n
+    assert untouched.stats.gc_runs == 0
 
 
 class TestHotCold:

@@ -149,5 +149,5 @@ class TestZnsBatchParity:
         for device in (scalar, batched):
             device.simple_copy([(0, 0), (0, 3), (0, 5)], 1)
         assert device_state(scalar) == device_state(batched)
-        assert scalar.counters.copies == 3
-        assert scalar.nand.counters.copies == 0  # programs, not copy events
+        assert scalar.counters.count("copy") == 3
+        assert scalar.nand.counters.count("copy") == 0  # programs, not copy events

@@ -67,7 +67,7 @@ class TestReset:
     def _fill_zone(self, ftl, nand, zone):
         for block in ftl.blocks_of_zone(zone):
             for page in nand.geometry.pages_of_block(block):
-                nand.program(page)
+                nand.program(page, "host")
 
     def test_reset_erases_all_blocks(self):
         ftl, nand = make_ftl()
@@ -84,7 +84,7 @@ class TestReset:
         # Wear the original blocks heavily relative to the pool.
         for block in original:
             for _ in range(5):
-                nand.erase(block)
+                nand.erase(block, "host")
         self._fill_zone(ftl, nand, 0)
         ftl.reset_zone(0)
         ftl.reset_zone(0)  # second reset draws from the rotated pool

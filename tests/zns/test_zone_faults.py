@@ -152,8 +152,8 @@ class TestOneFaultContract:
         assert (zone.state, zone.wp) == (ZoneState.READ_ONLY, 2)
         # Three programs reached flash: two durable pages and the burn.
         assert sum(device.nand.write_offset(b) for b in device.ftl.blocks_of_zone(0)) == 3
-        assert device.counters.writes == 0  # the command did not complete
-        assert device.nand.counters.writes == 2
+        assert device.counters.count("program") == 0  # the command did not complete
+        assert device.nand.counters.count("program") == 2
         device.check_invariants()
 
     def test_failed_append_degrades_exactly_like_write(self):

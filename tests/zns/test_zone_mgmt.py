@@ -63,10 +63,10 @@ class TestNvmeEdgeSemantics:
 
     def test_reset_empty_zone_is_a_noop_success(self):
         device = make_device()
-        wear_before = device.nand.counters.erases
+        wear_before = device.nand.counters.count("erase")
         assert device.reset_zone(0) == []
         assert device.zone(0).state is ZoneState.EMPTY
-        assert device.nand.counters.erases == wear_before
+        assert device.nand.counters.count("erase") == wear_before
 
     def test_reset_empty_zone_skips_fault_draws(self):
         # A no-op reset must not consume injector randomness: the
@@ -175,14 +175,14 @@ class TestMgmtFaults:
         device = make_device(FaultPlan(seed=3, reset_fail_prob=1.0))
         device.write(0, 4, build_ops=False)
         wp_before = device.zone(0).wp
-        erases_before = device.nand.counters.erases
+        erases_before = device.nand.counters.count("erase")
         with pytest.raises(ZoneResetFailedError) as err:
             device.reset_zone(0)
         assert isinstance(err.value, RetryableZnsError)
         assert err.value.retryable
         # Bounced pre-mutation: the zone (and media) are untouched.
         assert device.zone(0).state is ZoneState.IMPLICIT_OPEN or device.zone(0).wp == wp_before
-        assert device.nand.counters.erases == erases_before
+        assert device.nand.counters.count("erase") == erases_before
 
     def test_bounced_reset_carries_the_command_hold(self):
         device = make_device(
