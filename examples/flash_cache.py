@@ -29,7 +29,7 @@ def run_set_associative():
     for obj in zipfian_stream(UNIVERSE, REQUESTS, theta=THETA, seed=0):
         if not cache.get(obj):
             cache.admit(obj)
-    flash_pages = ssd.ftl.nand.physical_bytes_written() // 4096
+    flash_pages = ssd.ftl.nand.counters.programmed_pages()
     return cache, flash_pages, ssd.ftl.nand.counters.count("erase")
 
 
@@ -42,7 +42,7 @@ def run_zone_log():
     for obj in zipfian_stream(UNIVERSE, REQUESTS, theta=THETA, seed=0):
         if not cache.get(obj):
             cache.admit(obj)
-    flash_pages = device.nand.physical_bytes_written() // 4096
+    flash_pages = device.nand.counters.programmed_pages()
     return cache, flash_pages, device.nand.counters.count("erase")
 
 

@@ -29,9 +29,10 @@ def drive(store: LSMStore) -> None:
         store.put(int(rng.integers(0, N_KEYS)), i)
 
 
-def report(label: str, store: LSMStore, flash_bytes: int) -> None:
-    app_wa = store.stats.app_write_amplification(store.backend.page_size)
-    total_wa = store.total_write_amplification(flash_bytes)
+def report(label: str, store: LSMStore, flash_pages: int) -> None:
+    page_size, user_bytes = store.backend.page_size, store.stats.user_bytes
+    app_wa = store.stats.app_pages_written * page_size / user_bytes
+    total_wa = flash_pages * page_size / user_bytes
     print(f"{label:18s} app WA {app_wa:5.2f}  x  interface tax "
           f"{total_wa / app_wa:4.2f}  =  total {total_wa:5.2f}")
 
@@ -47,7 +48,7 @@ def main() -> None:
             CFG,
         )
         drive(store)
-        report(label, store, ssd.ftl.nand.physical_bytes_written())
+        report(label, store, ssd.ftl.nand.counters.programmed_pages())
 
     zoned = ZonedGeometry(
         flash=FlashGeometry.small(), blocks_per_zone=2, max_active_zones=14
@@ -55,11 +56,12 @@ def main() -> None:
     device = ZNSDevice(zoned)
     store = LSMStore(ZoneFileBackend(device), CFG)
     drive(store)
-    report("zns, zenfs-like", store, device.nand.physical_bytes_written())
+    report("zns, zenfs-like", store, device.nand.counters.programmed_pages())
     backend = store.backend
+    relocated = device.nand.counters.count("program", "reclaim")
     print(f"\nzone backend details: {backend.stats.zones_reset} zone resets, "
           f"{backend.stats.free_zone_resets} were free "
-          f"(fully-dead zones), {backend.stats.pages_relocated} pages relocated")
+          f"(fully-dead zones), {relocated} pages relocated")
     print("level sizes (pages):", store.level_sizes_pages())
 
     # Correctness spot check: the newest value for a sample of keys.

@@ -53,7 +53,7 @@ def demo_conventional_tax() -> None:
     print(f"host wrote {3 * n} pages; flash absorbed "
           f"{ssd.ftl.nand.counters.count('copy', 'gc')} extra GC copies")
     print(f"device write amplification at 7% OP: "
-          f"{ssd.device_write_amplification:.2f}x\n")
+          f"{ssd.ftl.nand.counters.write_amplification():.2f}x\n")
 
 
 def demo_host_translation() -> None:
@@ -66,10 +66,11 @@ def demo_host_translation() -> None:
         layer.write_block(lba)
     for _ in range(2 * n):
         layer.write_block(int(rng.integers(0, n)))
-    print(f"host-layer write amplification: "
-          f"{layer.stats.host_write_amplification:.2f}x "
+    counters = device.nand.counters
+    print(f"write amplification from host-side reclaim: "
+          f"{counters.write_amplification():.2f}x "
           f"(same algorithm, now in *your* code)")
-    print(f"reclaim pages that crossed PCIe: {layer.stats.pcie_copy_pages} "
+    print(f"reclaim pages that crossed PCIe: {counters.count('read', 'reclaim')} "
           f"(simple copy keeps them in the device)")
     print(f"host DRAM for the map: {layer.host_dram_bytes() // 1024} KiB "
           f"on cheap commodity DIMMs")

@@ -26,7 +26,7 @@ on:
   cache, and structured progress reporting;
 - :mod:`repro.obs` -- measurement and telemetry: the one aggregation
   type (``MetricsFrame``, with ``OpCounter`` as its typed counter slice,
-  where every flash op is counted once under its cause), typed trace
+  where the NAND counts every flash op once under its cause), typed trace
   events published by every layer above, pluggable sinks, JSONL export
   (``--trace``), and frame aggregation (``--metrics-out``).
 

@@ -32,21 +32,12 @@ from repro.zns.zone import ZoneState
 
 @dataclass
 class BackendStats:
-    """Interface-level traffic the backend generated."""
+    """What the backend did that the flash counts cannot show; the pages
+    it writes, reads and relocates are the NAND's per-cause ops."""
 
-    pages_written: int = 0
-    pages_read: int = 0
     pages_trimmed: int = 0
-    pages_relocated: int = 0
     zones_reset: int = 0
     free_zone_resets: int = 0
-
-    @property
-    def backend_write_amplification(self) -> float:
-        """Relocation overhead the backend itself added (>= 1.0)."""
-        if self.pages_written == 0:
-            return 1.0
-        return (self.pages_written + self.pages_relocated) / self.pages_written
 
 
 class LsmBackend(abc.ABC):
@@ -277,7 +268,6 @@ class BlockFileBackend(LsmBackend):
         for extent in extents:
             self.device.write_blocks(extent.start, extent.length)
         table.handle = extents
-        self.stats.pages_written += table.size_pages
 
     def delete_table(self, table: SSTable) -> None:
         extents: list[_Extent] = table.handle
@@ -297,7 +287,6 @@ class BlockFileBackend(LsmBackend):
         for extent in extents:
             if remaining < extent.length:
                 self.device.read_block(extent.start + remaining)
-                self.stats.pages_read += 1
                 return
             remaining -= extent.length
         raise IndexError(f"page {page_index} beyond extents")
@@ -309,7 +298,6 @@ class BlockFileBackend(LsmBackend):
         extents = self.allocator.allocate(1)
         self.device.write_block(extents[0].start)
         self._wal_extents.extend(extents)
-        self.stats.pages_written += 1
 
     def reset_wal(self) -> None:
         if not self._wal_extents:
@@ -385,7 +373,6 @@ class ZoneFileBackend(LsmBackend):
         self._tables[table.table_id] = (table, extents)
         for extent in extents:
             self._zones[extent.zone].tables.add(table.table_id)
-        self.stats.pages_written += table.size_pages
 
     def delete_table(self, table: SSTable) -> None:
         entry = self._tables.pop(table.table_id, None)
@@ -411,7 +398,6 @@ class ZoneFileBackend(LsmBackend):
         for extent in extents:
             if remaining < extent.length:
                 self.device.read(extent.zone, extent.offset + remaining)
-                self.stats.pages_read += 1
                 return
             remaining -= extent.length
         raise IndexError(f"page {page_index} beyond extents")
@@ -420,7 +406,6 @@ class ZoneFileBackend(LsmBackend):
         """The WAL gets its own zone stream (ZenFS's layout), so its
         rapidly-dying pages never share flash with SSTable data."""
         self._wal_extents.extend(self._append("wal", 1))
-        self.stats.pages_written += 1
 
     def reset_wal(self) -> None:
         for extent in self._wal_extents:
@@ -542,7 +527,6 @@ class ZoneFileBackend(LsmBackend):
                 dst_extents = self._copy_extent(victim, extent, f"level-{table.level}")
                 new_extents.extend(dst_extents)
                 info.live_pages -= extent.length
-                self.stats.pages_relocated += extent.length
             table.handle = new_extents
             self._tables[table_id] = (table, new_extents)
             for extent in new_extents:

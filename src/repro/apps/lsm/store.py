@@ -79,11 +79,6 @@ class LSMStats:
     def app_pages_written(self) -> int:
         return self.flush_pages + self.compaction_pages + self.wal_pages
 
-    def app_write_amplification(self, page_size: int) -> float:
-        if self.user_bytes == 0:
-            return 1.0
-        return self.app_pages_written * page_size / self.user_bytes
-
 
 @dataclass(frozen=True)
 class IoPlanEntry:
@@ -362,12 +357,6 @@ class LSMStore:
 
     def level_sizes_pages(self) -> list[int]:
         return [sum(t.size_pages for t in level) for level in self.levels]
-
-    def total_write_amplification(self, flash_bytes_written: int) -> float:
-        """End-to-end WA: physical flash bytes per user byte."""
-        if self.stats.user_bytes == 0:
-            return 1.0
-        return flash_bytes_written / self.stats.user_bytes
 
 
 __all__ = ["IoPlanEntry", "LSMConfig", "LSMStats", "LSMStore"]

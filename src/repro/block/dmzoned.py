@@ -26,7 +26,6 @@ from repro.block.interface import ZonedDevice, check_extent
 from repro.flash.errors import ProgramFaultError, UncorrectableReadError
 from repro.flash.ops import FlashOp
 from repro.obs.events import FlashOpEvent, ReclaimEvent, RecoveryEvent
-from repro.obs.frame import OpCounter
 from repro.obs.runtime import new_tracer
 from repro.obs.tracer import Tracer
 from repro.zns.errors import ZoneOfflineError
@@ -69,25 +68,17 @@ class ZonedBlockConfig:
 
 @dataclass
 class ZonedBlockStats:
-    """Host-layer accounting."""
+    """Host-layer accounting of what the flash counts cannot show; the
+    pages this layer writes, reads and relocates are the NAND's ops
+    under ``host`` and ``reclaim`` (``device.nand.counters``)."""
 
-    user_pages_written: int = 0
-    user_pages_read: int = 0
-    gc_pages_copied: int = 0
     gc_runs: int = 0
     zones_reset: int = 0
-    pcie_copy_pages: int = 0  # GC pages that crossed the host interface
     zones_degraded: int = 0  # write frontiers lost to READ_ONLY degradation
     zones_lost: int = 0  # zones gone OFFLINE (capacity permanently lost)
     pages_lost: int = 0  # mapped pages inside zones that went offline
     write_stalls: int = 0  # timed writes that waited out an out-of-zones stall
     write_stall_ticks: int = 0  # blocked reclaim-poll ticks those writes waited
-
-    @property
-    def host_write_amplification(self) -> float:
-        if self.user_pages_written == 0:
-            return 1.0
-        return (self.user_pages_written + self.gc_pages_copied) / self.user_pages_written
 
 
 class ZonedBlockDevice:
@@ -121,9 +112,6 @@ class ZonedBlockDevice:
         if tracer is None:
             tracer = getattr(device, "tracer", None) or new_tracer()
         self.tracer = tracer
-        #: Host-layer block I/O counters (user reads and writes only;
-        #: reclaim traffic is in ``stats`` and the device's counters).
-        self.counters = OpCounter()
 
         pages_per_zone = device.geometry.pages_per_zone
         total_zones = device.zone_count
@@ -220,8 +208,6 @@ class ZonedBlockDevice:
             self._l2p_v[lba] = UNMAPPED
             self.stats.pages_lost += 1
             raise
-        self.stats.user_pages_read += 1
-        self.counters.note_read("host", self.block_size)
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
@@ -264,8 +250,6 @@ class ZonedBlockDevice:
             break
         else:
             raise TranslationError(f"write of lba {lba} failed: zones keep degrading")
-        self.stats.user_pages_written += 1
-        self.counters.note_program("host", self.block_size)
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
@@ -485,13 +469,11 @@ class ZonedBlockDevice:
             payload, read_op = self.device.read(victim, offset, "reclaim")
             write_ops = self.device.write(dst_zone, npages=1, data=payload, cause="reclaim")
             ops = [read_op, *write_ops]
-            self.stats.pcie_copy_pages += 1
         lba = self._p2l_v[self._flat(victim, offset)]
         self._unmap_physical(self._flat(victim, offset))
         self._l2p_v[lba] = self._flat(dst_zone, dst_offset)
         self._p2l_v[self._flat(dst_zone, dst_offset)] = lba
         self._valid_v[dst_zone] += 1
-        self.stats.gc_pages_copied += 1
         return ops
 
     def _gc_destination(self) -> int:

@@ -36,12 +36,12 @@ class RamDisk:
 
     def read_block(self, lba: int) -> Any:
         check_lba(self, lba)
-        self.counters.note_read("host", self._block_size)
+        self.counters.note("read", "host")
         return self._data.get(lba)
 
     def write_block(self, lba: int, data: Any = None) -> None:
         check_lba(self, lba)
-        self.counters.note_program("host", self._block_size)
+        self.counters.note("program", "host")
         self._data[lba] = data
 
     def write_blocks(self, start: int, count: int) -> None:

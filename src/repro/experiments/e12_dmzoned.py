@@ -58,7 +58,7 @@ def _wa_host(simple_copy: bool, quick: bool, seed: int) -> dict:
     return {
         "stack": "zns+host-copy" if not simple_copy else "zns+simple-copy",
         "total_wa": round(device.nand.counters.write_amplification(), 2),
-        "pcie_reclaim_pages": layer.stats.pcie_copy_pages,
+        "pcie_reclaim_pages": device.nand.counters.count("read", "reclaim"),
     }
 
 
@@ -79,7 +79,7 @@ def _throughput_conventional(quick: bool, seed: int) -> float:
 
     w = engine.process(writer(engine))
     engine.run(until=w)
-    return writes * 4096 / (1024 * 1024) / (engine.now / 1e6)
+    return writes * ssd.ftl.geometry.page_size / (1024 * 1024) / (engine.now / 1e6)
 
 
 def _throughput_host(simple_copy: bool, quick: bool, seed: int) -> float:
@@ -107,7 +107,7 @@ def _throughput_host(simple_copy: bool, quick: bool, seed: int) -> float:
 
     w = engine.process(writer(engine))
     engine.run(until=w)
-    return writes * 4096 / (1024 * 1024) / (engine.now / 1e6)
+    return writes * host.layer.block_size / (1024 * 1024) / (engine.now / 1e6)
 
 
 def measure_stack(stack: str, quick: bool, seed: int) -> dict:

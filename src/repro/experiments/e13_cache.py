@@ -30,7 +30,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     for obj in zipfian_stream(universe, requests, theta=0.9, seed=seed):
         if not set_cache.get(obj):
             set_cache.admit(obj)
-    conv_flash = conv.ftl.nand.physical_bytes_written() // 4096
+    conv_flash = conv.ftl.nand.counters.programmed_pages()
     conv_row = {
         "cache": "set-assoc/conventional",
         "hit_ratio": round(set_cache.stats.hit_ratio, 3),
@@ -45,7 +45,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     for obj in zipfian_stream(universe, requests, theta=0.9, seed=seed):
         if not log_cache.get(obj):
             log_cache.admit(obj)
-    zns_flash = zns.nand.physical_bytes_written() // 4096
+    zns_flash = zns.nand.counters.programmed_pages()
     zns_row = {
         "cache": "zone-log/zns",
         "hit_ratio": round(log_cache.stats.hit_ratio, 3),

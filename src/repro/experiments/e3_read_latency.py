@@ -44,7 +44,7 @@ class _ConvRig:
         spec = DeviceSpec(
             kind="conventional-timed", geometry="small", ftl={"op_ratio": op_ratio}
         )
-        self.geometry = spec.flash_geometry()
+        self.page_size = spec.flash_geometry().page_size
         self.ssd = build_stack(spec, engine=self.engine)
         self.n = self.ssd.ftl.logical_pages
         fill_then_churn(self.ssd.ftl, uniform_array(self.n, self.n // 2, seed=5))
@@ -67,7 +67,7 @@ class _ZnsRig:
     def __init__(self):
         self.engine = Engine()
         spec = DeviceSpec(kind="zns-timed", geometry="small")
-        self.geometry = spec.zoned_geometry()
+        self.page_size = spec.zoned_geometry().flash.page_size
         self.device = build_stack(spec, engine=self.engine)
         self.zone_count = self.device.device.zone_count
         self._cursors = {}
@@ -121,7 +121,7 @@ def _saturation_mb_s(rig, total_writes: int) -> float:
     done = rig.engine.all_of([rig.engine.process(writer(rig.engine)) for _ in range(_WRITERS)])
     rig.engine.run(until=done)
     issued = per_writer * _WRITERS
-    return issued * 4096 / (1024 * 1024) / (rig.engine.now / 1e6)
+    return issued * rig.page_size / (1024 * 1024) / (rig.engine.now / 1e6)
 
 
 def _read_latency_at_rate(rig, write_rate_mb_s: float, reads: int, seed: int) -> dict:

@@ -37,17 +37,17 @@ def _drive(store: LSMStore, n_keys: int, ops: int, seed: int) -> None:
         store.put(key, i)
 
 
-def _steady_state_wa(store, flash_bytes_fn, n_keys, warmup_ops, measure_ops, seed):
+def _steady_state_wa(store, counters, n_keys, warmup_ops, measure_ops, seed):
     _drive(store, n_keys, warmup_ops, seed)
     user0 = store.stats.user_bytes
-    flash0 = flash_bytes_fn()
+    flash0 = counters.programmed_pages()
     app0 = store.stats.app_pages_written
     _drive(store, n_keys, measure_ops, seed + 1)
     user = store.stats.user_bytes - user0
-    flash = flash_bytes_fn() - flash0
+    flash = counters.programmed_pages() - flash0
     app_pages = store.stats.app_pages_written - app0
     app_wa = app_pages * store.backend.page_size / user
-    total_wa = flash / user
+    total_wa = flash * store.backend.page_size / user
     return app_wa, total_wa
 
 
@@ -67,7 +67,7 @@ def measure_backend(backend: str, quick: bool, seed: int) -> dict:
             )
         )
         store = LSMStore(ZoneFileBackend(device), _CFG)
-        flash_bytes_fn = device.nand.physical_bytes_written
+        counters = device.nand.counters
     else:
         trim, strategy = {
             "block/aged-fs": (False, "aged"),
@@ -80,10 +80,8 @@ def measure_backend(backend: str, quick: bool, seed: int) -> dict:
             BlockFileBackend(ssd, trim_on_delete=trim, allocation_strategy=strategy),
             _CFG,
         )
-        flash_bytes_fn = ssd.ftl.nand.physical_bytes_written
-    app_wa, total_wa = _steady_state_wa(
-        store, flash_bytes_fn, n_keys, warmup, measure, seed
-    )
+        counters = ssd.ftl.nand.counters
+    app_wa, total_wa = _steady_state_wa(store, counters, n_keys, warmup, measure, seed)
     return {
         "backend": backend,
         "app_wa": round(app_wa, 2),

@@ -51,12 +51,12 @@ def measure_policy(policy_name: str, quick: bool, seed: int) -> dict:
             store.put(event)
         else:
             store.delete(event.obj_id)
-    stats = store.stats
+    stats, counters = store.stats, device.nand.counters
     return {
         "placement": policy_name,
-        "write_amplification": round(stats.write_amplification, 3),
+        "write_amplification": round(counters.write_amplification(), 3),
         "free_reset_pct": round(100.0 * stats.free_resets / max(stats.zones_reset, 1), 1),
-        "relocated_pages": stats.relocated_pages,
+        "relocated_pages": counters.count("program", "reclaim"),
     }
 
 

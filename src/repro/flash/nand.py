@@ -45,9 +45,9 @@ class NandArray:
     Every operation takes the cause its caller names (one of
     :data:`~repro.obs.events.CAUSES`) and books itself once, under that
     cause, in :attr:`counters`, a plain :class:`OpCounter` the array
-    owns; only when a sink is attached to the array's tracer does it
-    also publish a :class:`FlashOpEvent` (layer ``flash.nand``) carrying
-    the same cause, count and bytes.
+    owns -- the stack's only op count; only when a sink is attached to
+    the array's tracer does it also publish a :class:`FlashOpEvent`
+    (layer ``flash.nand``) carrying the same cause, count and bytes.
 
     Parameters
     ----------
@@ -95,7 +95,7 @@ class NandArray:
         self.store_data = store_data
         self.tracer = tracer if tracer is not None else new_tracer()
         #: Physical operation counters, per op and cause; a copy also
-        #: books its bytes as programmed flash bytes (``bytes_written``).
+        #: programs its destination page (``counters.programmed_pages()``).
         self.counters = OpCounter()
         # Disarmed injectors are dropped: the hot-path guard is a single
         # attribute check, and no RNG is ever consulted.
@@ -176,7 +176,7 @@ class NandArray:
         self._write_offsets_v[block] = offset + 1
         if self.store_data:
             self._data[page] = data
-        self.counters.note_program(cause, self.geometry.page_size)
+        self.counters.note("program", cause)
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
@@ -210,7 +210,7 @@ class NandArray:
             # May raise UncorrectableReadError after walking the full ECC
             # retry ladder; otherwise adds the ladder/spike latency.
             latency += self.faults.on_read(block, page)
-        self.counters.note_read(cause, self.geometry.page_size)
+        self.counters.note("read", cause)
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
@@ -263,7 +263,7 @@ class NandArray:
         if self.store_data:
             for page in self.geometry.pages_of_block(block):
                 self._data.pop(page, None)
-        self.counters.note_erase(cause)
+        self.counters.note("erase", cause)
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
@@ -295,9 +295,9 @@ class NandArray:
         if self.store_data:
             self._data[dst_page] = payload
         latency = self.timing.read_us + self.timing.program_us
-        # Not a host read/write: one copy, whose bytes were nonetheless
+        # Not a host read/write: one copy, whose page was nonetheless
         # programmed to flash.
-        self.counters.note_copy(cause, self.geometry.page_size, programs=True)
+        self.counters.note("copy", cause)
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
@@ -341,7 +341,7 @@ class NandArray:
         first_page = block * self.geometry.pages_per_block + offset
         latency = n * self._program_page_us
         self._write_offsets_v[block] = offset + n
-        self.counters.note_program(cause, n * self.geometry.page_size, n)
+        self.counters.note("program", cause, n)
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
@@ -363,8 +363,8 @@ class NandArray:
         page -- the destination the next ``n`` free pages of
         ``dst_block``. Equivalent to :meth:`copy_page` per page -- the
         source pages must be programmed, the destination obeys program
-        order, and the counters book the same copy count and byte
-        totals (as does the one aggregate event) -- with O(1) validation.
+        order, and the counters book the same copy count (as does the one
+        aggregate event) -- with O(1) validation.
         """
         n = len(src_pages)
         if n == 0:
@@ -395,7 +395,7 @@ class NandArray:
             for i, src in enumerate(src_pages.tolist()):
                 self._data[dst_first + i] = self._data.get(src)
         latency = n * (self.timing.read_us + self.timing.program_us)
-        self.counters.note_copy(cause, n * self.geometry.page_size, n, programs=True)
+        self.counters.note("copy", cause, n)
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
@@ -412,10 +412,6 @@ class NandArray:
         """All live blocks currently erased (write offset 0)."""
         mask = (self._write_offsets == 0) & ~self.wear.bad_mask
         return np.flatnonzero(mask).tolist()
-
-    def physical_bytes_written(self) -> int:
-        """Total bytes programmed to flash (host writes + copies)."""
-        return self.counters.bytes_written
 
     # -- Consistency checking (used by property tests) -----------------------------
 
@@ -435,15 +431,6 @@ class NandArray:
             pages = np.fromiter(self._data, dtype=np.int64, count=len(self._data))
             below = pages % ppb < offsets[pages // ppb]
             assert below.all(), "payload at or above its block's write offset"
-        # The op counts are stored per cause only; the byte totals must be
-        # what those counts moved, a page each.
-        counters, page = self.counters, self.geometry.page_size
-        copied = counters.count("copy") * page
-        assert counters.bytes_read == counters.count("read") * page, "read bytes != read ops"
-        assert counters.bytes_copied == copied, "copy bytes != copy ops"
-        assert counters.bytes_written == counters.count("program") * page + copied, (
-            "programmed bytes != program + copy ops"
-        )
 
 
 __all__ = ["NandArray"]

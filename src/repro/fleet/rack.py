@@ -271,7 +271,6 @@ class _ConventionalTenant:
         ops = self.ftl.write(lpn)
         self._owner_of_lpn[lpn] = key
         self.live.add(key, lpn)
-        frame.add("fleet.host_pages_written")
         return _service_us(ops)
 
     def read(self, rng, frame: MetricsFrame) -> float | None:
@@ -436,7 +435,6 @@ class _ZnsTenant:
                 continue
             self.live.add(key, (zone, self.epoch_of[zone], offset))
             self._zone_keys[zone].append(key)
-            frame.add("fleet.host_pages_written")
             return service + _service_us(ops)
         frame.add("fleet.writes_refused")
         return service
@@ -562,7 +560,6 @@ def simulate_device(spec: FleetSpec, device_id: int) -> MetricsFrame:
     schedules = {tid: _intensity(spec, tid) for tid in tenants}
     frame = MetricsFrame()
     measured = False
-    flash_before = nand.physical_bytes_written()
 
     busy = 0.0
     died = False
@@ -576,7 +573,7 @@ def simulate_device(spec: FleetSpec, device_id: int) -> MetricsFrame:
                 stack.faults = injector
             frame = MetricsFrame()
             measured = True
-            flash_before = nand.physical_bytes_written()
+            before = nand.counters.snapshot()
         now = tick * spec.tick_us
         # Background lifecycle pass before the arrival clamp: deferred
         # finishes and reset-ahead run only when the queue has drained
@@ -631,13 +628,17 @@ def simulate_device(spec: FleetSpec, device_id: int) -> MetricsFrame:
     if not measured:
         # Died inside warmup: report the death on a clean measured frame.
         frame = MetricsFrame()
-        flash_before = nand.physical_bytes_written()
+        before = nand.counters.snapshot()
     for op, key in (("write", _WRITE_LATENCY), ("read", _READ_LATENCY)):
         served = frame.observations(key)
         if served:
             frame.add(f"fleet.request.{op}.requests", served)
-    flash_pages = (nand.physical_bytes_written() - flash_before) // nand.geometry.page_size
-    frame.add("fleet.flash_pages_written", int(flash_pages))
+    host = nand.counters.count("program", "host") - before.count("program", "host")
+    if host:
+        frame.add("fleet.host_pages_written", host)
+        frame.peak("fleet.device_wa_max", nand.counters.write_amplification(since=before))
+    flash_pages = nand.counters.programmed_pages() - before.programmed_pages()
+    frame.add("fleet.flash_pages_written", flash_pages)
     frame.add("fleet.devices")
     if died:
         frame.add("fleet.devices_failed")
@@ -662,9 +663,6 @@ def simulate_device(spec: FleetSpec, device_id: int) -> MetricsFrame:
         frame.add("fleet.lifecycle.reserve_misses", stats.reserve_misses)
         frame.add("fleet.lifecycle.retries", stats.retries)
         frame.add("fleet.lifecycle.resets_ahead", stats.reset_ahead)
-    host = frame.counter("fleet.host_pages_written")
-    if host:
-        frame.peak("fleet.device_wa_max", flash_pages / host)
     p99 = frame.quantile(_READ_LATENCY, 0.99)
     if p99:
         frame.peak("fleet.device_read_p99_us_max", p99)

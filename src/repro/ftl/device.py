@@ -57,10 +57,6 @@ class ConventionalSSD:
     def num_blocks(self) -> int:
         return self.ftl.logical_pages
 
-    @property
-    def device_write_amplification(self) -> float:
-        return self.ftl.nand.counters.write_amplification()
-
     def read_block(self, lba: int) -> Any:
         self.ftl.read(lba)
         return self._payloads.get(lba) if self._store_data else None

@@ -3,7 +3,7 @@
 One event stream makes visible what the devices' own instruments cannot
 show -- the order of things, and the GC/reclaim/scheduler/zone decisions
 behind the numbers. The instruments themselves are fields the devices
-update directly: an :class:`~repro.obs.frame.OpCounter` per layer, which
+update directly: the NAND's :class:`~repro.obs.frame.OpCounter`, which
 counts each flash op once under its cause
 (:data:`~repro.obs.events.CAUSES`), and a
 :class:`~repro.obs.frame.MetricsFrame` per timed device whose series hold

@@ -1,9 +1,9 @@
 """The one aggregation type: ``MetricsFrame``, its ``OpCounter`` slice, ``FrameSink``.
 
 Everything the simulator counts or samples lives in a frame (or, for
-the per-op device counters, in the frame's typed slice
-:class:`OpCounter`, which counts each flash op once, under the cause its
-issuer named -- ``<layer>.<op>.<cause>`` in a frame). Sharded runs (the fleet layer, pooled sweeps)
+the NAND's per-op counts, in the frame's typed slice :class:`OpCounter`,
+which counts each flash op once, under the cause its issuer named --
+``flash.nand.<op>.<cause>`` in a frame). Sharded runs (the fleet layer, pooled sweeps)
 produce per-shard telemetry that the parent must combine, so the merge
 is defined field by field:
 
@@ -76,50 +76,25 @@ def _no_ops() -> dict[str, dict[str, int]]:
 
 @dataclass
 class OpCounter:
-    """One layer's operation and byte counts: the frame's typed counter slice.
+    """One layer's operation counts, per cause: the frame's typed counter slice.
 
-    Devices own one as a plain field and book every primitive operation
+    The NAND is the one layer that keeps one (``NandArray.counters``; the
+    RAM disk, which has no NAND, keeps its own): it books every flash op
     once, under the cause its caller named (:data:`~repro.obs.events.CAUSES`;
-    any other raises ``KeyError``), through the ``note_*`` methods:
-    ``count`` pages (blocks, for an erase) moved by one command, ``nbytes``
-    in total. ``ops[op][cause]`` is the only op count -- a total is the sum
-    :meth:`count` takes -- and each entry is the value a :class:`FrameSink`
-    reaches from the same layer's flash-op events:
-
-    - ``ops[op][cause]``: ``<layer>.<op>.<cause>``, for ``op`` one of
-      read, program, erase, copy; ``count(op)``: ``<layer>.<op>.ops``;
-    - ``bytes_read`` / ``bytes_written`` / ``bytes_copied``:
-      ``<layer>.read.bytes`` / ``.program.bytes`` / ``.copy.bytes``.
-
-    On physical NAND (``flash.nand``, ``note_copy(programs=True)``) a
-    copy also programs its bytes, so ``bytes_written`` there is
-    ``program.bytes + copy.bytes``; command-level layers (ZNS simple
-    copy) count the copy alone.
+    any other raises ``KeyError``), through :meth:`note` -- ``count``
+    pages (blocks, for an erase) moved by one command. The layers above
+    show through their flash-op events instead. ``ops[op][cause]`` is the
+    only op count -- a total is the sum :meth:`count` takes -- and each
+    entry is the value a :class:`FrameSink` reaches from the same layer's
+    events: ``<layer>.<op>.<cause>``, for ``op`` one of read, program,
+    erase, copy; ``count(op)``: ``<layer>.<op>.ops``. Bytes are ops times
+    the page size.
     """
 
     ops: dict[str, dict[str, int]] = field(default_factory=_no_ops)
-    bytes_read: int = 0
-    bytes_written: int = 0
-    bytes_copied: int = 0
 
-    def note_read(self, cause: str, nbytes: int, count: int = 1) -> None:
-        self.ops["read"][cause] += count
-        self.bytes_read += nbytes
-
-    def note_program(self, cause: str, nbytes: int, count: int = 1) -> None:
-        self.ops["program"][cause] += count
-        self.bytes_written += nbytes
-
-    def note_erase(self, cause: str, count: int = 1) -> None:
-        self.ops["erase"][cause] += count
-
-    def note_copy(self, cause: str, nbytes: int, count: int = 1, programs: bool = False) -> None:
-        """``programs=True`` (physical NAND) also books the bytes as programmed;
-        command-level layers (ZNS simple copy) count the copy alone."""
-        self.ops["copy"][cause] += count
-        self.bytes_copied += nbytes
-        if programs:
-            self.bytes_written += nbytes
+    def note(self, op: str, cause: str, count: int = 1) -> None:
+        self.ops[op][cause] += count
 
     def count(self, op: str, *causes: str) -> int:
         """``op``s booked under ``causes``, or under any cause when none is named."""
@@ -130,22 +105,28 @@ class OpCounter:
         """A copy that later bookings leave alone (for :meth:`write_amplification`)."""
         return copy.deepcopy(self)
 
+    def programmed_pages(self) -> int:
+        """Pages written to flash whatever their cause: programs plus
+        copies (an on-die copy programs its destination page)."""
+        return self.count("program") + self.count("copy")
+
     def write_amplification(
         self, since: "OpCounter | None" = None, metadata_pages: int = 0
     ) -> float:
         """Device write amplification: pages programmed per ``host`` program.
 
-        The one formula every experiment reports. The numerator is every
-        program and copy whatever its cause -- GC, wear leveling,
-        translation traffic, relocation, padding -- plus ``metadata_pages``
-        a caller models off the flash (a checkpoint policy's). ``since``,
-        an earlier :meth:`snapshot`, limits both sides to the ops booked
-        after it. 1.0 when there is no host program to divide by.
+        The one formula every experiment reports. The numerator is
+        :meth:`programmed_pages` -- GC, wear leveling, translation
+        traffic, relocation, padding and host programs alike -- plus
+        ``metadata_pages`` a caller models off the flash (a checkpoint
+        policy's). ``since``, an earlier :meth:`snapshot`, limits both
+        sides to the ops booked after it. 1.0 when there is no host
+        program to divide by.
         """
-        flash = self.count("program") + self.count("copy") + metadata_pages
+        flash = self.programmed_pages() + metadata_pages
         host = self.count("program", "host")
         if since is not None:
-            flash -= since.count("program") + since.count("copy")
+            flash -= since.programmed_pages()
             host -= since.count("program", "host")
         return flash / host if host else 1.0
 

@@ -1,7 +1,7 @@
 """Sinks: consumers of the trace stream.
 
-Nothing in the device stack attaches one of these by itself: the devices
-keep their own :class:`~repro.obs.frame.OpCounter` and
+Nothing in the device stack attaches one of these by itself: the NAND
+keeps its :class:`~repro.obs.frame.OpCounter` and the timed devices their
 :class:`~repro.obs.frame.MetricsFrame` as plain fields, updated whether
 or not anyone listens. A sink is what an *observer* attaches:
 

@@ -19,7 +19,7 @@ allocated and nothing is called.
 ``enabled`` is True only because an observer asked: ``--trace`` /
 ``--metrics-out`` (:mod:`repro.obs.runtime`), the perf ledger's traced
 pass, a test's sink. No device and no rack attaches one for its own
-bookkeeping (``counters``, the timed devices' latency frames and the
+bookkeeping (the NAND's ``counters``, the timed devices' latency frames and the
 fleet's frame are fields), so a run without those builds no event at all
 (``tests/obs/test_tracer.py::TestUnobservedBusIsFree``).
 """

@@ -35,16 +35,11 @@ class StoredObject:
 
 @dataclass
 class StoreStats:
-    user_pages_written: int = 0
-    relocated_pages: int = 0
+    """Reset accounting; the pages stored and relocated are the NAND's
+    ``host`` and ``reclaim`` programs (``device.nand.counters``)."""
+
     zones_reset: int = 0
     free_resets: int = 0  # zones reclaimed with zero copying
-
-    @property
-    def write_amplification(self) -> float:
-        if self.user_pages_written == 0:
-            return 1.0
-        return (self.user_pages_written + self.relocated_pages) / self.user_pages_written
 
 
 class ZonedObjectStore:
@@ -106,7 +101,6 @@ class ZonedObjectStore:
         self.objects[event.obj_id] = stored
         self._live[zone] = self._live.get(zone, 0) + event.size_pages
         self._zone_objects.setdefault(zone, set()).add(event.obj_id)
-        self.stats.user_pages_written += event.size_pages
         self._seal_if_full(label, zone)
         return stored
 
@@ -205,7 +199,6 @@ class ZonedObjectStore:
             self._live[dst_zone] = self._live.get(dst_zone, 0) + stored.size_pages
             self._zone_objects[victim].discard(obj_id)
             self._zone_objects.setdefault(dst_zone, set()).add(obj_id)
-            self.stats.relocated_pages += stored.size_pages
             self._seal_if_full("__relocated__", dst_zone)
 
     def _reset(self, zone: int) -> None:

@@ -34,7 +34,6 @@ from repro.obs.events import (
     ZoneMgmtEvent,
     ZoneTransitionEvent,
 )
-from repro.obs.frame import OpCounter
 from repro.obs.tracer import Tracer
 from repro.sim.engine import Engine
 from repro.sim.resources import Resource
@@ -113,9 +112,6 @@ class ZNSDevice:
         # Command-level events (layer "zns.device") share the NAND's bus, so
         # one sink sees both the NVMe command and the flash ops it caused.
         self.tracer = tracer if tracer is not None else self.nand.tracer
-        #: Command-level operation counters (one count per page a command
-        #: moved; the physical view is ``nand.counters``).
-        self.counters = OpCounter()
         self.ftl = ZnsFTL(self.geometry, self.nand, spare_blocks=spare_blocks)
         self.striped = striped
         self.zones: list[Zone] = [
@@ -462,7 +458,6 @@ class ZNSDevice:
             FlashOp(OpKind.ERASE, block, None, latency, uses_channel=False)
             for block, latency in zip(blocks_before, latencies)
         ]
-        self.counters.note_erase("zone-mgmt", len(ops))
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent("zns.device", "erase", count=len(ops), cause="zone-mgmt")
@@ -537,8 +532,6 @@ class ZNSDevice:
                     ops.append(FlashOp(OpKind.PROGRAM, page // ppb, page, latency))
         old_state = zone.state
         zone.advance(npages)
-        nbytes = npages * self.geometry.flash.page_size
-        self.counters.note_program(cause, nbytes, npages)
         if self.tracer.enabled:
             # One command-level event for the whole write (count=npages);
             # the per-page view is the flash.nand stream beneath it.
@@ -546,7 +539,8 @@ class ZNSDevice:
                 FlashOpEvent(
                     "zns.device", "program",
                     block=self.block_of_offset(zone_id, start_wp),
-                    count=npages, nbytes=nbytes, cause=cause,
+                    count=npages, nbytes=npages * self.geometry.flash.page_size,
+                    cause=cause,
                 )
             )
         if zone.state is ZoneState.FULL:
@@ -600,13 +594,11 @@ class ZNSDevice:
         page = self._page_of(zone_id, offset)
         block = page // self.geometry.flash.pages_per_block
         payload, latency = self.nand.read(page, cause)
-        nbytes = self.geometry.flash.page_size
-        self.counters.note_read(cause, nbytes)
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
-                    "zns.device", "read", block=block,
-                    page=page, nbytes=nbytes, latency_us=latency, cause=cause,
+                    "zns.device", "read", block=block, page=page,
+                    nbytes=self.geometry.flash.page_size, latency_us=latency, cause=cause,
                 )
             )
         return payload, FlashOp(OpKind.READ, block, page, latency)
@@ -654,13 +646,11 @@ class ZNSDevice:
             )
         old_state = dst.state
         dst.advance(len(sources))
-        nbytes = len(sources) * self.page_size
-        self.counters.note_copy("reclaim", nbytes, len(sources))
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
-                    "zns.device", "copy", block=ops[0].block,
-                    count=len(sources), nbytes=nbytes, cause="reclaim",
+                    "zns.device", "copy", block=ops[0].block, count=len(sources),
+                    nbytes=len(sources) * self.page_size, cause="reclaim",
                 )
             )
         if dst.state is ZoneState.FULL:

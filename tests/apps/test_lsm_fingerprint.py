@@ -34,7 +34,13 @@ def _digest(store: LSMStore, nand) -> str:
         "stats": {k: v for k, v in vars(store.stats).items() if isinstance(v, int)},
         "io_plan": [asdict(entry) for entry in store.stats.io_plan],
         "levels": store.level_sizes_pages(),
-        "backend": asdict(store.backend.stats),
+        # The backend's page traffic is the NAND's, cause by cause.
+        "backend": {
+            **asdict(store.backend.stats),
+            "pages_written": counters.count("program", "host"),
+            "pages_read": counters.count("read", "host"),
+            "pages_relocated": counters.count("program", "reclaim"),
+        },
         "nand": [counters.count("program"), counters.count("copy"), counters.count("erase")],
     }
     return hashlib.sha256(json.dumps(state, sort_keys=True).encode()).hexdigest()

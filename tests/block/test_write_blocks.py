@@ -109,7 +109,7 @@ def make_dmzoned() -> ZonedBlockDevice:
 DEVICES = [
     (make_ssd, lambda ssd: ssd.ftl.nand.counters.count("program", "host")),
     (make_ramdisk, lambda disk: disk.counters.count("program")),
-    (make_dmzoned, lambda layer: layer.stats.user_pages_written),
+    (make_dmzoned, lambda layer: layer.device.nand.counters.count("program", "host")),
 ]
 
 

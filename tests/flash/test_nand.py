@@ -51,9 +51,9 @@ class TestProgram:
         assert nand.write_offset(0) == 2
         assert nand.free_pages_in_block(0) == nand.geometry.pages_per_block - 2
 
-    def test_counters_track_bytes(self, nand):
+    def test_counters_track_programs(self, nand):
         nand.program(0, "host")
-        assert nand.counters.bytes_written == nand.geometry.page_size
+        assert nand.counters.programmed_pages() == nand.counters.count("program", "host") == 1
         assert nand.counters.count("program") == 1
 
 
@@ -161,9 +161,9 @@ class TestCopyPage:
     def test_copy_counts_physical_write(self):
         nand = NandArray(FlashGeometry.small())
         nand.program(0, "host")
-        before = nand.counters.bytes_written
+        before = nand.counters.programmed_pages()
         nand.copy_page(0, nand.geometry.first_page_of_block(1), "gc")
-        assert nand.counters.bytes_written == before + nand.geometry.page_size
+        assert nand.counters.programmed_pages() == before + 1
 
     def test_copy_respects_program_order(self):
         nand = NandArray(FlashGeometry.small())

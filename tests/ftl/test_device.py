@@ -38,7 +38,7 @@ class TestConventionalSSD:
             ssd.write_block(lba)
         for _ in range(2 * ssd.num_blocks):
             ssd.write_block(int(rng.integers(0, ssd.num_blocks)))
-        assert ssd.device_write_amplification > 1.5
+        assert ssd.ftl.nand.counters.write_amplification() > 1.5
 
 
 class TestRamDisk:

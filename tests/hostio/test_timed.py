@@ -97,7 +97,7 @@ class TestTimedZonedBlockDevice:
         engine.run(until=w)
         copies = [e.copies for e in recording.of_kind("reclaim") if e.action == "step"]
         assert copies and max(copies) <= RECLAIM_QUANTUM_COPIES
-        assert sum(copies) == host.layer.stats.gc_pages_copied
+        assert sum(copies) == host.layer.device.nand.counters.count("program", "reclaim")
         assert copies.count(RECLAIM_QUANTUM_COPIES) > 0
 
 

@@ -269,27 +269,26 @@ class TestFrameSink:
 class TestOpCounter:
     def test_notes_accumulate(self):
         c = OpCounter()
-        c.note_read("host", 4096)
-        c.note_program("host", 4096)
-        c.note_program("translation-writeback", 4096)
-        c.note_erase("gc")
-        c.note_copy("gc", 4096)
+        c.note("read", "host")
+        c.note("program", "host")
+        c.note("program", "translation-writeback")
+        c.note("erase", "gc")
+        c.note("copy", "gc")
         assert [c.count(op) for op in ("read", "program", "erase", "copy")] == [1, 2, 1, 1]
         assert c.count("program", "host") == c.count("program", "translation-writeback") == 1
         assert c.count("program", "host", "translation-writeback", "gc") == 2
-        assert c.bytes_written == 8192
-        assert c.bytes_copied == 4096
+        assert c.programmed_pages() == 3
 
-    def test_a_programming_copy_also_books_written_bytes(self):
+    def test_a_copy_is_a_programmed_page(self):
         c = OpCounter()
-        c.note_copy("gc", 4096, count=2, programs=True)
-        counts = (c.count("copy"), c.bytes_copied, c.bytes_written, c.count("program"))
-        assert counts == (2, 4096, 4096, 0)
+        c.note("copy", "gc", count=2)
+        counts = (c.count("copy"), c.programmed_pages(), c.count("program"))
+        assert counts == (2, 2, 0)
 
     def test_the_cause_set_is_closed(self):
         c = OpCounter()
         with pytest.raises(KeyError):
-            c.note_program("user", 4096)
+            c.note("program", "user")
         with pytest.raises(KeyError):
             c.count("program", "cleaning")
         assert c == OpCounter()
@@ -297,13 +296,13 @@ class TestOpCounter:
     def test_write_amplification_counts_every_cause_per_host_program(self):
         c = OpCounter()
         assert c.write_amplification() == 1.0  # nothing to divide by
-        c.note_program("host", 4096, count=4)
+        c.note("program", "host", count=4)
         before = c.snapshot()
-        c.note_program("host", 4096, count=2)
-        c.note_copy("gc", 4096, count=3, programs=True)
-        c.note_program("translation-writeback", 4096)
-        c.note_read("translation-fetch", 4096)  # reads and erases write nothing
-        c.note_erase("gc")
+        c.note("program", "host", count=2)
+        c.note("copy", "gc", count=3)
+        c.note("program", "translation-writeback")
+        c.note("read", "translation-fetch")  # reads and erases write nothing
+        c.note("erase", "gc")
         assert c.write_amplification() == (6 + 3 + 1) / 6
         assert c.write_amplification(metadata_pages=2) == (6 + 3 + 1 + 2) / 6
         assert c.write_amplification(since=before) == (2 + 3 + 1) / 2

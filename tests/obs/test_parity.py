@@ -1,16 +1,18 @@
 """The devices' own fields and the event stream tell the same story.
 
-Two implementations are compared here. The devices book every operation
-in plain fields (``counters``, the timed devices' latency ``frame``)
-whether or not anyone listens; an observer that attaches a sink gets a
-:class:`FlashOpEvent` or :class:`HostRequestEvent` for the same
-operation. A :class:`FrameSink` folds the flash ops into the frame keys
-each :class:`OpCounter` field maps to, and the ``complete`` events carry
-the exact latencies. Each test records a stream, replays it and demands
-equality with the fields -- on the scalar calls,
-on the run/batch paths (one aggregate event must sum to the field) and
-around injected faults (a faulted op is counted by neither side) -- next
-to a few hand-computed counts on small fixed workloads.
+Two implementations are compared here. The NAND books every operation
+in a plain field (``counters``), and the timed devices their latency
+``frame``, whether or not anyone listens; an observer that attaches a
+sink gets a :class:`FlashOpEvent` or :class:`HostRequestEvent` for the
+same operation. A :class:`FrameSink` folds the flash ops into the frame
+keys each :class:`OpCounter` entry maps to, and the ``complete`` events
+carry the exact latencies. Each test records a stream, replays it and
+demands equality with the fields -- on the scalar calls, on the
+run/batch paths (one aggregate event must sum to the field) and around
+injected faults (a faulted op is counted by neither side) -- next to a
+few hand-computed counts on small fixed workloads. The command layers
+above the NAND (``zns.device``, ``block.dmzoned``) keep no counter: their
+replayed streams must add up to the NAND's counts, cause by cause.
 """
 
 import dataclasses
@@ -49,17 +51,11 @@ def _replay(events, sink):
 
 
 def _replayed_counters(events, layer: str) -> OpCounter:
-    """One layer's counters as a :class:`FrameSink` hears them, per cause:
-    on physical NAND a copy's bytes also count as programmed. Every op of
-    the layer's stream carries a cause, so the causes sum to ``.ops``."""
+    """One layer's op counts as a :class:`FrameSink` hears them, per cause.
+    Every op of the layer's stream carries a cause, so the causes sum to
+    ``.ops``."""
     count = _replay(events, FrameSink()).frame.counter
-    copied = count(f"{layer}.copy.bytes")
-    programmed = count(f"{layer}.program.bytes")
-    counters = OpCounter(
-        bytes_read=count(f"{layer}.read.bytes"),
-        bytes_written=programmed + copied if layer == "flash.nand" else programmed,
-        bytes_copied=copied,
-    )
+    counters = OpCounter()
     for op, by_cause in counters.ops.items():
         for cause in CAUSES:
             by_cause[cause] = count(f"{layer}.{op}.{cause}")
@@ -67,16 +63,30 @@ def _replayed_counters(events, layer: str) -> OpCounter:
     return counters
 
 
-def _counter(page: int, **ops: dict[str, int]) -> OpCounter:
-    """An :class:`OpCounter` holding ``ops[op][cause]`` ops of one
-    ``page`` each (a copy programs its bytes, as on NAND)."""
+def _counter(**ops: dict[str, int]) -> OpCounter:
+    """An :class:`OpCounter` holding ``ops[op][cause]`` ops."""
     counters = OpCounter()
     for op, by_cause in ops.items():
         counters.ops[op].update(by_cause)
-    counters.bytes_read = counters.count("read") * page
-    counters.bytes_copied = counters.count("copy") * page
-    counters.bytes_written = counters.count("program") * page + counters.bytes_copied
     return counters
+
+
+def _assert_conserved(events, nand: OpCounter) -> tuple[OpCounter, OpCounter]:
+    """The ZNS command stream adds up to the NAND's counts, per cause.
+
+    The NAND's counts are its replayed stream; a reclaim program or
+    simple copy is one NAND ``reclaim`` program, a reclaim read one NAND
+    ``reclaim`` read, and a zone reset's erases the NAND's ``zone-mgmt``
+    erases. Returns the replayed ``zns.device`` and ``block.dmzoned``
+    counts.
+    """
+    zns = _replayed_counters(events, "zns.device")
+    assert _replayed_counters(events, "flash.nand") == nand
+    relocated = zns.count("program", "reclaim") + zns.count("copy", "reclaim")
+    assert relocated == nand.count("program", "reclaim")
+    assert zns.count("read", "reclaim") == nand.count("read", "reclaim")
+    assert zns.count("erase", "zone-mgmt") == nand.count("erase", "zone-mgmt")
+    return zns, _replayed_counters(events, "block.dmzoned")
 
 
 def _replayed_latencies(events, op: str) -> list[float]:
@@ -118,10 +128,12 @@ class TestCounterParity:
         counters = device.ftl.nand.counters
         assert _replayed_counters(recording.events, "flash.nand") == counters
         # The workload is big enough to have forced GC copies, and a
-        # physical copy is also a flash program.
+        # physical copy is also a flash program: the stream's bytes are a
+        # page per programmed page.
         assert counters.count("copy") > 0
-        page = device.block_size
-        assert counters.bytes_written == (counters.count("program") + counters.count("copy")) * page
+        count = _replay(recording.events, FrameSink()).frame.counter
+        programmed = count("flash.nand.program.bytes") + count("flash.nand.copy.bytes")
+        assert programmed == counters.programmed_pages() * device.block_size
 
     def test_nand_fixed_workload_exact_counts(self):
         device = ConventionalSSD(FlashGeometry.small())
@@ -130,15 +142,14 @@ class TestCounterParity:
         for lba in range(4):
             device.read_block(lba)
         counters = device.ftl.nand.counters
-        assert counters.count("program") == 10
-        assert counters.count("read") == 4
-        assert counters.bytes_written == 10 * device.block_size
-        assert counters.bytes_read == 4 * device.block_size
+        assert counters.count("program", "host") == counters.programmed_pages() == 10
+        assert counters.count("read", "host") == counters.count("read") == 4
         assert counters.count("erase") == 0
 
     def test_zns_command_counters_exact(self):
         geometry = ZonedGeometry.small()
         device = ZNSDevice(geometry)
+        recording = device.tracer.attach(RecordingSink())
         pages = geometry.pages_per_zone
         device.write(0, npages=pages)          # fill zone 0
         device.write(1, npages=3)
@@ -146,17 +157,14 @@ class TestCounterParity:
             device.read(0, offset)
         device.simple_copy([(0, 0), (0, 1)], dst_zone_id=2)
         device.reset_zone(0)
-        counters = device.counters
-        page = device.page_size
-        assert counters.count("program") == pages + 3
-        assert counters.bytes_written == (pages + 3) * page
-        assert counters.count("read") == 5
-        assert counters.bytes_read == 5 * page
-        assert counters.count("copy") == 2
-        assert counters.bytes_copied == 2 * page
-        assert counters.count("erase") == geometry.blocks_per_zone
+        nand = device.nand.counters
+        commands, _ = _assert_conserved(recording.events, nand)
+        assert commands.count("program", "host") == nand.count("program", "host") == pages + 3
+        assert commands.count("read", "host") == 5
+        assert commands.count("copy", "reclaim") == nand.count("program", "reclaim") == 2
+        assert commands.count("erase", "zone-mgmt") == geometry.blocks_per_zone
         # Device-internal copy senses are not host reads at any layer.
-        assert device.nand.counters.count("read") == 5
+        assert nand.count("read") == 5
 
     def test_zns_counters_match_replayed_stream(self):
         geometry = ZonedGeometry.small()
@@ -165,8 +173,12 @@ class TestCounterParity:
         device.write(0, npages=geometry.pages_per_zone)
         device.simple_copy([(0, 0)], dst_zone_id=1)
         device.reset_zone(0)
-        assert _replayed_counters(recording.events, "zns.device") == device.counters
-        assert _replayed_counters(recording.events, "flash.nand") == device.nand.counters
+        commands, _ = _assert_conserved(recording.events, device.nand.counters)
+        assert commands == _counter(
+            program={"host": geometry.pages_per_zone},
+            copy={"reclaim": 1},
+            erase={"zone-mgmt": geometry.blocks_per_zone},
+        )
 
     def test_dmzoned_counters_through_prefill_collect_and_timed_reclaim(self):
         """All three layers of the host stack: an untimed prefill and
@@ -196,12 +208,12 @@ class TestCounterParity:
             engine.run(until=stack.submit_read(rng.randrange(n)))
         assert layer.stats.gc_runs > inline_runs  # and ``reclaim_step`` after it
         events = recording.events
-        assert _replayed_counters(events, "block.dmzoned") == layer.counters
-        assert _replayed_counters(events, "zns.device") == layer.device.counters
-        assert _replayed_counters(events, "flash.nand") == layer.device.nand.counters
-        assert layer.counters.count("program") == n + n // 2 + 400
-        assert layer.counters.count("read") == 40
-        assert layer.device.counters.count("copy") == layer.stats.gc_pages_copied > 0
+        nand = layer.device.nand.counters
+        commands, block = _assert_conserved(events, nand)
+        assert block.count("program", "host") == commands.count("program", "host")
+        assert block.count("program") == n + n // 2 + 400
+        assert block.count("read") == 40
+        assert commands.count("copy", "reclaim") == nand.count("program", "reclaim") > 0
         _assert_latencies_match(events, stack, {"read": 40, "write": 400})
 
 
@@ -212,7 +224,7 @@ class TestRunPathParity:
         geometry = FlashGeometry.small()
         nand = NandArray(geometry)
         recording = nand.tracer.attach(RecordingSink())
-        ppb, page = geometry.pages_per_block, geometry.page_size
+        ppb = geometry.pages_per_block
         nand.program_run(0, ppb, "host")
         nand.program_run(1, 5, "translation-writeback")
         nand.program_run(2, 7, "recovery")
@@ -226,7 +238,6 @@ class TestRunPathParity:
         counters = nand.counters
         assert counters == _replayed_counters(recording.events, "flash.nand")
         assert counters == _counter(
-            page,
             read={"host": 3, "translation-fetch": 1},
             program={"host": ppb, "translation-writeback": 5, "recovery": 7},
             erase={"translation-gc": 1},
@@ -238,7 +249,7 @@ class TestRunPathParity:
         geometry = ZonedGeometry.small()
         device = ZNSDevice(geometry)
         recording = device.tracer.attach(RecordingSink())
-        pages, page = geometry.pages_per_zone, device.page_size
+        pages = geometry.pages_per_zone
         assert len(device.write(0, pages)) == pages
         assert device.append(1, 9, build_ops=False) == (0, [])
         assert device.append(1, 4)[0] == 9
@@ -249,9 +260,8 @@ class TestRunPathParity:
             ("program", pages), ("program", 9), ("program", 4),
             ("read", 1), ("read", 1), ("read", 1),
         ]
-        assert device.counters == _replayed_counters(recording.events, "zns.device")
-        expected = _counter(page, read={"host": 3}, program={"host": pages + 13})
-        assert device.counters == expected
+        expected = _counter(read={"host": 3}, program={"host": pages + 13})
+        assert _replayed_counters(recording.events, "zns.device") == expected
         assert device.nand.counters == _replayed_counters(recording.events, "flash.nand")
         assert device.nand.counters == expected
 
@@ -278,7 +288,6 @@ class TestFaultedOpsAreCountedByNeitherSide:
         # the programs that landed.
         assert nand.counters.ops["program"] == programmed
         assert nand.counters.count("program") == attempts - burned
-        assert nand.counters.bytes_written == (attempts - burned) * geometry.page_size
         assert nand.counters == _replayed_counters(recording.events, "flash.nand")
         assert len(recording.of_kind("fault")) == burned
 
@@ -325,7 +334,8 @@ class TestLatencyParity:
         recording = device.tracer.attach(RecordingSink())
         rng = random.Random(5)
         procs = [device.submit_write(0, npages=2) for _ in range(30)]
-        procs += [device.submit_append(1, npages=rng.randrange(1, 4)) for _ in range(40)]
+        sizes = [rng.randrange(1, 4) for _ in range(40)]
+        procs += [device.submit_append(1, npages=size) for size in sizes]
         for proc in procs:
             engine.run(until=proc)
         for _ in range(25):
@@ -333,7 +343,8 @@ class TestLatencyParity:
         _assert_latencies_match(
             recording.events, device, {"read": 25, "write": 30, "append": 40}
         )
-        assert device.device.counters == _replayed_counters(recording.events, "zns.device")
+        commands, _ = _assert_conserved(recording.events, device.device.nand.counters)
+        assert commands == _counter(read={"host": 25}, program={"host": 30 * 2 + sum(sizes)})
 
     @pytest.mark.parametrize("traced", [False, True])
     def test_latency_fields_do_not_depend_on_being_observed(self, traced):

@@ -118,7 +118,6 @@ def _zns_timed_run() -> dict:
     return {
         "events": engine.processed_events,
         "nand": dataclasses.asdict(timed.device.nand.counters),
-        "zns": dataclasses.asdict(timed.device.counters),
         "reads": _latencies(timed, "read"),
         "writes": _latencies(timed, "write"),
         "appends": _latencies(timed, "append"),
@@ -130,8 +129,6 @@ def _dmzoned_timed_run() -> dict:
     return {
         "events": engine.processed_events,
         "nand": dataclasses.asdict(host.layer.device.nand.counters),
-        "zns": dataclasses.asdict(host.layer.device.counters),
-        "block": dataclasses.asdict(host.layer.counters),
         "reads": _latencies(host, "read"),
         "writes": _latencies(host, "write"),
     }
@@ -300,8 +297,8 @@ class TestUnobservedBusIsFree:
         copied = ftl.nand.counters.count("copy", "gc")
         assert len(copies) == 13552 and copied == 149243
         assert sum(e.count for e in copies) == ftl.nand.counters.count("copy") == copied
-        assert sum(e.nbytes for e in copies) == ftl.nand.counters.bytes_copied == copied * page_size
-        assert ftl.nand.counters.bytes_written == (2 * n + copied) * page_size
+        assert sum(e.nbytes for e in copies) == copied * page_size
+        assert ftl.nand.counters.programmed_pages() == 2 * n + copied
 
 
 class TestFanOut:

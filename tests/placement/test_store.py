@@ -88,7 +88,7 @@ class TestReclaim:
             store.delete(i)
         store.reclaim(store.free_zone_count + 2)
         assert store.stats.free_resets >= 2
-        assert store.stats.relocated_pages == 0
+        assert store.device.nand.counters.count("program", "reclaim") == 0
 
     def test_survivors_relocated(self):
         store = make_store()
@@ -105,7 +105,7 @@ class TestReclaim:
         before = store.free_zone_count
         store.reclaim(before + 1)
         assert store.contains(survivors[0])
-        assert store.stats.relocated_pages >= 1
+        assert store.device.nand.counters.count("program", "reclaim") >= 1
         store.check_invariants()
 
     def test_full_workload_preserves_live_objects(self):
@@ -140,7 +140,7 @@ class TestWaAccounting:
         store = make_store()
         for i in range(10):
             store.put(event(obj_id=i))
-        assert store.stats.write_amplification == pytest.approx(1.0)
+        assert store.device.nand.counters.write_amplification() == pytest.approx(1.0)
 
     def test_oracle_beats_blind_on_lifetime_workload(self):
         def run(policy_name):
@@ -158,6 +158,6 @@ class TestWaAccounting:
                     store.put(e)
                 else:
                     store.delete(e.obj_id)
-            return store.stats.write_amplification
+            return store.device.nand.counters.write_amplification()
 
         assert run("oracle") <= run("none")

@@ -127,8 +127,7 @@ class TestCopyRunParity:
         lat_b = b.copy_run(src, dst_block, 0, "gc")
         assert lat_a == pytest.approx(lat_b)
         assert np.array_equal(a.write_offsets, b.write_offsets)
-        assert a.counters.count("copy") == b.counters.count("copy")
-        assert a.counters.bytes_copied == b.counters.bytes_copied
+        assert a.counters == b.counters
 
     def test_rejects_out_of_order_destination(self):
         nand = self._programmed_nand()

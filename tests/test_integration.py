@@ -80,7 +80,7 @@ class TestTraceAcrossDevices:
             apply_ops(device, [("write", int(lba)) for lba in lbas])
         assert devices["ramdisk"].counters.count("program") == 12_000
         conventional = devices["conventional"]
-        flash_writes = conventional.ftl.nand.counters.bytes_written // 4096
+        flash_writes = conventional.ftl.nand.counters.programmed_pages()
         assert flash_writes > 12_000  # GC copies on top of host writes
 
 
@@ -117,11 +117,12 @@ class TestLsmOverHostTranslation:
         for i in range(6000):
             store.put(int(rng.integers(0, 800)), i)
 
+        counters, page = device.nand.counters, device.page_size
         user_bytes = store.stats.user_bytes
-        app_bytes = store.stats.app_pages_written * 4096
-        host_pages = zoned_layer.stats.user_pages_written + zoned_layer.stats.gc_pages_copied
-        host_bytes = host_pages * 4096
-        flash_bytes = device.nand.physical_bytes_written()
+        app_bytes = store.stats.app_pages_written * page
+        # The translation layer's writes and relocations, as the NAND booked them.
+        host_bytes = counters.count("program", "host", "reclaim") * page
+        flash_bytes = counters.programmed_pages() * page
         application = app_bytes / user_bytes
         host = host_bytes / app_bytes
         device_wa = flash_bytes / host_bytes
@@ -154,10 +155,11 @@ class TestDeterminism:
                 layer.write(lba)
             for _ in range(n):
                 layer.write(int(rng.integers(0, n)))
+            counters = layer.device.nand.counters
             return (
-                layer.stats.gc_pages_copied,
+                counters.count("program", "reclaim"),
                 layer.stats.zones_reset,
-                layer.device.nand.counters.bytes_written,
+                counters.programmed_pages(),
             )
 
         assert run_once() == run_once()

@@ -50,7 +50,6 @@ def device_state(device: ZNSDevice) -> dict:
             for b in range(device.geometry.flash.total_blocks)
         ],
         "erase_counts": device.nand.wear.erase_counts.tolist(),
-        "device_counters": dataclasses.asdict(device.counters),
         "nand_counters": dataclasses.asdict(device.nand.counters),
         "open_order": list(device._open_order),
     }
@@ -149,5 +148,5 @@ class TestZnsBatchParity:
         for device in (scalar, batched):
             device.simple_copy([(0, 0), (0, 3), (0, 5)], 1)
         assert device_state(scalar) == device_state(batched)
-        assert scalar.counters.count("copy") == 3
+        assert scalar.nand.counters.count("program", "reclaim") == 3
         assert scalar.nand.counters.count("copy") == 0  # programs, not copy events

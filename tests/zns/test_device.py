@@ -75,7 +75,7 @@ class TestBasicIO:
         zone = d.zone(0)
         assert (zone.wp, zone.state) == (0, ZoneState.EMPTY)
         assert not d.nand.write_offsets.any()
-        assert d.counters.count("program") == d.nand.counters.count("program") == 0
+        assert d.nand.counters.count("program") == 0
         d.check_invariants()
         d.write(0, npages=3, data=["a", "b", "c"])
         assert [d.read(0, i)[0] for i in range(3)] == ["a", "b", "c"]
@@ -239,9 +239,10 @@ class TestTranslationAndCounters:
         d.read(0, 0)
         d.finish_zone(0)
         d.reset_zone(0)
-        assert d.counters.count("program") == 4
-        assert d.counters.count("read") == 1
-        assert d.counters.count("erase") == d.geometry.blocks_per_zone
+        counters = d.nand.counters
+        assert counters.count("program", "host") == counters.count("program") == 4
+        assert counters.count("read", "host") == counters.count("read") == 1
+        assert counters.count("erase", "zone-mgmt") == d.geometry.blocks_per_zone
 
     def test_dram_footprint_is_per_block(self):
         d = make_device()
@@ -267,10 +268,12 @@ class TestSimpleCopy:
     def test_copy_counts_as_copy_not_host_write(self):
         d = make_device()
         d.write(0, npages=2)
-        writes_before = d.counters.count("program")
+        counters = d.nand.counters
+        writes_before = counters.count("program", "host")
         d.simple_copy([(0, 0), (0, 1)], dst_zone_id=1)
-        assert d.counters.count("program") == writes_before
-        assert d.counters.count("copy") == 2
+        assert counters.count("program", "host") == writes_before
+        assert counters.count("program", "reclaim") == 2
+        assert counters.count("read") == 0  # the sources are sensed on the die
 
     def test_copy_advances_destination_wp(self):
         d = make_device()

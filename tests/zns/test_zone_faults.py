@@ -15,6 +15,7 @@ import pytest
 from repro.faults import FaultInjector, FaultPlan
 from repro.flash.errors import ProgramFaultError
 from repro.flash.geometry import FlashGeometry, ZonedGeometry
+from repro.obs.sinks import RecordingSink
 from repro.zns.device import ZNSDevice
 from repro.zns.errors import ZoneReadOnlyError, ZoneStateError
 from repro.zns.zone import ZoneOfflineError, ZoneState
@@ -146,13 +147,15 @@ class TestOneFaultContract:
     @pytest.mark.parametrize("striped", [True, False], ids=["striped", "linear"])
     def test_failed_multi_page_write_keeps_its_prefix(self, striped):
         device = device_failing_program(3, striped=striped)
+        recording = device.tracer.attach(RecordingSink())
         with pytest.raises(ProgramFaultError):
             device.write(0, npages=6)
         zone = device.zone(0)
         assert (zone.state, zone.wp) == (ZoneState.READ_ONLY, 2)
         # Three programs reached flash: two durable pages and the burn.
         assert sum(device.nand.write_offset(b) for b in device.ftl.blocks_of_zone(0)) == 3
-        assert device.counters.count("program") == 0  # the command did not complete
+        # The command did not complete: it published no program of its own.
+        assert not [e for e in recording.of_kind("flash-op") if e.layer == "zns.device"]
         assert device.nand.counters.count("program") == 2
         device.check_invariants()
 
