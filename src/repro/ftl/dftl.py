@@ -297,10 +297,8 @@ class DemandPagedFTL(ConventionalFTL):
         if victim is not None:
             tvalid = self._trans_valid_v[victim]
             data_best: int | None = None
-            if self._sealed:
-                cand = np.fromiter(
-                    self._sealed, dtype=np.int64, count=len(self._sealed)
-                )
+            cand = np.flatnonzero(self._sealed_mask)
+            if cand.size:
                 data_best = int(self.map.valid_counts[cand].min())
             if (
                 data_best is None
@@ -480,7 +478,7 @@ class DemandPagedFTL(ConventionalFTL):
         if self._trans_active is not None:
             trans.add(self._trans_active)
         assert not (trans & set(self._free)), "translation block in free pool"
-        assert not (trans & self._sealed), "translation block in data sealed pool"
+        assert not (trans & self.sealed_blocks), "translation block in data sealed pool"
         assert not (trans & data_active), "translation block also a data active"
         for block in self._trans_sealed:
             assert self.nand.is_block_full(block), f"trans sealed {block} not full"

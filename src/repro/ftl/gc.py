@@ -44,9 +44,9 @@ class VictimPolicy(abc.ABC):
         Parameters
         ----------
         candidates:
-            Sealed block ids eligible for collection, in the FTL's
-            iteration order. A tie goes to the first occurrence
-            (``np.argmin``/``argmax`` semantics).
+            Sealed block ids eligible for collection, ascending. A tie
+            goes to the first occurrence (``np.argmin``/``argmax``
+            semantics), so to the lowest block id.
         valid_counts:
             Current valid pages, indexed by block id.
         pages_per_block:

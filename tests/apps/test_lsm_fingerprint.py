@@ -23,7 +23,7 @@ N_KEYS = 24_000
 PUTS, GETS, SCANS = 30_000, 5_000, 200
 
 PINNED = {
-    "block": "7e1b59b7c39eec4bdcd028ac83cd8fac80e408e53b6fe98fde1b6eba729ee619",
+    "block": "5740dfe282b6072b7dabcad40f48ad18fd52fa41f04c502d90f2e3669c5cc924",
     "zone": "890e22b90d36b2a5c77dfb04264ae2849fc79719d66a23614e69c8ea050b5386",
 }
 

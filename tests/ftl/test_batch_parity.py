@@ -52,7 +52,7 @@ def full_state(ftl: ConventionalFTL) -> dict:
         "mapped_pages": ftl.map.mapped_pages,
         "clock": ftl._clock,
         "free": list(ftl._free),
-        "sealed": sorted(ftl._sealed),
+        "sealed": sorted(ftl.sealed_blocks),
         "seal_times": {b: ftl._seal_time_arr_v[b] for b in ftl.sealed_blocks},
         "seal_time_arr": ftl._seal_time_arr.tolist(),
         "active": dict(ftl._active),

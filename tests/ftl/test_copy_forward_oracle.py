@@ -55,7 +55,6 @@ def observe(ftl):
     nand = ftl.nand
     return {
         **full_state(ftl),
-        "sealed_in_order": list(ftl._sealed),
         "oob_lpn": ftl._oob_lpn.tolist(),
         "oob_serial": ftl._oob_serial.tolist(),
         "program_serial": ftl._program_serial,

@@ -60,7 +60,7 @@ def physics_state(ftl: ConventionalFTL) -> dict:
         "valid_counts": ftl.map.valid_counts.tolist(),
         "mapped_pages": ftl.map.mapped_pages,
         "free": list(ftl._free),
-        "sealed": sorted(ftl._sealed),
+        "sealed": sorted(ftl.sealed_blocks),
         "stats": dataclasses.asdict(ftl.stats),
         "erase_counts": ftl.nand.wear.erase_counts.tolist(),
         "nand_counters": dataclasses.asdict(ftl.nand.counters),

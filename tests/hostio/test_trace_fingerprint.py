@@ -28,8 +28,8 @@ from tests.hostio.test_stall_fingerprint import dmzoned_open_loop
 
 #: (sha256, line count) per run.
 PINNED = {
-    "conventional": ("76eb9f20b2423b7ba3f63eaa1b6a3ec62c6d60d537e1b88a3515f34e0614ff0c", 7180),
-    "dmzoned": ("d8a099037ee129daa412f53c2cd89aa06a00e27c993170c5cb720b338d47ef51", 2092),
+    "conventional": ("94277c8cb345bdc08a9b63494bb0f97e3b34a8fd242d95593029289e52fc2f7e", 6933),
+    "dmzoned": ("67cb9c957cfc4b5a5f2b73a8611bbfac8fd73d16dedc9b7e053c96ef0d8a4f9f", 2153),
     "zns": ("044183cb4516a5fd13563f1f53422097c7c5112ccc6036dd66bfea74dca9e87e", 547),
 }
 
