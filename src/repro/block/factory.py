@@ -405,8 +405,13 @@ def _mgmt_timing(spec: DeviceSpec):
     return ZoneMgmtTiming(**_as_kwargs(spec.zone_mgmt))
 
 
-def _injector(spec: DeviceSpec):
-    """The armed fault injector a spec calls for, or None."""
+def fault_injector(spec: DeviceSpec):
+    """The armed fault injector a spec calls for, or None.
+
+    :func:`build_stack` arms the stack it builds with it; the fleet
+    builds its devices fault-free and binds one at the measurement
+    boundary instead (:mod:`repro.fleet.rack`).
+    """
     if spec.fault_plan is None or spec.fault_scale <= 0:
         return None
     from repro.faults import FaultInjector
@@ -434,7 +439,7 @@ def build_stack(spec: DeviceSpec, engine: Any = None, tracer: Any = None, **runt
         raise ValueError(f"kind {spec.kind!r} does not take an engine")
     extra = _as_kwargs(spec.extra)
     extra.update(runtime)
-    faults = _injector(spec)
+    faults = fault_injector(spec)
 
     if spec.kind == "conventional-ftl":
         from repro.ftl.ftl import ConventionalFTL
@@ -552,4 +557,5 @@ __all__ = [
     "TIMED_KINDS",
     "DeviceSpec",
     "build_stack",
+    "fault_injector",
 ]

@@ -256,7 +256,7 @@ class SweepSpec:
     """Decomposition of a sweep-style experiment into independent points.
 
     ``points(config)`` yields a list of kwargs dicts (picklable,
-    primitives only); ``point(**kwargs)`` computes one row dict in
+    primitives or tuples of them); ``point(**kwargs)`` computes one row dict in
     isolation -- it must be a module-level function so worker processes
     can import it; ``combine(config, rows)`` assembles the final
     :class:`ExperimentResult` from the rows in ``points`` order.

@@ -17,12 +17,16 @@ This sweep drives :mod:`repro.fleet` racks across four axes:
 - **fault_scale**: 0 (clean) vs 1 (the fleet fault plan armed on every
   device, seeded per rack position).
 
-Each sweep point simulates one *shard* of one scenario's rack, so the
-process pool spreads devices of a single fleet across workers; per-shard
+Each sweep point simulates one *shard* of one (arm, placement, load)
+rack at every fault scale, so the process pool spreads devices of a
+single fleet across workers; per-shard
 :class:`~repro.obs.frame.MetricsFrame` telemetry merges associatively in
-``combine``. The shard count is a config parameter (not ``--jobs``), so
-``run e16 --jobs 1`` and ``--jobs 8`` are byte-identical by
-construction, and ``tests/fleet`` pins merged-equals-serial exactly.
+``combine``. A point prefills and warms each of its devices once: the
+fault arms differ only from the measurement boundary on, and each
+measures on its own copy of the warmed device (:mod:`repro.fleet.rack`).
+The shard count is a config parameter (not ``--jobs``), so ``run e16
+--jobs 1`` and ``--jobs 8`` are byte-identical by construction, and
+``tests/fleet`` pins merged-equals-serial exactly.
 
 Defaults keep racks small enough for CI (devices/tenants/ticks all
 scale via ``-p devices=... tenants=... ticks=...``); the machinery is
@@ -125,7 +129,7 @@ def measure_shard(
     arm: str,
     placement: str,
     load: str,
-    fault_scale: float,
+    fault_scales: tuple[float, ...],
     shard: int,
     shards: int,
     devices: int,
@@ -134,23 +138,24 @@ def measure_shard(
     warmup: int,
     seed: int,
 ) -> dict:
-    """One shard of one scenario's rack: its merged telemetry frame."""
-    spec = _fleet_spec(
-        arm, placement, load, fault_scale, devices, tenants, ticks, warmup, seed
-    )
-    frame = simulate_shard(spec, shard=shard, shards=shards)
+    """One shard of one rack at every fault scale: a merged frame per scale."""
+    specs = [
+        _fleet_spec(arm, placement, load, scale, devices, tenants, ticks, warmup, seed)
+        for scale in fault_scales
+    ]
     return {
         "arm": arm,
         "placement": placement,
         "load": load,
-        "fault_scale": fault_scale,
+        "fault_scales": fault_scales,
         "shard": shard,
-        "frame": frame,
+        "frames": simulate_shard(specs, shard=shard, shards=shards),
     }
 
 
 def sweep_points(config: ExperimentConfig) -> list[dict]:
-    """One work unit per (scenario, shard) -- shards of one rack fan out."""
+    """One work unit per (arm, placement, load, shard), covering every
+    fault scale -- shards of one rack fan out."""
     devices = config.param("devices", 4 if config.quick else 8)
     tenants = config.param("tenants", 8 if config.quick else 16)
     ticks = config.param("ticks", 240 if config.quick else 600)
@@ -163,7 +168,7 @@ def sweep_points(config: ExperimentConfig) -> list[dict]:
             "arm": arm,
             "placement": placement,
             "load": load,
-            "fault_scale": scale,
+            "fault_scales": tuple(config.param("fault_scales", _FAULT_SCALES)),
             "shard": shard,
             "shards": shards,
             "devices": devices,
@@ -175,7 +180,6 @@ def sweep_points(config: ExperimentConfig) -> list[dict]:
         for arm in config.param("arms", _ARMS)
         for placement in config.param("placements", _PLACEMENTS)
         for load in config.param("loads", _LOADS)
-        for scale in config.param("fault_scales", _FAULT_SCALES)
         for shard in range(shards)
     ]
 
@@ -183,8 +187,9 @@ def sweep_points(config: ExperimentConfig) -> list[dict]:
 def combine(config: ExperimentConfig, rows: list[dict]) -> ExperimentResult:
     scenarios: dict[tuple, list[MetricsFrame]] = {}
     for row in rows:
-        key = (row["arm"], row["placement"], row["load"], row["fault_scale"])
-        scenarios.setdefault(key, []).append(row["frame"])
+        for scale, frame in zip(row["fault_scales"], row["frames"]):
+            key = (row["arm"], row["placement"], row["load"], scale)
+            scenarios.setdefault(key, []).append(frame)
 
     out_rows = []
     for (arm, placement, load, scale), frames in scenarios.items():

@@ -31,7 +31,10 @@ keeps the win at (and past) that point.
 Like E15/E16, E17 stays out of ``run all``: its fault arms must not
 perturb the default suite's byte-stable output. Shards are a config
 parameter, so ``--jobs 1`` and ``--jobs N`` are byte-identical by
-construction.
+construction. A sweep point is one shard of one (arm, pressure) rack at
+every management-fault scale: the scales differ only from the
+measurement boundary on, so the point warms each device once and
+measures each scale on its own copy (:mod:`repro.fleet.rack`).
 """
 
 from __future__ import annotations
@@ -122,7 +125,7 @@ def _fleet_spec(
 def measure_shard(
     arm: str,
     pressure_us: float,
-    mgmt_scale: float,
+    mgmt_scales: tuple[float, ...],
     shard: int,
     shards: int,
     devices: int,
@@ -131,22 +134,24 @@ def measure_shard(
     warmup: int,
     seed: int,
 ) -> dict:
-    """One shard of one scenario's rack: its merged telemetry frame."""
-    spec = _fleet_spec(
-        arm, pressure_us, mgmt_scale, devices, tenants, ticks, warmup, seed
-    )
-    frame = simulate_shard(spec, shard=shard, shards=shards)
+    """One shard of one rack at every management-fault scale: a merged
+    frame per scale."""
+    specs = [
+        _fleet_spec(arm, pressure_us, scale, devices, tenants, ticks, warmup, seed)
+        for scale in mgmt_scales
+    ]
     return {
         "arm": arm,
         "pressure_us": pressure_us,
-        "mgmt_scale": mgmt_scale,
+        "mgmt_scales": mgmt_scales,
         "shard": shard,
-        "frame": frame,
+        "frames": simulate_shard(specs, shard=shard, shards=shards),
     }
 
 
 def sweep_points(config: ExperimentConfig) -> list[dict]:
-    """One work unit per (arm, pressure, fault-scale, shard).
+    """One work unit per (arm, pressure, shard), covering every
+    management-fault scale.
 
     The conventional arm has no zones: pressure and management faults
     cannot touch it, so it contributes a single (0, 0) scenario -- the
@@ -158,19 +163,17 @@ def sweep_points(config: ExperimentConfig) -> list[dict]:
     warmup = config.param("warmup", 120 if config.quick else 160)
     shards = config.param("shards", 2 if config.quick else 4)
     pressures = config.param("pressures", _PRESSURES)
-    scales = config.param("mgmt_scales", _MGMT_SCALES)
-    scenarios = [("conventional", 0.0, 0.0)]
+    scales = tuple(config.param("mgmt_scales", _MGMT_SCALES))
+    scenarios = [("conventional", 0.0, (0.0,))]
     for arm in ("zns-naive", "zns-managed"):
         if arm not in config.param("arms", _ARMS):
             continue
-        scenarios += [
-            (arm, pressure, scale) for pressure in pressures for scale in scales
-        ]
+        scenarios += [(arm, pressure, scales) for pressure in pressures]
     return [
         {
             "arm": arm,
             "pressure_us": pressure,
-            "mgmt_scale": scale,
+            "mgmt_scales": scales,
             "shard": shard,
             "shards": shards,
             "devices": devices,
@@ -179,7 +182,7 @@ def sweep_points(config: ExperimentConfig) -> list[dict]:
             "warmup": warmup,
             "seed": config.seed,
         }
-        for arm, pressure, scale in scenarios
+        for arm, pressure, scales in scenarios
         for shard in range(shards)
     ]
 
@@ -187,8 +190,9 @@ def sweep_points(config: ExperimentConfig) -> list[dict]:
 def combine(config: ExperimentConfig, rows: list[dict]) -> ExperimentResult:
     scenarios: dict[tuple, list[MetricsFrame]] = {}
     for row in rows:
-        key = (row["arm"], row["pressure_us"], row["mgmt_scale"])
-        scenarios.setdefault(key, []).append(row["frame"])
+        for scale, frame in zip(row["mgmt_scales"], row["frames"]):
+            key = (row["arm"], row["pressure_us"], scale)
+            scenarios.setdefault(key, []).append(frame)
 
     out_rows = []
     for (arm, pressure, scale), frames in scenarios.items():

@@ -28,6 +28,7 @@ from repro.flash.errors import (
     ReadUnwrittenError,
 )
 from repro.flash.geometry import FlashGeometry
+from repro.flash.state import Replayable
 from repro.flash.timing import TimingModel
 from repro.flash.wear import WearTracker
 from repro.obs.events import FlashOpEvent
@@ -39,7 +40,7 @@ if TYPE_CHECKING:  # imported lazily to avoid a faults <-> flash cycle
     from repro.faults.injector import FaultInjector
 
 
-class NandArray:
+class NandArray(Replayable):
     """Raw flash: program/read/erase with physical constraints enforced.
 
     Every operation takes the cause its caller names (one of

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.flash.cells import CellType
+from repro.flash.state import Replayable
 
 
 @dataclass
@@ -34,7 +35,7 @@ class WearStats:
 
 
 @dataclass
-class WearTracker:
+class WearTracker(Replayable):
     """Per-block erase counts, endurance limits, and failure injection.
 
     Parameters

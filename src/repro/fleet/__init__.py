@@ -19,7 +19,10 @@ single-stack simulations to that setting:
 
 Entry points: :func:`simulate_fleet` for the whole rack,
 :func:`simulate_shard` for one worker's slice, :func:`fleet_summary` for
-headline WA / tail-latency / capacity-loss numbers.
+headline WA / tail-latency / capacity-loss numbers. The simulate
+functions take one or more specs of one rack that differ only in device
+fault plans and return a frame per spec: each device is warmed once and
+every spec measures from that state.
 """
 
 from repro.fleet.placement import assign

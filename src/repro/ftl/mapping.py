@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.flash.geometry import FlashGeometry
+from repro.flash.state import Replayable
 from repro.obs.events import TranslationEvent
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -38,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover
 UNMAPPED = -1
 
 
-class FullPageMap:
+class FullPageMap(Replayable):
     """Forward (L2P) and reverse (P2L) page maps with validity tracking.
 
     Invariants (checked by the test suite, relied on by GC):
@@ -245,7 +246,7 @@ class TranslationStats:
         return self.hits / self.lookups
 
 
-class TranslationStore:
+class TranslationStore(Replayable):
     """DFTL's on-flash mapping: GTD + DRAM-budgeted LRU CMT.
 
     The logical space is carved into *translation virtual pages* (tvpns)

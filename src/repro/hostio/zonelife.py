@@ -37,6 +37,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.flash.ops import FlashOp, OpKind
+from repro.flash.state import Replayable
 from repro.hostio.scheduler import HostIOState, ReclaimScheduler
 from repro.obs.events import RecoveryEvent
 from repro.zns.errors import RetryableZnsError, ZnsError
@@ -108,7 +109,7 @@ class ZoneLifecycleStats:
         }
 
 
-class ZoneLifecycleManager:
+class ZoneLifecycleManager(Replayable):
     """Routes zone resets/finishes through a resilient, off-path policy.
 
     Parameters

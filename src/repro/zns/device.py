@@ -25,6 +25,7 @@ from repro.flash.geometry import ZonedGeometry
 from repro.flash.nand import NandArray
 from repro.flash.ops import FlashOp, OpKind
 from repro.flash.service import FlashServiceModel
+from repro.flash.state import Replayable
 from repro.flash.timing import TimingModel, ZoneMgmtTiming
 from repro.hostio.frontend import TimedFrontEnd
 from repro.obs.events import (
@@ -55,7 +56,7 @@ if TYPE_CHECKING:
     from repro.faults.injector import FaultInjector
 
 
-class ZNSDevice:
+class ZNSDevice(Replayable):
     """Untimed ZNS SSD: zone state machines over a thin FTL.
 
     Parameters

@@ -13,11 +13,12 @@ from __future__ import annotations
 from repro.flash.errors import BadBlockError
 from repro.flash.geometry import ZonedGeometry
 from repro.flash.nand import NandArray
+from repro.flash.state import Replayable
 from repro.obs.events import GcEvent, RecoveryEvent
 from repro.obs.tracer import Tracer
 
 
-class ZnsFTL:
+class ZnsFTL(Replayable):
     """Zone-to-block translation with reset-time wear rotation.
 
     Parameters

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro.flash.state import Replayable
 from repro.zns.errors import (
     ZoneFullError,
     ZoneOfflineError,
@@ -41,7 +42,7 @@ class ZoneState(enum.Enum):
 
 
 @dataclass
-class Zone:
+class Zone(Replayable):
     """One zone: identity, state, write pointer, and capacity.
 
     ``capacity_pages`` may shrink below ``size_pages`` after resets retire

@@ -184,6 +184,28 @@ class TestTelemetry:
         assert metrics["E1"]["counters"]["flash.nand.program.ops"] > 0
         assert len(metrics["E11"]["series"]["hostio.request.read.queued_us"]) > 0
 
+    def test_fleet_metrics_are_the_same_at_any_jobs(self, monkeypatch):
+        """An E17 point covers every management-fault scale of one rack
+        shard and warms each device once for all of them; the merged
+        metrics (what ``--metrics-out`` writes) are still the same bytes
+        at any ``--jobs``."""
+        from repro.exec import execute
+        from repro.obs import runtime
+
+        monkeypatch.setenv(runtime.METRICS_ENV, "1")
+        config = ExperimentConfig(
+            "E17",
+            params={"pressures": [5_000.0], "devices": 2, "tenants": 2, "ticks": 30, "warmup": 20},
+        )
+        written = []
+        for jobs in (1, 2):
+            (record,) = execute([config], jobs=jobs)
+            assert record.ok
+            written.append(json.dumps(record.result.metrics, sort_keys=True))
+        assert written[0] == written[1]
+        counters = json.loads(written[0])["counters"]
+        assert counters["fleet.request.read.requests"] > 0
+
     def test_trace_env_restored_after_run(self, tmp_path, monkeypatch):
         import os
 

@@ -47,14 +47,17 @@ class TestSweepShape:
     def test_points_cover_every_scenario_shard(self):
         config = _config(shards=2)
         points = SWEEP.points(config)
-        # 2 arms x 1 placement x 1 load x 1 scale x 2 shards.
+        # 2 arms x 1 placement x 1 load x 2 shards, each covering the scales.
         assert len(points) == 4
         assert {p["shard"] for p in points} == {0, 1}
         assert all(p["shards"] == 2 for p in points)
         assert {p["arm"] for p in points} == {"conventional", "zns"}
 
     def test_points_are_picklable_primitives(self):
+        # A point covers every scale of its rack: a tuple of floats.
         for point in SWEEP.points(_config(shards=1)):
+            scales = point.pop("fault_scales")
+            assert isinstance(scales, tuple) and all(isinstance(s, float) for s in scales)
             for value in point.values():
                 assert isinstance(value, (str, int, float))
 

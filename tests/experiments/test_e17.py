@@ -64,8 +64,8 @@ class TestDeviceSpec:
 class TestSweepShape:
     def test_points_cover_arms_pressures_shards(self):
         points = SWEEP.points(_config(shards=2))
-        # conventional: 1 scenario; each zns arm: 2 pressures x 1 scale;
-        # every scenario twice (2 shards).
+        # conventional: 1 rack; each zns arm: 2 pressures, each point
+        # covering its scales; every rack twice (2 shards).
         assert len(points) == (1 + 2 + 2) * 2
         assert {p["arm"] for p in points} == {
             "conventional",
@@ -73,10 +73,13 @@ class TestSweepShape:
             "zns-managed",
         }
         conv = [p for p in points if p["arm"] == "conventional"]
-        assert {(p["pressure_us"], p["mgmt_scale"]) for p in conv} == {(0.0, 0.0)}
+        assert {(p["pressure_us"], p["mgmt_scales"]) for p in conv} == {(0.0, (0.0,))}
 
     def test_points_are_picklable_primitives(self):
+        # A point covers every scale of its rack: a tuple of floats.
         for point in SWEEP.points(_config(shards=1)):
+            scales = point.pop("mgmt_scales")
+            assert isinstance(scales, tuple) and all(isinstance(s, float) for s in scales)
             for value in point.values():
                 assert isinstance(value, (str, int, float))
 

@@ -1,0 +1,145 @@
+"""A copy of a device is a replay of it, and E16/E17 arms may share a warm-up.
+
+Every greedy victim tie goes to the lowest id (DESIGN.md §6), so a
+stack's future is a function of its state alone: ``copy.deepcopy`` of an
+aged stack, driven by the same seeded op stream as the original, must
+end in the same place. That is what lets :func:`simulate_device` warm a
+device once and measure every fault arm on its own copy; the second half
+holds that sharing to the per-arm warm-ups it replaced, frame for frame.
+"""
+
+import copy
+
+import pytest
+
+from repro.block.factory import DeviceSpec, build_stack
+from repro.experiments import e16_fleet_serving as e16
+from repro.experiments import e17_reset_pressure as e17
+from repro.fleet import FleetSpec, rack, simulate_fleet, simulate_shard
+from repro.sim.rng import make_rng
+from repro.zns.zone import ZoneState
+
+_FLASH = (("blocks_per_plane", 8),)
+
+
+def _churn_block(stack, seed: int, n: int) -> None:
+    """``n`` seeded writes, one in ten a trim instead."""
+    rng = make_rng(seed)
+    ops = rng.integers(0, 10, n).tolist()
+    lbas = rng.integers(0, stack.logical_pages, n).tolist()
+    for op, lba in zip(ops, lbas):
+        if op == 0:
+            stack.trim(lba)
+        else:
+            stack.write(lba)
+
+
+def _churn_zns(device, seed: int, n: int) -> None:
+    """``n`` seeded appends over the first active-limit's worth of zones,
+    resetting a zone instead when the append would not fit."""
+    rng = make_rng(seed)
+    zones = rng.integers(0, device.geometry.max_active_zones, n).tolist()
+    sizes = rng.integers(1, 9, n).tolist()
+    for zone, npages in zip(zones, sizes):
+        state = device.zone(zone)
+        if state.state is ZoneState.FULL or state.wp + npages > state.size_pages:
+            device.reset_zone(zone)
+        else:
+            device.append(zone, npages)
+
+
+_STACKS = {
+    "conventional-ftl": (
+        DeviceSpec(kind="conventional-ftl", geometry="small", flash=_FLASH), _churn_block
+    ),
+    "dftl": (
+        DeviceSpec(kind="dftl", geometry="small", flash=_FLASH, cmt_bytes=2048), _churn_block
+    ),
+    "dmzoned": (
+        DeviceSpec(kind="dmzoned", geometry="small", flash=_FLASH, blocks_per_zone=2),
+        _churn_block,
+    ),
+    "zns": (
+        DeviceSpec(
+            kind="zns", geometry="small", flash=_FLASH, blocks_per_zone=2, max_active_zones=8
+        ),
+        _churn_zns,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(_STACKS))
+def test_a_copied_stack_replays_its_original(kind):
+    spec, churn = _STACKS[kind]
+    original = build_stack(spec)
+    churn(original, seed=1, n=6_000)
+    clone = copy.deepcopy(original)
+    nand, clone_nand = _nand(original), _nand(clone)
+    aged = nand.counters.snapshot()
+    assert aged.count("erase") > 0  # aged: GC or reclaim is running
+
+    churn(clone, seed=2, n=3_000)
+    assert nand.counters == aged  # the copy shares no state
+    churn(original, seed=2, n=3_000)
+
+    assert clone_nand.counters == nand.counters != aged
+    assert (clone_nand.write_offsets == nand.write_offsets).all()
+    assert (clone_nand.wear.erase_counts == nand.wear.erase_counts).all()
+    clone.check_invariants()
+    original.check_invariants()
+
+
+def _nand(stack):
+    return stack.device.nand if hasattr(stack, "device") else stack.nand
+
+
+_E16_TINY = dict(devices=2, tenants=4, ticks=60, warmup=120, seed=0)
+_E17_TINY = dict(devices=2, tenants=4, ticks=60, warmup=120, seed=0)
+
+
+def _e16_specs(arm: str) -> list[FleetSpec]:
+    return [
+        e16._fleet_spec(arm, "pack", "bursty", scale, **_E16_TINY)
+        for scale in (0.0, 1.0)
+    ]
+
+
+def _e17_specs(arm: str) -> list[FleetSpec]:
+    return [e17._fleet_spec(arm, 5_000.0, scale, **_E17_TINY) for scale in (0.0, 1.0)]
+
+
+@pytest.mark.parametrize(
+    "specs",
+    [
+        pytest.param(_e16_specs("conventional"), id="E16-conventional"),
+        pytest.param(_e16_specs("zns"), id="E16-zns"),
+        pytest.param(_e17_specs("zns-naive"), id="E17-zns-naive"),
+        pytest.param(_e17_specs("zns-managed"), id="E17-zns-managed"),
+    ],
+)
+def test_one_shared_warm_up_gives_the_per_arm_frames(specs, monkeypatch):
+    per_arm = [simulate_fleet([spec])[0].to_dict() for spec in specs]
+    builds = []
+    real_build = rack.build_stack
+
+    def counted_build(*args, **kwargs):
+        builds.append(args[0])
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(rack, "build_stack", counted_build)
+    shared = [frame.to_dict() for frame in simulate_fleet(specs)]
+    # Counters, maxima and every latency sample, in order.
+    assert shared == per_arm
+    assert per_arm[0] != per_arm[1]  # the arms really differ
+    assert len(builds) == specs[0].num_devices  # one warm-up per device
+
+
+def test_specs_may_differ_only_in_fault_plans():
+    clean = _e16_specs("zns")[0]
+    other_load = e16._fleet_spec("zns", "pack", "steady", 1.0, **_E16_TINY)
+    with pytest.raises(ValueError, match="fault plans"):
+        simulate_shard([clean, other_load])
+    with pytest.raises(ValueError, match="at least one"):
+        simulate_shard([])
+    with pytest.raises(TypeError, match="sequence"):
+        simulate_shard(clean)

@@ -97,15 +97,15 @@ class TestMergeEqualsSerial:
     @settings(max_examples=5, deadline=None)
     def test_mixed_rack_any_seed_any_shard_count(self, seed, shards):
         spec = _fleet(((_CONV, 2), (_ZNS, 2)), seed=seed)
-        serial = simulate_fleet(spec, shards=1)
-        sharded = simulate_fleet(spec, shards=shards)
+        (serial,) = simulate_fleet([spec], shards=1)
+        (sharded,) = simulate_fleet([spec], shards=shards)
         assert_same_rack(sharded, serial)
 
     def test_shard_frames_merge_to_the_fleet_frame(self):
         spec = _fleet(((_CONV, 1), (_ZNS, 2)))
-        serial = simulate_fleet(spec, shards=1)
+        (serial,) = simulate_fleet([spec], shards=1)
         merged = MetricsFrame.merge(
-            simulate_shard(spec, shard, shards=3) for shard in range(3)
+            simulate_shard([spec], shard, shards=3)[0] for shard in range(3)
         )
         # Three devices, three shards: each shard is one device, so the
         # merge runs in device order and even the series match in order.
@@ -115,14 +115,14 @@ class TestMergeEqualsSerial:
         # The per-device result must not know which shard ran it: the
         # device frame alone, via any shard slicing, is the same frame.
         spec = _fleet(((_ZNS, 2),), tenants=2)
-        lone = simulate_device(spec, device_id=1)
-        via_shard = simulate_shard(spec, shard=1, shards=2)
+        (lone,) = simulate_device([spec], device_id=1)
+        (via_shard,) = simulate_shard([spec], shard=1, shards=2)
         assert via_shard.to_dict() == lone.to_dict()
 
     def test_simulate_shard_validates_range(self):
         spec = _fleet(((_CONV, 2),))
         with pytest.raises(ValueError, match="shard"):
-            simulate_shard(spec, shard=2, shards=2)
+            simulate_shard([spec], shard=2, shards=2)
 
 
 class TestGlobalSinks:
@@ -133,7 +133,7 @@ class TestGlobalSinks:
         spec = _fleet(((_CONV, 1), (_ZNS, 1)))
         sink = runtime.install_global_sink(RecordingSink(layer="fleet.request"))
         try:
-            frame = simulate_shard(spec)
+            (frame,) = simulate_shard([spec])
         finally:
             runtime.remove_global_sink(sink)
         served = frame.counter("fleet.request.read.requests") + frame.counter(
@@ -143,7 +143,7 @@ class TestGlobalSinks:
         # something listens, and the frame only starts after them.
         assert len(sink.events) > served > 0
         seen = len(sink.events)
-        simulate_shard(spec)
+        simulate_shard([spec])
         assert len(sink.events) == seen
 
     @pytest.mark.parametrize("fault_scale", [0.0, 4.0], ids=["clean", "faulted"])
@@ -160,7 +160,7 @@ class TestGlobalSinks:
         spec = _fleet(((conv, 1), (zns, 1)), ticks=40, warmup_ticks=0)
         sink = runtime.install_global_sink(FrameSink())
         try:
-            frame = simulate_shard(spec)
+            (frame,) = simulate_shard([spec])
         finally:
             runtime.remove_global_sink(sink)
         for op in ("read", "write"):
@@ -176,11 +176,11 @@ class TestServingSemantics:
     # and zone reclaim (ZNS) both run inside the measured span.
     @pytest.fixture(scope="class")
     def conv_frame(self):
-        return simulate_fleet(_fleet(((_CONV, 2),), ticks=160, warmup_ticks=120))
+        return simulate_fleet([_fleet(((_CONV, 2),), ticks=160, warmup_ticks=120)])[0]
 
     @pytest.fixture(scope="class")
     def zns_frame(self):
-        return simulate_fleet(_fleet(((_ZNS, 2),), ticks=160, warmup_ticks=120))
+        return simulate_fleet([_fleet(((_ZNS, 2),), ticks=160, warmup_ticks=120)])[0]
 
     def test_both_arms_serve_reads_and_writes(self, conv_frame, zns_frame):
         for frame in (conv_frame, zns_frame):
@@ -229,7 +229,7 @@ class TestServingSemantics:
             max_active_zones=14,
         )
         with pytest.raises(ValueError, match="serving"):
-            simulate_device(_fleet(((dmz, 1),)), device_id=0)
+            simulate_device([_fleet(((dmz, 1),))], device_id=0)
 
 
 class TestFaultArm:
@@ -243,10 +243,10 @@ class TestFaultArm:
                 "mix": ((_CONV.with_faults(fleet_plan(0), 4.0), 2),),
             }
         )
-        serial = simulate_fleet(faulted, shards=1)
-        sharded = simulate_fleet(faulted, shards=2)
+        (serial,) = simulate_fleet([faulted], shards=1)
+        (sharded,) = simulate_fleet([faulted], shards=2)
         assert_same_rack(sharded, serial)
-        assert serial.to_dict() != simulate_fleet(clean).to_dict()
+        assert serial.to_dict() != simulate_fleet([clean])[0].to_dict()
 
 
 class TestZoneMgmtArm:
@@ -279,19 +279,19 @@ class TestZoneMgmtArm:
     @pytest.mark.parametrize("lifecycle", [False, True])
     def test_merge_equals_serial_with_mgmt_faults(self, lifecycle):
         spec = self._spec(5_000.0, lifecycle)
-        serial = simulate_fleet(spec, shards=1)
-        sharded = simulate_fleet(spec, shards=2)
+        (serial,) = simulate_fleet([spec], shards=1)
+        (sharded,) = simulate_fleet([spec], shards=2)
         assert_same_rack(sharded, serial)
 
     def test_lifecycle_arm_reports_its_counters(self):
-        frame = simulate_fleet(self._spec(5_000.0, lifecycle=True))
+        (frame,) = simulate_fleet([self._spec(5_000.0, lifecycle=True)])
         assert frame.counter("fleet.lifecycle.reserve_hits") > 0
         assert frame.counter("fleet.zone_resets") > 0
-        naive = simulate_fleet(self._spec(5_000.0, lifecycle=False))
+        (naive,) = simulate_fleet([self._spec(5_000.0, lifecycle=False)])
         assert naive.counter("fleet.lifecycle.reserve_hits") == 0
         assert naive.counter("fleet.reset_retries") > 0
 
     def test_managed_tail_no_worse_than_naive_under_pressure(self):
-        naive = fleet_summary(simulate_fleet(self._spec(20_000.0, lifecycle=False)))
-        managed = fleet_summary(simulate_fleet(self._spec(20_000.0, lifecycle=True)))
+        naive = fleet_summary(simulate_fleet([self._spec(20_000.0, lifecycle=False)])[0])
+        managed = fleet_summary(simulate_fleet([self._spec(20_000.0, lifecycle=True)])[0])
         assert managed["read_p99_us"] <= naive["read_p99_us"]

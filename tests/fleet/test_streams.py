@@ -1,19 +1,20 @@
 """Tenant churn streams: replaying the shared buffer equals generating.
 
-``_object_stream`` serves every consumer of one ``(seed, tenant,
-lifetime_scale)`` from one lazily extended buffer of int codes. The
-reference is the chain of fresh ``ObjectLifetimeWorkload`` epochs it
-replaced; sharing, interleaving and cache eviction must be invisible.
+Every tenant of one ``(seed, tenant, lifetime_scale)`` reads, through its
+own cursor (``_Tenant._next_event``), one lazily extended buffer of int
+codes (``_stream_buffer``). The reference is the chain of fresh
+``ObjectLifetimeWorkload`` epochs it replaced; sharing, interleaving,
+copying and cache eviction must be invisible.
 """
 
-from itertools import islice
+import copy
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.block.factory import DeviceSpec
 from repro.fleet import FleetSpec, derive_seed
-from repro.fleet.rack import _object_stream, _stream_buffer
+from repro.fleet.rack import _stream_buffer, _Tenant
 from repro.workloads.lifetime import ObjectLifetimeWorkload
 
 # Crosses the 8,192-event boundary between workload epochs 0 and 1.
@@ -29,11 +30,12 @@ def _spec(seed: int, lifetime_scale: float) -> FleetSpec:
     return FleetSpec(mix=((device, 1),), seed=seed, lifetime_scale=lifetime_scale)
 
 
-def _decoded(stream, n: int) -> list[tuple[int, str, int]]:
-    return [
-        (epoch, "delete", ~code) if code < 0 else (epoch, "create", code)
-        for epoch, code in islice(stream, n)
-    ]
+def _decoded(tenant: _Tenant, n: int) -> list[tuple[int, str, int]]:
+    out = []
+    for _ in range(n):
+        epoch, code = tenant._next_event()
+        out.append((epoch, "delete", ~code) if code < 0 else (epoch, "create", code))
+    return out
 
 
 def _generated(seed: int, tenant_id: int, lifetime_scale: float, n: int):
@@ -56,12 +58,12 @@ def _generated(seed: int, tenant_id: int, lifetime_scale: float, n: int):
 @settings(max_examples=6, deadline=None)
 @given(seed=_seeds, tenant_id=_tenants, lifetime_scale=_scales)
 def test_replay_equals_generation(seed, tenant_id, lifetime_scale):
-    stream = _object_stream(_spec(seed, lifetime_scale), tenant_id)
+    stream = _Tenant(_spec(seed, lifetime_scale), tenant_id)
     expected = _generated(seed, tenant_id, lifetime_scale, _EVENTS)
     assert {epoch for epoch, _, _ in expected} == {0, 1}
     assert _decoded(stream, _EVENTS) == expected
     # A second open replays what the first one generated.
-    again = _object_stream(_spec(seed, lifetime_scale), tenant_id)
+    again = _Tenant(_spec(seed, lifetime_scale), tenant_id)
     assert _decoded(again, _EVENTS) == expected
 
 
@@ -73,8 +75,12 @@ def test_replay_equals_generation(seed, tenant_id, lifetime_scale):
 )
 def test_interleaved_consumers_each_see_the_whole_sequence(seed, tenant_id, turns):
     spec = _spec(seed, 0.05)
-    consumers = (_object_stream(spec, tenant_id), _object_stream(spec, tenant_id))
-    seen: tuple[list, list] = ([], [])
+    first = _Tenant(spec, tenant_id)
+    # The second consumer is a copy taken mid-stream: it resumes at the
+    # original's cursor, and from then on the two cursors are independent.
+    skipped = _decoded(first, turns[0][1])
+    consumers = (first, copy.deepcopy(first))
+    seen: tuple[list, list] = (skipped, list(skipped))
     for second, count in turns:
         seen[second].extend(_decoded(consumers[second], count))
     expected = _generated(seed, tenant_id, 0.05, max(map(len, seen)))
@@ -86,10 +92,10 @@ def test_interleaved_consumers_each_see_the_whole_sequence(seed, tenant_id, turn
 @given(seed=_seeds, tenant_id=_tenants, before=st.integers(0, 600))
 def test_a_consumer_outlives_its_cache_entry(seed, tenant_id, before):
     spec = _spec(seed, 0.05)
-    survivor = _object_stream(spec, tenant_id)
+    survivor = _Tenant(spec, tenant_id)
     events = _decoded(survivor, before)
     _stream_buffer.cache_clear()
-    newcomer = _object_stream(spec, tenant_id)
+    newcomer = _Tenant(spec, tenant_id)
     late = _decoded(newcomer, 300)
     events += _decoded(survivor, 900)
     expected = _generated(seed, tenant_id, 0.05, before + 900)
