@@ -79,7 +79,6 @@ class ZonedBlockStats:
     zones_lost: int = 0  # zones gone OFFLINE (capacity permanently lost)
     pages_lost: int = 0  # mapped pages inside zones that went offline
     write_stalls: int = 0  # timed writes that waited out an out-of-zones stall
-    write_stall_ticks: int = 0  # blocked reclaim-poll ticks those writes waited
 
 
 class ZonedBlockDevice(Replayable):

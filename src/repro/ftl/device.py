@@ -133,13 +133,11 @@ class TimedConventionalSSD(TimedFrontEnd):
         return self.ftl.free_block_count <= self._stall_threshold
 
     def _stall_began(self) -> None:
+        self.ftl.stats.foreground_gc_stalls += 1
         if self.tracer.enabled:
             self.tracer.publish(
                 GcEvent("ftl.gc", "stall", free_blocks=self.ftl.free_block_count, t=self.engine.now)
             )
-
-    def _stall_ended(self, ticks: int) -> None:
-        self.ftl.stats.foreground_gc_stalls += 1 + ticks
 
     def _background_step(self) -> tuple[list[FlashOp], list[FlashOp], None] | None:
         """One collection: its copies fan out across the GC destination

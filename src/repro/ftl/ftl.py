@@ -112,8 +112,7 @@ class FTLStats:
     gc_runs: int = 0
     trims: int = 0
     #: Untimed, each inline collection a write had to wait for; timed
-    #: (``TimedConventionalSSD._stall_ended``), per stalled write the
-    #: inline check plus each blocked tick.
+    #: (``TimedConventionalSSD._stall_began``), each write that parked.
     foreground_gc_stalls: int = 0
     program_faults: int = 0
     blocks_retired: int = 0

@@ -6,19 +6,19 @@ a front end while :mod:`repro.hostio.timed` builds a ``ZNSDevice``.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Generator
-
 import itertools
+from collections import deque
+from collections.abc import Callable, Generator
 
 from repro.flash.service import FlashServiceModel
 from repro.hostio.scheduler import HostIOState
 from repro.obs.events import HostRequestEvent
 from repro.obs.frame import MetricsFrame
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, Event
 from repro.sim.resources import Resource
 
-#: A stalled write re-checks for free space this often, an idle background
-#: loop sleeps this long, and a granted reclaim window is priced at this.
+#: An idle background loop sleeps this long before asking for work again,
+#: and a granted reclaim window is priced at this.
 POLL_INTERVAL_US = 100.0
 
 
@@ -28,11 +28,16 @@ class TimedFrontEnd:
     One process per request and one background loop; the stack beneath
     only returns work (the shape of wiscsee's ``dftldes``): a request's
     command returns its flash ops. A subclass supplies, if its writes may
-    stall, ``_stalled()`` (a pure poll predicate), ``_stall_ended(ticks)``
-    and optionally ``_stall_began()``; if it has background work,
-    ``_background_step()`` returning ``(wave, serial, priority)`` or
-    ``None``. Latencies land in ``frame`` as the exact series
-    ``hostio.request.<op>.latency_us``.
+    stall, ``_stalled()`` and ``_stall_began()`` (a write parks); if it
+    has background work, ``_background_step()`` returning ``(wave, serial,
+    priority)`` or ``None``. Latencies land in ``frame`` as the exact
+    series ``hostio.request.<op>.latency_us``.
+
+    Stalled writers wait in ``_parked``, first come first served, each on
+    an event of its own. Only the background step frees space, so the
+    loop wakes the head right after each step; the head keeps its place
+    until its command has run, then passes the wake on. A writer parks
+    while anyone is parked, so no arrival overtakes one.
     """
 
     #: Reads in flight and the last read's completion, for a stack whose
@@ -45,6 +50,7 @@ class TimedFrontEnd:
         self.tracer = service.tracer
         self.frame = MetricsFrame()
         self._request_ids = itertools.count()
+        self._parked: deque[Event] = deque()
         if background is not None:
             engine.process(self._background(), name=background)
 
@@ -52,9 +58,10 @@ class TimedFrontEnd:
         self, op: str, nbytes: int, command: Callable[[], list], may_stall: bool = False,
         lock: Resource | None = None, gate: Resource | None = None,
     ) -> Generator:
-        """Enqueue; wait for ``lock``, then ``gate``, then while ``_stalled()``
-        if the request ``may_stall``; issue ``command()``; replay the flash
-        ops it returns one by one; return the end-to-end latency.
+        """Enqueue; wait for ``lock``, then ``gate``, then, if the request
+        ``may_stall``, for its turn among stalled writers; issue
+        ``command()``; replay the flash ops it returns one by one; return
+        the end-to-end latency.
 
         A request that may stall is in service before its command runs,
         any other after it (after its flash events): the order the traces
@@ -72,12 +79,12 @@ class TimedFrontEnd:
             req = yield lock.request()
         if gate is not None:
             gate.release((yield gate.request()))
-        if may_stall and self._stalled():
+        stalled = may_stall and (bool(self._parked) or self._stalled())
+        if stalled:
             self._stall_began()
-            # Bound first: `stats.x += (yield ...)` would read the counter
-            # before suspending and drop every other writer's increments.
-            ticks = yield engine.poll(self._stalled, POLL_INTERVAL_US)
-            self._stall_ended(ticks)
+            wake = engine.event()
+            self._parked.append(wake)
+            yield wake
         io_state = self._io_state if op == "read" else None
         if io_state is not None:
             io_state.pending_reads += 1
@@ -90,6 +97,9 @@ class TimedFrontEnd:
                 )
             if may_stall:
                 ops = command()
+                if stalled:
+                    self._parked.popleft()
+                    self._wake_stalled()
             for flash_op in ops:
                 yield engine.process(self.service.execute(flash_op))
         finally:
@@ -106,18 +116,35 @@ class TimedFrontEnd:
             )
         return latency
 
-    def _stall_began(self) -> None:
-        """A write found the stack stalled; nothing to report by default."""
+    def _wake_stalled(self) -> None:
+        """Wake the first parked writer if there is space for it and no
+        woken writer still holds the turn."""
+        parked = self._parked
+        if parked and not parked[0].triggered and not self._stalled():
+            parked[0].succeed()
+
+    def check_invariants(self) -> None:
+        """Only the head of the parked queue may be woken, and a writer
+        still parked behind nobody woken means the stack is stalled (no
+        lost wake-up)."""
+        parked = self._parked
+        if any(wake.triggered for wake in itertools.islice(parked, 1, None)):
+            raise AssertionError("a parked writer behind the head was woken")
+        if parked and not parked[0].triggered and not self._stalled():
+            raise AssertionError("a writer is parked while the stack has space")
 
     def _background(self) -> Generator:
         """Background steps forever: a step's ``wave`` fans out under one
         ``all_of``, then its ``serial`` ops run one by one, all at its
         ``priority`` (``None``: the service's per-op choice); no step, one
-        interval's sleep."""
+        interval's sleep. A step is where space is freed, so the first
+        stalled writer is woken as soon as it returns, before its ops
+        run."""
         engine = self.engine
         execute = self.service.execute
         while True:
             step = self._background_step()
+            self._wake_stalled()
             if step is None:
                 yield engine.sleep(POLL_INTERVAL_US)
                 continue

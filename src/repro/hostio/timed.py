@@ -79,9 +79,8 @@ class TimedZonedBlockDevice(TimedFrontEnd):
     def _stalled(self) -> bool:
         return self.layer.free_zone_count <= 1
 
-    def _stall_ended(self, ticks: int) -> None:
+    def _stall_began(self) -> None:
         self.layer.stats.write_stalls += 1
-        self.layer.stats.write_stall_ticks += ticks
 
     def _background_step(self) -> tuple[tuple, list[FlashOp], float] | None:
         """One reclaim quantum, run serially at background priority, if
@@ -109,7 +108,7 @@ class TimedZonedBlockDevice(TimedFrontEnd):
         if self.lifecycle is not None:
             # Deferred finishes and reset-ahead ride the same granted
             # window as reclaim copies, with reset-ahead priced
-            # (ZnsFTL.reset_cost_us) to fit one poll interval so a
+            # (ZnsFTL.reset_cost_us) to fit one idle interval so a
             # granted gap never turns into a reset convoy.
             ops.extend(self.lifecycle.tick(io_state, budget_us=POLL_INTERVAL_US))
         return (), ops, FlashServiceModel.PRIO_BACKGROUND

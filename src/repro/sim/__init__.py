@@ -2,7 +2,7 @@
 
 This package provides a small, dependency-free discrete-event simulation
 (DES) core in the style of SimPy: an :class:`~repro.sim.engine.Engine`
-drives generator-based processes that ``yield`` events (timeouts, polls,
+drives generator-based processes that ``yield`` events (timeouts,
 resource requests, arbitrary one-shot events). All timed experiments in the
 reproduction (GC interference, tail latency, zone-append contention) run on
 this kernel; untimed experiments drive device state machines directly and
@@ -16,7 +16,6 @@ without precision issues over simulated runs of minutes.
 from repro.sim.engine import (
     Engine,
     Event,
-    Poll,
     Process,
     SimulationError,
     Timeout,
@@ -27,7 +26,6 @@ from repro.sim.rng import make_rng, spawn_rngs
 __all__ = [
     "Engine",
     "Event",
-    "Poll",
     "Process",
     "PriorityResource",
     "Resource",

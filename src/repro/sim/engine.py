@@ -11,12 +11,12 @@ The engine is a classic calendar-queue DES:
   event that triggers when the generator returns, so processes can wait on
   each other.
 - :class:`Timeout` is an event that triggers ``delay`` after creation.
-- :class:`Poll` is an event that re-checks a predicate every ``interval``
-  and triggers at the first tick that finds it false. Its ticks wait in
-  the engine's poll lane, beside the heap, and a waiter parked on a poll
-  is resumed once, when the condition clears. ``run`` moves all the
-  blocked ticks due before the next other event on one predicate check,
-  so a tick costs neither a generator resume nor a heap sift.
+
+A process that waits for a condition parks on a plain :class:`Event`,
+and whatever changes the condition succeeds it (the stalled writers of
+:class:`~repro.hostio.frontend.TimedFrontEnd`, or
+:class:`~repro.sim.resources.Resource`'s queue); nothing re-checks on a
+timer.
 
 Example::
 
@@ -137,53 +137,6 @@ class Timeout(Event):
         engine._schedule(self, delay)
 
 
-class Poll(Event):
-    """An event that triggers at the first tick that finds ``blocked()`` false.
-
-    The caller checks ``blocked()`` once inline and yields a poll only if
-    it is true; from there the poll stands for the rest of::
-
-        while blocked():
-            yield engine.sleep(interval)
-
-    A tick is what one of that loop's sleeps was: one entry ``interval``
-    after the previous one, one processed event, ordered against every
-    other event as the loop's sleep was. A blocked tick re-arms the poll
-    ``interval`` later; a clear one runs the callbacks inside that same
-    event, so a waiting process continues at the tick's time. The poll's
-    value is its number of blocked ticks (0 if the first tick is clear).
-    A tick that finds no callbacks (nothing ever waited) lapses: it
-    neither checks nor re-arms. Polls are not pooled.
-
-    ``blocked`` must be a pure function of simulation state, because it is
-    not called once per tick: :meth:`Engine.run` checks it once for all
-    the consecutive ticks due before the next other event whose
-    predicates compare equal (``==``, as bound methods of one object do),
-    since nothing can change between them. All polls of an engine share
-    one interval while any is armed.
-    """
-
-    __slots__ = ("blocked", "interval")
-
-    def __init__(self, engine: Engine, blocked: Callable[[], bool], interval: float):
-        if not interval > 0.0:
-            raise SimulationError(f"poll interval must be positive, got {interval!r}")
-        super().__init__(engine)
-        self.blocked = blocked
-        self.interval = interval
-        self.value = 0
-        self._state = _TRIGGERED
-        engine._arm(self)
-
-    def _process(self) -> None:
-        """One tick, as :meth:`Engine.step` drives it (``run`` batches them)."""
-        if self.callbacks and self.blocked():
-            self.value += 1
-            self.engine._arm(self)
-        else:
-            Event._process(self)
-
-
 class AllOf(Event):
     """Triggers once every child event has been processed.
 
@@ -274,9 +227,9 @@ class Engine:
     """The simulation event loop.
 
     Maintains the clock (:attr:`now`, microseconds), a priority queue of
-    triggered events, a fifo of zero-delay ones and a lane of armed polls.
-    :meth:`run` processes events in ``(time, seq)`` order across all three
-    until they are empty or ``until`` is reached.
+    triggered events and a fifo of zero-delay ones. :meth:`run` processes
+    events in ``(time, seq)`` order across both until they are empty or
+    ``until`` is reached.
     """
 
     #: Upper bound on each recycling pool; beyond this, events are simply
@@ -293,11 +246,6 @@ class Engine:
         # with the heap top recovers global (time, seq) order without
         # paying O(log n) per zero-delay event.
         self._fifo: deque[tuple[float, int, Event]] = deque()
-        # Poll lane: every armed Poll, sorted by construction for the same
-        # reason -- each is armed at ``now + interval`` under a fresh
-        # sequence number, with one interval for all of them.
-        self._lane: deque[tuple[float, int, Poll]] = deque()
-        self._lane_interval = 0.0
         self._sequence = itertools.count()
         self._processed_count = 0
         self._event_pool: list[Event] = []
@@ -316,18 +264,6 @@ class Engine:
         else:
             # Negative or NaN: either would put an entry behind the clock.
             raise SimulationError(f"delay must be a non-negative number, got {delay!r}")
-
-    def _arm(self, poll: Poll) -> None:
-        """Queue ``poll``'s next tick at the tail of the lane."""
-        lane = self._lane
-        if not lane:
-            self._lane_interval = poll.interval
-        elif poll.interval != self._lane_interval:
-            raise SimulationError(
-                f"poll interval {poll.interval!r} differs from the armed polls' "
-                f"{self._lane_interval!r}"
-            )
-        lane.append((self.now + poll.interval, next(self._sequence), poll))
 
     def _acquire_event(self) -> Event:
         """A pending pool-managed :class:`Event` (engine-internal use)."""
@@ -379,14 +315,6 @@ class Engine:
         timeout._poolable = True
         return timeout
 
-    def poll(self, blocked: Callable[[], bool], interval: float) -> Poll:
-        """A :class:`Poll`: fires at the first ``interval`` tick with ``blocked()`` false.
-
-        The caller checks ``blocked()`` itself first and yields the poll
-        only when it is true; the poll's first check is one interval on.
-        """
-        return Poll(self, blocked, interval)
-
     def process(self, generator: Generator, name: str | None = None) -> Process:
         """Start a new process running ``generator``."""
         return Process(self, generator, name=name)
@@ -395,29 +323,6 @@ class Engine:
         return AllOf(self, events)
 
     # -- Execution --------------------------------------------------------
-
-    def step(self) -> None:
-        """Process the single next event.
-
-        Raises :class:`SimulationError` if the queue is empty (the kernel
-        has nothing left to do).
-        """
-        queue = self._queue
-        heads = [q for q in (self._fifo, queue, self._lane) if q]
-        if not heads:
-            raise SimulationError("step() on an empty event queue")
-        source = min(heads, key=lambda q: q[0])
-        when, _seq, event = heapq.heappop(queue) if source is queue else source.popleft()
-        self.now = when
-        self._processed_count += 1
-        event._process()
-        if event._poolable:
-            self._recycle(event)
-
-    def peek(self) -> float:
-        """Time of the next event, or ``inf`` if the queue is empty."""
-        heads = [q[0][0] for q in (self._fifo, self._queue, self._lane) if q]
-        return min(heads, default=float("inf"))
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run until the queue drains, ``until`` time passes, or event fires.
@@ -433,13 +338,9 @@ class Engine:
             horizon = float(until)
             if not horizon >= self.now:  # also refuses NaN
                 raise SimulationError(f"cannot run until {horizon}; now is {self.now}")
-        # step() inlined: same pop order and processed_events accounting,
-        # without a call per event. The "real" source is whichever of the
-        # fifo and the heap holds the next non-poll event.
+        # The next event is the fifo head unless the heap's is earlier.
         fifo = self._fifo
         queue = self._queue
-        lane = self._lane
-        sequence = self._sequence
         heappop = heapq.heappop
         while stop is None or stop._state != _PROCESSED:
             if fifo and not (queue and queue[0] < fifo[0]):
@@ -448,42 +349,6 @@ class Engine:
                 source = queue
             else:
                 source = None
-            if lane and (source is None or lane[0] < source[0]):
-                when, _seq, poll = lane[0]
-                if when > horizon:
-                    break
-                self.now = when
-                if not (poll.callbacks and poll.blocked()):
-                    lane.popleft()
-                    self._processed_count += 1
-                    Event._process(poll)
-                    continue
-                # Blocked. Until the real head (or the horizon) nothing but
-                # ticks runs, so no state changes: every following tick
-                # with a waiter and an equal predicate is blocked too. All
-                # go to the tail under one sequence number -- nothing else
-                # is scheduled meanwhile, so it orders against every heap
-                # and fifo entry as distinct numbers would, and inside the
-                # lane order is by position.
-                limit = (horizon, float("inf"))
-                if source is not None:
-                    limit = min(source[0], limit)
-                blocked = poll.blocked
-                interval = self._lane_interval
-                seq = next(sequence)
-                ticks = 0
-                while True:
-                    lane.popleft()
-                    poll.value += 1
-                    lane.append((when + interval, seq, poll))
-                    ticks += 1
-                    head = lane[0]
-                    if not (head < limit and head[2].callbacks and head[2].blocked == blocked):
-                        break
-                    when, _seq, poll = head
-                self.now = when
-                self._processed_count += ticks
-                continue
             if source is None:
                 if stop is not None:
                     raise SimulationError("event queue drained before `until` event triggered")
@@ -513,7 +378,6 @@ __all__ = [
     "AllOf",
     "Engine",
     "Event",
-    "Poll",
     "Process",
     "SimulationError",
     "Timeout",

@@ -9,8 +9,11 @@ host request comes after the command's flash events for reads and for
 every ZNS request, and before them for conventional and dm-zoned
 writes, so a refactor of the request lifecycle can reorder the stream
 without moving a single number. A deliberate trace change re-records
-them and says so: the last did when flash-op events gained ``cause``,
-and hashing each line with ``cause`` removed gave the previous digests.
+them and says so: flash-op events gaining ``cause`` re-recorded all
+three (hashing each line with ``cause`` removed gave the previous
+digests), and stalled writers waking on the collector instead of a
+100 us poll re-recorded the conventional one, the only run here whose
+writes park.
 """
 
 import hashlib
@@ -28,7 +31,7 @@ from tests.hostio.test_stall_fingerprint import dmzoned_open_loop
 
 #: (sha256, line count) per run.
 PINNED = {
-    "conventional": ("94277c8cb345bdc08a9b63494bb0f97e3b34a8fd242d95593029289e52fc2f7e", 6933),
+    "conventional": ("acc257f7e93da4c2c548319fc2e6dab474525910d8504a34712dd1c5d98908aa", 6948),
     "dmzoned": ("67cb9c957cfc4b5a5f2b73a8611bbfac8fd73d16dedc9b7e053c96ef0d8a4f9f", 2153),
     "zns": ("044183cb4516a5fd13563f1f53422097c7c5112ccc6036dd66bfea74dca9e87e", 547),
 }

@@ -189,20 +189,6 @@ def test_failed_process_raises_from_run_until():
         eng.run(until=p)
 
 
-def test_step_on_empty_queue_is_simulation_error():
-    eng = Engine()
-    with pytest.raises(SimulationError, match="empty event queue"):
-        eng.step()
-
-
-def test_step_after_queue_drained_is_simulation_error():
-    eng = Engine()
-    Timeout(eng, 1.0)
-    eng.step()  # consumes the only event
-    with pytest.raises(SimulationError, match="empty event queue"):
-        eng.step()
-
-
 def test_yielding_non_event_is_error():
     eng = Engine()
 
@@ -301,15 +287,6 @@ def test_all_of_propagates_first_failure():
 
     p = eng.process(parent(eng))
     assert eng.run(until=p) == "caught child died"
-
-
-
-
-def test_engine_peek():
-    eng = Engine()
-    assert eng.peek() == float("inf")
-    Timeout(eng, 5.0)
-    assert eng.peek() == 5.0
 
 
 def test_factory_helpers():
