@@ -57,10 +57,10 @@ def main() -> None:
     store = LSMStore(ZoneFileBackend(device), CFG)
     drive(store)
     report("zns, zenfs-like", store, device.nand.counters.programmed_pages())
-    backend = store.backend
+    log = store.backend.log
     relocated = device.nand.counters.count("program", "reclaim")
-    print(f"\nzone backend details: {backend.stats.zones_reset} zone resets, "
-          f"{backend.stats.free_zone_resets} were free "
+    print(f"\nzone backend details: {log.resets} zone resets, "
+          f"{log.free_resets} were free "
           f"(fully-dead zones), {relocated} pages relocated")
     print("level sizes (pages):", store.level_sizes_pages())
 

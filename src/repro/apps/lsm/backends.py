@@ -18,7 +18,7 @@ from __future__ import annotations
 import abc
 import bisect
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any
 
@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.apps.lsm.sstable import SSTable
 from repro.block.interface import BlockDevice
+from repro.hostio.zonelog import ZoneLog, ZoneLogFull
 from repro.zns.device import ZNSDevice
 from repro.zns.zone import ZoneState
 
@@ -36,8 +37,6 @@ class BackendStats:
     it writes, reads and relocates are the NAND's per-cause ops."""
 
     pages_trimmed: int = 0
-    zones_reset: int = 0
-    free_zone_resets: int = 0
 
 
 class LsmBackend(abc.ABC):
@@ -321,19 +320,16 @@ class _ZoneExtent:
     length: int
 
 
-@dataclass
-class _ZoneInfo:
-    live_pages: int = 0
-    tables: set[int] = field(default_factory=set)
-
-
 class ZoneFileBackend(LsmBackend):
     """SSTable files appended into level-segregated zones.
 
     Each LSM level gets its own write frontier, so a zone fills with
     same-level tables that compaction will delete together. Fully-dead
-    zones reset for free; under space pressure, victims' surviving tables
-    are relocated with the device's simple-copy command.
+    zones reset for free as soon as they die; under space pressure,
+    victims' surviving tables are relocated with the device's simple-copy
+    command. The zone pool is a :class:`~repro.hostio.zonelog.ZoneLog`
+    (its ``resets``/``free_resets`` count the resets); the backend keeps
+    the extents.
     """
 
     def __init__(self, device: ZNSDevice, reserve_zones: int = 2):
@@ -342,12 +338,8 @@ class ZoneFileBackend(LsmBackend):
         self.device = device
         self.reserve_zones = reserve_zones
         self.stats = BackendStats()
-        self._tables: dict[int, tuple[SSTable, list[_ZoneExtent]]] = {}
-        self._zones: dict[int, _ZoneInfo] = {}
-        self._open_by_stream: dict[str, int] = {}
-        self._free: list[int] = list(range(device.zone_count))
-        self._sealed: set[int] = set()
-        self._in_reclaim = False
+        self.log = ZoneLog(device, reserve=reserve_zones)
+        self._tables: dict[int, SSTable] = {}  # extents in each table's handle
         self._wal_extents: list[_ZoneExtent] = []
         self._appending: list[_ZoneExtent] = []  # the file _append is part-way through
 
@@ -359,38 +351,19 @@ class ZoneFileBackend(LsmBackend):
     def capacity_pages(self) -> int:
         return self.device.zone_count * self.device.geometry.pages_per_zone
 
-    @property
-    def free_zone_count(self) -> int:
-        return len(self._free)
-
     # -- File operations --------------------------------------------------------
 
     def write_table(self, table: SSTable) -> None:
         if table.handle is not None:
             raise ValueError(f"table {table.table_id} already written")
-        extents = self._append(f"level-{table.level}", table.size_pages)
-        table.handle = extents
-        self._tables[table.table_id] = (table, extents)
-        for extent in extents:
-            self._zones[extent.zone].tables.add(table.table_id)
+        table.handle = self._append(f"level-{table.level}", table.size_pages)
+        self._tables[table.table_id] = table
 
     def delete_table(self, table: SSTable) -> None:
-        entry = self._tables.pop(table.table_id, None)
-        if entry is None:
+        if self._tables.pop(table.table_id, None) is None:
             raise ValueError(f"table {table.table_id} has no storage")
-        _, extents = entry
-        for extent in extents:
-            info = self._zones[extent.zone]
-            info.live_pages -= extent.length
-            info.tables.discard(table.table_id)
-            if info.live_pages < 0:
-                raise AssertionError(f"zone {extent.zone} live count negative")
+        self._kill(table.handle)
         table.handle = None
-        # Opportunistic free rides: reset sealed zones that just died.
-        for zone in {e.zone for e in extents}:
-            if self._zones[zone].live_pages == 0 and zone in self._sealed:
-                self._reset(zone)
-                self.stats.free_zone_resets += 1
 
     def read_table_page(self, table: SSTable, page_index: int) -> None:
         extents: list[_ZoneExtent] = table.handle
@@ -408,184 +381,95 @@ class ZoneFileBackend(LsmBackend):
         self._wal_extents.extend(self._append("wal", 1))
 
     def reset_wal(self) -> None:
-        for extent in self._wal_extents:
-            info = self._zones[extent.zone]
-            info.live_pages -= extent.length
-            if info.live_pages < 0:
-                raise AssertionError(f"zone {extent.zone} live count negative")
-        dead_zones = {e.zone for e in self._wal_extents}
-        self._wal_extents = []
-        for zone in dead_zones:
-            if self._zones.get(zone, _ZoneInfo()).live_pages == 0 and zone in self._sealed:
-                self._reset(zone)
-                self.stats.free_zone_resets += 1
+        extents, self._wal_extents = self._wal_extents, []
+        self._kill(extents)
 
     # -- Zone plumbing ------------------------------------------------------------
 
-    def _append(self, stream: str, npages: int) -> list[_ZoneExtent]:
-        """Append ``npages`` live pages to the stream's frontier, spanning zones."""
-        extents = self._appending = []
-        remaining = npages
-        while remaining > 0:
+    def _kill(self, extents: list[_ZoneExtent]) -> None:
+        """Count a file's pages dead; sealed zones it leaves dead reset for free."""
+        live = self.log.live_v
+        for extent in extents:
+            live[extent.zone] -= extent.length
+            if live[extent.zone] < 0:
+                raise AssertionError(f"zone {extent.zone} live count negative")
+        for zone in sorted({e.zone for e in extents}):
+            if live[zone] == 0 and self.log.sealed_v[zone]:
+                self.log.reset(zone, free=True)
+
+    def _append(self, stream: str, npages: int, source: _ZoneExtent | None = None) -> list:
+        """Append ``npages`` live pages to the stream, spanning zones: new
+        pages, or device simple copies of the ``source`` extent's."""
+        extents: list[_ZoneExtent] = []
+        if source is None:
+            self._appending = extents
+        done = 0
+        while done < npages:
             zone = self._frontier(stream)
             zone_obj = self.device.zone(zone)
-            chunk = min(remaining, zone_obj.remaining)
+            chunk = min(npages - done, zone_obj.remaining)
             offset = zone_obj.wp
-            self.device.write(zone, npages=chunk, build_ops=False)
+            if source is None:
+                self.device.write(zone, npages=chunk, build_ops=False)
+            else:
+                start = source.offset + done
+                pages = [(source.zone, start + i) for i in range(chunk)]
+                self.device.simple_copy(pages, zone)
             extents.append(_ZoneExtent(zone, offset, chunk))
-            # Count the chunk live before the seal below can look: a zone
-            # whose earlier files are all dead would otherwise be reset
-            # with these pages in it.
-            self._zones.setdefault(zone, _ZoneInfo()).live_pages += chunk
-            remaining -= chunk
-            if self.device.zone(zone).state is ZoneState.FULL:
-                self._seal(stream, zone)
-        self._appending = []
+            self.log.add(zone, chunk)
+            done += chunk
+        if source is None:
+            self._appending = []
         return extents
 
     def _frontier(self, stream: str) -> int:
-        zone = self._open_by_stream.get(stream)
-        if zone is not None and self.device.zone(zone).remaining > 0:
-            return zone
-        if zone is not None:
-            self._seal(stream, zone)
-        if len(self._free) <= self.reserve_zones and not self._in_reclaim:
-            self.reclaim(self.reserve_zones + 1)
-            # Reclaim may have evacuated tables *into* this very stream,
-            # opening a fresh frontier for it; reuse that instead of
-            # popping another zone (which would orphan the new one open).
-            zone = self._open_by_stream.get(stream)
-            if zone is not None and self.device.zone(zone).remaining > 0:
-                return zone
-        if not self._free:
-            raise AllocationError("no free zones")
-        new_zone = self._free.pop(0)
-        self._open_by_stream[stream] = new_zone
-        return new_zone
-
-    def _seal(self, stream: str, zone: int) -> None:
-        if self.device.zone(zone).state is not ZoneState.FULL:
-            self.device.finish_zone(zone)
-        self._sealed.add(zone)
-        if self._open_by_stream.get(stream) == zone:
-            del self._open_by_stream[stream]
-        # A zone can seal already dead (its tables were deleted mid-life).
-        if self._zones.get(zone, _ZoneInfo()).live_pages == 0:
-            self._reset(zone)
-            self.stats.free_zone_resets += 1
-
-    def _reset(self, zone: int) -> None:
-        self.device.reset_zone(zone)
-        self._sealed.discard(zone)
-        self._zones.pop(zone, None)
-        self._free.append(zone)
-        self.stats.zones_reset += 1
-
-    # -- Reclaim -------------------------------------------------------------------
-
-    def reclaim(self, target_free: int) -> None:
-        """Relocate survivors out of the emptiest zones and reset them."""
-        self._in_reclaim = True
         try:
-            while len(self._free) < target_free:
-                # Zones holding live WAL pages cannot be evacuated (WAL
-                # extents have no table to relocate); they die at the next
-                # flush anyway. Nor can zones holding the head of the file
-                # whose append triggered this reclaim: it is not a
-                # registered table yet, so a reset would lose its pages.
-                pinned = {e.zone for e in self._wal_extents + self._appending}
-                candidates = [z for z in self._sealed if z not in pinned]
-                where = (
-                    f"pinned zones {sorted(pinned)}, {len(self._sealed)} sealed of "
-                    f"{self.device.zone_count} on the device"
-                )
-                if not candidates:
-                    raise AllocationError(f"nothing to reclaim ({where})")
-                victim = min(
-                    candidates, key=lambda z: self._zones.get(z, _ZoneInfo()).live_pages
-                )
-                info = self._zones.get(victim, _ZoneInfo())
-                if info.live_pages >= self.device.geometry.pages_per_zone:
-                    raise AllocationError(f"all zones fully live ({where})")
-                self._evacuate(victim)
-                self._reset(victim)
-        finally:
-            self._in_reclaim = False
+            return self.log.open(stream, 1, self._evacuate, self._pinned)
+        except ZoneLogFull as err:
+            raise AllocationError(
+                f"{err} (pinned zones {sorted(self._pinned())}, {int(self.log.sealed.sum())} "
+                f"sealed of {self.device.zone_count} on the device)"
+            ) from None
+
+    def _pinned(self) -> set[int]:
+        """Zones reclaim must spare: WAL extents have no table to relocate (they die at
+        the next flush anyway), and the file being appended is no table yet."""
+        return {e.zone for e in self._wal_extents + self._appending}
 
     def _evacuate(self, victim: int) -> None:
-        info = self._zones.get(victim)
-        if info is None:
-            return
-        for table_id in sorted(info.tables):
-            table, extents = self._tables[table_id]
+        """Relocate the victim's surviving tables via device simple copy."""
+        for table_id in sorted(self._tables):
+            table = self._tables[table_id]
+            if all(extent.zone != victim for extent in table.handle):
+                continue
             new_extents: list[_ZoneExtent] = []
-            for extent in extents:
+            for extent in table.handle:
                 if extent.zone != victim:
                     new_extents.append(extent)
                     continue
-                # Relocate this extent via device-managed simple copy.
-                dst_extents = self._copy_extent(victim, extent, f"level-{table.level}")
-                new_extents.extend(dst_extents)
-                info.live_pages -= extent.length
+                stream = f"level-{table.level}"
+                new_extents.extend(self._append(stream, extent.length, extent))
+                self.log.live_v[victim] -= extent.length
             table.handle = new_extents
-            self._tables[table_id] = (table, new_extents)
-            for extent in new_extents:
-                dst_info = self._zones.setdefault(extent.zone, _ZoneInfo())
-                dst_info.tables.add(table_id)
-        info.tables.clear()
-
-    def _copy_extent(
-        self, victim: int, extent: _ZoneExtent, stream: str
-    ) -> list[_ZoneExtent]:
-        out: list[_ZoneExtent] = []
-        remaining = extent.length
-        src_offset = extent.offset
-        while remaining > 0:
-            dst_zone = self._frontier(stream)
-            room = self.device.zone(dst_zone).remaining
-            chunk = min(remaining, room)
-            sources = [(victim, src_offset + i) for i in range(chunk)]
-            dst_offset, _ = self.device.simple_copy(sources, dst_zone)
-            out.append(_ZoneExtent(dst_zone, dst_offset, chunk))
-            dst_info = self._zones.setdefault(dst_zone, _ZoneInfo())
-            dst_info.live_pages += chunk
-            src_offset += chunk
-            remaining -= chunk
-            if self.device.zone(dst_zone).state is ZoneState.FULL:
-                self._seal(stream, dst_zone)
-        return out
 
     # -- Reporting -----------------------------------------------------------------
 
     def check_invariants(self) -> None:
         """Assert the zone bookkeeping agrees with the files it places."""
-        live: dict[int, int] = {}
-        holders: dict[int, set[int]] = {}
-        files = [(table_id, extents) for table_id, (_, extents) in self._tables.items()]
-        for table_id, extents in files + [(None, self._wal_extents)]:
+        live = [0] * self.device.zone_count
+        for extents in [t.handle for t in self._tables.values()] + [self._wal_extents]:
             for extent in extents:
-                live[extent.zone] = live.get(extent.zone, 0) + extent.length
-                if table_id is not None:
-                    holders.setdefault(extent.zone, set()).add(table_id)
+                live[extent.zone] += extent.length
                 wp = self.device.zone(extent.zone).wp
                 assert extent.offset + extent.length <= wp, (
                     f"live extent ends at {extent.offset + extent.length} "
                     f"in zone {extent.zone}, above wp={wp}"
                 )
-        for zone, info in self._zones.items():
-            assert info.live_pages == live.get(zone, 0), (
-                f"zone {zone} counts {info.live_pages} live pages, "
-                f"its extents hold {live.get(zone, 0)}"
+        for zone, counted in enumerate(self.log.live.tolist()):
+            assert counted == live[zone], (
+                f"zone {zone} counts {counted} live pages, its extents hold {live[zone]}"
             )
-            assert info.tables == holders.get(zone, set()), (
-                f"zone {zone} lists tables {sorted(info.tables)}, "
-                f"holds {sorted(holders.get(zone, ()))}"
-            )
-        assert live.keys() <= self._zones.keys(), "live extent in an untracked zone"
-        placed = self._free + sorted(self._sealed) + list(self._open_by_stream.values())
-        assert sorted(placed) == list(range(self.device.zone_count)), (
-            "free, sealed and open-frontier zones do not partition the device"
-        )
+        self.log.check_invariants()
 
 
 __all__ = [

@@ -26,6 +26,7 @@ from repro.block.interface import ZonedDevice, check_extent
 from repro.flash.errors import ProgramFaultError, UncorrectableReadError
 from repro.flash.ops import FlashOp
 from repro.flash.state import Replayable
+from repro.hostio.zonelog import ZoneLog
 from repro.obs.events import FlashOpEvent, ReclaimEvent, RecoveryEvent
 from repro.obs.runtime import new_tracer
 from repro.obs.tracer import Tracer
@@ -74,7 +75,6 @@ class ZonedBlockStats:
     under ``host`` and ``reclaim`` (``device.nand.counters``)."""
 
     gc_runs: int = 0
-    zones_reset: int = 0
     zones_degraded: int = 0  # write frontiers lost to READ_ONLY degradation
     zones_lost: int = 0  # zones gone OFFLINE (capacity permanently lost)
     pages_lost: int = 0  # mapped pages inside zones that went offline
@@ -101,11 +101,6 @@ class ZonedBlockDevice(Replayable):
     ):
         self.device = device
         self.config = config or ZonedBlockConfig()
-        # Optional ZoneLifecycleManager (duck-typed to avoid a block ->
-        # hostio import cycle): when present, finishes and resets route
-        # through its bounded-retry path instead of raw device commands,
-        # so transient management faults degrade instead of propagating.
-        self.lifecycle = lifecycle
         self.stats = ZonedBlockStats()
         # Share the device's bus so host-layer events interleave with the
         # NVMe commands and flash ops they cause; standalone otherwise.
@@ -128,16 +123,11 @@ class ZonedBlockDevice(Replayable):
         self._l2p_v = memoryview(self._l2p)
         self._p2l = np.full(total_zones * pages_per_zone, UNMAPPED, dtype=np.int64)
         self._p2l_v = memoryview(self._p2l)
-        self._valid = np.zeros(total_zones, dtype=np.int32)
-        self._valid_v = memoryview(self._valid)
         self._pages_per_zone = pages_per_zone
-        self._free_zones: list[int] = list(range(total_zones))
-        # Sealed zones as a per-zone mask, so a reclaim tie goes to the
-        # lowest zone id whatever the seal/reset history.
-        self._sealed_mask = np.zeros(total_zones, dtype=bool)
-        self._sealed_mask_v = memoryview(self._sealed_mask)
-        self._write_zone: int | None = None
-        self._gc_zone: int | None = None
+        # The zone pool: "write" and "gc" frontiers, valid pages per zone and
+        # sealed victims; a ZoneLifecycleManager, if given, takes the finishes
+        # and resets on its bounded-retry path.
+        self.log = ZoneLog(device, lifecycle)
         # Incremental-reclaim state: the victim being drained and its
         # remaining valid offsets (None when no victim is in progress).
         self._victim: int | None = None
@@ -172,10 +162,10 @@ class ZonedBlockDevice(Replayable):
 
     @property
     def free_zone_count(self) -> int:
-        return len(self._free_zones)
+        return len(self.log.free)
 
     def gc_needed(self) -> bool:
-        return len(self._free_zones) <= self.config.gc_low_zones
+        return len(self.log.free) <= self.config.gc_low_zones
 
     def host_dram_bytes(self, bytes_per_entry: int = 4) -> int:
         """Host DRAM consumed by the translation map (paper §2.3 tradeoff)."""
@@ -226,14 +216,13 @@ class ZonedBlockDevice(Replayable):
         # Each retry consumes a fresh frontier zone, so the attempt bound
         # only trips when the device keeps degrading zones under us.
         for _ in range(8):
-            if self._frontier_full(self._write_zone):
-                if self._write_zone is not None:
-                    ops.extend(self._seal(self._write_zone))
-                    self._write_zone = None
+            zone = self.log.frontiers.get("write")
+            if zone is None or self.device.zone(zone).state is ZoneState.FULL:
+                if zone is not None:
+                    ops.extend(self.log.seal(zone))
                 if auto_gc and self.gc_needed():
                     ops.extend(self.collect(self.config.gc_high_zones))
-                self._write_zone = self._take_free_zone()
-            zone = self._write_zone
+                zone = self._take("write")
             offset = self.device.zone(zone).wp
             try:
                 ops.extend(self.device.write(zone, npages=1, data=data))
@@ -241,13 +230,11 @@ class ZonedBlockDevice(Replayable):
                 # The frontier degraded to READ_ONLY: its valid pages stay
                 # readable and reclaimable, so seal it for GC and move on.
                 self.stats.zones_degraded += 1
-                ops.extend(self._seal(zone))
-                self._write_zone = None
+                ops.extend(self.log.seal(zone))
                 continue
             except ZoneOfflineError:
                 # Scheduled offline hit the frontier: its data is gone.
                 self._drop_offline_zone(zone)
-                self._write_zone = None
                 continue
             self._map(lba, zone, offset)
             break
@@ -281,52 +268,40 @@ class ZonedBlockDevice(Replayable):
             self._unmap_physical(old)
         self._l2p_v[lba] = flat
         self._p2l_v[flat] = lba
-        self._valid_v[zone] += 1
+        self.log.live_v[zone] += 1
 
     def _unmap_physical(self, flat: int) -> None:
         self._p2l_v[flat] = UNMAPPED
         zone = flat // self._pages_per_zone
-        count = self._valid_v[zone] - 1
-        self._valid_v[zone] = count
+        count = self.log.live_v[zone] - 1
+        self.log.live_v[zone] = count
         if count < 0:
             raise AssertionError(f"zone {zone} valid count went negative")
 
-    def _frontier_full(self, zone: int | None) -> bool:
+    def _take(self, stream: str) -> int:
+        # A free zone that went OFFLINE while parked (scheduled fault) is lost.
+        zone = self.log.take(stream, self._drop_offline_zone)
         if zone is None:
-            return True
-        return self.device.zone(zone).state is ZoneState.FULL
-
-    def _take_free_zone(self) -> int:
-        while self._free_zones:
-            zone = self._free_zones.pop(0)
-            if self.device.zone(zone).is_writable:
-                return zone
-            # Went OFFLINE while parked free (scheduled fault).
-            self._drop_offline_zone(zone)
-        raise TranslationError("no free zones available")
-
-    def _seal(self, zone: int) -> list[FlashOp]:
-        self._sealed_mask_v[zone] = True
-        # Finishing releases the device's active-zone resources; degraded
-        # (READ_ONLY/OFFLINE) zones hold none and cannot be finished.
-        if self.device.zone(zone).state.is_active:
-            if self.lifecycle is not None:
-                return self.lifecycle.finish_now(zone)
-            return self.device.finish_zone(zone)
-        return []
+            raise TranslationError("no free zones available")
+        return zone
 
     def _drop_offline_zone(self, zone: int) -> None:
-        """Forget a zone that went OFFLINE: its data and capacity are lost."""
+        """Forget a zone that went OFFLINE: its data and capacity are lost.
+
+        A zone is lost once: a later report of the same zone (a read found
+        it, then a write or reclaim step reaches it) is a no-op.
+        """
+        if not self.log.drop(zone):
+            return
         base = self._flat(zone, 0)
         slot = self._p2l[base : base + self._pages_per_zone]
         lost = slot[slot != UNMAPPED]
         for lba in lost.tolist():
             self._l2p_v[lba] = UNMAPPED
         slot[:] = UNMAPPED
-        self._valid_v[zone] = 0
-        self._sealed_mask_v[zone] = False
-        if zone in self._free_zones:
-            self._free_zones.remove(zone)
+        if self._victim == zone:
+            self._victim = None
+            self._victim_offsets = []
         self.stats.zones_lost += 1
         self.stats.pages_lost += int(lost.size)
         if self.tracer.enabled:
@@ -341,11 +316,9 @@ class ZonedBlockDevice(Replayable):
 
     def _select_victim(self) -> None:
         """Pick the next victim and stage its surviving offsets."""
-        sealed = np.flatnonzero(self._sealed_mask)
-        if not sealed.size:
+        victim = self.log.victim()
+        if victim is None:
             raise TranslationError("no sealed zones to collect")
-        # Greedy: fewest valid pages; a tie goes to the lowest zone id.
-        victim = int(sealed[np.argmin(self._valid[sealed])])
         self._victim = victim
         self._victim_offsets = [
             offset
@@ -357,7 +330,7 @@ class ZonedBlockDevice(Replayable):
                 ReclaimEvent(
                     "block.dmzoned", "victim-selected", zone=victim,
                     copies=len(self._victim_offsets),
-                    free_zones=len(self._free_zones),
+                    free_zones=len(self.log.free),
                 )
             )
 
@@ -390,8 +363,7 @@ class ZonedBlockDevice(Replayable):
                 # The GC destination degraded before the copy landed:
                 # seal it for a later pass and retry into a fresh zone.
                 self.stats.zones_degraded += 1
-                ops.extend(self._seal(dst))
-                self._forget_active(dst)
+                ops.extend(self.log.seal(dst))
                 self._victim_offsets.insert(0, offset)
                 continue
             except ZoneOfflineError:
@@ -399,12 +371,9 @@ class ZonedBlockDevice(Replayable):
                     # The victim died mid-drain: its remaining valid data
                     # is unrecoverable. Drop it without a reset.
                     self._drop_offline_zone(self._victim)
-                    self._victim = None
-                    self._victim_offsets = []
                     return ops
                 # Otherwise the destination went offline (pre-copy).
                 self._drop_offline_zone(dst)
-                self._forget_active(dst)
                 self._victim_offsets.insert(0, offset)
                 continue
             max_copies -= 1
@@ -413,7 +382,7 @@ class ZonedBlockDevice(Replayable):
             self.tracer.publish(
                 ReclaimEvent(
                     "block.dmzoned", "step", zone=self._victim,
-                    copies=copied, free_zones=len(self._free_zones),
+                    copies=copied, free_zones=len(self.log.free),
                 )
             )
         if not self._victim_offsets:
@@ -422,32 +391,20 @@ class ZonedBlockDevice(Replayable):
                 # Drained but unresettable: the zone went offline after its
                 # last valid page moved out. No data lost, capacity is.
                 self._drop_offline_zone(victim)
-                self._victim = None
                 self.stats.gc_runs += 1
                 return ops
-            if self.lifecycle is not None:
-                ops.extend(self.lifecycle.reset_now(victim))
-            else:
-                ops.extend(self.device.reset_zone(victim))
-            self._sealed_mask_v[victim] = False
-            state = self.device.zone(victim).state
-            if state is ZoneState.OFFLINE:
-                # Reset retired the last backing blocks (spares exhausted).
+            ops.extend(self.log.reset(victim))
+            if self.device.zone(victim).state is not ZoneState.EMPTY:
+                # Spares exhausted (offline) or lifecycle retries exhausted
+                # (quarantined): the zone's capacity leaves circulation.
                 self.stats.zones_lost += 1
-            elif state is not ZoneState.EMPTY:
-                # Lifecycle retries exhausted (quarantined): the zone never
-                # reset, so its capacity leaves circulation.
-                self.stats.zones_lost += 1
-            else:
-                self._free_zones.append(victim)
             self._victim = None
-            self.stats.zones_reset += 1
             self.stats.gc_runs += 1
             if self.tracer.enabled:
                 self.tracer.publish(
                     ReclaimEvent(
                         "block.dmzoned", "zone-reset", zone=victim,
-                        free_zones=len(self._free_zones),
+                        free_zones=len(self.log.free),
                     )
                 )
         return ops
@@ -461,7 +418,7 @@ class ZonedBlockDevice(Replayable):
 
     def collect(self, target_free_zones: int) -> list[FlashOp]:
         ops: list[FlashOp] = []
-        while len(self._free_zones) < target_free_zones:
+        while len(self.log.free) < target_free_zones:
             ops.extend(self.collect_once())
         return ops
 
@@ -473,50 +430,36 @@ class ZonedBlockDevice(Replayable):
             payload, read_op = self.device.read(victim, offset, "reclaim")
             write_ops = self.device.write(dst_zone, npages=1, data=payload, cause="reclaim")
             ops = [read_op, *write_ops]
-        lba = self._p2l_v[self._flat(victim, offset)]
-        self._unmap_physical(self._flat(victim, offset))
-        self._l2p_v[lba] = self._flat(dst_zone, dst_offset)
-        self._p2l_v[self._flat(dst_zone, dst_offset)] = lba
-        self._valid_v[dst_zone] += 1
+        self._map(self._p2l_v[self._flat(victim, offset)], dst_zone, dst_offset)
         return ops
 
     def _gc_destination(self) -> int:
-        if self._gc_zone is not None and not self._frontier_full(self._gc_zone):
-            return self._gc_zone
-        if self._gc_zone is not None:
-            self._seal(self._gc_zone)
-            self._gc_zone = None
-        if not self._free_zones and self._write_zone is not None:
+        zone = self.log.frontiers.get("gc")
+        if zone is not None:
+            if self.device.zone(zone).state is not ZoneState.FULL:
+                return zone
+            self.log.seal(zone)
+        write_zone = self.log.frontiers.get("write")
+        if not self.log.free and write_zone is not None:
             # Free pool drained mid-reclaim (degradation churn under
             # faults). Borrow the user write frontier as the destination:
             # mixing GC data into it costs locality, not correctness, and
             # draining the victim is what returns a zone to the pool.
-            frontier = self.device.zone(self._write_zone)
+            frontier = self.device.zone(write_zone)
             if frontier.is_writable and frontier.remaining > 0:
-                return self._write_zone
-        self._gc_zone = self._take_free_zone()
-        return self._gc_zone
-
-    def _forget_active(self, zone: int) -> None:
-        """Clear whichever active slot (GC or frontier) referenced ``zone``."""
-        if self._gc_zone == zone:
-            self._gc_zone = None
-        if self._write_zone == zone:
-            self._write_zone = None
+                return write_zone
+        return self._take("gc")
 
     # -- Invariant checking (property tests) -------------------------------------------
 
     def check_invariants(self) -> None:
-        for name in ("_l2p", "_p2l", "_valid", "_sealed_mask"):
+        for name in ("_l2p", "_p2l"):
             view = getattr(self, name + "_v")
             assert view.obj is getattr(self, name), f"{name} rebound away from its view"
-        active = {z for z in (self._write_zone, self._gc_zone) if z is not None}
-        free = set(self._free_zones)
-        sealed = set(np.flatnonzero(self._sealed_mask).tolist())
-        assert not (free & sealed), "zone both free and sealed"
-        assert not (free & active), "zone both free and active"
+        self.log.check_invariants()
+        assert self._victim not in self.log.dropped, "the reclaim victim was dropped"
         lbas = np.flatnonzero(self._l2p != UNMAPPED)
-        assert int(self._valid.sum()) == lbas.size, "valid counts disagree with map"
+        assert int(self.log.live.sum()) == lbas.size, "valid counts disagree with map"
         assert np.array_equal(self._p2l[self._l2p[lbas]], lbas), "p2l is not l2p's inverse"
 
 

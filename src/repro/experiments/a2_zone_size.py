@@ -33,14 +33,12 @@ def measure(blocks_per_zone: int, quick: bool, seed: int) -> dict:
     rng = make_rng(seed)
     for i, key in enumerate(draw_ints(rng, n_keys, ops)):
         store.put(key, i)
-    backend, counters = store.backend, device.nand.counters
+    log, counters = store.backend.log, device.nand.counters
     return {
         "blocks_per_zone": blocks_per_zone,
         "zone_mb": zoned.zone_size_bytes / (1024 * 1024),
         "backend_wa": round(counters.write_amplification(), 3),
-        "free_reset_pct": round(
-            100.0 * backend.stats.free_zone_resets / max(backend.stats.zones_reset, 1), 1
-        ),
+        "free_reset_pct": round(100.0 * log.free_resets / max(log.resets, 1), 1),
         "total_wa_over_app": round(
             counters.programmed_pages() / max(store.stats.app_pages_written, 1), 3
         ),

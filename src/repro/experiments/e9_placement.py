@@ -51,11 +51,11 @@ def measure_policy(policy_name: str, quick: bool, seed: int) -> dict:
             store.put(event)
         else:
             store.delete(event.obj_id)
-    stats, counters = store.stats, device.nand.counters
+    log, counters = store.log, device.nand.counters
     return {
         "placement": policy_name,
         "write_amplification": round(counters.write_amplification(), 3),
-        "free_reset_pct": round(100.0 * stats.free_resets / max(stats.zones_reset, 1), 1),
+        "free_reset_pct": round(100.0 * log.free_resets / max(log.resets, 1), 1),
         "relocated_pages": counters.count("program", "reclaim"),
     }
 

@@ -10,7 +10,9 @@ survives zone management being slow and failure-prone
 The timed front end every DES stack shares (:mod:`repro.hostio.frontend`)
 and the timed block-on-ZNS stack (:mod:`repro.hostio.timed`) are imported
 from their modules: the ZNS device imports the front end, so this package
-cannot import the stack that builds a ZNS device.
+cannot import the stack that builds a ZNS device. So is the zone log that
+dm-zoned, the placement store and the LSM zoned backend share
+(:mod:`repro.hostio.zonelog`).
 """
 
 from repro.hostio.scheduler import (

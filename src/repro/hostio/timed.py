@@ -89,7 +89,7 @@ class TimedZonedBlockDevice(TimedFrontEnd):
         io_state.now = self.engine.now
         io_state.free_zones = self.layer.free_zone_count
         wants_work = (
-            (self.layer.gc_needed() and self.layer._sealed_mask.any())
+            (self.layer.gc_needed() and self.layer.log.sealed.any())
             or self.layer.reclaim_in_progress
             or (self.lifecycle is not None and self.lifecycle.backlog > 0)
         )

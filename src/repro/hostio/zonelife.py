@@ -41,6 +41,7 @@ from repro.flash.state import Replayable
 from repro.hostio.scheduler import HostIOState, ReclaimScheduler
 from repro.obs.events import RecoveryEvent
 from repro.zns.errors import RetryableZnsError, ZnsError
+from repro.zns.zone import ZoneState
 
 
 @dataclass(frozen=True)
@@ -329,6 +330,20 @@ class ZoneLifecycleManager(Replayable):
                     pages_moved=0, detail=f"{action} retries exhausted",
                 )
             )
+
+    def check_invariants(self) -> None:
+        """Each zone sits in at most one queue, once; reserve zones are
+        EMPTY; quarantined zones sit in none."""
+        queued: set[int] = set()
+        for name in ("_reserve", "_pending_reset", "_deferred_finish"):
+            queue = getattr(self, name)
+            assert len(set(queue)) == len(queue), f"a zone is twice in {name}"
+            assert not queued & set(queue), f"a zone in {name} sits in another queue too"
+            queued |= set(queue)
+        for zone_id in self._reserve:
+            state = self.device.zone(zone_id).state
+            assert state is ZoneState.EMPTY, f"reserve zone {zone_id} is {state.name}"
+        assert not queued & self._quarantined, "a quarantined zone sits in a queue"
 
 
 __all__ = ["ZoneLifecycleManager", "ZoneLifecyclePolicy", "ZoneLifecycleStats"]

@@ -279,8 +279,8 @@ class TestStoreCorrectness:
                 store.put(int(rng.integers(0, 64)), i)
             store.check_invariants()
             assert store.stats.compactions > 10 and len(store.level_sizes_pages()) > 2
-        assert store.backend.stats.zones_reset > 10
-        assert store.backend._sealed and store.backend.free_zone_count < 24
+        assert store.backend.log.resets > 10
+        assert store.backend.log.sealed.any() and len(store.backend.log.free) < 24
 
 
 class TestCheckInvariants:
@@ -397,10 +397,10 @@ class TestZoneFileBackend:
         backend.write_table(b)  # ... and b fills it exactly, sealing it
         for page in range(b.size_pages):
             backend.read_table_page(b, page)
-        assert backend.stats.zones_reset == 0
+        assert backend.log.resets == 0
         backend.check_invariants()
         backend.delete_table(b)
-        assert backend.stats.free_zone_resets == 1
+        assert backend.log.free_resets == backend.log.resets == 1
         backend.check_invariants()
 
     def test_wal_page_filling_a_dead_zone_stays_live(self):
@@ -410,9 +410,9 @@ class TestZoneFileBackend:
         backend.reset_wal()  # seven dead pages in the open WAL zone
         backend.append_wal_page()  # the eighth fills and seals it
         backend.check_invariants()
-        assert backend.stats.zones_reset == 0
+        assert backend.log.resets == 0
         backend.reset_wal()
-        assert backend.stats.free_zone_resets == 1
+        assert backend.log.free_resets == backend.log.resets == 1
 
     def test_seed_2_recipe_keeps_every_table_readable(self):
         """E5's zoned stack and config, ``random.Random(2)`` puts over 100k
@@ -445,7 +445,7 @@ class TestZoneFileBackend:
         backend.write_table(scratch)  # zone 5, left open
         for dead in (halves[0], halves[2], scratch):
             backend.delete_table(dead)
-        assert backend.free_zone_count == backend.reserve_zones
+        assert len(backend.log.free) == backend.reserve_zones
         # Two pages seal zone 5 with nothing else live in it; the next zone
         # needs a reclaim, whose emptiest candidate would be zone 5 itself.
         spanning = self.table(5)
@@ -478,17 +478,17 @@ class TestZoneFileBackend:
             return store.backend
 
         backend = churned()
-        next(iter(backend._zones.values())).live_pages += 1
+        backend.log.live[int(np.flatnonzero(backend.log.live)[0])] += 1
         with pytest.raises(AssertionError, match="live pages"):
             backend.check_invariants()
 
         backend = churned()
-        backend._free.append(next(iter(backend._sealed)))
+        backend.log.free.append(int(np.flatnonzero(backend.log.sealed)[0]))
         with pytest.raises(AssertionError, match="partition"):
             backend.check_invariants()
 
         backend = churned()
-        table, extents = next(iter(backend._tables.values()))
+        extents = next(iter(backend._tables.values())).handle
         backend.device.reset_zone(extents[0].zone)
         with pytest.raises(AssertionError, match="above wp"):
             backend.check_invariants()

@@ -30,6 +30,7 @@ PINNED = {
 
 def _digest(store: LSMStore, nand) -> str:
     counters = nand.counters
+    log = getattr(store.backend, "log", None)  # the zoned backend's zone log
     state = {
         "stats": {k: v for k, v in vars(store.stats).items() if isinstance(v, int)},
         "io_plan": [asdict(entry) for entry in store.stats.io_plan],
@@ -37,6 +38,8 @@ def _digest(store: LSMStore, nand) -> str:
         # The backend's page traffic is the NAND's, cause by cause.
         "backend": {
             **asdict(store.backend.stats),
+            "zones_reset": log.resets if log else 0,
+            "free_zone_resets": log.free_resets if log else 0,
             "pages_written": counters.count("program", "host"),
             "pages_read": counters.count("read", "host"),
             "pages_relocated": counters.count("program", "reclaim"),

@@ -11,8 +11,12 @@ from repro.block.dmzoned import (
     ZonedBlockDevice,
 )
 from repro.block.interface import BlockDevice
+from repro.faults import FaultInjector, FaultPlan
 from repro.flash.geometry import FlashGeometry, ZonedGeometry
+from repro.hostio.zonelife import ZoneLifecycleManager, ZoneLifecyclePolicy
 from repro.zns.device import ZNSDevice
+from repro.zns.errors import ZoneOfflineError
+from repro.zns.zone import ZoneState
 
 
 def make_layer(**config_kwargs):
@@ -152,7 +156,7 @@ class TestReclaim:
         # The victim was drained and reset; a GC destination zone may have
         # been opened along the way, so the net gain is 0 or 1 zones.
         assert layer.free_zone_count >= free_before
-        assert layer.stats.zones_reset >= 1
+        assert layer.log.resets >= 1
         assert steps > 1  # it genuinely took multiple quanta
         assert relocated(layer) > copied_before
         layer.check_invariants()
@@ -160,6 +164,72 @@ class TestReclaim:
     def test_host_dram_footprint(self):
         layer = make_layer()
         assert layer.host_dram_bytes() == layer.logical_pages * 4
+
+
+class TestZoneLoss:
+    """A zone that goes OFFLINE is lost once, whichever path finds it first."""
+
+    def test_frontier_dropped_by_a_read_is_not_written_again(self):
+        plan = FaultPlan(seed=0, zone_offline_at=((4, 0),))
+        layer = ZonedBlockDevice(ZNSDevice(ZonedGeometry.small(), faults=FaultInjector(plan)))
+        for lba in range(4):
+            layer.write(lba)
+        with pytest.raises(ZoneOfflineError):
+            layer.read(0)
+        assert layer.stats.zones_lost == 1 and layer.stats.pages_lost == 4
+        layer.write(100)
+        assert layer.stats.zones_lost == 1
+        assert layer.device.zone(0).state is ZoneState.OFFLINE
+        assert layer.log.frontiers["write"] != 0
+        layer.check_invariants()
+
+    def test_victim_dropped_by_a_read_is_not_collected_again(self):
+        layer = make_layer()
+        ppz = layer.device.geometry.pages_per_zone
+        for lba in range(3 * ppz + 1):  # zones 0-2 sealed, zone 3 open
+            layer.write(lba)
+        for lba in range(3, ppz):
+            layer.trim(lba)  # zone 0 keeps three valid pages
+        layer.reclaim_step(max_copies=1)  # victim 0, one page moved out
+        assert layer._victim == 0
+        # What a zone_offline_at schedule does to a zone: it dies.
+        layer.device.zone(0).transition_offline()
+        with pytest.raises(ZoneOfflineError):
+            layer.read(1)
+        assert layer.stats.zones_lost == 1 and layer.stats.pages_lost == 2
+        assert layer._victim is None
+        gc_runs = layer.stats.gc_runs
+        layer.reclaim_step(max_copies=1)  # a fresh victim, not the dead one
+        assert layer._victim == 1
+        assert layer.stats.gc_runs == gc_runs and layer.stats.zones_lost == 1
+        assert layer.read(0)[0] is None  # the page moved before the loss
+        layer.check_invariants()
+
+    def test_a_quarantined_reset_leaves_circulation(self):
+        plan = FaultPlan(seed=0, reset_fail_prob=1.0)
+        device = ZNSDevice(ZonedGeometry.small(), faults=FaultInjector(plan))
+        lifecycle = ZoneLifecycleManager(device, ZoneLifecyclePolicy(max_retries=1))
+        layer = ZonedBlockDevice(device, lifecycle=lifecycle)
+        ppz = device.geometry.pages_per_zone
+        for lba in range(ppz + 1):  # zone 0 sealed, zone 1 open
+            layer.write(lba)
+        for lba in range(ppz):
+            layer.trim(lba)
+        layer.collect_once()  # victim 0 has nothing to move; its reset keeps bouncing
+        assert lifecycle.is_quarantined(0) and 0 in layer.log.dropped
+        assert 0 not in layer.log.free and layer.log.resets == 1
+        assert layer.stats.zones_lost == 1 and layer.stats.gc_runs == 1
+        layer.check_invariants()  # the lifecycle's included
+
+    def test_check_invariants_rejects_a_dropped_victim(self):
+        layer = make_layer()
+        layer.log.dropped.add(5)
+        layer._victim = 5
+        with pytest.raises(AssertionError, match="partition"):
+            layer.check_invariants()
+        layer.log.free.remove(5)
+        with pytest.raises(AssertionError, match="victim was dropped"):
+            layer.check_invariants()
 
 
 @settings(max_examples=15, deadline=None)

@@ -12,11 +12,15 @@ import copy
 
 import pytest
 
+from repro.apps.lsm import LSMConfig, LSMStore, ZoneFileBackend
 from repro.block.factory import DeviceSpec, build_stack
 from repro.experiments import e16_fleet_serving as e16
 from repro.experiments import e17_reset_pressure as e17
 from repro.fleet import FleetSpec, rack, simulate_fleet, simulate_shard
+from repro.placement import ZonedObjectStore
+from repro.placement.hints import by_owner
 from repro.sim.rng import make_rng
+from repro.workloads.lifetime import ObjectLifetimeWorkload
 from repro.zns.zone import ZoneState
 
 _FLASH = (("blocks_per_plane", 8),)
@@ -91,6 +95,68 @@ def test_a_copied_stack_replays_its_original(kind):
 
 def _nand(stack):
     return stack.device.nand if hasattr(stack, "device") else stack.nand
+
+
+def _zns(blocks_per_zone: int, flash=_FLASH):
+    return build_stack(
+        DeviceSpec(kind="zns", geometry="small", flash=flash, blocks_per_zone=blocks_per_zone)
+    )
+
+
+def _log_state(log) -> tuple:
+    return (
+        log.free, log.frontiers, log.live.tolist(), log.sealed.tolist(),
+        sorted(log.dropped), log.resets, log.free_resets,
+    )
+
+
+def test_a_copied_placement_store_replays_its_original():
+    store = ZonedObjectStore(_zns(1), hint_policy=by_owner)
+    capacity = store.device.zone_count * store.device.geometry.pages_per_zone
+    events = list(
+        ObjectLifetimeWorkload(
+            num_objects=capacity, owners=4, size_pages=2,
+            lifetime_scale=0.85 * capacity / (8 * 2) / 7600.0, seed=3,
+        ).events()
+    )
+    half = len(events) // 2
+
+    def drive(target, part):
+        for event in part:
+            target.put(event) if event.kind == "create" else target.delete(event.obj_id)
+
+    drive(store, events[:half])
+    clone = copy.deepcopy(store)
+    assert store.log.resets > 0  # aged: reclaim is running
+    drive(clone, events[half:])
+    drive(store, events[half:])
+    assert _log_state(clone.log) == _log_state(store.log)
+    assert clone.objects == store.objects
+    assert clone.device.nand.counters == store.device.nand.counters
+    clone.check_invariants()
+
+
+def test_a_copied_lsm_zoned_backend_replays_its_original():
+    config = LSMConfig(memtable_pages=4, level0_pages=16, level_multiplier=4, max_table_pages=4)
+    # tests/apps/test_lsm_fingerprint.py's zoned stack: it relocates tables.
+    store = LSMStore(ZoneFileBackend(_zns(2, (("blocks_per_plane", 4),))), config)
+    keys = make_rng(5).integers(0, 24_000, 30_000).tolist()
+    for i, key in enumerate(keys[:15_000]):
+        store.put(key, i)
+    clone = copy.deepcopy(store)
+    assert store.backend.log.resets > 0
+    for target in (clone, store):
+        for i, key in enumerate(keys[15_000:]):
+            target.put(key, i)
+    backend, copied = store.backend, clone.backend
+    assert _log_state(copied.log) == _log_state(backend.log)
+    # Table ids come from one process-wide counter, so compare by level.
+    assert [[t.handle for t in level] for level in clone.levels] == [
+        [t.handle for t in level] for level in store.levels
+    ]
+    assert copied.device.nand.counters == backend.device.nand.counters
+    assert copied.device.nand.counters.count("program", "reclaim") > 0
+    clone.check_invariants()
 
 
 _E16_TINY = dict(devices=2, tenants=4, ticks=60, warmup=120, seed=0)

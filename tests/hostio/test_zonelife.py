@@ -80,6 +80,7 @@ class TestReserve:
         assert manager.request_free_zone() is None
         assert manager.stats.reserve_misses == 1
         assert manager.stats.reserve_hits == 0
+        manager.check_invariants()
 
     def test_tick_resets_ahead_and_fills_the_reserve(self):
         device = ZNSDevice(tiny_geometry())
@@ -104,6 +105,7 @@ class TestReserve:
         # Foreground allocation now hits.
         assert manager.request_free_zone() == 0
         assert manager.stats.reserve_hits == 1
+        manager.check_invariants()
 
     def test_budgeted_tick_fits_the_window_but_always_progresses(self):
         device = ZNSDevice(tiny_geometry())
@@ -123,6 +125,7 @@ class TestReserve:
         manager.tick(budget_us=2 * estimate)
         assert manager.reserve_size == 3
         assert manager.stats.reset_ahead == 3
+        manager.check_invariants()
 
     def test_reset_now_counts_and_resets(self):
         device = ZNSDevice(tiny_geometry())
@@ -131,6 +134,7 @@ class TestReserve:
         manager.reset_now(0)
         assert device.zone(0).state is ZoneState.EMPTY
         assert manager.stats.resets == 1
+        manager.check_invariants()
 
 
 class TestDeferredFinish:
@@ -152,6 +156,7 @@ class TestDeferredFinish:
         manager.tick()
         assert manager.backlog == 0
         assert device.zone(2).state is ZoneState.FULL
+        manager.check_invariants()
 
     def test_finish_now_is_inline(self):
         device = ZNSDevice(tiny_geometry())
@@ -160,6 +165,7 @@ class TestDeferredFinish:
         manager.finish_now(0)
         assert device.zone(0).state is ZoneState.FULL
         assert manager.stats.finishes == 1
+        manager.check_invariants()
 
 
 class TestRetryWithBackoff:
@@ -181,6 +187,7 @@ class TestRetryWithBackoff:
         assert [op.latency_us for op in mgmt] == [700.0, 900.0]
         assert all(not op.uses_channel for op in mgmt)
         assert any(op.kind is OpKind.ERASE for op in ops)
+        manager.check_invariants()
 
     def test_non_retryable_errors_propagate(self):
         plan = FaultPlan(zone_offline_at=((0, 1),))
@@ -191,6 +198,7 @@ class TestRetryWithBackoff:
         with pytest.raises(ZoneOfflineError):
             manager.finish_now(1)
         assert not manager.is_quarantined(1)
+        manager.check_invariants()
 
 
 class TestQuarantine:
@@ -224,6 +232,7 @@ class TestQuarantine:
         assert len(events) == 1
         assert events[0].action == "zone-quarantined"
         assert events[0].zone == 0
+        manager.check_invariants()
 
     def test_quarantined_zones_leave_circulation(self):
         _, manager, _, _ = self._exhausted()
@@ -234,6 +243,7 @@ class TestQuarantine:
         manager._quarantine(0, "reset")
         assert manager.stats.zones_quarantined == 1
         assert manager.reserve_target == 1
+        manager.check_invariants()
 
     def test_stats_round_trip(self):
         _, manager, _, _ = self._exhausted()
@@ -241,6 +251,7 @@ class TestQuarantine:
         assert payload["zones_quarantined"] == 1
         assert payload["retries"] == 2
         assert set(payload) == set(ZoneLifecycleStats().to_dict())
+        manager.check_invariants()
 
 
 class TestSchedulerGating:
@@ -258,6 +269,7 @@ class TestSchedulerGating:
         manager.tick(HostIOState(now=5.0))
         assert manager.reserve_size == 1
         assert scheduler.seen[-1].now == 5.0
+        manager.check_invariants()
 
 
 class TestTimedLifecycleWiring:
@@ -270,3 +282,42 @@ class TestTimedLifecycleWiring:
         lifecycle = ZoneLifecycleManager(stranger)
         with pytest.raises(ValueError):
             TimedZonedBlockDevice(Engine(), geometry=geometry, lifecycle=lifecycle)
+
+
+class TestCheckInvariants:
+    """Each queue rule of ``check_invariants``, broken once."""
+
+    @staticmethod
+    def _queued():
+        device = ZNSDevice(tiny_geometry())
+        manager = ZoneLifecycleManager(device, policy=ZoneLifecyclePolicy(reserve_zones=1))
+        for zone_id in (0, 1, 2):
+            device.write(zone_id, device.zone(zone_id).capacity_pages, build_ops=False)
+            manager.note_reclaimable(zone_id)
+        manager.tick()  # zone 0 resets into the reserve; 1 and 2 stay pending
+        manager.check_invariants()
+        return device, manager
+
+    def test_a_zone_twice_in_one_queue(self):
+        _, manager = self._queued()
+        manager.note_reclaimable(1)
+        with pytest.raises(AssertionError, match="twice in _pending_reset"):
+            manager.check_invariants()
+
+    def test_a_zone_in_two_queues(self):
+        _, manager = self._queued()
+        manager.defer_finish(2)
+        with pytest.raises(AssertionError, match="in _deferred_finish sits in another queue"):
+            manager.check_invariants()
+
+    def test_a_written_reserve_zone(self):
+        device, manager = self._queued()
+        device.write(0, npages=1)
+        with pytest.raises(AssertionError, match="reserve zone 0 is IMPLICIT_OPEN"):
+            manager.check_invariants()
+
+    def test_a_quarantined_zone_in_a_queue(self):
+        _, manager = self._queued()
+        manager._quarantined.add(2)
+        with pytest.raises(AssertionError, match="quarantined zone sits in a queue"):
+            manager.check_invariants()

@@ -46,7 +46,7 @@ class TestPutDelete:
         store = make_store()
         store.put(event(obj_id=1, size=3))
         assert store.contains(1)
-        assert store.live_pages(store.objects[1].zone) == 3
+        assert store.log.live_v[store.objects[1].zone] == 3
 
     def test_duplicate_put_rejected(self):
         store = make_store()
@@ -58,13 +58,24 @@ class TestPutDelete:
         with pytest.raises(ValueError):
             make_store().put(event(size=0))
 
+    def test_object_larger_than_a_zone_rejected_up_front(self):
+        store = make_store(policy=by_owner)
+        store.put(event(obj_id=1, owner=0))
+        free, frontiers = list(store.log.free), dict(store.log.frontiers)
+        too_big = store.device.geometry.pages_per_zone + 1
+        with pytest.raises(ValueError, match="fit in one zone"):
+            store.put(event(obj_id=2, owner=1, size=too_big))
+        assert store.log.free == free and store.log.frontiers == frontiers
+        assert not store.contains(2)
+        store.check_invariants()
+
     def test_delete_marks_dead(self):
         store = make_store()
         store.put(event(obj_id=1, size=2))
         zone = store.objects[1].zone
         store.delete(1)
         assert not store.contains(1)
-        assert store.live_pages(zone) == 0
+        assert store.log.live_v[zone] == 0
 
     def test_delete_unknown_is_noop(self):
         make_store().delete(999)
@@ -86,8 +97,8 @@ class TestReclaim:
             store.put(event(obj_id=i))
         for i in range(count):
             store.delete(i)
-        store.reclaim(store.free_zone_count + 2)
-        assert store.stats.free_resets >= 2
+        assert store.log.reclaim(len(store.log.free) + 2, store._evacuate) is None
+        assert store.log.free_resets == store.log.resets >= 2
         assert store.device.nand.counters.count("program", "reclaim") == 0
 
     def test_survivors_relocated(self):
@@ -102,8 +113,8 @@ class TestReclaim:
         for i in range(2 * pages_per_zone):
             if i not in survivors and store.objects[i].zone == first_zone:
                 store.delete(i)
-        before = store.free_zone_count
-        store.reclaim(before + 1)
+        before = len(store.log.free)
+        store.log.reclaim(before + 1, store._evacuate)
         assert store.contains(survivors[0])
         assert store.device.nand.counters.count("program", "reclaim") >= 1
         store.check_invariants()

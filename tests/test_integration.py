@@ -158,7 +158,7 @@ class TestDeterminism:
             counters = layer.device.nand.counters
             return (
                 counters.count("program", "reclaim"),
-                layer.stats.zones_reset,
+                layer.log.resets,
                 counters.programmed_pages(),
             )
 

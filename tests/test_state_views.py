@@ -120,7 +120,7 @@ REBINDINGS = [
         "store.gtd", "store.tvpn_slot", "store.slot_tvpn", "store.slot_dirty",
         "store.slot_stamp", "_trans_valid",
     )),
-    *((_dmzoned, path) for path in ("_l2p", "_p2l", "_valid")),
+    *((_dmzoned, path) for path in ("_l2p", "_p2l", "log.live", "log.sealed")),
 ]
 
 

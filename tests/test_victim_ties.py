@@ -9,12 +9,18 @@ history, a copied device would not replay its original.
 
 Each side seals the same four empty (all-invalid) units, every one a
 tie. The second side first seals and collects six others, so its pool
-saw more adds and discards than the first's.
+saw more adds and discards than the first's. The placement store and the
+LSM zoned backend reclaim through their zone log, as dm-zoned does, and
+are held to the same rule.
 """
 
+import pytest
+
+from repro.apps.lsm.backends import ZoneFileBackend
 from repro.block.dmzoned import ZonedBlockDevice
 from repro.flash.geometry import FlashGeometry, ZonedGeometry
 from repro.ftl.ftl import ConventionalFTL, FTLConfig
+from repro.placement.store import ZonedObjectStore
 from repro.zns.device import ZNSDevice
 
 TIED = (9, 2, 12, 5)
@@ -56,15 +62,15 @@ def test_conventional_ftl_ties_go_to_the_lowest_block():
 
 def _dmz_seal(dmz: ZonedBlockDevice, zones) -> None:
     for zone in zones:
-        dmz._free_zones.remove(zone)
-        dmz._seal(zone)
+        dmz.log.free.remove(zone)
+        dmz.log.seal(zone)
 
 
 def _dmz_victims(dmz: ZonedBlockDevice, n: int) -> list[int]:
     victims = []
     for _ in range(n):
         dmz.reclaim_step()
-        victims.append(dmz._free_zones[-1])
+        victims.append(dmz.log.free[-1])
     return victims
 
 
@@ -78,5 +84,40 @@ def test_dmzoned_ties_go_to_the_lowest_zone():
 
     victims = _dmz_victims(fresh, len(TIED))
     assert victims == _dmz_victims(churned, len(TIED)) == sorted(TIED)
+    fresh.check_invariants()
+    churned.check_invariants()
+
+
+def _log_seal(owner, zones) -> None:
+    """Fill each zone with pages nothing references, and seal it."""
+    log = owner.log
+    for zone in zones:
+        log.free.remove(zone)
+        owner.device.write(zone, npages=owner.device.geometry.pages_per_zone, build_ops=False)
+        log.seal(zone)
+
+
+def _log_victims(owner, n: int) -> list[int]:
+    victims = []
+    for _ in range(n):
+        assert owner.log.reclaim(len(owner.log.free) + 1, owner._evacuate) is None
+        victims.append(owner.log.free[-1])
+    return victims
+
+
+@pytest.mark.parametrize(
+    "build", [ZonedObjectStore, ZoneFileBackend], ids=["placement-store", "lsm-zoned-backend"]
+)
+def test_zone_log_owners_ties_go_to_the_lowest_zone(build):
+    fresh = build(ZNSDevice(ZonedGeometry.small()))
+    _log_seal(fresh, TIED)
+    churned = build(ZNSDevice(ZonedGeometry.small()))
+    _log_seal(churned, PREVIOUS)
+    _log_victims(churned, len(PREVIOUS))
+    _log_seal(churned, reversed(TIED))
+
+    victims = _log_victims(fresh, len(TIED))
+    assert victims == _log_victims(churned, len(TIED)) == sorted(TIED)
+    assert fresh.log.free_resets == len(TIED)
     fresh.check_invariants()
     churned.check_invariants()
