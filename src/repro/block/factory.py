@@ -25,6 +25,9 @@ kind                 top-level object
 ``dmzoned-timed``    :class:`~repro.hostio.timed.TimedZonedBlockDevice`
 ===================  ========================================================
 
+A timed kind wraps the core its untimed twin's branch builds
+(:func:`build_core`), so both read every spec field alike.
+
 Geometry is a named preset (``small`` / ``bench``) plus optional field
 overrides, so specs stay JSON-round-trippable; adversity arms through
 ``fault_plan`` (a frozen :class:`~repro.faults.plan.FaultPlan`) scaled by
@@ -52,8 +55,19 @@ SPEC_VERSION = 1
 #: Stack kinds that accept a fault injector.
 FAULT_CAPABLE_KINDS = frozenset({"conventional-ftl", "zns", "dmzoned"})
 
+#: Each timed kind's untimed twin: the branch that builds the core its
+#: wrapper times (:func:`build_core`).
+UNTIMED_TWINS = {
+    "conventional-timed": "conventional-ssd",
+    "zns-timed": "zns",
+    "dmzoned-timed": "dmzoned",
+}
+
 #: Stack kinds that require a simulation engine at build time.
-TIMED_KINDS = frozenset({"conventional-timed", "zns-timed", "dmzoned-timed"})
+TIMED_KINDS = frozenset(UNTIMED_TWINS)
+
+#: The options a timed wrapper keeps; every other extra goes to its core.
+WRAPPER_OPTIONS = ("prioritize_reads", "erase_suspend_slices", "scheduler")
 
 KINDS = frozenset(
     {
@@ -393,6 +407,10 @@ def _ftl_config(spec: DeviceSpec):
     kwargs = _as_kwargs(spec.ftl)
     if spec.wl_policy is not None:
         kwargs.setdefault("wl_policy", spec.wl_policy)
+    if spec.kind == "conventional-timed":
+        # Timed runs default to plane-parallel GC (4 destination
+        # streams), matching real controllers.
+        kwargs.setdefault("gc_streams", 4)
     return FTLConfig(**kwargs) if kwargs else None
 
 
@@ -428,8 +446,9 @@ def build_stack(spec: DeviceSpec, engine: Any = None, tracer: Any = None, **runt
     ``engine`` is required for (and only accepted by) timed kinds;
     ``tracer`` threads the caller's telemetry bus through every layer.
     ``runtime`` passes non-serializable collaborators (e.g. a
-    ``scheduler`` for ``dmzoned-timed``) straight to the top-level
-    constructor -- anything spec-worthy belongs in the spec instead.
+    ``scheduler`` for ``dmzoned-timed``) straight to the constructors --
+    anything spec-worthy belongs in the spec instead. A timed kind is
+    :func:`build_core`'s core wrapped with the ``WRAPPER_OPTIONS``.
     """
     if not isinstance(spec, DeviceSpec):
         raise TypeError(f"build_stack takes a DeviceSpec, got {type(spec).__name__}")
@@ -437,11 +456,44 @@ def build_stack(spec: DeviceSpec, engine: Any = None, tracer: Any = None, **runt
         raise ValueError(f"kind {spec.kind!r} requires a simulation engine")
     if not spec.timed and engine is not None:
         raise ValueError(f"kind {spec.kind!r} does not take an engine")
-    extra = _as_kwargs(spec.extra)
-    extra.update(runtime)
-    faults = fault_injector(spec)
+    extra = {**_as_kwargs(spec.extra), **runtime}
+    if not spec.timed:
+        return _build_untimed(spec, spec.kind, tracer, extra)
+    options = {name: value for name, value in extra.items() if name in WRAPPER_OPTIONS}
+    core = build_core(spec, tracer, **runtime)
+    if spec.kind == "conventional-timed":
+        from repro.ftl.device import TimedConventionalSSD as Timed
+    elif spec.kind == "zns-timed":
+        from repro.zns.device import TimedZNSDevice as Timed
+    else:
+        from repro.hostio.timed import TimedZonedBlockDevice as Timed
+    return Timed(engine, core, **options)
 
-    if spec.kind == "conventional-ftl":
+
+def build_core(spec: DeviceSpec, tracer: Any = None, **runtime: Any):
+    """The untimed core a timed kind's wrapper times: the ``ftl`` of a
+    ``conventional-ssd``, a ``zns`` device or a ``dmzoned`` layer, built
+    by that twin's branch from every spec field and runtime argument but
+    the ``WRAPPER_OPTIONS``.
+
+    A warmed core is replayable (DESIGN.md §6): E3, E11 and A3 warm one
+    and wrap a :func:`~repro.flash.state.replay_copy` of it per arm.
+    """
+    if spec.kind not in UNTIMED_TWINS:
+        raise ValueError(f"kind {spec.kind!r} is not timed; build_stack builds it whole")
+    extra = {
+        name: value
+        for name, value in {**_as_kwargs(spec.extra), **runtime}.items()
+        if name not in WRAPPER_OPTIONS
+    }
+    core = _build_untimed(spec, UNTIMED_TWINS[spec.kind], tracer, extra)
+    return core.ftl if spec.kind == "conventional-timed" else core
+
+
+def _build_untimed(spec: DeviceSpec, kind: str, tracer: Any, extra: dict[str, Any]):
+    """Branch ``kind`` (an untimed kind) of the factory, built from ``spec``."""
+    faults = fault_injector(spec)
+    if kind == "conventional-ftl":
         from repro.ftl.ftl import ConventionalFTL
 
         return ConventionalFTL(
@@ -451,7 +503,7 @@ def build_stack(spec: DeviceSpec, engine: Any = None, tracer: Any = None, **runt
             faults=faults,
             **extra,
         )
-    if spec.kind == "conventional-ssd":
+    if kind == "conventional-ssd":
         from repro.ftl.device import ConventionalSSD
 
         return ConventionalSSD(
@@ -461,17 +513,7 @@ def build_stack(spec: DeviceSpec, engine: Any = None, tracer: Any = None, **runt
             tracer=tracer,
             **extra,
         )
-    if spec.kind == "conventional-timed":
-        from repro.ftl.device import TimedConventionalSSD
-
-        return TimedConventionalSSD(
-            engine,
-            spec.flash_geometry(),
-            _ftl_config(spec),
-            tracer=tracer,
-            **extra,
-        )
-    if spec.kind == "dftl":
+    if kind == "dftl":
         from repro.ftl.dftl import DemandPagedFTL
 
         return DemandPagedFTL(
@@ -481,72 +523,28 @@ def build_stack(spec: DeviceSpec, engine: Any = None, tracer: Any = None, **runt
             tracer=tracer,
             **extra,
         )
-    if spec.kind == "zns":
-        from repro.zns.device import ZNSDevice
+    # zns, and dmzoned's layer over the same device.
+    from repro.zns.device import ZNSDevice
 
-        return ZNSDevice(
-            spec.zoned_geometry(),
-            store_data=spec.store_data,
-            spare_blocks=spec.spare_blocks,
-            striped=spec.striped,
-            tracer=tracer,
-            faults=faults,
-            mgmt_timing=_mgmt_timing(spec),
-            **extra,
-        )
-    if spec.kind == "zns-timed":
-        from repro.zns.device import TimedZNSDevice
+    device = ZNSDevice(
+        spec.zoned_geometry(),
+        store_data=spec.store_data,
+        spare_blocks=spec.spare_blocks,
+        striped=spec.striped,
+        tracer=tracer,
+        faults=faults,
+        mgmt_timing=_mgmt_timing(spec),
+        **(extra if kind == "zns" else {}),
+    )
+    if kind == "zns":
+        return device
+    from repro.block.dmzoned import ZonedBlockConfig, ZonedBlockDevice
 
-        return TimedZNSDevice(
-            engine,
-            spec.zoned_geometry(),
-            striped=spec.striped,
-            tracer=tracer,
-            mgmt_timing=_mgmt_timing(spec),
-            **extra,
-        )
-    if spec.kind == "dmzoned":
-        from repro.block.dmzoned import ZonedBlockConfig, ZonedBlockDevice
-        from repro.zns.device import ZNSDevice
-
-        device = ZNSDevice(
-            spec.zoned_geometry(),
-            store_data=spec.store_data,
-            spare_blocks=spec.spare_blocks,
-            striped=spec.striped,
-            tracer=tracer,
-            faults=faults,
-            mgmt_timing=_mgmt_timing(spec),
-        )
-        return ZonedBlockDevice(
-            device,
-            ZonedBlockConfig(**_as_kwargs(spec.zoned_block)) if spec.zoned_block else None,
-            **extra,
-        )
-    if spec.kind == "dmzoned-timed":
-        from repro.block.dmzoned import ZonedBlockConfig
-        from repro.hostio.timed import TimedZonedBlockDevice
-
-        mgmt = _mgmt_timing(spec)
-        if mgmt is not None and "device" not in extra:
-            from repro.zns.device import ZNSDevice
-
-            extra["device"] = ZNSDevice(
-                spec.zoned_geometry(),
-                store_data=spec.store_data,
-                spare_blocks=spec.spare_blocks,
-                striped=spec.striped,
-                tracer=tracer,
-                mgmt_timing=mgmt,
-            )
-        return TimedZonedBlockDevice(
-            engine,
-            spec.zoned_geometry(),
-            ZonedBlockConfig(**_as_kwargs(spec.zoned_block)) if spec.zoned_block else None,
-            tracer=tracer,
-            **extra,
-        )
-    raise AssertionError(f"unhandled kind {spec.kind!r}")  # pragma: no cover
+    return ZonedBlockDevice(
+        device,
+        ZonedBlockConfig(**_as_kwargs(spec.zoned_block)) if spec.zoned_block else None,
+        **extra,
+    )
 
 
 __all__ = [
@@ -555,7 +553,10 @@ __all__ = [
     "KINDS",
     "SPEC_VERSION",
     "TIMED_KINDS",
+    "UNTIMED_TWINS",
+    "WRAPPER_OPTIONS",
     "DeviceSpec",
+    "build_core",
     "build_stack",
     "fault_injector",
 ]

@@ -11,29 +11,33 @@ requires to matter).
 
 from __future__ import annotations
 
-from repro.block.factory import DeviceSpec, build_stack
-from repro.experiments.base import ExperimentConfig, ExperimentResult, SweepSpec, experiment
+from repro.block.factory import DeviceSpec, build_core
+from repro.experiments.base import ExperimentConfig, ExperimentResult, experiment
+from repro.flash.state import replay_copy
+from repro.ftl.device import TimedConventionalSSD
 from repro.sim.engine import Engine, Timeout
 from repro.sim.rng import make_rng
 from repro.workloads.synthetic import fill_then_churn, uniform_array
 
 
-def measure(erase_suspend_slices: int, quick: bool, seed: int) -> dict:
+def warm_ftl(seed: int):
+    """The GC-heavy (7% OP) FTL every slice count runs on, filled and churned once."""
+    spec = DeviceSpec(kind="conventional-timed", geometry="small", ftl={"op_ratio": 0.07})
+    ftl = build_core(spec)
+    n = ftl.logical_pages
+    fill_then_churn(ftl, uniform_array(n, n // 2, seed=seed + 2))
+    return ftl
+
+
+def measure(ftl, erase_suspend_slices: int, quick: bool, seed: int) -> dict:
+    """One slice count's run on a copy of the warmed ``ftl``."""
     engine = Engine()
-    ssd = build_stack(
-        DeviceSpec(
-            kind="conventional-timed",
-            geometry="small",
-            ftl={"op_ratio": 0.07},
-            extra={
-                "prioritize_reads": True,  # suspension is pointless without priority
-                "erase_suspend_slices": erase_suspend_slices,
-            },
-        ),
-        engine=engine,
+    ssd = TimedConventionalSSD(
+        engine, replay_copy(ftl),
+        prioritize_reads=True,  # suspension is pointless without priority
+        erase_suspend_slices=erase_suspend_slices,
     )
-    n = ssd.ftl.logical_pages
-    fill_then_churn(ssd.ftl, uniform_array(n, n // 2, seed=seed + 2))
+    n = ftl.logical_pages
 
     reads = 1500 if quick else 6000
     rng_w = make_rng(seed)
@@ -62,16 +66,13 @@ def measure(erase_suspend_slices: int, quick: bool, seed: int) -> dict:
     }
 
 
-def sweep_points(config: ExperimentConfig) -> list[dict]:
-    """One independent work unit per erase-slice granularity."""
-    slice_counts = config.param("slices", [1, 2, 4, 8])
-    return [
-        {"erase_suspend_slices": s, "quick": config.quick, "seed": config.seed}
-        for s in slice_counts
+@experiment("A3")
+def run(config: ExperimentConfig) -> ExperimentResult:
+    ftl = warm_ftl(config.seed)
+    rows = [
+        measure(ftl, slices, config.quick, config.seed)
+        for slices in config.param("slices", [1, 2, 4, 8])
     ]
-
-
-def combine(config: ExperimentConfig, rows: list[dict]) -> ExperimentResult:
     monolithic = rows[0]["p999_read_us"]
     best = rows[-1]["p999_read_us"]
     return ExperimentResult(
@@ -94,12 +95,4 @@ def combine(config: ExperimentConfig, rows: list[dict]) -> ExperimentResult:
     )
 
 
-SWEEP = SweepSpec(points=sweep_points, point=measure, combine=combine)
-
-
-@experiment("A3")
-def run(config: ExperimentConfig) -> ExperimentResult:
-    return SWEEP.run(config)
-
-
-__all__ = ["SWEEP", "measure", "run"]
+__all__ = ["measure", "run", "warm_ftl"]

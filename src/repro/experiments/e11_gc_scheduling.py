@@ -13,15 +13,25 @@ an idle-aware scheduler has real windows to use.
 
 from __future__ import annotations
 
-from repro.block.factory import DeviceSpec, build_stack
-from repro.experiments.base import ExperimentConfig, ExperimentResult, SweepSpec, experiment
+from repro.block.factory import DeviceSpec, build_core
+from repro.experiments.base import ExperimentConfig, ExperimentResult, experiment
+from repro.flash.state import replay_copy
 from repro.hostio.scheduler import make_scheduler
+from repro.hostio.timed import TimedZonedBlockDevice
 from repro.sim.engine import Engine, Timeout
 from repro.sim.rng import make_rng
 
+#: The reclaim schedulers compared, with their knobs.
+SCHEDULERS = (
+    ("always-on", {}),
+    ("rate-limited", {"min_interval_us": 3000.0, "urgent_free_zones": 2}),
+    ("idle-window", {"idle_threshold_us": 500.0, "urgent_free_zones": 2}),
+)
 
-def measure_scheduler(name: str, quick: bool, seed: int, **scheduler_kwargs) -> dict:
-    engine = Engine()
+
+def warm_layer(seed: int):
+    """The dm-zoned layer every scheduler runs on, filled once and parked
+    at its reclaim watermark."""
     spec = DeviceSpec(
         kind="dmzoned-timed",
         geometry="small",
@@ -36,18 +46,26 @@ def measure_scheduler(name: str, quick: bool, seed: int, **scheduler_kwargs) -> 
             "gc_low_zones": 6,
             "gc_high_zones": 8,
         },
-        extra={"prioritize_reads": False},  # isolate the scheduling effect
     )
-    # The scheduler is a live collaborator, so it rides as a runtime arg.
-    host = build_stack(
-        spec, engine=engine, scheduler=make_scheduler(name, **scheduler_kwargs)
-    )
-    n = host.layer.logical_pages
+    layer = build_core(spec)
+    n = layer.logical_pages
     for lpn in range(n):
-        host.layer.write(lpn)
+        layer.write(lpn)
     churn = make_rng(seed + 2)
     for _ in range(n // 2):  # park the stack at its reclaim watermark
-        host.layer.write(int(churn.integers(0, n)))
+        layer.write(int(churn.integers(0, n)))
+    return layer
+
+
+def measure_scheduler(layer, name: str, quick: bool, seed: int, **scheduler_kwargs) -> dict:
+    """One scheduler's run on a copy of the warmed ``layer``."""
+    engine = Engine()
+    # Read prioritization off: isolate the scheduling effect.
+    host = TimedZonedBlockDevice(
+        engine, replay_copy(layer), make_scheduler(name, **scheduler_kwargs),
+        prioritize_reads=False,
+    )
+    n = host.layer.logical_pages
 
     bursts = 80 if quick else 160
     rng_w = make_rng(seed)
@@ -81,28 +99,13 @@ def measure_scheduler(name: str, quick: bool, seed: int, **scheduler_kwargs) -> 
     }
 
 
-def sweep_points(config: ExperimentConfig) -> list[dict]:
-    """One independent work unit per reclaim scheduler."""
-    return [
-        {"name": "always-on", "quick": config.quick, "seed": config.seed},
-        {
-            "name": "rate-limited",
-            "quick": config.quick,
-            "seed": config.seed,
-            "min_interval_us": 3000.0,
-            "urgent_free_zones": 2,
-        },
-        {
-            "name": "idle-window",
-            "quick": config.quick,
-            "seed": config.seed,
-            "idle_threshold_us": 500.0,
-            "urgent_free_zones": 2,
-        },
+@experiment("E11")
+def run(config: ExperimentConfig) -> ExperimentResult:
+    layer = warm_layer(config.seed)
+    rows = [
+        measure_scheduler(layer, name, config.quick, config.seed, **knobs)
+        for name, knobs in SCHEDULERS
     ]
-
-
-def combine(config: ExperimentConfig, rows: list[dict]) -> ExperimentResult:
     always = rows[0]["p999_read_us"]
     best = min(rows[1:], key=lambda r: r["p999_read_us"])
     return ExperimentResult(
@@ -128,12 +131,4 @@ def combine(config: ExperimentConfig, rows: list[dict]) -> ExperimentResult:
     )
 
 
-SWEEP = SweepSpec(points=sweep_points, point=measure_scheduler, combine=combine)
-
-
-@experiment("E11")
-def run(config: ExperimentConfig) -> ExperimentResult:
-    return SWEEP.run(config)
-
-
-__all__ = ["SWEEP", "measure_scheduler", "run"]
+__all__ = ["SCHEDULERS", "measure_scheduler", "run", "warm_layer"]

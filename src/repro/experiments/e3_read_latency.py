@@ -21,33 +21,44 @@ explosion on whichever device is slower.
 
 from __future__ import annotations
 
-from repro.block.factory import DeviceSpec, build_stack
+from repro.block.factory import DeviceSpec, build_core
 from repro.experiments.base import ExperimentConfig, ExperimentResult, experiment
+from repro.flash.state import replay_copy
+from repro.ftl.device import TimedConventionalSSD
 from repro.sim.engine import Engine, Timeout
 from repro.sim.rng import make_rng
 from repro.workloads.synthetic import fill_then_churn, uniform_array
+from repro.zns.device import TimedZNSDevice
 from repro.zns.zone import ZoneState
 
 _WRITERS = 8
 
 
-class _ConvRig:
-    """A prefilled, pre-churned conventional SSD with submission hooks.
+def _conventional_core(op_ratio: float):
+    """A prefilled, pre-churned conventional FTL.
 
     Pre-churning (untimed random overwrites after the fill) parks the
     free pool at the GC watermark, so the timed phase starts in the
     steady GC regime a deployed drive lives in.
     """
+    spec = DeviceSpec(kind="conventional-timed", geometry="small", ftl={"op_ratio": op_ratio})
+    ftl = build_core(spec)
+    fill_then_churn(ftl, uniform_array(ftl.logical_pages, ftl.logical_pages // 2, seed=5))
+    return ftl
 
-    def __init__(self, op_ratio: float):
+
+def _zns_core():
+    return build_core(DeviceSpec(kind="zns-timed", geometry="small"))
+
+
+class _ConvRig:
+    """A timed conventional SSD over a copy of a warmed FTL, with submission hooks."""
+
+    def __init__(self, ftl):
         self.engine = Engine()
-        spec = DeviceSpec(
-            kind="conventional-timed", geometry="small", ftl={"op_ratio": op_ratio}
-        )
-        self.page_size = spec.flash_geometry().page_size
-        self.ssd = build_stack(spec, engine=self.engine)
-        self.n = self.ssd.ftl.logical_pages
-        fill_then_churn(self.ssd.ftl, uniform_array(self.n, self.n // 2, seed=5))
+        self.ssd = TimedConventionalSSD(self.engine, replay_copy(ftl))
+        self.page_size = ftl.geometry.page_size
+        self.n = ftl.logical_pages
         self.rng = make_rng(1234)
 
     def submit_write(self):
@@ -62,14 +73,14 @@ class _ConvRig:
 
 
 class _ZnsRig:
-    """Zone-native log writer: per-stream zones, reset-on-wrap."""
+    """Zone-native log writer over a copy of a ZNS device: per-stream
+    zones, reset-on-wrap."""
 
-    def __init__(self):
+    def __init__(self, device):
         self.engine = Engine()
-        spec = DeviceSpec(kind="zns-timed", geometry="small")
-        self.page_size = spec.zoned_geometry().flash.page_size
-        self.device = build_stack(spec, engine=self.engine)
-        self.zone_count = self.device.device.zone_count
+        self.page_size = device.page_size
+        self.device = TimedZNSDevice(self.engine, replay_copy(device))
+        self.zone_count = device.zone_count
         self._cursors = {}
         zones_per_writer = self.zone_count // _WRITERS
         self._slices = {
@@ -163,30 +174,25 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     writes = 2000 if quick else 4800
     reads = 1200 if quick else 3000
 
+    # Each arm's core is warmed once; its saturation and latency runs
+    # each time a copy of it.
+    arms = [
+        ("conventional/op=7%", _ConvRig, _conventional_core(0.07)),
+        ("conventional/op=28%", _ConvRig, _conventional_core(0.28)),
+        ("zns/zone-native", _ZnsRig, _zns_core()),
+    ]
     rows = []
     saturation = {}
-    for label, make in [
-        ("conventional/op=7%", lambda: _ConvRig(0.07)),
-        ("conventional/op=28%", lambda: _ConvRig(0.28)),
-        ("zns/zone-native", lambda: _ZnsRig()),
-    ]:
-        tp = _saturation_mb_s(make(), writes)
+    for label, rig, core in arms:
+        tp = _saturation_mb_s(rig(core), writes)
         saturation[label] = tp
-        # Latency runs use a fresh rig at a common moderate offered load.
         rows.append({"stack": label, "write_mb_s_saturated": round(tp, 2)})
 
     # Latency is compared near the weakest device's capacity: that is
     # where GC interference lives (far below it, every device looks idle).
     common_rate = 0.85 * min(saturation.values())
-    for row in rows:
-        rig = (
-            _ConvRig(0.07)
-            if row["stack"] == "conventional/op=7%"
-            else _ConvRig(0.28)
-            if row["stack"] == "conventional/op=28%"
-            else _ZnsRig()
-        )
-        lat = _read_latency_at_rate(rig, common_rate, reads, seed)
+    for row, (_, rig, core) in zip(rows, arms):
+        lat = _read_latency_at_rate(rig(core), common_rate, reads, seed)
         row["mean_read_us"] = round(lat["mean"], 1)
         row["p99_read_us"] = round(lat["p99"], 1)
         row["p999_read_us"] = round(lat["p999"], 1)

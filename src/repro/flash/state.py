@@ -1,8 +1,10 @@
 """Device state that ``copy.deepcopy`` clones as an exact, fast replay.
 
 E16/E17 warm a device once and measure each fault arm on a copy of it
-(:mod:`repro.fleet.rack`), so a copy must be a replay of its original
-(victim ties go to the lowest id, DESIGN.md §6) and must run as fast.
+(:mod:`repro.fleet.rack`), and E3, E11 and A3 time each arm on a
+:func:`replay_copy` of one warmed core, so a copy must be a replay of its
+original (victim ties go to the lowest id, DESIGN.md §6) and must run as
+fast.
 Two things in the default copy protocol stand in the way:
 
 - a ``*_v`` memoryview (DESIGN.md §6, "Scalar state reads through a
@@ -17,6 +19,7 @@ Two things in the default copy protocol stand in the way:
 
 from __future__ import annotations
 
+import copy
 from typing import Any
 
 
@@ -40,4 +43,10 @@ class Replayable:
             setattr(self, name, value)
 
 
-__all__ = ["Replayable"]
+def replay_copy(stack: Any) -> Any:
+    """A deep copy of ``stack`` that publishes on the same tracer: one warm-up
+    serves every arm measured on a copy, and the bus sees it once."""
+    return copy.deepcopy(stack, {id(stack.tracer): stack.tracer})
+
+
+__all__ = ["Replayable", "replay_copy"]

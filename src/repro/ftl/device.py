@@ -9,7 +9,6 @@ and channels, reproducing the GC-interference tail latencies of §2.4.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any
 
 import numpy as np
@@ -85,33 +84,24 @@ class TimedConventionalSSD(TimedFrontEnd):
     The collector runs whenever the free-block watermarks ask for it,
     holding planes/channels while it works, so host requests queue behind
     it: a conventional SSD has no knob for when GC may run, which is
-    precisely the paper's complaint.
+    precisely the paper's complaint. It times the FTL it is given, so a
+    warmed FTL's copy can be timed once per arm (DESIGN.md §6).
     """
 
     def __init__(
         self,
         engine: Engine,
-        geometry: FlashGeometry | None = None,
-        config: FTLConfig | None = None,
-        timing: TimingModel | None = None,
+        ftl: ConventionalFTL,
         prioritize_reads: bool = False,
         erase_suspend_slices: int = 1,
-        tracer: Tracer | None = None,
     ):
-        geometry = geometry or FlashGeometry.bench()
-        if config is None:
-            # Timed runs default to plane-parallel GC (4 destination
-            # streams), matching real controllers.
-            config = FTLConfig(gc_streams=4)
-        elif config.gc_streams == 1:
-            config = replace(config, gc_streams=4)
-        self.ftl = ConventionalFTL(geometry, config=config, timing=timing, tracer=tracer)
+        self.ftl = ftl
         # Writes stall at or below this many free blocks: it leaves the
         # collector one transient working block per GC destination stream.
-        self._stall_threshold = self.ftl.config.streams + self.ftl.config.gc_streams - 1
+        self._stall_threshold = ftl.config.streams + ftl.config.gc_streams - 1
         service = FlashServiceModel(
-            engine, geometry, timing=self.ftl.nand.timing, prioritize_reads=prioritize_reads,
-            erase_suspend_slices=erase_suspend_slices, tracer=self.ftl.tracer,
+            engine, ftl.geometry, timing=ftl.nand.timing, prioritize_reads=prioritize_reads,
+            erase_suspend_slices=erase_suspend_slices, tracer=ftl.tracer,
         )
         super().__init__(engine, service, background="ftl-gc")
 

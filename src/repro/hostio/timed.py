@@ -10,18 +10,13 @@ copy.
 
 from __future__ import annotations
 
-from repro.block.dmzoned import ZonedBlockConfig, ZonedBlockDevice
-from repro.block.interface import ZonedDevice
-from repro.flash.geometry import ZonedGeometry
+from repro.block.dmzoned import ZonedBlockDevice
 from repro.flash.ops import FlashOp
 from repro.flash.service import FlashServiceModel
-from repro.flash.timing import TimingModel
 from repro.hostio.frontend import POLL_INTERVAL_US, TimedFrontEnd
 from repro.hostio.scheduler import AlwaysOnScheduler, HostIOState, ReclaimScheduler
 from repro.obs.events import ReclaimEvent
-from repro.obs.tracer import Tracer
 from repro.sim.engine import Engine
-from repro.zns.device import ZNSDevice
 
 
 #: Simple-copy pages one reclaim step may move: short enough to fit
@@ -31,34 +26,26 @@ RECLAIM_QUANTUM_COPIES = 4
 
 
 class TimedZonedBlockDevice(TimedFrontEnd):
-    """DES wrapper around the host block-on-ZNS translation layer."""
+    """DES wrapper around a host block-on-ZNS translation layer, and the
+    lifecycle manager its zone log was given, if any."""
 
     def __init__(
         self,
         engine: Engine,
-        geometry: ZonedGeometry | None = None,
-        config: ZonedBlockConfig | None = None,
+        layer: ZonedBlockDevice,
         scheduler: ReclaimScheduler | None = None,
-        timing: TimingModel | None = None,
         prioritize_reads: bool = True,
-        device: ZonedDevice | None = None,
-        tracer: Tracer | None = None,
-        lifecycle=None,
     ):
-        geometry = geometry or ZonedGeometry.bench()
-        if device is None:
-            device = ZNSDevice(geometry, timing=timing, tracer=tracer)
-        if lifecycle is not None and lifecycle.device is not device:
-            raise ValueError("lifecycle manager must wrap the same device")
-        self.lifecycle = lifecycle
-        self.layer = ZonedBlockDevice(device, config=config, tracer=tracer, lifecycle=lifecycle)
+        self.layer = layer
+        self.lifecycle = layer.log.lifecycle
         self.scheduler = scheduler or AlwaysOnScheduler()
-        self._io_state = HostIOState(low_watermark=self.layer.config.gc_low_zones)
+        self._io_state = HostIOState(low_watermark=layer.config.gc_low_zones)
         # One bus end to end: host requests, reclaim decisions, NVMe
         # commands and flash ops all land on the same stream.
+        device = layer.device
         service = FlashServiceModel(
-            engine, geometry.flash, timing=device.nand.timing,
-            prioritize_reads=prioritize_reads, tracer=self.layer.tracer,
+            engine, device.geometry.flash, timing=device.nand.timing,
+            prioritize_reads=prioritize_reads, tracer=layer.tracer,
         )
         super().__init__(engine, service, background="host-reclaim")
 

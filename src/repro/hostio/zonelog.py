@@ -27,6 +27,8 @@ class ZoneLog(Replayable):
     """
 
     def __init__(self, device, lifecycle: Any = None, reserve: int = 0):
+        if lifecycle is not None and lifecycle.device is not device:
+            raise ValueError("lifecycle manager must wrap the same device")
         self.device = device
         self.lifecycle = lifecycle
         self.reserve = reserve

@@ -664,6 +664,7 @@ class ZNSDevice(Replayable):
     def check_invariants(self) -> None:
         """Assert structural invariants; raises AssertionError on violation."""
         self.nand.check_invariants()
+        self.ftl.check_invariants()
         ppb = self.geometry.flash.pages_per_block
         for zone in self.zones:
             z, state = zone.zone_id, zone.state
@@ -699,13 +700,13 @@ class ZNSDevice(Replayable):
 
 
 class TimedZNSDevice(TimedFrontEnd):
-    """DES wrapper: ZNS requests with plane/channel contention.
+    """DES wrapper around a ZNS device: requests with plane/channel contention.
 
     Regular writes to a zone serialize on that zone's host-side write
     lock (the write-pointer coordination burden the spec assigns to the
     host); appends skip the lock and contend only for flash resources.
 
-    With a :class:`~repro.flash.timing.ZoneMgmtTiming` attached,
+    When the device has a :class:`~repro.flash.timing.ZoneMgmtTiming`,
     management commands (reset/finish) additionally hold a per-zone
     *management gate* for their full duration: reads, writes, and
     appends to that zone queue behind the in-flight command -- the
@@ -714,32 +715,20 @@ class TimedZNSDevice(TimedFrontEnd):
     the full zone-hold span and how many requests queued behind it.
     """
 
-    def __init__(
-        self,
-        engine: Engine,
-        geometry: ZonedGeometry | None = None,
-        timing: TimingModel | None = None,
-        striped: bool = True,
-        prioritize_reads: bool = False,
-        tracer: Tracer | None = None,
-        mgmt_timing: ZoneMgmtTiming | None = None,
-    ):
-        self.device = ZNSDevice(
-            geometry or ZonedGeometry.bench(), timing=timing, striped=striped,
-            tracer=tracer, mgmt_timing=mgmt_timing,
-        )
+    def __init__(self, engine: Engine, device: ZNSDevice, prioritize_reads: bool = False):
+        self.device = device
         service = FlashServiceModel(
-            engine, self.device.geometry.flash, timing=self.device.nand.timing,
-            prioritize_reads=prioritize_reads, tracer=self.device.tracer,
+            engine, device.geometry.flash, timing=device.nand.timing,
+            prioritize_reads=prioritize_reads, tracer=device.tracer,
         )
         super().__init__(engine, service)
-        self._zone_locks = [Resource(engine) for _ in range(self.device.zone_count)]
+        self._zone_locks = [Resource(engine) for _ in range(device.zone_count)]
         self._mgmt_gates: list[Resource] | None = None
-        if mgmt_timing is not None:
+        if device.mgmt_timing is not None:
             # We publish the reset/finish events (we know hold span and
             # queued-behind); the inner device stays silent for those.
-            self.device._defer_mgmt_events = True
-            self._mgmt_gates = [Resource(engine) for _ in range(self.device.zone_count)]
+            device._defer_mgmt_events = True
+            self._mgmt_gates = [Resource(engine) for _ in range(device.zone_count)]
 
     def submit_read(self, zone_id: int, offset: int):
         return self._submit("read", zone_id, 1, lambda: [self.device.read(zone_id, offset)[1]])

@@ -184,6 +184,22 @@ class ZnsFTL(Replayable):
         entries = sum(len(blocks) for blocks in self._zone_blocks)
         return entries * bytes_per_entry
 
+    def check_invariants(self) -> None:
+        """Every block sits in at most one place -- a zone's list, the free
+        pool or the spares -- with an id in range, and no zone is wider
+        than ``blocks_per_zone``."""
+        total = self.geometry.flash.total_blocks
+        width = self.geometry.blocks_per_zone
+        placed = [*self._free_pool, *self._spares]
+        for zone_id, blocks in enumerate(self._zone_blocks):
+            assert len(blocks) <= width, f"zone {zone_id} has {len(blocks)} blocks, over {width}"
+            placed.extend(blocks)
+        seen: set[int] = set()
+        for block in placed:
+            assert 0 <= block < total, f"block {block} outside [0, {total})"
+            assert block not in seen, f"block {block} is in two places"
+            seen.add(block)
+
     def _check(self, zone_id: int) -> None:
         if not 0 <= zone_id < self.zone_count:
             raise IndexError(f"zone {zone_id} out of range [0, {self.zone_count})")

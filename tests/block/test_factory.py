@@ -18,7 +18,10 @@ from repro.block.factory import (
     FAULT_CAPABLE_KINDS,
     KINDS,
     TIMED_KINDS,
+    UNTIMED_TWINS,
+    ZONED_KINDS,
     DeviceSpec,
+    build_core,
     build_stack,
 )
 from repro.faults import FaultInjector, FaultPlan
@@ -139,6 +142,55 @@ class TestBuildStack:
         spec = _spec_for("zns").with_faults(_PLAN).with_faults(None)
         assert spec.fault_plan is None
         assert build_stack(spec).nand.faults is None
+
+
+def _substrate(core) -> tuple:
+    """The substrate switches a built core shows: store_data, and for a
+    zoned core its zone count, spares and striping."""
+    if isinstance(core, ConventionalFTL):
+        return (core.nand.store_data,)
+    device = core.device if isinstance(core, ZonedBlockDevice) else core
+    return device.nand.store_data, device.zone_count, len(device.ftl._spares), device.striped
+
+
+class TestTimedCores:
+    """A timed kind is its untimed twin's core plus an engine."""
+
+    @pytest.mark.parametrize("kind", sorted(TIMED_KINDS))
+    def test_a_timed_core_reads_the_spec_as_its_twin_does(self, kind):
+        fields = {"store_data": True}
+        if kind in ZONED_KINDS:
+            fields.update(spare_blocks=2, striped=False)
+        spec = _spec_for(kind).derived(**fields)
+        twin = build_stack(spec.derived(kind=UNTIMED_TWINS[kind]))
+        core = build_core(spec)
+        assert _substrate(core) == _substrate(twin.ftl if kind == "conventional-timed" else twin)
+        assert _substrate(core) != _substrate(build_core(_spec_for(kind)))
+
+    @pytest.mark.parametrize("kind", sorted(TIMED_KINDS))
+    def test_the_wrapper_times_the_core_build_core_builds(self, kind):
+        spec = _spec_for(kind).derived(store_data=True)
+        stack = build_stack(spec, engine=Engine())
+        core = {"conventional-timed": "ftl", "dmzoned-timed": "layer", "zns-timed": "device"}[kind]
+        assert _substrate(getattr(stack, core)) == _substrate(build_core(spec))
+
+    def test_timed_conventional_defaults_to_four_gc_streams(self):
+        spec = DeviceSpec(kind="conventional-timed", geometry="small")
+        assert build_core(spec).config.gc_streams == 4
+        assert build_core(spec.derived(ftl={"gc_streams": 2})).config.gc_streams == 2
+        assert build_stack(spec.derived(kind="conventional-ftl")).config.gc_streams == 1
+
+    def test_wrapper_options_stay_on_the_wrapper(self):
+        spec = _spec_for("conventional-timed").derived(
+            extra={"prioritize_reads": True, "erase_suspend_slices": 4}
+        )
+        ssd = build_stack(spec, engine=Engine())
+        assert (ssd.service.prioritize_reads, ssd.service.erase_suspend_slices) == (True, 4)
+        assert isinstance(build_core(spec), ConventionalFTL)
+
+    def test_build_core_wants_a_timed_kind(self):
+        with pytest.raises(ValueError, match="not timed"):
+            build_core(_spec_for("zns"))
 
 
 class TestSerialization:

@@ -172,7 +172,10 @@ class TestTelemetry:
     def test_metrics_out_is_the_same_at_any_jobs(self, tmp_path):
         """Sweep points run in workers under --jobs 2; each returns its
         frame and the parent merges them in point order, so the file is
-        byte-identical to the serial one."""
+        byte-identical to the serial one. E1 is the sweep here (E17's
+        series carry the point-order merge in CI); E11 warms one layer
+        for its three schedulers, so it is one unit at any --jobs and
+        its series must come out the same."""
         written = []
         for jobs in ("1", "2"):
             path = tmp_path / f"metrics-{jobs}.json"

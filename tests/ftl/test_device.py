@@ -7,9 +7,15 @@ from repro.block.interface import BlockDevice
 from repro.block.ramdisk import RamDisk
 from repro.flash.geometry import FlashGeometry, ZonedGeometry
 from repro.ftl.device import ConventionalSSD, TimedConventionalSSD
-from repro.ftl.ftl import FTLConfig
+from repro.ftl.ftl import ConventionalFTL, FTLConfig
 from repro.sim.engine import Engine
-from repro.zns.device import TimedZNSDevice
+from repro.zns.device import TimedZNSDevice, ZNSDevice
+
+
+def _timed_ssd(eng, **config) -> TimedConventionalSSD:
+    """A timed SSD over a fresh small FTL with four GC streams."""
+    ftl = ConventionalFTL(FlashGeometry.small(), FTLConfig(gc_streams=4, **config))
+    return TimedConventionalSSD(eng, ftl)
 
 
 class TestConventionalSSD:
@@ -66,7 +72,7 @@ class TestRamDisk:
 class TestTimedConventionalSSD:
     def test_reads_and_writes_complete_with_latency(self):
         eng = Engine()
-        ssd = TimedConventionalSSD(eng, FlashGeometry.small())
+        ssd = _timed_ssd(eng)
 
         def driver(eng, ssd):
             yield ssd.submit_write(0)
@@ -81,7 +87,7 @@ class TestTimedConventionalSSD:
 
     def test_background_gc_sustains_random_overwrites(self):
         eng = Engine()
-        ssd = TimedConventionalSSD(eng, FlashGeometry.small(), FTLConfig(op_ratio=0.15))
+        ssd = _timed_ssd(eng, op_ratio=0.15)
         rng = np.random.default_rng(1)
         n = ssd.ftl.logical_pages
 
@@ -100,7 +106,7 @@ class TestTimedConventionalSSD:
         """The §2.4 phenomenon: concurrent reads during GC-heavy writes see
         tail latencies far above the raw read service time."""
         eng = Engine()
-        ssd = TimedConventionalSSD(eng, FlashGeometry.small(), FTLConfig(op_ratio=0.07))
+        ssd = _timed_ssd(eng, op_ratio=0.07)
         rng = np.random.default_rng(2)
         n = ssd.ftl.logical_pages
         # Prefill untimed for speed.
@@ -132,7 +138,7 @@ class TestTimedConventionalSSD:
 class TestTimedZNSDevice:
     def test_write_and_read_latencies(self):
         eng = Engine()
-        dev = TimedZNSDevice(eng, ZonedGeometry.small())
+        dev = TimedZNSDevice(eng, ZNSDevice(ZonedGeometry.small()))
 
         def driver(eng, dev):
             yield dev.submit_write(0)
@@ -145,7 +151,7 @@ class TestTimedZNSDevice:
 
     def test_concurrent_writes_one_zone_serialize(self):
         eng = Engine()
-        dev = TimedZNSDevice(eng, ZonedGeometry.small())
+        dev = TimedZNSDevice(eng, ZNSDevice(ZonedGeometry.small()))
         procs = [dev.submit_write(0) for _ in range(4)]
         for p in procs:
             eng.run(until=p)
@@ -155,7 +161,7 @@ class TestTimedZNSDevice:
 
     def test_concurrent_appends_one_zone_parallelize(self):
         eng = Engine()
-        dev = TimedZNSDevice(eng, ZonedGeometry.small())
+        dev = TimedZNSDevice(eng, ZNSDevice(ZonedGeometry.small()))
         procs = [dev.submit_append(0) for _ in range(4)]
         for p in procs:
             eng.run(until=p)
@@ -165,7 +171,7 @@ class TestTimedZNSDevice:
 
     def test_reset_erases_in_parallel(self):
         eng = Engine()
-        dev = TimedZNSDevice(eng, ZonedGeometry.small())
+        dev = TimedZNSDevice(eng, ZNSDevice(ZonedGeometry.small()))
 
         def driver(eng, dev):
             yield dev.submit_write(0, npages=dev.device.geometry.pages_per_zone)

@@ -22,7 +22,7 @@ import json
 from repro.block.factory import DeviceSpec, build_stack
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.device import TimedConventionalSSD
-from repro.ftl.ftl import FTLConfig
+from repro.ftl.ftl import ConventionalFTL, FTLConfig
 from repro.hostio.scheduler import make_scheduler
 from repro.sim.engine import Engine, Timeout
 from repro.sim.rng import make_rng
@@ -57,7 +57,8 @@ def test_conventional_saturation_fingerprint():
     """E3's op=7% saturation run in small: 8 closed-loop writers against a
     full, half-churned drive spend most of ~2.1 simulated s stalled."""
     engine = Engine()
-    ssd = TimedConventionalSSD(engine, FlashGeometry.small(), FTLConfig(op_ratio=0.07))
+    ftl = ConventionalFTL(FlashGeometry.small(), FTLConfig(op_ratio=0.07, gc_streams=4))
+    ssd = TimedConventionalSSD(engine, ftl)
     n = ssd.ftl.logical_pages
     for lpn in range(n):
         ssd.ftl.write(lpn)

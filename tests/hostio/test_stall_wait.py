@@ -20,7 +20,7 @@ import pytest
 
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.device import TimedConventionalSSD
-from repro.ftl.ftl import FTLConfig
+from repro.ftl.ftl import ConventionalFTL, FTLConfig
 from repro.sim.engine import Engine, Event
 from repro.sim.rng import make_rng
 from tests.hostio.test_stall_fingerprint import dmzoned_open_loop
@@ -98,7 +98,8 @@ def test_conventional_saturation_waits_in_order(after_every_event):
     """E3's op=7% saturation in small: eight closed-loop writers on a full,
     half-churned drive, parked behind the collector for much of the run."""
     engine = Engine()
-    ssd = TimedConventionalSSD(engine, FlashGeometry.small(), FTLConfig(op_ratio=0.07))
+    ftl = ConventionalFTL(FlashGeometry.small(), FTLConfig(op_ratio=0.07, gc_streams=4))
+    ssd = TimedConventionalSSD(engine, ftl)
     n = ssd.ftl.logical_pages
     ssd.ftl.write_pages(np.arange(n, dtype=np.int64))
     churn = make_rng(5)

@@ -3,7 +3,7 @@ erase-suspension / failure-propagation mechanics of the DES layers."""
 
 import pytest
 
-from repro.block.dmzoned import ZonedBlockConfig
+from repro.block.dmzoned import ZonedBlockConfig, ZonedBlockDevice
 from repro.flash.geometry import FlashGeometry, ZonedGeometry
 from repro.flash.ops import FlashOp, OpKind
 from repro.flash.service import FlashServiceModel
@@ -12,12 +12,19 @@ from repro.hostio.timed import RECLAIM_QUANTUM_COPIES, TimedZonedBlockDevice
 from repro.obs.sinks import RecordingSink
 from repro.sim.engine import Engine, Timeout
 from repro.sim.rng import make_rng
+from repro.zns.device import ZNSDevice
+
+
+def _host(engine, config=None, **options) -> TimedZonedBlockDevice:
+    """A timed dm-zoned layer over a fresh small ZNS device."""
+    layer = ZonedBlockDevice(ZNSDevice(ZonedGeometry.small()), config)
+    return TimedZonedBlockDevice(engine, layer, **options)
 
 
 class TestTimedZonedBlockDevice:
     def test_read_write_latencies_recorded(self):
         engine = Engine()
-        host = TimedZonedBlockDevice(engine, ZonedGeometry.small())
+        host = _host(engine)
 
         def driver(engine):
             yield host.submit_write(0)
@@ -31,12 +38,7 @@ class TestTimedZonedBlockDevice:
 
     def test_background_reclaim_sustains_overwrites(self):
         engine = Engine()
-        host = TimedZonedBlockDevice(
-            engine,
-            ZonedGeometry.small(),
-            config=ZonedBlockConfig(op_ratio=0.11),
-            scheduler=AlwaysOnScheduler(),
-        )
+        host = _host(engine, ZonedBlockConfig(op_ratio=0.11), scheduler=AlwaysOnScheduler())
         n = host.layer.logical_pages
         for lpn in range(n):
             host.layer.write(lpn)
@@ -55,10 +57,9 @@ class TestTimedZonedBlockDevice:
         """With no reads ever, idle-window reclaims from t=threshold on;
         the stack still makes progress (urgent path prevents deadlock)."""
         engine = Engine()
-        host = TimedZonedBlockDevice(
+        host = _host(
             engine,
-            ZonedGeometry.small(),
-            config=ZonedBlockConfig(op_ratio=0.11, gc_low_zones=3, gc_high_zones=5),
+            ZonedBlockConfig(op_ratio=0.11, gc_low_zones=3, gc_high_zones=5),
             scheduler=IdleWindowScheduler(idle_threshold_us=100.0, urgent_free_zones=1),
         )
         n = host.layer.logical_pages
@@ -78,11 +79,7 @@ class TestTimedZonedBlockDevice:
         """Every reclaim step copies at most one quantum, the steps add up
         to every page reclaim copied, and a backlog fills whole quanta."""
         engine = Engine()
-        host = TimedZonedBlockDevice(
-            engine,
-            ZonedGeometry.small(),
-            config=ZonedBlockConfig(op_ratio=0.11),
-        )
+        host = _host(engine, ZonedBlockConfig(op_ratio=0.11))
         n = host.layer.logical_pages
         for lpn in range(n):
             host.layer.write(lpn)

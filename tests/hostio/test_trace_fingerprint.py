@@ -22,11 +22,11 @@ import json
 from repro.flash.geometry import FlashGeometry, ZonedGeometry
 from repro.flash.timing import ZoneMgmtTiming
 from repro.ftl.device import TimedConventionalSSD
-from repro.ftl.ftl import FTLConfig
+from repro.ftl.ftl import ConventionalFTL, FTLConfig
 from repro.obs.events import event_to_dict
 from repro.sim.engine import Engine
 from repro.sim.rng import make_rng
-from repro.zns.device import TimedZNSDevice
+from repro.zns.device import TimedZNSDevice, ZNSDevice
 from tests.hostio.test_stall_fingerprint import dmzoned_open_loop
 
 #: (sha256, line count) per run.
@@ -57,7 +57,8 @@ def test_conventional_saturation_trace():
     """Eight closed-loop writers and a reader against a full, half-churned
     drive: writes stall, the collector runs, reads queue behind it."""
     engine = Engine()
-    ssd = TimedConventionalSSD(engine, FlashGeometry.small(), FTLConfig(op_ratio=0.07))
+    ftl = ConventionalFTL(FlashGeometry.small(), FTLConfig(op_ratio=0.07, gc_streams=4))
+    ssd = TimedConventionalSSD(engine, ftl)
     n = ssd.ftl.logical_pages
     for lpn in range(n):
         ssd.ftl.write(lpn)
@@ -94,11 +95,8 @@ def test_zns_mixed_trace():
     finish hold their zones while appends, a write and reads queue
     behind the management gates."""
     engine = Engine()
-    dev = TimedZNSDevice(
-        engine,
-        ZonedGeometry.small(),
-        mgmt_timing=ZoneMgmtTiming(reset_us=2_000.0, finish_us=500.0, finish_per_page_us=2.0),
-    )
+    mgmt_timing = ZoneMgmtTiming(reset_us=2_000.0, finish_us=500.0, finish_per_page_us=2.0)
+    dev = TimedZNSDevice(engine, ZNSDevice(ZonedGeometry.small(), mgmt_timing=mgmt_timing))
     sink = dev.tracer.attach(DigestSink())
 
     def driver():

@@ -274,14 +274,15 @@ class TestSchedulerGating:
 
 class TestTimedLifecycleWiring:
     def test_timed_host_rejects_a_foreign_lifecycle(self):
-        from repro.hostio.timed import TimedZonedBlockDevice
-        from repro.sim.engine import Engine
+        """The layer a timed host wraps refuses a manager of another
+        device: its zone log checks, so every owner of a log does."""
+        from repro.block.dmzoned import ZonedBlockDevice
 
         geometry = tiny_geometry()
         stranger = ZNSDevice(geometry)
         lifecycle = ZoneLifecycleManager(stranger)
-        with pytest.raises(ValueError):
-            TimedZonedBlockDevice(Engine(), geometry=geometry, lifecycle=lifecycle)
+        with pytest.raises(ValueError, match="same device"):
+            ZonedBlockDevice(ZNSDevice(geometry), lifecycle=lifecycle)
 
 
 class TestCheckInvariants:

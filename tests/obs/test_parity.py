@@ -28,7 +28,7 @@ from repro.faults.plan import FaultPlan
 from repro.flash.errors import ProgramFaultError, UncorrectableReadError
 from repro.flash.geometry import FlashGeometry, ZonedGeometry
 from repro.flash.nand import NandArray
-from repro.ftl.device import ConventionalSSD, TimedConventionalSSD
+from repro.ftl.device import ConventionalSSD
 from repro.hostio.timed import TimedZonedBlockDevice
 from repro.ftl.ftl import ConventionalFTL, FTLConfig
 from repro.obs import runtime
@@ -185,13 +185,10 @@ class TestCounterParity:
         churn that collects inline, then timed traffic whose reclaim runs
         as ``reclaim_step`` quanta in the background loop."""
         engine = Engine()
-        stack = TimedZonedBlockDevice(
-            engine,
-            _small_zoned(),
-            config=ZonedBlockConfig(
-                op_ratio=0.18, use_simple_copy=True, gc_low_zones=6, gc_high_zones=8
-            ),
+        config = ZonedBlockConfig(
+            op_ratio=0.18, use_simple_copy=True, gc_low_zones=6, gc_high_zones=8
         )
+        stack = TimedZonedBlockDevice(engine, ZonedBlockDevice(ZNSDevice(_small_zoned()), config))
         recording = stack.tracer.attach(RecordingSink())
         layer = stack.layer
         n = layer.logical_pages
@@ -312,7 +309,7 @@ class TestFaultedOpsAreCountedByNeitherSide:
 class TestLatencyParity:
     def test_timed_conventional_latencies_match_replayed_stream(self):
         engine = Engine()
-        device = TimedConventionalSSD(engine, FlashGeometry.small())
+        device = build_stack(DeviceSpec(kind="conventional-timed", geometry="small"), engine=engine)
         recording = device.tracer.attach(RecordingSink())
         rng = random.Random(3)
         procs = []
@@ -330,7 +327,7 @@ class TestLatencyParity:
     def test_timed_zns_latencies_match_replayed_stream(self):
         engine = Engine()
         geometry = _small_zoned(blocks_per_zone=4)
-        device = TimedZNSDevice(engine, geometry)
+        device = TimedZNSDevice(engine, ZNSDevice(geometry))
         recording = device.tracer.attach(RecordingSink())
         rng = random.Random(5)
         procs = [device.submit_write(0, npages=2) for _ in range(30)]
@@ -349,7 +346,7 @@ class TestLatencyParity:
     @pytest.mark.parametrize("traced", [False, True])
     def test_latency_fields_do_not_depend_on_being_observed(self, traced):
         engine = Engine()
-        device = TimedConventionalSSD(engine, FlashGeometry.small())
+        device = build_stack(DeviceSpec(kind="conventional-timed", geometry="small"), engine=engine)
         if traced:
             device.tracer.attach(RecordingSink())
         for lpn in range(20):
@@ -393,7 +390,7 @@ class TestLatencyParity:
 class TestCrossLayerStream:
     def test_one_sink_sees_the_whole_zns_stack(self):
         engine = Engine()
-        stack = TimedZonedBlockDevice(engine, ZonedGeometry.small())
+        stack = build_stack(DeviceSpec(kind="dmzoned-timed", geometry="small"), engine=engine)
         recording = stack.tracer.attach(RecordingSink())
         rng = random.Random(11)
         lbas = stack.layer.logical_pages

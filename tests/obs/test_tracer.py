@@ -10,7 +10,13 @@ import pytest
 import repro
 from repro.block.factory import KINDS, DeviceSpec, build_stack
 from repro.experiments import e16_fleet_serving, e17_reset_pressure
-from repro.experiments.e3_read_latency import _ConvRig, _saturation_mb_s, _ZnsRig
+from repro.experiments.e3_read_latency import (
+    _conventional_core,
+    _ConvRig,
+    _saturation_mb_s,
+    _zns_core,
+    _ZnsRig,
+)
 from repro.fleet import FleetSpec, simulate_device
 from repro.obs import events as obs_events
 from repro.obs.events import FlashOpEvent, HostRequestEvent
@@ -100,7 +106,7 @@ def _latencies(device, op: str) -> tuple[int, float]:
 
 
 def _conventional_timed_run() -> dict:
-    rig = _ConvRig(0.07)
+    rig = _ConvRig(_conventional_core(0.07))
     engine = _e3_rig_run(rig)
     ssd = rig.ssd
     return {
@@ -112,7 +118,7 @@ def _conventional_timed_run() -> dict:
 
 
 def _zns_timed_run() -> dict:
-    rig = _ZnsRig()
+    rig = _ZnsRig(_zns_core())
     engine = _e3_rig_run(rig)
     timed = rig.device
     return {

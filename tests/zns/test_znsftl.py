@@ -125,3 +125,52 @@ class TestDram:
         mapped_blocks = ftl.zone_count * ftl.geometry.blocks_per_zone
         assert ftl.dram_bytes() == mapped_blocks * 4
         assert ftl.dram_bytes(bytes_per_entry=8) == mapped_blocks * 8
+
+
+class TestCheckInvariants:
+    """Each rule of ``ZnsFTL.check_invariants``, broken once, and the
+    device's check runs it."""
+
+    @staticmethod
+    def _reset_once():
+        ftl, _ = make_ftl(spare_blocks=4)
+        ftl.reset_zone(0)
+        ftl.check_invariants()
+        return ftl
+
+    def test_a_block_in_a_zone_and_the_free_pool(self):
+        ftl = self._reset_once()
+        ftl._free_pool.append(ftl.live_blocks(1)[0])
+        with pytest.raises(AssertionError, match="in two places"):
+            ftl.check_invariants()
+
+    def test_a_block_in_two_zones(self):
+        ftl = self._reset_once()
+        ftl._zone_blocks[2] = [ftl.live_blocks(1)[0], ftl.live_blocks(2)[1]]
+        with pytest.raises(AssertionError, match="in two places"):
+            ftl.check_invariants()
+
+    def test_a_spare_also_in_a_zone(self):
+        ftl = self._reset_once()
+        ftl._spares.append(ftl.live_blocks(3)[1])
+        with pytest.raises(AssertionError, match="in two places"):
+            ftl.check_invariants()
+
+    def test_a_block_id_out_of_range(self):
+        ftl = self._reset_once()
+        ftl._spares.append(ftl.geometry.flash.total_blocks)
+        with pytest.raises(AssertionError, match="outside"):
+            ftl.check_invariants()
+
+    def test_a_zone_wider_than_blocks_per_zone(self):
+        ftl = self._reset_once()
+        ftl._zone_blocks[0].append(ftl._spares.pop())
+        with pytest.raises(AssertionError, match="over 2"):
+            ftl.check_invariants()
+
+    def test_the_device_check_runs_it(self):
+        device = ZNSDevice(ZonedGeometry.small(), spare_blocks=2)
+        device.check_invariants()
+        device.ftl._spares.append(device.ftl.live_blocks(0)[0])
+        with pytest.raises(AssertionError, match="in two places"):
+            device.check_invariants()

@@ -279,11 +279,8 @@ class TestTimedMgmtGate:
         eng = Engine()
         tracer_log = _EventLog()
         plan = FaultPlan(**plan_kwargs) if plan_kwargs else None
-        dev = TimedZNSDevice(
-            eng,
-            tiny_geometry(),
-            mgmt_timing=ZoneMgmtTiming(reset_us=5_000.0, finish_us=1_000.0),
-        )
+        mgmt_timing = ZoneMgmtTiming(reset_us=5_000.0, finish_us=1_000.0)
+        dev = TimedZNSDevice(eng, ZNSDevice(tiny_geometry(), mgmt_timing=mgmt_timing))
         if plan is not None:
             dev.device.nand.faults = FaultInjector(plan).bind(dev.tracer)
             dev.device.faults = dev.device.nand.faults
@@ -339,7 +336,7 @@ class TestTimedMgmtGate:
 
     def test_no_gate_without_mgmt_timing(self):
         eng = Engine()
-        dev = TimedZNSDevice(eng, tiny_geometry())
+        dev = TimedZNSDevice(eng, ZNSDevice(tiny_geometry()))
         assert dev._mgmt_gates is None
         dev.device.write(0, 4, build_ops=False)
         eng.run(until=dev.submit_reset(0))
