@@ -116,7 +116,7 @@ class ZoneLogCache:
         loc = self._location.get(obj_id)
         if loc is None:
             return False
-        self.device.read(loc[0], loc[1])
+        self.device.read(loc[0], loc[1], build_ops=False)
         self._hot.add(obj_id)
         self.stats.hits += 1
         return True

@@ -370,7 +370,7 @@ class ZoneFileBackend(LsmBackend):
         remaining = page_index
         for extent in extents:
             if remaining < extent.length:
-                self.device.read(extent.zone, extent.offset + remaining)
+                self.device.read(extent.zone, extent.offset + remaining, build_ops=False)
                 return
             remaining -= extent.length
         raise IndexError(f"page {page_index} beyond extents")
@@ -414,7 +414,7 @@ class ZoneFileBackend(LsmBackend):
             else:
                 start = source.offset + done
                 pages = [(source.zone, start + i) for i in range(chunk)]
-                self.device.simple_copy(pages, zone)
+                self.device.simple_copy(pages, zone, build_ops=False)
             extents.append(_ZoneExtent(zone, offset, chunk))
             self.log.add(zone, chunk)
             done += chunk

@@ -148,12 +148,12 @@ class ZonedBlockDevice(Replayable):
         return payload
 
     def write_block(self, lba: int, data: Any = None) -> None:
-        self.write(lba, data)
+        self.write(lba, data, build_ops=False)
 
     def write_blocks(self, start: int, count: int) -> None:
         check_extent(self, start, count)
         for lba in range(start, start + count):
-            self.write(lba)
+            self.write(lba, build_ops=False)
 
     def trim_block(self, lba: int) -> None:
         self.trim(lba)
@@ -210,7 +210,15 @@ class ZonedBlockDevice(Replayable):
             )
         return payload, op
 
-    def write(self, lba: int, data: Any = None, auto_gc: bool = True) -> list[FlashOp]:
+    def write(
+        self, lba: int, data: Any = None, auto_gc: bool = True, build_ops: bool = True
+    ) -> list[FlashOp]:
+        """Write one logical block at the write frontier, reclaiming first if needed.
+
+        Returns the op records of the seals, the reclaim and the host
+        program. With ``build_ops=False`` the device builds no per-page
+        records and only zone-management ones (finishes, resets) come back.
+        """
         self._check(lba)
         ops: list[FlashOp] = []
         # Each retry consumes a fresh frontier zone, so the attempt bound
@@ -221,11 +229,11 @@ class ZonedBlockDevice(Replayable):
                 if zone is not None:
                     ops.extend(self.log.seal(zone))
                 if auto_gc and self.gc_needed():
-                    ops.extend(self.collect(self.config.gc_high_zones))
+                    ops.extend(self.collect(self.config.gc_high_zones, build_ops))
                 zone = self._take("write")
             offset = self.device.zone(zone).wp
             try:
-                ops.extend(self.device.write(zone, npages=1, data=data))
+                ops.extend(self.device.write(zone, npages=1, data=data, build_ops=build_ops))
             except ProgramFaultError:
                 # The frontier degraded to READ_ONLY: its valid pages stay
                 # readable and reclaimable, so seal it for GC and move on.
@@ -241,10 +249,14 @@ class ZonedBlockDevice(Replayable):
         else:
             raise TranslationError(f"write of lba {lba} failed: zones keep degrading")
         if self.tracer.enabled:
+            # The page just programmed is the last one written in its block.
+            block = self.device.block_of_offset(zone, offset)
+            page = block * self.device.geometry.flash.pages_per_block
+            page += self.device.nand.write_offset(block) - 1
             self.tracer.publish(
                 FlashOpEvent(
-                    "block.dmzoned", "program", block=ops[-1].block,
-                    page=ops[-1].page, nbytes=self.block_size, cause="host",
+                    "block.dmzoned", "program", block=block, page=page,
+                    nbytes=self.block_size, cause="host",
                 )
             )
         return ops
@@ -338,14 +350,15 @@ class ZonedBlockDevice(Replayable):
     def reclaim_in_progress(self) -> bool:
         return self._victim is not None
 
-    def reclaim_step(self, max_copies: int = 8) -> list[FlashOp]:
+    def reclaim_step(self, max_copies: int = 8, build_ops: bool = True) -> list[FlashOp]:
         """One bounded quantum of reclaim work.
 
         Relocates up to ``max_copies`` surviving pages of the current
         victim (selecting one first if needed); once the victim is drained,
         resets it and returns it to the free pool. Bounded quanta are what
         let a host scheduler interleave reclaim with latency-sensitive
-        reads (§4.1) -- an in-device FTL offers no such knob.
+        reads (§4.1) -- an in-device FTL offers no such knob. Returns the
+        op records; with ``build_ops=False`` only the reset's erases.
         """
         if self._victim is None:
             self._select_victim()
@@ -358,7 +371,7 @@ class ZonedBlockDevice(Replayable):
                 continue
             dst = self._gc_destination()
             try:
-                ops.extend(self._relocate(self._victim, offset, dst))
+                ops.extend(self._relocate(self._victim, offset, dst, build_ops))
             except ProgramFaultError:
                 # The GC destination degraded before the copy landed:
                 # seal it for a later pass and retry into a fresh zone.
@@ -409,27 +422,31 @@ class ZonedBlockDevice(Replayable):
                 )
         return ops
 
-    def collect_once(self) -> list[FlashOp]:
+    def collect_once(self, build_ops: bool = True) -> list[FlashOp]:
         """Reclaim one full victim zone (drains any in-progress victim)."""
-        ops = self.reclaim_step(max_copies=self._pages_per_zone)
+        ops = self.reclaim_step(self._pages_per_zone, build_ops)
         while self._victim is not None:
-            ops.extend(self.reclaim_step(max_copies=self._pages_per_zone))
+            ops.extend(self.reclaim_step(self._pages_per_zone, build_ops))
         return ops
 
-    def collect(self, target_free_zones: int) -> list[FlashOp]:
+    def collect(self, target_free_zones: int, build_ops: bool = True) -> list[FlashOp]:
         ops: list[FlashOp] = []
         while len(self.log.free) < target_free_zones:
-            ops.extend(self.collect_once())
+            ops.extend(self.collect_once(build_ops))
         return ops
 
-    def _relocate(self, victim: int, offset: int, dst_zone: int) -> list[FlashOp]:
+    def _relocate(
+        self, victim: int, offset: int, dst_zone: int, build_ops: bool
+    ) -> list[FlashOp]:
         dst_offset = self.device.zone(dst_zone).wp
         if self.config.use_simple_copy:
-            _, ops = self.device.simple_copy([(victim, offset)], dst_zone)
+            _, ops = self.device.simple_copy([(victim, offset)], dst_zone, build_ops)
         else:
-            payload, read_op = self.device.read(victim, offset, "reclaim")
-            write_ops = self.device.write(dst_zone, npages=1, data=payload, cause="reclaim")
-            ops = [read_op, *write_ops]
+            payload, read_op = self.device.read(victim, offset, "reclaim", build_ops)
+            write_ops = self.device.write(
+                dst_zone, npages=1, data=payload, build_ops=build_ops, cause="reclaim"
+            )
+            ops = [read_op, *write_ops] if build_ops else []
         self._map(self._p2l_v[self._flat(victim, offset)], dst_zone, dst_offset)
         return ops
 

@@ -74,9 +74,11 @@ class BlockDevice(Protocol):
 class ZonedDevice(Protocol):
     """The ZNS command surface: zone report, management, and data path.
 
-    Matches :class:`~repro.zns.device.ZNSDevice`; mutating calls return
-    the :class:`~repro.flash.ops.FlashOp` records the device performed so
-    timed experiments can replay contention.
+    Matches :class:`~repro.zns.device.ZNSDevice`. Data commands build
+    the :class:`~repro.flash.ops.FlashOp` records of the work they did on
+    request (``build_ops=True``, the default) so timed experiments can
+    replay contention; untimed callers pass ``build_ops=False`` and get
+    none. Zone resets always return their erases.
     """
 
     # -- Introspection / report ------------------------------------------------
@@ -146,14 +148,16 @@ class ZonedDevice(Protocol):
         """Zone append: the device assigns the offset."""
         ...
 
-    def read(self, zone_id: int, offset: int, cause: str = "host") -> tuple[Any, "FlashOp"]:
-        """Read one page at (zone, offset below the write pointer)."""
+    def read(
+        self, zone_id: int, offset: int, cause: str = "host", build_ops: bool = True
+    ) -> tuple[Any, "FlashOp | None"]:
+        """Read one page at (zone, offset below the write pointer); no op without ``build_ops``."""
         ...
 
     def simple_copy(
-        self, sources: list[tuple[int, int]], dst_zone_id: int
+        self, sources: list[tuple[int, int]], dst_zone_id: int, build_ops: bool = True
     ) -> tuple[int, list["FlashOp"]]:
-        """NVMe simple copy: device-managed copy into a destination zone."""
+        """NVMe simple copy into a destination zone (``[]`` without ``build_ops``)."""
         ...
 
 

@@ -40,15 +40,15 @@ def measure_cmt_budget(cmt_bytes: int, quick: bool, seed: int) -> dict:
     device = build_stack(_spec(quick, cmt_bytes=cmt_bytes))
     n = device.logical_pages
     for lpn in range(n):
-        device.write(lpn)
+        device.write(lpn, build_ops=False)
     rng = make_rng(seed)
     ops = (2 if quick else 4) * n
     for _ in range(ops):
         lpn = int(rng.integers(0, n))
         if rng.random() < 0.5:
-            device.read(lpn)
+            device.read(lpn, build_ops=False)
         else:
-            device.write(lpn)
+            device.write(lpn, build_ops=False)
     store = device.store
     coverage = store.capacity_pages / store.translation_pages
     # Every number below is a NAND count, split by the cause it was booked under.

@@ -31,10 +31,10 @@ def measure_conventional(interval: int, quick: bool, seed: int) -> dict:
     device = CheckpointedFTL(ftl, interval_writes=interval)
     n = device.ftl.logical_pages
     for lpn in range(n):
-        device.write(lpn)
+        device.write(lpn, build_ops=False)
     rng = make_rng(seed)
     for _ in range((2 if quick else 4) * n):
-        device.write(int(rng.integers(0, n)))
+        device.write(int(rng.integers(0, n)), build_ops=False)
     stats = device.policy.stats
     return {
         "ftl": "conventional",

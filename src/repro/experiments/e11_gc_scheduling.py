@@ -50,10 +50,10 @@ def warm_layer(seed: int):
     layer = build_core(spec)
     n = layer.logical_pages
     for lpn in range(n):
-        layer.write(lpn)
+        layer.write(lpn, build_ops=False)
     churn = make_rng(seed + 2)
     for _ in range(n // 2):  # park the stack at its reclaim watermark
-        layer.write(int(churn.integers(0, n)))
+        layer.write(int(churn.integers(0, n)), build_ops=False)
     return layer
 
 

@@ -52,9 +52,9 @@ def _wa_host(simple_copy: bool, quick: bool, seed: int) -> dict:
     device = layer.device
     n = layer.logical_pages
     for lpn in range(n):
-        layer.write(lpn)
+        layer.write(lpn, build_ops=False)
     for lpn in uniform_stream(n, (2 if quick else 4) * n, seed=seed):
-        layer.write(lpn)
+        layer.write(lpn, build_ops=False)
     return {
         "stack": "zns+host-copy" if not simple_copy else "zns+simple-copy",
         "total_wa": round(device.nand.counters.write_amplification(), 2),
@@ -97,7 +97,7 @@ def _throughput_host(simple_copy: bool, quick: bool, seed: int) -> float:
     )
     n = host.layer.logical_pages
     for lpn in range(n):
-        host.layer.write(lpn)
+        host.layer.write(lpn, build_ops=False)
     writes = (n // 2) if quick else 2 * n
     rng = make_rng(seed)
 

@@ -131,7 +131,7 @@ def measure_arm(arm: str, fault_scale: float, quick: bool, seed: int) -> dict:
         ftl = stack
         nand, stats = ftl.nand, ftl.stats
         n = ftl.logical_pages
-        write_one = ftl.write
+        write_one = lambda lpn: ftl.write(lpn, build_ops=False)  # noqa: E731
         read_one = lambda lpn: ftl.read(lpn).latency_us  # noqa: E731
         total_blocks = ftl.geometry.total_blocks
 
@@ -146,7 +146,7 @@ def measure_arm(arm: str, fault_scale: float, quick: bool, seed: int) -> dict:
         device = layer.device
         nand, stats = device.nand, layer.stats
         n = layer.logical_pages
-        write_one = layer.write
+        write_one = lambda lpn: layer.write(lpn, build_ops=False)  # noqa: E731
         read_one = lambda lpn: layer.read(lpn)[1].latency_us  # noqa: E731
         zone_count = device.zone_count
 

@@ -1,14 +1,17 @@
 """Operation records emitted by device state machines.
 
-Device models (conventional FTL, ZNS) mutate state immediately and emit
+Device models (conventional FTL, ZNS) mutate state immediately and, when
+the caller asks (``build_ops=True``, every command's default), return
 :class:`FlashOp` records describing the physical operations that occurred.
-Untimed experiments ignore the records (or sum their latencies); timed
-experiments replay them against the :class:`~repro.flash.service.FlashServiceModel`
-so operations contend for planes and channels in the DES.
+Timed experiments replay them against the
+:class:`~repro.flash.service.FlashServiceModel` so operations contend for
+planes and channels in the DES, and the fleet prices requests by them;
+untimed callers pass ``build_ops=False`` and no record is built.
 
-One record is built per host page and per GC copy, so :class:`FlashOp` is
-a ``NamedTuple``: one ``tuple.__new__`` where a frozen dataclass paid four
-``object.__setattr__``, and still immutable and hashed by value.
+A requested record is built per host page and per GC copy, so
+:class:`FlashOp` is a ``NamedTuple``: one ``tuple.__new__`` where a frozen
+dataclass paid four ``object.__setattr__``, and still immutable and hashed
+by value.
 """
 
 from __future__ import annotations

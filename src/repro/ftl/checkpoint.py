@@ -125,8 +125,8 @@ class CheckpointedFTL:
         #: The most recent durable mapping snapshot; what survives a crash.
         self.snapshot: MappingSnapshot | None = None
 
-    def write(self, lpn: int, stream: int = 0):
-        ops = self.ftl.write(lpn, stream=stream)
+    def write(self, lpn: int, stream: int = 0, build_ops: bool = True):
+        ops = self.ftl.write(lpn, stream=stream, build_ops=build_ops)
         if self.policy.note_mapping_update(lpn):
             self.snapshot = self.ftl.snapshot_mapping()
         return ops

@@ -57,11 +57,11 @@ class ConventionalSSD:
         return self.ftl.logical_pages
 
     def read_block(self, lba: int) -> Any:
-        self.ftl.read(lba)
+        self.ftl.read(lba, build_ops=False)
         return self._payloads.get(lba) if self._store_data else None
 
     def write_block(self, lba: int, data: Any = None) -> None:
-        self.ftl.write(lba)
+        self.ftl.write(lba, build_ops=False)
         if self._store_data:
             self._payloads[lba] = data
 

@@ -173,11 +173,13 @@ class DemandPagedFTL(ConventionalFTL):
 
     # -- Host operations ------------------------------------------------------
 
-    def write(self, lpn: int, stream: int = 0, auto_gc: bool = True) -> list[FlashOp]:
+    def write(
+        self, lpn: int, stream: int = 0, auto_gc: bool = True, build_ops: bool = True
+    ) -> list[FlashOp]:
         self.map.check_lpn(lpn)
         self._flush_pending()
         self.store.access(lpn, dirty=True)
-        return super().write(lpn, stream=stream, auto_gc=auto_gc)
+        return super().write(lpn, stream=stream, auto_gc=auto_gc, build_ops=build_ops)
 
     def write_pages(
         self, lpns: np.ndarray, stream: int = 0, auto_gc: bool = True
@@ -186,18 +188,18 @@ class DemandPagedFTL(ConventionalFTL):
 
         The per-lpn loop, so every page demand-faults its translation
         entry in order. :meth:`ConventionalFTL.write_pages` programs in
-        runs and would skip the CMT.
+        runs and would skip the CMT. Like it, builds no op records.
         """
         lpns = self._checked_lpns(lpns)
         for lpn in lpns.tolist():
-            self.write(lpn, stream, auto_gc)
+            self.write(lpn, stream, auto_gc, build_ops=False)
         return int(lpns.size)
 
-    def read(self, lpn: int) -> FlashOp:
+    def read(self, lpn: int, build_ops: bool = True) -> FlashOp | None:
         self.map.check_lpn(lpn)
         self._flush_pending()
         self.store.access(lpn, dirty=False)
-        return super().read(lpn)
+        return super().read(lpn, build_ops)
 
     def trim(self, lpn: int) -> None:
         self.map.check_lpn(lpn)

@@ -123,8 +123,12 @@ class FTLStats:
 class ConventionalFTL(Replayable):
     """Page-mapped FTL over a :class:`NandArray`.
 
-    All mutating methods return the list of :class:`FlashOp` records
-    describing the physical work performed, for optional replay in the DES.
+    Commands that do flash work (:meth:`write`, :meth:`read`,
+    :meth:`collect`, :meth:`collect_once`, :meth:`wear_level_once`) build
+    :class:`FlashOp` records of it on request: ``build_ops=True``, the
+    default, for callers that replay them in the DES or price them;
+    untimed callers pass ``False`` and get ``[]`` (``None`` from
+    :meth:`read`). The device ends in the same state either way.
 
     Valid data leaves a block through one routine, :meth:`_copy_forward`,
     in runs: one ``copy_run`` per GC destination stream and block boundary,
@@ -303,27 +307,31 @@ class ConventionalFTL(Replayable):
                 self.tracer.publish(
                     GcEvent("ftl.gc", "watermark-recovered", free_blocks=len(self._free))
                 )
-        wl_ops = self._maybe_wear_level()
+        wl_ops = self._maybe_wear_level(build_ops=ops is not None)
         if ops is not None:
             ops.extend(wl_ops)
         active = self._take_free_block()
         self._active[stream] = active
         return active
 
-    def write(self, lpn: int, stream: int = 0, auto_gc: bool = True) -> list[FlashOp]:
+    def write(
+        self, lpn: int, stream: int = 0, auto_gc: bool = True, build_ops: bool = True
+    ) -> list[FlashOp]:
         """Write one logical page; may trigger foreground GC.
 
         Returns the op records: any GC copies/erases performed to make
-        room, then the host program itself.
+        room, then the host program itself; ``[]`` with ``build_ops=False``.
         """
         if not 0 <= lpn < self.logical_pages:
             self.map.check_lpn(lpn)
-        ops: list[FlashOp] = []
+        ops: list[FlashOp] | None = [] if build_ops else None
         page, _, latency = self._program_host(stream, 1, auto_gc, ops)
         self.map.map(lpn, page)
         self._oob_lpn_v[page] = lpn
         self._oob_serial_v[page] = self._program_serial
         self._program_serial += 1
+        if ops is None:
+            return []
         ops.append(FlashOp(OpKind.PROGRAM, page // self.geometry.pages_per_block, page, latency))
         return ops
 
@@ -527,12 +535,17 @@ class ConventionalFTL(Replayable):
         self._free.append(block)
         return latency
 
-    def read(self, lpn: int) -> FlashOp:
-        """Read one logical page; raises :class:`UnmappedReadError` if empty."""
+    def read(self, lpn: int, build_ops: bool = True) -> FlashOp | None:
+        """Read one logical page; raises :class:`UnmappedReadError` if empty.
+
+        Returns the read's op record, or ``None`` with ``build_ops=False``.
+        """
         ppn = self.map.lookup(lpn)
         if ppn == UNMAPPED:
             raise UnmappedReadError(f"lpn {lpn} is unmapped")
         _, latency = self.nand.read(ppn, "host")
+        if not build_ops:
+            return None
         return FlashOp(OpKind.READ, ppn // self.geometry.pages_per_block, ppn, latency)
 
     def trim(self, lpn: int) -> None:
@@ -547,7 +560,7 @@ class ConventionalFTL(Replayable):
 
         ``build_ops=False`` skips constructing the per-page :class:`FlashOp`
         records (returning an empty list) for callers that never replay
-        them -- :meth:`write_pages` uses this.
+        them -- :meth:`write_pages` and a record-free :meth:`write` use this.
         """
         cand_arr = np.flatnonzero(self._sealed_mask)
         if not cand_arr.size:
@@ -668,7 +681,7 @@ class ConventionalFTL(Replayable):
 
     # -- Wear leveling -----------------------------------------------------------
 
-    def _maybe_wear_level(self) -> list[FlashOp]:
+    def _maybe_wear_level(self, build_ops: bool) -> list[FlashOp]:
         """Static-policy migration check at block-allocation boundaries.
 
         Policies with ``migrates=False`` (the default) never pay more
@@ -679,7 +692,7 @@ class ConventionalFTL(Replayable):
             and self._sealed_mask.any()
             and self.wearlevel.wants_migration(self.wear_spread())
         ):
-            return self.wear_level_once()
+            return self.wear_level_once(build_ops)
         return []
 
     def wear_spread(self) -> int:
@@ -687,19 +700,20 @@ class ConventionalFTL(Replayable):
         stats = self.nand.wear.stats()
         return stats.max_erases - stats.min_erases
 
-    def wear_level_once(self) -> list[FlashOp]:
+    def wear_level_once(self, build_ops: bool = True) -> list[FlashOp]:
         """Static wear leveling: migrate the coldest sealed block.
 
         Moves the valid data of the least-recently-sealed block (cold data
         pins low-wear blocks) so its block rejoins circulation. Returns the
-        ops performed; empty if there is nothing to migrate.
+        ops performed; empty if there is nothing to migrate or with
+        ``build_ops=False``.
         """
         sealed = np.flatnonzero(self._sealed_mask)
         if not sealed.size:
             return []
         coldest = int(sealed[np.argmin(self._seal_time_arr[sealed])])
         ops: list[FlashOp] = []
-        self._reclaim(coldest, "wear-level", ops)
+        self._reclaim(coldest, "wear-level", ops if build_ops else None)
         return ops
 
     # -- Power loss and recovery ---------------------------------------------------

@@ -108,7 +108,7 @@ class ZonedObjectStore:
             # back into hint streams would pollute those zones' lifetimes.
             dst_zone = self.log.open("__relocated__", stored.size_pages, self._evacuate)
             sources = [(victim, stored.offset + i) for i in range(stored.size_pages)]
-            dst_offset, _ = self.device.simple_copy(sources, dst_zone)
+            dst_offset, _ = self.device.simple_copy(sources, dst_zone, build_ops=False)
             self.objects[obj_id] = StoredObject(
                 obj_id, dst_zone, dst_offset, stored.size_pages
             )

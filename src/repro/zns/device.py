@@ -586,8 +586,13 @@ class ZNSDevice(Replayable):
             )
         return assigned, ops
 
-    def read(self, zone_id: int, offset: int, cause: str = "host") -> tuple[Any, FlashOp]:
-        """Read one page at (zone, offset below the write pointer), booked under ``cause``."""
+    def read(
+        self, zone_id: int, offset: int, cause: str = "host", build_ops: bool = True
+    ) -> tuple[Any, FlashOp | None]:
+        """Read one page at (zone, offset below the write pointer), booked under ``cause``.
+
+        Returns ``(payload, op)``; ``op`` is ``None`` with ``build_ops=False``.
+        """
         if self.faults is not None:
             self._poll_faults()
         zone = self.zone(zone_id)
@@ -602,10 +607,12 @@ class ZNSDevice(Replayable):
                     nbytes=self.geometry.flash.page_size, latency_us=latency, cause=cause,
                 )
             )
+        if not build_ops:
+            return payload, None
         return payload, FlashOp(OpKind.READ, block, page, latency)
 
     def simple_copy(
-        self, sources: list[tuple[int, int]], dst_zone_id: int
+        self, sources: list[tuple[int, int]], dst_zone_id: int, build_ops: bool = True
     ) -> tuple[int, list[FlashOp]]:
         """NVMe simple copy: device-managed copy into a destination zone.
 
@@ -613,7 +620,7 @@ class ZNSDevice(Replayable):
         the device -- no host PCIe transfer (ops carry
         ``uses_channel=False``), which is what makes host-side GC over ZNS
         performance-competitive (paper §2.3). Returns the destination
-        start offset and the op records.
+        start offset and the op records (``[]`` with ``build_ops=False``).
         """
         if not sources:
             raise ValueError("simple_copy requires at least one source")
@@ -642,15 +649,17 @@ class ZNSDevice(Replayable):
             except ProgramFaultError:
                 self._degrade_read_only(dst, durable_pages=i)
                 raise
-            ops.append(
-                FlashOp(OpKind.COPY, dst_page // ppb, dst_page, latency, uses_channel=False)
-            )
+            if build_ops:
+                ops.append(
+                    FlashOp(OpKind.COPY, dst_page // ppb, dst_page, latency, uses_channel=False)
+                )
         old_state = dst.state
         dst.advance(len(sources))
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
-                    "zns.device", "copy", block=ops[0].block, count=len(sources),
+                    "zns.device", "copy", block=self.block_of_offset(dst_zone_id, start),
+                    count=len(sources),
                     nbytes=len(sources) * self.page_size, cause="reclaim",
                 )
             )
