@@ -10,23 +10,22 @@ itself causes (compaction, WAL) and what each interface adds below it.
 Run: ``python examples/lsm_kv_store.py``
 """
 
-import numpy as np
-
-from repro.apps.lsm import BlockFileBackend, LSMConfig, LSMStore, ZoneFileBackend
+from repro.apps.lsm import (
+    BlockFileBackend,
+    LSMConfig,
+    LSMStore,
+    ZoneFileBackend,
+    put_uniform,
+)
 from repro.flash.geometry import FlashGeometry, ZonedGeometry
 from repro.ftl.device import ConventionalSSD
 from repro.ftl.ftl import FTLConfig
+from repro.sim.rng import draw_ints, make_rng
 from repro.zns.device import ZNSDevice
 
 N_KEYS = 150_000
 OPS = 350_000
 CFG = LSMConfig(memtable_pages=64, level0_pages=768, max_table_pages=32)
-
-
-def drive(store: LSMStore) -> None:
-    rng = np.random.default_rng(0)
-    for i in range(OPS):
-        store.put(int(rng.integers(0, N_KEYS)), i)
 
 
 def report(label: str, store: LSMStore, flash_pages: int) -> None:
@@ -47,7 +46,7 @@ def main() -> None:
             BlockFileBackend(ssd, trim_on_delete=trim, allocation_strategy="aged"),
             CFG,
         )
-        drive(store)
+        put_uniform(store, list(range(N_KEYS)), OPS, make_rng(0))
         report(label, store, ssd.ftl.nand.counters.programmed_pages())
 
     zoned = ZonedGeometry(
@@ -55,7 +54,7 @@ def main() -> None:
     )
     device = ZNSDevice(zoned)
     store = LSMStore(ZoneFileBackend(device), CFG)
-    drive(store)
+    put_uniform(store, list(range(N_KEYS)), OPS, make_rng(0))
     report("zns, zenfs-like", store, device.nand.counters.programmed_pages())
     log = store.backend.log
     relocated = device.nand.counters.count("program", "reclaim")
@@ -64,13 +63,10 @@ def main() -> None:
           f"(fully-dead zones), {relocated} pages relocated")
     print("level sizes (pages):", store.level_sizes_pages())
 
-    # Correctness spot check: the newest value for a sample of keys.
-    rng = np.random.default_rng(0)
-    truth = {}
-    for i in range(OPS):
-        truth[int(rng.integers(0, N_KEYS))] = i
-    sample = list(truth.items())[::4001]
-    assert all(store.get(k) == v for k, v in sample)
+    # Correctness spot check: a sample of the keys written reads back.
+    written = dict.fromkeys(draw_ints(make_rng(0), N_KEYS, OPS))
+    sample = list(written)[::4001]
+    assert all(store.get(k) == k for k in sample)
     print(f"verified {len(sample)} random keys read back correctly")
 
 

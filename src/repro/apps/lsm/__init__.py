@@ -16,7 +16,7 @@ from repro.apps.lsm.backends import BlockFileBackend, LsmBackend, ZoneFileBacken
 from repro.apps.lsm.compaction import LeveledCompaction
 from repro.apps.lsm.memtable import MemTable
 from repro.apps.lsm.sstable import SSTable
-from repro.apps.lsm.store import LSMConfig, LSMStore
+from repro.apps.lsm.store import LSMConfig, LSMStore, put_uniform
 
 __all__ = [
     "BlockFileBackend",
@@ -27,4 +27,5 @@ __all__ = [
     "MemTable",
     "SSTable",
     "ZoneFileBackend",
+    "put_uniform",
 ]

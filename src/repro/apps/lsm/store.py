@@ -24,11 +24,14 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from repro.apps.lsm.backends import BlockFileBackend, LsmBackend, ZoneFileBackend
 from repro.apps.lsm.bloom import BloomFilter
 from repro.apps.lsm.compaction import LeveledCompaction
 from repro.apps.lsm.memtable import TOMBSTONE, MemTable
 from repro.apps.lsm.sstable import SSTable, _max_key, overlapping_run, size_in_pages
+from repro.sim.rng import draw_ints
 
 _ABSENT = object()  # a memtable miss, distinct from every value and TOMBSTONE
 
@@ -359,4 +362,21 @@ class LSMStore:
         return [sum(t.size_pages for t in level) for level in self.levels]
 
 
-__all__ = ["IoPlanEntry", "LSMConfig", "LSMStats", "LSMStore"]
+def put_uniform(store: LSMStore, keys: list[Any], ops: int, rng: np.random.Generator) -> None:
+    """Put ``ops`` uniform draws from the key table ``keys``, each key as its own value.
+
+    The draws are ``draw_ints(rng, len(keys), ops)``. Build ``keys`` once
+    per store (``list(range(n_keys))``) and pass it to every call: its
+    objects lie in memory in key order, so every table's sorted columns,
+    and a compaction merge walking them, read memory in order. A merge
+    touches each entry's key and value about a dozen times, and objects
+    allocated one per draw scatter those touches over the heap. The value
+    is the key object because a value is opaque: ``entry_bytes`` sizes
+    every entry.
+    """
+    put = store.put
+    for key in map(keys.__getitem__, draw_ints(rng, len(keys), ops)):
+        put(key, key)
+
+
+__all__ = ["IoPlanEntry", "LSMConfig", "LSMStats", "LSMStore", "put_uniform"]

@@ -9,10 +9,10 @@ This ablation sweeps blocks-per-zone with the LSM workload held fixed.
 
 from __future__ import annotations
 
-from repro.apps.lsm import LSMConfig, LSMStore, ZoneFileBackend
+from repro.apps.lsm import LSMConfig, LSMStore, ZoneFileBackend, put_uniform
 from repro.block.factory import DeviceSpec, build_stack
 from repro.experiments.base import ExperimentConfig, ExperimentResult, SweepSpec, experiment
-from repro.sim.rng import draw_ints, make_rng
+from repro.sim.rng import make_rng
 
 
 def measure(blocks_per_zone: int, quick: bool, seed: int) -> dict:
@@ -28,11 +28,8 @@ def measure(blocks_per_zone: int, quick: bool, seed: int) -> dict:
         ZoneFileBackend(device),
         LSMConfig(memtable_pages=64, level0_pages=768, max_table_pages=32),
     )
-    n_keys = 100_000
     ops = 250_000 if quick else 500_000
-    rng = make_rng(seed)
-    for i, key in enumerate(draw_ints(rng, n_keys, ops)):
-        store.put(key, i)
+    put_uniform(store, list(range(100_000)), ops, make_rng(seed))
     log, counters = store.backend.log, device.nand.counters
     return {
         "blocks_per_zone": blocks_per_zone,

@@ -14,12 +14,12 @@ with useful writes.
 
 from __future__ import annotations
 
-from repro.apps.lsm import BlockFileBackend, LSMConfig, LSMStore
+from repro.apps.lsm import BlockFileBackend, LSMConfig, LSMStore, put_uniform
 from repro.block.factory import DeviceSpec, build_stack
 from repro.block.ramdisk import RamDisk
 from repro.experiments.base import ExperimentConfig, ExperimentResult, experiment
 from repro.sim.engine import Engine, Timeout
-from repro.sim.rng import draw_ints, make_rng
+from repro.sim.rng import make_rng
 from repro.workloads.synthetic import fill_then_churn
 from repro.zns.zone import ZoneState
 
@@ -30,9 +30,7 @@ def capture_io_plan(quick: bool, seed: int) -> list:
     ops = 150_000 if quick else 250_000
     backend = BlockFileBackend(RamDisk(num_blocks=1 << 16), trim_on_delete=True)
     store = LSMStore(backend, LSMConfig(memtable_pages=64, level0_pages=768, max_table_pages=32))
-    rng = make_rng(seed)
-    for i, key in enumerate(draw_ints(rng, n_keys, ops)):
-        store.put(key, i)
+    put_uniform(store, list(range(n_keys)), ops, make_rng(seed))
     return store.stats.io_plan
 
 

@@ -23,26 +23,22 @@ from repro.apps.lsm import (
     LSMConfig,
     LSMStore,
     ZoneFileBackend,
+    put_uniform,
 )
 from repro.block.factory import DeviceSpec, build_stack
 from repro.experiments.base import ExperimentConfig, ExperimentResult, SweepSpec, experiment
-from repro.sim.rng import draw_ints, make_rng
+from repro.sim.rng import make_rng
 
 _CFG = LSMConfig(memtable_pages=64, level0_pages=768, max_table_pages=32)
 
 
-def _drive(store: LSMStore, n_keys: int, ops: int, seed: int) -> None:
-    rng = make_rng(seed)
-    for i, key in enumerate(draw_ints(rng, n_keys, ops)):
-        store.put(key, i)
-
-
 def _steady_state_wa(store, counters, n_keys, warmup_ops, measure_ops, seed):
-    _drive(store, n_keys, warmup_ops, seed)
+    keys = list(range(n_keys))  # one key table for both phases
+    put_uniform(store, keys, warmup_ops, make_rng(seed))
     user0 = store.stats.user_bytes
     flash0 = counters.programmed_pages()
     app0 = store.stats.app_pages_written
-    _drive(store, n_keys, measure_ops, seed + 1)
+    put_uniform(store, keys, measure_ops, make_rng(seed + 1))
     user = store.stats.user_bytes - user0
     flash = counters.programmed_pages() - flash0
     app_pages = store.stats.app_pages_written - app0
