@@ -12,16 +12,19 @@ block backend interleaves them with file data inside erasure blocks while
 the zone backend isolates them in their own zone (ZenFS's layout).
 
 The write path does once what is known once: ``put`` is a single Python
-frame (``delete`` is a put of the tombstone), and flush and compaction
-pass a table's two columns down instead of (key, value) pairs. So does
-the read path: ``get`` hashes its key once and bisects each non-empty
-level once, and ``scan`` bisects each table once.
+frame (``delete`` is a put of the tombstone), ``put_many`` writes a flush
+window of puts with one ``dict.update``, the WAL buffer is two columns
+with a durable watermark, and flush and compaction pass a table's two
+columns down instead of (key, value) pairs. So does the read path:
+``get`` hashes its key once and bisects each non-empty level once, and
+``scan`` bisects each table once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any
 
 import numpy as np
@@ -34,6 +37,7 @@ from repro.apps.lsm.sstable import SSTable, _max_key, overlapping_run, size_in_p
 from repro.sim.rng import draw_ints
 
 _ABSENT = object()  # a memtable miss, distinct from every value and TOMBSTONE
+_PUT_CHUNK = 8192  # draws per put_many call in put_uniform
 
 
 @dataclass(frozen=True)
@@ -109,8 +113,12 @@ class LSMStore:
         self.memtable = MemTable()
         self.levels: list[list[SSTable]] = [[] for _ in range(self.config.max_levels)]
         self.stats = LSMStats()
-        self._wal_unsynced: list[tuple[Any, Any]] = []
-        self._wal_logged: list[tuple[Any, Any]] = []
+        # The WAL buffer: every put since the last flush, as two columns.
+        # The first ``_wal_next_sync`` entries are on durable WAL pages; the
+        # rest wait for their page to fill.
+        self._wal_keys: list[Any] = []
+        self._wal_values: list[Any] = []
+        self._wal_next_sync = 0
         self.compaction = LeveledCompaction(
             l0_limit=self.config.l0_limit,
             level0_pages=self.config.level0_pages,
@@ -134,10 +142,10 @@ class LSMStore:
         """Insert or overwrite one key.
 
         One Python frame in the steady state: the memtable's dict is
-        written directly and the WAL page boundary is read off the buffer
-        the entry joins. Entries wait in ``_wal_unsynced`` until a full
-        page is written, then move to ``_wal_logged`` (durable). That
-        boundary is what a crash exposes: see :meth:`crash_and_recover`.
+        written directly, the key and value join the WAL columns, and the
+        WAL page boundary is read off the columns' length. Entries past the
+        ``_wal_next_sync`` watermark wait until a full page is written;
+        that boundary is what a crash exposes: see :meth:`crash_and_recover`.
         """
         stats = self.stats
         stats.user_writes += 1
@@ -145,41 +153,76 @@ class LSMStore:
         data = self.memtable.data
         data[key] = value
         if self._wal_enabled:
-            unsynced = self._wal_unsynced
-            unsynced.append((key, value))
-            if len(unsynced) >= self._wal_entries_per_page:
+            wal_keys = self._wal_keys
+            wal_keys.append(key)
+            self._wal_values.append(value)
+            if len(wal_keys) - self._wal_next_sync >= self._wal_entries_per_page:
                 self._sync_wal_page()
         if len(data) >= self._flush_entries:
             self.flush()
+
+    def put_many(self, keys: list[Any], values: list[Any]) -> None:
+        """``put(k, v)`` for each pair in order, a flush window at a time.
+
+        One put grows the memtable by at most one key, so none of the next
+        ``_flush_entries - len(data)`` puts but the last can trip a flush:
+        that run goes into the memtable with one ``dict.update``, each WAL
+        page it fills is synced in order, and the flush, if due, runs after
+        them, as at the run's last ``put``. The backend sees the device
+        calls of the ``put`` loop in the same order. (Between calls the
+        memtable is below its flush size, so every run holds a put.)
+        Lengths that differ raise ``ValueError`` before anything changes.
+        """
+        count = len(keys)
+        if len(values) != count:
+            raise ValueError(f"{count} keys but {len(values)} values")
+        stats, data = self.stats, self.memtable.data
+        wal_enabled, per_page = self._wal_enabled, self._wal_entries_per_page
+        wal_keys, wal_values = self._wal_keys, self._wal_values
+        start = 0
+        while start < count:
+            end = min(count, start + self._flush_entries - len(data))
+            run_keys, run_values = keys[start:end], values[start:end]
+            data.update(zip(run_keys, run_values))
+            stats.user_writes += len(run_keys)
+            stats.user_bytes += len(run_keys) * self._entry_bytes
+            if wal_enabled:
+                wal_keys += run_keys
+                wal_values += run_values
+                while len(wal_keys) - self._wal_next_sync >= per_page:
+                    self._sync_wal_page()
+            if len(data) >= self._flush_entries:
+                self.flush()
+            start = end
 
     def delete(self, key: Any) -> None:
         """Delete a key: a put of the tombstone."""
         self.put(key, TOMBSTONE)
 
     def _sync_wal_page(self) -> None:
-        """Write the buffered WAL entries as one durable page."""
+        """Write the next page of buffered WAL entries durably."""
         self.backend.append_wal_page()
         self.stats.wal_pages += 1
-        self._wal_logged.extend(self._wal_unsynced)
-        self._wal_unsynced.clear()
+        self._wal_next_sync += self._wal_entries_per_page
 
     def crash_and_recover(self) -> int:
         """Simulate power loss and WAL replay; returns entries lost.
 
         Volatile state (the memtable and any WAL entries buffered but not
-        yet written to a full flash page) disappears; recovery replays the
-        durable WAL pages into a fresh memtable. SSTables are immutable
-        and survive untouched.
+        yet written to a full flash page) disappears; recovery cuts the WAL
+        columns back to the durable watermark and replays them into a fresh
+        memtable. SSTables are immutable and survive untouched.
         """
         if not self.config.wal_enabled:
             lost = len(self.memtable)
             self.memtable.clear()
             self.stats.recoveries += 1
             return lost
-        lost = len(self._wal_unsynced)
+        durable = self._wal_next_sync
+        lost = len(self._wal_keys) - durable
+        del self._wal_keys[durable:], self._wal_values[durable:]
         self.memtable.clear()
-        self._wal_unsynced.clear()
-        self.memtable.data.update(self._wal_logged)
+        self.memtable.data.update(zip(self._wal_keys, self._wal_values))
         self.stats.recoveries += 1
         return lost
 
@@ -288,8 +331,9 @@ class LSMStore:
         if self.config.wal_enabled:
             # Everything in the WAL is now covered by the flushed table.
             self.backend.reset_wal()
-            self._wal_logged.clear()
-            self._wal_unsynced.clear()
+            self._wal_keys.clear()
+            self._wal_values.clear()
+            self._wal_next_sync = 0
         self.stats.flushes += 1
         self.stats.flush_pages += table.size_pages
         self.stats.io_plan.append(
@@ -365,18 +409,21 @@ class LSMStore:
 def put_uniform(store: LSMStore, keys: list[Any], ops: int, rng: np.random.Generator) -> None:
     """Put ``ops`` uniform draws from the key table ``keys``, each key as its own value.
 
-    The draws are ``draw_ints(rng, len(keys), ops)``. Build ``keys`` once
-    per store (``list(range(n_keys))``) and pass it to every call: its
-    objects lie in memory in key order, so every table's sorted columns,
-    and a compaction merge walking them, read memory in order. A merge
-    touches each entry's key and value about a dozen times, and objects
-    allocated one per draw scatter those touches over the heap. The value
-    is the key object because a value is opaque: ``entry_bytes`` sizes
-    every entry.
+    The draws are ``draw_ints(rng, len(keys), ops)``, and go to
+    :meth:`LSMStore.put_many` ``_PUT_CHUNK`` at a time: the store ends as a
+    ``put`` per draw would leave it, and memory holds one chunk of draws.
+    Build ``keys`` once per store (``list(range(n_keys))``) and pass it to
+    every call: its objects lie in memory in key order, so every table's
+    sorted columns, and a compaction merge walking them, read memory in
+    order. A merge touches each entry's key and value about a dozen times,
+    and objects allocated one per draw scatter those touches over the heap.
+    The value is the key object because a value is opaque: ``entry_bytes``
+    sizes every entry.
     """
-    put = store.put
-    for key in map(keys.__getitem__, draw_ints(rng, len(keys), ops)):
-        put(key, key)
+    put_many = store.put_many
+    draws = map(keys.__getitem__, draw_ints(rng, len(keys), ops))
+    while chunk := list(islice(draws, _PUT_CHUNK)):
+        put_many(chunk, chunk)
 
 
 __all__ = ["IoPlanEntry", "LSMConfig", "LSMStats", "LSMStore", "put_uniform"]

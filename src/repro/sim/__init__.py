@@ -21,7 +21,7 @@ from repro.sim.engine import (
     Timeout,
 )
 from repro.sim.resources import PriorityResource, Resource
-from repro.sim.rng import make_rng, spawn_rngs
+from repro.sim.rng import make_rng
 
 __all__ = [
     "Engine",
@@ -32,5 +32,4 @@ __all__ = [
     "SimulationError",
     "Timeout",
     "make_rng",
-    "spawn_rngs",
 ]

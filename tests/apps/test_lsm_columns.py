@@ -25,6 +25,12 @@ from tests.test_page_path import python_calls
 E5_CFG = LSMConfig(memtable_pages=64, level0_pages=768, max_table_pages=32)
 
 
+def wal_split(store) -> tuple[int, int]:
+    """(durable, unsynced) entries of the store's WAL columns."""
+    assert len(store._wal_keys) == len(store._wal_values)
+    return store._wal_next_sync, len(store._wal_keys) - store._wal_next_sync
+
+
 class TestPutIsOneFrame:
     """Ceilings only go down (parent: 5 frames per put)."""
 
@@ -40,16 +46,16 @@ class TestPutIsOneFrame:
         per_page = store.backend.page_size // E5_CFG.entry_bytes
         for key in range(per_page - 1):
             store.put(key, key)
-        assert store.stats.wal_pages == 0 and len(store._wal_unsynced) == per_page - 1
+        assert store.stats.wal_pages == 0 and wal_split(store) == (0, per_page - 1)
         store.put(-1, -1)
         assert store.stats.wal_pages == 1
-        assert (len(store._wal_unsynced), len(store._wal_logged)) == (0, per_page)
+        assert wal_split(store) == (per_page, 0)
         for key in range(per_page, E5_CFG.memtable_pages * per_page - 1):
             store.put(key, key)
         assert store.stats.flushes == 0
         store.put(-2, -2)
         assert store.stats.flushes == 1 and len(store.memtable) == 0
-        assert store._wal_unsynced == store._wal_logged == []
+        assert store._wal_keys == store._wal_values == [] and store._wal_next_sync == 0
 
 
 def test_e5_shaped_fill_stays_out_of_the_collector():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.rng import draw_ints, make_rng, spawn_rngs
+from repro.sim.rng import draw_ints, make_rng
 
 
 def test_make_rng_from_seed_is_deterministic():
@@ -19,25 +19,6 @@ def test_make_rng_passes_generator_through():
 
 def test_make_rng_none_gives_generator():
     assert isinstance(make_rng(None), np.random.Generator)
-
-
-def test_spawn_rngs_independent_streams():
-    streams = spawn_rngs(123, 3)
-    assert len(streams) == 3
-    draws = [g.integers(0, 1 << 60) for g in streams]
-    assert len(set(draws)) == 3  # astronomically unlikely to collide
-
-
-def test_spawn_rngs_reproducible():
-    a = spawn_rngs(5, 2)
-    b = spawn_rngs(5, 2)
-    for ga, gb in zip(a, b):
-        assert ga.integers(0, 1 << 30) == gb.integers(0, 1 << 30)
-
-
-def test_spawn_rngs_negative_count_rejected():
-    with pytest.raises(ValueError):
-        spawn_rngs(0, -1)
 
 
 @pytest.mark.parametrize("high", [7, 160_000, 2**31, 2**40])
