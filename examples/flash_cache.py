@@ -25,7 +25,7 @@ THETA = 0.9  # zipfian skew
 
 def run_set_associative():
     ssd = ConventionalSSD(FlashGeometry.small(), FTLConfig(op_ratio=0.07))
-    cache = SetAssociativeCache(ssd, ways=4)
+    cache = SetAssociativeCache(ssd.ftl, ways=4)
     for obj in zipfian_stream(UNIVERSE, REQUESTS, theta=THETA, seed=0):
         if not cache.get(obj):
             cache.admit(obj)

@@ -26,10 +26,11 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     conv = build_stack(
         DeviceSpec(kind="conventional-ssd", geometry="small", ftl={"op_ratio": 0.07})
     )
-    set_cache = SetAssociativeCache(conv, ways=4)
+    set_cache = SetAssociativeCache(conv.ftl, ways=4)
     for obj in zipfian_stream(universe, requests, theta=0.9, seed=seed):
         if not set_cache.get(obj):
             set_cache.admit(obj)
+    set_cache.check_invariants()
     conv_flash = conv.ftl.nand.counters.programmed_pages()
     conv_row = {
         "cache": "set-assoc/conventional",
@@ -45,6 +46,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     for obj in zipfian_stream(universe, requests, theta=0.9, seed=seed):
         if not log_cache.get(obj):
             log_cache.admit(obj)
+    log_cache.check_invariants()
     zns_flash = zns.nand.counters.programmed_pages()
     zns_row = {
         "cache": "zone-log/zns",

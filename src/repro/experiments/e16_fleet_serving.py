@@ -17,42 +17,31 @@ This sweep drives :mod:`repro.fleet` racks across four axes:
 - **fault_scale**: 0 (clean) vs 1 (the fleet fault plan armed on every
   device, seeded per rack position).
 
-Each sweep point simulates one *shard* of one (arm, placement, load)
-rack at every fault scale, so the process pool spreads devices of a
-single fleet across workers; per-shard
+The rack members, the shard point and the sweep skeleton are shared
+with E17 (:mod:`repro.experiments.fleet_sweep`): a point is one shard of
+one (arm, placement, load) rack at every fault scale, so the process
+pool spreads devices of a single fleet across workers, and per-shard
 :class:`~repro.obs.frame.MetricsFrame` telemetry merges associatively in
-``combine``. A point prefills and warms each of its devices once: the
-fault arms differ only from the measurement boundary on, and each
-measures on its own copy of the warmed device (:mod:`repro.fleet.rack`).
-The shard count is a config parameter (not ``--jobs``), so ``run e16
---jobs 1`` and ``--jobs 8`` are byte-identical by construction, and
-``tests/fleet`` pins merged-equals-serial exactly.
+``combine``; ``tests/fleet`` pins merged-equals-serial exactly.
 
 Defaults keep racks small enough for CI (devices/tenants/ticks all
 scale via ``-p devices=... tenants=... ticks=...``); the machinery is
 sized by the spec, not the code, so hundreds of devices is a parameter
-change. Like E15, E16 stays out of ``run all``: its fault arms must not
-perturb the default suite's byte-stable output.
+change.
 """
 
 from __future__ import annotations
 
 from repro.block.factory import DeviceSpec
-from repro.experiments.base import ExperimentConfig, ExperimentResult, SweepSpec, experiment
+from repro.experiments import fleet_sweep
+from repro.experiments.base import ExperimentConfig, ExperimentResult, SweepSpec
 from repro.faults import FaultPlan
-from repro.fleet import FleetSpec, fleet_summary, simulate_shard
-from repro.obs.frame import MetricsFrame
+from repro.fleet import FleetSpec
 
 _ARMS = ("conventional", "zns")
 _LOADS = ("steady", "bursty")
 _PLACEMENTS = ("round-robin", "least-loaded", "pack")
 _FAULT_SCALES = (0.0, 1.0)
-
-# Shrink the small geometry further (64 blocks / 4096 pages per device)
-# so churn reaches GC/reclaim steady state within CI-sized tick counts.
-_FLASH = (("blocks_per_plane", 8),)
-_OP = 0.18
-_UTILIZATION = 0.9
 
 
 def fleet_plan(seed: int) -> FaultPlan:
@@ -76,21 +65,7 @@ def fleet_plan(seed: int) -> FaultPlan:
 
 def device_spec(arm: str, fault_scale: float, seed: int) -> DeviceSpec:
     """One rack member of ``arm``, with the fleet fault plan if armed."""
-    if arm == "conventional":
-        spec = DeviceSpec(
-            kind="conventional-ftl",
-            geometry="small",
-            flash=_FLASH,
-            ftl=(("op_ratio", _OP),),
-        )
-    else:
-        spec = DeviceSpec(
-            kind="zns",
-            geometry="small",
-            flash=_FLASH,
-            blocks_per_zone=2,
-            max_active_zones=14,
-        )
+    spec = fleet_sweep.device_spec(conventional=arm == "conventional")
     if fault_scale > 0:
         spec = spec.with_faults(fleet_plan(seed), fault_scale)
     return spec
@@ -113,96 +88,37 @@ def _fleet_spec(
         shape = {"idle_events": 4, "burst_events": 4, "heavy_factor": 1}
     else:
         shape = {"idle_events": 2, "burst_events": 16, "heavy_every": 4, "heavy_factor": 2}
-    return FleetSpec(
-        mix=((device_spec(arm, fault_scale, seed), devices),),
-        tenants=tenants,
-        placement=placement,
-        ticks=ticks,
-        warmup_ticks=warmup,
-        utilization=_UTILIZATION,
-        seed=seed,
-        **shape,
-    )
+    return fleet_sweep.fleet_spec(
+        device_spec(arm, fault_scale, seed), devices, tenants, ticks, warmup, seed,
+        placement=placement, **shape,
+    )  # fmt: skip
 
 
-def measure_shard(
-    arm: str,
-    placement: str,
-    load: str,
-    fault_scales: tuple[float, ...],
-    shard: int,
-    shards: int,
-    devices: int,
-    tenants: int,
-    ticks: int,
-    warmup: int,
-    seed: int,
-) -> dict:
-    """One shard of one rack at every fault scale: a merged frame per scale."""
-    specs = [
-        _fleet_spec(arm, placement, load, scale, devices, tenants, ticks, warmup, seed)
-        for scale in fault_scales
-    ]
-    return {
-        "arm": arm,
-        "placement": placement,
-        "load": load,
-        "fault_scales": fault_scales,
-        "shard": shard,
-        "frames": simulate_shard(specs, shard=shard, shards=shards),
-    }
+FLEET = fleet_sweep.FleetSweep(
+    ("arm", "placement", "load"), "fault_scale", _fleet_spec,
+    # Enough warm-up churn to exhaust the free pool (~115 ticks at mean
+    # load) before measurement, so GC/reclaim run the whole measured span.
+    quick=(4, 8, 240, 160, 2), full=(8, 16, 600, 200, 4),
+)  # fmt: skip
 
 
 def sweep_points(config: ExperimentConfig) -> list[dict]:
     """One work unit per (arm, placement, load, shard), covering every
     fault scale -- shards of one rack fan out."""
-    devices = config.param("devices", 4 if config.quick else 8)
-    tenants = config.param("tenants", 8 if config.quick else 16)
-    ticks = config.param("ticks", 240 if config.quick else 600)
-    # Enough churn to exhaust the free pool (~115 ticks at mean load)
-    # before measurement, so GC/reclaim run for the whole measured span.
-    warmup = config.param("warmup", 160 if config.quick else 200)
-    shards = config.param("shards", 2 if config.quick else 4)
-    return [
-        {
-            "arm": arm,
-            "placement": placement,
-            "load": load,
-            "fault_scales": tuple(config.param("fault_scales", _FAULT_SCALES)),
-            "shard": shard,
-            "shards": shards,
-            "devices": devices,
-            "tenants": tenants,
-            "ticks": ticks,
-            "warmup": warmup,
-            "seed": config.seed,
-        }
-        for arm in config.param("arms", _ARMS)
-        for placement in config.param("placements", _PLACEMENTS)
-        for load in config.param("loads", _LOADS)
-        for shard in range(shards)
-    ]
+    scales = tuple(config.param("fault_scales", _FAULT_SCALES))
+    return FLEET.points(
+        config,
+        [
+            (arm, placement, load, scales)
+            for arm in config.param("arms", _ARMS)
+            for placement in config.param("placements", _PLACEMENTS)
+            for load in config.param("loads", _LOADS)
+        ],
+    )
 
 
 def combine(config: ExperimentConfig, rows: list[dict]) -> ExperimentResult:
-    scenarios: dict[tuple, list[MetricsFrame]] = {}
-    for row in rows:
-        for scale, frame in zip(row["fault_scales"], row["frames"]):
-            key = (row["arm"], row["placement"], row["load"], scale)
-            scenarios.setdefault(key, []).append(frame)
-
-    out_rows = []
-    for (arm, placement, load, scale), frames in scenarios.items():
-        merged = MetricsFrame.merge(frames)
-        out_rows.append(
-            {
-                "arm": arm,
-                "placement": placement,
-                "load": load,
-                "fault_scale": scale,
-                **fleet_summary(merged),
-            }
-        )
+    out_rows = FLEET.rows(rows)
 
     def worst(arm: str, metric: str) -> float:
         return max(row[metric] for row in out_rows if row["arm"] == arm)
@@ -261,12 +177,7 @@ def combine(config: ExperimentConfig, rows: list[dict]) -> ExperimentResult:
     )
 
 
-SWEEP = SweepSpec(points=sweep_points, point=measure_shard, combine=combine)
+SWEEP = SweepSpec(points=sweep_points, point=FLEET.point, combine=combine)
+run = fleet_sweep.experiment_run("E16", SWEEP)
 
-
-@experiment("E16")
-def run(config: ExperimentConfig) -> ExperimentResult:
-    return SWEEP.run(config)
-
-
-__all__ = ["SWEEP", "device_spec", "fleet_plan", "measure_shard", "run"]
+__all__ = ["SWEEP", "device_spec", "fleet_plan", "run"]

@@ -28,22 +28,18 @@ crossover: the lowest pressure at which the naive arm's read p99 is no
 better than the conventional bar, and whether the lifecycle manager
 keeps the win at (and past) that point.
 
-Like E15/E16, E17 stays out of ``run all``: its fault arms must not
-perturb the default suite's byte-stable output. Shards are a config
-parameter, so ``--jobs 1`` and ``--jobs N`` are byte-identical by
-construction. A sweep point is one shard of one (arm, pressure) rack at
-every management-fault scale: the scales differ only from the
-measurement boundary on, so the point warms each device once and
-measures each scale on its own copy (:mod:`repro.fleet.rack`).
+The rack members, the shard point and the sweep skeleton are shared
+with E16 (:mod:`repro.experiments.fleet_sweep`): a sweep point is one
+shard of one (arm, pressure) rack at every management-fault scale.
 """
 
 from __future__ import annotations
 
 from repro.block.factory import DeviceSpec
-from repro.experiments.base import ExperimentConfig, ExperimentResult, SweepSpec, experiment
+from repro.experiments import fleet_sweep
+from repro.experiments.base import ExperimentConfig, ExperimentResult, SweepSpec
 from repro.faults import FaultPlan
-from repro.fleet import FleetSpec, fleet_summary, simulate_shard
-from repro.obs.frame import MetricsFrame
+from repro.fleet import FleetSpec
 
 _ARMS = ("conventional", "zns-naive", "zns-managed")
 
@@ -51,13 +47,6 @@ _ARMS = ("conventional", "zns-naive", "zns-managed")
 #: controllers exhibit, and a pathological firmware at the top.
 _PRESSURES = (0.0, 1_000.0, 5_000.0, 20_000.0)
 _MGMT_SCALES = (0.0, 1.0)
-
-# Same shrunken small geometry as E16 (64 blocks / 4096 pages per
-# device); 2-block zones wrap the per-tenant logs often, which is what
-# makes reset frequency a pressure axis at CI-sized tick counts.
-_FLASH = (("blocks_per_plane", 8),)
-_OP = 0.18
-_UTILIZATION = 0.9
 
 
 def mgmt_plan(seed: int) -> FaultPlan:
@@ -79,18 +68,9 @@ def mgmt_plan(seed: int) -> FaultPlan:
 def device_spec(arm: str, pressure_us: float, mgmt_scale: float, seed: int) -> DeviceSpec:
     """One rack member of ``arm`` at one (pressure, fault-scale) point."""
     if arm == "conventional":
-        return DeviceSpec(
-            kind="conventional-ftl",
-            geometry="small",
-            flash=_FLASH,
-            ftl=(("op_ratio", _OP),),
-        )
-    spec = DeviceSpec(
-        kind="zns",
-        geometry="small",
-        flash=_FLASH,
-        blocks_per_zone=2,
-        max_active_zones=14,
+        return fleet_sweep.device_spec(conventional=True)
+    spec = fleet_sweep.device_spec(
+        conventional=False,
         zone_mgmt=(("reset_us", pressure_us),) if pressure_us > 0 else (),
     )
     if mgmt_scale > 0:
@@ -108,45 +88,19 @@ def _fleet_spec(
     warmup: int,
     seed: int,
 ) -> FleetSpec:
-    return FleetSpec(
-        mix=((device_spec(arm, pressure_us, mgmt_scale, seed), devices),),
-        tenants=tenants,
-        ticks=ticks,
-        warmup_ticks=warmup,
-        utilization=_UTILIZATION,
+    return fleet_sweep.fleet_spec(
+        device_spec(arm, pressure_us, mgmt_scale, seed), devices, tenants, ticks, warmup, seed,
         # Short object lifetimes wrap the zone logs hard: reclaim (and
         # with it reset pressure) stays on for the whole measured span.
         lifetime_scale=0.05,
         zone_lifecycle=(arm == "zns-managed"),
-        seed=seed,
-    )
+    )  # fmt: skip
 
 
-def measure_shard(
-    arm: str,
-    pressure_us: float,
-    mgmt_scales: tuple[float, ...],
-    shard: int,
-    shards: int,
-    devices: int,
-    tenants: int,
-    ticks: int,
-    warmup: int,
-    seed: int,
-) -> dict:
-    """One shard of one rack at every management-fault scale: a merged
-    frame per scale."""
-    specs = [
-        _fleet_spec(arm, pressure_us, scale, devices, tenants, ticks, warmup, seed)
-        for scale in mgmt_scales
-    ]
-    return {
-        "arm": arm,
-        "pressure_us": pressure_us,
-        "mgmt_scales": mgmt_scales,
-        "shard": shard,
-        "frames": simulate_shard(specs, shard=shard, shards=shards),
-    }
+FLEET = fleet_sweep.FleetSweep(
+    ("arm", "pressure_us"), "mgmt_scale", _fleet_spec,
+    quick=(2, 4, 160, 120, 2), full=(4, 8, 400, 160, 4),
+)  # fmt: skip
 
 
 def sweep_points(config: ExperimentConfig) -> list[dict]:
@@ -157,59 +111,25 @@ def sweep_points(config: ExperimentConfig) -> list[dict]:
     cannot touch it, so it contributes a single (0, 0) scenario -- the
     bar the ZNS arms are judged against.
     """
-    devices = config.param("devices", 2 if config.quick else 4)
-    tenants = config.param("tenants", 4 if config.quick else 8)
-    ticks = config.param("ticks", 160 if config.quick else 400)
-    warmup = config.param("warmup", 120 if config.quick else 160)
-    shards = config.param("shards", 2 if config.quick else 4)
-    pressures = config.param("pressures", _PRESSURES)
     scales = tuple(config.param("mgmt_scales", _MGMT_SCALES))
     scenarios = [("conventional", 0.0, (0.0,))]
     for arm in ("zns-naive", "zns-managed"):
-        if arm not in config.param("arms", _ARMS):
-            continue
-        scenarios += [(arm, pressure, scales) for pressure in pressures]
-    return [
-        {
-            "arm": arm,
-            "pressure_us": pressure,
-            "mgmt_scales": scales,
-            "shard": shard,
-            "shards": shards,
-            "devices": devices,
-            "tenants": tenants,
-            "ticks": ticks,
-            "warmup": warmup,
-            "seed": config.seed,
-        }
-        for arm, pressure, scales in scenarios
-        for shard in range(shards)
-    ]
+        if arm in config.param("arms", _ARMS):
+            scenarios += [(arm, p, scales) for p in config.param("pressures", _PRESSURES)]
+    return FLEET.points(config, scenarios)
 
 
 def combine(config: ExperimentConfig, rows: list[dict]) -> ExperimentResult:
-    scenarios: dict[tuple, list[MetricsFrame]] = {}
-    for row in rows:
-        for scale, frame in zip(row["mgmt_scales"], row["frames"]):
-            key = (row["arm"], row["pressure_us"], scale)
-            scenarios.setdefault(key, []).append(frame)
-
-    out_rows = []
-    for (arm, pressure, scale), frames in scenarios.items():
-        merged = MetricsFrame.merge(frames)
-        out_rows.append(
-            {
-                "arm": arm,
-                "pressure_us": pressure,
-                "mgmt_scale": scale,
-                **fleet_summary(merged),
-                "zone_resets": merged.counter("fleet.zone_resets"),
-                "reset_retries": merged.counter("fleet.reset_retries"),
-                "reserve_hits": merged.counter("fleet.lifecycle.reserve_hits"),
-                "reserve_misses": merged.counter("fleet.lifecycle.reserve_misses"),
-                "zones_quarantined": merged.counter("fleet.zones_quarantined"),
-            }
-        )
+    out_rows = FLEET.rows(
+        rows,
+        {
+            "zone_resets": "fleet.zone_resets",
+            "reset_retries": "fleet.reset_retries",
+            "reserve_hits": "fleet.lifecycle.reserve_hits",
+            "reserve_misses": "fleet.lifecycle.reserve_misses",
+            "zones_quarantined": "fleet.zones_quarantined",
+        },
+    )
 
     bar = next(row for row in out_rows if row["arm"] == "conventional")
     bar_p99 = bar["read_p99_us"]
@@ -267,12 +187,7 @@ def combine(config: ExperimentConfig, rows: list[dict]) -> ExperimentResult:
     )
 
 
-SWEEP = SweepSpec(points=sweep_points, point=measure_shard, combine=combine)
+SWEEP = SweepSpec(points=sweep_points, point=FLEET.point, combine=combine)
+run = fleet_sweep.experiment_run("E17", SWEEP)
 
-
-@experiment("E17")
-def run(config: ExperimentConfig) -> ExperimentResult:
-    return SWEEP.run(config)
-
-
-__all__ = ["SWEEP", "device_spec", "measure_shard", "mgmt_plan", "run"]
+__all__ = ["SWEEP", "device_spec", "mgmt_plan", "run"]

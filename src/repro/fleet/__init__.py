@@ -35,10 +35,9 @@ from repro.fleet.rack import (
     simulate_fleet,
     simulate_shard,
 )
-from repro.fleet.spec import FLEET_VERSION, PLACEMENTS, FleetSpec
+from repro.fleet.spec import PLACEMENTS, FleetSpec
 
 __all__ = [
-    "FLEET_VERSION",
     "PLACEMENTS",
     "SERVING_KINDS",
     "FleetSpec",

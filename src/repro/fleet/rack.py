@@ -35,19 +35,19 @@ simulate functions take the :class:`FleetSpec` of every arm (they may
 differ only in device fault plans) and return one frame per arm, each
 measured on its own copy of the warmed device (:func:`simulate_device`).
 
-Storage semantics per interface (as in E3/§2.4's cache scenario): the
-conventional arm overwrites objects in place and trims deletions, paying
-device GC; the ZNS arm appends to per-tenant zone logs and reclaims
-whole zones by reset, so deleted data simply ages out of the log.
-
-Zone management is not free: with :class:`~repro.flash.timing.ZoneMgmtTiming`
-armed, a reset occupies the zone for real microseconds, and with
-management faults scheduled it can bounce. The naive ZNS host resets
-inline on the write path (and spins on bounced commands); with
-``FleetSpec.zone_lifecycle`` each tenant instead routes management
-through a :class:`~repro.hostio.zonelife.ZoneLifecycleManager` --
-reset-ahead at tick boundaries, bounded retry, quarantine -- which is
-the E17 comparison.
+Each tenant is a cursor into its churn stream and one of E13's caches
+(:mod:`repro.apps.cache`; E3/§2.4's cache scenario): a one-way
+set-associative cache over its slice of a conventional device, which
+overwrites objects in place and trims deletions, paying device GC, or a
+zone log over its zones of a ZNS device, which reclaims whole zones by
+reset, so deleted data ages out of the log. Zone management is not
+free: under :class:`~repro.flash.timing.ZoneMgmtTiming` a reset holds its
+zone for real microseconds, and under management faults it can bounce.
+A zone log resets inline on the write path (the naive host) or, with
+``FleetSpec.zone_lifecycle``, through a
+:class:`~repro.hostio.zonelife.ZoneLifecycleManager` -- the E17
+comparison. The caches count; :meth:`_ServedDevice.measure` books their
+counts as ``fleet.*`` counters.
 """
 
 from __future__ import annotations
@@ -61,9 +61,10 @@ from typing import Any
 
 import numpy as np
 
+from repro.apps.cache import FIBONACCI, SetAssociativeCache, ZoneLogCache
 from repro.block.factory import DeviceSpec, build_stack, fault_injector
-from repro.flash.errors import ProgramFaultError, UncorrectableReadError
-from repro.flash.ops import FlashOp, OpKind
+from repro.flash.errors import UncorrectableReadError
+from repro.flash.ops import OpKind
 from repro.fleet import placement
 from repro.fleet.spec import FleetSpec
 from repro.ftl.ftl import GCStuckError
@@ -74,13 +75,7 @@ from repro.obs.runtime import new_tracer
 from repro.sim.rng import make_rng
 from repro.workloads.lifetime import ObjectLifetimeWorkload
 from repro.workloads.multitenant import demand_trace
-from repro.zns.errors import (
-    RetryableZnsError,
-    ZoneFullError,
-    ZoneOfflineError,
-    ZoneReadOnlyError,
-    ZoneStateError,
-)
+from repro.zns.errors import ZoneOfflineError
 from repro.zns.zone import ZoneState
 
 #: Stack kinds the rack knows how to drive.
@@ -91,9 +86,10 @@ SERVING_KINDS = ("conventional-ftl", "zns")
 _EPOCH_OBJECTS = 4096
 _EPOCH_EVENTS = 2 * _EPOCH_OBJECTS
 
-#: Inline reset attempts a lifecycle-less (naive) tenant makes before
-#: giving up on a bouncing zone for this lap of the log.
-_NAIVE_RESET_TRIES = 3
+#: The tenant caches' :class:`~repro.apps.cache.CacheStats` a measured
+#: span books, as ``fleet.<name>`` (deletes as ``fleet.objects_deleted``).
+_BOOKED_STATS = ("deletes", "writes_refused", "zone_resets", "reset_retries",
+                 "append_faults", "zones_offlined", "zones_quarantined")  # fmt: skip
 
 #: The frame series each served request's latency (us) is sampled into.
 _WRITE_LATENCY = "fleet.request.write.latency_us"
@@ -194,57 +190,14 @@ def _service_us(ops: list) -> float:
     return channel + internal + mgmt
 
 
-class _LiveSet:
-    """O(1) add/remove/sample of live objects (deterministic sampling)."""
-
-    def __init__(self) -> None:
-        self._keys: list[Any] = []
-        self._pos: dict[Any, int] = {}
-        self._loc: dict[Any, Any] = {}
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __contains__(self, key: Any) -> bool:
-        return key in self._pos
-
-    def add(self, key: Any, location: Any) -> None:
-        if key not in self._pos:
-            self._pos[key] = len(self._keys)
-            self._keys.append(key)
-        self._loc[key] = location
-
-    def location(self, key: Any) -> Any:
-        return self._loc[key]
-
-    def remove(self, key: Any) -> Any:
-        index = self._pos.pop(key)
-        last = self._keys.pop()
-        if last != key:
-            self._keys[index] = last
-            self._pos[last] = index
-        return self._loc.pop(key)
-
-    def sample(self, rng) -> Any:
-        return self._keys[int(rng.integers(0, len(self._keys)))]
-
-    def __deepcopy__(self, memo: dict) -> "_LiveSet":
-        # Keys and locations are ints or tuples of ints: shallow is exact.
-        clone = _LiveSet.__new__(_LiveSet)
-        clone._keys = self._keys.copy()
-        clone._pos = self._pos.copy()
-        clone._loc = self._loc.copy()
-        return clone
-
-
 class _Tenant:
-    """What both tenant kinds share: a cursor into their churn stream
-    (:func:`_stream_buffer`) and the set of live objects."""
+    """One tenant: a cursor into its churn stream (:func:`_stream_buffer`)
+    and the cache its objects live in."""
 
-    def __init__(self, spec: FleetSpec, tenant_id: int):
+    def __init__(self, spec: FleetSpec, tenant_id: int, cache):
         self._codes, self._more = _stream_buffer(spec.seed, tenant_id, spec.lifetime_scale)
         self._next = 0
-        self.live = _LiveSet()
+        self.cache = cache
 
     def _next_event(self) -> tuple[int, int]:
         """The next ``(epoch, code)``; ``code`` is ``~obj_id`` for a delete."""
@@ -256,259 +209,43 @@ class _Tenant:
         return index // _EPOCH_EVENTS, codes[index]
 
     def __deepcopy__(self, memo: dict) -> "_Tenant":
-        # The stream stays shared; only the cursor is the clone's own.
-        # Subclasses add their device through ``memo`` (so the clone
-        # writes to the copied stack) and their containers shallowly.
-        clone = type(self).__new__(type(self))
+        # The stream stays shared; only the cursor is the clone's own. The
+        # cache copies its device through ``memo``, so the clone writes to
+        # the copied stack.
+        clone = _Tenant.__new__(_Tenant)
         memo[id(self)] = clone
         clone._codes = self._codes
         clone._more = self._more
         clone._next = self._next
-        clone.live = copy.deepcopy(self.live, memo)
+        clone.cache = copy.deepcopy(self.cache, memo)
         return clone
 
-
-class _ConventionalTenant(_Tenant):
-    """One tenant's slice of a conventional (overwrite-in-place) device."""
-
-    def __init__(self, spec: FleetSpec, tenant_id: int, ftl, base: int, pages: int):
-        super().__init__(spec, tenant_id)
-        self.ftl = ftl
-        self.base = base
-        self.pages = pages
-        self._owner_of_lpn: dict[int, Any] = {}
-
-    def __deepcopy__(self, memo: dict) -> "_ConventionalTenant":
-        clone = super().__deepcopy__(memo)
-        clone.ftl = copy.deepcopy(self.ftl, memo)
-        clone.base = self.base
-        clone.pages = self.pages
-        clone._owner_of_lpn = self._owner_of_lpn.copy()
-        return clone
-
-    def prefill_lpns(self) -> np.ndarray:
-        return np.arange(self.base, self.base + self.pages, dtype=np.int64)
-
-    def step(self, frame: MetricsFrame) -> float:
+    def step(self) -> float:
+        """Serve the next churn event; its flash service time. An object's
+        key is its number in the whole stream, ``obj_id + _EPOCH_OBJECTS * epoch``."""
         epoch, code = self._next_event()
         if code < 0:
-            key = (epoch, ~code)
-            if key in self.live:
-                self.ftl.trim(self.live.remove(key))
-                frame.add("fleet.objects_deleted")
+            self.cache.delete(~code + _EPOCH_OBJECTS * epoch)
             return 0.0
-        key = (epoch, code)
-        # Scatter objects over the slice (Fibonacci hashing): creation
-        # order is sequential, and sequential overwrite would hand the
-        # FTL fully-invalid GC victims -- free GC that real object stores
-        # placing by key hash never see.
-        key_ix = code + _EPOCH_OBJECTS * epoch
-        lpn = self.base + (key_ix * 2654435761 % 2**32) % self.pages
-        old = self._owner_of_lpn.get(lpn)
-        if old is not None and old in self.live:
-            self.live.remove(old)
-        ops = self.ftl.write(lpn)
-        self._owner_of_lpn[lpn] = key
-        self.live.add(key, lpn)
-        return _service_us(ops)
-
-    def read(self, rng, frame: MetricsFrame) -> float | None:
-        if not len(self.live):
-            frame.add("fleet.reads_skipped")
-            return None
-        lpn = self.live.location(self.live.sample(rng))
-        try:
-            return self.ftl.read(lpn).latency_us
-        except UncorrectableReadError as exc:
-            frame.add("fleet.reads_lost")
-            return exc.latency_us
-
-
-class _ZnsTenant(_Tenant):
-    """One tenant's zone log on a ZNS device (append + wholesale reset)."""
-
-    def __init__(
-        self,
-        spec: FleetSpec,
-        tenant_id: int,
-        device,
-        zones: list[int],
-        lifecycle: ZoneLifecycleManager | None = None,
-    ):
-        super().__init__(spec, tenant_id)
-        self.device = device
-        self.zones = zones
-        self.cursor = 0
-        self.lifecycle = lifecycle
-        self.epoch_of = {zone: 0 for zone in zones}
-        self._zone_keys: dict[int, list[Any]] = {zone: [] for zone in zones}
-
-    def __deepcopy__(self, memo: dict) -> "_ZnsTenant":
-        clone = super().__deepcopy__(memo)
-        clone.device = copy.deepcopy(self.device, memo)
-        clone.zones = self.zones.copy()
-        clone.cursor = self.cursor
-        clone.lifecycle = copy.deepcopy(self.lifecycle, memo)
-        clone.epoch_of = self.epoch_of.copy()
-        clone._zone_keys = {zone: keys.copy() for zone, keys in self._zone_keys.items()}
-        return clone
-
-    def _drop_zone(self, zone: int) -> None:
-        """Forget live objects whose data a reset (or death) destroyed."""
-        for key in self._zone_keys[zone]:
-            if key in self.live:
-                self.live.remove(key)
-        self._zone_keys[zone] = []
-        self.epoch_of[zone] += 1
-
-    def _retire_zone(self, zone: int) -> None:
-        self._drop_zone(zone)
-        self.zones.remove(zone)
-        del self._zone_keys[zone]
-        del self.epoch_of[zone]
-
-    def _advance(self, frame: MetricsFrame) -> list:
-        """Move the log head to the next zone, resetting it if needed.
-
-        With a lifecycle manager, the reset rides the reset-ahead
-        reserve when it can (no inline latency) and falls back to
-        managed inline reset (bounded retry, quarantine on exhaustion).
-        Without one -- the naive host -- bounced resets spin inline,
-        charging every failed command's latency to the foreground path.
-        """
-        self.cursor = (self.cursor + 1) % len(self.zones)
-        zone = self.zones[self.cursor]
-        state = self.device.zone(zone).state
-        if state in (ZoneState.EMPTY, ZoneState.IMPLICIT_OPEN, ZoneState.EXPLICIT_OPEN, ZoneState.CLOSED):
-            return []
-        if state is ZoneState.OFFLINE:
-            # Died in place (background fault poll while FULL): retire
-            # it rather than resetting dead media.
-            frame.add("fleet.zones_offlined")
-            self._retire_zone(zone)
-            if self.zones:
-                self.cursor %= len(self.zones)
-            return []
-        frame.add("fleet.zone_resets")
-        if self.lifecycle is not None:
-            fresh = self.lifecycle.request_free_zone()
-            if fresh is not None:
-                # Reset-ahead hit: swap in an already-EMPTY zone and
-                # hand the full one to the background reset queue. The
-                # write path pays nothing here -- the reset was charged
-                # in an idle window.
-                self._drop_zone(zone)
-                self.lifecycle.note_reclaimable(zone)
-                self.zones[self.cursor] = fresh
-                self.epoch_of.setdefault(fresh, 0)
-                self._zone_keys.setdefault(fresh, [])
-                return []
-            try:
-                ops = self.lifecycle.reset_now(zone)
-            except ZoneStateError:
-                if self.device.zone(zone).state is ZoneState.OFFLINE:
-                    frame.add("fleet.zones_offlined")
-                    self._retire_zone(zone)
-                    if self.zones:
-                        self.cursor %= len(self.zones)
-                    return []
-                raise
-            if self.lifecycle.is_quarantined(zone):
-                frame.add("fleet.zones_quarantined")
-                self._retire_zone(zone)
-                if self.zones:
-                    self.cursor %= len(self.zones)
-            elif self.device.zone(zone).state is ZoneState.EMPTY:
-                self._drop_zone(zone)
-            return ops
-        ops: list = []
-        for _ in range(_NAIVE_RESET_TRIES):
-            try:
-                ops.extend(self.device.reset_zone(zone))
-            except RetryableZnsError as err:
-                # Naive host: eat the bounced command inline and retry.
-                frame.add("fleet.reset_retries")
-                if err.latency_us:
-                    ops.append(
-                        FlashOp(OpKind.MGMT, 0, None, err.latency_us, uses_channel=False)
-                    )
-                continue
-            except ZoneStateError:
-                if self.device.zone(zone).state is ZoneState.OFFLINE:
-                    frame.add("fleet.zones_offlined")
-                    self._retire_zone(zone)
-                    if self.zones:
-                        self.cursor %= len(self.zones)
-                    return ops
-                raise
-            self._drop_zone(zone)
-            return ops
-        # Still bouncing after the inline budget: leave the zone FULL
-        # and move on; the next lap of the log tries again.
-        return ops
-
-    def step(self, frame: MetricsFrame) -> float:
-        epoch, code = self._next_event()
-        if code < 0:
-            # Log semantics: a delete frees nothing until its zone resets.
-            key = (epoch, ~code)
-            if key in self.live:
-                self.live.remove(key)
-                frame.add("fleet.objects_deleted")
-            return 0.0
-        key = (epoch, code)
         service = 0.0
-        for _attempt in range(len(self.zones) + 1):
-            if not self.zones:
-                frame.add("fleet.writes_refused")
-                return service
-            zone = self.zones[self.cursor]
-            try:
-                offset, ops = self.device.append(zone)
-            except (ZoneFullError, ZoneStateError, ZoneReadOnlyError):
-                service += _service_us(self._advance(frame))
-                continue
-            except ProgramFaultError:
-                # The append burned a page and degraded the zone to
-                # READ_ONLY; data below the failure point stays readable.
-                frame.add("fleet.append_faults")
-                service += _service_us(self._advance(frame))
-                continue
-            except ZoneOfflineError:
-                # Scheduled media death: the zone (and its data) is gone.
-                frame.add("fleet.zones_offlined")
-                self._retire_zone(zone)
-                if self.zones:
-                    self.cursor %= len(self.zones)
-                continue
-            self.live.add(key, (zone, self.epoch_of[zone], offset))
-            self._zone_keys[zone].append(key)
-            return service + _service_us(ops)
-        frame.add("fleet.writes_refused")
+        for ops in self.cache.admit(code + _EPOCH_OBJECTS * epoch, build_ops=True):
+            service += _service_us(ops)
         return service
 
     def read(self, rng, frame: MetricsFrame) -> float | None:
-        if not len(self.live):
-            frame.add("fleet.reads_skipped")
-            return None
-        key = self.live.sample(rng)
-        zone, epoch, offset = self.live.location(key)
-        if zone not in self.epoch_of or self.epoch_of[zone] != epoch:
-            # Aged out of the log between sampling structures; treat as a
-            # cache miss, not a device read.
-            self.live.remove(key)
+        """Read a live object drawn uniformly; its latency, None if none."""
+        cache = self.cache
+        key = cache.sample(rng)
+        if key is None:
             frame.add("fleet.reads_skipped")
             return None
         try:
-            return self.device.read(zone, offset)[1].latency_us
+            return cache.read(key, build_ops=True).latency_us
         except UncorrectableReadError as exc:
             frame.add("fleet.reads_lost")
             return exc.latency_us
         except ZoneOfflineError:
             frame.add("fleet.reads_lost")
-            self._retire_zone(zone)
-            if self.zones:
-                self.cursor %= len(self.zones)
             return None
 
 
@@ -565,16 +302,22 @@ class _ServedDevice:
         self.stack = stack = build_stack(dspec, tracer=tracer)
         self.rng = make_rng(derive_seed(spec.seed, "reads", device_id))
         self.conventional = dspec.kind == "conventional-ftl"
-        sims: list[Any] = []
+        caches: list[Any] = []
         if self.conventional:
             if tenants:
                 slice_pages = max(1, int(stack.logical_pages * spec.utilization) // len(tenants))
-                for i, tid in enumerate(tenants):
-                    sims.append(
-                        _ConventionalTenant(spec, tid, stack, i * slice_pages, slice_pages)
-                    )
-                for sim in sims:
-                    stack.write_pages(sim.prefill_lpns())
+                for i in range(len(tenants)):
+                    # One way per slot, scattered over the slice by
+                    # Fibonacci hashing: creation order is sequential, and
+                    # sequential overwrite would hand the FTL fully-invalid
+                    # GC victims -- free GC that real object stores
+                    # placing by key hash never see.
+                    caches.append(SetAssociativeCache(
+                        stack, ways=1, num_sets=slice_pages, base=i * slice_pages,
+                        multiplier=FIBONACCI,
+                    ))  # fmt: skip
+                for cache in caches:
+                    stack.write_pages(np.arange(cache.base, cache.base + cache.num_sets))
         elif tenants:
             zone_count = stack.zone_count
             if len(tenants) > stack.geometry.max_active_zones:
@@ -608,11 +351,11 @@ class _ServedDevice:
                             lifecycle.note_reclaimable(zone)
                         del zones[-hold:]
                         lifecycle.tick()
-                sim = _ZnsTenant(spec, tid, stack, zones, lifecycle=lifecycle)
-                sim.cursor = fill
-                sims.append(sim)
-        self.sims = sims
-        self.managed = [sim for sim in sims if getattr(sim, "lifecycle", None) is not None]
+                caches.append(ZoneLogCache(
+                    stack, readmit_hot=False, zones=zones, head=fill, lifecycle=lifecycle
+                ))  # fmt: skip
+        self.tenants = [_Tenant(spec, tid, cache) for tid, cache in zip(tenants, caches)]
+        self.managed = [cache.lifecycle for cache in caches if getattr(cache, "lifecycle", None)]
         self.schedules = [_intensity(spec, tid) for tid in tenants]
         self.tick_us = spec.tick_us
         self.reads_per_tick = spec.reads_per_tick
@@ -631,7 +374,7 @@ class _ServedDevice:
         device dies."""
         tracer = self.tracer
         rng = self.rng
-        sims = self.sims
+        tenants = self.tenants
         managed = self.managed
         schedules = self.schedules
         tick_us = self.tick_us
@@ -648,18 +391,18 @@ class _ServedDevice:
             # (a genuine idle window), so the tick's idle gap absorbs them
             # -- the whole point of keeping resets off the write path. Mid-
             # burst the pass stands down and the reserve carries the log.
-            for sim in managed:
+            for lifecycle in managed:
                 if busy > now:
                     break
-                work = sim.lifecycle.tick()
+                work = lifecycle.tick()
                 if work:
                     busy += _service_us(work)
             if busy < now:
                 busy = now
-            for schedule, sim in zip(schedules, sims):
+            for schedule, tenant in zip(schedules, tenants):
                 try:
                     for _ in range(schedule[tick]):
-                        service = sim.step(frame)
+                        service = tenant.step()
                         if service > 0.0:
                             busy += service
                             request_id += 1
@@ -678,7 +421,7 @@ class _ServedDevice:
                     died = True
                     break
                 for _ in range(reads_per_tick):
-                    latency = sim.read(rng, frame)
+                    latency = tenant.read(rng, frame)
                     if latency is None:
                         continue
                     busy += latency
@@ -710,8 +453,15 @@ class _ServedDevice:
                 stack.faults = injector
         frame = MetricsFrame()
         before = nand.counters.snapshot()
+        stats_before = [copy.copy(tenant.cache.stats) for tenant in self.tenants]
         start = spec.warmup_ticks
         self.serve(frame, range(start, start + spec.ticks))
+
+        for tenant, was in zip(self.tenants, stats_before):
+            for name in _BOOKED_STATS:
+                count = getattr(tenant.cache.stats, name) - getattr(was, name)
+                if count:
+                    frame.add(f"fleet.{'objects_deleted' if name == 'deletes' else name}", count)
 
         for op, key in (("write", _WRITE_LATENCY), ("read", _READ_LATENCY)):
             served = frame.observations(key)
@@ -735,14 +485,14 @@ class _ServedDevice:
             )
             quarantined = sum(
                 1
-                for sim in self.managed
-                for zone in sim.lifecycle.quarantined_zones
+                for lifecycle in self.managed
+                for zone in lifecycle.quarantined_zones
                 if stack.zone(zone).state is not ZoneState.OFFLINE
             )
             frame.add("fleet.capacity_units_lost", offline + quarantined)
             frame.add("fleet.capacity_units", stack.zone_count)
-        for sim in self.managed:
-            stats = sim.lifecycle.stats
+        for lifecycle in self.managed:
+            stats = lifecycle.stats
             frame.add("fleet.lifecycle.reserve_hits", stats.reserve_hits)
             frame.add("fleet.lifecycle.reserve_misses", stats.reserve_misses)
             frame.add("fleet.lifecycle.retries", stats.retries)

@@ -1,8 +1,8 @@
 """Frozen description of one fleet: devices, tenants, placement, load.
 
 A :class:`FleetSpec` is to a rack what
-:class:`~repro.block.factory.DeviceSpec` is to one stack: pure, hashable,
-versioned data. Everything the simulation does -- device construction,
+:class:`~repro.block.factory.DeviceSpec` is to one stack: pure, hashable
+data. Everything the simulation does -- device construction,
 tenant demand, placement, per-device seeding -- derives deterministically
 from the spec, which is what lets shards of one fleet run in different
 processes and still merge byte-identical to a serial run
@@ -19,17 +19,10 @@ placement policies must cope with.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any
 
 from repro.block.factory import DeviceSpec
 from repro.workloads.multitenant import BurstyTenant
-
-#: Version of the spec's dict schema.
-FLEET_VERSION = 1
 
 #: Placement policies :mod:`repro.fleet.placement` implements.
 PLACEMENTS = ("round-robin", "least-loaded", "pack")
@@ -79,8 +72,7 @@ class FleetSpec:
         per-tenant :class:`~repro.hostio.zonelife.ZoneLifecycleManager`
         (reset-ahead reserve, retry-with-backoff, quarantine) instead of
         resetting inline on the write path. Conventional devices ignore
-        it. Off by default; omitted from the serialized form when off so
-        existing fleet hashes are unchanged.
+        it. Off by default.
     seed:
         Root seed; every per-tenant and per-device stream derives from it.
     """
@@ -104,13 +96,7 @@ class FleetSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        mix = tuple(
-            (
-                spec if isinstance(spec, DeviceSpec) else DeviceSpec.from_dict(spec),
-                int(count),
-            )
-            for spec, count in self.mix
-        )
+        mix = tuple((spec, int(count)) for spec, count in self.mix)
         if not mix or any(count < 1 for _, count in mix):
             raise ValueError("mix must name at least one device with count >= 1")
         object.__setattr__(self, "mix", mix)
@@ -164,51 +150,5 @@ class FleetSpec:
             burst_end_prob=self.burst_end_prob,
         )
 
-    # -- Serialization ---------------------------------------------------------
 
-    def to_dict(self) -> dict[str, Any]:
-        payload = {
-            "schema_version": FLEET_VERSION,
-            "mix": [[spec.to_dict(), count] for spec, count in self.mix],
-            "tenants": self.tenants,
-            "placement": self.placement,
-            "ticks": self.ticks,
-            "warmup_ticks": self.warmup_ticks,
-            "tick_us": self.tick_us,
-            "reads_per_tick": self.reads_per_tick,
-            "idle_events": self.idle_events,
-            "burst_events": self.burst_events,
-            "burst_start_prob": self.burst_start_prob,
-            "burst_end_prob": self.burst_end_prob,
-            "heavy_every": self.heavy_every,
-            "heavy_factor": self.heavy_factor,
-            "utilization": self.utilization,
-            "lifetime_scale": self.lifetime_scale,
-            "seed": self.seed,
-        }
-        if self.zone_lifecycle:
-            payload["zone_lifecycle"] = True
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "FleetSpec":
-        version = payload.get("schema_version", FLEET_VERSION)
-        if version != FLEET_VERSION:
-            raise ValueError(
-                f"fleet spec schema version {version} not supported "
-                f"(have {FLEET_VERSION})"
-            )
-        fields = {k: v for k, v in payload.items() if k != "schema_version"}
-        fields["mix"] = tuple(
-            (DeviceSpec.from_dict(spec), count) for spec, count in fields["mix"]
-        )
-        return cls(**fields)
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    def content_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
-
-
-__all__ = ["FLEET_VERSION", "PLACEMENTS", "FleetSpec"]
+__all__ = ["PLACEMENTS", "FleetSpec"]

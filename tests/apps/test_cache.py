@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.cache import SetAssociativeCache, ZoneLogCache
-from repro.block.ramdisk import RamDisk
+from repro.block.factory import DeviceSpec, build_stack
 from repro.flash.geometry import ZonedGeometry
 from repro.workloads.synthetic import zipfian_stream
 from repro.zns.device import ZNSDevice
@@ -13,16 +13,20 @@ def zns():
     return ZNSDevice(ZonedGeometry.small())
 
 
+def ftl():
+    return build_stack(DeviceSpec(kind="conventional-ftl", geometry="small"))
+
+
 class TestSetAssociativeCache:
     def test_miss_then_hit(self):
-        cache = SetAssociativeCache(RamDisk(64), ways=2)
+        cache = SetAssociativeCache(ftl(), ways=2, num_sets=64)
         assert not cache.get(1)
         cache.admit(1)
         assert cache.get(1)
         assert cache.stats.hit_ratio == pytest.approx(0.5)
 
     def test_set_eviction_lru(self):
-        cache = SetAssociativeCache(RamDisk(1), ways=2)  # everything one set
+        cache = SetAssociativeCache(ftl(), ways=2, num_sets=1)  # everything one set
         cache.admit(1)
         cache.admit(2)
         cache.get(1)  # bump 1
@@ -32,18 +36,18 @@ class TestSetAssociativeCache:
         assert cache.get(3)
 
     def test_each_admission_is_one_device_write(self):
-        disk = RamDisk(64)
-        cache = SetAssociativeCache(disk, ways=4)
+        disk = ftl()
+        cache = SetAssociativeCache(disk, ways=4, num_sets=64)
         for i in range(100):
             cache.admit(i)
-        assert disk.counters.count("program") == 100
+        assert disk.nand.counters.count("program") == 100
 
     def test_readmitting_resident_is_noop(self):
-        disk = RamDisk(64)
-        cache = SetAssociativeCache(disk)
+        disk = ftl()
+        cache = SetAssociativeCache(disk, num_sets=64)
         cache.admit(1)
         cache.admit(1)
-        assert disk.counters.count("program") == 1
+        assert disk.nand.counters.count("program") == 1
 
 
 class TestZoneLogCache:

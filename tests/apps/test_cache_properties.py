@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.cache import SetAssociativeCache, ZoneLogCache
-from repro.block.ramdisk import RamDisk
+from repro.block.factory import DeviceSpec, build_stack
 from repro.flash.geometry import ZonedGeometry
 from repro.zns.device import ZNSDevice
 
@@ -22,20 +22,22 @@ def test_zone_log_cache_location_consistency(requests):
         assert offset < cache.device.zone(zone).wp, (
             f"object {obj} recorded beyond the write pointer"
         )
-    # The FIFO list and free list never share zones.
-    assert not (set(cache._fifo) & set(cache._free))
+    # No zone sits twice in the ring, and each object in exactly one zone.
+    cache.check_invariants()
 
 
 @settings(max_examples=20, deadline=None)
 @given(requests=st.lists(st.integers(0, 100), max_size=300))
 def test_set_associative_capacity_respected(requests):
-    cache = SetAssociativeCache(RamDisk(16), ways=2)
+    ftl = build_stack(DeviceSpec(kind="conventional-ftl", geometry="small"))
+    cache = SetAssociativeCache(ftl, ways=2, num_sets=16)
     for obj in requests:
         if not cache.get(obj):
             cache.admit(obj)
     for bucket in cache._sets:
         assert len(bucket) <= cache.ways
         assert len(set(bucket)) == len(bucket)  # no duplicates
+    cache.check_invariants()
 
 
 @settings(max_examples=10, deadline=None)

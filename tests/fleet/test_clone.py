@@ -1,4 +1,4 @@
-"""A copy of a device is a replay of it, and E16/E17 arms may share a warm-up.
+"""A copy of a device (or a cache) replays it, and E16/E17 arms may share a warm-up.
 
 Every greedy victim tie goes to the lowest id (DESIGN.md §6), so a
 stack's future is a function of its state alone: ``copy.deepcopy`` of an
@@ -12,11 +12,13 @@ import copy
 
 import pytest
 
+from repro.apps.cache import FIBONACCI, SetAssociativeCache, ZoneLogCache
 from repro.apps.lsm import LSMConfig, LSMStore, ZoneFileBackend
 from repro.block.factory import DeviceSpec, build_stack
 from repro.experiments import e16_fleet_serving as e16
 from repro.experiments import e17_reset_pressure as e17
 from repro.fleet import FleetSpec, rack, simulate_fleet, simulate_shard
+from repro.hostio.zonelife import ZoneLifecycleManager
 from repro.placement import ZonedObjectStore
 from repro.placement.hints import by_owner
 from repro.sim.rng import make_rng
@@ -156,6 +158,51 @@ def test_a_copied_lsm_zoned_backend_replays_its_original():
     ]
     assert copied.device.nand.counters == backend.device.nand.counters
     assert copied.device.nand.counters.count("program", "reclaim") > 0
+    clone.check_invariants()
+
+
+def _cache_state(cache) -> tuple:
+    if isinstance(cache, ZoneLogCache):
+        layout = (cache.zones, cache.cursor, cache._location, cache._zone_keys)
+    else:
+        layout = cache._sets
+    return (cache._keys, cache._pos, cache.stats, layout)
+
+
+def _churn_cache(cache, seed: int, n: int) -> None:
+    """``n`` seeded fleet-style requests: admit, delete or read a live key."""
+    rng = make_rng(seed)
+    for op, key in zip(rng.integers(0, 4, n).tolist(), rng.integers(0, 3_000, n).tolist()):
+        if op == 0:
+            cache.delete(key)
+        elif op == 1 and cache._keys:
+            cache.read(cache.sample(rng), build_ops=True)
+        else:
+            cache.admit(key, build_ops=True)
+
+
+@pytest.mark.parametrize("zoned", [False, True], ids=["set-associative", "zone-log"])
+def test_a_copied_cache_replays_its_original(zoned):
+    """The fleet's tenant copy is each cache's own ``__deepcopy__``: the
+    device through the memo, the containers shallowly."""
+    if zoned:
+        device = _zns(2)
+        lifecycle = ZoneLifecycleManager(device)
+        cache = ZoneLogCache(device, readmit_hot=False, zones=list(range(12)), lifecycle=lifecycle)
+    else:
+        device = build_stack(_STACKS["conventional-ftl"][0])
+        cache = SetAssociativeCache(
+            device, ways=1, num_sets=2_000, base=500, multiplier=FIBONACCI
+        )
+    _churn_cache(cache, seed=1, n=6_000)
+    clone = copy.deepcopy(cache)
+    aged = copy.deepcopy(_cache_state(cache))
+    _churn_cache(clone, seed=2, n=3_000)
+    assert _cache_state(cache) == aged  # the copy shares no state
+    _churn_cache(cache, seed=2, n=3_000)
+    assert _cache_state(clone) == _cache_state(cache) != aged
+    assert clone.device.nand.counters == cache.device.nand.counters
+    cache.check_invariants()
     clone.check_invariants()
 
 

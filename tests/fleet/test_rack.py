@@ -9,6 +9,8 @@ Hypothesis drives that claim; the rest pins seeding, shard
 partitioning, and the summary's bookkeeping on small racks.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -237,12 +239,7 @@ class TestFaultArm:
         from repro.experiments.e16_fleet_serving import fleet_plan
 
         clean = _fleet(((_CONV, 2),), ticks=30, warmup_ticks=10)
-        faulted = FleetSpec(
-            **{
-                **{k: v for k, v in clean.to_dict().items() if k != "schema_version"},
-                "mix": ((_CONV.with_faults(fleet_plan(0), 4.0), 2),),
-            }
-        )
+        faulted = replace(clean, mix=((_CONV.with_faults(fleet_plan(0), 4.0), 2),))
         (serial,) = simulate_fleet([faulted], shards=1)
         (sharded,) = simulate_fleet([faulted], shards=2)
         assert_same_rack(sharded, serial)

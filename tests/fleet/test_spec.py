@@ -1,6 +1,4 @@
-"""Tests for FleetSpec: validation, round-trips, content hashing."""
-
-import json
+"""Tests for FleetSpec: validation, derived views, hashing."""
 
 import pytest
 
@@ -67,25 +65,5 @@ class TestDerivedViews:
         assert not any(spec.is_heavy(t) for t in range(8))
 
 
-class TestSerializationFleet:
-    def test_round_trip_through_json(self):
-        spec = _spec(placement="pack", warmup_ticks=5, seed=11)
-        wire = json.loads(json.dumps(spec.to_dict()))
-        back = FleetSpec.from_dict(wire)
-        assert back == spec
-        assert back.content_hash() == spec.content_hash()
-
-    def test_unknown_schema_version_rejected(self):
-        payload = _spec().to_dict()
-        payload["schema_version"] = 99
-        with pytest.raises(ValueError, match="schema version"):
-            FleetSpec.from_dict(payload)
-
-    def test_content_hash_tracks_every_axis(self):
-        base = _spec()
-        assert base.content_hash() != _spec(placement="pack").content_hash()
-        assert base.content_hash() != _spec(seed=1).content_hash()
-        assert base.content_hash() != _spec(mix=((_ZNS, 4),)).content_hash()
-
-    def test_specs_are_hashable(self):
-        assert len({_spec(), _spec(), _spec(seed=1)}) == 2
+def test_specs_are_hashable():
+    assert len({_spec(), _spec(), _spec(seed=1)}) == 2

@@ -2,9 +2,10 @@
 
 Every tenant of one ``(seed, tenant, lifetime_scale)`` reads, through its
 own cursor (``_Tenant._next_event``), one lazily extended buffer of int
-codes (``_stream_buffer``). The reference is the chain of fresh
-``ObjectLifetimeWorkload`` epochs it replaced; sharing, interleaving,
-copying and cache eviction must be invisible.
+codes (``_stream_buffer``); a stream needs no cache behind it. The
+reference is the chain of fresh ``ObjectLifetimeWorkload`` epochs it
+replaced; sharing, interleaving, copying and cache eviction must be
+invisible.
 """
 
 import copy
@@ -58,12 +59,12 @@ def _generated(seed: int, tenant_id: int, lifetime_scale: float, n: int):
 @settings(max_examples=6, deadline=None)
 @given(seed=_seeds, tenant_id=_tenants, lifetime_scale=_scales)
 def test_replay_equals_generation(seed, tenant_id, lifetime_scale):
-    stream = _Tenant(_spec(seed, lifetime_scale), tenant_id)
+    stream = _Tenant(_spec(seed, lifetime_scale), tenant_id, cache=None)
     expected = _generated(seed, tenant_id, lifetime_scale, _EVENTS)
     assert {epoch for epoch, _, _ in expected} == {0, 1}
     assert _decoded(stream, _EVENTS) == expected
     # A second open replays what the first one generated.
-    again = _Tenant(_spec(seed, lifetime_scale), tenant_id)
+    again = _Tenant(_spec(seed, lifetime_scale), tenant_id, cache=None)
     assert _decoded(again, _EVENTS) == expected
 
 
@@ -75,7 +76,7 @@ def test_replay_equals_generation(seed, tenant_id, lifetime_scale):
 )
 def test_interleaved_consumers_each_see_the_whole_sequence(seed, tenant_id, turns):
     spec = _spec(seed, 0.05)
-    first = _Tenant(spec, tenant_id)
+    first = _Tenant(spec, tenant_id, cache=None)
     # The second consumer is a copy taken mid-stream: it resumes at the
     # original's cursor, and from then on the two cursors are independent.
     skipped = _decoded(first, turns[0][1])
@@ -92,10 +93,10 @@ def test_interleaved_consumers_each_see_the_whole_sequence(seed, tenant_id, turn
 @given(seed=_seeds, tenant_id=_tenants, before=st.integers(0, 600))
 def test_a_consumer_outlives_its_cache_entry(seed, tenant_id, before):
     spec = _spec(seed, 0.05)
-    survivor = _Tenant(spec, tenant_id)
+    survivor = _Tenant(spec, tenant_id, cache=None)
     events = _decoded(survivor, before)
     _stream_buffer.cache_clear()
-    newcomer = _Tenant(spec, tenant_id)
+    newcomer = _Tenant(spec, tenant_id, cache=None)
     late = _decoded(newcomer, 300)
     events += _decoded(survivor, 900)
     expected = _generated(seed, tenant_id, 0.05, before + 900)
