@@ -76,11 +76,12 @@ class _KeyIndex:
         self._keys: list[int] = []
         self._pos: dict[int, int] = {}
 
-    def sample(self, rng) -> int | None:
-        """A live key drawn uniformly (one ``rng.integers`` draw), or None
-        when the cache is empty (no draw)."""
+    def sample(self, draw) -> int | None:
+        """A live key drawn uniformly, or None when the cache is empty (no
+        draw). ``draw(n)`` returns an index below ``n``, such as
+        :meth:`repro.sim.rng.BoundedDraws.below`."""
         keys = self._keys
-        return keys[int(rng.integers(0, len(keys)))] if keys else None
+        return keys[draw(len(keys))] if keys else None
 
     def _index(self, key: int) -> None:
         self._pos[key] = len(self._keys)

@@ -44,14 +44,5 @@ class FlashOp(NamedTuple):
     latency_us: float
     uses_channel: bool = True
 
-    @property
-    def is_background(self) -> bool:
-        return self.kind in (OpKind.ERASE, OpKind.COPY, OpKind.MGMT)
 
-
-def total_latency(ops: list[FlashOp]) -> float:
-    """Sum of op latencies -- the fully-serialized service time."""
-    return sum(op.latency_us for op in ops)
-
-
-__all__ = ["FlashOp", "OpKind", "total_latency"]
+__all__ = ["FlashOp", "OpKind"]

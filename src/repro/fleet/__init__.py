@@ -17,12 +17,13 @@ single-stack simulations to that setting:
   (never the shard), merged shard frames hold a serial run's counters,
   maxima and latency samples (in shard order) for any shard count.
 
-Entry points: :func:`simulate_fleet` for the whole rack,
-:func:`simulate_shard` for one worker's slice, :func:`fleet_summary` for
-headline WA / tail-latency / capacity-loss numbers. The simulate
-functions take one or more specs of one rack that differ only in device
-fault plans and return a frame per spec: each device is warmed once and
-every spec measures from that state.
+Entry points: :func:`simulate_shard` for one worker's slice of the
+rack (the whole rack at the default one shard), :func:`simulate_device`
+for one device, :func:`fleet_summary` for headline WA / tail-latency /
+capacity-loss numbers. The simulate functions take one or more specs of
+one rack that differ only in device fault plans and return a frame per
+spec: each device is warmed once and every spec measures from that
+state.
 """
 
 from repro.fleet.placement import assign
@@ -32,7 +33,6 @@ from repro.fleet.rack import (
     fleet_summary,
     shard_devices,
     simulate_device,
-    simulate_fleet,
     simulate_shard,
 )
 from repro.fleet.spec import PLACEMENTS, FleetSpec
@@ -46,6 +46,5 @@ __all__ = [
     "fleet_summary",
     "shard_devices",
     "simulate_device",
-    "simulate_fleet",
     "simulate_shard",
 ]

@@ -19,11 +19,17 @@ and maxima for any shard count, and to the same latency samples in
 another order (round-robin shards interleave devices). The summary's
 quantiles read only the multiset of samples, so
 :func:`fleet_summary` is identical for any shard count -- the property
-:func:`repro.fleet.rack.simulate_fleet` exploits and the fleet tests pin.
+the fleet tests pin. The entry points are :func:`simulate_shard` (the
+whole rack at one shard) and :func:`simulate_device`.
 
 The frame is a field of the run, not a sink on the bus: the tenants and
-the serving loop book every ``fleet.*`` key themselves, and each served
-request's latency is sampled as it completes. The two request
+the serving loop book every ``fleet.*`` key themselves. Each served
+request's latency goes to a list local to the serving span
+(:meth:`_ServedDevice.serve`), and the span books each list once, in
+arrival order, with :meth:`~repro.obs.frame.MetricsFrame.extend`. A
+device's reads draw their keys from one
+:class:`~repro.sim.rng.BoundedDraws`, which returns what a numpy draw
+per read would, from words taken a chunk at a time. The two request
 publishes sit behind ``tracer.enabled`` for whoever asked to observe
 (``--trace``, ``--metrics-out``, a test's sink); nobody listening, a
 device builds no event. Tenant churn streams are a pure function of
@@ -72,7 +78,7 @@ from repro.hostio.zonelife import ZoneLifecycleManager
 from repro.obs.events import HostRequestEvent
 from repro.obs.frame import MetricsFrame
 from repro.obs.runtime import new_tracer
-from repro.sim.rng import make_rng
+from repro.sim.rng import BoundedDraws, make_rng
 from repro.workloads.lifetime import ObjectLifetimeWorkload
 from repro.workloads.multitenant import demand_trace
 from repro.zns.errors import ZoneOfflineError
@@ -232,10 +238,11 @@ class _Tenant:
             service += _service_us(ops)
         return service
 
-    def read(self, rng, frame: MetricsFrame) -> float | None:
-        """Read a live object drawn uniformly; its latency, None if none."""
+    def read(self, draw, frame: MetricsFrame) -> float | None:
+        """Read a live object drawn uniformly (``draw(n)``, an index below
+        ``n``); its latency, None if none."""
         cache = self.cache
-        key = cache.sample(rng)
+        key = cache.sample(draw)
         if key is None:
             frame.add("fleet.reads_skipped")
             return None
@@ -281,7 +288,7 @@ def _device_spec_for(spec: FleetSpec, device_id: int) -> DeviceSpec:
 
 
 class _ServedDevice:
-    """One device mid-run: its stack, tenants, read stream and queue.
+    """One device mid-run: its stack, tenants, read draws and queue.
 
     Built fault-free and prefilled from the rack's fault-free spec. Every
     field a measured phase reads lives here, so ``copy.deepcopy`` with
@@ -300,7 +307,7 @@ class _ServedDevice:
         tenants = placement.assign(spec)[device_id]
         self.tracer = tracer = new_tracer()
         self.stack = stack = build_stack(dspec, tracer=tracer)
-        self.rng = make_rng(derive_seed(spec.seed, "reads", device_id))
+        self.read_draws = BoundedDraws(make_rng(derive_seed(spec.seed, "reads", device_id)))
         self.conventional = dspec.kind == "conventional-ftl"
         caches: list[Any] = []
         if self.conventional:
@@ -371,9 +378,9 @@ class _ServedDevice:
 
     def serve(self, frame: MetricsFrame, ticks: range) -> None:
         """Run ``ticks``, booking into ``frame``; stops for good once the
-        device dies."""
+        device dies. The span's latencies are booked once, at its end."""
         tracer = self.tracer
-        rng = self.rng
+        draw = self.read_draws.below
         tenants = self.tenants
         managed = self.managed
         schedules = self.schedules
@@ -382,6 +389,8 @@ class _ServedDevice:
         busy = self.busy
         request_id = self.request_id
         died = self.died
+        writes: list[float] = []
+        reads: list[float] = []
         for tick in ticks:
             if died:
                 break
@@ -407,7 +416,7 @@ class _ServedDevice:
                             busy += service
                             request_id += 1
                             waited = busy - now
-                            frame.sample(_WRITE_LATENCY, waited)
+                            writes.append(waited)
                             if tracer.enabled:
                                 tracer.publish(
                                     HostRequestEvent(
@@ -421,13 +430,13 @@ class _ServedDevice:
                     died = True
                     break
                 for _ in range(reads_per_tick):
-                    latency = tenant.read(rng, frame)
+                    latency = tenant.read(draw, frame)
                     if latency is None:
                         continue
                     busy += latency
                     request_id += 1
                     waited = busy - now
-                    frame.sample(_READ_LATENCY, waited)
+                    reads.append(waited)
                     if tracer.enabled:
                         tracer.publish(
                             HostRequestEvent(
@@ -435,6 +444,8 @@ class _ServedDevice:
                                 request_id=request_id, latency_us=waited,
                             )
                         )
+        frame.extend(_WRITE_LATENCY, writes)
+        frame.extend(_READ_LATENCY, reads)
         self.busy = busy
         self.request_id = request_id
         self.died = died
@@ -541,13 +552,6 @@ def simulate_shard(
     return [MetricsFrame.merge(frames[i] for frames in devices) for i in range(len(specs))]
 
 
-def simulate_fleet(specs: Sequence[FleetSpec], shards: int = 1) -> list[MetricsFrame]:
-    """The whole rack under each spec. The same counters, maxima and
-    latency samples (series in shard order) for every ``shards`` value."""
-    per_shard = [simulate_shard(specs, shard, shards) for shard in range(shards)]
-    return [MetricsFrame.merge(frames[i] for frames in per_shard) for i in range(len(specs))]
-
-
 def fleet_summary(frame: MetricsFrame) -> dict[str, Any]:
     """Headline fleet metrics from a (possibly merged) frame."""
     host = frame.counter("fleet.host_pages_written")
@@ -578,6 +582,5 @@ __all__ = [
     "fleet_summary",
     "shard_devices",
     "simulate_device",
-    "simulate_fleet",
     "simulate_shard",
 ]

@@ -217,6 +217,23 @@ class MetricsFrame:
             values = self.series[key] = array("d")
         values.append(value)
 
+    def extend(self, name: str, values: list[float]) -> None:
+        """Append samples to a series in order, as a :meth:`sample` loop
+        would, but all or nothing: a negative sample raises before any is
+        booked. An empty list creates no series."""
+        if not values:
+            return
+        if not min(values) >= 0:  # a negative, or a leading NaN min() cannot order
+            for value in values:
+                if value < 0:
+                    raise ValueError(f"negative sample for {name!r}: {value}")
+        key = normalize_metric_key(name)
+        series = self.series.get(key)
+        if series is None:
+            self.series[key] = array("d", values)
+        else:
+            series.extend(values)
+
     # -- Merging ---------------------------------------------------------------
 
     @classmethod

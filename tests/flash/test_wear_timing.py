@@ -5,7 +5,7 @@ import pytest
 
 from repro.flash.cells import CellType
 from repro.flash.geometry import FlashGeometry
-from repro.flash.ops import FlashOp, OpKind, total_latency
+from repro.flash.ops import FlashOp, OpKind
 from repro.flash.service import FlashServiceModel
 from repro.flash.timing import TimingModel
 from repro.flash.wear import WearTracker
@@ -111,20 +111,6 @@ class TestTimingModel:
     def test_invalid_channel_rate_rejected(self):
         with pytest.raises(ValueError):
             TimingModel(channel_mb_per_s=-1)
-
-
-class TestFlashOps:
-    def test_total_latency_sums(self):
-        ops = [
-            FlashOp(OpKind.READ, 0, 0, 10.0),
-            FlashOp(OpKind.ERASE, 0, None, 100.0),
-        ]
-        assert total_latency(ops) == 110.0
-
-    def test_background_classification(self):
-        assert FlashOp(OpKind.ERASE, 0, None, 1.0).is_background
-        assert FlashOp(OpKind.COPY, 0, 0, 1.0).is_background
-        assert not FlashOp(OpKind.READ, 0, 0, 1.0).is_background
 
 
 class TestFlashServiceModel:

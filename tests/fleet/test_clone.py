@@ -17,7 +17,7 @@ from repro.apps.lsm import LSMConfig, LSMStore, ZoneFileBackend
 from repro.block.factory import DeviceSpec, build_stack
 from repro.experiments import e16_fleet_serving as e16
 from repro.experiments import e17_reset_pressure as e17
-from repro.fleet import FleetSpec, rack, simulate_fleet, simulate_shard
+from repro.fleet import FleetSpec, rack, simulate_shard
 from repro.hostio.zonelife import ZoneLifecycleManager
 from repro.placement import ZonedObjectStore
 from repro.placement.hints import by_owner
@@ -176,7 +176,7 @@ def _churn_cache(cache, seed: int, n: int) -> None:
         if op == 0:
             cache.delete(key)
         elif op == 1 and cache._keys:
-            cache.read(cache.sample(rng), build_ops=True)
+            cache.read(cache.sample(lambda n: int(rng.integers(0, n))), build_ops=True)
         else:
             cache.admit(key, build_ops=True)
 
@@ -231,7 +231,7 @@ def _e17_specs(arm: str) -> list[FleetSpec]:
     ],
 )
 def test_one_shared_warm_up_gives_the_per_arm_frames(specs, monkeypatch):
-    per_arm = [simulate_fleet([spec])[0].to_dict() for spec in specs]
+    per_arm = [simulate_shard([spec])[0].to_dict() for spec in specs]
     builds = []
     real_build = rack.build_stack
 
@@ -240,7 +240,7 @@ def test_one_shared_warm_up_gives_the_per_arm_frames(specs, monkeypatch):
         return real_build(*args, **kwargs)
 
     monkeypatch.setattr(rack, "build_stack", counted_build)
-    shared = [frame.to_dict() for frame in simulate_fleet(specs)]
+    shared = [frame.to_dict() for frame in simulate_shard(specs)]
     # Counters, maxima and every latency sample, in order.
     assert shared == per_arm
     assert per_arm[0] != per_arm[1]  # the arms really differ

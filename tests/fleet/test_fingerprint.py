@@ -23,7 +23,7 @@ from repro.block.factory import DeviceSpec
 from repro.experiments import ExperimentConfig, e13_cache
 from repro.experiments.e16_fleet_serving import fleet_plan
 from repro.experiments.e17_reset_pressure import mgmt_plan
-from repro.fleet import FleetSpec, rack, simulate_fleet
+from repro.fleet import FleetSpec, rack, simulate_shard
 from repro.workloads.synthetic import zipfian_stream
 
 _FLASH = (("blocks_per_plane", 8),)
@@ -310,7 +310,7 @@ def test_fleet_counters(name, monkeypatch):
         return frame
 
     monkeypatch.setattr(rack._ServedDevice, "measure", checked)
-    assert [_fingerprint(frame) for frame in simulate_fleet(RACKS[name])] == EXPECTED_RACKS[name]
+    assert [_fingerprint(frame) for frame in simulate_shard(RACKS[name])] == EXPECTED_RACKS[name]
 
 
 def test_the_racks_reach_every_tenant_path():

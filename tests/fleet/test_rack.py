@@ -23,7 +23,6 @@ from repro.fleet import (
     fleet_summary,
     shard_devices,
     simulate_device,
-    simulate_fleet,
     simulate_shard,
 )
 from repro.obs import runtime
@@ -49,6 +48,12 @@ def assert_same_rack(sharded: MetricsFrame, serial: MetricsFrame) -> None:
     assert sharded.series.keys() == serial.series.keys()
     for key, values in serial.series.items():
         assert sorted(sharded.series[key]) == sorted(values), key
+
+
+def _rack(specs, shards: int = 1) -> list[MetricsFrame]:
+    """Each spec's whole rack: its shards' frames merged in shard order."""
+    per_shard = [simulate_shard(specs, shard, shards) for shard in range(shards)]
+    return [MetricsFrame.merge(frames[i] for frames in per_shard) for i in range(len(specs))]
 
 
 def _fleet(mix, seed: int = 0, **overrides) -> FleetSpec:
@@ -99,13 +104,13 @@ class TestMergeEqualsSerial:
     @settings(max_examples=5, deadline=None)
     def test_mixed_rack_any_seed_any_shard_count(self, seed, shards):
         spec = _fleet(((_CONV, 2), (_ZNS, 2)), seed=seed)
-        (serial,) = simulate_fleet([spec], shards=1)
-        (sharded,) = simulate_fleet([spec], shards=shards)
+        (serial,) = _rack([spec], shards=1)
+        (sharded,) = _rack([spec], shards=shards)
         assert_same_rack(sharded, serial)
 
     def test_shard_frames_merge_to_the_fleet_frame(self):
         spec = _fleet(((_CONV, 1), (_ZNS, 2)))
-        (serial,) = simulate_fleet([spec], shards=1)
+        (serial,) = _rack([spec], shards=1)
         merged = MetricsFrame.merge(
             simulate_shard([spec], shard, shards=3)[0] for shard in range(3)
         )
@@ -178,11 +183,11 @@ class TestServingSemantics:
     # and zone reclaim (ZNS) both run inside the measured span.
     @pytest.fixture(scope="class")
     def conv_frame(self):
-        return simulate_fleet([_fleet(((_CONV, 2),), ticks=160, warmup_ticks=120)])[0]
+        return _rack([_fleet(((_CONV, 2),), ticks=160, warmup_ticks=120)])[0]
 
     @pytest.fixture(scope="class")
     def zns_frame(self):
-        return simulate_fleet([_fleet(((_ZNS, 2),), ticks=160, warmup_ticks=120)])[0]
+        return _rack([_fleet(((_ZNS, 2),), ticks=160, warmup_ticks=120)])[0]
 
     def test_both_arms_serve_reads_and_writes(self, conv_frame, zns_frame):
         for frame in (conv_frame, zns_frame):
@@ -240,10 +245,10 @@ class TestFaultArm:
 
         clean = _fleet(((_CONV, 2),), ticks=30, warmup_ticks=10)
         faulted = replace(clean, mix=((_CONV.with_faults(fleet_plan(0), 4.0), 2),))
-        (serial,) = simulate_fleet([faulted], shards=1)
-        (sharded,) = simulate_fleet([faulted], shards=2)
+        (serial,) = _rack([faulted], shards=1)
+        (sharded,) = _rack([faulted], shards=2)
         assert_same_rack(sharded, serial)
-        assert serial.to_dict() != simulate_fleet([clean])[0].to_dict()
+        assert serial.to_dict() != _rack([clean])[0].to_dict()
 
 
 class TestZoneMgmtArm:
@@ -276,19 +281,19 @@ class TestZoneMgmtArm:
     @pytest.mark.parametrize("lifecycle", [False, True])
     def test_merge_equals_serial_with_mgmt_faults(self, lifecycle):
         spec = self._spec(5_000.0, lifecycle)
-        (serial,) = simulate_fleet([spec], shards=1)
-        (sharded,) = simulate_fleet([spec], shards=2)
+        (serial,) = _rack([spec], shards=1)
+        (sharded,) = _rack([spec], shards=2)
         assert_same_rack(sharded, serial)
 
     def test_lifecycle_arm_reports_its_counters(self):
-        (frame,) = simulate_fleet([self._spec(5_000.0, lifecycle=True)])
+        (frame,) = _rack([self._spec(5_000.0, lifecycle=True)])
         assert frame.counter("fleet.lifecycle.reserve_hits") > 0
         assert frame.counter("fleet.zone_resets") > 0
-        (naive,) = simulate_fleet([self._spec(5_000.0, lifecycle=False)])
+        (naive,) = _rack([self._spec(5_000.0, lifecycle=False)])
         assert naive.counter("fleet.lifecycle.reserve_hits") == 0
         assert naive.counter("fleet.reset_retries") > 0
 
     def test_managed_tail_no_worse_than_naive_under_pressure(self):
-        naive = fleet_summary(simulate_fleet([self._spec(20_000.0, lifecycle=False)])[0])
-        managed = fleet_summary(simulate_fleet([self._spec(20_000.0, lifecycle=True)])[0])
+        naive = fleet_summary(_rack([self._spec(20_000.0, lifecycle=False)])[0])
+        managed = fleet_summary(_rack([self._spec(20_000.0, lifecycle=True)])[0])
         assert managed["read_p99_us"] <= naive["read_p99_us"]

@@ -330,6 +330,36 @@ class TestSeries:
         with pytest.raises(ValueError):
             MetricsFrame().sample("lat_us", -1.0)
 
+    def test_extend_books_what_a_sample_loop_books(self):
+        rng = np.random.default_rng(9)
+        spans = [rng.exponential(300.0, size=n).tolist() for n in (5, 0, 1, 40)]
+        spans[2].append(0.0)
+        looped, extended = MetricsFrame(), MetricsFrame()
+        for frame in (looped, extended):
+            frame.sample("Read US", 1.5)  # an existing series, under another spelling
+        for i, span in enumerate(spans):
+            for key in ("read_us", f"span{i}_us"):
+                for value in span:
+                    looped.sample(key, value)
+                extended.extend(key, span)
+        assert json.dumps(extended.to_dict()) == json.dumps(looped.to_dict())
+        assert "span1_us" not in extended.series
+
+    def test_extend_of_nothing_creates_no_series(self):
+        frame = MetricsFrame()
+        frame.extend("lat_us", [])
+        assert frame.series == {} and frame.to_dict() == MetricsFrame().to_dict()
+
+    def test_extend_with_a_negative_sample_books_none(self):
+        frame = MetricsFrame(series={"lat_us": [2.0]})
+        before = json.dumps(frame.to_dict())
+        for values in ([-1.0], [3.0, 4.0, -0.5, 6.0], [math.nan, 1.0, -2.0]):
+            with pytest.raises(ValueError, match="negative sample"):
+                frame.extend("lat_us", values)
+            with pytest.raises(ValueError, match="negative sample"):
+                frame.extend("new_us", values)
+        assert json.dumps(frame.to_dict()) == before
+
     def test_quantile_is_np_percentile_on_the_percent_scale(self):
         # np.quantile(x, 0.999) and np.percentile(x, 99.9) round apart on
         # most arrays; experiments report p99.9 unrounded, so the series

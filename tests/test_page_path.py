@@ -387,8 +387,7 @@ class TestFlashOpIsAValue:
         assert op != FlashOp(OpKind.PROGRAM, 1, 2, 3.0, uses_channel=False)
         assert len({op, same, FlashOp(OpKind.COPY, 1, 2, 3.0)}) == 2
 
-    def test_defaults_and_background_kinds(self):
+    def test_defaults_and_repr(self):
         assert FlashOp(OpKind.ERASE, 0, None, 1.0).uses_channel is True
         copy = FlashOp(kind=OpKind.COPY, block=0, page=1, latency_us=1.0, uses_channel=False)
-        assert copy.is_background and not FlashOp(OpKind.PROGRAM, 0, 0, 1.0).is_background
         assert repr(copy).startswith("FlashOp(kind=") and repr(copy).endswith("uses_channel=False)")
