@@ -79,7 +79,7 @@ class _KeyIndex:
     def sample(self, draw) -> int | None:
         """A live key drawn uniformly, or None when the cache is empty (no
         draw). ``draw(n)`` returns an index below ``n``, such as
-        :meth:`repro.sim.rng.BoundedDraws.below`."""
+        :meth:`repro.sim.rng.Draws.below`."""
         keys = self._keys
         return keys[draw(len(keys))] if keys else None
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.block.factory import DeviceSpec, build_stack
 from repro.experiments.base import ExperimentConfig, ExperimentResult, experiment, measurement
-from repro.sim.rng import make_rng
+from repro.sim.rng import Draws, make_rng
 
 
 def _spec(quick: bool, **fields) -> DeviceSpec:
@@ -41,11 +41,12 @@ def measure_cmt_budget(cmt_bytes: int, quick: bool, seed: int) -> dict:
     n = device.logical_pages
     for lpn in range(n):
         device.write(lpn, build_ops=False)
-    rng = make_rng(seed)
+    draws = Draws(make_rng(seed))
+    below, random = draws.below, draws.random
     ops = (2 if quick else 4) * n
     for _ in range(ops):
-        lpn = int(rng.integers(0, n))
-        if rng.random() < 0.5:
+        lpn = below(n)
+        if random() < 0.5:
             device.read(lpn, build_ops=False)
         else:
             device.write(lpn, build_ops=False)

@@ -17,7 +17,7 @@ from repro.block.factory import DeviceSpec, build_stack
 from repro.experiments.base import ExperimentConfig, ExperimentResult, experiment
 from repro.flash.geometry import ZonedGeometry
 from repro.ftl.checkpoint import CheckpointedFTL
-from repro.sim.rng import make_rng
+from repro.sim.rng import draw_ints, make_rng
 
 
 def measure_conventional(interval: int, quick: bool, seed: int) -> dict:
@@ -32,9 +32,8 @@ def measure_conventional(interval: int, quick: bool, seed: int) -> dict:
     n = device.ftl.logical_pages
     for lpn in range(n):
         device.write(lpn, build_ops=False)
-    rng = make_rng(seed)
-    for _ in range((2 if quick else 4) * n):
-        device.write(int(rng.integers(0, n)), build_ops=False)
+    for lpn in draw_ints(make_rng(seed), n, (2 if quick else 4) * n):
+        device.write(lpn, build_ops=False)
     stats = device.policy.stats
     return {
         "ftl": "conventional",

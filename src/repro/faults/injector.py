@@ -5,7 +5,8 @@ and consulted by :class:`~repro.flash.nand.NandArray` (and, for zone
 offlining, :class:`~repro.zns.device.ZNSDevice`) on each operation. It
 owns three pieces of state:
 
-- a NumPy generator seeded from the plan (every probabilistic draw);
+- a :class:`~repro.sim.rng.Draws` over a NumPy generator seeded from the
+  plan (every probabilistic draw);
 - a global flash-operation counter (``ops``) that scheduled faults key
   on, advanced once per page/block operation;
 - tallies of every fault fired (:attr:`counts`), which experiments fold
@@ -38,6 +39,7 @@ from repro.flash.errors import UncorrectableReadError
 from repro.faults.plan import FaultPlan
 from repro.obs.events import FaultEvent
 from repro.obs.tracer import Tracer
+from repro.sim.rng import Draws
 
 
 class FaultInjector:
@@ -52,7 +54,7 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan, tracer: Tracer | None = None):
         self.plan = plan
         self.tracer = tracer
-        self.rng = np.random.default_rng(plan.seed)
+        self.draws = Draws(np.random.default_rng(plan.seed))
         #: Global flash-operation counter; scheduled faults key on it.
         self.ops = 0
         #: Fault tallies by FaultEvent.fault name.
@@ -108,7 +110,7 @@ class FaultInjector:
     def _spike(self) -> float:
         """Latency-spike penalty for one operation (0.0 when none fires)."""
         p = self.plan.latency_spike_prob
-        if not p or self.rng.random() >= p:
+        if not p or self.draws.random() >= p:
             return 0.0
         self._fire("latency-spike", latency_us=self.plan.latency_spike_us)
         return self.plan.latency_spike_us
@@ -123,7 +125,7 @@ class FaultInjector:
         success = self.plan.retry_success_prob
         for rung, cost in enumerate(self.plan.retry_ladder_us, start=1):
             extra += cost
-            if self.rng.random() < success:
+            if self.draws.random() < success:
                 self._fire("read-error", block, page, retries=rung, latency_us=extra)
                 return extra
         self._fire(
@@ -145,7 +147,7 @@ class FaultInjector:
         bad) and raises; ``extra`` only applies to the success path.
         """
         self._tick()
-        if self.plan.program_fail_prob and self.rng.random() < self.plan.program_fail_prob:
+        if self.plan.program_fail_prob and self.draws.random() < self.plan.program_fail_prob:
             self._fire("program-fail", block, page, latency_us=latency_us)
             return True, 0.0
         return False, self._spike()
@@ -157,7 +159,7 @@ class FaultInjector:
             self._pending_bad.discard(block)
             self._fire("grown-bad-block", block)
             return True
-        if self.plan.erase_fail_prob and self.rng.random() < self.plan.erase_fail_prob:
+        if self.plan.erase_fail_prob and self.draws.random() < self.plan.erase_fail_prob:
             self._fire("erase-fail", block)
             return True
         return False
@@ -171,7 +173,7 @@ class FaultInjector:
         self._tick()
         extra = self._spike()
         p = self.plan.read_error_prob
-        if p and self.rng.random() < p:
+        if p and self.draws.random() < p:
             extra += self._ladder(block, page)
         return extra
 
@@ -185,7 +187,7 @@ class FaultInjector:
         simply retries.
         """
         self._tick()
-        if self.plan.reset_fail_prob and self.rng.random() < self.plan.reset_fail_prob:
+        if self.plan.reset_fail_prob and self.draws.random() < self.plan.reset_fail_prob:
             self._fire("reset-fail", zone=zone)
             return True
         return False
@@ -200,7 +202,7 @@ class FaultInjector:
         self._tick()
         if (
             self.plan.finish_timeout_prob
-            and self.rng.random() < self.plan.finish_timeout_prob
+            and self.draws.random() < self.plan.finish_timeout_prob
         ):
             self._fire(
                 "finish-timeout", zone=zone, latency_us=self.plan.finish_timeout_us

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.flash.cells import CellType
 from repro.flash.state import Replayable
 
 
@@ -76,19 +75,6 @@ class WearTracker(Replayable):
         for block in self._bad:
             self.bad_mask_v[block] = True
 
-    @classmethod
-    def for_cell(
-        cls,
-        total_blocks: int,
-        cell_type: CellType,
-        failure_rng: np.random.Generator | None = None,
-    ) -> "WearTracker":
-        return cls(
-            total_blocks=total_blocks,
-            endurance_cycles=cell_type.endurance_cycles,
-            failure_rng=failure_rng,
-        )
-
     def is_bad(self, block: int) -> bool:
         return block in self._bad
 
@@ -129,13 +115,6 @@ class WearTracker(Replayable):
             self.bad_mask_v[block] = True
             return False
         return True
-
-    def remaining_life(self, block: int) -> int:
-        """Erases left in the rated budget (0 if disabled => unbounded)."""
-        self._check(block)
-        if self.endurance_cycles <= 0:
-            return 2**62
-        return max(self.endurance_cycles - self.erase_counts_v[block], 0)
 
     def stats(self) -> WearStats:
         live = self.erase_counts[~self.bad_mask]

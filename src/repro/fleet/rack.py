@@ -27,9 +27,9 @@ the serving loop book every ``fleet.*`` key themselves. Each served
 request's latency goes to a list local to the serving span
 (:meth:`_ServedDevice.serve`), and the span books each list once, in
 arrival order, with :meth:`~repro.obs.frame.MetricsFrame.extend`. A
-device's reads draw their keys from one
-:class:`~repro.sim.rng.BoundedDraws`, which returns what a numpy draw
-per read would, from words taken a chunk at a time. The two request
+device's reads draw their keys from one :class:`~repro.sim.rng.Draws`,
+which returns what a numpy draw per read would, from words taken a chunk
+at a time. The two request
 publishes sit behind ``tracer.enabled`` for whoever asked to observe
 (``--trace``, ``--metrics-out``, a test's sink); nobody listening, a
 device builds no event. Tenant churn streams are a pure function of
@@ -78,7 +78,7 @@ from repro.hostio.zonelife import ZoneLifecycleManager
 from repro.obs.events import HostRequestEvent
 from repro.obs.frame import MetricsFrame
 from repro.obs.runtime import new_tracer
-from repro.sim.rng import BoundedDraws, make_rng
+from repro.sim.rng import Draws, make_rng
 from repro.workloads.lifetime import ObjectLifetimeWorkload
 from repro.workloads.multitenant import demand_trace
 from repro.zns.errors import ZoneOfflineError
@@ -307,7 +307,7 @@ class _ServedDevice:
         tenants = placement.assign(spec)[device_id]
         self.tracer = tracer = new_tracer()
         self.stack = stack = build_stack(dspec, tracer=tracer)
-        self.read_draws = BoundedDraws(make_rng(derive_seed(spec.seed, "reads", device_id)))
+        self.read_draws = Draws(make_rng(derive_seed(spec.seed, "reads", device_id)))
         self.conventional = dspec.kind == "conventional-ftl"
         caches: list[Any] = []
         if self.conventional:

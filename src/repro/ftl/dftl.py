@@ -225,8 +225,9 @@ class DemandPagedFTL(ConventionalFTL):
     def _note_relocated(self, lpns: np.ndarray) -> None:
         """GC moved these lpns: their translation entries changed."""
         epp = self.store.entries_per_page
-        tvpns = np.unique(np.asarray(lpns, dtype=np.int64) // epp)
-        for tvpn in tvpns.tolist():
+        # Ascending and distinct, as ``np.unique`` would give, without its
+        # Python frames for a block's worth of lpns.
+        for tvpn in sorted(set((np.asarray(lpns, dtype=np.int64) // epp).tolist())):
             if not self.store.mark_dirty(tvpn):
                 self._pending_trans_dirty.add(tvpn)
 
@@ -299,9 +300,9 @@ class DemandPagedFTL(ConventionalFTL):
         if victim is not None:
             tvalid = self._trans_valid_v[victim]
             data_best: int | None = None
-            cand = np.flatnonzero(self._sealed_mask)
+            cand = self._sealed_mask.nonzero()[0]
             if cand.size:
-                data_best = int(self.map.valid_counts[cand].min())
+                data_best = int(np.minimum.reduce(self.map.valid_counts[cand]))
             if (
                 data_best is None
                 or data_best >= self.geometry.pages_per_block

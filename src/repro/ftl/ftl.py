@@ -190,7 +190,7 @@ class ConventionalFTL(Replayable):
         self.map = FullPageMap(geometry, self.logical_pages)
 
         self._free: list[int] = list(range(geometry.total_blocks))
-        # The sealed pool as a per-block mask: ``np.flatnonzero`` lists it
+        # The sealed pool as a per-block mask: ``nonzero()`` lists it
         # in ascending id, so every victim tie goes to the lowest block id
         # whatever order blocks were sealed and erased in (DESIGN.md §6).
         self._sealed_mask = np.zeros(geometry.total_blocks, dtype=bool)
@@ -246,10 +246,6 @@ class ConventionalFTL(Replayable):
     def effective_spare_factor(self) -> float:
         """Physical pages beyond exported, as a fraction of exported."""
         return (self.geometry.total_pages - self.logical_pages) / self.logical_pages
-
-    def utilization(self) -> float:
-        """Fraction of exported logical space currently mapped."""
-        return self.map.mapped_pages / self.logical_pages
 
     def gc_needed(self) -> bool:
         return len(self._free) <= self.gc_low_watermark
@@ -350,7 +346,7 @@ class ConventionalFTL(Replayable):
         if lpns.dtype.kind not in "iu":
             raise TypeError(f"lpn batch must hold integers, got dtype {lpns.dtype}")
         lpns = lpns.astype(np.int64, copy=False)
-        if int(lpns.min()) < 0 or int(lpns.max()) >= self.logical_pages:
+        if np.minimum.reduce(lpns) < 0 or np.maximum.reduce(lpns) >= self.logical_pages:
             raise IndexError(f"lpn batch out of range [0, {self.logical_pages})")
         return lpns
 
@@ -562,7 +558,7 @@ class ConventionalFTL(Replayable):
         records (returning an empty list) for callers that never replay
         them -- :meth:`write_pages` and a record-free :meth:`write` use this.
         """
-        cand_arr = np.flatnonzero(self._sealed_mask)
+        cand_arr = self._sealed_mask.nonzero()[0]
         if not cand_arr.size:
             raise GCStuckError("no sealed blocks to collect")
         # Candidates ascend, so a tie goes to the lowest block id.
@@ -578,7 +574,7 @@ class ConventionalFTL(Replayable):
             # Validity-blind policies (FIFO) can pick a fully-valid block,
             # which reclaims nothing; fall back to the emptiest candidate,
             # as production cleaners do.
-            victim = int(cand_arr[np.argmin(self.map.valid_counts[cand_arr])])
+            victim = int(cand_arr[self.map.valid_counts[cand_arr].argmin()])
             if self.map.block_valid_count(victim) >= ppb:
                 raise GCStuckError(f"victim block {victim} is fully valid; no spare capacity")
         ops: list[FlashOp] = []
@@ -696,9 +692,12 @@ class ConventionalFTL(Replayable):
         return []
 
     def wear_spread(self) -> int:
-        """Max minus min erase count across live blocks."""
-        stats = self.nand.wear.stats()
-        return stats.max_erases - stats.min_erases
+        """Max minus min erase count across live blocks, as ``WearTracker.stats`` has them."""
+        wear = self.nand.wear
+        live = wear.erase_counts[~wear.bad_mask]
+        if not live.size:
+            return 0
+        return int(np.maximum.reduce(live) - np.minimum.reduce(live))
 
     def wear_level_once(self, build_ops: bool = True) -> list[FlashOp]:
         """Static wear leveling: migrate the coldest sealed block.
@@ -708,10 +707,10 @@ class ConventionalFTL(Replayable):
         ops performed; empty if there is nothing to migrate or with
         ``build_ops=False``.
         """
-        sealed = np.flatnonzero(self._sealed_mask)
+        sealed = self._sealed_mask.nonzero()[0]
         if not sealed.size:
             return []
-        coldest = int(sealed[np.argmin(self._seal_time_arr[sealed])])
+        coldest = int(sealed[self._seal_time_arr[sealed].argmin()])
         ops: list[FlashOp] = []
         self._reclaim(coldest, "wear-level", ops if build_ops else None)
         return ops

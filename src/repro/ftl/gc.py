@@ -73,7 +73,7 @@ class GreedyPolicy(VictimPolicy):
     def select(self, candidates, valid_counts, pages_per_block, seal_times, now):
         if candidates.size == 0:
             raise ValueError("no GC candidates")
-        return int(candidates[np.argmin(valid_counts[candidates])])
+        return int(candidates[valid_counts[candidates].argmin()])
 
 
 class CostBenefitPolicy(VictimPolicy):
@@ -87,7 +87,7 @@ class CostBenefitPolicy(VictimPolicy):
         u = valid_counts[candidates] / pages_per_block
         age = np.maximum(now - seal_times[candidates], 1)
         score = (1.0 - u) * age / (1.0 + u)
-        return int(candidates[np.argmax(score)])
+        return int(candidates[score.argmax()])
 
 
 class FifoPolicy(VictimPolicy):
@@ -113,7 +113,7 @@ class FifoPolicy(VictimPolicy):
         ranks = np.fromiter(
             (get(int(b), 0) for b in candidates), dtype=np.int64, count=candidates.size
         )
-        return int(candidates[np.argmin(ranks)])
+        return int(candidates[ranks.argmin()])
 
 
 _POLICIES = {

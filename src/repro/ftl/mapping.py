@@ -148,7 +148,7 @@ class FullPageMap(Replayable):
         self.geometry.check_block(block)
         start = block * self.geometry.pages_per_block
         window = self.p2l[start : start + self.geometry.pages_per_block]
-        return np.flatnonzero(window != UNMAPPED) + start
+        return (window != UNMAPPED).nonzero()[0] + start
 
     def block_valid_count(self, block: int) -> int:
         self.geometry.check_block(block)
@@ -369,7 +369,7 @@ class TranslationStore(Replayable):
             # writeback-triggered GC that touches the victim's tvpn must
             # see it uncached (pending-dirty path), exactly as the dict
             # version's popitem-then-writeback order guaranteed.
-            slot = int(np.argmin(self.slot_stamp))
+            slot = int(self.slot_stamp.argmin())
             victim = self.slot_tvpn_v[slot]
             victim_dirty = self.slot_dirty_v[slot] != 0
             tvpn_slot[victim] = UNMAPPED
@@ -500,12 +500,12 @@ def map_batch_apply(l2p, p2l, valid_counts, lpns, ppns, block, ppb):
     if prev_ppns.size:
         p2l[prev_ppns] = UNMAPPED
         np.subtract.at(valid_counts, prev_ppns // ppb, 1)
-        if valid_counts[prev_ppns // ppb].min() < 0:
+        if np.minimum.reduce(valid_counts[prev_ppns // ppb]) < 0:
             raise ValueError("valid count went negative in map batch")
     l2p[rev_unique] = final_ppns
     p2l[final_ppns] = rev_unique
     valid_counts[block] += rev_unique.size
-    return int(rev_unique.size - np.count_nonzero(remapped))
+    return rev_unique.size - prev_ppns.size
 
 
 def relocate_run_apply(l2p, p2l, valid_counts, src_pages, dst_first, src_block, dst_block):
@@ -517,7 +517,7 @@ def relocate_run_apply(l2p, p2l, valid_counts, src_pages, dst_first, src_block, 
     """
     n = src_pages.shape[0]
     lpns = p2l[src_pages]
-    if lpns.size and int(lpns.min()) == UNMAPPED:
+    if lpns.size and np.minimum.reduce(lpns) == UNMAPPED:
         raise ValueError("relocate of invalid physical page")
     p2l[src_pages] = UNMAPPED
     dst = np.arange(dst_first, dst_first + n, dtype=np.int64)

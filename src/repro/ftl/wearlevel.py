@@ -88,7 +88,7 @@ class DynamicWearLevel(WearLevelPolicy):
 
     def select(self, free, wear, planes, preferred):
         key = wear[free] * planes + (free - preferred) % planes
-        return int(np.argmin(key))
+        return int(key.argmin())
 
 
 class StaticWearLevel(DynamicWearLevel):

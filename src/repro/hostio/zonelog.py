@@ -99,12 +99,12 @@ class ZoneLog(Replayable):
 
     def victim(self, exclude: Collection[int] = ()) -> int | None:
         """The sealed zone with the fewest live pages, the lowest id on a tie."""
-        ids = np.flatnonzero(self.sealed)
+        ids = self.sealed.nonzero()[0]
         if exclude:
             ids = ids[~np.isin(ids, list(exclude))]
         if not ids.size:
             return None
-        return int(ids[np.argmin(self.live[ids])])
+        return int(ids[self.live[ids].argmin()])
 
     def reset(self, zone: int, free: bool = False) -> list:
         """Reset a drained ``zone`` onto the free list (``free``: nothing was

@@ -15,10 +15,13 @@ import numpy as np
 
 _DRAW_CHUNK = 8192
 
-#: 32-bit words :class:`BoundedDraws` takes from its generator per refill.
+#: Raw 64-bit words :class:`Draws` takes from its generator per refill.
 _WORD_CHUNK = 1024
 
 _WORD_SPAN = 1 << 32
+_LOW_HALF = _WORD_SPAN - 1
+_DOUBLE_UNIT = 2.0**-53
+_PCG64_PERIOD = 1 << 128  # advancing by the period less k steps back k
 
 
 def make_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
@@ -47,60 +50,99 @@ def draw_ints(rng: np.random.Generator, high: int, count: int) -> Iterator[int]:
     )
 
 
-class BoundedDraws:
-    """Draw for draw, what ``int(rng.integers(0, n))`` would return, for
-    any ``n`` in 1..2**32, at a Python call's cost instead of numpy's.
+class Draws:
+    """Draw for draw, what scalar ``rng.integers`` and ``rng.random`` calls
+    would return, at a Python call's cost instead of numpy's.
 
-    ``rng.integers(0, n)`` with ``n`` up to 2**32 maps one ``next_uint32``
-    word at a time through Lemire's multiply-and-reject step, and
-    ``integers(0, 2**32, dtype=np.uint32)`` returns those words unmapped
-    from the same stream. So the words are taken a chunk at a time and
-    :meth:`below` maps each through the same step; ``n`` may change from
-    one draw to the next. Like numpy, ``n == 1`` takes no word. The
-    generator is the source's own: a draw taken from it directly comes
-    from past the buffered words.
+    The generator's raw 64-bit words are taken a chunk at a time
+    (``bit_generator.random_raw``) and served the way numpy's PCG64 serves
+    them. :meth:`random` is ``next_double``: the top 53 bits of one word.
+    :meth:`below` is ``integers(0, n)`` for ``n`` up to 2**32: Lemire's
+    multiply-and-reject step over ``next_uint32``, which hands out a word's
+    low half and keeps its high half pending for the next 32-bit draw
+    (``random`` leaves a pending half alone). The pending half starts as
+    the generator's own (``has_uint32``/``uinteger``), so the two kinds of
+    draw may interleave in any order, and ``lo + below(n)`` is
+    ``integers(lo, lo + n)``.
 
-    A deep copy copies the generator and shares the word list, which is
-    replaced on refill, never mutated.
+    Words taken but not served are ahead of the generator's scalar
+    position: :meth:`settle` puts them back, so a generator the caller
+    passed in ends where scalar calls would have left it. Until then, a
+    draw taken from the generator directly comes from past the buffered
+    words. A deep copy copies the generator and shares the word list,
+    which is replaced on refill, never mutated.
     """
 
-    __slots__ = ("rng", "_words", "_next")
+    __slots__ = ("rng", "_words", "_next", "_half", "_has_half")
 
     def __init__(self, rng: np.random.Generator) -> None:
+        if type(rng.bit_generator) is not np.random.PCG64:
+            raise TypeError("Draws serves a PCG64 generator's words only")
+        state = rng.bit_generator.state
         self.rng = rng
         self._words: list[int] = []
         self._next = 0
+        self._half: int = state["uinteger"]
+        self._has_half = bool(state["has_uint32"])
 
-    def __deepcopy__(self, memo: dict) -> "BoundedDraws":
-        clone = BoundedDraws(copy.deepcopy(self.rng, memo))
+    def __deepcopy__(self, memo: dict) -> "Draws":
+        clone = copy.copy(self)
+        clone.rng = copy.deepcopy(self.rng, memo)
         memo[id(self)] = clone
-        clone._words = self._words
-        clone._next = self._next
         return clone
 
+    def random(self) -> float:
+        """``rng.random()``: a uniform float in [0, 1)."""
+        index = self._next
+        if index == len(self._words):
+            self._words = self.rng.bit_generator.random_raw(_WORD_CHUNK).tolist()
+            index = 0
+        self._next = index + 1
+        return (self._words[index] >> 11) * _DOUBLE_UNIT
+
     def below(self, n: int) -> int:
-        """A uniform draw from ``range(n)``; ``ValueError`` unless 1 <= n <= 2**32."""
+        """``int(rng.integers(0, n))``; ``ValueError`` unless 1 <= n <= 2**32."""
         if not 1 < n <= _WORD_SPAN:
             if n == 1:
-                return 0
+                return 0  # like numpy, range(1) takes no word
             raise ValueError(f"bound {n} is outside 1..2**32")
-        index = self._next
-        words = self._words
         while True:
-            if index == len(words):
-                words = self._words = self.rng.integers(
-                    0, _WORD_SPAN, size=_WORD_CHUNK, dtype=np.uint32
-                ).tolist()
-                index = 0
-            m = words[index] * n
-            index += 1
+            if self._has_half:
+                self._has_half = False
+                m = self._half * n
+            else:
+                index = self._next
+                if index == len(self._words):
+                    self._words = self.rng.bit_generator.random_raw(_WORD_CHUNK).tolist()
+                    index = 0
+                self._next = index + 1
+                word = self._words[index]
+                self._half = word >> 32
+                self._has_half = True
+                m = (word & _LOW_HALF) * n
             # Lemire's test in numpy's order: the threshold ``(2**32 - n)
             # % n`` is below ``n``, so it is computed only for a low word
             # below ``n``; a low word below it rejects the word.
-            low = m & 0xFFFFFFFF
+            low = m & _LOW_HALF
             if low >= n or low >= (_WORD_SPAN - n) % n:
-                self._next = index
                 return m >> 32
 
+    def settle(self) -> None:
+        """Rewind the generator over the words not yet served, pending half kept.
 
-__all__ = ["BoundedDraws", "draw_ints", "make_rng"]
+        The generator is then where the scalar calls would have left it,
+        ``bit_generator.state`` and all; later draws refill from there.
+        """
+        bits = self.rng.bit_generator
+        unused = len(self._words) - self._next
+        if unused:
+            bits.advance(_PCG64_PERIOD - unused)
+        state = bits.state
+        state["has_uint32"] = int(self._has_half)
+        state["uinteger"] = self._half
+        bits.state = state
+        self._words = []
+        self._next = 0
+
+
+__all__ = ["Draws", "draw_ints", "make_rng"]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sim.rng import make_rng
+from repro.sim.rng import Draws, make_rng
 
 
 @dataclass(frozen=True)
@@ -65,24 +65,30 @@ def demand_trace(
     """Yield demand-change events for all tenants over ``steps`` ticks.
 
     Events are emitted only when a tenant's demand changes (plus an
-    initial event per tenant at t=0), in time order.
+    initial event per tenant at t=0), in time order. The ``rng.random()``
+    per tenant and step comes from one :class:`~repro.sim.rng.Draws`; a
+    generator passed in is settled when the trace ends or is closed.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    rng = make_rng(seed)
+    draws = Draws(make_rng(seed))
+    random = draws.random
     bursting = [False] * len(tenants)
     for i, tenant in enumerate(tenants):
         yield TenantDemandEvent(0, tenant.tenant_id, tenant.idle_zones)
-    for t in range(1, steps):
-        for i, tenant in enumerate(tenants):
-            if bursting[i]:
-                if rng.random() < tenant.burst_end_prob:
-                    bursting[i] = False
-                    yield TenantDemandEvent(t, tenant.tenant_id, tenant.idle_zones)
-            else:
-                if rng.random() < tenant.burst_start_prob:
-                    bursting[i] = True
-                    yield TenantDemandEvent(t, tenant.tenant_id, tenant.burst_zones)
+    try:
+        for t in range(1, steps):
+            for i, tenant in enumerate(tenants):
+                if bursting[i]:
+                    if random() < tenant.burst_end_prob:
+                        bursting[i] = False
+                        yield TenantDemandEvent(t, tenant.tenant_id, tenant.idle_zones)
+                else:
+                    if random() < tenant.burst_start_prob:
+                        bursting[i] = True
+                        yield TenantDemandEvent(t, tenant.tenant_id, tenant.burst_zones)
+    finally:
+        draws.settle()
 
 
 __all__ = ["BurstyTenant", "TenantDemandEvent", "demand_trace"]

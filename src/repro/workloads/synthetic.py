@@ -10,10 +10,11 @@ and KV workloads).
 from __future__ import annotations
 
 from collections.abc import Iterator
+from contextlib import closing
 
 import numpy as np
 
-from repro.sim.rng import make_rng
+from repro.sim.rng import Draws, draw_ints, make_rng
 
 _ZIPF_CHUNK = 4096
 
@@ -21,12 +22,14 @@ _ZIPF_CHUNK = 4096
 def uniform_stream(
     num_pages: int, count: int, seed: int | np.random.Generator | None = 0
 ) -> Iterator[int]:
-    """Uniform random page addresses: the classic worst case for GC."""
+    """Uniform random page addresses: the classic worst case for GC.
+
+    The stream of ``int(rng.integers(0, num_pages))`` per step, drawn a
+    chunk at a time (:func:`~repro.sim.rng.draw_ints`).
+    """
     if num_pages < 1:
         raise ValueError("num_pages must be >= 1")
-    rng = make_rng(seed)
-    for _ in range(count):
-        yield int(rng.integers(0, num_pages))
+    return draw_ints(make_rng(seed), num_pages, count)
 
 
 def uniform_array(
@@ -97,18 +100,28 @@ def hot_cold_stream(
     ``hot_fraction`` of the address space receives ``hot_traffic`` of the
     writes (e.g. 10% of pages get 90% of traffic). The tuple's flag lets
     placement-aware callers route hot and cold to different streams.
+
+    Each step is ``rng.random()`` and then ``rng.integers(0, hot_pages)``
+    or ``rng.integers(hot_pages, num_pages)``, served by one
+    :class:`~repro.sim.rng.Draws`; a generator passed in is settled when
+    the stream ends or is closed.
     """
     if not 0 < hot_fraction < 1:
         raise ValueError("hot_fraction must be in (0, 1)")
     if not 0 < hot_traffic < 1:
         raise ValueError("hot_traffic must be in (0, 1)")
-    rng = make_rng(seed)
+    draws = Draws(make_rng(seed))
+    random, below = draws.random, draws.below
     hot_pages = max(int(num_pages * hot_fraction), 1)
-    for _ in range(count):
-        if rng.random() < hot_traffic:
-            yield int(rng.integers(0, hot_pages)), True
-        else:
-            yield int(rng.integers(hot_pages, num_pages)), False
+    cold_pages = num_pages - hot_pages
+    try:
+        for _ in range(count):
+            if random() < hot_traffic:
+                yield below(hot_pages), True
+            else:
+                yield hot_pages + below(cold_pages), False
+    finally:
+        draws.settle()
 
 
 def hot_cold_array(
@@ -124,8 +137,8 @@ def hot_cold_array(
     a ``random()`` draw followed by an ``integers()`` draw whose bounds
     depend on it, so drawing either in bulk would be another sequence.
     """
-    stream = hot_cold_stream(num_pages, count, hot_fraction, hot_traffic, seed)
-    return np.fromiter((page for page, _hot in stream), dtype=np.int64, count=count)
+    with closing(hot_cold_stream(num_pages, count, hot_fraction, hot_traffic, seed)) as stream:
+        return np.fromiter((page for page, _hot in stream), dtype=np.int64, count=count)
 
 
 def fill_then_churn(ftl, churn: np.ndarray | None = None) -> None:

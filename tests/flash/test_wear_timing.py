@@ -57,11 +57,6 @@ class TestWearTracker:
         with pytest.raises(ValueError):
             w.record_erase(0)
 
-    def test_remaining_life(self):
-        w = WearTracker(total_blocks=1, endurance_cycles=10)
-        w.record_erase(0)
-        assert w.remaining_life(0) == 9
-
     def test_stats_exclude_bad_blocks(self):
         w = WearTracker(total_blocks=3, endurance_cycles=1)
         w.record_erase(0)
@@ -69,10 +64,6 @@ class TestWearTracker:
         stats = w.stats()
         assert stats.bad_blocks == 1
         assert stats.max_erases == 0  # blocks 1 and 2 untouched
-
-    def test_for_cell_uses_endurance(self):
-        w = WearTracker.for_cell(4, CellType.TLC)
-        assert w.endurance_cycles == CellType.TLC.endurance_cycles
 
     def test_imbalance_zero_when_level(self):
         w = WearTracker(total_blocks=4)

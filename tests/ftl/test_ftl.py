@@ -127,12 +127,6 @@ class TestReadWrite:
             ftl.read(0)
         assert ftl.stats.trims == 1
 
-    def test_utilization_tracks_mapped(self):
-        ftl = make_ftl()
-        assert ftl.utilization() == 0.0
-        fill_logical(ftl)
-        assert ftl.utilization() == pytest.approx(1.0)
-
 
 class TestGarbageCollection:
     def test_sequential_fill_no_gc(self):

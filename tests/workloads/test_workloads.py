@@ -96,6 +96,16 @@ class TestArrayAndChunkedDrawsAreTheScalarStreams:
         assert array.tolist() == [page for page, _ in hot_cold_stream(1000, 5000, seed=scalar)]
         assert bulk.random() == scalar.random()
 
+    def test_a_hot_cold_stream_closed_early_leaves_the_scalar_generator(self):
+        shared, scalar = make_rng(4), make_rng(4)
+        stream = hot_cold_stream(1000, 5000, 0.1, 0.9, seed=shared)
+        taken = [next(stream) for _ in range(1234)]
+        stream.close()
+        for page, hot in taken:
+            assert (scalar.random() < 0.9) is hot
+            assert page == int(scalar.integers(0, 100) if hot else scalar.integers(100, 1000))
+        assert shared.bit_generator.state == scalar.bit_generator.state
+
 
 def test_fill_then_churn_leaves_the_scalar_loops_state():
     def make():
@@ -196,6 +206,13 @@ class TestMultitenant:
             BurstyTenant(0, idle_zones=5, burst_zones=2)
         with pytest.raises(ValueError):
             BurstyTenant(0, burst_start_prob=0.0)
+
+    def test_a_trace_takes_one_scalar_random_per_tenant_and_step(self):
+        tenants = [BurstyTenant(tenant_id=i) for i in range(3)]
+        shared, scalar = make_rng(12), make_rng(12)
+        list(demand_trace(tenants, 500, seed=shared))
+        scalar.random(499 * 3)
+        assert shared.bit_generator.state == scalar.bit_generator.state
 
     def test_initial_event_per_tenant(self):
         tenants = [BurstyTenant(tenant_id=i) for i in range(3)]
