@@ -13,8 +13,8 @@ Every never-entered def must be on ``scripts/reachability_allowlist.txt``,
 one per line as ``path::Qualname  reason``, with the reason from a closed
 set: ``cli``, ``invariant``, ``oracle``, ``serialization``, ``benchmark``
 or ``item-N`` (owned by open ROADMAP item N). Exit status is 1 if any
-never-entered def is missing from the list, or a line is malformed;
-entries that are now entered (or gone) are printed as warnings only.
+never-entered def is missing from the list, a line is malformed, or an
+entry names a def that is now entered (or gone): drop that line.
 
 Usage::
 
@@ -158,16 +158,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.list:
         for d in dead:
             print(f"{d.key}  {d.lines}")
-    dead_keys = {d.key for d in dead}
-    for key in sorted(set(allowed) - dead_keys):
-        print(f"warning: stale allowlist entry (entered now, or gone): {key}")
+    stale = sorted(set(allowed) - {d.key for d in dead})
+    for key in stale:
+        print(f"error: stale allowlist entry (entered now, or gone): {key}")
     for message in errors:
         print(f"error: {message}")
     missing = [d for d in dead if d.key not in allowed]
     for d in missing:
         print(f"error: never entered and not on the allowlist: {d.key} "
               f"(line {d.first_line}, {d.lines} lines)")
-    return 1 if missing or errors else 0
+    return 1 if missing or errors or stale else 0
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ from repro.block.interface import ZonedDevice, check_extent
 from repro.flash.errors import ProgramFaultError, UncorrectableReadError
 from repro.flash.ops import FlashOp
 from repro.flash.state import Replayable
+from repro.ftl.mapping import MAP_ENTRY_BYTES
 from repro.hostio.zonelog import ZoneLog
 from repro.obs.events import FlashOpEvent, ReclaimEvent, RecoveryEvent
 from repro.obs.runtime import new_tracer
@@ -167,9 +168,9 @@ class ZonedBlockDevice(Replayable):
     def gc_needed(self) -> bool:
         return len(self.log.free) <= self.config.gc_low_zones
 
-    def host_dram_bytes(self, bytes_per_entry: int = 4) -> int:
+    def host_dram_bytes(self) -> int:
         """Host DRAM consumed by the translation map (paper §2.3 tradeoff)."""
-        return self.logical_pages * bytes_per_entry
+        return self.logical_pages * MAP_ENTRY_BYTES
 
     # -- Core operations -------------------------------------------------------------
 

@@ -2,9 +2,8 @@
 
 Before this module, every experiment hand-wired its own device stack --
 the same dozen lines of geometry + config + facade assembly duplicated
-across 20+ modules, impossible to ship across a process boundary and
-impossible to hash into a cache key. A :class:`DeviceSpec` is the frozen,
-hashable, versioned description of one stack (the analogue of
+across 20+ modules, impossible to ship across a process boundary. A
+:class:`DeviceSpec` is the frozen, hashable description of one stack (the analogue of
 :class:`~repro.experiments.base.ExperimentConfig` for hardware), and
 :func:`build_stack` is the single place that turns a spec into a live
 object tree. The fleet layer (:mod:`repro.fleet`) leans on this to
@@ -29,28 +28,21 @@ A timed kind wraps the core its untimed twin's branch builds
 (:func:`build_core`), so both read every spec field alike.
 
 Geometry is a named preset (``small`` / ``bench``) plus optional field
-overrides, so specs stay JSON-round-trippable; adversity arms through
+overrides, so a spec stays plain, picklable data; adversity arms through
 ``fault_plan`` (a frozen :class:`~repro.faults.plan.FaultPlan`) scaled by
 ``fault_scale``, with ``fault_scale=0`` meaning the clean reference arm.
-Non-serializable collaborators (a simulation engine, a reclaim
-scheduler, a tracer) are *runtime* arguments to :func:`build_stack`, not
-spec fields.
+Live collaborators (a simulation engine, a reclaim scheduler, a tracer)
+are *runtime* arguments to :func:`build_stack`, not spec fields.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.faults.plan import FaultPlan
-
-#: Version of the on-disk / on-the-wire spec schema. Bump when a field is
-#: added, removed, or changes meaning.
-SPEC_VERSION = 1
 
 #: Stack kinds that accept a fault injector.
 FAULT_CAPABLE_KINDS = frozenset({"conventional-ftl", "zns", "dmzoned"})
@@ -99,7 +91,7 @@ def _freeze(value: Any) -> Any:
 
 
 def _thaw(value: Any) -> Any:
-    """Inverse of :func:`_freeze` for JSON round-trips (tuples -> lists)."""
+    """Inverse of :func:`_freeze` (tuples -> lists)."""
     if isinstance(value, tuple):
         return [_thaw(v) for v in value]
     return value
@@ -107,36 +99,6 @@ def _thaw(value: Any) -> Any:
 
 def _as_kwargs(pairs: tuple[tuple[str, Any], ...]) -> dict[str, Any]:
     return {name: _thaw(value) for name, value in pairs}
-
-
-#: FaultPlan fields added after SPEC_VERSION 1 shipped: omitted from the
-#: serialized plan when at their defaults so pre-existing spec hashes
-#: stay valid (the same contract as optional spec fields).
-_PLAN_OPTIONAL_FIELDS = frozenset(
-    {
-        "reset_fail_prob",
-        "finish_timeout_prob",
-        "finish_timeout_us",
-        "stuck_open_zones",
-        "stuck_release_after",
-    }
-)
-
-
-def _plan_payload(plan: FaultPlan) -> dict[str, Any]:
-    payload: dict[str, Any] = {}
-    for f in dataclasses.fields(plan):
-        value = getattr(plan, f.name)
-        if f.name in _PLAN_OPTIONAL_FIELDS:
-            default = (
-                f.default
-                if f.default is not dataclasses.MISSING
-                else f.default_factory()
-            )
-            if value == default:
-                continue
-        payload[f.name] = _thaw(value)
-    return payload
 
 
 @dataclass(frozen=True)
@@ -165,7 +127,7 @@ class DeviceSpec:
     extra:
         Remaining constructor kwargs of the top-level facade
         (``prioritize_reads``, ``erase_suspend_slices``,
-        ...), spec-carried when JSON-safe.
+        ...), spec-carried when they are plain data.
     store_data / striped / spare_blocks:
         Substrate switches, matching the underlying constructors.
     fault_plan:
@@ -279,79 +241,6 @@ class DeviceSpec:
     def with_faults(self, plan: FaultPlan | None, scale: float = 1.0) -> "DeviceSpec":
         """A copy with the fault plan/scale replaced."""
         return dataclasses.replace(self, fault_plan=plan, fault_scale=scale)
-
-    def derived(self, **overrides: Any) -> "DeviceSpec":
-        """A copy with arbitrary fields replaced (frozen-safe)."""
-        return dataclasses.replace(self, **overrides)
-
-    # -- Serialization ---------------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        payload: dict[str, Any] = {
-            "schema_version": SPEC_VERSION,
-            "kind": self.kind,
-            "geometry": self.geometry,
-            "flash": _as_kwargs(self.flash),
-            "blocks_per_zone": self.blocks_per_zone,
-            "max_active_zones": self.max_active_zones,
-            "max_open_zones": self.max_open_zones,
-            "ftl": _as_kwargs(self.ftl),
-            "zoned_block": _as_kwargs(self.zoned_block),
-            "extra": _as_kwargs(self.extra),
-            "store_data": self.store_data,
-            "striped": self.striped,
-            "spare_blocks": self.spare_blocks,
-            "fault_scale": self.fault_scale,
-            "fault_plan": (
-                None if self.fault_plan is None else _plan_payload(self.fault_plan)
-            ),
-        }
-        # New optional fields are omitted when unset so pre-existing
-        # specs keep their canonical JSON (and hence spec hashes).
-        if self.cmt_bytes is not None:
-            payload["cmt_bytes"] = self.cmt_bytes
-        if self.wl_policy is not None:
-            payload["wl_policy"] = self.wl_policy
-        if self.zone_mgmt:
-            payload["zone_mgmt"] = _as_kwargs(self.zone_mgmt)
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "DeviceSpec":
-        version = payload.get("schema_version", SPEC_VERSION)
-        if version != SPEC_VERSION:
-            raise ValueError(
-                f"device spec schema version {version} not supported "
-                f"(have {SPEC_VERSION})"
-            )
-        plan_payload = payload.get("fault_plan")
-        return cls(
-            kind=payload["kind"],
-            geometry=payload.get("geometry", "bench"),
-            flash=payload.get("flash", ()),
-            blocks_per_zone=payload.get("blocks_per_zone"),
-            max_active_zones=payload.get("max_active_zones"),
-            max_open_zones=payload.get("max_open_zones"),
-            ftl=payload.get("ftl", ()),
-            zoned_block=payload.get("zoned_block", ()),
-            extra=payload.get("extra", ()),
-            store_data=payload.get("store_data", False),
-            striped=payload.get("striped", True),
-            spare_blocks=payload.get("spare_blocks", 0),
-            fault_plan=None if plan_payload is None else FaultPlan(**plan_payload),
-            fault_scale=payload.get("fault_scale", 1.0),
-            cmt_bytes=payload.get("cmt_bytes"),
-            wl_policy=payload.get("wl_policy"),
-            zone_mgmt=payload.get("zone_mgmt", ()),
-        )
-
-    def canonical_json(self) -> str:
-        """Deterministic JSON encoding, the basis of the spec hash."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    def spec_hash(self) -> str:
-        """Hex digest identifying this spec's contents (stable across runs)."""
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
     # -- Geometry materialization ----------------------------------------------
 
@@ -551,7 +440,6 @@ __all__ = [
     "FAULT_CAPABLE_KINDS",
     "GEOMETRY_PRESETS",
     "KINDS",
-    "SPEC_VERSION",
     "TIMED_KINDS",
     "UNTIMED_TWINS",
     "WRAPPER_OPTIONS",

@@ -113,14 +113,5 @@ class ResultCache:
         self.stats.stores += 1
         return path
 
-    def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
-        removed = 0
-        if self.cache_dir.is_dir():
-            for entry in self.cache_dir.glob("*.json"):
-                entry.unlink(missing_ok=True)
-                removed += 1
-        return removed
-
 
 __all__ = ["CACHE_DIR_ENV", "CacheStats", "ResultCache", "code_version", "default_cache_dir"]

@@ -142,9 +142,8 @@ def _fold(
         else:
             frames = [f for _, f, _ in outputs if f is not None]
             if frames:
-                # Slot order, as SweepSpec.run visits the points: counters
-                # sum, maxima max and series concatenate in that order, so
-                # this is the one-run frame.
+                # Slot order: counters sum, maxima max and series
+                # concatenate in point order, so this is the one-run frame.
                 result.metrics = {**result.metrics, **MetricsFrame.merge(frames).to_dict()}
             if profile:
                 ranked = [{"point": i, "entries": r} for i, (_, _, r) in enumerate(outputs)]
@@ -185,7 +184,8 @@ def execute(
     wall_start = time.perf_counter()
     total = len(configs)
     records: list[Any] = []
-    plan: list[tuple[int, ExperimentConfig, Any, int]] = []
+    # (index, config, sweep, unit count, outputs known before any unit runs)
+    plan: list[tuple[int, ExperimentConfig, Any, int, list]] = []
     units: list[_Unit] = []
     for index, config in enumerate(configs):
         hit = cache.get(config) if cache is not None else None
@@ -196,23 +196,23 @@ def execute(
         sweep = getattr(_module_for(config.experiment_id), "SWEEP", None)
         try:
             points = None if sweep is None else sweep.points(config)
-        except Exception:
-            # Left to a whole-experiment unit: its run() raises this again,
-            # and the unit reports it like any other failure.
-            sweep = points = None
+        except Exception as exc:
+            # Nothing to run: the experiment fails with this error.
+            error = ErrorResult.from_exception(exc, config.experiment_id, _config_hash(config))
+            plan.append((index, config, None, 0, [(error, None, None)]))
+            continue
         if points is None:
             new = [(config, -1, None, profile)]
         else:
             new = [(config, slot, kw, profile) for slot, kw in enumerate(points)]
-        plan.append((index, config, sweep, len(new)))
+        plan.append((index, config, sweep, len(new), []))
         units += new
 
     outputs = _outputs(units, jobs)
     try:
-        for index, config, sweep, count in plan:
+        for index, config, sweep, count, taken in plan:
             reporter.started(config, index, total)
             started = time.perf_counter()
-            taken = []
             for output in itertools.islice(outputs, count):
                 taken.append(output)
                 if sweep is not None:

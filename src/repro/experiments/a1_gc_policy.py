@@ -11,7 +11,7 @@ information barrier (compare any column to the E9 oracle).
 from __future__ import annotations
 
 from repro.block.factory import DeviceSpec, build_stack
-from repro.experiments.base import ExperimentConfig, ExperimentResult, SweepSpec, experiment
+from repro.experiments.base import ExperimentConfig, ExperimentResult, SweepSpec
 from repro.ftl.ftl import ConventionalFTL
 from repro.workloads.synthetic import fill_then_churn, hot_cold_array, uniform_array
 
@@ -87,9 +87,4 @@ def combine(config: ExperimentConfig, rows: list[dict]) -> ExperimentResult:
 SWEEP = SweepSpec(points=sweep_points, point=measure, combine=combine)
 
 
-@experiment("A1")
-def run(config: ExperimentConfig) -> ExperimentResult:
-    return SWEEP.run(config)
-
-
-__all__ = ["SWEEP", "measure", "run"]
+__all__ = ["SWEEP", "measure"]

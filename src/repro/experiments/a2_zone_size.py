@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.apps.lsm import LSMConfig, LSMStore, ZoneFileBackend, put_uniform
 from repro.block.factory import DeviceSpec, build_stack
-from repro.experiments.base import ExperimentConfig, ExperimentResult, SweepSpec, experiment
+from repro.experiments.base import ExperimentConfig, ExperimentResult, SweepSpec
 from repro.sim.rng import make_rng
 
 
@@ -75,9 +75,4 @@ def combine(config: ExperimentConfig, rows: list[dict]) -> ExperimentResult:
 SWEEP = SweepSpec(points=sweep_points, point=measure, combine=combine)
 
 
-@experiment("A2")
-def run(config: ExperimentConfig) -> ExperimentResult:
-    return SWEEP.run(config)
-
-
-__all__ = ["SWEEP", "measure", "run"]
+__all__ = ["SWEEP", "measure"]

@@ -1,25 +1,24 @@
 """The experiment-facing API: configs and results.
 
-Every experiment module exposes one uniform entry point::
+Every experiment module exports exactly one entry point: ``SWEEP``, a
+:class:`SweepSpec` that decomposes the run into independent, picklable
+parameter points, when the experiment is a sweep; else
+``run(config: ExperimentConfig) -> ExperimentResult``. Either way
+:func:`repro.exec.execute` is what runs it (``zns-repro run``, the
+ledger and :func:`repro.experiments.runner.run_config` all go through
+it): it runs a ``run`` as one unit of work and a sweep's points as one
+unit each, then folds them with ``combine``.
 
-    run(config: ExperimentConfig) -> ExperimentResult
-
-where :class:`ExperimentConfig` is a frozen, hashable description of the
-run (experiment id, ``full`` flag, seed, parameter overrides). Frozen and
-hashable matters: the execution layer (:mod:`repro.exec`) keys its
-on-disk result cache on the config's content hash and ships configs to
-worker processes, neither of which tolerates ad-hoc ``**kwargs``.
+:class:`ExperimentConfig` is a frozen, hashable description of the run
+(experiment id, ``full`` flag, seed, parameter overrides). Frozen and
+hashable matters: the execution layer keys its on-disk result cache on
+the config's content hash and ships configs to worker processes, neither
+of which tolerates ad-hoc ``**kwargs``.
 
 The :func:`experiment` decorator validates the config, attaches the
 experiment id, and -- when metrics collection is active (CLI
 ``--metrics-out``) -- captures the run's telemetry frame into
-:attr:`ExperimentResult.metrics`. The pre-redesign keyword calling
-convention (``run(quick=True, seed=0)``) has been removed; construct an
-:class:`ExperimentConfig`.
-
-Sweep-style experiments additionally publish a :class:`SweepSpec`
-(module attribute ``SWEEP``) decomposing the run into independent,
-picklable parameter points so the executor can fan them out.
+:attr:`ExperimentResult.metrics`.
 
 A device measurement two experiments share (E2 and A4 drive the same
 DFTL runs, E14 repeats one of E1's OP points) is a :func:`measurement`:
@@ -36,30 +35,13 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.block.factory import _freeze, _thaw
 from repro.obs.runtime import metrics_aggregator
 
 #: Version of the on-disk / on-the-wire dict schema for both
 #: :class:`ExperimentConfig` and :class:`ExperimentResult`. Bump when a
 #: field is added, removed, or changes meaning.
 SCHEMA_VERSION = 1
-
-
-def _freeze(value: Any) -> Any:
-    """Recursively convert lists/dicts to hashable tuples (sorted for dicts)."""
-    if isinstance(value, Mapping):
-        return tuple(sorted((str(k), _freeze(v)) for k, v in value.items()))
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze(v) for v in value)
-    if isinstance(value, set):
-        return tuple(sorted(_freeze(v) for v in value))
-    return value
-
-
-def _thaw(value: Any) -> Any:
-    """Inverse of :func:`_freeze` for JSON round-trips (tuples -> lists)."""
-    if isinstance(value, tuple):
-        return [_thaw(v) for v in value]
-    return value
 
 
 @dataclass(frozen=True)
@@ -114,12 +96,6 @@ class ExperimentConfig:
             if key == name:
                 return _thaw(value)
         return default
-
-    def with_params(self, **overrides: Any) -> "ExperimentConfig":
-        """A copy with ``overrides`` merged into the parameter set."""
-        merged = self.overrides
-        merged.update(overrides)
-        return ExperimentConfig(self.experiment_id, self.full, self.seed, _freeze(merged))
 
     # -- Serialization ------------------------------------------------------------
 
@@ -261,17 +237,15 @@ class SweepSpec:
     can import it; ``combine(config, rows)`` assembles the final
     :class:`ExperimentResult` from the rows in ``points`` order.
 
-    The module's own ``run`` must be exactly
-    ``combine(config, [point(**p) for p in points(config)])`` so serial
-    and fanned-out runs are bit-identical by construction.
+    A module that publishes one as ``SWEEP`` has no ``run``:
+    :func:`repro.exec.execute` runs each point as its own unit of work,
+    inline or in a pool, and folds the rows in ``points`` order, so every
+    ``--jobs`` value is bit-identical by construction.
     """
 
     points: Callable[[ExperimentConfig], list[dict]]
     point: Callable[..., dict]
     combine: Callable[[ExperimentConfig, list[dict]], ExperimentResult]
-
-    def run(self, config: ExperimentConfig) -> ExperimentResult:
-        return self.combine(config, [self.point(**kw) for kw in self.points(config)])
 
 
 def experiment(

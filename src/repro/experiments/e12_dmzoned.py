@@ -18,7 +18,7 @@ spare ratio), the PCIe traffic reclaim generates, and DES throughput.
 from __future__ import annotations
 
 from repro.block.factory import DeviceSpec, build_stack
-from repro.experiments.base import ExperimentConfig, ExperimentResult, SweepSpec, experiment
+from repro.experiments.base import ExperimentConfig, ExperimentResult, SweepSpec
 from repro.sim.engine import Engine
 from repro.sim.rng import make_rng
 from repro.workloads.synthetic import fill_then_churn, uniform_array, uniform_stream
@@ -161,9 +161,4 @@ def combine(config: ExperimentConfig, rows: list[dict]) -> ExperimentResult:
 SWEEP = SweepSpec(points=sweep_points, point=measure_stack, combine=combine)
 
 
-@experiment("E12")
-def run(config: ExperimentConfig) -> ExperimentResult:
-    return SWEEP.run(config)
-
-
-__all__ = ["SWEEP", "measure_stack", "run"]
+__all__ = ["SWEEP", "measure_stack"]

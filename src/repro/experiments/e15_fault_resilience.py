@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.block.dmzoned import TranslationError
 from repro.block.factory import DeviceSpec, build_stack
-from repro.experiments.base import ExperimentConfig, ExperimentResult, SweepSpec, experiment
+from repro.experiments.base import ExperimentConfig, ExperimentResult, SweepSpec
 from repro.faults import FaultPlan
 from repro.flash.errors import UncorrectableReadError
 from repro.ftl.ftl import GCStuckError
@@ -260,9 +260,4 @@ def combine(config: ExperimentConfig, rows: list[dict]) -> ExperimentResult:
 SWEEP = SweepSpec(points=sweep_points, point=measure_arm, combine=combine)
 
 
-@experiment("E15")
-def run(config: ExperimentConfig) -> ExperimentResult:
-    return SWEEP.run(config)
-
-
-__all__ = ["SWEEP", "base_plan", "measure_arm", "run"]
+__all__ = ["SWEEP", "base_plan", "measure_arm"]

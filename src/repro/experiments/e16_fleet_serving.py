@@ -178,6 +178,5 @@ def combine(config: ExperimentConfig, rows: list[dict]) -> ExperimentResult:
 
 
 SWEEP = SweepSpec(points=sweep_points, point=FLEET.point, combine=combine)
-run = fleet_sweep.experiment_run("E16", SWEEP)
 
-__all__ = ["SWEEP", "device_spec", "fleet_plan", "run"]
+__all__ = ["SWEEP", "device_spec", "fleet_plan"]

@@ -188,6 +188,5 @@ def combine(config: ExperimentConfig, rows: list[dict]) -> ExperimentResult:
 
 
 SWEEP = SweepSpec(points=sweep_points, point=FLEET.point, combine=combine)
-run = fleet_sweep.experiment_run("E17", SWEEP)
 
-__all__ = ["SWEEP", "device_spec", "mgmt_plan", "run"]
+__all__ = ["SWEEP", "device_spec", "mgmt_plan"]

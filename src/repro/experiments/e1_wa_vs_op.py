@@ -21,7 +21,6 @@ from repro.experiments.base import (
     ExperimentConfig,
     ExperimentResult,
     SweepSpec,
-    experiment,
     measurement,
 )
 from repro.workloads.synthetic import uniform_array
@@ -128,9 +127,4 @@ def combine(config: ExperimentConfig, rows: list[dict]) -> ExperimentResult:
 SWEEP = SweepSpec(points=sweep_points, point=sweep_point, combine=combine)
 
 
-@experiment("E1")
-def run(config: ExperimentConfig) -> ExperimentResult:
-    return SWEEP.run(config)
-
-
-__all__ = ["SWEEP", "device_spec", "measure_wa", "run"]
+__all__ = ["SWEEP", "device_spec", "measure_wa"]

@@ -26,7 +26,7 @@ from repro.apps.lsm import (
     put_uniform,
 )
 from repro.block.factory import DeviceSpec, build_stack
-from repro.experiments.base import ExperimentConfig, ExperimentResult, SweepSpec, experiment
+from repro.experiments.base import ExperimentConfig, ExperimentResult, SweepSpec
 from repro.sim.rng import make_rng
 
 _CFG = LSMConfig(memtable_pages=64, level0_pages=768, max_table_pages=32)
@@ -124,9 +124,4 @@ def combine(config: ExperimentConfig, rows: list[dict]) -> ExperimentResult:
 SWEEP = SweepSpec(points=sweep_points, point=measure_backend, combine=combine)
 
 
-@experiment("E5")
-def run(config: ExperimentConfig) -> ExperimentResult:
-    return SWEEP.run(config)
-
-
-__all__ = ["SWEEP", "measure_backend", "run"]
+__all__ = ["SWEEP", "measure_backend"]

@@ -14,7 +14,7 @@ mapped FTL with and without multi-stream separation.
 from __future__ import annotations
 
 from repro.block.factory import DeviceSpec, build_stack
-from repro.experiments.base import ExperimentConfig, ExperimentResult, SweepSpec, experiment
+from repro.experiments.base import ExperimentConfig, ExperimentResult, SweepSpec
 from repro.placement import HINT_POLICIES, ZonedObjectStore
 from repro.workloads.lifetime import ObjectLifetimeWorkload
 
@@ -101,9 +101,4 @@ def combine(config: ExperimentConfig, rows: list[dict]) -> ExperimentResult:
 SWEEP = SweepSpec(points=sweep_points, point=measure_policy, combine=combine)
 
 
-@experiment("E9")
-def run(config: ExperimentConfig) -> ExperimentResult:
-    return SWEEP.run(config)
-
-
-__all__ = ["SWEEP", "measure_policy", "run"]
+__all__ = ["SWEEP", "measure_policy"]

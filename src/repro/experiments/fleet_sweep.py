@@ -19,7 +19,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.block.factory import DeviceSpec
-from repro.experiments.base import ExperimentConfig, ExperimentResult, SweepSpec, experiment
+from repro.experiments.base import ExperimentConfig
 from repro.fleet import FleetSpec, fleet_summary, simulate_shard
 from repro.obs.frame import MetricsFrame
 
@@ -116,14 +116,4 @@ class FleetSweep:
         return out
 
 
-def experiment_run(experiment_id: str, sweep: SweepSpec) -> Callable[..., ExperimentResult]:
-    """The module entry point ``run`` of fleet sweep ``experiment_id``."""
-
-    @experiment(experiment_id)
-    def run(config: ExperimentConfig) -> ExperimentResult:
-        return sweep.run(config)
-
-    return run
-
-
-__all__ = ["FleetSweep", "device_spec", "experiment_run", "fleet_spec"]
+__all__ = ["FleetSweep", "device_spec", "fleet_spec"]

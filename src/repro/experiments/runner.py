@@ -1,10 +1,12 @@
-"""Experiment registry and runner.
+"""Experiment registry, and one in-process run of a config.
 
-The registry maps DESIGN.md ids to experiment *modules*; every module
-exposes the uniform entry point ``run(config: ExperimentConfig)``.
-Execution (caching, process-pool fan-out, progress) lives in
-:mod:`repro.exec`; this module is only the index. Importing it imports
-all 23 experiment modules.
+The registry maps DESIGN.md ids to experiment *modules*; a module exports
+``SWEEP`` (a :class:`~repro.experiments.base.SweepSpec`) when it is a
+sweep, else ``run(config: ExperimentConfig)``. Execution (caching,
+process-pool fan-out, progress) lives in :mod:`repro.exec`, whose
+:func:`~repro.exec.execute` is the one thing that runs either;
+:func:`run_config` is that call for one config, inline and uncached.
+Importing this module imports all 23 experiment modules.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ MODULES: dict[str, ModuleType] = {
     "A5": a5_metadata,
 }
 
-#: Ids included in ``run all`` / :func:`run_all`. E15-E17 inject
+#: Ids included in ``zns-repro run all``. E15-E17 inject
 #: flash/management faults, so keeping them out of the default suite keeps
 #: the suite's output deterministic and fault-free; run them explicitly by id.
 DEFAULT_IDS: tuple[str, ...] = tuple(
@@ -97,23 +99,20 @@ def module_for(experiment_id: str) -> ModuleType:
 
 
 def run_config(config: ExperimentConfig) -> ExperimentResult:
-    """Run one experiment described by a config, in-process, uncached."""
-    return module_for(config.experiment_id).run(config)
+    """Run one experiment described by a config, in-process, uncached.
 
+    This is :func:`repro.exec.execute` at ``jobs=1`` with no cache. A run
+    that produced no result, or a sweep that lost points, raises
+    :class:`RuntimeError` naming the first failure, its traceback
+    included.
+    """
+    from repro.exec import ErrorResult, execute
 
-def run_all(
-    quick: bool = True,
-    seed: int = 0,
-    jobs: int = 1,
-    cache=None,
-) -> list[ExperimentResult]:
-    """Run every experiment in index order; fans out when ``jobs > 1``."""
-    from repro.exec import execute
-
-    configs = [
-        ExperimentConfig(key, full=not quick, seed=seed) for key in DEFAULT_IDS
-    ]
-    return [record.result for record in execute(configs, jobs=jobs, cache=cache)]
+    (record,) = execute([config])
+    if not record.ok:
+        error = record.error or ErrorResult.from_dict(record.result.metrics["errors"][0])
+        raise RuntimeError(f"{error.describe()}\n{error.traceback}")
+    return record.result
 
 
 __all__ = [
@@ -122,6 +121,5 @@ __all__ = [
     "UnknownExperimentError",
     "module_for",
     "resolve_id",
-    "run_all",
     "run_config",
 ]

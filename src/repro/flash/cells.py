@@ -83,10 +83,6 @@ class CellType(enum.Enum):
         return self.value
 
     @property
-    def bits_per_cell(self) -> int:
-        return self.value.bits_per_cell
-
-    @property
     def endurance_cycles(self) -> int:
         return self.value.endurance_cycles
 

@@ -183,12 +183,5 @@ class FlashServiceModel:
             )
         return elapsed
 
-    def execute_all(self, ops: list[FlashOp], priority: float | None = None) -> Generator:
-        """Run a batch of ops sequentially; returns total elapsed time."""
-        start = self.engine.now
-        for op in ops:
-            yield self.engine.process(self.execute(op, priority))
-        return self.engine.now - start
-
 
 __all__ = ["FlashServiceModel"]

@@ -61,10 +61,6 @@ class TimingModel:
         """Channel transfer plus array program for one page."""
         return self.program_us + self.transfer_us(page_size)
 
-    @property
-    def erase_program_ratio(self) -> float:
-        return self.erase_us / self.program_us
-
     @staticmethod
     def for_cell(cell_type: CellType) -> "TimingModel":
         return TimingModel(cell_type=cell_type)

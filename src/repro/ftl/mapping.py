@@ -38,6 +38,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 UNMAPPED = -1
 
+#: Bytes per mapping entry, the paper's ~4 bytes (§2.2): one LPN's entry in
+#: a page map, one block's in a zone map.
+MAP_ENTRY_BYTES = 4
+
 
 class FullPageMap(Replayable):
     """Forward (L2P) and reverse (P2L) page maps with validity tracking.
@@ -219,9 +223,9 @@ class FullPageMap(Replayable):
             dst_first // ppb,
         )
 
-    def dram_bytes(self, bytes_per_entry: int = 4) -> int:
+    def dram_bytes(self) -> int:
         """On-board DRAM the forward map would occupy (paper §2.2)."""
-        return self.logical_pages * bytes_per_entry
+        return self.logical_pages * MAP_ENTRY_BYTES
 
 
 @dataclass
@@ -270,7 +274,7 @@ class TranslationStore(Replayable):
     :func:`cmt_evict_batch` when flushing.
     """
 
-    BYTES_PER_ENTRY = 4
+    BYTES_PER_ENTRY = MAP_ENTRY_BYTES
 
     def __init__(
         self,
@@ -554,6 +558,7 @@ def cmt_evict_batch(slot_tvpn, slot_dirty, slot_stamp):
 
 
 __all__ = [
+    "MAP_ENTRY_BYTES",
     "FullPageMap",
     "TranslationStats",
     "TranslationStore",

@@ -291,9 +291,6 @@ class Engine:
     def event(self) -> Event:
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
-
     def sleep(self, delay: float, value: Any = None) -> Timeout:
         """A pooled :class:`Timeout` for fire-and-forget waits.
 

@@ -10,7 +10,7 @@ records (marked ``cited=False``) -- see DESIGN.md §3.
 """
 
 from repro.survey.corpus import PaperRecord, build_corpus
-from repro.survey.taxonomy import CATEGORY_DESCRIPTIONS, Category, classify_topic
+from repro.survey.taxonomy import CATEGORY_DESCRIPTIONS, Category
 from repro.survey.table1 import (
     PAPER_TABLE1,
     VENUE_TOTALS,
@@ -27,7 +27,6 @@ __all__ = [
     "VENUE_TOTALS",
     "aggregate",
     "build_corpus",
-    "classify_topic",
     "render_table1",
     "summary_percentages",
 ]

@@ -63,14 +63,4 @@ TOPIC_CATEGORIES: dict[str, Category] = {
 }
 
 
-def classify_topic(topic: str) -> Category:
-    """Map a topic tag to its taxonomy category."""
-    try:
-        return TOPIC_CATEGORIES[topic]
-    except KeyError:
-        raise ValueError(
-            f"unknown topic {topic!r}; known: {sorted(TOPIC_CATEGORIES)}"
-        ) from None
-
-
-__all__ = ["CATEGORY_DESCRIPTIONS", "Category", "TOPIC_CATEGORIES", "classify_topic"]
+__all__ = ["CATEGORY_DESCRIPTIONS", "Category", "TOPIC_CATEGORIES"]

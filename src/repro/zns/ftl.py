@@ -14,6 +14,7 @@ from repro.flash.errors import BadBlockError
 from repro.flash.geometry import ZonedGeometry
 from repro.flash.nand import NandArray
 from repro.flash.state import Replayable
+from repro.ftl.mapping import MAP_ENTRY_BYTES
 from repro.obs.events import GcEvent, RecoveryEvent
 from repro.obs.tracer import Tracer
 
@@ -179,10 +180,10 @@ class ZnsFTL(Replayable):
 
     # -- DRAM accounting (paper §2.2) -----------------------------------------------
 
-    def dram_bytes(self, bytes_per_entry: int = 4) -> int:
+    def dram_bytes(self) -> int:
         """On-board DRAM for the zone->block map: one entry per block."""
         entries = sum(len(blocks) for blocks in self._zone_blocks)
-        return entries * bytes_per_entry
+        return entries * MAP_ENTRY_BYTES
 
     def check_invariants(self) -> None:
         """Every block sits in at most one place -- a zone's list, the free

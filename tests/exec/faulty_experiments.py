@@ -52,10 +52,6 @@ def _combine(config: ExperimentConfig, rows: list[dict]) -> ExperimentResult:
 SWEEP = SweepSpec(points=_points, point=_point, combine=_combine)
 
 
-def run(config: ExperimentConfig) -> ExperimentResult:
-    return SWEEP.run(config)
-
-
 class _WholeModule:
     """A registry entry without a SWEEP: the whole run misbehaves."""
 

@@ -73,13 +73,6 @@ class TestHitMiss:
         cache.put(config, make_result(experiment_id="E3"))
         assert cache.get(config) is None
 
-    def test_clear_removes_entries(self, tmp_path):
-        cache = ResultCache(tmp_path, version="v1")
-        cache.put(ExperimentConfig("E2"), make_result())
-        cache.put(ExperimentConfig("E3", seed=1), make_result("E3"))
-        assert cache.clear() == 2
-        assert cache.get(ExperimentConfig("E2")) is None
-
 
 class TestDefaultDir:
     def test_env_override_wins(self, monkeypatch, tmp_path):

@@ -142,6 +142,30 @@ class TestWorkerDeath:
         assert after.error.error_type == "WorkerDied"
 
 
+class TestRunConfig:
+    """``run_config`` is ``execute`` at ``jobs=1``: same result, and a
+    failure raises instead of coming back as a record."""
+
+    def test_healthy_sweep_matches_execute(self, registered):
+        (record,) = execute([registered])
+        assert runner.run_config(registered).to_dict() == record.result.to_dict()
+
+    def test_partial_sweep_raises_naming_the_point(self, registered, monkeypatch):
+        _set_mode(monkeypatch, "raise")
+        with pytest.raises(RuntimeError) as info:
+            runner.run_config(registered)
+        message = str(info.value)
+        assert message.startswith(
+            f"{FAULTY_ID} point {faulty.BAD_SLOT}: ValueError: injected unit failure\n"
+        )
+        assert "Traceback" in message
+
+    def test_failed_whole_run_raises(self, registered_whole, monkeypatch):
+        _set_mode(monkeypatch, "raise")
+        with pytest.raises(RuntimeError, match=f"^{FAULTY_ID}: ValueError: injected"):
+            runner.run_config(registered_whole)
+
+
 def _cli(capsys, jobs):
     code = main(["run", FAULTY_ID, "--jobs", str(jobs), "--no-cache", "--json"])
     captured = capsys.readouterr()

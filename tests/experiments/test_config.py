@@ -38,13 +38,6 @@ class TestConfigNormalization:
         assert a == b
         assert a.content_hash() == b.content_hash()
 
-    def test_with_params_merges(self):
-        cfg = ExperimentConfig("E1", params={"x": 1})
-        merged = cfg.with_params(y=2)
-        assert merged.param("x") == 1
-        assert merged.param("y") == 2
-        assert cfg.param("y") is None  # original untouched
-
 
 class TestConfigSerialization:
     def test_round_trip(self):

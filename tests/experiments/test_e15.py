@@ -1,9 +1,9 @@
 """E15 fault-resilience experiment: registry wiring, smoke run, figure."""
 
 from repro.experiments.base import ExperimentConfig
-from repro.experiments.e15_fault_resilience import SWEEP, base_plan, measure_arm
+from repro.experiments.e15_fault_resilience import base_plan, measure_arm
 from repro.experiments.figures import render_figure
-from repro.experiments.runner import DEFAULT_IDS, MODULES
+from repro.experiments.runner import DEFAULT_IDS, MODULES, run_config
 
 
 class TestRegistry:
@@ -52,7 +52,7 @@ class TestSweep:
         config = ExperimentConfig(
             "E15", full=False, seed=0, params={"fault_scales": [0.0, 1.0]}
         )
-        result = SWEEP.run(config)
+        result = run_config(config)
         assert len(result.rows) == 4  # 2 arms x 2 scales
         assert {row["arm"] for row in result.rows} == {"conventional", "zns"}
         assert result.headline["conv_wa_faulted"] >= result.headline["conv_wa_clean"]

@@ -10,7 +10,8 @@ import pytest
 
 from repro.block.factory import DeviceSpec
 from repro.experiments.base import ExperimentConfig
-from repro.experiments.e16_fleet_serving import SWEEP, device_spec, fleet_plan, run
+from repro.experiments.e16_fleet_serving import SWEEP, device_spec, fleet_plan
+from repro.experiments.runner import run_config
 
 # One scenario per arm, tiny rack, short run: ~seconds, not minutes.
 _TINY = {
@@ -65,11 +66,11 @@ class TestSweepShape:
 class TestShardInvariance:
     @pytest.fixture(scope="class")
     def one_shard(self):
-        return run(_config(shards=1))
+        return run_config(_config(shards=1))
 
     @pytest.fixture(scope="class")
     def two_shards(self):
-        return run(_config(shards=2))
+        return run_config(_config(shards=2))
 
     def test_rows_identical_across_shard_counts(self, one_shard, two_shards):
         assert one_shard.rows == two_shards.rows

@@ -10,8 +10,8 @@ import pytest
 
 from repro.block.factory import DeviceSpec
 from repro.experiments.base import ExperimentConfig
-from repro.experiments.e17_reset_pressure import SWEEP, device_spec, mgmt_plan, run
-from repro.experiments.runner import DEFAULT_IDS, MODULES
+from repro.experiments.e17_reset_pressure import SWEEP, device_spec, mgmt_plan
+from repro.experiments.runner import DEFAULT_IDS, MODULES, run_config
 
 _TINY = {
     "pressures": [0.0, 5_000.0],
@@ -87,11 +87,11 @@ class TestSweepShape:
 class TestShardInvariance:
     @pytest.fixture(scope="class")
     def one_shard(self):
-        return run(_config(shards=1))
+        return run_config(_config(shards=1))
 
     @pytest.fixture(scope="class")
     def two_shards(self):
-        return run(_config(shards=2))
+        return run_config(_config(shards=2))
 
     def test_rows_identical_across_shard_counts(self, one_shard, two_shards):
         assert one_shard.rows == two_shards.rows

@@ -20,6 +20,13 @@ class TestRegistry:
         with pytest.raises(KeyError):
             run_config(ExperimentConfig("E99"))
 
+    @pytest.mark.parametrize("key", sorted(MODULES))
+    def test_one_entry_point_per_module(self, key):
+        # A sweep is run by the executor from its SWEEP; a second,
+        # module-level run would be a fork the executor never takes.
+        module = MODULES[key]
+        assert hasattr(module, "run") != hasattr(module, "SWEEP")
+
     def test_lookup_case_insensitive(self):
         result = run_config(ExperimentConfig("t1"))
         assert result.experiment_id == "T1"

@@ -107,7 +107,7 @@ class TestZonedGeometry:
 
 class TestCellTypes:
     def test_bits_ladder(self):
-        bits = [c.bits_per_cell for c in CellType]
+        bits = [c.characteristics.bits_per_cell for c in CellType]
         assert bits == [1, 2, 3, 4, 5]
 
     def test_endurance_decreases_with_density(self):

@@ -173,13 +173,3 @@ class TestFlashServiceModel:
         eng.run()
         # read completes before the second erase despite arriving later.
         assert read.value < erase2.value
-
-    def test_execute_all_serializes_batch(self):
-        eng = Engine()
-        g = FlashGeometry.small()
-        svc = FlashServiceModel(eng, g)
-        ops = [FlashOp(OpKind.READ, 0, 0, 0.0), FlashOp(OpKind.READ, 0, 1, 0.0)]
-        p = eng.process(svc.execute_all(ops))
-        elapsed = eng.run(until=p)
-        single = svc.timing.read_us + svc.timing.transfer_us(g.page_size)
-        assert elapsed == pytest.approx(2 * single)

@@ -105,7 +105,6 @@ class TestRelocate:
 class TestDram:
     def test_dram_bytes_four_per_entry(self, pmap):
         assert pmap.dram_bytes() == 4096 * 4
-        assert pmap.dram_bytes(bytes_per_entry=8) == 4096 * 8
 
 
 # -- Property-based: the maps stay mutual inverses under arbitrary ops -----

@@ -292,7 +292,7 @@ def test_all_of_propagates_first_failure():
 def test_factory_helpers():
     eng = Engine()
     event = eng.event()
-    timeout = eng.timeout(1.0, value="v")
+    timeout = Timeout(eng, 1.0, value="v")
     assert isinstance(event, Event)
     got = []
 

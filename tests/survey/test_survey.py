@@ -15,7 +15,6 @@ from repro.survey.taxonomy import (
     CATEGORY_DESCRIPTIONS,
     TOPIC_CATEGORIES,
     Category,
-    classify_topic,
 )
 
 
@@ -28,14 +27,10 @@ class TestTaxonomy:
         assert set(CATEGORY_DESCRIPTIONS) == set(Category)
 
     def test_classify_known_topics(self):
-        assert classify_topic("gc-interference") is Category.SIMPLIFIED
-        assert classify_topic("flash-cache") is Category.APPROACH
-        assert classify_topic("reliability-study") is Category.RESULTS
-        assert classify_topic("flash-security") is Category.ORTHOGONAL
-
-    def test_unknown_topic_rejected(self):
-        with pytest.raises(ValueError):
-            classify_topic("quantum-flash")
+        assert TOPIC_CATEGORIES["gc-interference"] is Category.SIMPLIFIED
+        assert TOPIC_CATEGORIES["flash-cache"] is Category.APPROACH
+        assert TOPIC_CATEGORIES["reliability-study"] is Category.RESULTS
+        assert TOPIC_CATEGORIES["flash-security"] is Category.ORTHOGONAL
 
 
 class TestCorpus:

@@ -124,7 +124,6 @@ class TestDram:
         ftl, _ = make_ftl()
         mapped_blocks = ftl.zone_count * ftl.geometry.blocks_per_zone
         assert ftl.dram_bytes() == mapped_blocks * 4
-        assert ftl.dram_bytes(bytes_per_entry=8) == mapped_blocks * 8
 
 
 class TestCheckInvariants:
