@@ -20,8 +20,8 @@ from repro.block.ramdisk import RamDisk
 from repro.sim.rng import draw_ints, make_rng
 from tests.fleet.test_clone import _log_state
 
-# tests/apps/test_lsm_fingerprint.py's sizes: five levels, device GC on the
-# block stack and zone reclaim on the zoned one.
+# The lsm-* rigs' sizes in tests/test_fingerprints.py: five levels, device GC
+# on the block stack and zone reclaim on the zoned one.
 CFG = LSMConfig(memtable_pages=4, level0_pages=16, level_multiplier=4, max_table_pages=4)
 FLASH = {"blocks_per_plane": 4}
 N_KEYS = 24_000

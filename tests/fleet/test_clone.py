@@ -140,7 +140,7 @@ def test_a_copied_placement_store_replays_its_original():
 
 def test_a_copied_lsm_zoned_backend_replays_its_original():
     config = LSMConfig(memtable_pages=4, level0_pages=16, level_multiplier=4, max_table_pages=4)
-    # tests/apps/test_lsm_fingerprint.py's zoned stack: it relocates tables.
+    # The lsm-zone fingerprint rig's stack: it relocates tables.
     store = LSMStore(ZoneFileBackend(_zns(2, (("blocks_per_plane", 4),))), config)
     keys = make_rng(5).integers(0, 24_000, 30_000).tolist()
     for i, key in enumerate(keys[:15_000]):

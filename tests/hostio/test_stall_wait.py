@@ -23,7 +23,7 @@ from repro.ftl.device import TimedConventionalSSD
 from repro.ftl.ftl import ConventionalFTL, FTLConfig
 from repro.sim.engine import Engine, Event
 from repro.sim.rng import make_rng
-from tests.hostio.test_stall_fingerprint import dmzoned_open_loop
+from tests.test_fingerprints import dmzoned_open_loop
 
 
 class _WriteOrder:

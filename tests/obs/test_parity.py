@@ -41,7 +41,7 @@ from repro.sim.rng import make_rng
 from repro.zns.device import TimedZNSDevice, ZNSDevice
 from repro.workloads.synthetic import hot_cold_array
 from tests.ftl.test_dftl_parity import cmt_pressure_dftl, tiny_geometry
-from tests.hostio.test_stall_fingerprint import dmzoned_open_loop
+from tests.test_fingerprints import dmzoned_open_loop
 
 
 def _replay(events, sink):

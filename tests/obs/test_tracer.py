@@ -25,7 +25,7 @@ from repro.obs.tracer import Tracer
 from repro.sim.engine import Engine
 from repro.sim.rng import make_rng
 from repro.workloads.synthetic import uniform_array
-from tests.hostio.test_stall_fingerprint import dmzoned_open_loop
+from tests.test_fingerprints import dmzoned_open_loop
 
 
 class TestZeroSink:
