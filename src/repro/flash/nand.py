@@ -152,7 +152,10 @@ class NandArray(Replayable):
         next free page of its block, and :class:`BadBlockError` if the
         block has been retired.
         """
-        block, offset = self.geometry.split_page(page)
+        geometry = self.geometry
+        if not 0 <= page < geometry.total_pages:
+            geometry.check_page(page)
+        block, offset = divmod(page, geometry.pages_per_block)
         if self.wear.bad_mask_v[block]:
             raise BadBlockError(f"program on retired block {block}")
         expected = self._write_offsets_v[block]
@@ -203,9 +206,18 @@ class NandArray(Replayable):
     def read(self, page: int, cause: str) -> tuple[Any, float]:
         """Read one page; returns (payload, latency_us).
 
-        Payload is ``None`` unless the array stores data.
+        Payload is ``None`` unless the array stores data. The checks are
+        :meth:`_check_and_sense`'s, inline: this is the hottest flash op.
         """
-        block, payload = self._check_and_sense(page)
+        geometry = self.geometry
+        if not 0 <= page < geometry.total_pages:
+            geometry.check_page(page)
+        block, offset = divmod(page, geometry.pages_per_block)
+        if self.wear.bad_mask_v[block]:
+            raise BadBlockError(f"read on retired block {block}")
+        if offset >= self._write_offsets_v[block]:
+            raise ReadUnwrittenError(f"page {page} has not been programmed")
+        payload = self._data.get(page) if self.store_data else None
         latency = self._read_page_us
         if self.faults is not None:
             # May raise UncorrectableReadError after walking the full ECC
@@ -229,7 +241,7 @@ class NandArray(Replayable):
         ``(block, payload)``.
         """
         block, offset = self.geometry.split_page(page)
-        if self.wear.is_bad(block):
+        if self.wear.bad_mask_v[block]:
             raise BadBlockError(f"read on retired block {block}")
         if offset >= self._write_offsets_v[block]:
             raise ReadUnwrittenError(f"page {page} has not been programmed")
@@ -251,8 +263,9 @@ class NandArray(Replayable):
         Raises :class:`BadBlockError` if the block was already retired or
         fails during this erase; the erase still consumed time and a cycle.
         """
-        self.geometry.check_block(block)
-        if self.wear.is_bad(block):
+        if not 0 <= block < self.geometry.total_blocks:
+            self.geometry.check_block(block)
+        if self.wear.bad_mask_v[block]:
             raise BadBlockError(f"erase on retired block {block}")
         survived = self.wear.record_erase(block)
         if survived and self.faults is not None and self.faults.on_erase(block):
@@ -286,7 +299,7 @@ class NandArray(Replayable):
         """
         _, payload = self._check_and_sense(src_page)
         block, offset = self.geometry.split_page(dst_page)
-        if self.wear.is_bad(block):
+        if self.wear.bad_mask_v[block]:
             raise BadBlockError(f"copy into retired block {block}")
         if offset != self._write_offsets_v[block]:
             raise ProgramOrderError(

@@ -97,8 +97,9 @@ class WearTracker(Replayable):
         -- when no RNG is supplied or ``failure_probability`` is 0, and
         with ``failure_probability`` per erase when an RNG is provided.
         """
-        self._check(block)
-        if block in self._bad:
+        if not 0 <= block < self.total_blocks:
+            self._check(block)
+        if self.bad_mask_v[block]:
             raise ValueError(f"erase on retired block {block}")
         count = self.erase_counts_v[block] + 1
         self.erase_counts_v[block] = count

@@ -260,17 +260,15 @@ class ConventionalFTL(Replayable):
         allocations spread across planes and sequential fills exploit
         parallelism.
         """
-        if not self._free:
+        free = self._free
+        if not free:
             raise GCStuckError("free block pool is empty")
-        wear = self.nand.wear.erase_counts
         planes = self.geometry.total_planes
         preferred = self._plane_cursor % planes
         self._plane_cursor += 1
-        free = np.fromiter(self._free, dtype=np.int64, count=len(self._free))
-        idx = self.wearlevel.select(free, wear, planes, preferred)
-        best = int(free[idx])
-        del self._free[idx]
-        return best
+        return free.pop(
+            self.wearlevel.select(free, self.nand.wear.erase_counts_v, planes, preferred)
+        )
 
     def _seal(self, block: int) -> None:
         self._sealed_mask_v[block] = True
@@ -570,12 +568,13 @@ class ConventionalFTL(Replayable):
             self._clock,
         )
         ppb = self.geometry.pages_per_block
-        if self.map.block_valid_count(victim) >= ppb:
+        valid_counts = self.map.valid_counts_v
+        if valid_counts[victim] >= ppb:
             # Validity-blind policies (FIFO) can pick a fully-valid block,
             # which reclaims nothing; fall back to the emptiest candidate,
             # as production cleaners do.
             victim = int(cand_arr[self.map.valid_counts[cand_arr].argmin()])
-            if self.map.block_valid_count(victim) >= ppb:
+            if valid_counts[victim] >= ppb:
                 raise GCStuckError(f"victim block {victim} is fully valid; no spare capacity")
         ops: list[FlashOp] = []
         nvalid = self._reclaim(
@@ -657,12 +656,12 @@ class ConventionalFTL(Replayable):
                 take = len(run)
                 first = block * ppb + offset
                 nand.copy_run(run, block, offset, cause)
-                self.map.relocate_run(run, first)
-                self._oob_lpn[first : first + take] = self.map.p2l[first : first + take]
+                lpns = self.map.relocate_run(run, first)
+                self._oob_lpn[first : first + take] = lpns
                 self._oob_serial[first : first + take] = np.arange(
                     serial + done + j, serial + end, k, dtype=np.int64
                 )
-                self._note_relocated(self._oob_lpn[first : first + take])
+                self._note_relocated(lpns)
                 if copies is not None:
                     copies[j::k] = [
                         FlashOp(OpKind.COPY, block, page, copy_latency, uses_channel)

@@ -42,6 +42,12 @@ UNMAPPED = -1
 #: a page map, one block's in a zone map.
 MAP_ENTRY_BYTES = 4
 
+#: Inputs of at most this many elements take a plain Python loop instead of
+#: a numpy kernel: below it the kernel's array setup and wrapper frames cost
+#: more than the loop (:meth:`FullPageMap.map_batch`, and the wear-level
+#: policies' free-block choice; DESIGN.md §6, "Handfuls stay in Python").
+SMALL_BATCH = 16
+
 
 class FullPageMap(Replayable):
     """Forward (L2P) and reverse (P2L) page maps with validity tracking.
@@ -149,14 +155,12 @@ class FullPageMap(Replayable):
 
     def valid_pages_array(self, block: int) -> np.ndarray:
         """Vectorized :meth:`valid_pages_in_block` (int64 array, ascending)."""
-        self.geometry.check_block(block)
-        start = block * self.geometry.pages_per_block
-        window = self.p2l[start : start + self.geometry.pages_per_block]
-        return (window != UNMAPPED).nonzero()[0] + start
-
-    def block_valid_count(self, block: int) -> int:
-        self.geometry.check_block(block)
-        return self.valid_counts_v[block]
+        geometry = self.geometry
+        if not 0 <= block < geometry.total_blocks:
+            geometry.check_block(block)
+        ppb = geometry.pages_per_block
+        start = block * ppb
+        return (self.p2l[start : start + ppb] != UNMAPPED).nonzero()[0] + start
 
     def relocate(self, ppn_from: int, ppn_to: int) -> int:
         """Move a valid page's binding (GC copy-forward); returns the lpn."""
@@ -185,7 +189,7 @@ class FullPageMap(Replayable):
         n = len(lpns)
         if n == 0:
             return
-        if n <= 16:
+        if n <= SMALL_BATCH:
             # Serving-sized batches: the scalar loop beats the kernel's
             # array setup, and :meth:`map` is the semantics by definition.
             for lpn, ppn in zip(lpns.tolist(), ppns.tolist()):
@@ -200,28 +204,30 @@ class FullPageMap(Replayable):
             self.l2p, self.p2l, self.valid_counts, lpns, ppns, block, ppb
         )
 
-    def relocate_run(self, ppns_from: np.ndarray, dst_first: int) -> None:
+    def relocate_run(self, ppns_from: np.ndarray, dst_first: int) -> np.ndarray:
         """Move one victim block's valid bindings in bulk (GC copy-forward).
 
-        Equivalent to :meth:`relocate` per page. All ``ppns_from`` must
-        be valid, distinct pages of a single erasure block; destinations
-        are the contiguous freshly-programmed run starting at
-        ``dst_first`` -- O(run) with no per-destination address
-        arithmetic.
+        Equivalent to :meth:`relocate` per page; returns the moved lpns, in
+        source order. All ``ppns_from`` must be valid, distinct pages of a
+        single erasure block; destinations are the contiguous
+        freshly-programmed run starting at ``dst_first`` -- O(run) with no
+        per-destination address arithmetic.
         """
         n = len(ppns_from)
-        if n == 0:
-            return
+        p2l = self.p2l
+        lpns = p2l[ppns_from]
+        if not n:
+            return lpns
+        if np.minimum.reduce(lpns) == UNMAPPED:
+            raise ValueError("relocate of invalid physical page")
+        p2l[ppns_from] = UNMAPPED
+        self.l2p[lpns] = np.arange(dst_first, dst_first + n, dtype=np.int64)
+        p2l[dst_first : dst_first + n] = lpns
         ppb = self.geometry.pages_per_block
-        relocate_run_apply(
-            self.l2p,
-            self.p2l,
-            self.valid_counts,
-            ppns_from,
-            dst_first,
-            int(ppns_from[0]) // ppb,
-            dst_first // ppb,
-        )
+        counts = self.valid_counts_v
+        counts[int(ppns_from[0]) // ppb] -= n
+        counts[dst_first // ppb] += n
+        return lpns
 
     def dram_bytes(self) -> int:
         """On-board DRAM the forward map would occupy (paper §2.2)."""
@@ -480,11 +486,11 @@ class TranslationStore(Replayable):
         assert self.stats.hits <= self.stats.lookups, "more CMT hits than lookups"
 
 
-# -- Mapping-table appliers -----------------------------------------------------
+# -- Mapping-table applier -------------------------------------------------------
 #
-# The appliers mutate the FullPageMap arrays (l2p, p2l, valid_counts) in
-# place. Contracts match FullPageMap.map_batch / relocate_run:
-# destinations are freshly-programmed pages within ONE erasure block.
+# Mutates the FullPageMap arrays (l2p, p2l, valid_counts) in place. The
+# contract is FullPageMap.map_batch's: destinations are freshly-programmed
+# pages within ONE erasure block.
 
 
 def map_batch_apply(l2p, p2l, valid_counts, lpns, ppns, block, ppb):
@@ -492,43 +498,28 @@ def map_batch_apply(l2p, p2l, valid_counts, lpns, ppns, block, ppb):
 
     All ``ppns`` must be unmapped, freshly-programmed pages inside
     erasure block ``block``. In-batch duplicate lpns resolve exactly as a
-    scalar loop would (later occurrences supersede earlier ones).
+    scalar loop would (later occurrences supersede earlier ones): a stable
+    sort keeps each lpn's occurrences in batch order, so the last of each
+    run of equal lpns is the one that survives.
     """
-    n = lpns.shape[0]
-    rev_unique, rev_first = np.unique(lpns[::-1], return_index=True)
-    survivor_idx = n - 1 - rev_first
-    final_ppns = ppns[survivor_idx]
-    prev = l2p[rev_unique]
-    remapped = prev != UNMAPPED
-    prev_ppns = prev[remapped]
+    order = lpns.argsort(kind="stable")
+    ordered = lpns[order]
+    last = np.empty(ordered.shape[0], dtype=bool)
+    last[-1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=last[:-1])
+    survivors = ordered[last]
+    final_ppns = ppns[order[last]]
+    prev = l2p[survivors]
+    prev_ppns = prev[prev != UNMAPPED]
     if prev_ppns.size:
         p2l[prev_ppns] = UNMAPPED
         np.subtract.at(valid_counts, prev_ppns // ppb, 1)
         if np.minimum.reduce(valid_counts[prev_ppns // ppb]) < 0:
             raise ValueError("valid count went negative in map batch")
-    l2p[rev_unique] = final_ppns
-    p2l[final_ppns] = rev_unique
-    valid_counts[block] += rev_unique.size
-    return rev_unique.size - prev_ppns.size
-
-
-def relocate_run_apply(l2p, p2l, valid_counts, src_pages, dst_first, src_block, dst_block):
-    """GC copy-forward applier: move valid bindings onto a contiguous run.
-
-    ``src_pages`` must be valid, distinct pages of ``src_block``;
-    destinations are the fresh run ``dst_first .. dst_first+n`` inside
-    ``dst_block``. Mirrors ``FullPageMap.relocate`` x n exactly.
-    """
-    n = src_pages.shape[0]
-    lpns = p2l[src_pages]
-    if lpns.size and np.minimum.reduce(lpns) == UNMAPPED:
-        raise ValueError("relocate of invalid physical page")
-    p2l[src_pages] = UNMAPPED
-    dst = np.arange(dst_first, dst_first + n, dtype=np.int64)
-    l2p[lpns] = dst
-    p2l[dst_first : dst_first + n] = lpns
-    valid_counts[src_block] -= n
-    valid_counts[dst_block] += n
+    l2p[survivors] = final_ppns
+    p2l[final_ppns] = survivors
+    valid_counts[block] += survivors.size
+    return survivors.size - prev_ppns.size
 
 
 # -- CMT (cached mapping table) kernels -----------------------------------------
@@ -559,6 +550,7 @@ def cmt_evict_batch(slot_tvpn, slot_dirty, slot_stamp):
 
 __all__ = [
     "MAP_ENTRY_BYTES",
+    "SMALL_BATCH",
     "FullPageMap",
     "TranslationStats",
     "TranslationStore",

@@ -32,6 +32,8 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.ftl.mapping import SMALL_BATCH
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ftl.ftl import ConventionalFTL
 
@@ -49,16 +51,17 @@ class WearLevelPolicy(abc.ABC):
     @abc.abstractmethod
     def select(
         self,
-        free: np.ndarray,
-        wear: np.ndarray,
+        free: list[int],
+        wear: memoryview,
         planes: int,
         preferred: int,
     ) -> int:
         """Index into ``free`` of the block to allocate next.
 
-        ``free`` preserves the FTL's free-pool order; ``wear`` is the
-        per-block erase-count array; ``preferred`` is the rotating plane
-        cursor for allocation-order plane spreading.
+        ``free`` is the FTL's free pool, in pool order; ``wear`` is the
+        per-block erase-count view (``WearTracker.erase_counts_v``);
+        ``preferred`` is the rotating plane cursor for allocation-order
+        plane spreading.
         """
 
     def wants_migration(self, spread: int) -> bool:
@@ -80,15 +83,28 @@ class DynamicWearLevel(WearLevelPolicy):
 
     The exact allocation math the FTL has always used: a lexicographic
     ``(wear, plane_distance)`` key collapsed to one integer because
-    ``plane_distance < planes``; ``argmin``'s first-occurrence tie-break
-    matches ``min()`` over the pool.
+    ``plane_distance < planes``, and the first minimum in pool order
+    wins. A pool of at most :data:`~repro.ftl.mapping.SMALL_BATCH`
+    blocks -- nearly every allocation, the pool hovering near the GC
+    watermarks -- is scanned in Python; a larger one (a fresh device
+    filling) takes ``argmin`` over the same key, whose first-occurrence
+    tie-break is the loop's.
     """
 
     name = "dynamic"
 
     def select(self, free, wear, planes, preferred):
-        key = wear[free] * planes + (free - preferred) % planes
-        return int(key.argmin())
+        if len(free) > SMALL_BATCH:
+            blocks = np.fromiter(free, dtype=np.int64, count=len(free))
+            key = np.asarray(wear)[blocks] * planes + (blocks - preferred) % planes
+            return int(key.argmin())
+        best, best_key, i = 0, None, 0
+        for block in free:
+            key = wear[block] * planes + (block - preferred) % planes
+            if best_key is None or key < best_key:
+                best, best_key = i, key
+            i += 1
+        return best
 
 
 class StaticWearLevel(DynamicWearLevel):

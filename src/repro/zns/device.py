@@ -18,6 +18,7 @@ assign offsets, so they only contend for planes and channels.
 from __future__ import annotations
 
 from collections.abc import Callable, Generator
+from operator import attrgetter
 from typing import Any, TYPE_CHECKING
 
 from repro.flash.errors import ProgramFaultError
@@ -54,6 +55,8 @@ from repro.zns.zone import Zone, ZoneState
 
 if TYPE_CHECKING:
     from repro.faults.injector import FaultInjector
+
+_state_of = attrgetter("state")
 
 
 class ZNSDevice(Replayable):
@@ -212,13 +215,23 @@ class ZNSDevice(Replayable):
     def zones_in_state(self, state: ZoneState) -> list[int]:
         return [z.zone_id for z in self.zones if z.state is state]
 
+    def _zones_in(self, *states: ZoneState) -> int:
+        """How many zones are in one of ``states``.
+
+        Every implicit open counts over all zones twice, so this runs no
+        Python frame per zone: not ``ZoneState.is_open``, nor a set lookup
+        (``Enum.__hash__`` is Python code).
+        """
+        zone_states = list(map(_state_of, self.zones))
+        return sum(map(zone_states.count, states))
+
     @property
     def active_count(self) -> int:
-        return sum(1 for z in self.zones if z.state.is_active)
+        return self._zones_in(ZoneState.IMPLICIT_OPEN, ZoneState.EXPLICIT_OPEN, ZoneState.CLOSED)
 
     @property
     def open_count(self) -> int:
-        return sum(1 for z in self.zones if z.state.is_open)
+        return self._zones_in(ZoneState.IMPLICIT_OPEN, ZoneState.EXPLICIT_OPEN)
 
     def dram_bytes(self) -> int:
         """On-board DRAM for translation (thin FTL, paper §2.2)."""
@@ -505,24 +518,46 @@ class ZNSDevice(Replayable):
             raise ValueError(f"{len(data)} payloads for a write of {npages} pages")
         if self.faults is not None:
             self._poll_faults()
-        zone = self.zone(zone_id)
-        zone.check_writable(npages)
+        # Resolved once, inline: the zone, its state (an implicitly-open
+        # zone with room needs no checks and only its LRU restamp) and,
+        # striped, each page's block.
+        zones = self.zones
+        if not 0 <= zone_id < len(zones):
+            self.zone(zone_id)  # raises the range error
+        zone = zones[zone_id]
+        state = zone.state
         start_wp = zone.wp
+        if state is not ZoneState.IMPLICIT_OPEN or npages > zone.capacity_pages - start_wp:
+            zone.check_writable(npages)
         if offset is not None and offset != start_wp:
             raise WritePointerError(
                 f"write at offset {offset} but zone {zone_id} wp is {start_wp}"
             )
-        self._ensure_open_for_write(zone)
+        if state is ZoneState.IMPLICIT_OPEN:
+            self._open_stamp[zone_id] = self._open_clock  # _mark_open, inline
+            self._open_clock += 1
+        elif state is not ZoneState.EXPLICIT_OPEN:
+            self._ensure_open_for_write(zone)
+        nand = self.nand
+        ppb = self.geometry.flash.pages_per_block
+        blocks = self.ftl.live_blocks(zone_id)
+        width = len(blocks)
         ops: list[FlashOp] = []
-        if not build_ops and self.nand.faults is None and data is None:
-            for block, count in self._runs_of(zone_id, start_wp, npages):
-                self.nand.program_run(block, count, cause)
+        if not build_ops and nand.faults is None and data is None:
+            if npages == 1 and self.striped:
+                nand.program_run(blocks[start_wp % width], 1, cause)
+            else:
+                for block, count in self._runs_of(zone_id, start_wp, npages):
+                    nand.program_run(block, count, cause)
         else:
-            ppb = self.geometry.flash.pages_per_block
             for i in range(npages):
-                page = self._page_of(zone_id, start_wp + i)
+                lane = start_wp + i
+                if self.striped:
+                    page = blocks[lane % width] * ppb + lane // width
+                else:
+                    page = self._page_of(zone_id, lane)
                 try:
-                    latency = self.nand.program(page, cause, data[i] if per_page else data)
+                    latency = nand.program(page, cause, data[i] if per_page else data)
                 except ProgramFaultError:
                     # The one fault contract: the burn broke the zone's
                     # offset<->flash correspondence; the pages before it
@@ -595,10 +630,21 @@ class ZNSDevice(Replayable):
         """
         if self.faults is not None:
             self._poll_faults()
-        zone = self.zone(zone_id)
-        zone.check_readable(offset)
-        page = self._page_of(zone_id, offset)
-        block = page // self.geometry.flash.pages_per_block
+        zones = self.zones
+        if not 0 <= zone_id < len(zones):
+            self.zone(zone_id)  # raises the range error
+        zone = zones[zone_id]
+        if not 0 <= offset < zone.wp or zone.state is ZoneState.OFFLINE:
+            zone.check_readable(offset)  # raises
+        ppb = self.geometry.flash.pages_per_block
+        if self.striped:
+            # ``_page_of``'s striped case, inline; offset < wp fits the zone.
+            blocks = self.ftl.live_blocks(zone_id)
+            block = blocks[offset % len(blocks)]
+            page = block * ppb + offset // len(blocks)
+        else:
+            page = self._page_of(zone_id, offset)
+            block = page // ppb
         payload, latency = self.nand.read(page, cause)
         if self.tracer.enabled:
             self.tracer.publish(

@@ -123,7 +123,7 @@ class ZnsFTL(Replayable):
         # Refill to the previous width, drawing spares if short.
         while len(pool) < want and self._spares:
             spare = self._spares.pop()
-            if not self.nand.wear.is_bad(spare):
+            if not self.nand.wear.bad_mask_v[spare]:
                 if not self.nand.is_block_erased(spare):
                     try:
                         latencies.append(self.nand.erase(spare, "recovery"))

@@ -66,8 +66,8 @@ class TestValidCounts:
         pmap.map(0, 0)
         pmap.map(1, 1)
         pmap.map(2, g.pages_per_block)  # second block
-        assert pmap.block_valid_count(0) == 2
-        assert pmap.block_valid_count(1) == 1
+        assert pmap.valid_counts_v[0] == 2
+        assert pmap.valid_counts_v[1] == 1
 
     def test_valid_pages_listing(self, pmap):
         pmap.map(0, 0)
@@ -78,8 +78,8 @@ class TestValidCounts:
         g = pmap.geometry
         pmap.map(0, 0)
         pmap.map(0, g.pages_per_block)
-        assert pmap.block_valid_count(0) == 0
-        assert pmap.block_valid_count(1) == 1
+        assert pmap.valid_counts_v[0] == 0
+        assert pmap.valid_counts_v[1] == 1
 
 
 class TestRelocate:
@@ -157,7 +157,7 @@ def test_map_invariants_under_random_operations(actions):
     # Invariant 2: valid counts equal actual valid pages per block.
     for block in range(g.total_blocks):
         actual = len(pmap.valid_pages_in_block(block))
-        assert actual == pmap.block_valid_count(block)
+        assert actual == pmap.valid_counts_v[block]
 
     # Invariant 3: total valid pages equals mapped lpns.
     assert int(pmap.valid_counts.sum()) == pmap.mapped_pages

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.flash.geometry import FlashGeometry
 from repro.ftl.ftl import ConventionalFTL, FTLConfig
+from repro.ftl.mapping import SMALL_BATCH
 from repro.ftl.wearlevel import (
     WL_POLICIES,
     DynamicWearLevel,
@@ -98,6 +101,51 @@ class TestPolicySelection:
         assert StaticWearLevel().migrates
         assert not DynamicWearLevel().migrates
         assert not NoWearLevel().migrates
+
+
+def array_choice(free, wear, planes, preferred):
+    """The allocation key's first minimum over ``free``, the way numpy takes it."""
+    blocks = np.asarray(free, dtype=np.int64)
+    key = np.asarray(wear)[blocks] * planes + (blocks - preferred) % planes
+    return int(key.argmin())
+
+
+class TestSmallPoolChoice:
+    """A pool of at most ``SMALL_BATCH`` blocks is chosen from in Python.
+
+    Pools of 1 to 40 blocks straddle the threshold, so the loop and the
+    array path are both held to numpy's first minimum of the same key.
+    """
+
+    PLANES = 4
+    BLOCKS = 64
+
+    @given(
+        pool=st.lists(
+            st.integers(0, BLOCKS - 1), min_size=1, max_size=SMALL_BATCH + 24, unique=True
+        ),
+        wear=st.lists(st.integers(0, 2), min_size=BLOCKS, max_size=BLOCKS),
+        plane_wear=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_the_loop_takes_the_arrays_first_minimum(self, pool, wear, plane_wear):
+        if plane_wear:
+            # Every block wears as its plane's first block: any two pool
+            # blocks on one plane tie on (wear, plane), so only pool order
+            # can break the tie.
+            wear = [wear[block % self.PLANES] for block in range(self.BLOCKS)]
+        view = memoryview(np.asarray(wear, dtype=np.int64))
+        for policy in (DynamicWearLevel(), StaticWearLevel()):
+            for preferred in range(self.PLANES):
+                assert policy.select(pool, view, self.PLANES, preferred) == array_choice(
+                    pool, view, self.PLANES, preferred
+                )
+        assert NoWearLevel().select(pool, view, self.PLANES, 0) == 0
+
+    def test_a_tie_goes_to_the_pool_head_not_the_lowest_id(self):
+        wear = memoryview(np.zeros(16, dtype=np.int64))
+        # Blocks 9 and 1 share plane 1 and wear 0; 9 comes first in the pool.
+        assert DynamicWearLevel().select([9, 1], wear, planes=4, preferred=1) == 0
 
 
 class TestConfigPlumbing:

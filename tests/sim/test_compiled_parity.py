@@ -7,7 +7,7 @@ for, over randomized operation sequences.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.flash.geometry import FlashGeometry
@@ -50,6 +50,12 @@ class TestMapBatchParity:
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=60, deadline=None)
+    # Duplicate-heavy batches past the scalar cutoff, where the kernel runs:
+    # one lpn throughout, a duplicate at both ends, one lpn interleaved
+    # across the batch.
+    @example(lpns=[7] * 40, premap=3, seed=1)
+    @example(lpns=[9, *range(20, 50), 9], premap=3, seed=2)
+    @example(lpns=[lpn for i in range(20) for lpn in (3, 30 + i)], premap=3, seed=3)
     def test_matches_scalar_map_loop(self, lpns, premap, seed):
         rng = np.random.default_rng(seed)
         scalar = FullPageMap(GEOMETRY, 64)

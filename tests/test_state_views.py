@@ -73,7 +73,7 @@ class TestScalarReadsArePythonInts:
         assert type(ftl.map.lookup(3)) is int
         assert type(ftl.map.lookup(4)) is int  # unmapped
         assert type(ftl.map.owner_of(program.page)) is int
-        assert type(ftl.map.block_valid_count(program.block)) is int
+        assert type(ftl.map.valid_counts_v[program.block]) is int
 
     def test_conventional_op_records(self):
         ftl = _ftl()
