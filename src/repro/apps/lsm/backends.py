@@ -20,7 +20,7 @@ import bisect
 import itertools
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,8 +80,9 @@ class LsmBackend(abc.ABC):
 # -- Block-device backend ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Extent:
+class _Extent(NamedTuple):
+    """``length`` blocks from ``start``: a piece of a file, or a free run."""
+
     start: int
     length: int
 
@@ -91,7 +92,6 @@ class _Extent:
 
 
 _extent_start = attrgetter("start")
-_extent_end = attrgetter("end")
 
 
 class AllocationError(Exception):
@@ -118,6 +118,10 @@ class ExtentAllocator:
     Files may span multiple extents when no single free range fits, which
     is precisely the fragmentation that interleaves unrelated files in the
     FTL's write stream.
+
+    The free list is two int columns, ``_starts`` and ``_ends``: the free
+    runs ``[start, end)`` in address order, disjoint and coalesced (no two
+    touch), bisected directly. :attr:`free_extents` is its one derived view.
     """
 
     def __init__(
@@ -134,15 +138,22 @@ class ExtentAllocator:
         self.strategy = strategy
         self.rng = rng
         self._cursor = 0
-        self._free: list[_Extent] = [_Extent(0, total_blocks)]  # sorted, coalesced
+        self._starts: list[int] = [0]
+        self._ends: list[int] = [total_blocks]
         self.free_blocks = total_blocks
+
+    @property
+    def free_extents(self) -> list[_Extent]:
+        """The free list as extents, in address order (built on demand)."""
+        return [_Extent(start, end - start) for start, end in zip(self._starts, self._ends)]
 
     def allocate(self, length: int) -> list[_Extent]:
         """Allocate ``length`` blocks, possibly as several extents.
 
         Walks the strategy's placement order (as free-list indices) only
-        until the request is met and edits the free list in place;
-        ``aged`` draws exactly one permutation of the free list per call.
+        until the request is met and edits the columns in place; ``aged``
+        draws exactly one permutation of the free list per call and reads
+        only as much of it as the request takes.
         """
         if length < 1:
             raise ValueError("length must be >= 1")
@@ -150,46 +161,46 @@ class ExtentAllocator:
             raise AllocationError(
                 f"requested {length} blocks, {self.free_blocks} free"
             )
-        free = self._free
+        starts, ends = self._starts, self._ends
         if self.strategy == "next-fit":
-            # Allocation resumes at the cursor: split the extent that spans
+            # Allocation resumes at the cursor: split the run that spans
             # it, so the region behind the cursor is only reused after a
             # full wrap, then go from there on and wrap to the front.
             cursor = self._cursor
-            at = bisect.bisect_right(free, cursor, key=_extent_end)
-            if at < len(free) and free[at].start < cursor:
-                spanning = free[at]
-                free[at : at + 1] = [
-                    _Extent(spanning.start, cursor - spanning.start),
-                    _Extent(cursor, spanning.end - cursor),
-                ]
+            at = bisect.bisect_right(ends, cursor)
+            if at < len(starts) and starts[at] < cursor:
+                ends.insert(at, cursor)
+                starts.insert(at + 1, cursor)
                 at += 1
-            order = itertools.chain(range(at, len(free)), range(at))
+            order = itertools.chain(range(at, len(starts)), range(at))
         elif self.strategy == "aged":
             if self.rng is None:
                 self.rng = np.random.default_rng(0)
-            order = self.rng.permutation(len(free)).tolist()
+            order = self.rng.permutation(len(starts))  # iterated lazily
         else:
-            order = range(len(free))
+            order = range(len(starts))
         taken: list[_Extent] = []
         emptied: list[int] = []
         remaining = length
         for index in order:
-            extent = free[index]
-            if extent.length > remaining:
-                # The remainder keeps its place, so the list stays sorted.
-                taken.append(_Extent(extent.start, remaining))
-                free[index] = _Extent(extent.start + remaining, extent.length - remaining)
+            start = starts[index]
+            size = ends[index] - start
+            if size > remaining:
+                # The remainder keeps its place, so the columns stay sorted.
+                taken.append(_Extent(start, remaining))
+                starts[index] = start + remaining
                 break
-            taken.append(extent)
+            taken.append(_Extent(start, size))
             emptied.append(index)
-            remaining -= extent.length
+            remaining -= size
             if remaining == 0:
                 break
         for index in sorted(emptied, reverse=True):
-            del free[index]
+            del starts[index]
+            del ends[index]
         self.free_blocks -= length
-        self._cursor = taken[-1].end % self.total_blocks
+        last = taken[-1]
+        self._cursor = (last.start + last.length) % self.total_blocks
         return taken
 
     def free(self, extents: list[_Extent]) -> None:
@@ -201,29 +212,54 @@ class ExtentAllocator:
         joined to its two neighbors; the list is coalesced after every
         call, so nothing further can merge.
         """
-        free = self._free
+        starts, ends = self._starts, self._ends
         behind = 0  # end of the previous extent of the request, in address order
-        for extent in sorted(extents, key=_extent_start):
-            at = bisect.bisect_right(free, extent.start, key=_extent_start)
+        for start, length in sorted(extents, key=_extent_start):
+            at = bisect.bisect_right(starts, start)
             if (
-                extent.start < behind
-                or (at and free[at - 1].end > extent.start)
-                or (at < len(free) and free[at].start < extent.end)
+                start < behind
+                or (at and ends[at - 1] > start)
+                or (at < len(starts) and starts[at] < start + length)
             ):
-                raise ValueError(f"double free around block {extent.start}")
-            behind = extent.end
-        for extent in extents:
-            start, end = extent.start, extent.end
-            at = bisect.bisect_right(free, start, key=_extent_start)
-            if at and free[at - 1].end == start:
-                start = free[at - 1].start
-                at -= 1
-                del free[at]
-            if at < len(free) and free[at].start == end:
-                end = free[at].end
-                del free[at]
-            free.insert(at, _Extent(start, end - start))
-            self.free_blocks += extent.length
+                raise ValueError(f"double free around block {start}")
+            behind = start + length
+        for start, length in extents:
+            end = start + length
+            at = bisect.bisect_right(starts, start)
+            if at and ends[at - 1] == start:
+                if at < len(starts) and starts[at] == end:
+                    # Fills the gap between two runs: they become one.
+                    ends[at - 1] = ends[at]
+                    del starts[at]
+                    del ends[at]
+                else:
+                    ends[at - 1] = end
+            elif at < len(starts) and starts[at] == end:
+                starts[at] = start
+            else:
+                starts.insert(at, start)
+                ends.insert(at, end)
+            self.free_blocks += length
+
+    def check_invariants(self) -> None:
+        """Assert the free columns are sorted, coalesced and counted."""
+        assert len(self._starts) == len(self._ends), "free columns differ in length"
+        free = self.free_extents
+        for extent in free:
+            assert extent.length > 0, f"empty free extent at block {extent.start}"
+        for left, right in zip(free, free[1:]):
+            assert left.end < right.start, (
+                f"free extents at blocks {left.start} and {right.start} "
+                "are out of order, overlap or touch"
+            )
+        if free:
+            assert free[0].start >= 0 and free[-1].end <= self.total_blocks, (
+                "free list reaches outside the device"
+            )
+        assert self.free_blocks == sum(extent.length for extent in free), (
+            "allocator's running free count drifted from its free list"
+        )
+        assert 0 <= self._cursor < self.total_blocks, f"cursor {self._cursor} out of range"
 
 
 class BlockFileBackend(LsmBackend):

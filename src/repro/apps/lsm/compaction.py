@@ -13,12 +13,15 @@ extra device WA underneath it.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Any
 
 from repro.apps.lsm.memtable import TOMBSTONE
 from repro.apps.lsm.sstable import SSTable, overlapping_run, size_in_pages
+
+_size_pages = operator.attrgetter("size_pages")
 
 
 @dataclass(frozen=True)
@@ -95,21 +98,34 @@ class LeveledCompaction:
         worst_level = None
         worst_ratio = 1.0
         for level in range(1, len(levels) - 1):
-            pages = sum(t.size_pages for t in levels[level])
+            pages = sum(map(_size_pages, levels[level]))
             ratio = pages / self.level_budget_pages(level)
             if ratio > worst_ratio:
                 worst_level, worst_ratio = level, ratio
         if worst_level is None:
             return None
         # Pick the table whose push-down rewrites the least data per page
-        # of its own size (RocksDB's overlap-ratio heuristic).
-        def overlap_cost(table: SSTable) -> float:
-            lower = self._overlapping(levels, worst_level + 1, (table,))
-            return sum(t.size_pages for t in lower) / table.size_pages
-
-        table = min(levels[worst_level], key=overlap_cost)
-        lower = self._overlapping(levels, worst_level + 1, (table,))
-        return CompactionTask(worst_level, (table,), lower)
+        # of its own size (RocksDB's overlap-ratio heuristic), the first
+        # such table on a tie. Both levels are sorted and disjoint, so each
+        # table's overlapping run of the next level starts and ends no
+        # earlier than its predecessor's: one walk prices them all, each
+        # run's pages a difference of the next level's running sums.
+        below = levels[worst_level + 1]
+        before = [0, *itertools.accumulate(map(_size_pages, below))]
+        end = len(below)
+        lo = hi = 0
+        best_cost = math.inf
+        for table in levels[worst_level]:
+            while lo < end and below[lo].max_key < table.min_key:
+                lo += 1
+            if hi < lo:
+                hi = lo
+            while hi < end and below[hi].min_key <= table.max_key:
+                hi += 1
+            cost = (before[hi] - before[lo]) / table.size_pages
+            if cost < best_cost:
+                best_cost, chosen, lower = cost, table, below[lo:hi]
+        return CompactionTask(worst_level, (chosen,), tuple(lower))
 
     def _overlapping(
         self, levels: list[list[SSTable]], level: int, uppers: tuple[SSTable, ...]

@@ -33,7 +33,7 @@ from repro.apps.lsm.backends import BlockFileBackend, LsmBackend, ZoneFileBacken
 from repro.apps.lsm.bloom import BloomFilter
 from repro.apps.lsm.compaction import LeveledCompaction
 from repro.apps.lsm.memtable import TOMBSTONE, MemTable
-from repro.apps.lsm.sstable import SSTable, _max_key, overlapping_run, size_in_pages
+from repro.apps.lsm.sstable import SSTable, _max_key, _min_key, overlapping_run, size_in_pages
 from repro.sim.rng import draw_ints
 
 _ABSENT = object()  # a memtable miss, distinct from every value and TOMBSTONE
@@ -361,7 +361,7 @@ class LSMStore:
                 level_list.remove(table)
                 self.backend.delete_table(table)
                 freed += table.size_pages
-            self.levels[task.level + 1].sort(key=lambda t: t.min_key)
+            self.levels[task.level + 1].sort(key=_min_key)
             self.stats.compactions += 1
             self.stats.compaction_pages += written
             self.stats.io_plan.append(
@@ -390,9 +390,7 @@ class LSMStore:
             held = sum(e.length for t in tables for e in t.handle)
             held += sum(e.length for e in backend._wal_extents)
             allocator = backend.allocator
-            assert allocator.free_blocks == sum(e.length for e in allocator._free), (
-                "allocator's running free count drifted from its free list"
-            )
+            allocator.check_invariants()
             assert allocator.free_blocks + held == backend.capacity_pages, (
                 "allocator leaked or double-counted pages"
             )

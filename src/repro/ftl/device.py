@@ -67,7 +67,8 @@ class ConventionalSSD:
 
     def write_blocks(self, start: int, count: int) -> None:
         check_extent(self, start, count)
-        self.ftl.write_pages(np.arange(start, start + count))
+        # The extent is checked whole: the FTL's write loop skips its own check.
+        self.ftl._write_checked(np.arange(start, start + count, dtype=np.int64), 0, True)
         if self._store_data:
             self._payloads.update(dict.fromkeys(range(start, start + count)))
 

@@ -181,19 +181,13 @@ class DemandPagedFTL(ConventionalFTL):
         self.store.access(lpn, dirty=True)
         return super().write(lpn, stream=stream, auto_gc=auto_gc, build_ops=build_ops)
 
-    def write_pages(
-        self, lpns: np.ndarray, stream: int = 0, auto_gc: bool = True
-    ) -> int:
-        """Write many logical pages, each through :meth:`write`.
-
-        The per-lpn loop, so every page demand-faults its translation
-        entry in order. :meth:`ConventionalFTL.write_pages` programs in
-        runs and would skip the CMT. Like it, builds no op records.
-        """
-        lpns = self._checked_lpns(lpns)
+    def _write_checked(self, lpns: np.ndarray, stream: int, auto_gc: bool) -> None:
+        """:meth:`write_pages` is the per-lpn :meth:`write` loop here, so every
+        page demand-faults its translation entry in order.
+        :meth:`ConventionalFTL.write_pages` programs in runs and would skip
+        the CMT. Like it, builds no op records."""
         for lpn in lpns.tolist():
             self.write(lpn, stream, auto_gc, build_ops=False)
-        return int(lpns.size)
 
     def read(self, lpn: int, build_ops: bool = True) -> FlashOp | None:
         self.map.check_lpn(lpn)

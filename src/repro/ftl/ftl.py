@@ -360,19 +360,25 @@ class ConventionalFTL(Replayable):
         :meth:`write`.
         """
         lpns = self._checked_lpns(lpns)
-        n = int(lpns.size)
+        self._write_checked(lpns, stream, auto_gc)
+        return int(lpns.size)
+
+    def _write_checked(self, lpns: np.ndarray, stream: int, auto_gc: bool) -> None:
+        """:meth:`write_pages` after its input check: ``lpns`` is a 1-D int64
+        array inside the logical space (what :meth:`_checked_lpns` returns,
+        or a range the caller has bounds-checked), written a block run at a time."""
+        n = len(lpns)
         done = 0
         while done < n:
             first, take, _ = self._program_host(stream, n - done, auto_gc, None)
             chunk = lpns[done : done + take]
-            self.map.map_batch(chunk, first + np.arange(take, dtype=np.int64))
+            self.map.map_batch(chunk, np.arange(first, first + take, dtype=np.int64))
             self._oob_lpn[first : first + take] = chunk
             self._oob_serial[first : first + take] = np.arange(
                 self._program_serial, self._program_serial + take, dtype=np.int64
             )
             self._program_serial += take
             done += take
-        return n
 
     def _program_host(
         self, stream: int, n: int, auto_gc: bool, ops: list[FlashOp] | None

@@ -672,26 +672,59 @@ class ZNSDevice(Replayable):
             raise ValueError("simple_copy requires at least one source")
         if self.faults is not None:
             self._poll_faults()
-        dst = self.zone(dst_zone_id)
-        dst.check_writable(len(sources))
+        # Resolved once, inline, as in write and read: the destination, its
+        # state and block list, then each source's zone and page.
+        zones = self.zones
+        if not 0 <= dst_zone_id < len(zones):
+            self.zone(dst_zone_id)  # raises the range error
+        dst = zones[dst_zone_id]
+        count = len(sources)
+        state = dst.state
+        start = dst.wp
+        if state is not ZoneState.IMPLICIT_OPEN or count > dst.capacity_pages - start:
+            dst.check_writable(count)
         # Validate every source before touching flash so a bad source list
         # fails atomically: no destination page is programmed for a
         # command that raises.
         for src_zone_id, src_offset in sources:
-            self.zone(src_zone_id).check_readable(src_offset)
-        self._ensure_open_for_write(dst)
-        start = dst.wp
+            if not 0 <= src_zone_id < len(zones):
+                self.zone(src_zone_id)  # raises the range error
+            src = zones[src_zone_id]
+            if not 0 <= src_offset < src.wp or src.state is ZoneState.OFFLINE:
+                src.check_readable(src_offset)  # raises
+        if state is ZoneState.IMPLICIT_OPEN:
+            self._open_stamp[dst_zone_id] = self._open_clock  # _mark_open, inline
+            self._open_clock += 1
+        elif state is not ZoneState.EXPLICIT_OPEN:
+            self._ensure_open_for_write(dst)
+        nand = self.nand
         ppb = self.geometry.flash.pages_per_block
+        live_blocks = self.ftl.live_blocks
+        striped = self.striped
+        dst_blocks = live_blocks(dst_zone_id)
+        dst_width = len(dst_blocks)
+        blocks_of = None  # the zone src_blocks belongs to
         ops: list[FlashOp] = []
         for i, (src_zone_id, src_offset) in enumerate(sources):
-            src_page = self._page_of(src_zone_id, src_offset)
-            dst_page = self._page_of(dst_zone_id, start + i)
+            if src_zone_id != blocks_of:
+                blocks_of = src_zone_id
+                src_blocks = live_blocks(src_zone_id)
+                src_width = len(src_blocks)
+            # ``_page_of``, inline: every offset is below its zone's write
+            # pointer, so it lies inside the zone's blocks.
+            lane = start + i
+            if striped:
+                src_page = src_blocks[src_offset % src_width] * ppb + src_offset // src_width
+                dst_page = dst_blocks[lane % dst_width] * ppb + lane // dst_width
+            else:
+                src_page = src_blocks[src_offset // ppb] * ppb + src_offset % ppb
+                dst_page = dst_blocks[lane // ppb] * ppb + lane % ppb
             # Device-internal movement: sense + program without channel
             # use. The sense is not a host read; the command accounts for
             # itself below.
-            payload = self.nand.sense_for_copy(src_page)
+            payload = nand.sense_for_copy(src_page)
             try:
-                latency = self.nand.program(dst_page, "reclaim", payload)
+                latency = nand.program(dst_page, "reclaim", payload)
             except ProgramFaultError:
                 self._degrade_read_only(dst, durable_pages=i)
                 raise
@@ -700,13 +733,12 @@ class ZNSDevice(Replayable):
                     FlashOp(OpKind.COPY, dst_page // ppb, dst_page, latency, uses_channel=False)
                 )
         old_state = dst.state
-        dst.advance(len(sources))
+        dst.advance(count)
         if self.tracer.enabled:
             self.tracer.publish(
                 FlashOpEvent(
                     "zns.device", "copy", block=self.block_of_offset(dst_zone_id, start),
-                    count=len(sources),
-                    nbytes=len(sources) * self.page_size, cause="reclaim",
+                    count=count, nbytes=count * self.page_size, cause="reclaim",
                 )
             )
         if dst.state is ZoneState.FULL:

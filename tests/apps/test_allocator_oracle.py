@@ -2,7 +2,8 @@
 
 One hypothesis sequence of allocate/free drives both allocators; after
 every step the returned extents, the free list, the cursor, the running
-free count and (for ``aged``) the generator state must be equal.
+free count and (for ``aged``) the generator state must be equal, and the
+fast allocator must pass its own ``check_invariants``.
 """
 
 import numpy as np
@@ -26,9 +27,10 @@ steps = st.lists(
 
 
 def assert_same(fast: ExtentAllocator, slow: ScalarExtentAllocator) -> None:
-    assert fast._free == slow._free
+    fast.check_invariants()
+    assert fast.free_extents == slow._free
     assert fast._cursor == slow._cursor
-    assert fast.free_blocks == slow.free_blocks == sum(e.length for e in fast._free)
+    assert fast.free_blocks == slow.free_blocks
 
 
 @settings(max_examples=120, deadline=None)
@@ -101,4 +103,25 @@ def test_double_free_leaves_count_alone():
     alloc.free(extents)
     with pytest.raises(ValueError, match="double free"):
         alloc.free(extents)
-    assert alloc.free_blocks == 32 == sum(e.length for e in alloc._free)
+    assert alloc.free_blocks == 32 == sum(e.length for e in alloc.free_extents)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda a: a._ends.pop(),  # columns of different lengths
+        lambda a: a._starts.__setitem__(1, a._ends[1]),  # an empty extent
+        lambda a: a._ends.__setitem__(0, a._starts[1]),  # two extents touch
+        lambda a: a._starts.reverse(),  # out of order
+        lambda a: setattr(a, "free_blocks", a.free_blocks + 1),  # count drifted
+        lambda a: setattr(a, "_cursor", a.total_blocks),  # cursor out of range
+    ],
+)
+def test_check_invariants_catches(corrupt):
+    alloc = ExtentAllocator(32, "first-fit")
+    held = [alloc.allocate(4) for _ in range(4)]
+    alloc.free(held[0] + held[2])  # free list [0..4), [8..12), [16..32)
+    alloc.check_invariants()
+    corrupt(alloc)
+    with pytest.raises(AssertionError):
+        alloc.check_invariants()

@@ -17,7 +17,8 @@ from repro.apps.lsm import (
 )
 from repro.apps.lsm.backends import AllocationError, ExtentAllocator
 from repro.apps.lsm.memtable import TOMBSTONE
-from repro.apps.lsm.sstable import size_in_pages
+from repro.apps.lsm.compaction import LeveledCompaction
+from repro.apps.lsm.sstable import overlapping_run, size_in_pages
 from repro.block.factory import DeviceSpec, build_stack
 from repro.block.ramdisk import RamDisk
 from repro.flash.geometry import FlashGeometry, ZonedGeometry
@@ -316,6 +317,45 @@ class TestCheckInvariants:
         store.backend.allocator.allocate(1)
         with pytest.raises(AssertionError, match="leaked"):
             store.check_invariants()
+
+
+def _disjoint_level(bounds: list[int], sizes: list[int], level: int) -> list[SSTable]:
+    """Tables over consecutive pairs of the sorted distinct ``bounds``."""
+    return [
+        SSTable(keys=[lo, hi], values=[lo, hi], level=level, size_pages=size)
+        for (lo, hi), size in zip(zip(bounds[::2], bounds[1::2]), sizes)
+    ]
+
+
+class TestPickTask:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        upper=st.lists(st.integers(0, 200), min_size=2, max_size=24, unique=True),
+        lower=st.lists(st.integers(0, 200), max_size=40, unique=True),
+        sizes=st.lists(st.integers(1, 4), min_size=32, max_size=32),
+    )
+    def test_one_walk_prices_like_a_bisection_per_table(self, upper, lower, sizes):
+        """The cheapest push-down, first on a tie, as ``min`` over
+        ``overlapping_run`` per table picked it."""
+        levels = [
+            [],
+            _disjoint_level(sorted(upper), sizes[:12], 1),
+            _disjoint_level(sorted(lower), sizes[12:], 2),
+            [],
+        ]
+        compaction = LeveledCompaction(level0_pages=1, level_multiplier=100)
+        if sum(t.size_pages for t in levels[1]) <= 1:
+            assert compaction.pick_task(levels) is None
+            return
+
+        def cost(table):
+            run = overlapping_run(levels[2], table.min_key, table.max_key)
+            return sum(t.size_pages for t in run) / table.size_pages
+
+        table = min(levels[1], key=cost)
+        task = compaction.pick_task(levels)
+        assert task.level == 1 and task.inputs_upper[0] is table
+        assert task.inputs_lower == tuple(overlapping_run(levels[2], table.min_key, table.max_key))
 
 
 class TestBackends:

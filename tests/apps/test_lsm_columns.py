@@ -144,7 +144,7 @@ class TestDoubleFreeLeavesTheListAlone:
         allocator = ExtentAllocator(32, "first-fit")
         allocator.allocate(20)
         allocator.free([_Extent(8, 4)])
-        assert allocator._free == [_Extent(8, 4), _Extent(20, 12)]
+        assert allocator.free_extents == [_Extent(8, 4), _Extent(20, 12)]
         return allocator
 
     @pytest.mark.parametrize(
@@ -161,16 +161,16 @@ class TestDoubleFreeLeavesTheListAlone:
     )
     def test_rejected_whole(self, request_):
         allocator = self.fragmented()
-        before, count = list(allocator._free), allocator.free_blocks
+        before, count = allocator.free_extents, allocator.free_blocks
         with pytest.raises(ValueError, match="double free"):
             allocator.free(request_)
-        assert allocator._free == before
+        assert allocator.free_extents == before
         assert allocator.free_blocks == count == 16
 
     def test_a_valid_request_in_any_order_coalesces(self):
         allocator = self.fragmented()
         allocator.free([_Extent(16, 4), _Extent(0, 8), _Extent(12, 2)])
-        assert allocator._free == [_Extent(0, 14), _Extent(16, 16)]
+        assert allocator.free_extents == [_Extent(0, 14), _Extent(16, 16)]
         assert allocator.free_blocks == 30
         allocator.free([_Extent(14, 2)])
-        assert allocator._free == [_Extent(0, 32)]
+        assert allocator.free_extents == [_Extent(0, 32)]

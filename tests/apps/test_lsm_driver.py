@@ -62,7 +62,7 @@ def _backend_state(store: LSMStore) -> tuple:
     if isinstance(backend, ZoneFileBackend):
         return _log_state(backend.log)
     allocator = backend.allocator
-    return allocator._free, allocator.free_blocks, allocator._cursor, backend._wal_extents
+    return allocator.free_extents, allocator.free_blocks, allocator._cursor, backend._wal_extents
 
 
 def _state(store: LSMStore, counters) -> dict:

@@ -413,10 +413,7 @@ def lsm_block() -> dict:
     assert reads == store.stats.table_reads + store.stats.scan_pages_read
     # What the in-place ``ExtentAllocator.free`` relies on: the free list
     # is sorted and fully coalesced after every allocate and free.
-    allocator = store.backend.allocator
-    free = allocator._free
-    assert all(left.end < right.start for left, right in zip(free, free[1:]))
-    assert sum(extent.length for extent in free) == allocator.free_blocks
+    store.backend.allocator.check_invariants()
     return {**_lsm(store, ssd.ftl.nand), "flash_reads": reads}
 
 

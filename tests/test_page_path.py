@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.apps.lsm.backends import ExtentAllocator
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.flash.errors import (
@@ -30,6 +31,7 @@ from repro.flash.errors import (
 from repro.flash.geometry import FlashGeometry, ZonedGeometry
 from repro.flash.nand import NandArray
 from repro.flash.ops import FlashOp, OpKind
+from repro.ftl.device import ConventionalSSD
 from repro.ftl.ftl import ConventionalFTL, FTLConfig, UnmappedReadError
 from repro.zns.device import ZNSDevice
 from repro.zns.errors import (
@@ -99,6 +101,42 @@ class TestCallBudget:
         ftl = ConventionalFTL(FlashGeometry.bench())
         del ftl._free[2:]
         assert python_calls(lambda: ftl._take_free_block()) <= 2
+
+    @staticmethod
+    def _two_block_holes(strategy: str) -> ExtentAllocator:
+        """A 256-block allocator filled a block at a time, then every other
+        pair freed: the free list is 64 runs of two blocks."""
+        allocator = ExtentAllocator(256, strategy, rng=np.random.default_rng(0))
+        held = [allocator.allocate(1) for _ in range(256)]
+        for index, extents in enumerate(held):
+            if index % 4 < 2:
+                allocator.free(extents)
+        return allocator
+
+    def test_extent_allocate_one_block_aged(self):
+        """A WAL page: two of the calls are numpy's own, inside the permutation."""
+        allocator = self._two_block_holes("aged")
+        assert python_calls(lambda: allocator.allocate(1)) <= 4
+
+    def test_extent_free_of_a_three_extent_file(self):
+        allocator = self._two_block_holes("first-fit")
+        extents = allocator.allocate(5)
+        assert len(extents) == 3
+        assert python_calls(lambda: allocator.free(extents)) <= 1
+
+    def test_conventional_ssd_write_blocks(self):
+        """Eight pages into an open active block: one program run, eight maps."""
+        ssd = ConventionalSSD(FlashGeometry.bench())
+        ssd.write_blocks(0, 8)
+        assert python_calls(lambda: ssd.write_blocks(8, 8)) <= 17
+
+    def test_zns_simple_copy(self):
+        device = ZNSDevice(ZonedGeometry.bench())
+        device.write(0, npages=8, build_ops=False)
+        device.simple_copy([(0, 0)], 1, build_ops=False)  # the implicit open
+        assert python_calls(lambda: device.simple_copy([(0, 1)], 1, build_ops=False)) <= 9
+        four = [(0, offset) for offset in range(2, 6)]
+        assert python_calls(lambda: device.simple_copy(four, 1, build_ops=False)) <= 25
 
 
 def test_the_cached_page_latencies_cannot_go_stale():
