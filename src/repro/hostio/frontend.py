@@ -100,8 +100,9 @@ class TimedFrontEnd:
                 if stalled:
                     self._parked.popleft()
                     self._wake_stalled()
+            execute = self.service.execute
             for flash_op in ops:
-                yield engine.process(self.service.execute(flash_op))
+                yield from engine.inline(execute(flash_op))
         finally:
             if lock is not None:
                 lock.release(req)

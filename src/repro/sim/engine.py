@@ -61,7 +61,7 @@ class Event:
     them instead.
     """
 
-    __slots__ = ("engine", "callbacks", "value", "_state", "_exception", "_poolable")
+    __slots__ = ("engine", "callbacks", "value", "_state", "_exception", "_pool")
 
     def __init__(self, engine: Engine):
         self.engine = engine
@@ -69,29 +69,25 @@ class Event:
         self.value: Any = None
         self._state = _PENDING
         self._exception: BaseException | None = None
-        # Pool-managed events (engine-internal bootstraps, Engine.sleep
-        # timeouts) are recycled after processing instead of discarded.
-        self._poolable = False
+        # Pool-managed events (engine-internal bootstraps and inline-op
+        # events, Engine.sleep timeouts) name the pool they return to once
+        # processed; any other event is left to the garbage collector.
+        self._pool: list | None = None
 
     @property
     def triggered(self) -> bool:
         return self._state >= _TRIGGERED
 
-    @property
-    def processed(self) -> bool:
-        return self._state == _PROCESSED
-
-    @property
-    def ok(self) -> bool:
-        """True if the event triggered successfully (not failed)."""
-        return self.triggered and self._exception is None
-
     def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
         """Trigger the event successfully, carrying ``value``."""
         if self._state != _PENDING:
             raise SimulationError(f"{self!r} has already been triggered")
-        # Scheduled first: a rejected delay leaves the event pending.
-        self.engine._schedule(self, delay)
+        engine = self.engine
+        if delay == 0.0:
+            engine._fifo.append((engine.now, next(engine._sequence), self))
+        else:
+            # Scheduled first: a rejected delay leaves the event pending.
+            engine._schedule(self, delay)
         self.value = value
         self._state = _TRIGGERED
         return self
@@ -153,15 +149,15 @@ class AllOf(Event):
             self.succeed([])
             return
         for event in self._events:
-            if event.processed:
+            if event._state == _PROCESSED:
                 self._on_child(event)
             else:
                 event.callbacks.append(self._on_child)
 
     def _on_child(self, event: Event) -> None:
-        if self.triggered:
+        if self._state != _PENDING:
             return
-        if not event.ok:
+        if event._exception is not None:
             self.fail(event._exception)  # propagate the first failure
             return
         self._remaining -= 1
@@ -181,14 +177,21 @@ class Process(Event):
     __slots__ = ("generator", "name")
 
     def __init__(self, engine: Engine, generator: Generator, name: str | None = None):
-        super().__init__(engine)
+        # Every slot set here: a process per request makes a helper chain dear.
+        self.engine = engine
+        self.callbacks = []
+        self.value = None
+        self._state = _PENDING
+        self._exception = None
+        self._pool = None
         self.generator = generator
-        self.name = name or getattr(generator, "__name__", "process")
+        self.name = name
         # Bootstrap: resume on an immediately-triggered event. The event is
         # engine-internal (no reference escapes), so it comes from a pool.
         start = engine._acquire_event()
         start.callbacks.append(self._resume)
-        start.succeed()
+        start._state = _TRIGGERED
+        engine._fifo.append((engine.now, next(engine._sequence), start))
 
     def _resume(self, event: Event) -> None:
         while True:
@@ -198,7 +201,7 @@ class Process(Event):
                 else:
                     target = self.generator.send(event.value)
             except StopIteration as stop:
-                if not self.triggered:
+                if self._state == _PENDING:
                     self.succeed(stop.value)
                 return
             except BaseException as exc:
@@ -206,16 +209,17 @@ class Process(Event):
                 # it at their own yield (and run(until=...) re-raises it),
                 # so errors surface where they can be handled instead of
                 # tearing down the whole event loop.
-                if not self.triggered:
+                if self._state == _PENDING:
                     self.fail(exc)
                     return
                 raise
             if not isinstance(target, Event):
+                name = self.name or getattr(self.generator, "__name__", "process")
                 raise SimulationError(
-                    f"process {self.name!r} yielded {target!r}; processes must "
+                    f"process {name!r} yielded {target!r}; processes must "
                     "yield Event instances"
                 )
-            if target.processed:
+            if target._state == _PROCESSED:
                 # Already done -- loop and resume immediately with its value.
                 event = target
                 continue
@@ -275,16 +279,8 @@ class Engine:
             event._state = _PENDING
             return event
         event = Event(self)
-        event._poolable = True
+        event._pool = pool
         return event
-
-    def _recycle(self, event: Event) -> None:
-        if type(event) is Timeout:
-            pool: list = self._timeout_pool
-        else:
-            pool = self._event_pool
-        if len(pool) < self._POOL_LIMIT:
-            pool.append(event)
 
     # -- Public factory helpers ------------------------------------------
 
@@ -306,15 +302,48 @@ class Engine:
             timeout.value = value
             timeout._exception = None
             timeout._state = _TRIGGERED
-            self._schedule(timeout, delay)
+            if delay > 0.0:
+                heapq.heappush(self._queue, (self.now + delay, next(self._sequence), timeout))
+            else:
+                self._schedule(timeout, delay)
             return timeout
         timeout = Timeout(self, delay, value)
-        timeout._poolable = True
+        timeout._pool = pool
         return timeout
 
     def process(self, generator: Generator, name: str | None = None) -> Process:
         """Start a new process running ``generator``."""
         return Process(self, generator, name=name)
+
+    def inline(self, generator: Generator) -> Generator:
+        """Run ``generator`` inside the calling process, on the timeline
+        that ``yield self.process(generator)`` would give it.
+
+        Use as ``value = yield from engine.inline(body)``. A child process
+        is processed twice, at its bootstrap and at its completion; this
+        yields a pooled event at each of those two points instead. Each
+        draws its sequence number where the child's would have, so every
+        event is processed at the same ``(time, seq)`` and
+        ``processed_events`` is unchanged, with no :class:`Process` built.
+        A failure inside ``body`` reaches the caller at the completion
+        point, as a failed child's does.
+        """
+        start = self._acquire_event()
+        start._state = _TRIGGERED
+        self._fifo.append((self.now, next(self._sequence), start))
+        yield start
+        try:
+            value = yield from generator
+        except GeneratorExit:
+            raise  # the caller is being closed: nothing is waiting
+        except BaseException as exc:
+            done = self._acquire_event().fail(exc)
+        else:
+            done = self._acquire_event()
+            done.value = value
+            done._state = _TRIGGERED
+            self._fifo.append((self.now, next(self._sequence), done))
+        return (yield done)
 
     def all_of(self, events: list[Event]) -> AllOf:
         return AllOf(self, events)
@@ -339,6 +368,7 @@ class Engine:
         fifo = self._fifo
         queue = self._queue
         heappop = heapq.heappop
+        limit = self._POOL_LIMIT
         while stop is None or stop._state != _PROCESSED:
             if fifo and not (queue and queue[0] < fifo[0]):
                 source = fifo
@@ -360,8 +390,9 @@ class Engine:
             self.now = when
             self._processed_count += 1
             event._process()
-            if event._poolable:
-                self._recycle(event)
+            pool = event._pool
+            if pool is not None and len(pool) < limit:
+                pool.append(event)
         if stop is not None:
             if stop._exception is not None:
                 raise stop._exception

@@ -874,7 +874,7 @@ class TimedZNSDevice(TimedFrontEnd):
             ops = command(zone_id)
             for op in ops:
                 if op.kind is OpKind.MGMT:
-                    yield self.engine.process(self.service.execute(op))
+                    yield from self.engine.inline(self.service.execute(op))
             procs = [
                 self.engine.process(self.service.execute(op))
                 for op in ops

@@ -8,10 +8,11 @@ global (time, creation-order) processing order, unchanged
 ``processed_events`` accounting, and safe object reuse.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import Engine, SimulationError, Timeout
+from repro.sim.engine import Engine, Process, SimulationError, Timeout
 
 
 class TestFifoLaneOrdering:
@@ -124,7 +125,7 @@ class TestEventPooling:
         event.succeed("kept")
         engine.run()
         assert event.value == "kept"
-        assert event.processed
+        assert engine.processed_events == 1
         assert event is not engine._acquire_event()
 
 
@@ -190,3 +191,103 @@ class TestRunUntilNumber:
             raise AssertionError("expected SimulationError")
         except SimulationError:
             pass
+
+
+def _op(engine, log, tag, delays, fail_after=None):
+    """A replayed op's shape: sleeps, logging each wake, then a return."""
+    for index, delay in enumerate(delays):
+        yield engine.sleep(delay)
+        log.append((tag, index, engine.now))
+        if index == fail_after:
+            raise ValueError(tag)
+    return tag
+
+
+def _timeline(inline: bool, ops, fail_after=None):
+    """Two callers replaying ``ops`` one by one against a zero-delay
+    bystander, each op run inline or as a child process; returns what
+    each caller saw, the log and the event count."""
+    engine = Engine()
+    log = []
+
+    def caller(name):
+        seen = []
+        for number, delays in enumerate(ops):
+            body = _op(engine, log, f"{name}{number}", delays, fail_after)
+            try:
+                if inline:
+                    seen.append((yield from engine.inline(body)))
+                else:
+                    seen.append((yield engine.process(body)))
+            except ValueError as exc:
+                seen.append(("failed", str(exc), engine.now))
+        return seen
+
+    def bystander():
+        for step in range(12):
+            yield engine.sleep(0.0 if step % 3 else 1.0)
+            log.append(("bystander", step, engine.now))
+
+    callers = [engine.process(caller(name)) for name in "ab"]
+    engine.process(bystander())
+    engine.run()
+    return [c.value for c in callers], log, engine.processed_events
+
+
+class TestInline:
+    """``yield from engine.inline(body)`` keeps ``yield engine.process(body)``'s timeline."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        ops=st.lists(
+            st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=1, max_size=3),
+            min_size=1, max_size=4,
+        )
+    )
+    def test_same_events_in_the_same_order(self, ops):
+        assert _timeline(True, ops) == _timeline(False, ops)
+
+    def test_a_failure_reaches_the_caller_where_a_child_delivers_it(self):
+        ops = [[1.0, 0.0, 2.0], [0.5, 0.5]]
+        inline = _timeline(True, ops, fail_after=1)
+        assert inline == _timeline(False, ops, fail_after=1)
+        assert inline[0][0][0] == ("failed", "a0", 1.0)
+
+    def test_no_process_is_built(self, monkeypatch):
+        engine = Engine()
+        built = []
+        init = Process.__init__
+
+        def counted(process, *args, **kwargs):
+            built.append(process)
+            init(process, *args, **kwargs)
+
+        monkeypatch.setattr(Process, "__init__", counted)
+
+        def body():
+            yield engine.sleep(1.0)
+            return "done"
+
+        def caller():
+            return (yield from engine.inline(body()))
+
+        assert engine.run(until=engine.process(caller())) == "done"
+        assert len(built) == 1  # the caller alone
+        # The caller's bootstrap and completion; the start, sleep and done of
+        # the body, as a child process's bootstrap, sleep and completion.
+        assert engine.processed_events == 5
+
+    def test_closing_a_caller_suspended_in_the_body(self):
+        engine = Engine()
+
+        def body():
+            yield engine.sleep(5.0)
+
+        def caller():
+            yield from engine.inline(body())
+
+        proc = engine.process(caller())
+        engine.run(until=1.0)
+        proc.generator.close()  # no "generator ignored GeneratorExit"
+        with pytest.raises(StopIteration):
+            next(proc.generator)

@@ -31,8 +31,9 @@ from repro.flash.errors import (
 from repro.flash.geometry import FlashGeometry, ZonedGeometry
 from repro.flash.nand import NandArray
 from repro.flash.ops import FlashOp, OpKind
-from repro.ftl.device import ConventionalSSD
+from repro.ftl.device import ConventionalSSD, TimedConventionalSSD
 from repro.ftl.ftl import ConventionalFTL, FTLConfig, UnmappedReadError
+from repro.sim.engine import Engine
 from repro.zns.device import ZNSDevice
 from repro.zns.errors import (
     WritePointerError,
@@ -137,6 +138,17 @@ class TestCallBudget:
         assert python_calls(lambda: device.simple_copy([(0, 1)], 1, build_ops=False)) <= 9
         four = [(0, offset) for offset in range(2, 6)]
         assert python_calls(lambda: device.simple_copy(four, 1, build_ops=False)) <= 25
+
+    def test_timed_read_and_write_on_an_idle_drive(self):
+        """One uncontended request through ``TimedConventionalSSD``, from
+        submit until it completes: the front end, the command, the service
+        model's plane and channel holds and the engine's events, with the
+        idle collector's polls in that span."""
+        engine = Engine()
+        ssd = TimedConventionalSSD(engine, ConventionalFTL(FlashGeometry.bench()))
+        engine.run(until=ssd.submit_write(0))  # opens the first active block
+        assert python_calls(lambda: engine.run(until=ssd.submit_read(0))) <= 68
+        assert python_calls(lambda: engine.run(until=ssd.submit_write(1))) <= 104
 
 
 def test_the_cached_page_latencies_cannot_go_stale():
